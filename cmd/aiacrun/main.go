@@ -241,7 +241,7 @@ func main() {
 	}
 	if *metrics {
 		fmt.Println()
-		printMetrics(rep, tr, st, flags)
+		printMetrics(rep, tr, st, flags, sim)
 	}
 }
 
@@ -249,7 +249,7 @@ func main() {
 // stamped with the simulation's virtual clock (the solve's elapsed virtual
 // time), not the host's wall clock: scraping never happened, the exposition
 // is a record of the run.
-func printMetrics(rep *aiac.Report, tr *trace.Collector, st netsim.Stats, flags []string) {
+func printMetrics(rep *aiac.Report, tr *trace.Collector, st netsim.Stats, flags []string, sim *des.Simulator) {
 	reg := obs.NewRegistry()
 	elapsed := rep.Elapsed.Seconds()
 	reg.SetTimeSource(func() float64 { return elapsed })
@@ -282,6 +282,8 @@ func printMetrics(rep *aiac.Report, tr *trace.Collector, st netsim.Stats, flags 
 	reg.Counter("aiac_heartbeats_total", "Confirmed-state re-sends (protocol heartbeats).").With().Add(float64(rep.Heartbeats))
 	reg.Counter("aiac_stop_rebroadcasts_total", "Coordinator post-stop stop repeats.").With().Add(float64(rep.StopRebroadcasts))
 	reg.Counter("aiac_reconfirm_rounds_total", "Post-state-loss re-confirmation rounds.").With().Add(float64(rep.ReconfirmRounds))
+	reg.Counter("aiac_des_events_total", "Simulator events executed (host work the run cost, not a virtual-time result).").With().Add(float64(sim.Events()))
+	reg.Gauge("aiac_des_queue_high_water", "Largest number of simulator events pending at once.").With().Set(float64(sim.QueueHighWater()))
 	for _, f := range flags {
 		reg.Counter("aiac_redflags_total", "Convergence red-flag verdicts raised by the trajectory detectors.", "flag").With(f).Inc()
 	}

@@ -12,8 +12,8 @@ package des
 // from processes; Recv only from a process.
 type Chan struct {
 	sim     *Simulator
-	buf     []any
-	waiters []*Proc
+	buf     FIFO[any]
+	waiters FIFO[*Proc]
 	closed  bool
 }
 
@@ -21,7 +21,7 @@ type Chan struct {
 func NewChan(sim *Simulator) *Chan { return &Chan{sim: sim} }
 
 // Len returns the number of buffered (undelivered) values.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan) Len() int { return c.buf.Len() }
 
 // Send enqueues v and wakes the oldest blocked receiver, if any.
 // Sending on a closed channel panics.
@@ -29,15 +29,13 @@ func (c *Chan) Send(v any) {
 	if c.closed {
 		panic("des: send on closed Chan")
 	}
-	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		copy(c.waiters, c.waiters[1:])
-		c.waiters = c.waiters[:len(c.waiters)-1]
+	if c.waiters.Len() > 0 {
+		w := c.waiters.Pop()
 		w.recvSlot, w.hasSlot = v, true
 		w.unpark()
 		return
 	}
-	c.buf = append(c.buf, v)
+	c.buf.Push(v)
 }
 
 // Close marks the channel closed. Blocked and future receivers get (nil,
@@ -47,27 +45,23 @@ func (c *Chan) Close() {
 		return
 	}
 	c.closed = true
-	for _, w := range c.waiters {
+	for _, w := range c.waiters.Items() {
 		w.recvSlot, w.hasSlot = nil, false
 		w.unpark()
 	}
-	c.waiters = nil
+	c.waiters.Clear()
 }
 
 // Recv blocks p until a value is available and returns it. ok is false when
 // the channel is closed and drained.
 func (c *Chan) Recv(p *Proc) (v any, ok bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		copy(c.buf, c.buf[1:])
-		c.buf[len(c.buf)-1] = nil
-		c.buf = c.buf[:len(c.buf)-1]
-		return v, true
+	if c.buf.Len() > 0 {
+		return c.buf.Pop(), true
 	}
 	if c.closed {
 		return nil, false
 	}
-	c.waiters = append(c.waiters, p)
+	c.waiters.Push(p)
 	p.park()
 	v, ok = p.recvSlot, p.hasSlot
 	p.recvSlot, p.hasSlot = nil, false
@@ -76,14 +70,10 @@ func (c *Chan) Recv(p *Proc) (v any, ok bool) {
 
 // TryRecv returns a buffered value without blocking.
 func (c *Chan) TryRecv() (v any, ok bool) {
-	if len(c.buf) == 0 {
+	if c.buf.Len() == 0 {
 		return nil, false
 	}
-	v = c.buf[0]
-	copy(c.buf, c.buf[1:])
-	c.buf[len(c.buf)-1] = nil
-	c.buf = c.buf[:len(c.buf)-1]
-	return v, true
+	return c.buf.Pop(), true
 }
 
 // RecvTimeout blocks p for at most d. ok is false on timeout or close.
@@ -95,14 +85,14 @@ func (c *Chan) RecvTimeout(p *Proc, d Time) (v any, ok bool) {
 		return nil, false
 	}
 	fired, delivered := false, false
-	c.waiters = append(c.waiters, p)
+	c.waiters.Push(p)
 	p.sim.After(d, func() {
 		if delivered {
 			return // value arrived first; this timer is stale
 		}
-		for i, w := range c.waiters {
+		for i, w := range c.waiters.Items() {
 			if w == p {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+				c.waiters.Remove(i)
 				fired = true
 				p.unpark()
 				return

@@ -1,10 +1,20 @@
 // Package des implements a deterministic discrete-event simulator.
 //
 // A Simulator advances a virtual clock by executing events in
-// (timestamp, insertion-order) order. Simulated activities run as
-// goroutine-backed processes (Proc) that block and resume under the
-// simulator's control, so at most one process executes at any instant and a
-// given program produces the same event order on every run.
+// (timestamp, insertion-order) order. Simulated activities are processes
+// (Proc) that suspend and resume under the simulator's control, so at most
+// one process executes at any instant and a given program produces the same
+// event order on every run. A process has one of two bodies: a goroutine
+// that blocks in Sleep/Park/Chan.Recv and is resumed through a channel
+// rendezvous (Spawn), or a chain of continuations the scheduler simply
+// calls (SpawnTask, task.go — the form the sim-fast engine runs on). Both
+// kinds share the queue, the ordering and the synchronisation primitives,
+// and issue identical event sequences for identical programs.
+//
+// The event queue is a typed binary heap of event values (queue.go): a
+// Schedule allocates nothing once the heap has grown, and a process wake-up
+// is carried in the event itself, not in a closure. DES.md holds the
+// measured ladder that chose it.
 //
 // The rest of the repository builds on this kernel: the network model
 // schedules message deliveries as events, the CPU model charges compute time
@@ -13,7 +23,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -22,41 +31,13 @@ import (
 // Time is a virtual timestamp, measured as a duration since simulation start.
 type Time = time.Duration
 
-// event is a scheduled callback. Events with equal timestamps execute in
-// insertion order (seq), which is what makes the simulation deterministic.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-func (h eventHeap) peek() *event { return h[0] }
-
 // Simulator owns the virtual clock and the event queue.
 // The zero value is not usable; call New.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
+	queue   []event // binary min-heap, see queue.go
 	seq     uint64
+	high    int // largest queue length seen
 	nextPID int
 	running *Proc
 	yielded chan struct{}
@@ -64,6 +45,11 @@ type Simulator struct {
 	events  uint64
 	procs   int           // live (not yet finished) processes
 	live    map[int]*Proc // live processes by id (for Shutdown)
+
+	// onEnqueue, when set, sees the timestamp of every event as it is
+	// queued. Only the package's tests set it (export_test.go), to record
+	// the op streams of real cells that DES.md's validity column replays.
+	onEnqueue func(at Time)
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -80,14 +66,31 @@ func (s *Simulator) Events() uint64 { return s.events }
 // LiveProcs returns the number of spawned processes that have not finished.
 func (s *Simulator) LiveProcs() int { return s.procs }
 
+// QueueHighWater returns the largest number of events that were pending at
+// once — the depth the queue's cost depends on.
+func (s *Simulator) QueueHighWater() int { return s.high }
+
 // Schedule runs fn at absolute virtual time at. Scheduling in the past is an
 // error and panics: it would silently reorder causality.
 func (s *Simulator) Schedule(at Time, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
 	}
+	s.enqueue(at, fn, nil)
+}
+
+// wake schedules p's next activation at absolute time at >= now.
+func (s *Simulator) wake(at Time, p *Proc) { s.enqueue(at, nil, p) }
+
+func (s *Simulator) enqueue(at Time, fn func(), p *Proc) {
+	if s.onEnqueue != nil {
+		s.onEnqueue(at)
+	}
 	s.seq++
-	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
+	s.queue = pushEvent(s.queue, event{at: at, seq: s.seq, fn: fn, p: p})
+	if len(s.queue) > s.high {
+		s.high = len(s.queue)
+	}
 }
 
 // After runs fn d from now. A negative d panics.
@@ -124,7 +127,7 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 		}
 		body(p)
 	}()
-	s.Schedule(s.now, func() { s.activate(p) })
+	s.wake(s.now, p)
 	return p
 }
 
@@ -194,19 +197,24 @@ func sortedLive(live map[int]*Proc) []*Proc {
 // RunUntil executes events with timestamps <= deadline, leaves the clock at
 // min(deadline, last event time), and reports whether the queue drained.
 func (s *Simulator) RunUntil(deadline Time) bool {
-	for len(s.queue) > 0 && s.queue.peek().at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.step()
 	}
 	return len(s.queue) == 0
 }
 
 func (s *Simulator) step() {
-	e := heap.Pop(&s.queue).(*event)
+	var e event
+	s.queue, e = popEvent(s.queue)
 	if e.at < s.now {
 		panic("des: time went backwards")
 	}
 	s.now = e.at
 	s.events++
+	if e.p != nil {
+		s.activate(e.p)
+		return
+	}
 	e.fn()
 }
 
@@ -259,8 +267,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("des: negative sleep")
 	}
-	s := p.sim
-	s.Schedule(s.now+d, func() { s.activate(p) })
+	p.sim.wake(p.sim.now+d, p)
 	p.yield()
 }
 
@@ -282,10 +289,7 @@ func (p *Proc) park() { p.yield() }
 
 // unpark schedules the process to resume at the current virtual time.
 // Callable from scheduler context or from another process.
-func (p *Proc) unpark() {
-	s := p.sim
-	s.Schedule(s.now, func() { s.activate(p) })
-}
+func (p *Proc) unpark() { p.sim.wake(p.sim.now, p) }
 
 // Park blocks the calling process until another process or event calls
 // Unpark on it. It is the building block for synchronisation primitives

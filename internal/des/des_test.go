@@ -194,6 +194,103 @@ func TestChanMultipleWaitersFIFO(t *testing.T) {
 	}
 }
 
+// A burst of k sends into one inbox (a 64-rank allreduce fanning into its
+// root) followed by k receives: FIFO order, Len() tracking every step, and
+// the same through TryRecv, RecvK and a waiter queue drained by Send — the
+// paths whose pop-front used to copy the whole tail.
+func TestChanBurstFIFO(t *testing.T) {
+	const k = 5000
+	s := New()
+	c := NewChan(s)
+	for i := 0; i < k; i++ {
+		c.Send(i)
+		if c.Len() != i+1 {
+			t.Fatalf("Len() = %d after %d sends", c.Len(), i+1)
+		}
+	}
+	next := 0
+	check := func(how string, v any, ok bool) {
+		t.Helper()
+		if !ok || v != next {
+			t.Fatalf("%s delivered (%v, %v), want (%d, true)", how, v, ok, next)
+		}
+		next++
+		if c.Len() != k-next {
+			t.Fatalf("Len() = %d after %d receives, want %d", c.Len(), next, k-next)
+		}
+	}
+	for i := 0; i < k/4; i++ {
+		v, ok := c.TryRecv()
+		check("TryRecv", v, ok)
+	}
+	s.Spawn("recv", func(p *Proc) {
+		for i := 0; i < k/4; i++ {
+			v, ok := c.Recv(p)
+			check("Recv", v, ok)
+		}
+	})
+	s.Run()
+	s.SpawnTask("recvk", func(p *Proc) {
+		var loop func()
+		loop = func() {
+			if next == k {
+				return
+			}
+			c.RecvK(p, func(v any, ok bool) {
+				check("RecvK", v, ok)
+				loop()
+			})
+		}
+		loop()
+	})
+	s.Run()
+	if next != k || c.Len() != 0 {
+		t.Fatalf("received %d of %d, Len() = %d", next, k, c.Len())
+	}
+	// Interleaved refills after a partial drain must not reorder either.
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 7; i++ {
+			c.Send(round*7 + i)
+		}
+		for i := 0; i < 5; i++ {
+			if v, _ := c.TryRecv(); v != round*5+i {
+				t.Fatalf("round %d: got %v, want %d", round, v, round*5+i)
+			}
+		}
+	}
+	if c.Len() != 100 {
+		t.Fatalf("Len() = %d after the refill rounds, want 100", c.Len())
+	}
+
+	// The waiter side: k parked receivers, then a burst of k sends.
+	w := NewChan(s)
+	got := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		i := i
+		s.SpawnTask("w", func(p *Proc) {
+			w.RecvK(p, func(v any, ok bool) {
+				if v != i {
+					t.Errorf("waiter %d received %v", i, v)
+				}
+				got = append(got, i)
+			})
+		})
+	}
+	s.Run()
+	for i := 0; i < k; i++ {
+		w.Send(i)
+	}
+	s.Run()
+	if len(got) != k {
+		t.Fatalf("%d of %d waiters served", len(got), k)
+	}
+	for i, g := range got {
+		if g != i {
+			t.Fatalf("waiter %d resumed at position %d", g, i)
+		}
+	}
+}
+
 func TestChanClose(t *testing.T) {
 	s := New()
 	c := NewChan(s)

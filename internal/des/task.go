@@ -12,8 +12,8 @@ import "fmt"
 // activation), a task stores a `func()` and the scheduler simply calls it.
 // Everything else — the event queue, the (timestamp, insertion-seq)
 // ordering, process ids, the waiter lists of Chan/Gate/Barrier — is shared
-// with goroutine processes, and every continuation primitive below performs
-// *exactly* the same Schedule calls in the same order as its blocking
+// with goroutine processes, and every continuation primitive below enqueues
+// *exactly* the same events in the same order as its blocking
 // counterpart. A program that issues the same operations through either
 // style therefore allocates identical event sequence numbers and executes
 // an identical event order; the differential harness in internal/simfast
@@ -35,7 +35,7 @@ func (s *Simulator) SpawnTask(name string, body func(p *Proc)) *Proc {
 	s.procs++
 	s.live[p.id] = p
 	p.k = func() { body(p) }
-	s.Schedule(s.now, func() { s.activate(p) })
+	s.wake(s.now, p)
 	return p
 }
 
@@ -96,9 +96,8 @@ func (p *Proc) SleepK(d Time, k func()) {
 		panic("des: negative sleep")
 	}
 	p.mustTask("SleepK")
-	s := p.sim
 	p.k = k
-	s.Schedule(s.now+d, func() { s.activate(p) })
+	p.sim.wake(p.sim.now+d, p)
 }
 
 // SleepUntilK suspends the task until the absolute virtual time t, then
@@ -126,19 +125,15 @@ func (p *Proc) mustTask(op string) {
 // would have returned without yielding; otherwise the task joins the
 // waiter queue and k runs when a sender (or Close) hands it a value.
 func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		copy(c.buf, c.buf[1:])
-		c.buf[len(c.buf)-1] = nil
-		c.buf = c.buf[:len(c.buf)-1]
-		k(v, true)
+	if c.buf.Len() > 0 {
+		k(c.buf.Pop(), true)
 		return
 	}
 	if c.closed {
 		k(nil, false)
 		return
 	}
-	c.waiters = append(c.waiters, p)
+	c.waiters.Push(p)
 	p.ParkK(func() {
 		v, ok := p.recvSlot, p.hasSlot
 		p.recvSlot, p.hasSlot = nil, false

@@ -65,7 +65,7 @@ type CPU struct {
 	Quantum     des.Time
 	SpawnCost   des.Time
 
-	queue   []*request // runnable, excluding current
+	queue   des.FIFO[*request] // runnable, excluding current
 	current *request
 	genSeq  uint64
 
@@ -153,7 +153,7 @@ func (c *CPU) Use(p *des.Proc, d des.Time) {
 	c.enqueue(r)
 	if c.current == nil {
 		c.dispatch()
-	} else if c.Policy == Unfair || len(c.queue) == 1 {
+	} else if c.Policy == Unfair || c.queue.Len() == 1 {
 		// A new runnable thread arrived: cut the current slice short so
 		// scheduling decisions happen now rather than at the old
 		// completion time. (Under Fair this begins time-slicing; under
@@ -194,13 +194,15 @@ func (c *CPU) Spawn(name string, body func(p *des.Proc)) *des.Proc {
 	})
 }
 
+// enqueue makes r runnable — a new request or a partially-run one whose
+// slice ended: at the tail under Fair (true round-robin), at the head under
+// Unfair (LIFO: the newest arrival, or the hog itself, runs next).
 func (c *CPU) enqueue(r *request) {
 	if c.Policy == Unfair {
-		// LIFO: newest first.
-		c.queue = append([]*request{r}, c.queue...)
+		c.queue.PushFront(r)
 		return
 	}
-	c.queue = append(c.queue, r)
+	c.queue.Push(r)
 }
 
 // preempt stops the current slice, accounts consumed time, and requeues the
@@ -220,28 +222,21 @@ func (c *CPU) preempt() {
 	} else {
 		// The preempted thread resumes after the newcomer that caused
 		// the preemption (round-robin under Fair, LIFO under Unfair).
-		at := 1
-		if at > len(c.queue) {
-			at = len(c.queue)
-		}
-		c.queue = append(c.queue[:at], append([]*request{cur}, c.queue[at:]...)...)
+		c.queue.Insert(min(1, c.queue.Len()), cur)
 	}
 	c.dispatch()
 }
 
 // dispatch starts the next request if the CPU is idle.
 func (c *CPU) dispatch() {
-	if c.current != nil || len(c.queue) == 0 {
+	if c.current != nil || c.queue.Len() == 0 {
 		return
 	}
-	r := c.queue[0]
-	copy(c.queue, c.queue[1:])
-	c.queue[len(c.queue)-1] = nil
-	c.queue = c.queue[:len(c.queue)-1]
+	r := c.queue.Pop()
 	c.current = r
 	c.lastStart = c.sim.Now()
 	slice := r.remaining
-	if len(c.queue) > 0 && c.Policy == Fair && slice > c.Quantum {
+	if c.queue.Len() > 0 && c.Policy == Fair && slice > c.Quantum {
 		slice = c.Quantum
 	}
 	c.genSeq++
@@ -258,20 +253,10 @@ func (c *CPU) dispatch() {
 		if r.remaining <= 0 {
 			c.complete(r)
 		} else {
-			c.enqueueRoundRobin(r)
+			c.enqueue(r)
 		}
 		c.dispatch()
 	})
-}
-
-// enqueueRoundRobin requeues a partially-run request: at the tail under Fair
-// (true round-robin), at the head under Unfair (it keeps hogging).
-func (c *CPU) enqueueRoundRobin(r *request) {
-	if c.Policy == Unfair {
-		c.queue = append([]*request{r}, c.queue...)
-		return
-	}
-	c.queue = append(c.queue, r)
 }
 
 func (c *CPU) complete(r *request) { r.proc.Unpark() }
@@ -281,7 +266,7 @@ func (c *CPU) complete(r *request) { r.proc.Unpark() }
 type Mutex struct {
 	sim     *des.Simulator
 	held    bool
-	waiters []*des.Proc
+	waiters des.FIFO[*des.Proc]
 }
 
 // NewMutex returns an unlocked mutex.
@@ -293,7 +278,7 @@ func (m *Mutex) Lock(p *des.Proc) {
 		m.held = true
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.Push(p)
 	p.Park()
 }
 
@@ -302,10 +287,8 @@ func (m *Mutex) Unlock() {
 	if !m.held {
 		panic("marcel: unlock of unlocked mutex")
 	}
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters = m.waiters[:len(m.waiters)-1]
+	if m.waiters.Len() > 0 {
+		w := m.waiters.Pop()
 		// Hand-off: mutex stays held by the woken thread.
 		w.Unpark()
 		return

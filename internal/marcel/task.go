@@ -33,7 +33,7 @@ func (c *CPU) UseK(p *des.Proc, d des.Time, k func()) {
 	c.enqueue(r)
 	if c.current == nil {
 		c.dispatch()
-	} else if c.Policy == Unfair || len(c.queue) == 1 {
+	} else if c.Policy == Unfair || c.queue.Len() == 1 {
 		c.preempt()
 	}
 	p.ParkK(k) // completion unparks

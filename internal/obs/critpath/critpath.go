@@ -193,45 +193,124 @@ func buildGraph(c *trace.Collector) *graph {
 		cursor: make(map[int]int),
 		used:   make([]bool, len(c.Msgs)),
 	}
-	for _, s := range c.Spans {
-		if s.Kind != trace.Compute {
-			// Idle spans are the coarse engine-level view of the same
-			// intervals the Waits cover precisely; using both would
-			// double-book.
-			continue
+	// One counting pass sizes every rank's slices exactly: a spinning
+	// async cell records millions of activities, and growing the slices
+	// by doubling cost more than the rest of the build together.
+	type rankBuild struct {
+		nSpans, nWaits, nArr int
+		acts                 []act
+		arr                  []int
+	}
+	per := make(map[int]*rankBuild)
+	of := func(r int) *rankBuild {
+		b := per[r]
+		if b == nil {
+			b = &rankBuild{}
+			per[r] = b
 		}
-		g.acts[s.Rank] = append(g.acts[s.Rank], act{start: s.Start, end: s.End, compute: true, iter: s.Iter})
+		return b
+	}
+	for i := range c.Spans {
+		// Idle spans are the coarse engine-level view of the same
+		// intervals the Waits cover precisely; using both would
+		// double-book.
+		if c.Spans[i].Kind == trace.Compute {
+			of(c.Spans[i].Rank).nSpans++
+		}
+	}
+	for i := range c.Waits {
+		of(c.Waits[i].Rank).nWaits++
+	}
+	for i := range c.Msgs {
+		of(c.Msgs[i].To).nArr++
+	}
+	//lint:unordered — keyed by rank; allocates each rank's slices, order-free.
+	for _, b := range per {
+		b.acts = make([]act, 0, b.nSpans+b.nWaits)
+		b.arr = make([]int, 0, b.nArr)
+	}
+	for _, s := range c.Spans {
+		if s.Kind == trace.Compute {
+			b := per[s.Rank]
+			b.acts = append(b.acts, act{start: s.Start, end: s.End, compute: true, iter: s.Iter})
+		}
 	}
 	for _, w := range c.Waits {
-		g.acts[w.Rank] = append(g.acts[w.Rank], act{start: w.Start, end: w.End, wkind: w.Kind, cause: w.Cause})
-	}
-	//lint:unordered — keyed by rank; each rank's slice is sorted in place and later reads index by rank.
-	for r, as := range g.acts {
-		sort.SliceStable(as, func(i, j int) bool {
-			if as[i].start != as[j].start {
-				return as[i].start < as[j].start
-			}
-			return as[i].end < as[j].end
-		})
-		me := make([]des.Time, len(as))
-		var m des.Time
-		for i, a := range as {
-			if a.end > m {
-				m = a.end
-			}
-			me[i] = m
-		}
-		g.maxEnd[r] = me
+		b := per[w.Rank]
+		b.acts = append(b.acts, act{start: w.Start, end: w.End, wkind: w.Kind, cause: w.Cause})
 	}
 	for i, m := range c.Msgs {
-		g.arr[m.To] = append(g.arr[m.To], i)
+		b := per[m.To]
+		b.arr = append(b.arr, i)
 	}
-	//lint:unordered — keyed by rank; each rank's index list is sorted in place and later reads index by rank.
-	for r, idxs := range g.arr {
-		sort.SliceStable(idxs, func(i, j int) bool { return g.msgs[idxs[i]].Recv < g.msgs[idxs[j]].Recv })
-		g.cursor[r] = len(idxs) - 1
+	var scratch []act
+	//lint:unordered — keyed by rank; each rank's slices are ordered in place and later reads index by rank.
+	for r, b := range per {
+		if len(b.acts) > 0 {
+			scratch = sortActs(b.acts, b.nWaits, scratch)
+			me := make([]des.Time, len(b.acts))
+			var m des.Time
+			for i, a := range b.acts {
+				if a.end > m {
+					m = a.end
+				}
+				me[i] = m
+			}
+			g.acts[r], g.maxEnd[r] = b.acts, me
+		}
+		if idxs := b.arr; len(idxs) > 0 {
+			byRecv := func(i, j int) bool { return g.msgs[idxs[i]].Recv < g.msgs[idxs[j]].Recv }
+			if !sort.SliceIsSorted(idxs, byRecv) {
+				sort.SliceStable(idxs, byRecv)
+			}
+			g.arr[r], g.cursor[r] = idxs, len(idxs)-1
+		}
 	}
 	return g
+}
+
+// actBefore is the timeline order of one rank's activities.
+func actBefore(a, b *act) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	return a.end < b.end
+}
+
+// sortActs orders as — one rank's compute spans followed by its nWaits
+// waits, each group in recording order — by (start, end), exactly as a
+// stable sort of the whole would. A simulated rank records each group in
+// time order, so the two runs are merged in one pass (the waits copied to
+// scratch, which is returned for reuse); a rank that did not — a native
+// trace, ranks recording concurrently — gets the stable sort.
+func sortActs(as []act, nWaits int, scratch []act) []act {
+	nSpans := len(as) - nWaits
+	ordered := func(run []act) bool {
+		for i := 1; i < len(run); i++ {
+			if actBefore(&run[i], &run[i-1]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !ordered(as[:nSpans]) || !ordered(as[nSpans:]) {
+		sort.SliceStable(as, func(i, j int) bool { return actBefore(&as[i], &as[j]) })
+		return scratch
+	}
+	scratch = append(scratch[:0], as[nSpans:]...)
+	// Merge from the back; on a tie the span stays ahead of the wait, as
+	// the stable sort of spans-then-waits leaves it.
+	i, k := nSpans-1, len(as)-1
+	for j := nWaits - 1; j >= 0; k-- {
+		if i >= 0 && actBefore(&scratch[j], &as[i]) {
+			as[k] = as[i]
+			i--
+		} else {
+			as[k] = scratch[j]
+			j--
+		}
+	}
+	return scratch
 }
 
 // containing returns the activity on rank r covering t under (start, end]

@@ -6,6 +6,8 @@ package critpath
 // attribution-smoke leg gates on real sweeps).
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -283,5 +285,150 @@ func TestListingAndExplainRender(t *testing.T) {
 	e := Explain("A", a, "B", a)
 	if !strings.Contains(e, "compute") || !strings.Contains(e, "total") {
 		t.Fatalf("explain:\n%s", e)
+	}
+}
+
+// TestOutOfOrderRecording: a native-style trace — ranks record
+// concurrently, so spans, waits and messages reach the collector out of
+// time order — must attribute exactly as the same history recorded in
+// order. buildGraph only merges a rank whose spans and whose waits were
+// each recorded in time order (every simulated rank); this keeps the sort
+// path, and the equivalence of the two, under test.
+func TestOutOfOrderRecording(t *testing.T) {
+	// Three ranks, four lockstep rounds: compute, then wait for the
+	// slowest peer's data, which rank 2 sends late every round.
+	type span struct {
+		rank       int
+		start, end des.Time
+		iter       int
+	}
+	type wait struct {
+		rank       int
+		start, end des.Time
+		cause      int
+	}
+	var spans []span
+	var waits []wait
+	var msgs []trace.Msg
+	for round := 0; round < 4; round++ {
+		base := ms(20 * round)
+		for r := 0; r < 3; r++ {
+			work := ms(2 + 5*r)
+			spans = append(spans, span{r, base, base + work, round})
+			if r < 2 {
+				msgs = append(msgs, trace.Msg{From: 2, To: r, Sent: base + ms(12), Recv: base + ms(20), Kind: trace.MsgData, Bytes: 64})
+				waits = append(waits, wait{r, base + work, base + ms(20), len(msgs) - 1})
+			} else {
+				msgs = append(msgs, trace.Msg{From: 0, To: 2, Sent: base + ms(2), Recv: base + ms(3), Kind: trace.MsgData, Bytes: 64})
+				waits = append(waits, wait{2, base + work, base + ms(20), -1})
+			}
+		}
+	}
+	record := func(reverse bool) *trace.Collector {
+		c := trace.New()
+		pick := func(i, n int) int {
+			if reverse {
+				return n - 1 - i
+			}
+			return i
+		}
+		// Msg indices are wait causes, so the message order is part of
+		// the history's identity; reverse it and remap the causes.
+		remap := make([]int, len(msgs))
+		for i := range msgs {
+			j := pick(i, len(msgs))
+			remap[j] = c.AddMsg(msgs[j])
+		}
+		for i := range spans {
+			s := spans[pick(i, len(spans))]
+			c.AddSpan(s.rank, s.start, s.end, trace.Compute, s.iter)
+		}
+		for i := range waits {
+			w := waits[pick(i, len(waits))]
+			cause := w.cause
+			if cause >= 0 {
+				cause = remap[cause]
+			}
+			c.AddWait(w.rank, w.start, w.end, trace.WaitExchange, cause)
+		}
+		return c
+	}
+
+	inOrder, shuffled := record(false), record(true)
+	g := buildGraph(shuffled)
+	for r, as := range g.acts {
+		for i := 1; i < len(as); i++ {
+			if as[i].start < as[i-1].start {
+				t.Fatalf("rank %d: activity %d starts before its predecessor", r, i)
+			}
+		}
+		idxs := g.arr[r]
+		if cap(as) != len(as) || cap(idxs) != len(idxs) {
+			t.Errorf("rank %d: slices not sized exactly (acts %d/%d, arrivals %d/%d)", r, len(as), cap(as), len(idxs), cap(idxs))
+		}
+		for i := 1; i < len(idxs); i++ {
+			if g.msgs[idxs[i]].Recv < g.msgs[idxs[i-1]].Recv {
+				t.Fatalf("rank %d: arrival %d received before its predecessor", r, i)
+			}
+		}
+	}
+
+	want, ok := Analyze(inOrder, ms(80))
+	if !ok {
+		t.Fatal("analyze failed on the in-order trace")
+	}
+	got, ok := Analyze(shuffled, ms(80))
+	if !ok {
+		t.Fatal("analyze failed on the out-of-order trace")
+	}
+	checkInvariants(t, got)
+	if got.Total != want.Total || got.ByCat != want.ByCat {
+		t.Fatalf("out-of-order attribution %+v (total %v), in-order %+v (total %v)", got.ByCat, got.Total, want.ByCat, want.Total)
+	}
+	if got.ByCat[CatSyncWait] == 0 || got.ByCat[CatCompute] == 0 {
+		t.Fatalf("degenerate attribution %+v", got.ByCat)
+	}
+}
+
+// TestSortActsMatchesStableSort: on random span and wait runs — ordered
+// (the merge path) or not (the fallback), with ties on start and on
+// (start, end) — sortActs leaves exactly what sort.SliceStable leaves.
+func TestSortActsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var scratch []act
+	merged, sorted := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		nSpans, nWaits := rng.Intn(12), rng.Intn(12)
+		run := func(n int, compute bool) []act {
+			out := make([]act, n)
+			var at des.Time
+			for i := range out {
+				at += des.Time(rng.Intn(3))
+				out[i] = act{start: at, end: at + des.Time(rng.Intn(3)), compute: compute, iter: i}
+			}
+			if rng.Intn(4) == 0 && n > 1 {
+				rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+			}
+			return out
+		}
+		as := append(run(nSpans, true), run(nWaits, false)...)
+		want := append([]act(nil), as...)
+		sort.SliceStable(want, func(i, j int) bool { return actBefore(&want[i], &want[j]) })
+		wasOrdered := sort.SliceIsSorted(as[:nSpans], func(i, j int) bool { return actBefore(&as[i], &as[j]) }) &&
+			sort.SliceIsSorted(as[nSpans:], func(i, j int) bool { return actBefore(&as[nSpans+i], &as[nSpans+j]) })
+		if wasOrdered {
+			merged++
+		} else {
+			sorted++
+		}
+		scratch = sortActs(as, nWaits, scratch)
+		for i := range want {
+			if as[i] != want[i] {
+				t.Fatalf("trial %d (%d spans, %d waits, ordered=%v): position %d is %+v, stable sort has %+v", trial, nSpans, nWaits, wasOrdered, i, as[i], want[i])
+			}
+		}
+	}
+	if merged < 500 || sorted < 200 {
+		t.Fatalf("paths not both exercised: %d merged, %d sorted", merged, sorted)
 	}
 }
