@@ -284,6 +284,8 @@ func printMetrics(rep *aiac.Report, tr *trace.Collector, st netsim.Stats, flags 
 	reg.Counter("aiac_reconfirm_rounds_total", "Post-state-loss re-confirmation rounds.").With().Add(float64(rep.ReconfirmRounds))
 	reg.Counter("aiac_des_events_total", "Simulator events executed (host work the run cost, not a virtual-time result).").With().Add(float64(sim.Events()))
 	reg.Gauge("aiac_des_queue_high_water", "Largest number of simulator events pending at once.").With().Set(float64(sim.QueueHighWater()))
+	reg.Gauge("aiac_trace_spans", "Compute/idle spans the trace holds (a span is a run of back-to-back equal iterations).").With().Set(float64(len(tr.Spans)))
+	reg.Gauge("aiac_trace_iterations", "Compute iterations those spans encode.").With().Set(float64(tr.Iterations()))
 	for _, f := range flags {
 		reg.Counter("aiac_redflags_total", "Convergence red-flag verdicts raised by the trajectory detectors.", "flag").With(f).Inc()
 	}

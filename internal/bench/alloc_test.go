@@ -10,11 +10,14 @@ package bench
 import (
 	"testing"
 
+	"aiac/internal/aiac"
 	"aiac/internal/des"
 	"aiac/internal/gmres"
 	"aiac/internal/marcel"
+	"aiac/internal/matrix"
 	"aiac/internal/problems"
 	"aiac/internal/sparse"
+	"aiac/internal/trace"
 )
 
 func TestRowRangeMulVecAllocs(t *testing.T) {
@@ -185,5 +188,47 @@ func TestComputeKAllocs(t *testing.T) {
 		sim.Run()
 	}); n != 2*charges {
 		t.Errorf("%d ComputeK charges allocate %.0f; want %d (2 per charge)", charges, n, 2*charges)
+	}
+}
+
+// The trace under every traced iteration (TRACE.md): an iteration that
+// continues its rank's run — same stride, next number, no gap — extends the
+// latest span in place and allocates nothing, with other ranks' runs
+// interleaved as a real cell interleaves them.
+func TestAddSpanExtendAllocs(t *testing.T) {
+	c := trace.New()
+	var at [4]des.Time
+	var iter [4]int
+	step := func() {
+		for r := range at {
+			stride := des.Time(100 + r)
+			c.AddSpan(r, at[r], at[r]+stride, trace.Compute, iter[r])
+			at[r] += stride
+			iter[r]++
+		}
+	}
+	step() // appends each rank's first span
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("AddSpan on the extend path allocates %.2f per 4 calls; want 0", n)
+	}
+	if len(c.Spans) != 4 || c.Iterations() != 4*102 {
+		t.Errorf("%d spans holding %d iterations; want 4 holding %d", len(c.Spans), c.Iterations(), 4*102)
+	}
+}
+
+// A spinning async cell behind ADSL is where the per-iteration trace cost
+// 300 MB: its ranks must record runs, not iterations.
+func TestAsyncADSLTraceRecordsRuns(t *testing.T) {
+	spec := matrix.DefaultSpec()
+	spec.Sizes = []int{600}
+	spec.Linear.MaxIters = 12000
+	c := matrix.Cell{Env: "pm2", Mode: aiac.Async, Grid: "adsl", Problem: "linear",
+		Procs: 4, Size: 600, Scenario: "static", Backend: "sim-fast"}
+	tr := trace.New()
+	if _, err := matrix.RunCellOnce(c, spec, 0, 0, 0, tr); err != nil {
+		t.Fatal(err)
+	}
+	if iters := tr.Iterations(); iters < 40000 || iters < 50*len(tr.Spans) {
+		t.Errorf("%d iterations in %d spans; want at most one span per 50 iterations", iters, len(tr.Spans))
 	}
 }

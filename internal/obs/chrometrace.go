@@ -8,7 +8,10 @@ package obs
 // chem trace opens as a zoomable timeline with one track per processor.
 //
 // Layout: a single process ("processors") holds one thread per rank,
-// with complete ("X") events for every compute and idle span. Messages
+// with one complete ("X") event per compute and idle span — a run of
+// back-to-back equal iterations is one slice, args "iter" (its first) and
+// "iters" (how many), so a rank that spun a million times behind ADSL is a
+// few thousand slices and the file still opens. Messages
 // are flow events ("s" at the send instant on the sender's track, "f"
 // with bp:"e" at the receive instant on the receiver's track), which
 // Perfetto draws as arrows between the rank tracks — the causal hops the
@@ -86,6 +89,9 @@ func WriteChromeTrace(w io.Writer, tc *trace.Collector) error {
 	for _, s := range tc.Spans {
 		name := "compute"
 		args := map[string]any{"iter": s.Iter}
+		if n := s.Iters(); n > 1 {
+			args["iters"] = n
+		}
 		if s.Kind == trace.Idle {
 			name = "idle"
 			args = nil

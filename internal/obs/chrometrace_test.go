@@ -15,6 +15,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	tc.AddSpan(0, 0, 2*ms, trace.Compute, 1)
 	tc.AddSpan(0, 2*ms, 3*ms, trace.Idle, 1)
 	tc.AddSpan(1, 0, 3*ms, trace.Compute, 1)
+	// Three back-to-back 2 ms iterations: one run, one slice.
+	tc.AddSpan(1, 3*ms, 5*ms, trace.Compute, 2)
+	tc.AddSpan(1, 5*ms, 7*ms, trace.Compute, 3)
+	tc.AddSpan(1, 7*ms, 9*ms, trace.Compute, 4)
 	tc.AddMsg(trace.Msg{From: 0, To: 1, Sent: 2 * ms, Recv: 5 * ms, Kind: trace.MsgData, Bytes: 64, Iter: 1})
 
 	var b bytes.Buffer
@@ -49,6 +53,13 @@ func TestWriteChromeTrace(t *testing.T) {
 			if e.DurUS <= 0 {
 				t.Errorf("compute event with dur %v", e.DurUS)
 			}
+			if e.TsUS == 3000 {
+				if e.TID != 1 || e.DurUS != 6000 || e.Args["iter"] != float64(2) || e.Args["iters"] != float64(3) {
+					t.Errorf("run slice = tid %d dur %v args %v, want tid 1, dur 6000, iter=2 iters=3", e.TID, e.DurUS, e.Args)
+				}
+			} else if _, ok := e.Args["iters"]; ok || e.Args["iter"] != float64(1) {
+				t.Errorf("single-iteration slice args = %v, want iter=1 and no iters", e.Args)
+			}
 		case e.Phase == "X" && e.Name == "idle":
 			idle++
 		case e.Phase == "s":
@@ -77,8 +88,8 @@ func TestWriteChromeTrace(t *testing.T) {
 			t.Errorf("unexpected X event %q on pid %d (messages must be flow events)", e.Name, e.PID)
 		}
 	}
-	if compute != 2 || idle != 1 || starts != 1 || finishes != 1 {
-		t.Errorf("events: compute=%d idle=%d flow starts=%d finishes=%d, want 2/1/1/1",
+	if compute != 3 || idle != 1 || starts != 1 || finishes != 1 {
+		t.Errorf("events: compute=%d idle=%d flow starts=%d finishes=%d, want 3/1/1/1",
 			compute, idle, starts, finishes)
 	}
 	if threadNames < 2 {

@@ -6,7 +6,8 @@
 // compute, which was a blocking exchange, which was protocol overhead.
 //
 // The event graph is the trace.Collector the engines and middleware
-// already record: compute spans chain each rank's timeline, every Msg is a
+// already record: compute runs (trace.Span: back-to-back iterations of equal
+// length, consumed in one step) chain each rank's timeline, every Msg is a
 // cross-rank edge from its send point to its receive point, and every Wait
 // carries the causal binding the instrumentation knew at wake-up time —
 // the message whose arrival opened the gate. The analyzer walks this graph
@@ -160,11 +161,12 @@ func catForMsg(k trace.MsgKind) Category {
 	return CatProtocol
 }
 
-// act is one timeline activity of one rank: a compute span or a wait.
+// act is one timeline activity of one rank: a compute run or a wait.
 type act struct {
 	start, end des.Time
 	compute    bool
-	iter       int            // compute: producing iteration
+	iter       int            // compute: first iteration of the run
+	stride     des.Time       // compute: length of each iteration
 	wkind      trace.WaitKind // wait: kind
 	cause      int            // wait: Msgs index that ended it, -1 unknown
 }
@@ -182,20 +184,30 @@ type graph struct {
 	arr    map[int][]int
 	cursor map[int]int
 	used   []bool
+	// hasCompute: the trace holds a compute span. anchor is the rank whose
+	// recorded activity (span or wait) ends last, at lastEnd; the lower
+	// rank on a tie.
+	hasCompute bool
+	anchor     int
+	lastEnd    des.Time
 }
 
 func buildGraph(c *trace.Collector) *graph {
 	g := &graph{
-		msgs:   c.Msgs,
-		acts:   make(map[int][]act),
-		maxEnd: make(map[int][]des.Time),
-		arr:    make(map[int][]int),
-		cursor: make(map[int]int),
-		used:   make([]bool, len(c.Msgs)),
+		msgs:    c.Msgs,
+		acts:    make(map[int][]act),
+		maxEnd:  make(map[int][]des.Time),
+		arr:     make(map[int][]int),
+		cursor:  make(map[int]int),
+		used:    make([]bool, len(c.Msgs)),
+		lastEnd: -1,
 	}
-	// One counting pass sizes every rank's slices exactly: a spinning
-	// async cell records millions of activities, and growing the slices
-	// by doubling cost more than the rest of the build together.
+	ends := func(rank int, end des.Time) {
+		if end > g.lastEnd || (end == g.lastEnd && rank < g.anchor) {
+			g.anchor, g.lastEnd = rank, end
+		}
+	}
+	// One counting pass sizes every rank's slices exactly.
 	type rankBuild struct {
 		nSpans, nWaits, nArr int
 		acts                 []act
@@ -211,15 +223,19 @@ func buildGraph(c *trace.Collector) *graph {
 		return b
 	}
 	for i := range c.Spans {
+		s := &c.Spans[i]
+		ends(s.Rank, s.End)
 		// Idle spans are the coarse engine-level view of the same
 		// intervals the Waits cover precisely; using both would
 		// double-book.
-		if c.Spans[i].Kind == trace.Compute {
-			of(c.Spans[i].Rank).nSpans++
+		if s.Kind == trace.Compute {
+			of(s.Rank).nSpans++
+			g.hasCompute = true
 		}
 	}
 	for i := range c.Waits {
 		of(c.Waits[i].Rank).nWaits++
+		ends(c.Waits[i].Rank, c.Waits[i].End)
 	}
 	for i := range c.Msgs {
 		of(c.Msgs[i].To).nArr++
@@ -232,7 +248,8 @@ func buildGraph(c *trace.Collector) *graph {
 	for _, s := range c.Spans {
 		if s.Kind == trace.Compute {
 			b := per[s.Rank]
-			b.acts = append(b.acts, act{start: s.Start, end: s.End, compute: true, iter: s.Iter})
+			b.acts = append(b.acts, act{start: s.Start, end: s.End, compute: true, iter: s.Iter,
+				stride: (s.End - s.Start) / des.Time(s.Iters())})
 		}
 	}
 	for _, w := range c.Waits {
@@ -243,20 +260,26 @@ func buildGraph(c *trace.Collector) *graph {
 		b := per[m.To]
 		b.arr = append(b.arr, i)
 	}
-	var scratch []act
 	//lint:unordered — keyed by rank; each rank's slices are ordered in place and later reads index by rank.
 	for r, b := range per {
-		if len(b.acts) > 0 {
-			scratch = sortActs(b.acts, b.nWaits, scratch)
-			me := make([]des.Time, len(b.acts))
+		if as := b.acts; len(as) > 0 {
+			// Timeline order; spans went in ahead of waits, and stay
+			// ahead on a tie.
+			sort.SliceStable(as, func(i, j int) bool {
+				if as[i].start != as[j].start {
+					return as[i].start < as[j].start
+				}
+				return as[i].end < as[j].end
+			})
+			me := make([]des.Time, len(as))
 			var m des.Time
-			for i, a := range b.acts {
+			for i, a := range as {
 				if a.end > m {
 					m = a.end
 				}
 				me[i] = m
 			}
-			g.acts[r], g.maxEnd[r] = b.acts, me
+			g.acts[r], g.maxEnd[r] = as, me
 		}
 		if idxs := b.arr; len(idxs) > 0 {
 			byRecv := func(i, j int) bool { return g.msgs[idxs[i]].Recv < g.msgs[idxs[j]].Recv }
@@ -267,50 +290,6 @@ func buildGraph(c *trace.Collector) *graph {
 		}
 	}
 	return g
-}
-
-// actBefore is the timeline order of one rank's activities.
-func actBefore(a, b *act) bool {
-	if a.start != b.start {
-		return a.start < b.start
-	}
-	return a.end < b.end
-}
-
-// sortActs orders as — one rank's compute spans followed by its nWaits
-// waits, each group in recording order — by (start, end), exactly as a
-// stable sort of the whole would. A simulated rank records each group in
-// time order, so the two runs are merged in one pass (the waits copied to
-// scratch, which is returned for reuse); a rank that did not — a native
-// trace, ranks recording concurrently — gets the stable sort.
-func sortActs(as []act, nWaits int, scratch []act) []act {
-	nSpans := len(as) - nWaits
-	ordered := func(run []act) bool {
-		for i := 1; i < len(run); i++ {
-			if actBefore(&run[i], &run[i-1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if !ordered(as[:nSpans]) || !ordered(as[nSpans:]) {
-		sort.SliceStable(as, func(i, j int) bool { return actBefore(&as[i], &as[j]) })
-		return scratch
-	}
-	scratch = append(scratch[:0], as[nSpans:]...)
-	// Merge from the back; on a tie the span stays ahead of the wait, as
-	// the stable sort of spans-then-waits leaves it.
-	i, k := nSpans-1, len(as)-1
-	for j := nWaits - 1; j >= 0; k-- {
-		if i >= 0 && actBefore(&scratch[j], &as[i]) {
-			as[k] = as[i]
-			i--
-		} else {
-			as[k] = scratch[j]
-			j--
-		}
-	}
-	return scratch
 }
 
 // containing returns the activity on rank r covering t under (start, end]
@@ -402,34 +381,13 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 	if c == nil || total <= 0 {
 		return nil, false
 	}
-	hasCompute := false
-	for _, s := range c.Spans {
-		if s.Kind == trace.Compute {
-			hasCompute = true
-			break
-		}
-	}
-	if !hasCompute {
+	g := buildGraph(c)
+	if !g.hasCompute {
 		return nil, false
 	}
-	g := buildGraph(c)
-
 	// Anchor: the rank whose recorded activity ends last; the gap from
 	// there to total is teardown, attributed on that rank.
-	var (
-		r       int
-		lastEnd des.Time = -1
-	)
-	for _, s := range c.Spans {
-		if s.End > lastEnd || (s.End == lastEnd && s.Rank < r) {
-			r, lastEnd = s.Rank, s.End
-		}
-	}
-	for _, w := range c.Waits {
-		if w.End > lastEnd || (w.End == lastEnd && w.Rank < r) {
-			r, lastEnd = w.Rank, w.End
-		}
-	}
+	r, lastEnd := g.anchor, g.lastEnd
 
 	a := &Attribution{Total: total}
 	t := total
@@ -437,7 +395,8 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 	var cur *Seg
 
 	// account books (from, t] on rank r into the current segment.
-	account := func(rank int, from des.Time, cat Category, iter int, hasIter bool) {
+	// first..last are the compute iterations covered (hasIter).
+	account := func(rank int, from des.Time, cat Category, first, last int, hasIter bool) {
 		if cur == nil || cur.Rank != rank {
 			a.Segs = append(a.Segs, Seg{Rank: rank, Start: from, End: t})
 			cur = &a.Segs[len(a.Segs)-1]
@@ -448,14 +407,10 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 		a.ByCat[cat] += d
 		if hasIter {
 			if !cur.HasIter {
-				cur.FirstIter, cur.LastIter, cur.HasIter = iter, iter, true
+				cur.FirstIter, cur.LastIter, cur.HasIter = first, last, true
 			} else {
-				if iter < cur.FirstIter {
-					cur.FirstIter = iter
-				}
-				if iter > cur.LastIter {
-					cur.LastIter = iter
-				}
+				cur.FirstIter = min(cur.FirstIter, first)
+				cur.LastIter = max(cur.LastIter, last)
 			}
 		}
 	}
@@ -464,7 +419,7 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 	cross := func(mi int, cat Category) {
 		m := g.msgs[mi]
 		g.used[mi] = true
-		account(r, m.Sent, cat, 0, false)
+		account(r, m.Sent, cat, 0, 0, false)
 		hop := &Hop{From: m.From, Kind: m.Kind, Bytes: m.Bytes, Sent: m.Sent, Recv: m.Recv}
 		cur.Via = hop
 		r, t = m.From, m.Sent
@@ -475,7 +430,7 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 	// Teardown first: the stretch past the last recorded event (stop
 	// propagation, final protocol accounting) is protocol overhead.
 	if lastEnd < t {
-		account(r, lastEnd, CatProtocol, 0, false)
+		account(r, lastEnd, CatProtocol, 0, 0, false)
 		t = lastEnd
 	}
 
@@ -497,7 +452,7 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 			}
 			// Cause unknown (native, recovery) or unusable: consume the
 			// wait on this rank.
-			account(r, w.start, catForWait(w.wkind), 0, false)
+			account(r, w.start, catForWait(w.wkind), 0, 0, false)
 			t = w.start
 			atSend = false
 			continue
@@ -513,13 +468,17 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 			atSend = false
 		}
 		// 3. An activity covering this instant: consume it back to its
-		// start.
+		// start. Nothing interrupts a rank between the contiguous
+		// iterations of a compute run, so the run goes in one step, from
+		// the iteration t falls in back to the run's first.
 		if act, ok := g.containing(r, t); ok && act.start < t {
-			cat := CatCompute
-			if !act.compute {
+			cat, last := CatCompute, act.iter
+			if act.compute {
+				last += int((t-act.start+act.stride-1)/act.stride) - 1
+			} else {
 				cat = catForWait(act.wkind)
 			}
-			account(r, act.start, cat, act.iter, act.compute)
+			account(r, act.start, cat, act.iter, last, act.compute)
 			t = act.start
 			atSend = false
 			continue
@@ -531,7 +490,7 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 		m, mi, haveArr := g.latestArrival(r, t)
 		if haveArr && m.Recv >= pe && m.Recv > 0 {
 			if m.Recv < t {
-				account(r, m.Recv, CatProtocol, 0, false)
+				account(r, m.Recv, CatProtocol, 0, 0, false)
 				t = m.Recv
 			}
 			if m.Sent < t {
@@ -545,14 +504,14 @@ func Analyze(c *trace.Collector, total des.Time) (*Attribution, bool) {
 			continue
 		}
 		if pe > 0 && pe < t {
-			account(r, pe, CatBlockedSend, 0, false)
+			account(r, pe, CatBlockedSend, 0, 0, false)
 			t = pe
 			atSend = false
 			continue
 		}
 		// Nothing precedes this point on this rank: the remainder is
 		// setup / deployment.
-		account(r, 0, CatProtocol, 0, false)
+		account(r, 0, CatProtocol, 0, 0, false)
 		t = 0
 	}
 

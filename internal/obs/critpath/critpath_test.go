@@ -6,8 +6,6 @@ package critpath
 // attribution-smoke leg gates on real sweeps).
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -387,48 +385,5 @@ func TestOutOfOrderRecording(t *testing.T) {
 	}
 	if got.ByCat[CatSyncWait] == 0 || got.ByCat[CatCompute] == 0 {
 		t.Fatalf("degenerate attribution %+v", got.ByCat)
-	}
-}
-
-// TestSortActsMatchesStableSort: on random span and wait runs — ordered
-// (the merge path) or not (the fallback), with ties on start and on
-// (start, end) — sortActs leaves exactly what sort.SliceStable leaves.
-func TestSortActsMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var scratch []act
-	merged, sorted := 0, 0
-	for trial := 0; trial < 2000; trial++ {
-		nSpans, nWaits := rng.Intn(12), rng.Intn(12)
-		run := func(n int, compute bool) []act {
-			out := make([]act, n)
-			var at des.Time
-			for i := range out {
-				at += des.Time(rng.Intn(3))
-				out[i] = act{start: at, end: at + des.Time(rng.Intn(3)), compute: compute, iter: i}
-			}
-			if rng.Intn(4) == 0 && n > 1 {
-				rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
-			}
-			return out
-		}
-		as := append(run(nSpans, true), run(nWaits, false)...)
-		want := append([]act(nil), as...)
-		sort.SliceStable(want, func(i, j int) bool { return actBefore(&want[i], &want[j]) })
-		wasOrdered := sort.SliceIsSorted(as[:nSpans], func(i, j int) bool { return actBefore(&as[i], &as[j]) }) &&
-			sort.SliceIsSorted(as[nSpans:], func(i, j int) bool { return actBefore(&as[nSpans+i], &as[nSpans+j]) })
-		if wasOrdered {
-			merged++
-		} else {
-			sorted++
-		}
-		scratch = sortActs(as, nWaits, scratch)
-		for i := range want {
-			if as[i] != want[i] {
-				t.Fatalf("trial %d (%d spans, %d waits, ordered=%v): position %d is %+v, stable sort has %+v", trial, nSpans, nWaits, wasOrdered, i, as[i], want[i])
-			}
-		}
-	}
-	if merged < 500 || sorted < 200 {
-		t.Fatalf("paths not both exercised: %d merged, %d sorted", merged, sorted)
 	}
 }

@@ -7,6 +7,17 @@
 // with idle gaps where every processor waits out the synchronous exchange,
 // versus an AIAC algorithm whose processors never wait. MeanIdleFraction
 // quantifies the same contrast for assertions and benchmarks.
+//
+// The compute timeline is run-length encoded. A rank spinning behind a slow
+// link performs millions of back-to-back iterations of identical length, so
+// a Span is a run: N iterations Iter .. Iter+N-1, each exactly (End-Start)/N
+// long. AddSpan extends the rank's latest span instead of appending when the
+// new interval continues it — same rank and kind, starts where the run
+// ends, carries the next iteration number, has the run's stride. Nothing is
+// lost: Span.At(k) for k = 0 .. Iters()-1 gives back, per rank, exactly the
+// sequence of AddSpan calls. Duration-only views (Horizon, BusyIdle, Gantt)
+// read runs as they read single spans; iteration-level readers (the
+// critical-path walk, the Perfetto export) use Iter, Iters and the stride.
 package trace
 
 import (
@@ -27,12 +38,33 @@ const (
 	Idle
 )
 
-// Span is one activity interval of one processor.
+// Span is one activity interval of one processor: a run of N back-to-back
+// iterations of equal length, the first numbered Iter. End-Start is a
+// multiple of N.
 type Span struct {
 	Rank       int
 	Start, End des.Time
 	Kind       Kind
 	Iter       int
+	// N is the number of iterations covered; 0 and 1 both mean one, so a
+	// Span literal without it is a single iteration.
+	N int
+}
+
+// Iters returns the number of iterations the span covers, at least 1.
+func (s Span) Iters() int {
+	if s.N < 1 {
+		return 1
+	}
+	return s.N
+}
+
+// At returns the k-th iteration of the run (0 <= k < Iters()) as the
+// single-iteration span AddSpan was given for it.
+func (s Span) At(k int) Span {
+	stride := (s.End - s.Start) / des.Time(s.Iters())
+	start := s.Start + des.Time(k)*stride
+	return Span{Rank: s.Rank, Start: start, End: start + stride, Kind: s.Kind, Iter: s.Iter + k, N: 1}
 }
 
 // MsgKind classifies a message by its role in the protocol, so the
@@ -136,18 +168,80 @@ type Collector struct {
 	Spans []Span
 	Msgs  []Msg
 	Waits []Wait
+
+	// last[r] is one plus the index in Spans of rank r's latest span (0:
+	// none), the only candidate AddSpan may extend. It reflects
+	// Spans[:indexed]; spans appended to Spans directly (backend.Run merges
+	// its per-rank collectors that way) are indexed on the next AddSpan.
+	last    []int
+	indexed int
 }
 
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
 
-// AddSpan records an activity interval. No-op on a nil collector or an
+// AddSpan records one iteration's activity interval: it extends the rank's
+// latest span when the interval continues that run (see the package
+// comment) and appends a new span otherwise. No-op on a nil collector or an
 // empty interval.
 func (c *Collector) AddSpan(rank int, start, end des.Time, kind Kind, iter int) {
 	if c == nil || end <= start {
 		return
 	}
-	c.Spans = append(c.Spans, Span{Rank: rank, Start: start, End: end, Kind: kind, Iter: iter})
+	if s := c.latest(rank); s != nil && s.Rank == rank && s.Kind == kind && s.End == start {
+		if n := s.Iters(); s.Iter+n == iter && (s.End-s.Start)/des.Time(n) == end-start {
+			s.End, s.N = end, n+1
+			return
+		}
+	}
+	c.Spans = append(c.Spans, Span{Rank: rank, Start: start, End: end, Kind: kind, Iter: iter, N: 1})
+	c.index()
+}
+
+// latest returns rank's most recently recorded span, or nil.
+func (c *Collector) latest(rank int) *Span {
+	if c.indexed != len(c.Spans) {
+		c.index()
+	}
+	if rank < 0 || rank >= len(c.last) || c.last[rank] == 0 {
+		return nil
+	}
+	return &c.Spans[c.last[rank]-1]
+}
+
+// index brings last up to date with Spans. Spans of negative rank are not
+// indexed and so never extended.
+func (c *Collector) index() {
+	if c.indexed > len(c.Spans) { // Spans was cut back: start over
+		c.indexed = 0
+		clear(c.last)
+	}
+	for i := c.indexed; i < len(c.Spans); i++ {
+		r := c.Spans[i].Rank
+		if r < 0 {
+			continue
+		}
+		for len(c.last) <= r {
+			c.last = append(c.last, 0)
+		}
+		c.last[r] = i + 1
+	}
+	c.indexed = len(c.Spans)
+}
+
+// Iterations returns the number of compute iterations recorded: the sum of
+// Iters over the compute spans, where len(Spans) counts runs.
+func (c *Collector) Iterations() int {
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for _, s := range c.Spans {
+		if s.Kind == Compute {
+			n += s.Iters()
+		}
+	}
+	return n
 }
 
 // AddMsg records a delivered message and returns its index in Msgs, so the
