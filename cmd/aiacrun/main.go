@@ -39,6 +39,7 @@ import (
 	"aiac/internal/report"
 	"aiac/internal/scenario"
 	"aiac/internal/simfast"
+	"aiac/internal/sparse"
 	"aiac/internal/trace"
 )
 
@@ -286,6 +287,7 @@ func printMetrics(rep *aiac.Report, tr *trace.Collector, st netsim.Stats, flags 
 	reg.Gauge("aiac_des_queue_high_water", "Largest number of simulator events pending at once.").With().Set(float64(sim.QueueHighWater()))
 	reg.Gauge("aiac_trace_spans", "Compute/idle spans the trace holds (a span is a run of back-to-back equal iterations).").With().Set(float64(len(tr.Spans)))
 	reg.Gauge("aiac_trace_iterations", "Compute iterations those spans encode.").With().Set(float64(tr.Iterations()))
+	reg.Gauge("aiac_kernel_path", "Primitives the DIA kernels ran on in this process, chosen at start-up from the CPU (host fact, not a virtual-time result).", "path").With(sparse.KernelPath()).Set(1)
 	for _, f := range flags {
 		reg.Counter("aiac_redflags_total", "Convergence red-flag verdicts raised by the trajectory detectors.", "flag").With(f).Inc()
 	}

@@ -20,17 +20,29 @@ import (
 	"aiac/internal/trace"
 )
 
+// onBothKernelPaths runs f on the primitives internal/sparse chose at
+// start-up (AVX2 where the machine has it) and again on the pure-Go ones.
+func onBothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run(sparse.KernelPath(), f)
+	t.Run("pinned-portable", func(t *testing.T) {
+		sparse.PinPortable(t)
+		f(t)
+	})
+}
+
 func TestRowRangeMulVecAllocs(t *testing.T) {
 	prob := problems.NewLinear(4000, 12, 0.85, 7)
 	bounds := prob.PartitionBounds(8)
 	x := prob.InitialVector()
 	lo, hi := bounds[0], bounds[1]
 	dst := make([]float64, hi-lo)
-	if n := testing.AllocsPerRun(50, func() {
-		prob.A.RowRangeMulVec(lo, hi, dst, x)
-	}); n != 0 {
-		t.Errorf("RowRangeMulVec allocates %.0f per call; want 0", n)
-	}
+	onBothKernelPaths(t, func(t *testing.T) {
+		if n := testing.AllocsPerRun(50, func() {
+			prob.A.RowRangeMulVec(lo, hi, dst, x)
+		}); n != 0 {
+			t.Errorf("RowRangeMulVec allocates %.0f per call; want 0", n)
+		}
+	})
 }
 
 func TestGradientStepAllocs(t *testing.T) {
@@ -39,11 +51,13 @@ func TestGradientStepAllocs(t *testing.T) {
 		bounds := prob.PartitionBounds(8)
 		x := prob.InitialVector()
 		prob.Update(0, bounds, x) // warm-up builds the rank's scratch
-		if n := testing.AllocsPerRun(50, func() {
-			prob.Update(0, bounds, x)
-		}); n != 0 {
-			t.Errorf("%s fused gradient step allocates %.0f per call; want 0", op, n)
-		}
+		onBothKernelPaths(t, func(t *testing.T) {
+			if n := testing.AllocsPerRun(50, func() {
+				prob.Update(0, bounds, x)
+			}); n != 0 {
+				t.Errorf("%s fused gradient step allocates %.0f per call; want 0", op, n)
+			}
+		})
 	}
 }
 
@@ -55,11 +69,13 @@ func TestGradientStepTiledAllocs(t *testing.T) {
 	bounds := prob.PartitionBounds(4) // 10000-row blocks: several tiles
 	x := prob.InitialVector()
 	prob.Update(0, bounds, x)
-	if n := testing.AllocsPerRun(20, func() {
-		prob.Update(0, bounds, x)
-	}); n != 0 {
-		t.Errorf("tiled gradient step allocates %.0f per call; want 0", n)
-	}
+	onBothKernelPaths(t, func(t *testing.T) {
+		if n := testing.AllocsPerRun(20, func() {
+			prob.Update(0, bounds, x)
+		}); n != 0 {
+			t.Errorf("tiled gradient step allocates %.0f per call; want 0", n)
+		}
+	})
 }
 
 func TestGMRESInnerSolveAllocs(t *testing.T) {

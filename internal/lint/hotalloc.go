@@ -29,10 +29,12 @@ import (
 // transport.AppendMsg. Fixed-size local arrays (`var buf [64]float64`)
 // are stack storage and pass.
 //
-// The annotation is opt-in per function, so deliberately allocating
-// variants (e.g. kernels.StepParallel, which spawns workers) simply stay
-// unannotated; annotating them is a finding, which is the point: the mark
-// is a promise the compiler now keeps.
+// The annotation is opt-in per function, so deliberately allocating code
+// (a step that spawns a goroutine per row chunk, say) simply stays
+// unannotated; annotating it is a finding, which is the point: the mark is
+// a promise the compiler now keeps. Functions declared without a body —
+// the assembly primitives of internal/sparse — have nothing to check and
+// are skipped.
 func Hotalloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",

@@ -1,14 +1,12 @@
-// Package kernels holds the measured variants of the two numeric kernels
-// every backend bottoms out in: the banded block matvec and the fused
-// matvec+relaxation update (paper Equ. 4). The discipline is
-// kernelize-and-measure: keep every variant, prove each bit-identical to
-// the frozen reference on property-tested random shapes
-// (kernels_test.go), benchmark them all on the default sweep's block
-// shape, and emit one validity+speedup table (table.go → KERNELS.md).
-// The winning variants are re-implemented as the default
-// sparse.DIA.RowRangeMulVec / sparse.DIA.GradientStep; the copies here
-// are the experiment record and the regression harness that keeps the
-// shipped kernels honest.
+// Package kernels holds the frozen references of the two numeric kernels
+// every backend bottoms out in — the banded block matvec and the
+// matvec+relaxation update (paper Equ. 4) — exactly as they stood before
+// kernelization. Nothing here runs in production: sparse.DIA's
+// RowRangeMulVec and GradientStep are what ships, on the AVX2 or the
+// portable primitives of internal/sparse/band.go. The package's tests hold
+// both of those paths bit-identical to these references, keep every rung
+// that was tried on the way (the no-wins included) and regenerate the
+// measured ladder, KERNELS.md.
 //
 // Bit-identity ground rules (why every variant looks the way it does):
 //
@@ -28,58 +26,9 @@ package kernels
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"aiac/internal/sparse"
 )
-
-// MatVec computes dst[i-lo] = (A*x)_i for i in [lo,hi).
-type MatVec func(a *sparse.DIA, lo, hi int, dst, x []float64)
-
-// Step performs one relaxation update on rows [lo,hi) of x, returning
-// the max-norm residual and the modeled flop count.
-type Step func(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (residual, flops float64)
-
-// Variant is one measured kernel implementation.
-type Variant struct {
-	Name string
-	Kind string // "matvec" or "step"
-	Note string
-	// Exactly one of MatVec / Step is set, matching Kind.
-	MatVec MatVec
-	Step   Step
-}
-
-// Variants returns every kernel variant in table order. The first entry
-// of each Kind is the frozen reference ("baseline") the others are
-// validated and speedup-normalized against.
-func Variants() []Variant {
-	return []Variant{
-		{Name: "matvec-baseline", Kind: "matvec", MatVec: MatVecBaseline,
-			Note: "frozen pre-kernelization RowRangeMulVec: zero-fill pass, one clipped pass per diagonal"},
-		{Name: "matvec-firstdiag", Kind: "matvec", MatVec: MatVecFirstDiag,
-			Note: "main diagonal initializes dst, deleting the zero-fill pass"},
-		{Name: "matvec-bce", Kind: "matvec", MatVec: MatVecBCE,
-			Note: "firstdiag + operands re-sliced to one shared length so the compiler drops bounds checks"},
-		{Name: "matvec-unroll4", Kind: "matvec", MatVec: MatVecUnroll4,
-			Note: "bce + 4-wide unroll of the accumulation loop; shipped as DIA.RowRangeMulVec"},
-		{Name: "matvec-fuse4", Kind: "matvec", MatVec: MatVecFuse4,
-			Note: "bce + four diagonals per pass over their common row core (dst traffic /4) — no win: spread offsets leave the cores mostly empty"},
-		{Name: "step-baseline", Kind: "step", Step: StepBaseline,
-			Note: "frozen pre-kernelization GradientStep: baseline matvec into scratch, then a separate update traversal"},
-		{Name: "step-firstdiag", Kind: "step", Step: StepFirstDiag,
-			Note: "baseline update pass over the firstdiag matvec"},
-		{Name: "step-unroll4", Kind: "step", Step: StepUnroll4,
-			Note: "baseline update pass over the unroll4 matvec"},
-		{Name: "step-fuse4", Kind: "step", Step: StepFuse4,
-			Note: "baseline update pass over the fuse4 matvec"},
-		{Name: "step-fused", Kind: "step", Step: StepFused,
-			Note: "unroll4 accumulate + update+residual fused per L1-hot row tile, deferred write publishing x once; single-tile blocks update in place; shipped as DIA.GradientStep"},
-		{Name: "step-parallel", Kind: "step", Step: StepParallel,
-			Note: "row-chunked step-fused across GOMAXPROCS goroutines (native-backend option, not the sim default)"},
-	}
-}
 
 // clipBand clips the row range [lo,hi) to the rows where diagonal offset
 // o stays inside an n×n matrix. The result may be empty (rhi <= rlo).
@@ -110,170 +59,6 @@ func MatVecBaseline(a *sparse.DIA, lo, hi int, dst, x []float64) {
 		for i := rlo; i < rhi; i++ {
 			dst[i-lo] += d[i] * x[i+o]
 		}
-	}
-}
-
-// MatVecFirstDiag lets the main diagonal (always Offsets[0] == 0, full
-// row range) initialize dst, deleting the zero-fill pass.
-//
-//lint:hotpath
-func MatVecFirstDiag(a *sparse.DIA, lo, hi int, dst, x []float64) {
-	d0 := a.Diags[0]
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = d0[i] * x[i]
-	}
-	for k := 1; k < len(a.Offsets); k++ {
-		o := a.Offsets[k]
-		d := a.Diags[k]
-		rlo, rhi := clipBand(a.N, lo, hi, o)
-		for i := rlo; i < rhi; i++ {
-			dst[i-lo] += d[i] * x[i+o]
-		}
-	}
-}
-
-// initDiag0 writes dst[j] = A[lo+j][lo+j] * x[lo+j] with all operands
-// re-sliced to one shared length so the compiler can prove every index
-// in-bounds once.
-//
-//lint:hotpath
-func initDiag0(a *sparse.DIA, lo, hi int, dst, x []float64) {
-	m := hi - lo
-	out := dst[:m]
-	ds := a.Diags[0][lo:][:m]
-	xs := x[lo:][:m]
-	for j := 0; j < len(out); j++ {
-		out[j] = ds[j] * xs[j]
-	}
-}
-
-// accumBandRange adds diagonal k's contribution for rows [rlo,rhi) into
-// dst (block origin lo), bounds-check-free.
-//
-//lint:hotpath
-func accumBandRange(a *sparse.DIA, lo int, dst, x []float64, k, rlo, rhi int) {
-	if rhi <= rlo {
-		return
-	}
-	o := a.Offsets[k]
-	m := rhi - rlo
-	ds := a.Diags[k][rlo:][:m]
-	xs := x[rlo+o:][:m]
-	out := dst[rlo-lo:][:m]
-	for j := 0; j < len(out); j++ {
-		out[j] += ds[j] * xs[j]
-	}
-}
-
-// MatVecBCE is MatVecFirstDiag with every accumulation loop re-sliced to
-// a shared length, eliminating per-element bounds checks.
-//
-//lint:hotpath
-func MatVecBCE(a *sparse.DIA, lo, hi int, dst, x []float64) {
-	initDiag0(a, lo, hi, dst, x)
-	for k := 1; k < len(a.Offsets); k++ {
-		rlo, rhi := clipBand(a.N, lo, hi, a.Offsets[k])
-		accumBandRange(a, lo, dst, x, k, rlo, rhi)
-	}
-}
-
-// MatVecUnroll4 is MatVecBCE with the per-diagonal accumulation loop
-// unrolled 4-wide. Per-element order is unchanged: each element still
-// receives exactly one contribution per pass.
-//
-//lint:hotpath
-func MatVecUnroll4(a *sparse.DIA, lo, hi int, dst, x []float64) {
-	initDiag0(a, lo, hi, dst, x)
-	for k := 1; k < len(a.Offsets); k++ {
-		o := a.Offsets[k]
-		rlo, rhi := clipBand(a.N, lo, hi, o)
-		if rhi <= rlo {
-			continue
-		}
-		m := rhi - rlo
-		ds := a.Diags[k][rlo:][:m]
-		xs := x[rlo+o:][:m]
-		out := dst[rlo-lo:][:m]
-		j := 0
-		for ; j+3 < len(out); j += 4 {
-			out[j] += ds[j] * xs[j]
-			out[j+1] += ds[j+1] * xs[j+1]
-			out[j+2] += ds[j+2] * xs[j+2]
-			out[j+3] += ds[j+3] * xs[j+3]
-		}
-		for ; j < len(out); j++ {
-			out[j] += ds[j] * xs[j]
-		}
-	}
-}
-
-// accumFuse4 adds diagonals k..k+3 into dst. Over the four bands' common
-// row core all four contributions are applied in one pass (one dst
-// load/store per element instead of four); rows covered by only some of
-// the bands are handled by per-band remainder passes. Per-element
-// ascending-k order holds everywhere: core rows see k,k+1,k+2,k+3 inside
-// one iteration, remainder rows see their covering bands in ascending k
-// because the remainder passes run in ascending k.
-//
-//lint:hotpath
-func accumFuse4(a *sparse.DIA, lo, hi int, dst, x []float64, k int) {
-	o0, o1, o2, o3 := a.Offsets[k], a.Offsets[k+1], a.Offsets[k+2], a.Offsets[k+3]
-	l0, h0 := clipBand(a.N, lo, hi, o0)
-	l1, h1 := clipBand(a.N, lo, hi, o1)
-	l2, h2 := clipBand(a.N, lo, hi, o2)
-	l3, h3 := clipBand(a.N, lo, hi, o3)
-	cl := max(max(l0, l1), max(l2, l3))
-	ch := min(min(h0, h1), min(h2, h3))
-	if cl >= ch {
-		accumBandRange(a, lo, dst, x, k, l0, h0)
-		accumBandRange(a, lo, dst, x, k+1, l1, h1)
-		accumBandRange(a, lo, dst, x, k+2, l2, h2)
-		accumBandRange(a, lo, dst, x, k+3, l3, h3)
-		return
-	}
-	accumBandRange(a, lo, dst, x, k, l0, min(h0, cl))
-	accumBandRange(a, lo, dst, x, k, max(l0, ch), h0)
-	accumBandRange(a, lo, dst, x, k+1, l1, min(h1, cl))
-	accumBandRange(a, lo, dst, x, k+1, max(l1, ch), h1)
-	accumBandRange(a, lo, dst, x, k+2, l2, min(h2, cl))
-	accumBandRange(a, lo, dst, x, k+2, max(l2, ch), h2)
-	accumBandRange(a, lo, dst, x, k+3, l3, min(h3, cl))
-	accumBandRange(a, lo, dst, x, k+3, max(l3, ch), h3)
-	m := ch - cl
-	ds0 := a.Diags[k][cl:][:m]
-	ds1 := a.Diags[k+1][cl:][:m]
-	ds2 := a.Diags[k+2][cl:][:m]
-	ds3 := a.Diags[k+3][cl:][:m]
-	xs0 := x[cl+o0:][:m]
-	xs1 := x[cl+o1:][:m]
-	xs2 := x[cl+o2:][:m]
-	xs3 := x[cl+o3:][:m]
-	out := dst[cl-lo:][:m]
-	for j := 0; j < len(out); j++ {
-		s := out[j]
-		s += ds0[j] * xs0[j]
-		s += ds1[j] * xs1[j]
-		s += ds2[j] * xs2[j]
-		s += ds3[j] * xs3[j]
-		out[j] = s
-	}
-}
-
-// MatVecFuse4 is the full accumulate used by the shipped kernels:
-// firstdiag init, then four diagonals fused per pass, bounds-check-free
-// throughout.
-//
-//lint:hotpath
-func MatVecFuse4(a *sparse.DIA, lo, hi int, dst, x []float64) {
-	initDiag0(a, lo, hi, dst, x)
-	nb := len(a.Offsets)
-	k := 1
-	for ; k+3 < nb; k += 4 {
-		accumFuse4(a, lo, hi, dst, x, k)
-	}
-	for ; k < nb; k++ {
-		rlo, rhi := clipBand(a.N, lo, hi, a.Offsets[k])
-		accumBandRange(a, lo, dst, x, k, rlo, rhi)
 	}
 }
 
@@ -313,138 +98,4 @@ func StepBaseline(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []floa
 	ax := scratch[:hi-lo]
 	MatVecBaseline(a, lo, hi, ax, x)
 	return updateInPlace(a, lo, hi, gamma, x, b, ax), stepFlops(a, lo, hi)
-}
-
-// StepFirstDiag swaps in the firstdiag matvec, keeping the reference
-// update traversal.
-//
-//lint:hotpath
-func StepFirstDiag(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (float64, float64) {
-	ax := scratch[:hi-lo]
-	MatVecFirstDiag(a, lo, hi, ax, x)
-	return updateInPlace(a, lo, hi, gamma, x, b, ax), stepFlops(a, lo, hi)
-}
-
-// StepUnroll4 swaps in the unroll4 matvec, keeping the reference update
-// traversal.
-//
-//lint:hotpath
-func StepUnroll4(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (float64, float64) {
-	ax := scratch[:hi-lo]
-	MatVecUnroll4(a, lo, hi, ax, x)
-	return updateInPlace(a, lo, hi, gamma, x, b, ax), stepFlops(a, lo, hi)
-}
-
-// StepFuse4 swaps in the fuse4 matvec, keeping the reference update
-// traversal.
-//
-//lint:hotpath
-func StepFuse4(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (float64, float64) {
-	ax := scratch[:hi-lo]
-	MatVecFuse4(a, lo, hi, ax, x)
-	return updateInPlace(a, lo, hi, gamma, x, b, ax), stepFlops(a, lo, hi)
-}
-
-// stepTileRows is the row-tile granule of the fused kernel: 2048 rows of
-// accumulated A*x are 16KB, small enough that the fused update revisits
-// them while still L1-resident. Blocks at or under one tile skip the
-// deferred-write machinery entirely: once the accumulate has finished
-// reading x, the update may overwrite x in place, and the publish copy
-// would be pure overhead.
-const stepTileRows = 2048
-
-// fusedChunk runs the fused accumulate+update over rows [clo,chi) of the
-// block [lo,hi): per stepTileRows tile it accumulates A*x into the
-// tile's scratch slot (unroll4 accumulate — the measured-best, see
-// KERNELS.md), then immediately overwrites each slot with the relaxed
-// value while the tile is L1-hot, tracking the residual. New values are
-// NOT published to x — callers copy scratch into x[lo:hi) once every
-// chunk has finished reading the old iterate. Returns the chunk's
-// max-norm change.
-//
-//lint:hotpath
-func fusedChunk(a *sparse.DIA, lo, clo, chi int, gamma float64, x, b, scratch []float64) float64 {
-	var maxd float64
-	for tlo := clo; tlo < chi; tlo += stepTileRows {
-		thi := min(tlo+stepTileRows, chi)
-		MatVecUnroll4(a, tlo, thi, scratch[tlo-lo:], x)
-		m := thi - tlo
-		nv := scratch[tlo-lo:][:m]
-		ds := a.Diags[0][tlo:][:m]
-		xs := x[tlo:][:m]
-		bs := b[tlo:][:m]
-		for j := 0; j < len(nv); j++ {
-			v := xs[j] + gamma*(bs[j]-nv[j])/ds[j]
-			if d := math.Abs(v - xs[j]); d > maxd {
-				maxd = d
-			}
-			nv[j] = v
-		}
-	}
-	return maxd
-}
-
-// StepFused is the production fused kernel. Blocks that fit one tile
-// (every default-sweep rank block does) take the fast path: unroll4
-// accumulate into scratch, then the update overwrites x in place — the
-// accumulate has already consumed the old iterate, so no deferred write
-// is needed. Larger blocks run the update fused per L1-hot tile with
-// deferred writes, deleting the cache-cold whole-block scratch
-// traversal, and one copy publishes the new values. Bit-identical to
-// StepBaseline on both paths because no x[i] is overwritten until every
-// row has read the old iterate.
-//
-//lint:hotpath
-func StepFused(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (float64, float64) {
-	if hi-lo <= stepTileRows {
-		ax := scratch[:hi-lo]
-		MatVecUnroll4(a, lo, hi, ax, x)
-		return updateInPlace(a, lo, hi, gamma, x, b, ax), stepFlops(a, lo, hi)
-	}
-	maxd := fusedChunk(a, lo, lo, hi, gamma, x, b, scratch)
-	copy(x[lo:hi], scratch[:hi-lo])
-	return maxd, stepFlops(a, lo, hi)
-}
-
-// stepParallelMinRows is the minimum rows per goroutine before
-// StepParallel stops splitting: below this the spawn+join overhead
-// exceeds the arithmetic.
-const stepParallelMinRows = 2048
-
-// StepParallel row-chunks StepFused across GOMAXPROCS goroutines. The
-// deferred-write discipline makes this safe: every chunk reads the old
-// iterate, writes its scratch region, and x is published after the
-// barrier. The residual is the max over chunk residuals — identical to
-// the sequential max. Meant for the native backend's real wall clock;
-// the simulators stay sequential (their determinism audit forbids
-// nondeterministic host parallelism inside a cell).
-func StepParallel(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (float64, float64) {
-	rows := hi - lo
-	workers := runtime.GOMAXPROCS(0)
-	if w := rows / stepParallelMinRows; workers > w {
-		workers = w
-	}
-	if workers < 2 {
-		return StepFused(a, lo, hi, gamma, x, b, scratch)
-	}
-	maxds := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		clo := lo + w*rows/workers
-		chi := lo + (w+1)*rows/workers
-		wg.Add(1)
-		go func(w, clo, chi int) {
-			defer wg.Done()
-			maxds[w] = fusedChunk(a, lo, clo, chi, gamma, x, b, scratch)
-		}(w, clo, chi)
-	}
-	wg.Wait()
-	copy(x[lo:hi], scratch[:rows])
-	var maxd float64
-	for _, d := range maxds {
-		if d > maxd {
-			maxd = d
-		}
-	}
-	return maxd, stepFlops(a, lo, hi)
 }

@@ -30,120 +30,77 @@ func edgeSystem(n int) (*sparse.DIA, []float64, []float64) {
 	return a, b, x
 }
 
-// TestMatVecVariantsBitIdentical proves every matvec variant — and the
-// shipped DIA.RowRangeMulVec — produces bit-for-bit the reference
-// result on random shapes and ranges.
+// TestMatVecVariantsBitIdentical proves every matvec variant — the shipped
+// DIA.RowRangeMulVec among them, on both of sparse's kernel paths —
+// produces bit-for-bit the reference result on random shapes and ranges.
 func TestMatVecVariantsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	variants := matvecVariants()
-	for trial := 0; trial < 300; trial++ {
-		a, _, x := randSystem(rng)
-		lo, hi := randRange(rng, a.N)
-		checkMatVec(t, variants, a, lo, hi, x)
-	}
-	for _, n := range []int{2, 3, 17} {
-		a, _, x := edgeSystem(n)
-		for lo := 0; lo <= n; lo++ {
-			for hi := lo; hi <= n; hi++ {
-				checkMatVec(t, variants, a, lo, hi, x)
-			}
-		}
-	}
-}
-
-func matvecVariants() []Variant {
-	var vs []Variant
 	for _, v := range Variants() {
-		if v.Kind == "matvec" {
-			vs = append(vs, v)
+		if v.Kind != "matvec" {
+			continue
 		}
+		onPath(t, v, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			for trial := 0; trial < 300; trial++ {
+				a, _, x := randSystem(rng, 401)
+				lo, hi := randRange(rng, a.N)
+				checkMatVec(t, v, a, lo, hi, x)
+			}
+			for _, n := range []int{2, 3, 17} {
+				a, _, x := edgeSystem(n)
+				for lo := 0; lo <= n; lo++ {
+					for hi := lo; hi <= n; hi++ {
+						checkMatVec(t, v, a, lo, hi, x)
+					}
+				}
+			}
+		})
 	}
-	// The shipped method must match the frozen baseline too: this is the
-	// regression harness for DIA.RowRangeMulVec.
-	vs = append(vs, Variant{Name: "DIA.RowRangeMulVec", Kind: "matvec",
-		MatVec: func(a *sparse.DIA, lo, hi int, dst, x []float64) {
-			a.RowRangeMulVec(lo, hi, dst, x)
-		}})
-	return vs
 }
 
-func checkMatVec(t *testing.T, variants []Variant, a *sparse.DIA, lo, hi int, x []float64) {
+func checkMatVec(t *testing.T, v Variant, a *sparse.DIA, lo, hi int, x []float64) {
 	t.Helper()
-	want := make([]float64, hi-lo)
-	MatVecBaseline(a, lo, hi, want, x)
-	got := make([]float64, hi-lo)
-	for _, v := range variants {
-		for i := range got {
-			got[i] = math.NaN() // catch unwritten elements
-		}
-		v.MatVec(a, lo, hi, got, x)
-		if i, ok := bitsEqual(want, got); !ok {
-			t.Fatalf("%s: n=%d offsets=%v rows=[%d,%d): element %d = %x, want %x",
-				v.Name, a.N, a.Offsets, lo, hi, i,
-				math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
+	if msg := matVecMismatch(v, a, lo, hi, x); msg != "" {
+		t.Fatalf("%s: n=%d offsets=%v rows=[%d,%d): %s", v.Name, a.N, a.Offsets, lo, hi, msg)
 	}
 }
 
-// TestStepVariantsBitIdentical proves every step variant — and the
-// shipped DIA.GradientStep — leaves bit-for-bit the reference iterate
-// and returns the identical residual and flop count.
+// TestStepVariantsBitIdentical proves every step variant — the shipped
+// DIA.GradientStep among them, on both of sparse's kernel paths and both
+// of its branches — leaves bit-for-bit the reference iterate and returns
+// the identical residual and flop count.
 func TestStepVariantsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	variants := stepVariants()
-	for trial := 0; trial < 300; trial++ {
-		a, b, x := randSystem(rng)
-		lo, hi := randRange(rng, a.N)
-		gamma := 0.1 + rng.Float64()
-		checkStep(t, variants, a, lo, hi, gamma, x, b)
-	}
-	for _, n := range []int{2, 3, 17} {
-		a, b, x := edgeSystem(n)
-		for lo := 0; lo <= n; lo++ {
-			for hi := lo; hi <= n; hi++ {
-				checkStep(t, variants, a, lo, hi, 0.9, x, b)
-			}
-		}
-	}
-}
-
-func stepVariants() []Variant {
-	var vs []Variant
 	for _, v := range Variants() {
-		if v.Kind == "step" {
-			vs = append(vs, v)
+		if v.Kind != "step" {
+			continue
 		}
+		onPath(t, v, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(10))
+			for trial := 0; trial < 300; trial++ {
+				maxN := 401
+				if trial%30 == 29 {
+					maxN = 3 * stepTileRows
+				}
+				a, b, x := randSystem(rng, maxN)
+				lo, hi := randRange(rng, a.N)
+				gamma := 0.1 + rng.Float64()
+				checkStep(t, v, a, lo, hi, gamma, x, b)
+			}
+			for _, n := range []int{2, 3, 17} {
+				a, b, x := edgeSystem(n)
+				for lo := 0; lo <= n; lo++ {
+					for hi := lo; hi <= n; hi++ {
+						checkStep(t, v, a, lo, hi, 0.9, x, b)
+					}
+				}
+			}
+		})
 	}
-	vs = append(vs, Variant{Name: "DIA.GradientStep", Kind: "step",
-		Step: func(a *sparse.DIA, lo, hi int, gamma float64, x, b, scratch []float64) (float64, float64) {
-			return a.GradientStep(lo, hi, gamma, x, b, scratch)
-		}})
-	return vs
 }
 
-func checkStep(t *testing.T, variants []Variant, a *sparse.DIA, lo, hi int, gamma float64, x, b []float64) {
+func checkStep(t *testing.T, v Variant, a *sparse.DIA, lo, hi int, gamma float64, x, b []float64) {
 	t.Helper()
-	scratch := make([]float64, hi-lo)
-	wantX := append([]float64(nil), x...)
-	wantRes, wantFlops := StepBaseline(a, lo, hi, gamma, wantX, b, scratch)
-	gotX := make([]float64, len(x))
-	for _, v := range variants {
-		copy(gotX, x)
-		for i := range scratch {
-			scratch[i] = math.NaN()
-		}
-		res, flops := v.Step(a, lo, hi, gamma, gotX, b, scratch)
-		if i, ok := bitsEqual(wantX, gotX); !ok {
-			t.Fatalf("%s: n=%d offsets=%v rows=[%d,%d): x[%d] = %x, want %x",
-				v.Name, a.N, a.Offsets, lo, hi, i,
-				math.Float64bits(gotX[i]), math.Float64bits(wantX[i]))
-		}
-		if math.Float64bits(res) != math.Float64bits(wantRes) {
-			t.Fatalf("%s: residual %v, want %v", v.Name, res, wantRes)
-		}
-		if flops != wantFlops {
-			t.Fatalf("%s: flops %v, want %v", v.Name, flops, wantFlops)
-		}
+	if msg := stepMismatch(v, a, lo, hi, gamma, x, b); msg != "" {
+		t.Fatalf("%s: n=%d offsets=%v rows=[%d,%d): %s", v.Name, a.N, a.Offsets, lo, hi, msg)
 	}
 }
 
@@ -157,18 +114,20 @@ func TestStepVariantsConverge(t *testing.T) {
 		if v.Kind != "step" {
 			continue
 		}
-		x := make([]float64, a.N)
-		scratch := make([]float64, a.N)
-		for it := 0; it < 600; it++ {
-			res, _ := v.Step(a, 0, a.N, 1.0, x, b, scratch)
-			if res < 1e-12 {
-				break
+		onPath(t, v, func(t *testing.T) {
+			x := make([]float64, a.N)
+			scratch := make([]float64, a.N)
+			for it := 0; it < 600; it++ {
+				res, _ := v.Step(a, 0, a.N, 1.0, x, b, scratch)
+				if res < 1e-12 {
+					break
+				}
 			}
-		}
-		for i := range x {
-			if math.Abs(x[i]-xtrue[i]) > 1e-8 {
-				t.Fatalf("%s: x[%d]=%v want %v", v.Name, i, x[i], xtrue[i])
+			for i := range x {
+				if math.Abs(x[i]-xtrue[i]) > 1e-8 {
+					t.Fatalf("%s: x[%d]=%v want %v", v.Name, i, x[i], xtrue[i])
+				}
 			}
-		}
+		})
 	}
 }

@@ -7,7 +7,8 @@ import "math"
 // DIA so the storage strategy is swappable. Two implementations exist:
 //
 //   - DIA materializes every band (O(bands·n) floats) and runs the
-//     measured kernels of internal/sparse/kernels;
+//     vector or portable band primitives of band.go (measured in
+//     KERNELS.md);
 //   - Stencil stores nothing but the band offsets and recomputes entries
 //     from (seed, band, row) on the fly — O(bands) matrix memory, which
 //     is what makes paper-scale systems (Table 1's n=2,000,000, or

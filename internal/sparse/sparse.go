@@ -5,6 +5,22 @@
 // Jacobi/fixed-step-gradient iteration matrix has spectral radius below one
 // (§5.1: "the sparse matrix is designed to have a spectral radius less than
 // one").
+//
+// # Kernels
+//
+// DIA's two hot kernels, RowRangeMulVec and GradientStep, are built from
+// three primitives over equal-length runs (band.go): mul
+// (out[j] = d[j]*x[j]), mulAdd (acc[j] += d[j]*x[j]) and relax (the
+// update of Equ. 4 and its max-norm residual in one pass). Each has a
+// pure-Go form — the portable path, the only one off amd64 — and an AVX2
+// form in Go assembly (band_amd64.s) that applies the same IEEE operations
+// in the same order four doubles at a time: a multiply then an add, never
+// an FMA; a true division; a max that a NaN never enters. The two paths
+// therefore agree bit for bit — iterate, residual and modeled flops — and
+// both agree with the frozen pre-kernelization references in
+// internal/sparse/kernels, whose tests also keep the measured ladder
+// (KERNELS.md). The path is chosen once at start-up from CPUID/XGETBV;
+// KernelPath reports it; nothing but a test (PinPortable) overrides it.
 package sparse
 
 import (
@@ -157,13 +173,12 @@ func (a *DIA) MulVec(dst, x []float64) {
 // RowRangeMulVec computes dst[i-lo] = (A*x)_i for i in [lo,hi), reading x
 // at the columns the band touches. Flops: ~2 * nnz(rows lo..hi).
 //
-// This is the matvec-unroll4 kernel of internal/sparse/kernels (see
-// KERNELS.md for the measured table): the main diagonal initializes dst
-// (no zero-fill pass), every accumulation loop is re-sliced to one
-// shared length so the compiler drops its bounds checks, and the loop is
-// unrolled 4-wide. Per-element contributions stay in ascending-diagonal
-// order, so the result is bit-identical to the naive k-outer reference —
-// the kernels package property-tests exactly that.
+// The main diagonal initializes dst (no zero-fill pass) and every other
+// band adds its clipped run with one mulAdd (band.go). Per-element
+// contributions stay in ascending-diagonal order, each product rounded
+// before its add, so the result is bit-identical to the naive k-outer
+// reference on both kernel paths — internal/sparse/kernels holds the
+// frozen reference and KERNELS.md the measured ladder.
 //
 //lint:hotpath
 func (a *DIA) RowRangeMulVec(lo, hi int, dst, x []float64) {
@@ -174,12 +189,7 @@ func (a *DIA) RowRangeMulVec(lo, hi int, dst, x []float64) {
 		panic("sparse: dimension mismatch in RowRangeMulVec")
 	}
 	m := hi - lo
-	out := dst[:m]
-	d0 := a.Diags[0][lo:][:m]
-	xv := x[lo:][:m]
-	for j := 0; j < len(out); j++ {
-		out[j] = d0[j] * xv[j]
-	}
+	kern.mul(dst[:m], a.Diags[0][lo:][:m], x[lo:][:m])
 	for k := 1; k < len(a.Offsets); k++ {
 		o := a.Offsets[k]
 		rlo, rhi := lo, hi
@@ -193,19 +203,7 @@ func (a *DIA) RowRangeMulVec(lo, hi int, dst, x []float64) {
 			continue
 		}
 		bm := rhi - rlo
-		ds := a.Diags[k][rlo:][:bm]
-		xs := x[rlo+o:][:bm]
-		acc := dst[rlo-lo:][:bm]
-		j := 0
-		for ; j+3 < len(acc); j += 4 {
-			acc[j] += ds[j] * xs[j]
-			acc[j+1] += ds[j+1] * xs[j+1]
-			acc[j+2] += ds[j+2] * xs[j+2]
-			acc[j+3] += ds[j+3] * xs[j+3]
-		}
-		for ; j < len(acc); j++ {
-			acc[j] += ds[j] * xs[j]
-		}
+		kern.mulAdd(dst[rlo-lo:][:bm], a.Diags[k][rlo:][:bm], x[rlo+o:][:bm])
 	}
 }
 
@@ -224,51 +222,31 @@ const gradientTileRows = 2048
 // x[lo:hi), returns the max-norm of the change (the local residual of
 // Equ. 6) and the flop count. scratch must have at least hi-lo capacity.
 //
-// This is the step-fused kernel of internal/sparse/kernels (measured
-// table in KERNELS.md), bit-identical to the two-pass reference. Blocks
-// that fit one tile — every default-sweep rank block does — accumulate
-// A*x with RowRangeMulVec and then update x in place (the accumulate has
-// already consumed the old iterate). Larger blocks fuse the
-// update+residual traversal into each L1-hot tile, deferring the writes
-// into scratch — a band may make any later row read x inside [lo,hi), so
-// no x[i] is overwritten until every tile has accumulated — and publish
-// the new values with one copy at the end.
+// Bit-identical to the two-pass reference (kernels.StepBaseline) on both
+// kernel paths. Blocks that fit one tile — every default-sweep rank block
+// does — accumulate A*x with RowRangeMulVec and then relax x in place (the
+// accumulate has already consumed the old iterate). Larger blocks relax
+// each tile while it is L1-hot, deferring the writes into scratch — a band
+// may make any later row read x inside [lo,hi), so no x[i] is overwritten
+// until every tile has accumulated — and publish the new values with one
+// copy at the end.
 //
 //lint:hotpath
 func (a *DIA) GradientStep(lo, hi int, gamma float64, x, b, scratch []float64) (residual, flops float64) {
-	var maxd float64
 	rows := float64(hi - lo)
 	flops = 2*float64(a.rowNNZ())*rows + 5*rows
 	if hi-lo <= gradientTileRows {
 		ax := scratch[:hi-lo]
 		a.RowRangeMulVec(lo, hi, ax, x)
-		for i := lo; i < hi; i++ {
-			nv := x[i] + gamma*(b[i]-ax[i-lo])/a.Diags[0][i]
-			if d := math.Abs(nv - x[i]); d > maxd {
-				maxd = d
-			}
-			x[i] = nv
-		}
-		return maxd, flops
+		xs := x[lo:hi]
+		return kern.relax(xs, xs, b[lo:hi], ax, a.Diags[0][lo:hi], gamma, 0), flops
 	}
+	var maxd float64
 	for tlo := lo; tlo < hi; tlo += gradientTileRows {
-		thi := tlo + gradientTileRows
-		if thi > hi {
-			thi = hi
-		}
-		a.RowRangeMulVec(tlo, thi, scratch[tlo-lo:], x)
-		m := thi - tlo
-		nv := scratch[tlo-lo:][:m]
-		ds := a.Diags[0][tlo:][:m]
-		xs := x[tlo:][:m]
-		bs := b[tlo:][:m]
-		for j := 0; j < len(nv); j++ {
-			v := xs[j] + gamma*(bs[j]-nv[j])/ds[j]
-			if d := math.Abs(v - xs[j]); d > maxd {
-				maxd = d
-			}
-			nv[j] = v
-		}
+		thi := min(tlo+gradientTileRows, hi)
+		nv := scratch[tlo-lo : thi-lo]
+		a.RowRangeMulVec(tlo, thi, nv, x)
+		maxd = kern.relax(nv, x[tlo:thi], b[tlo:thi], nv, a.Diags[0][tlo:thi], gamma, maxd)
 	}
 	copy(x[lo:hi], scratch[:hi-lo])
 	return maxd, flops
