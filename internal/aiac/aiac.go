@@ -85,6 +85,10 @@ type Outgoing struct {
 	Iter   int
 	Lo     int
 	Values []float64
+	// Pooled says Values is a snapshot buffer obtained from the
+	// environment itself (envcore's Endpoint.Snapshot), which takes it
+	// back for reuse once the receiver has incorporated it.
+	Pooled bool
 }
 
 // Comm is the communication contract a middleware environment offers one

@@ -109,8 +109,10 @@ func (c *Chan) RecvTimeout(p *Proc, d Time) (v any, ok bool) {
 	return v, ok
 }
 
-// Gate blocks processes until it is opened; once open it never blocks again.
-// It models one-shot conditions such as "stop signal received".
+// Gate blocks processes until it is opened; once open it does not block
+// again until Reset. It models one-shot conditions such as "stop signal
+// received" and, reset between rounds, recurring ones such as "the next
+// delivery arrived".
 type Gate struct {
 	sim     *Simulator
 	open    bool
@@ -120,7 +122,9 @@ type Gate struct {
 // NewGate returns a closed gate.
 func NewGate(sim *Simulator) *Gate { return &Gate{sim: sim} }
 
-// Open releases all current and future waiters. Idempotent.
+// Open releases all current and future waiters. Idempotent. The waiter
+// storage is kept, so a gate that is Reset and waited on again allocates
+// nothing.
 func (g *Gate) Open() {
 	if g.open {
 		return
@@ -129,7 +133,20 @@ func (g *Gate) Open() {
 	for _, w := range g.waiters {
 		w.unpark()
 	}
-	g.waiters = nil
+	g.dropWaiters()
+}
+
+// Reset closes the gate again and forgets any process still waiting on it
+// (pair it with an Open that has released them, or with the end of the
+// session they belonged to).
+func (g *Gate) Reset() {
+	g.open = false
+	g.dropWaiters()
+}
+
+func (g *Gate) dropWaiters() {
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
 }
 
 // IsOpen reports whether the gate has been opened.

@@ -11,10 +11,15 @@
 // kinds share the queue, the ordering and the synchronisation primitives,
 // and issue identical event sequences for identical programs.
 //
-// The event queue is a typed binary heap of event values (queue.go): a
-// Schedule allocates nothing once the heap has grown, and a process wake-up
-// is carried in the event itself, not in a closure. DES.md holds the
-// measured ladder that chose it.
+// An event is a Handler and a word of argument (queue.go): a callback given
+// to Schedule is one kind of Handler, a process wake-up another, and the
+// layers above schedule their own objects directly (ScheduleHandler), so
+// scheduling allocates nothing once the queue has grown. Pending events
+// wait in two lanes — a binary heap for events due later, a FIFO ring for
+// events scheduled at the current instant, which skip the heap's sifts —
+// that together pop in exact (timestamp, insertion-order) order; DES.md
+// holds the measured ladder that chose the pair, and queue.go the order
+// argument.
 //
 // The rest of the repository builds on this kernel: the network model
 // schedules message deliveries as events, the CPU model charges compute time
@@ -35,9 +40,9 @@ type Time = time.Duration
 // The zero value is not usable; call New.
 type Simulator struct {
 	now     Time
-	queue   []event // binary min-heap, see queue.go
+	q       lanes // pending events, see queue.go
 	seq     uint64
-	high    int // largest queue length seen
+	high    int // largest number of pending events seen
 	nextPID int
 	running *Proc
 	yielded chan struct{}
@@ -67,34 +72,45 @@ func (s *Simulator) Events() uint64 { return s.events }
 func (s *Simulator) LiveProcs() int { return s.procs }
 
 // QueueHighWater returns the largest number of events that were pending at
-// once — the depth the queue's cost depends on.
+// once, both lanes counted.
 func (s *Simulator) QueueHighWater() int { return s.high }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past is an
 // error and panics: it would silently reorder causality.
-func (s *Simulator) Schedule(at Time, fn func()) {
+func (s *Simulator) Schedule(at Time, fn func()) { s.ScheduleHandler(at, funcEvent(fn), 0) }
+
+// After runs fn d from now. A negative d panics.
+func (s *Simulator) After(d Time, fn func()) { s.Schedule(s.now+d, fn) }
+
+// ScheduleHandler calls h.Fire(arg) at absolute virtual time at — Schedule
+// for callers that are their own event target and have no closure to
+// build. Scheduling in the past panics, as for Schedule.
+func (s *Simulator) ScheduleHandler(at Time, h Handler, arg uint64) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, s.now))
 	}
-	s.enqueue(at, fn, nil)
+	s.enqueue(at, h, arg)
+}
+
+// AfterHandler calls h.Fire(arg) d from now. A negative d panics.
+func (s *Simulator) AfterHandler(d Time, h Handler, arg uint64) {
+	s.ScheduleHandler(s.now+d, h, arg)
 }
 
 // wake schedules p's next activation at absolute time at >= now.
-func (s *Simulator) wake(at Time, p *Proc) { s.enqueue(at, nil, p) }
+func (s *Simulator) wake(at Time, p *Proc) { s.enqueue(at, (*wakeProc)(p), 0) }
 
-func (s *Simulator) enqueue(at Time, fn func(), p *Proc) {
+//lint:hotpath
+func (s *Simulator) enqueue(at Time, h Handler, arg uint64) {
 	if s.onEnqueue != nil {
 		s.onEnqueue(at)
 	}
 	s.seq++
-	s.queue = pushEvent(s.queue, event{at: at, seq: s.seq, fn: fn, p: p})
-	if len(s.queue) > s.high {
-		s.high = len(s.queue)
+	s.q.push(s.now, event{at: at, seq: s.seq, h: h, arg: arg})
+	if n := s.q.len(); n > s.high {
+		s.high = n
 	}
 }
-
-// After runs fn d from now. A negative d panics.
-func (s *Simulator) After(d Time, fn func()) { s.Schedule(s.now+d, fn) }
 
 // Spawn starts a new process running body. The process begins executing at
 // the current virtual time, after any already-queued same-time events.
@@ -152,7 +168,7 @@ func (s *Simulator) activate(p *Proc) {
 
 // Run executes events until the queue is empty and returns the final time.
 func (s *Simulator) Run() Time {
-	for len(s.queue) > 0 {
+	for s.q.len() > 0 {
 		s.step()
 	}
 	return s.now
@@ -197,25 +213,27 @@ func sortedLive(live map[int]*Proc) []*Proc {
 // RunUntil executes events with timestamps <= deadline, leaves the clock at
 // min(deadline, last event time), and reports whether the queue drained.
 func (s *Simulator) RunUntil(deadline Time) bool {
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for {
+		at, ok := s.q.next(s.now)
+		if !ok {
+			return true
+		}
+		if at > deadline {
+			return false
+		}
 		s.step()
 	}
-	return len(s.queue) == 0
 }
 
+//lint:hotpath
 func (s *Simulator) step() {
-	var e event
-	s.queue, e = popEvent(s.queue)
+	e := s.q.pop(s.now)
 	if e.at < s.now {
 		panic("des: time went backwards")
 	}
 	s.now = e.at
 	s.events++
-	if e.p != nil {
-		s.activate(e.p)
-		return
-	}
-	e.fn()
+	e.h.Fire(e.arg)
 }
 
 // Proc is a simulated process. All methods must be called from within the
@@ -238,6 +256,10 @@ type Proc struct {
 	// (SpawnTask); nil while the task is running or finished. Goroutine
 	// processes never use it. See task.go.
 	k func()
+	// recvK is the continuation of a task blocked in Chan.RecvK, and
+	// takeSlot the segment that hands it the received value.
+	recvK    func(v any, ok bool)
+	takeSlot func()
 }
 
 // ID returns the process id (1-based, in spawn order).

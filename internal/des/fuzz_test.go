@@ -21,7 +21,7 @@ func (r *refSim) Schedule(at Time, fn func()) {
 		panic("refSim: schedule before now")
 	}
 	r.seq++
-	heap.Push(&r.h, &event{at: at, seq: r.seq, fn: fn})
+	heap.Push(&r.h, &event{at: at, seq: r.seq, h: funcEvent(fn)})
 }
 
 // Sleeper mirrors a task that sleeps d and then runs k: one activation
@@ -35,7 +35,7 @@ func (r *refSim) Run() {
 	for len(r.h) > 0 {
 		e := heap.Pop(&r.h).(*event)
 		r.now = e.at
-		e.fn()
+		e.h.Fire(0)
 	}
 }
 
@@ -114,15 +114,43 @@ func runScript(data []byte, s scriptSim) []firing {
 	return fired
 }
 
-func FuzzQueueOrder(f *testing.F) {
-	f.Add([]byte{0})
-	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 1, 2, 3})
-	f.Add([]byte{3, 0x80, 0x81, 0, 0x86, 2, 0x80, 0, 3, 0x82, 0x82, 2, 1, 1, 0x87, 0, 0})
+// longScript is the seed that exercises every distance and both kinds.
+func longScript() []byte {
 	long := make([]byte, 4096)
 	for i := range long {
 		long[i] = byte(i*131 + i/7)
 	}
-	f.Add(long)
+	return long
+}
+
+// TestScriptExercisesNowLane: the scripts FuzzQueueOrder interprets must
+// load the lane the composite queue adds — at least a quarter of the
+// events pushed from inside a running event are due at that very instant
+// (two of the eight distances are zero, and every spawned sleeper starts
+// at now).
+func TestScriptExercisesNowLane(t *testing.T) {
+	sim := New()
+	inside, atNow := 0, 0
+	sim.onEnqueue = func(at Time) {
+		if sim.events == 0 {
+			return // a root event, scheduled before Run
+		}
+		inside++
+		if at == sim.now {
+			atNow++
+		}
+	}
+	runScript(longScript(), realSim{sim})
+	if inside < 1000 || 4*atNow < inside {
+		t.Fatalf("%d of %d pushes from inside running events were zero-delay; want at least a quarter of a thousand or more", atNow, inside)
+	}
+}
+
+func FuzzQueueOrder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 1, 2, 3})
+	f.Add([]byte{3, 0x80, 0x81, 0, 0x86, 2, 0x80, 0, 3, 0x82, 0x82, 2, 1, 1, 0x87, 0, 0})
+	f.Add(longScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := runScript(data, &refSim{})
 		sim := New()

@@ -33,13 +33,15 @@ type queueVariant struct {
 }
 
 // shippedVariant names the rung that is queue.go.
-const shippedVariant = "binary-value"
+const shippedVariant = "binary-value + now-lane"
 
 func ladderVariants() []queueVariant {
 	return []queueVariant{
 		{"heap-baseline", "frozen pre-ladder queue: container/heap over []*event — one allocation per push, `any` boxing, interface Less/Swap calls",
 			func() ladderQueue { return &baselineQueue{} }},
-		{"binary-value", "binary heap of event values, hole-moving sifts, comparison inlined; shipped as des.pushEvent/popEvent",
+		{"binary-value", "binary heap of event values, hole-moving sifts, comparison inlined: des.pushEvent/popEvent alone, the heap lane of the shipped queue",
+			func() ladderQueue { return &heapOnlyQueue{} }},
+		{"binary-value + now-lane", "binary-value for events due later, a FIFO ring for events pushed at the timestamp of the last pop (no sift either way); shipped as des.lanes",
 			func() ladderQueue { return &shippedQueue{} }},
 		{"binary-bottomup", "binary-value with Floyd's pop: sink the hole to a leaf on child comparisons alone, then sift the last element up from there",
 			func() ladderQueue { return &bottomUpQueue{} }},
@@ -78,21 +80,38 @@ func (h *eventHeap) Pop() any {
 type baselineQueue struct{ h eventHeap }
 
 func (q *baselineQueue) push(e event) {
-	heap.Push(&q.h, &event{at: e.at, seq: e.seq, fn: e.fn, p: e.p})
+	heap.Push(&q.h, &event{at: e.at, seq: e.seq, h: e.h, arg: e.arg})
 }
 func (q *baselineQueue) pop() event { return *heap.Pop(&q.h).(*event) }
 func (q *baselineQueue) len() int   { return len(q.h) }
 
-// ---- rung 1: the shipped queue -------------------------------------------
+// ---- rung 1: the shipped heap alone --------------------------------------
 
-type shippedQueue struct{ h []event }
+type heapOnlyQueue struct{ h []event }
 
-func (q *shippedQueue) push(e event) { q.h = pushEvent(q.h, e) }
-func (q *shippedQueue) pop() (e event) {
+func (q *heapOnlyQueue) push(e event) { q.h = pushEvent(q.h, e) }
+func (q *heapOnlyQueue) pop() (e event) {
 	q.h, e = popEvent(q.h)
 	return e
 }
-func (q *shippedQueue) len() int { return len(q.h) }
+func (q *heapOnlyQueue) len() int { return len(q.h) }
+
+// ---- rung 1a: the shipped queue ------------------------------------------
+
+// shippedQueue is des.lanes with the clock the Simulator keeps beside it:
+// the timestamp of the last pop.
+type shippedQueue struct {
+	q   lanes
+	now Time
+}
+
+func (q *shippedQueue) push(e event) { q.q.push(q.now, e) }
+func (q *shippedQueue) pop() event {
+	e := q.q.pop(q.now)
+	q.now = e.at
+	return e
+}
+func (q *shippedQueue) len() int { return q.q.len() }
 
 // ---- rung 1b: bottom-up pop ----------------------------------------------
 
@@ -684,12 +703,27 @@ func (q *lifoTieQueue) pop() event {
 func TestPopZeroesVacatedSlot(t *testing.T) {
 	var h []event
 	for i := 1; i <= 5; i++ {
-		h = pushEvent(h, event{at: Time(i), seq: uint64(i), fn: func() {}, p: &Proc{}})
+		h = pushEvent(h, event{at: Time(i), seq: uint64(i), h: funcEvent(func() {}), arg: 1})
 	}
 	for n := len(h); n > 0; n-- {
 		h, _ = popEvent(h)
-		if e := h[:n][n-1]; e.fn != nil || e.p != nil || e.at != 0 || e.seq != 0 {
+		if e := h[:n][n-1]; e != (event{}) {
 			t.Fatalf("slot %d not zeroed after pop: %+v", n-1, e)
+		}
+	}
+	// The ring lane: every slot a pop vacates, wrap-around included.
+	var q lanes
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 11; i++ {
+			q.push(0, event{seq: uint64(i + 1), h: funcEvent(func() {}), arg: 1})
+		}
+		for q.len() > 0 {
+			q.pop(0)
+		}
+		for i, e := range q.ring {
+			if e != (event{}) {
+				t.Fatalf("round %d: ring slot %d not zeroed after pop: %+v", round, i, e)
+			}
 		}
 	}
 }

@@ -104,7 +104,7 @@ func TestRecordedStreamReplay(t *testing.T) {
 }
 
 // TestQueueTable is the measured table generator and CI gate, skipped
-// unless asked for (timing five rungs at three depths takes ~30 s):
+// unless asked for (timing seven rungs at three depths takes ~40 s):
 //
 //	DES_GATE=1 go test -run TestQueueTable -v ./internal/des
 //	DES_WRITE=DES.md go test -run TestQueueTable ./internal/des
@@ -180,9 +180,26 @@ cell's own mix of depths, ties and timer distances instead of a model's.
   depth wandering between empty and fifteen hundred.
 
 %s
-Shipped: %s, as des.pushEvent / des.popEvent (internal/des/queue.go) — the
-only queue compiled into the package; the baseline and the other rungs live
-in internal/des/ladder_test.go.
+Shipped: %s, as des.lanes (internal/des/queue.go) — des.pushEvent /
+des.popEvent for events due later, a FIFO ring for events pushed at the
+current instant — the only queue compiled into the package; the baseline
+and the other rungs live in internal/des/ladder_test.go.
+
+Why the now-lane. A counter on the recorded cells shows that about half of
+a real cell's events are scheduled at the very instant they are due
+(49.5 %% of sync-exchange's, 47 %% of adsl-spin's and grid-dynamics'): the
+CPU-completion -> Unpark, Chan.Send -> waiter, SpawnTask and Gate.Open
+trampolines. On a heap each pays a sift up to the root region and a sift
+down from it; in the ring each is one store and one load. The order is
+exact, not approximate: a heap event at the current time was pushed while
+the clock was earlier, hence before — with a smaller seq than — every ring
+entry, and the ring is FIFO in seq, so "heap while its top is at now, then
+the ring, then advance" pops what one priority queue would (the row is
+valid on every stream above, and FuzzQueueOrder holds the Simulator to the
+frozen scheduler with a quarter or more of its pushes zero-delay). The
+hold model understates the lane — only a quarter of its pushes tie with the
+clock — and the replays show it: their events are "now" or a network
+latency away. MSGPATH.md has the end-to-end number.
 
 How the winner was chosen. Every typed rung is valid and allocation-free
 and roughly twice the baseline. Among them the hold model separates little;
@@ -201,7 +218,7 @@ own, no node tournament and no second sift. The no-wins, honestly:
 - quad-value halves the levels but pays up to three more comparisons on
   each; at depths of tens to hundreds the binary heap's working set is
   already in L1, so there is no miss for the shallower tree to save.
-- freelist-ptr moves 8 bytes where the value heap moves 32, but chases a
+- freelist-ptr moves 8 bytes where the value heap moves 40, but chases a
   pointer per comparison and has a free list to keep; often the fastest
   replay, not by enough to show end to end.
 - binary-bottomup saves comparisons when the re-inserted element belongs
@@ -211,13 +228,18 @@ own, no node tournament and no second sift. The no-wins, honestly:
   whose events are either "now" or a network latency away, so that no one
   width fits; it is also five times the code and carries a tuning rule.
 
-Also measured and not shipped: a typed event for Schedule/After callers
-too (an interface-valued event with marcel's request as its own handler,
-marcel.compute_allocs 2 -> 1). Three alternating pairs each on adsl-spin
-and sync-exchange showed no resolvable host_s change and +5 %% peak RSS on
-adsl-spin, so marcel keeps its completion closure; netsim's delivery and
-envcore's transmit closures are each under 1 %% of the sync-exchange
-profile, below what ten pairs can resolve, and were left alone.
+Measured when this ladder was first built, and corrected since: a typed
+event for Schedule/After callers too (an interface-valued event with
+marcel's request as its own handler, marcel.compute_allocs 2 -> 1) showed
+no resolvable host_s change in three alternating pairs each on adsl-spin
+and sync-exchange, and netsim's delivery and envcore's transmit closures
+were each under 1 %% of the sync-exchange profile, below what ten pairs can
+resolve. True of each taken alone, not of their sum: the event is now a
+Handler and a word of argument, marcel's request, netsim's Message and
+envcore's delivery method are their own event targets, and together with
+the now-lane and recycled requests and buffers they are the ladder of
+MSGPATH.md (sync-exchange host_s down by three tenths, allocation by three
+fifths).
 
 Virtual time is untouched by the choice: sequence numbers make the order
 total, so every valid queue executes the same events in the same order.

@@ -134,11 +134,16 @@ func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
 		return
 	}
 	c.waiters.Push(p)
-	p.ParkK(func() {
-		v, ok := p.recvSlot, p.hasSlot
-		p.recvSlot, p.hasSlot = nil, false
-		k(v, ok)
-	})
+	p.recvK = k
+	if p.takeSlot == nil {
+		// Built once per task: a receive loop parks here once per message.
+		p.takeSlot = func() {
+			k, v, ok := p.recvK, p.recvSlot, p.hasSlot
+			p.recvK, p.recvSlot, p.hasSlot = nil, nil, false
+			k(v, ok)
+		}
+	}
+	p.ParkK(p.takeSlot)
 }
 
 // WaitK is the continuation form of Gate.Wait: k runs synchronously when

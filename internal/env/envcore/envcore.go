@@ -18,10 +18,26 @@
 //   - reachability requirements: client/server middleware (the ORB) can
 //     relay around blocked site pairs, the SPMD middlewares require a
 //     complete connection graph (§5.3).
+//
+// The message path is kept cheap on the host without touching any of the
+// above. Every hop of every wire is delivered through one method of the
+// environment (Env.deliver), handed to netsim as the same func value each
+// time: what a hop needs — its destination, send time and size — is read
+// back from the netsim.Message, so a transmit builds no closure. The value
+// snapshot a sender takes per target per iteration comes from the
+// environment's free list (Endpoint.Snapshot) and is handed over with
+// Outgoing.Pooled: from then on the environment owns it, and it dies — goes
+// back on the list — at the instant the receiving endpoint's data sink has
+// returned, or the message is dropped, or the send is refused; a sink copies
+// what it keeps. Buffers a caller allocated itself (Pooled unset) are never
+// recycled. The continuation-form loops (eventloop.go) build their
+// continuations once per thread or endpoint, not once per message.
 package envcore
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"aiac/internal/aiac"
@@ -162,6 +178,14 @@ type Env struct {
 	grid *cluster.Grid
 	opts Options
 	eps  []*Endpoint
+
+	// deliverFn is the deliver method as a func value, built once: the one
+	// callback every hop of every message hands to netsim.Send.
+	deliverFn func(*netsim.Message)
+
+	// bufs recycles value snapshots (Endpoint.Snapshot): bufs[c] holds
+	// released buffers of capacity 1<<c.
+	bufs [][][]float64
 }
 
 // New builds the environment and starts its receive/send threads. It
@@ -183,6 +207,7 @@ func New(grid *cluster.Grid, opts Options) (*Env, error) {
 		}
 	}
 	e := &Env{grid: grid, opts: opts, eps: make([]*Endpoint, n)}
+	e.deliverFn = e.deliver
 	for r := 0; r < n; r++ {
 		e.eps[r] = newEndpoint(e, r)
 	}
@@ -251,6 +276,10 @@ type wire struct {
 	// rendezvous marks a data message whose send completes only at the
 	// matching receive (MPI large-message protocol).
 	rendezvous bool
+	// pooled marks data.Values as a snapshot buffer of the environment
+	// (Outgoing.Pooled): it goes back to the free list the moment the
+	// message has been incorporated or dropped.
+	pooled bool
 	// msgIdx is the trace.Collector index of this message's delivery
 	// record, set just before final delivery so receivers can bind it as a
 	// wait cause (-1 when tracing is off).
@@ -308,10 +337,19 @@ type Endpoint struct {
 	// data messages are incorporated by receive threads rather than
 	// drained from syncData: syncRecvd counts deliveries, syncTarget the
 	// cumulative count SyncExchange is waiting for, and syncWake is the
-	// gate parking the exchanging process until the next delivery.
+	// gate parking the exchanging process until the next delivery — one
+	// gate for the endpoint's life, reset before every wait.
 	syncRecvd  int
 	syncTarget int
 	syncWake   *des.Gate
+
+	// handlerName names the handler threads created on demand per message
+	// (RecvOnDemand).
+	handlerName string
+
+	// exchange is the SyncExchangeK state machine (eventloop.go), built by
+	// the first exchange.
+	exchange *exchangeK
 
 	barrierRound int
 	barrierGates map[int]*des.Gate
@@ -365,6 +403,8 @@ func newEndpoint(e *Env, rank int) *Endpoint {
 		sendq:        des.NewChan(sim),
 		inflight:     make(map[int]bool),
 		stop:         des.NewGate(sim),
+		syncWake:     des.NewGate(sim),
+		handlerName:  fmt.Sprintf("%s-h@%d", e.opts.Name, rank),
 		barrierGates: make(map[int]*des.Gate),
 		barArrivals:  make(map[int]int),
 		redGates:     make(map[int]*des.Gate),
@@ -455,7 +495,7 @@ func (ep *Endpoint) startThreads() {
 				}
 				w := v.(*wire)
 				// A fresh handler thread per message: latency overlaps.
-				ep.cpu().Spawn(fmt.Sprintf("%s-h@%d", ep.env.opts.Name, ep.rank), func(hp *des.Proc) {
+				ep.cpu().Spawn(ep.handlerName, func(hp *des.Proc) {
 					if c.RecvLatency > 0 {
 						hp.Sleep(c.RecvLatency)
 					}
@@ -506,57 +546,65 @@ func (ep *Endpoint) transmit(w *wire, finalTo int) {
 		proto = ep.env.opts.ProtoFor(net, ep.rank, to)
 	}
 	w.finalTo = finalTo
-	dst := ep.env.eps[to]
-	sentAt := ep.env.grid.Sim.Now()
 	nbytes := ep.wireBytes(w.payloadBytes)
-	var opts []netsim.SendOpt
+	var err error
 	if w.kind == wData {
 		// Data-plane traffic is loss-eligible under lossy scenarios; the
 		// algorithm tolerates a lost update (the next send carries newer
 		// values). Control traffic stays reliable, as over TCP.
-		opts = append(opts, netsim.Unreliable())
+		_, err = net.Send(ep.rank, to, nbytes, w, proto, ep.env.deliverFn, netsim.Unreliable())
+	} else {
+		_, err = net.Send(ep.rank, to, nbytes, w, proto, ep.env.deliverFn)
 	}
-	_, err := net.Send(ep.rank, to, nbytes, w, proto, func(m *netsim.Message) {
-		ww := m.Payload.(*wire)
-		if m.Dropped {
-			// Lost to the loss model or to a crashed endpoint. Release the
-			// sender's in-flight channel (the paper's send-skipping policy
-			// is per channel; a loss must not jam it forever) and discard.
-			if ww.hasKey && ww.senderEp != nil {
-				delete(ww.senderEp.inflight, ww.key)
-			}
-			return
-		}
-		if ww.hasKey && ww.senderEp != nil && ww.finalTo == dst.rank && !ww.rendezvous {
-			window := dst.env.opts.RecvWindow
-			if window <= 0 {
-				window = 16
-			}
-			if dst.inbox.Len() < window {
-				// Eager send: terminated on delivery; the next
-				// TrySendData for this channel may proceed.
-				delete(ww.senderEp.inflight, ww.key)
-			} else {
-				// Receiver congested: flow control holds the channel
-				// until the receive machinery consumes this message.
-				ww.rendezvous = true
-			}
-		}
-		if ww.finalTo != dst.rank {
-			// We are a relay hop: forward without unmarshaling the
-			// application payload (the ORB forwards GIOP bodies).
-			dst.transmit(ww, ww.finalTo)
-			return
-		}
-		ww.msgIdx = ep.env.opts.Trace.AddMsg(trace.Msg{
-			From: ww.from, To: dst.rank, Sent: sentAt, Recv: m.DeliverAt,
-			Kind: ww.kind.msgKind(), Bytes: nbytes, Iter: ww.traceIter(),
-		})
-		dst.receive(ww)
-	}, opts...)
 	if err != nil {
 		panic(fmt.Sprintf("env %s: transmit: %v", ep.env.opts.Name, err))
 	}
+}
+
+// deliver is the arrival of one hop of a wire at the node it was addressed
+// to: everything the hop needs is in the message (From, To, SentAt, Bytes)
+// and in the wire it carries. Runs in scheduler context.
+//
+//lint:hotpath
+func (e *Env) deliver(m *netsim.Message) {
+	w := m.Payload.(*wire)
+	dst := e.eps[m.To]
+	if m.Dropped {
+		// Lost to the loss model or to a crashed endpoint. Release the
+		// sender's in-flight channel (the paper's send-skipping policy
+		// is per channel; a loss must not jam it forever) and discard.
+		if w.hasKey && w.senderEp != nil {
+			delete(w.senderEp.inflight, w.key)
+		}
+		e.releaseValues(w)
+		return
+	}
+	if w.hasKey && w.senderEp != nil && w.finalTo == dst.rank && !w.rendezvous {
+		window := e.opts.RecvWindow
+		if window <= 0 {
+			window = 16
+		}
+		if dst.inbox.Len() < window {
+			// Eager send: terminated on delivery; the next
+			// TrySendData for this channel may proceed.
+			delete(w.senderEp.inflight, w.key)
+		} else {
+			// Receiver congested: flow control holds the channel
+			// until the receive machinery consumes this message.
+			w.rendezvous = true
+		}
+	}
+	if w.finalTo != dst.rank {
+		// We are a relay hop: forward without unmarshaling the
+		// application payload (the ORB forwards GIOP bodies).
+		dst.transmit(w, w.finalTo)
+		return
+	}
+	w.msgIdx = e.opts.Trace.AddMsg(trace.Msg{
+		From: w.from, To: dst.rank, Sent: m.SentAt, Recv: m.DeliverAt,
+		Kind: w.kind.msgKind(), Bytes: m.Bytes, Iter: w.traceIter(),
+	})
+	dst.receive(w)
 }
 
 // findRelay returns a rank that can see both this endpoint and to.
@@ -665,21 +713,79 @@ func (ep *Endpoint) CanSendData(key int) bool {
 // TrySendData implements the paper's skip-if-busy asynchronous send.
 func (ep *Endpoint) TrySendData(p *des.Proc, o aiac.Outgoing) bool {
 	if ep.inflight[o.Key] {
+		if o.Pooled {
+			ep.env.recycle(o.Values)
+		}
 		return false
 	}
 	ep.inflight[o.Key] = true
-	w := &wire{
+	w := ep.dataWire(o)
+	w.senderEp, w.key, w.hasKey = ep, o.Key, true
+	ep.sendq.Send(w)
+	return true
+}
+
+// dataWire wraps an outgoing data block for the network.
+func (ep *Endpoint) dataWire(o aiac.Outgoing) *wire {
+	return &wire{
 		kind:         wData,
 		from:         ep.rank,
 		finalTo:      o.To,
 		data:         aiac.DataMsg{From: ep.rank, Iter: o.Iter, Key: o.Key, Lo: o.Lo, Values: o.Values},
 		payloadBytes: 8 * len(o.Values),
-		senderEp:     ep,
-		key:          o.Key,
-		hasKey:       true,
+		pooled:       o.Pooled,
 	}
-	ep.sendq.Send(w)
-	return true
+}
+
+// Snapshot copies src into a buffer from the environment's free list. The
+// copy belongs to the caller until it is passed on as the Values of an
+// Outgoing with Pooled set; from then on it belongs to the environment,
+// which recycles it at the instant the receiver's data sink has returned
+// (or the message is dropped). A data sink must therefore copy what it
+// keeps, as the engines' sinks do.
+func (ep *Endpoint) Snapshot(src []float64) []float64 {
+	e := ep.env
+	c := bits.Len(uint(max(len(src), 1) - 1))
+	var buf []float64
+	if c < len(e.bufs) && len(e.bufs[c]) > 0 {
+		free := e.bufs[c]
+		buf, e.bufs[c] = free[len(free)-1], free[:len(free)-1]
+	} else {
+		buf = make([]float64, 1<<c)
+	}
+	buf = buf[:len(src)]
+	copy(buf, src)
+	return buf
+}
+
+// releaseValues ends the life of w's values: a pooled snapshot returns to
+// the free list, and either way the wire stops referring to them.
+func (e *Env) releaseValues(w *wire) {
+	if w.pooled {
+		w.pooled = false
+		e.recycle(w.data.Values)
+	}
+	w.data.Values = nil
+}
+
+// poisonReleased makes recycle overwrite every buffer it takes back with
+// NaNs, so that a read after release cannot go unnoticed. Only tests set
+// it (export_test.go).
+var poisonReleased bool
+
+// recycle returns a Snapshot buffer to the free list.
+func (e *Env) recycle(buf []float64) {
+	buf = buf[:cap(buf)]
+	if poisonReleased {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	c := bits.TrailingZeros(uint(len(buf)))
+	for len(e.bufs) <= c {
+		e.bufs = append(e.bufs, nil)
+	}
+	e.bufs[c] = append(e.bufs[c], buf)
 }
 
 // SetDataSink implements aiac.Comm.
@@ -695,11 +801,9 @@ func (ep *Endpoint) deliverData(w *wire) {
 	if ep.dataSink != nil {
 		ep.dataSink(w.data)
 	}
+	ep.env.releaseValues(w)
 	ep.syncRecvd++
-	if g := ep.syncWake; g != nil {
-		ep.syncWake = nil
-		g.Open()
-	}
+	ep.syncWake.Open()
 }
 
 // socketDrain returns the time the receive thread spends pulling the part
@@ -771,14 +875,7 @@ func (ep *Endpoint) SyncExchange(p *des.Proc, sends []aiac.Outgoing, nRecv int) 
 	// Blocking sends, one after another.
 	for _, o := range sends {
 		ep.chargePack(p, 8*len(o.Values))
-		w := &wire{
-			kind:         wData,
-			from:         ep.rank,
-			finalTo:      o.To,
-			data:         aiac.DataMsg{From: ep.rank, Iter: o.Iter, Key: o.Key, Lo: o.Lo, Values: o.Values},
-			payloadBytes: 8 * len(o.Values),
-		}
-		ep.transmit(w, o.To)
+		ep.transmit(ep.dataWire(o), o.To)
 	}
 	if ep.env.opts.RecvModel != RecvSync {
 		// Threaded receives: wait until this round's messages have been
@@ -786,9 +883,8 @@ func (ep *Endpoint) SyncExchange(p *des.Proc, sends []aiac.Outgoing, nRecv int) 
 		ep.syncTarget += nRecv
 		t0 := p.Now()
 		for ep.syncRecvd < ep.syncTarget {
-			g := des.NewGate(ep.env.grid.Sim)
-			ep.syncWake = g
-			g.Wait(p)
+			ep.syncWake.Reset()
+			ep.syncWake.Wait(p)
 		}
 		ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitExchange, ep.lastDeliver)
 		return
@@ -841,7 +937,7 @@ func (ep *Endpoint) ResetSession() {
 	ep.stop = des.NewGate(ep.env.grid.Sim)
 	ep.inflight = make(map[int]bool)
 	ep.syncRecvd, ep.syncTarget = 0, 0
-	ep.syncWake = nil
+	ep.syncWake.Reset()
 	ep.lastDeliver = -1
 }
 

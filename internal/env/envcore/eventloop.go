@@ -65,70 +65,75 @@ func (ep *Endpoint) startTasks() {
 	}
 }
 
+// The loops below allocate their continuations once per thread, not once
+// per message: a thread handles one wire at a time, so the closures share
+// one variable w that each message overwrites.
+
 // sendLoopK is the continuation form of the sending-thread loop.
 func (ep *Endpoint) sendLoopK(p *des.Proc) {
 	c := ep.env.opts.Costs
-	var loop func()
-	loop = func() {
-		ep.sendq.RecvK(p, func(v any, ok bool) {
-			if !ok {
-				return
-			}
-			w := v.(*wire)
-			ep.chargePackK(p, w.payloadBytes, func() {
-				send := func() {
-					if ep.env.opts.Backpressure && w.kind == wData &&
-						w.payloadBytes >= ep.env.opts.RendezvousBytes {
-						w.rendezvous = true
-						rtt := 2 * ep.pathLatency(w.finalTo)
-						ep.env.grid.Sim.After(rtt, func() { ep.transmit(w, w.finalTo) })
-						loop()
-						return
-					}
-					ep.transmit(w, w.finalTo)
-					loop()
-				}
-				if c.SendLatency > 0 {
-					p.SleepK(c.SendLatency, send)
-					return
-				}
-				send()
-			})
-		})
+	var w *wire
+	var loop, packed, send func()
+	send = func() {
+		if ep.env.opts.Backpressure && w.kind == wData &&
+			w.payloadBytes >= ep.env.opts.RendezvousBytes {
+			w.rendezvous = true
+			held := w // the loop moves on to the next wire before the handshake ends
+			rtt := 2 * ep.pathLatency(held.finalTo)
+			ep.env.grid.Sim.After(rtt, func() { ep.transmit(held, held.finalTo) })
+			loop()
+			return
+		}
+		ep.transmit(w, w.finalTo)
+		loop()
 	}
+	packed = func() {
+		if c.SendLatency > 0 {
+			p.SleepK(c.SendLatency, send)
+			return
+		}
+		send()
+	}
+	queued := func(v any, ok bool) {
+		if !ok {
+			return
+		}
+		w = v.(*wire)
+		ep.chargePackK(p, w.payloadBytes, packed)
+	}
+	loop = func() { ep.sendq.RecvK(p, queued) }
 	loop()
 }
 
 // recvLoopK is the continuation form of the single-receive-thread loop.
 func (ep *Endpoint) recvLoopK(p *des.Proc) {
 	c := ep.env.opts.Costs
-	var loop func()
-	loop = func() {
-		ep.inbox.RecvK(p, func(v any, ok bool) {
-			if !ok {
-				return
-			}
-			w := v.(*wire)
-			unpack := func() {
-				ep.chargeUnpackK(p, w.payloadBytes, func() {
-					ep.deliverData(w)
-					loop()
-				})
-			}
-			drain := func() {
-				if d := ep.socketDrain(w); d > 0 {
-					p.SleepK(d, unpack)
-					return
-				}
-				unpack()
-			}
-			if c.RecvLatency > 0 {
-				p.SleepK(c.RecvLatency, drain)
-				return
-			}
-			drain()
-		})
+	var w *wire
+	var loop, drain, unpack, unpacked func()
+	unpacked = func() {
+		ep.deliverData(w)
+		loop()
 	}
+	unpack = func() { ep.chargeUnpackK(p, w.payloadBytes, unpacked) }
+	drain = func() {
+		if d := ep.socketDrain(w); d > 0 {
+			p.SleepK(d, unpack)
+			return
+		}
+		unpack()
+	}
+	arrived := func(v any, ok bool) {
+		if !ok {
+			return
+		}
+		w = v.(*wire)
+		if c.RecvLatency > 0 {
+			p.SleepK(c.RecvLatency, drain)
+			return
+		}
+		drain()
+	}
+	loop = func() { ep.inbox.RecvK(p, arrived) }
 	loop()
 }
 
@@ -137,27 +142,26 @@ func (ep *Endpoint) recvLoopK(p *des.Proc) {
 func (ep *Endpoint) dispatchLoopK(p *des.Proc) {
 	c := ep.env.opts.Costs
 	var loop func()
-	loop = func() {
-		ep.inbox.RecvK(p, func(v any, ok bool) {
-			if !ok {
+	arrived := func(v any, ok bool) {
+		if !ok {
+			return
+		}
+		w := v.(*wire)
+		ep.mcpu().SpawnTask(ep.handlerName, func(hp *des.Proc) {
+			unpack := func() {
+				ep.chargeUnpackK(hp, w.payloadBytes, func() {
+					ep.deliverData(w)
+				})
+			}
+			if c.RecvLatency > 0 {
+				hp.SleepK(c.RecvLatency, unpack)
 				return
 			}
-			w := v.(*wire)
-			ep.mcpu().SpawnTask(fmt.Sprintf("%s-h@%d", ep.env.opts.Name, ep.rank), func(hp *des.Proc) {
-				unpack := func() {
-					ep.chargeUnpackK(hp, w.payloadBytes, func() {
-						ep.deliverData(w)
-					})
-				}
-				if c.RecvLatency > 0 {
-					hp.SleepK(c.RecvLatency, unpack)
-					return
-				}
-				unpack()
-			})
-			loop()
+			unpack()
 		})
+		loop()
 	}
+	loop = func() { ep.inbox.RecvK(p, arrived) }
 	loop()
 }
 
@@ -189,70 +193,103 @@ func (ep *Endpoint) BarrierK(p *des.Proc, k func()) {
 	})
 }
 
-// SyncExchangeK is the continuation form of SyncExchange.
-func (ep *Endpoint) SyncExchangeK(p *des.Proc, sends []aiac.Outgoing, nRecv int, k func()) {
-	var sendNext func(i int)
-	sendNext = func(i int) {
-		if i == len(sends) {
-			ep.syncRecvK(p, nRecv, k)
-			return
-		}
-		o := sends[i]
-		ep.chargePackK(p, 8*len(o.Values), func() {
-			w := &wire{
-				kind:         wData,
-				from:         ep.rank,
-				finalTo:      o.To,
-				data:         aiac.DataMsg{From: ep.rank, Iter: o.Iter, Key: o.Key, Lo: o.Lo, Values: o.Values},
-				payloadBytes: 8 * len(o.Values),
-			}
-			ep.transmit(w, o.To)
-			sendNext(i + 1)
-		})
-	}
-	sendNext(0)
+// exchangeK is the state of an endpoint's SyncExchangeK in progress. The
+// exchanging rank blocks in it, so an endpoint runs one at a time, and the
+// continuations are built once per endpoint over this shared state instead
+// of once per message.
+type exchangeK struct {
+	p     *des.Proc
+	sends []aiac.Outgoing
+	i     int // the send, then the receive, in progress
+	nRecv int
+	k     func()
+	t0    des.Time // start of the receive phase
+	w     *wire    // the received wire being unpacked
+
+	packed, wait, unpacked func()
+	arrived                func(v any, ok bool)
 }
 
-// syncRecvK is the receive half of SyncExchangeK.
-func (ep *Endpoint) syncRecvK(p *des.Proc, nRecv int, k func()) {
-	if ep.env.opts.RecvModel != RecvSync {
-		ep.syncTarget += nRecv
-		t0 := p.Now()
-		var wait func()
-		wait = func() {
-			if ep.syncRecvd >= ep.syncTarget {
-				ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitExchange, ep.lastDeliver)
-				k()
+// SyncExchangeK is the continuation form of SyncExchange.
+func (ep *Endpoint) SyncExchangeK(p *des.Proc, sends []aiac.Outgoing, nRecv int, k func()) {
+	x := ep.exchange
+	if x == nil {
+		x = &exchangeK{}
+		x.packed = func() {
+			o := x.sends[x.i]
+			ep.transmit(ep.dataWire(o), o.To)
+			x.i++
+			ep.exchangeSend(x)
+		}
+		x.wait = func() { ep.exchangeWait(x) }
+		x.arrived = func(v any, ok bool) {
+			if !ok {
+				ep.exchangeDone(x)
 				return
 			}
-			g := des.NewGate(ep.env.grid.Sim)
-			ep.syncWake = g
-			g.WaitK(p, wait)
+			x.w = v.(*wire)
+			ep.chargeUnpackK(x.p, x.w.payloadBytes, x.unpacked)
 		}
-		wait()
+		x.unpacked = func() {
+			ep.deliverData(x.w)
+			x.i++
+			ep.exchangeRecv(x)
+		}
+		ep.exchange = x
+	}
+	x.p, x.sends, x.i, x.nRecv, x.k = p, sends, 0, nRecv, k
+	ep.exchangeSend(x)
+}
+
+// exchangeSend performs the blocking sends one after another, then turns
+// to the receive half.
+func (ep *Endpoint) exchangeSend(x *exchangeK) {
+	if x.i < len(x.sends) {
+		ep.chargePackK(x.p, 8*len(x.sends[x.i].Values), x.packed)
 		return
 	}
-	t0 := p.Now()
-	var recvNext func(i int)
-	recvNext = func(i int) {
-		if i == nRecv {
-			ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitExchange, ep.lastDeliver)
-			k()
-			return
-		}
-		ep.syncData.RecvK(p, func(v any, ok bool) {
-			if !ok {
-				k()
-				return
-			}
-			w := v.(*wire)
-			ep.chargeUnpackK(p, w.payloadBytes, func() {
-				ep.deliverData(w)
-				recvNext(i + 1)
-			})
-		})
+	x.t0 = x.p.Now()
+	if ep.env.opts.RecvModel != RecvSync {
+		ep.syncTarget += x.nRecv
+		ep.exchangeWait(x)
+		return
 	}
-	recvNext(0)
+	x.i = 0
+	ep.exchangeRecv(x)
+}
+
+// exchangeWait is the receive half under the threaded receive models.
+func (ep *Endpoint) exchangeWait(x *exchangeK) {
+	if ep.syncRecvd < ep.syncTarget {
+		ep.syncWake.Reset()
+		ep.syncWake.WaitK(x.p, x.wait)
+		return
+	}
+	ep.exchangeReceived(x)
+}
+
+// exchangeRecv is the receive half under RecvSync: the exchanging process
+// drains and unpacks this iteration's dependency data itself.
+func (ep *Endpoint) exchangeRecv(x *exchangeK) {
+	if x.i < x.nRecv {
+		ep.syncData.RecvK(x.p, x.arrived)
+		return
+	}
+	ep.exchangeReceived(x)
+}
+
+// exchangeReceived ends an exchange whose receive half has completed.
+func (ep *Endpoint) exchangeReceived(x *exchangeK) {
+	ep.env.opts.Trace.AddWait(ep.rank, x.t0, x.p.Now(), trace.WaitExchange, ep.lastDeliver)
+	ep.exchangeDone(x)
+}
+
+// exchangeDone lets go of the caller's state and resumes the caller, which
+// may start the next exchange at once.
+func (ep *Endpoint) exchangeDone(x *exchangeK) {
+	k := x.k
+	x.p, x.sends, x.k, x.w = nil, nil, nil, nil
+	k()
 }
 
 // AllreduceMaxK is the continuation form of AllreduceMax.

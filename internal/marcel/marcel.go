@@ -67,7 +67,8 @@ type CPU struct {
 
 	queue   des.FIFO[*request] // runnable, excluding current
 	current *request
-	genSeq  uint64
+	genSeq  uint64     // generation of the latest slice; only ever grows
+	free    []*request // completed requests, reused by the next charges
 
 	busy      des.Time // accumulated busy time
 	lastStart des.Time
@@ -77,10 +78,19 @@ type CPU struct {
 	load float64
 }
 
+// request is one CPU charge. It is also the des.Handler of its own slice
+// completions: dispatch schedules the request itself with the slice's
+// generation as the event argument, so a charge builds no closure.
+// Completed requests are recycled through CPU.free. A completion event left
+// behind by a preempted slice can outlive its request's first life, but it
+// can never act on a later one: it carries the generation of its own
+// slice, every dispatch takes a fresh generation from the monotonic
+// genSeq, and Fire ignores any generation but the request's current one.
 type request struct {
+	cpu       *CPU
 	proc      *des.Proc
 	remaining des.Time
-	gen       uint64 // invalidates stale completion events
+	gen       uint64 // generation of the current slice; 0 while not running
 }
 
 // NewCPU returns a CPU with the given compute speed and fair scheduling.
@@ -149,7 +159,20 @@ func (c *CPU) Use(p *des.Proc, d des.Time) {
 	if c.load > 1 {
 		d = des.Time(float64(d) * c.load)
 	}
-	r := &request{proc: p, remaining: d}
+	c.submit(p, d)
+	p.Park() // completion unparks
+}
+
+// submit makes a request for d of CPU time on behalf of p runnable — the
+// part of Use that the blocking and the continuation form share.
+func (c *CPU) submit(p *des.Proc, d des.Time) {
+	var r *request
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = &request{cpu: c}
+	}
+	r.proc, r.remaining = p, d
 	c.enqueue(r)
 	if c.current == nil {
 		c.dispatch()
@@ -160,7 +183,6 @@ func (c *CPU) Use(p *des.Proc, d des.Time) {
 		// Unfair the newcomer preempts.)
 		c.preempt()
 	}
-	p.Park() // completion unparks
 }
 
 // Compute blocks p while it executes the given number of floating-point
@@ -241,25 +263,39 @@ func (c *CPU) dispatch() {
 	}
 	c.genSeq++
 	r.gen = c.genSeq
-	gen := r.gen
-	c.sim.After(slice, func() {
-		if r.gen != gen || c.current != r {
-			return // stale completion from a preempted slice
-		}
-		ran := c.sim.Now() - c.lastStart
-		r.remaining -= ran
-		c.busy += ran
-		c.current = nil
-		if r.remaining <= 0 {
-			c.complete(r)
-		} else {
-			c.enqueue(r)
-		}
-		c.dispatch()
-	})
+	c.sim.AfterHandler(slice, r, r.gen)
 }
 
-func (c *CPU) complete(r *request) { r.proc.Unpark() }
+// Fire is the end of the slice dispatched as generation gen.
+//
+//lint:hotpath
+func (r *request) Fire(gen uint64) {
+	c := r.cpu
+	if r.gen != gen || c.current != r {
+		return // stale completion from a preempted slice
+	}
+	ran := c.sim.Now() - c.lastStart
+	r.remaining -= ran
+	c.busy += ran
+	c.current = nil
+	if r.remaining <= 0 {
+		c.complete(r)
+	} else {
+		c.enqueue(r)
+	}
+	c.dispatch()
+}
+
+// complete resumes the thread whose charge is paid and recycles the
+// request. Nothing may read r afterwards: it is released with no thread and
+// no live generation, so a use after release fails loudly instead of
+// resuming somebody else's thread.
+func (c *CPU) complete(r *request) {
+	p := r.proc
+	r.proc, r.gen = nil, 0
+	c.free = append(c.free, r)
+	p.Unpark()
+}
 
 // Mutex is a cooperative mutual-exclusion lock between threads of the same
 // simulation. It queues contenders FIFO.

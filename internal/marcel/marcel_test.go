@@ -294,3 +294,53 @@ func TestBackgroundLoadScalesCPUUse(t *testing.T) {
 		t.Fatalf("BackgroundLoad() = %v", c.BackgroundLoad())
 	}
 }
+
+// A completion event left behind by a preempted slice may fire after its
+// request was completed, recycled and dispatched again for another thread:
+// it must not end that thread's slice. A finishes through the preempt path
+// at t=10µs with its completion event still queued at that instant; C's
+// charge reuses A's request before the stale event fires.
+func TestStaleCompletionIgnoresRecycledRequest(t *testing.T) {
+	sim := des.New()
+	cpu := NewCPU(sim, "n0", 1000)
+	const us = time.Microsecond
+	done := map[string]des.Time{}
+	var aReq *request
+	sleeper := func(name string, d des.Time) {
+		sim.Spawn(name, func(p *des.Proc) {
+			p.Sleep(10 * us)
+			if name == "c" {
+				if len(cpu.free) != 1 || cpu.free[0] != aReq {
+					t.Errorf("free list = %v; want A's released request", cpu.free)
+				}
+			}
+			cpu.Use(p, d)
+			done[name] = p.Now()
+		})
+	}
+	sleeper("b", 5*us) // wake-ups queued before A's completion event
+	sleeper("c", 3*us)
+	sim.Spawn("a", func(p *des.Proc) {
+		sim.After(0, func() { aReq = cpu.current })
+		cpu.Use(p, 10*us)
+		done["a"] = p.Now()
+	})
+	sim.Run()
+	if cpu.current != nil || len(cpu.free) == 0 {
+		t.Fatalf("CPU not idle at the end: current %v, %d free", cpu.current, len(cpu.free))
+	}
+	want := map[string]des.Time{"a": 10 * us, "c": 13 * us, "b": 18 * us}
+	for name, at := range want {
+		if done[name] != at {
+			t.Errorf("%s done at %v, want %v", name, done[name], at)
+		}
+	}
+	if cpu.BusyTime() != 18*us {
+		t.Errorf("busy = %v, want 18µs", cpu.BusyTime())
+	}
+	for _, r := range cpu.free {
+		if r.proc != nil || r.gen != 0 {
+			t.Errorf("released request still names a thread or a generation: %+v", r)
+		}
+	}
+}

@@ -29,13 +29,7 @@ func (c *CPU) UseK(p *des.Proc, d des.Time, k func()) {
 	if c.load > 1 {
 		d = des.Time(float64(d) * c.load)
 	}
-	r := &request{proc: p, remaining: d}
-	c.enqueue(r)
-	if c.current == nil {
-		c.dispatch()
-	} else if c.Policy == Unfair || c.queue.Len() == 1 {
-		c.preempt()
-	}
+	c.submit(p, d)
 	p.ParkK(k) // completion unparks
 }
 

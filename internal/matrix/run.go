@@ -427,7 +427,7 @@ func runCellAttempt(c Cell, spec Spec, reps int, seed int64, timeout time.Durati
 		if rep == 0 && SimulatedBackend(c.backendName()) {
 			tr = trace.New()
 		}
-		m, err := runOnce(c, spec, rep, seed, timeout, tr, cache)
+		m, err := runIsolated(c, spec, rep, seed, timeout, tr, cache)
 		if err != nil {
 			// Record what actually happened: how many repetitions
 			// completed, and which one failed.
@@ -523,12 +523,34 @@ func RunCellOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 	if !SimulatedBackend(c.backendName()) && tr != nil && c.Problem == "chem" {
 		return report.Result{}, fmt.Errorf("tracing a native cell needs a single-solve problem (cell %s runs one solve per time step)", c.Key())
 	}
-	m, err := runOnce(c, spec, rep, seed, timeout, tr, nil)
+	m, err := runIsolated(c, spec, rep, seed, timeout, tr, nil)
 	if err != nil {
 		return report.Result{}, err
 	}
 	return m.result(c), nil
 }
+
+// runIsolated is runOnce with a panic inside the repetition — in problem
+// assembly, in a simulated process (des re-raises those in the scheduler,
+// which runs on this goroutine), in the engine — turned into the
+// repetition's error, panic text included: one bad cell becomes one
+// errored row, and the sweep and its sidecar go on. The abandoned
+// simulator is simply dropped; a goroutine-engine cell leaves its parked
+// process goroutines behind. A panic on another goroutine (a native
+// cell's rank) is out of reach from here.
+func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (m measurement, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return runOnce(c, spec, rep, seed, timeout, tr, cache)
+}
+
+// wrapProblem, when set, replaces the problem a simulated repetition is
+// about to solve. Only tests set it, to inject faults no committed problem
+// has.
+var wrapProblem func(c Cell, prob aiac.Problem) aiac.Problem
 
 // runOnce executes one repetition of a cell — in a fresh simulator for sim
 // cells, natively over a fresh transport otherwise. cache, when non-nil,
@@ -579,6 +601,9 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	resid := obs.NewResiduals(c.Procs)
 	var m measurement
 	linearLike := func(prob aiac.Problem, xtrue []float64, eps float64, maxIters int) {
+		if wrapProblem != nil {
+			prob = wrapProblem(c, prob)
+		}
 		rpt := engine(grid, env, prob, aiac.Config{
 			Mode: c.Mode, Eps: eps, MaxIters: maxIters,
 			Trace: tr, Dynamics: rt, Residuals: resid,

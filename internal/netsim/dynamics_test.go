@@ -234,3 +234,44 @@ func TestSendReturnsClampedDeliveryTime(t *testing.T) {
 	}
 	sim.Run()
 }
+
+// A message bound for a shared destination segment crosses the segment it
+// was sent to: replacing the site's LANs while it is in flight reroutes
+// only messages sent afterwards. Without the swap the two messages
+// serialise on the one hub; with it, the second is on the new segment and
+// does not queue behind the first.
+func TestSetLANsDoesNotRerouteInFlightMessage(t *testing.T) {
+	const bytes = 125000 // 0.1 s at 10 Mb/s
+	run := func(swap bool) (first, second des.Time) {
+		sim := des.New()
+		n := New(sim, []Site{
+			{Name: "src", Uplink: Ethernet100, LANs: []LinkClass{Ethernet100}},
+			{Name: "hub", Uplink: Ethernet100, LANs: []LinkClass{Ethernet10Hub}},
+		})
+		a, b := n.AddNode(0), n.AddNode(0)
+		c, d := n.AddNode(1), n.AddNode(1)
+		n.Send(a, c, bytes, nil, "", func(m *Message) { first = m.DeliverAt })
+		sim.Schedule(time.Microsecond, func() {
+			if swap {
+				rewired := Ethernet10Hub
+				rewired.Name = "ethernet10hub-rewired"
+				n.SetLANs(1, []LinkClass{rewired})
+			}
+			n.Send(b, d, bytes, nil, "", func(m *Message) { second = m.DeliverAt })
+		})
+		sim.Run()
+		return first, second
+	}
+	ser := des.Time(float64(bytes) / Ethernet10Hub.DownBps * float64(time.Second))
+	first, second := run(false)
+	if second-first != ser {
+		t.Fatalf("one hub: gap = %v, want the serialisation time %v", second-first, ser)
+	}
+	swappedFirst, swappedSecond := run(true)
+	if swappedFirst != first {
+		t.Fatalf("in-flight message rescheduled by SetLANs: %v, want %v", swappedFirst, first)
+	}
+	if gap := swappedSecond - swappedFirst; gap != time.Microsecond {
+		t.Fatalf("rewired hub: gap = %v, want 1µs (the in-flight message must stay on the segment it was sent to)", gap)
+	}
+}

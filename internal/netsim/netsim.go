@@ -12,6 +12,14 @@
 // egress queueing, asymmetry, reachability): these are the effects the paper
 // attributes its results to. Per-message CPU costs (packing, marshaling,
 // thread dispatch) belong to the middleware layer (internal/env).
+//
+// A Send allocates the Message and nothing else. The message is the
+// des.Handler of its own events — its arrival at a shared destination
+// segment, its delivery — so no closure carries it through the scheduler;
+// the per-pair FIFO clamp and the egress pipes are per-node slices, not
+// maps; a SendOpt is a value. The deliver callback is stored in the
+// message: a caller that sends many (envcore) passes the same func value
+// every time and builds nothing per send.
 package netsim
 
 import (
@@ -117,7 +125,9 @@ type Node struct {
 	Site int
 }
 
-// Message is an in-flight or delivered network message.
+// Message is an in-flight or delivered network message. It is the one
+// allocation a Send makes: the message is the des.Handler of its own
+// events (see Fire), so no closure carries it to the scheduler and back.
 type Message struct {
 	From, To  int
 	Bytes     int
@@ -131,6 +141,45 @@ type Message struct {
 	// release flow-control state on the same schedule as a real loss
 	// detection; receivers must discard the payload.
 	Dropped bool
+
+	net     *Network
+	deliver func(*Message)
+	// ser and seg are what the store-and-forward stage needs on arrival
+	// at a shared destination segment: the serialisation time and the
+	// segment's pipe, both fixed when the message was sent — a SetLANs
+	// while it is in flight does not reroute it.
+	ser des.Time
+	seg *pipe
+}
+
+// The events of a message, as arguments to Fire.
+const (
+	// stageDeliver is the arrival at the destination node.
+	stageDeliver uint64 = iota
+	// stageSegment is the arrival at a shared destination segment, which
+	// the message must still cross.
+	stageSegment
+)
+
+// Fire runs one scheduled stage of the message's journey.
+//
+//lint:hotpath
+func (m *Message) Fire(stage uint64) {
+	n := m.net
+	if stage == stageSegment {
+		_, segEnd := m.seg.reserve(n.sim.Now(), m.ser)
+		n.finish(m, segEnd)
+		return
+	}
+	n.inFlight--
+	if n.lost(m.From, m.To) {
+		// Endpoint crashed or uplink cut while in flight.
+		m.Dropped = true
+	}
+	if m.Dropped {
+		n.stats.Dropped++
+	}
+	m.deliver(m)
 }
 
 // Stats aggregates traffic counters.
@@ -153,13 +202,17 @@ type Stats struct {
 // endpoint down, or a cut uplink on an inter-site path) is dropped: the
 // connection died with the link.
 type Network struct {
-	sim      *des.Simulator
-	sites    []Site
-	nodes    []Node
-	egress   map[egressKey]*pipe
-	blocked  map[[2]int]bool // site pairs with no direct visibility
-	stats    Stats
-	inFlight int
+	sim   *des.Simulator
+	sites []Site
+	nodes []Node
+	// nodePipes[node] are the node's own NIC pipes and segPipes[site] the
+	// site's shared-segment pipes, one per protocol name seen so far (a
+	// handful at most: a linear scan beats hashing the name).
+	nodePipes [][]namedPipe
+	segPipes  [][]namedPipe
+	blocked   map[[2]int]bool // site pairs with no direct visibility
+	stats     Stats
+	inFlight  int
 
 	down        map[int]bool // nodes currently crashed
 	partitioned map[int]bool // sites whose uplink is currently cut
@@ -171,7 +224,9 @@ type Network struct {
 	// no older data is still in flight"). Without the clamp, a link
 	// restored mid-scenario would let messages sent after the restore
 	// overtake slow in-flight ones from during the degradation.
-	lastDeliver map[[2]int]des.Time
+	// lastDeliver[from][to] is the pair's latest delivery time; a row is
+	// grown to the node count the first time its sender sends.
+	lastDeliver [][]des.Time
 
 	// lossRate drops each loss-eligible (Unreliable) message with this
 	// probability; jitterFrac perturbs each message's propagation latency
@@ -183,13 +238,16 @@ type Network struct {
 	rng        *rand.Rand
 }
 
-type egressKey struct {
-	node  int
-	proto string
-}
-
 // pipe serialises transfers that share a directional channel.
 type pipe struct{ nextFree des.Time }
+
+// namedPipe is one protocol's pipe of a node or of a shared segment. The
+// pipe is held by pointer: in-flight messages keep theirs while the table
+// grows.
+type namedPipe struct {
+	proto string
+	pipe  *pipe
+}
 
 func (p *pipe) reserve(now des.Time, d des.Time) (start, end des.Time) {
 	start = now
@@ -211,11 +269,10 @@ func New(sim *des.Simulator, sites []Site) *Network {
 	return &Network{
 		sim:         sim,
 		sites:       sites,
-		egress:      make(map[egressKey]*pipe),
+		segPipes:    make([][]namedPipe, len(sites)),
 		blocked:     make(map[[2]int]bool),
 		down:        make(map[int]bool),
 		partitioned: make(map[int]bool),
-		lastDeliver: make(map[[2]int]des.Time),
 	}
 }
 
@@ -325,6 +382,8 @@ func (n *Network) AddNode(site int) int {
 	}
 	id := len(n.nodes)
 	n.nodes = append(n.nodes, Node{ID: id, Site: site})
+	n.nodePipes = append(n.nodePipes, nil)
+	n.lastDeliver = append(n.lastDeliver, nil)
 	return id
 }
 
@@ -417,30 +476,28 @@ func minBps(a, b float64) float64 {
 // the site-wide segment pipe for shared-medium LANs, the node's own NIC
 // pipe otherwise.
 func (n *Network) pipeFor(node int, lan LinkClass, proto string) *pipe {
-	var key egressKey
+	table := &n.nodePipes[node]
 	if lan.Shared {
-		key = egressKey{node: -1 - n.nodes[node].Site, proto: lan.Name}
-	} else {
-		key = egressKey{node: node, proto: proto}
+		table, proto = &n.segPipes[n.nodes[node].Site], lan.Name
 	}
-	p := n.egress[key]
-	if p == nil {
-		p = &pipe{}
-		n.egress[key] = p
+	for _, np := range *table {
+		if np.proto == proto {
+			return np.pipe
+		}
 	}
+	p := &pipe{}
+	*table = append(*table, namedPipe{proto: proto, pipe: p})
 	return p
 }
 
 // SendOpt tunes one Send call.
-type SendOpt func(*sendCfg)
-
-type sendCfg struct{ unreliable bool }
+type SendOpt struct{ unreliable bool }
 
 // Unreliable marks the message loss-eligible: it may be dropped by the
 // network's loss model (SetLoss). Callers use it for data-plane traffic
 // whose loss the layers above tolerate, and keep control-plane traffic
 // reliable (TCP-like).
-func Unreliable() SendOpt { return func(c *sendCfg) { c.unreliable = true } }
+func Unreliable() SendOpt { return SendOpt{unreliable: true} }
 
 // Send transmits bytes from one node to another and calls deliver with the
 // message at the computed arrival time. proto selects an intra-site LAN
@@ -454,14 +511,15 @@ func (n *Network) Send(from, to, bytes int, payload any, proto string, deliver f
 	if !n.Reachable(from, to) {
 		return 0, ErrUnreachable{From: from, To: to}
 	}
-	var sc sendCfg
+	unreliable := false
 	for _, o := range opts {
-		o(&sc)
+		unreliable = unreliable || o.unreliable
 	}
 	path := n.PathBetween(from, to, proto)
 	now := n.sim.Now()
 	ser := des.Time(float64(bytes) / path.BottleneckBps * float64(time.Second))
-	m := &Message{From: from, To: to, Bytes: bytes, Payload: payload, Proto: path.Proto, SentAt: now}
+	m := &Message{From: from, To: to, Bytes: bytes, Payload: payload, Proto: path.Proto, SentAt: now,
+		net: n, deliver: deliver}
 	n.stats.Messages++
 	n.stats.Bytes += uint64(bytes)
 	if path.InterSite {
@@ -472,7 +530,7 @@ func (n *Network) Send(from, to, bytes int, payload any, proto string, deliver f
 	if n.lost(from, to) {
 		m.Dropped = true
 	}
-	if !m.Dropped && sc.unreliable && n.lossRate > 0 && n.random().Float64() < n.lossRate {
+	if !m.Dropped && unreliable && n.lossRate > 0 && n.random().Float64() < n.lossRate {
 		m.Dropped = true
 	}
 	lat := path.Latency
@@ -483,33 +541,9 @@ func (n *Network) Send(from, to, bytes int, payload any, proto string, deliver f
 	if n.inFlight > n.stats.MaxInFlight {
 		n.stats.MaxInFlight = n.inFlight
 	}
-	// finish schedules delivery and returns the actual delivery time after
-	// the FIFO clamp: a TCP byte stream between two endpoints cannot
-	// reorder, so a message never arrives before one sent earlier on the
-	// same (from, to) pair.
-	finish := func(at des.Time) des.Time {
-		pair := [2]int{from, to}
-		if prev := n.lastDeliver[pair]; at < prev {
-			at = prev
-		}
-		n.lastDeliver[pair] = at
-		m.DeliverAt = at
-		n.sim.Schedule(at, func() {
-			n.inFlight--
-			if n.lost(m.From, m.To) {
-				// Endpoint crashed or uplink cut while in flight.
-				m.Dropped = true
-			}
-			if m.Dropped {
-				n.stats.Dropped++
-			}
-			deliver(m)
-		})
-		return at
-	}
 
 	if path.Proto == "loopback" {
-		return finish(now + ser + lat), nil
+		return n.finish(m, now+ser+lat), nil
 	}
 	srcSite := n.sites[n.nodes[from].Site]
 	srcLAN, _ := srcSite.lan(proto)
@@ -521,14 +555,42 @@ func (n *Network) Send(from, to, bytes int, payload any, proto string, deliver f
 		// Store-and-forward: the destination site's shared segment is
 		// reserved when the message *arrives* there, in arrival order —
 		// reserving it at send time would punch dead holes into the
-		// segment schedule.
-		n.sim.Schedule(arrival, func() {
-			_, segEnd := n.pipeFor(to, dstLAN, dstLAN.Name).reserve(n.sim.Now(), ser)
-			finish(segEnd)
-		})
+		// segment schedule. Which segment that is was decided here, at
+		// send time.
+		m.ser, m.seg = ser, n.pipeFor(to, dstLAN, dstLAN.Name)
+		n.sim.ScheduleHandler(arrival, m, stageSegment)
 		return arrival + ser, nil // estimate assuming an idle segment
 	}
-	return finish(arrival), nil
+	return n.finish(m, arrival), nil
+}
+
+// finish schedules m's delivery and returns the actual delivery time after
+// the FIFO clamp: a TCP byte stream between two endpoints cannot reorder,
+// so a message never arrives before one sent earlier on the same
+// (from, to) pair.
+//
+//lint:hotpath
+func (n *Network) finish(m *Message, at des.Time) des.Time {
+	row := n.lastDeliver[m.From]
+	if len(row) <= m.To {
+		row = n.growLastDeliver(m.From)
+	}
+	if prev := row[m.To]; at < prev {
+		at = prev
+	}
+	row[m.To] = at
+	m.DeliverAt = at
+	n.sim.ScheduleHandler(at, m, stageDeliver)
+	return at
+}
+
+// growLastDeliver sizes from's row of the FIFO-clamp table to the current
+// node count.
+func (n *Network) growLastDeliver(from int) []des.Time {
+	row := make([]des.Time, len(n.nodes))
+	copy(row, n.lastDeliver[from])
+	n.lastDeliver[from] = row
+	return row
 }
 
 // Stats returns a copy of the traffic counters.

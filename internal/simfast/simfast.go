@@ -38,6 +38,10 @@ type Comm interface {
 	// would only be discarded. Purely an allocation optimisation: the
 	// accept/reject decision is the same one TrySendData makes.
 	CanSendData(key int) bool
+	// Snapshot copies src into a buffer recycled by the environment; the
+	// copy goes out as the Values of an Outgoing with Pooled set, and the
+	// environment takes it back once the receiver has incorporated it.
+	Snapshot(src []float64) []float64
 	BarrierK(p *des.Proc, k func())
 	SendStateK(p *des.Proc, st aiac.StateMsg, k func())
 	SyncExchangeK(p *des.Proc, sends []aiac.Outgoing, nRecv int, k func())
@@ -349,16 +353,15 @@ func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float
 
 		for _, tgt := range e.plan.Targets[r] {
 			// Snapshot only when the channel is free: a busy channel
-			// rejects the send, and allocating the snapshot first is
-			// the dominant allocation of a fast-spinning rank (the
-			// goroutine engine pays it).
+			// rejects the send, and copying the values first is the
+			// dominant waste of a fast-spinning rank (the goroutine
+			// engine pays it).
 			if !comm.CanSendData(tgt.Key) {
 				continue
 			}
-			vals := make([]float64, tgt.Seg.Len())
-			copy(vals, x[tgt.Seg.Lo:tgt.Seg.Hi])
 			comm.TrySendData(p, aiac.Outgoing{
-				To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo, Values: vals,
+				To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo,
+				Values: comm.Snapshot(x[tgt.Seg.Lo:tgt.Seg.Hi]), Pooled: true,
 			})
 		}
 
@@ -430,6 +433,9 @@ func (e *run) allChannelsFreshSince(r int, t des.Time) bool {
 func (e *run) runSync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float64, done func()) {
 	cfg := e.cfg
 	rk := e.ranks[r]
+	// One sends slice per rank: an exchange has transmitted every block
+	// before the next iteration refills it.
+	sends := make([]aiac.Outgoing, 0, len(e.plan.Targets[r]))
 	var loop func(iter int)
 	loop = func(iter int) {
 		if iter >= cfg.MaxIters {
@@ -445,12 +451,11 @@ func (e *run) runSync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float6
 				e.iters[r]++
 				cfg.Residuals.Record(r, t1.Seconds(), res)
 
-				sends := make([]aiac.Outgoing, 0, len(e.plan.Targets[r]))
+				sends = sends[:0]
 				for _, tgt := range e.plan.Targets[r] {
-					vals := make([]float64, tgt.Seg.Len())
-					copy(vals, x[tgt.Seg.Lo:tgt.Seg.Hi])
 					sends = append(sends, aiac.Outgoing{
-						To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo, Values: vals,
+						To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo,
+						Values: comm.Snapshot(x[tgt.Seg.Lo:tgt.Seg.Hi]), Pooled: true,
 					})
 				}
 				comm.SyncExchangeK(p, sends, e.plan.RecvCount[r], func() {
