@@ -1,8 +1,8 @@
 package envcore_test
 
-// Recycled buffers must be provably unread after release. This file turns
-// release-poisoning on for the whole envcore test binary — every buffer
-// the environment takes back is filled with NaNs — and then holds the
+// Recycled buffers must be provably unread after release. Release-poisoning
+// is on for the whole envcore test binary (golden_test.go's TestMain) — every
+// buffer the environment takes back is filled with NaNs — and this file holds the
 // simulated cells to the results they produce without recycling: the
 // goroutine engine snapshots with make and never hands a buffer back, so a
 // sim-fast cell that read a released (poisoned) value could not match it.
@@ -17,14 +17,8 @@ import (
 	"testing"
 
 	"aiac/internal/aiac"
-	"aiac/internal/env/envcore"
 	"aiac/internal/matrix"
 )
-
-func TestMain(m *testing.M) {
-	envcore.PoisonReleased(true)
-	os.Exit(m.Run())
-}
 
 // bothEngines runs repetition rep of c on the goroutine engine and on the
 // continuation engine and fails on any difference between the two rows.
