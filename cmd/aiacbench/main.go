@@ -78,7 +78,7 @@ func main() {
 		procsF    = flag.String("procs", "", "processor counts (csv; empty = 8)")
 		sizesF    = flag.String("n", "", "problem sizes (csv; empty = per-problem default)")
 		scenarioF = flag.String("scenario", "", "grid-dynamics scenario filter (csv of "+strings.Join(matrix.ScenarioNames, ", ")+"; empty = static)")
-		backendF  = flag.String("backend", "", "execution-backend filter (csv of sim, sim-fast, chan, tcp; empty = sim; sim-fast is the same simulation on the continuation engine; native backends run wall-clock cells serially after the simulated pool)")
+		backendF  = flag.String("backend", "", "execution-backend filter (csv of sim, sim-fast, chan, tcp; empty = sim, the discrete-event simulator; sim-fast is an accepted synonym; native backends run wall-clock cells serially after the simulated pool)")
 		operatorF = flag.String("operator", "", "matrix operator for linear/gmres cells: dia (materialized bands; default) or stencil (implicit, O(bands) matrix memory)")
 		timeout   = flag.Duration("timeout", matrix.DefaultNativeTimeout, "wall-clock guard per native cell: a longer-running cell is cancelled and reported as STALL")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "cells simulated concurrently")

@@ -30,7 +30,6 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/backend"
 	"aiac/internal/des"
-	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/matrix"
 	"aiac/internal/netsim"
@@ -38,7 +37,6 @@ import (
 	"aiac/internal/problems"
 	"aiac/internal/report"
 	"aiac/internal/scenario"
-	"aiac/internal/simfast"
 	"aiac/internal/sparse"
 	"aiac/internal/trace"
 )
@@ -61,7 +59,7 @@ func main() {
 		gantt    = flag.Bool("gantt", false, "print the execution-flow chart")
 		metrics  = flag.Bool("metrics", false, "print the run's metrics in Prometheus text format, stamped with the virtual clock (includes per-rank idle fractions)")
 		scenF    = flag.String("scenario", "static", "grid-dynamics scenario (one of: static, flaky-adsl, diurnal-load, node-churn, lossy-wan; native backends run the first three)")
-		backendF = flag.String("backend", "sim", "execution backend: sim (discrete-event simulation, goroutine engine), sim-fast (same simulation on the continuation engine), chan or tcp (native wall-clock run)")
+		backendF = flag.String("backend", "sim", "execution backend: sim (the discrete-event simulator; sim-fast is an accepted synonym), chan or tcp (native wall-clock run)")
 		timeout  = flag.Duration("timeout", matrix.DefaultNativeTimeout, "wall-clock guard of a native run: cancelled and reported as STALL beyond this")
 		list     = flag.Bool("list", false, "print the matrix cell key these flags select and exit without running (the key re-runs verbatim in aiacbench/aiactrace)")
 	)
@@ -180,14 +178,7 @@ func main() {
 	if *gantt || *metrics {
 		tr = trace.New()
 	}
-	fast := *backendF == "sim-fast"
-	var eopts []envcore.Opt
-	engine := problems.EngineFunc(aiac.Run)
-	if fast {
-		eopts = append(eopts, envcore.WithEventLoop())
-		engine = simfast.Run
-	}
-	env, err := matrix.NewEnv(grid, envID, true, tr, eopts...)
+	env, err := matrix.NewEnv(grid, envID, true, tr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deployment failed: %v\n", err)
 		os.Exit(1)
@@ -196,12 +187,7 @@ func main() {
 	if *seed != 0 {
 		grid.Net.SetJitter(0.02, *seed)
 	}
-	var rt *scenario.Runtime
-	if fast {
-		rt = scenario.DeployEventLoop(scen, grid)
-	} else {
-		rt = scenario.Deploy(scen, grid)
-	}
+	rt := scenario.Deploy(scen, grid)
 	prob := problems.NewLinearOp(op, *n, *diags, *rho, *matseed)
 	if *balanced {
 		prob.Weights = grid.SpeedWeights()
@@ -211,7 +197,7 @@ func main() {
 
 	fmt.Printf("solving n=%d (%d diagonals, rho<%.2f) on %s with %s, %s, %d procs, scenario %s\n",
 		*n, *diags, *rho, *gridName, env.Name(), m, *procs, scen.Name)
-	rep := engine(grid, env, prob, cfg)
+	rep := aiac.Run(grid, env, prob, cfg)
 
 	fmt.Printf("\nresult:        %s\n", rep.Reason)
 	fmt.Printf("virtual time:  %v\n", rep.Elapsed)

@@ -62,7 +62,7 @@ func main() {
 		size     = flag.Int("n", 0, "problem size (0 = per-problem default)")
 		scenF    = flag.String("scenario", "static", "grid-dynamics scenario")
 		seed     = flag.Int64("seed", 0, "network-jitter seed (0 = off), as in aiacbench")
-		backendF = flag.String("backend", "sim", "execution backend of the cell: sim or sim-fast (tracing needs a simulated backend)")
+		backendF = flag.String("backend", "sim", "execution backend of the cell: sim, the discrete-event simulator (sim-fast is an accepted synonym); tracing needs the simulator")
 		chromeF  = flag.String("chrome", "", "also write the trace as Chrome trace-event JSON to this file (Perfetto-loadable)")
 		critF    = flag.Bool("critpath", false, "print the cell's causal critical-path attribution and annotated rank-hop listing")
 		explainF = flag.Bool("explain", false, "diff the critical-path attributions of two cells given as positional cell keys (env/mode/grid/problem/pP/nN/scenario/backend)")

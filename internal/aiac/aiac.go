@@ -26,6 +26,56 @@
 //     two-phase confirmation (see StateMsg) — and rank 0 broadcasts a stop
 //     signal once every processor has confirmed;
 //   - an iteration cap bounds runaway executions.
+//
+// # The two loops, read in direct style
+//
+// Run spawns one process per rank on the grid's simulator. A simulated
+// process is a chain of continuations (des.SpawnTask): wherever the
+// pseudo-code below says "wait", "charge" or "send state", the code in
+// run.go hands the rest of the loop to the primitive as a func — the …K
+// methods of Comm, Dynamics and marcel.CPU — and returns to the scheduler.
+// Read as straight-line code, every rank runs
+//
+//	reset the endpoint's session; install the data sink:
+//	    on data m: copy m.Values into x; note the arrival time and gap of
+//	    channel m.Key; mark the rank dirty
+//	rank 0 also installs the coordinator as the state sink
+//	barrier                        // only the first iteration starts together
+//
+// and then, in asynchronous mode (Figure 2, §4.3),
+//
+//	for iter < MaxIters and the stop gate is closed:
+//	    if the node crashed since the last look:
+//	        wait until it is up; x = x0, channels unheard, dirty
+//	        send state if the protocol machine retreats (Rank.StateLost)
+//	        if the stop gate opened meanwhile: break
+//	    if dirty, or the last residual is not far below Eps:
+//	        res, flops = Update(x)            // else reuse the last pair
+//	    charge flops to the CPU               // virtual time passes here
+//	    record the compute span and the residual
+//	    for each (destination, segment) channel of the send plan:
+//	        if the previous send on it is still in flight: skip it
+//	        else send a snapshot of the segment, asynchronously
+//	    if Rank.Step(now, res, heard every channel, fresh?, max gap)
+//	        reports a state change (converged, confirmed, retreat, heartbeat):
+//	        send state to rank 0
+//	capped = the loop ran out of iterations with the gate still closed
+//
+// where rank 0's coordinator, fed by the state messages, broadcasts stop
+// after a grace window once every rank has confirmed; and in synchronous
+// mode (Figure 1)
+//
+//	for iter < MaxIters:
+//	    if the node crashed: wait until it is up; lose state as above
+//	    res, flops = Update(x); charge flops; record the compute span
+//	    exchange: send every channel's snapshot, one after another, then
+//	        wait for one message per dependency channel
+//	    global = allreduce-max(res); record the idle span
+//	    if global < Eps: mark every block validated, stop
+//
+// A synchronous rank whose partner crashed or whose message was lost waits
+// in the exchange for ever: the event queue drains and the run is reported
+// as stalled. An asynchronous rank never waits on a peer.
 package aiac
 
 import (
@@ -94,7 +144,11 @@ type Outgoing struct {
 // Comm is the communication contract a middleware environment offers one
 // rank. It captures the feature list of the paper's §6: point-to-point
 // communication, asynchronous receipt in threads, and the global operations
-// needed by the synchronous baseline and the halting procedure.
+// needed by the synchronous baseline and the halting procedure. A method
+// that takes virtual time ends in K and receives the caller's continuation,
+// which it runs — in the caller's process p — once the operation is over;
+// the call must be the last thing its caller does in the current segment.
+// envcore.Endpoint is the implementation.
 type Comm interface {
 	// Rank and Size identify this endpoint.
 	Rank() int
@@ -105,13 +159,24 @@ type Comm interface {
 	// still in progress (the paper's send-skipping policy).
 	TrySendData(p *des.Proc, o Outgoing) bool
 
+	// CanSendData reports whether TrySendData on this channel would
+	// accept; it lets the driver skip the value snapshot of a send that
+	// would only be discarded. Purely an allocation optimisation: the
+	// accept/reject decision is the same one TrySendData makes.
+	CanSendData(key int) bool
+
+	// Snapshot copies src into a buffer recycled by the environment; the
+	// copy goes out as the Values of an Outgoing with Pooled set, and the
+	// environment takes it back once the receiver has incorporated it.
+	Snapshot(src []float64) []float64
+
 	// SetDataSink registers the callback invoked by the middleware's
 	// receive machinery for every arriving DataMsg.
 	SetDataSink(fn func(DataMsg))
 
-	// SendState reports a convergence-state change to rank 0. State
-	// messages are never skipped.
-	SendState(p *des.Proc, st StateMsg)
+	// SendStateK reports a convergence-state change to rank 0, then runs
+	// k. State messages are never skipped.
+	SendStateK(p *des.Proc, st StateMsg, k func())
 
 	// SetStateSink registers the coordinator callback (used on rank 0).
 	// The des.Proc is the middleware thread delivering the message, which
@@ -124,21 +189,21 @@ type Comm interface {
 	// Stop returns the gate opened by the stop broadcast.
 	Stop() *des.Gate
 
-	// Barrier blocks until all ranks have reached it.
-	Barrier(p *des.Proc)
+	// BarrierK runs k once all ranks have reached the barrier.
+	BarrierK(p *des.Proc, k func())
 
-	// SyncExchange implements the SISC data exchange: it performs the
-	// given sends with blocking semantics, then blocks until nRecv data
-	// messages have been received and handed to the data sink.
-	SyncExchange(p *des.Proc, sends []Outgoing, nRecv int)
+	// SyncExchangeK implements the SISC data exchange: it performs the
+	// given sends with blocking semantics, waits until nRecv data messages
+	// have been received and handed to the data sink, then runs k.
+	SyncExchangeK(p *des.Proc, sends []Outgoing, nRecv int, k func())
 
-	// AllreduceMax returns the maximum of v over all ranks, at all ranks.
-	AllreduceMax(p *des.Proc, v float64) float64
+	// AllreduceMaxK hands k the maximum of v over all ranks, at all ranks.
+	AllreduceMaxK(p *des.Proc, v float64, k func(float64))
 
-	// AllreduceSum returns the element-wise sums of vs over all ranks,
-	// at all ranks. It is the collective behind the distributed dot
-	// products of the classical (synchronous) parallel GMRES.
-	AllreduceSum(p *des.Proc, vs []float64) []float64
+	// AllreduceSumK hands k the element-wise sums of vs over all ranks, at
+	// all ranks. It is the collective behind the distributed dot products
+	// of the classical (synchronous) parallel GMRES.
+	AllreduceSumK(p *des.Proc, vs []float64, k func([]float64))
 
 	// ResetSession clears per-session state (the stop gate, send-channel
 	// bookkeeping) so the environment can be reused across the time steps
@@ -191,8 +256,9 @@ type Problem interface {
 type Dynamics interface {
 	// Epoch returns the crash count of a rank.
 	Epoch(rank int) int
-	// WaitUp blocks p until the rank's node is up.
-	WaitUp(p *des.Proc, rank int)
+	// WaitUpK runs k in p once the rank's node is up — at once when it
+	// already is.
+	WaitUpK(p *des.Proc, rank int, k func())
 	// LastEventBefore returns the latest perturbation time at or before
 	// t, and whether any perturbation happened by then.
 	LastEventBefore(t des.Time) (des.Time, bool)

@@ -6,6 +6,7 @@ import (
 
 	"aiac/internal/cluster"
 	"aiac/internal/des"
+	"aiac/internal/marcel"
 	"aiac/internal/protocol"
 	"aiac/internal/trace"
 )
@@ -17,11 +18,11 @@ import (
 // convergence decision to the shared protocol.Rank and protocol.Coordinator
 // machines. The native backend (internal/backend) drives the very same
 // machines on wall clocks; neither holds a protocol implementation of its
-// own.
+// own. The package doc reads the two loops below in direct style.
 
 // Run executes one solve of prob over the grid using the environment's
 // communicators and returns the report. It spawns one iterating process per
-// rank (plus whatever threads the middleware uses), drives the simulator
+// rank (beside whatever threads the middleware runs), drives the simulator
 // until the solve finishes, and assembles the result.
 //
 // Run may be called repeatedly on the same grid/env (the chemical problem
@@ -57,7 +58,7 @@ func Run(grid *cluster.Grid, env Env, prob Problem, cfg Config) *Report {
 		epochs:      make([]int, nranks),
 		ranks:       make([]*protocol.Rank, nranks),
 	}
-	e.coord = protocol.NewCoordinator(nranks, pp, (*desCoordRuntime)(e))
+	e.coord = protocol.NewCoordinator(nranks, pp, (*coordRuntime)(e))
 	for r := 0; r < nranks; r++ {
 		e.xs[r] = make([]float64, len(x0))
 		copy(e.xs[r], x0)
@@ -68,7 +69,7 @@ func Run(grid *cluster.Grid, env Env, prob Problem, cfg Config) *Report {
 	start := sim.Now()
 	for r := 0; r < nranks; r++ {
 		r := r
-		sim.Spawn(fmt.Sprintf("rank%d", r), func(p *des.Proc) { e.runRank(p, r) })
+		sim.SpawnTask(fmt.Sprintf("rank%d", r), func(p *des.Proc) { e.runRank(p, r) })
 	}
 	sim.Run()
 
@@ -158,19 +159,19 @@ type run struct {
 	coordProc *des.Proc
 }
 
-// desCoordRuntime adapts the DES to protocol.CoordinatorRuntime: grace
-// timers are simulator events, and stop broadcasts go through rank 0's
-// middleware endpoint on whichever thread delivered the triggering message.
-type desCoordRuntime run
+// coordRuntime adapts the DES to protocol.CoordinatorRuntime: grace timers
+// are simulator events, and stop broadcasts go through rank 0's middleware
+// endpoint on whichever thread delivered the triggering message.
+type coordRuntime run
 
-func (rt *desCoordRuntime) AfterGrace(f func()) (cancel func()) {
+func (rt *coordRuntime) AfterGrace(f func()) (cancel func()) {
 	rt.grid.Sim.After(des.Time(rt.cfg.StopGrace), f)
 	// DES events cannot be withdrawn; the callback re-checks the
 	// coordinator's generation, so firing late is harmless.
 	return func() {}
 }
 
-func (rt *desCoordRuntime) BroadcastStop() {
+func (rt *coordRuntime) BroadcastStop() {
 	rt.env.Comm(0).BroadcastStop(rt.coordProc)
 }
 
@@ -180,25 +181,27 @@ func (e *run) crashed(r int) bool {
 	return e.cfg.Dynamics != nil && e.cfg.Dynamics.Epoch(r) != e.epochs[r]
 }
 
-// recoverRank implements the driver side of a restart after a crash: the
+// recoverRankK implements the driver side of a restart after a crash: the
 // rank's process parks until the node is back up, then loses its state —
 // iterate vector back to the initial guess (own block *and* ghost values),
-// dependency channels unheard, arrival bookkeeping cleared. The protocol
-// side — retreat if the coordinator held our confirmation, and the
-// needReconfirm debt behind Report.TaintedRestarts — is Rank.StateLost,
-// which the iteration loops invoke right after this.
-func (e *run) recoverRank(p *des.Proc, r int) {
+// dependency channels unheard, arrival bookkeeping cleared — and goes on
+// with k. The protocol side — retreat if the coordinator held our
+// confirmation, and the needReconfirm debt behind Report.TaintedRestarts —
+// is Rank.StateLost, which the iteration loops invoke right after this.
+func (e *run) recoverRankK(p *des.Proc, r int, k func()) {
 	t0 := p.Now()
-	e.cfg.Dynamics.WaitUp(p, r)
-	e.cfg.Trace.AddWait(r, t0, p.Now(), trace.WaitRecovery, -1)
-	e.epochs[r] = e.cfg.Dynamics.Epoch(r)
-	e.restarts++
-	e.cfg.Residuals.MarkRestart(r, p.Now().Seconds())
-	copy(e.xs[r], e.x0)
-	clear(e.heard[r])
-	clear(e.lastArrival[r])
-	e.maxGap[r] = 0
-	e.dirty[r] = true
+	e.cfg.Dynamics.WaitUpK(p, r, func() {
+		e.cfg.Trace.AddWait(r, t0, p.Now(), trace.WaitRecovery, -1)
+		e.epochs[r] = e.cfg.Dynamics.Epoch(r)
+		e.restarts++
+		e.cfg.Residuals.MarkRestart(r, p.Now().Seconds())
+		copy(e.xs[r], e.x0)
+		clear(e.heard[r])
+		clear(e.lastArrival[r])
+		e.maxGap[r] = 0
+		e.dirty[r] = true
+		k()
+	})
 }
 
 // runRank is the body of one iterating processor.
@@ -237,38 +240,36 @@ func (e *run) runRank(p *des.Proc, r int) {
 		e.epochs[r] = e.cfg.Dynamics.Epoch(r)
 	}
 
+	done := func() {
+		e.finish[r] = p.Now()
+		e.done[r] = true
+	}
 	// §4.3: "only the first iteration begins at the same time on all the
 	// processors"; and the non-linear problem synchronises between time
 	// steps.
-	comm.Barrier(p)
-
-	if e.cfg.Mode == Sync {
-		e.runSync(p, r, comm, cpu, x)
-	} else {
-		e.runAsync(p, r, comm, cpu, x)
-	}
-	e.finish[r] = p.Now()
-	e.done[r] = true
-}
-
-// cpuIface is the slice of marcel.CPU the engine needs (kept implicit; the
-// concrete type is used directly).
-type cpuIface interface {
-	Compute(p *des.Proc, flops float64)
+	comm.BarrierK(p, func() {
+		if e.cfg.Mode == Sync {
+			e.runSync(p, r, comm, cpu, x, done)
+		} else {
+			e.runAsync(p, r, comm, cpu, x, done)
+		}
+	})
 }
 
 // runAsync is the AIAC iteration loop of §4.3: compute with whatever
 // dependency data is available, send asynchronously with the skip policy,
-// and feed the completed iteration to the rank's confirmation machine.
-func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu cpuIface, x []float64) {
+// and feed the completed iteration to the rank's confirmation machine. Each
+// named closure is a region of the loop body between two suspensions.
+func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float64, done func()) {
 	cfg := e.cfg
 	rk := e.ranks[r]
 	stop := comm.Stop()
-	defer func() {
+	exit := func() {
 		if !stop.IsOpen() && e.iters[r] >= cfg.MaxIters {
 			e.capped[r] = true
 		}
-	}()
+		done()
+	}
 	// The freshness gate of the two-phase confirmation, evaluated lazily
 	// by the machine (only while it awaits confirmation).
 	fresh := func(since protocol.Time) bool {
@@ -284,45 +285,36 @@ func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu cpuIface, x []float64)
 	const skipFactor = 1e-2
 	var lastRes, lastFlops float64
 	e.dirty[r] = true
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		if stop.IsOpen() {
-			break
-		}
-		if e.crashed(r) {
-			// The node went down since the previous iteration: park until
-			// restart, lose state, and retreat if the coordinator had our
-			// convergence confirmation.
-			e.recoverRank(p, r)
-			if st, ok := rk.StateLost(protocol.Time(e.maxGap[r])); ok {
-				comm.SendState(p, st)
-			}
-			lastRes, lastFlops = 0, 0
-			if stop.IsOpen() {
-				break
-			}
-		}
-		// One local iteration using the last available dependency values.
-		t0 := p.Now()
-		var res, flops float64
-		if e.dirty[r] || lastRes >= cfg.Eps*skipFactor || math.IsNaN(lastRes) {
-			e.dirty[r] = false
-			res, flops = e.prob.Update(r, e.bounds, x)
-			lastRes, lastFlops = res, flops
-		} else {
-			res, flops = lastRes, lastFlops
-		}
-		cpu.Compute(p, flops)
+
+	// The loop's continuations are allocated once per rank and close over
+	// the mutable iteration state (iter, t0, res) instead of per-iteration
+	// copies: a fast rank runs millions of iterations, and a fresh closure
+	// chain each time would be the hot path's allocation.
+	var iter int
+	var t0 des.Time
+	var res float64
+	var loop, body, afterCompute, advance func()
+	advance = func() {
+		iter++
+		loop()
+	}
+	afterCompute = func() {
 		cfg.Trace.AddSpan(r, t0, p.Now(), trace.Compute, iter)
 		e.iters[r]++
 		cfg.Residuals.Record(r, p.Now().Seconds(), res)
 
-		// Asynchronous sends: skipped when the previous send of the same
-		// data to the same destination is still in flight.
 		for _, tgt := range e.plan.Targets[r] {
-			vals := make([]float64, tgt.Seg.Len())
-			copy(vals, x[tgt.Seg.Lo:tgt.Seg.Hi])
+			// Asynchronous sends are skipped while the previous send of
+			// the same data to the same destination is still in flight.
+			// Snapshot only when the channel is free: copying values a
+			// busy channel would reject is the dominant waste of a
+			// fast-spinning rank.
+			if !comm.CanSendData(tgt.Key) {
+				continue
+			}
 			comm.TrySendData(p, Outgoing{
-				To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo, Values: vals,
+				To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo,
+				Values: comm.Snapshot(x[tgt.Seg.Lo:tgt.Seg.Hi]), Pooled: true,
 			})
 		}
 
@@ -330,9 +322,52 @@ func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu cpuIface, x []float64)
 		// then two-phase confirmation, with heartbeats once confirmed.
 		heardAll := len(e.heard[r]) == e.plan.RecvCount[r]
 		if st, ok := rk.Step(protocol.Time(p.Now()), res, heardAll, fresh, protocol.Time(e.maxGap[r])); ok {
-			comm.SendState(p, st)
+			comm.SendStateK(p, st, advance)
+			return
 		}
+		advance()
 	}
+	body = func() {
+		t0 = p.Now()
+		var flops float64
+		if e.dirty[r] || lastRes >= cfg.Eps*skipFactor || math.IsNaN(lastRes) {
+			e.dirty[r] = false
+			res, flops = e.prob.Update(r, e.bounds, x)
+			lastRes, lastFlops = res, flops
+		} else {
+			res, flops = lastRes, lastFlops
+		}
+		cpu.ComputeK(p, flops, afterCompute)
+	}
+	loop = func() {
+		if iter >= cfg.MaxIters || stop.IsOpen() {
+			exit()
+			return
+		}
+		if e.crashed(r) {
+			// The node went down since the previous iteration: park until
+			// restart, lose state, and retreat if the coordinator had our
+			// convergence confirmation.
+			e.recoverRankK(p, r, func() {
+				afterState := func() {
+					lastRes, lastFlops = 0, 0
+					if stop.IsOpen() {
+						exit()
+						return
+					}
+					body()
+				}
+				if st, ok := rk.StateLost(protocol.Time(e.maxGap[r])); ok {
+					comm.SendStateK(p, st, afterState)
+					return
+				}
+				afterState()
+			})
+			return
+		}
+		body()
+	}
+	loop()
 }
 
 // allChannelsFreshSince reports whether every dependency channel of rank r
@@ -345,7 +380,7 @@ func (e *run) allChannelsFreshSince(r int, t des.Time) bool {
 	if len(la) < e.plan.RecvCount[r] {
 		return false
 	}
-	//lint:unordered — pure universally-quantified check; the result does not depend on visit order.
+	//lint:unordered — pure universally-quantified check, no effects; the answer is order-independent
 	for _, at := range la {
 		if at <= t {
 			return false
@@ -356,43 +391,63 @@ func (e *run) allChannelsFreshSince(r int, t des.Time) bool {
 
 // runSync is the SISC loop (Figure 1): compute, blocking exchange, global
 // residual reduction — all processors in lockstep.
-func (e *run) runSync(p *des.Proc, r int, comm Comm, cpu cpuIface, x []float64) {
+func (e *run) runSync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float64, done func()) {
 	cfg := e.cfg
 	rk := e.ranks[r]
-	for iter := 0; iter < cfg.MaxIters; iter++ {
+	// One sends slice per rank: an exchange has transmitted every block
+	// before the next iteration refills it.
+	sends := make([]Outgoing, 0, len(e.plan.Targets[r]))
+	var loop func(iter int)
+	loop = func(iter int) {
+		if iter >= cfg.MaxIters {
+			done()
+			return
+		}
+		body := func() {
+			t0 := p.Now()
+			res, flops := e.prob.Update(r, e.bounds, x)
+			cpu.ComputeK(p, flops, func() {
+				t1 := p.Now()
+				cfg.Trace.AddSpan(r, t0, t1, trace.Compute, iter)
+				e.iters[r]++
+				cfg.Residuals.Record(r, t1.Seconds(), res)
+
+				sends = sends[:0]
+				for _, tgt := range e.plan.Targets[r] {
+					sends = append(sends, Outgoing{
+						To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo,
+						Values: comm.Snapshot(x[tgt.Seg.Lo:tgt.Seg.Hi]), Pooled: true,
+					})
+				}
+				comm.SyncExchangeK(p, sends, e.plan.RecvCount[r], func() {
+					comm.AllreduceMaxK(p, res, func(global float64) {
+						cfg.Trace.AddSpan(r, t1, p.Now(), trace.Idle, iter)
+						if global < cfg.Eps {
+							// The global reduction just validated every
+							// block, including any restarted one: the
+							// state loss has been recomputed away.
+							rk.Validate()
+							e.coord.MarkStopped()
+							done()
+							return
+						}
+						loop(iter + 1)
+					})
+				})
+			})
+		}
 		if e.crashed(r) {
 			// Restart with state loss. The lockstep is already broken —
 			// messages to this node were dropped while it was down, so the
-			// exchange below typically stalls; the stall is the measured
-			// outcome, not an error (SISC has no recovery protocol).
-			e.recoverRank(p, r)
-			rk.StateLost(0) // flag the unvalidated block; no coordinator in sync
-		}
-		t0 := p.Now()
-		res, flops := e.prob.Update(r, e.bounds, x)
-		cpu.Compute(p, flops)
-		t1 := p.Now()
-		cfg.Trace.AddSpan(r, t0, t1, trace.Compute, iter)
-		e.iters[r]++
-		cfg.Residuals.Record(r, t1.Seconds(), res)
-
-		sends := make([]Outgoing, 0, len(e.plan.Targets[r]))
-		for _, tgt := range e.plan.Targets[r] {
-			vals := make([]float64, tgt.Seg.Len())
-			copy(vals, x[tgt.Seg.Lo:tgt.Seg.Hi])
-			sends = append(sends, Outgoing{
-				To: tgt.To, Key: tgt.Key, Iter: iter, Lo: tgt.Seg.Lo, Values: vals,
+			// exchange typically stalls; the stall is the measured outcome,
+			// not an error (SISC has no recovery protocol).
+			e.recoverRankK(p, r, func() {
+				rk.StateLost(0) // flag the unvalidated block; no coordinator in sync
+				body()
 			})
+			return
 		}
-		comm.SyncExchange(p, sends, e.plan.RecvCount[r])
-		global := comm.AllreduceMax(p, res)
-		cfg.Trace.AddSpan(r, t1, p.Now(), trace.Idle, iter)
-		if global < cfg.Eps {
-			// The global reduction just validated every block, including
-			// any restarted one: the state loss has been recomputed away.
-			rk.Validate()
-			e.coord.MarkStopped()
-			break
-		}
+		body()
 	}
+	loop(0)
 }

@@ -18,12 +18,10 @@ import (
 
 	"aiac/internal/aiac"
 	"aiac/internal/des"
-	"aiac/internal/env/envcore"
 	"aiac/internal/matrix"
 	"aiac/internal/obs/critpath"
 	"aiac/internal/problems"
 	"aiac/internal/scenario"
-	"aiac/internal/simfast"
 	"aiac/internal/trace"
 )
 
@@ -74,13 +72,13 @@ func fingerprintCell(c matrix.Cell) (events uint64, fingerprint string, err erro
 	}
 	grid.Net.SetJitter(0.02, refSeed)
 	tr := trace.New()
-	env, err := matrix.NewEnv(grid, c.Env, true, tr, envcore.WithEventLoop())
+	env, err := matrix.NewEnv(grid, c.Env, true, tr)
 	if err != nil {
 		return 0, "", err
 	}
-	rt := scenario.DeployEventLoop(scen, grid)
+	rt := scenario.Deploy(scen, grid)
 	prob := problems.NewLinear(c.Size, lp.Diags, lp.Rho, lp.Seed)
-	rpt := simfast.Run(grid, env, prob, aiac.Config{
+	rpt := aiac.Run(grid, env, prob, aiac.Config{
 		Mode: c.Mode, Eps: lp.Eps, MaxIters: lp.MaxIters, Trace: tr, Dynamics: rt,
 	})
 	attr, ok := critpath.Analyze(tr, rpt.Elapsed)

@@ -10,10 +10,8 @@ import (
 
 	"aiac/internal/aiac"
 	"aiac/internal/des"
-	"aiac/internal/env/envcore"
 	"aiac/internal/matrix"
 	"aiac/internal/netsim"
-	"aiac/internal/simfast"
 )
 
 // Network.Send with its delivery allocates the Message and nothing else:
@@ -55,7 +53,7 @@ func TestNetsimSendAllocs(t *testing.T) {
 
 // exchangePair is two ranks of one environment on the local grid, each
 // ready to play lockstep SyncExchangeK rounds of one message each way with
-// pooled snapshots — what simfast.runSync does per iteration.
+// pooled snapshots — what the engine's runSync does per iteration.
 type exchangePair struct {
 	sim   *des.Simulator
 	net   *netsim.Network
@@ -70,13 +68,13 @@ func newExchangePair(tb testing.TB, envName string, values int) *exchangePair {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	env, err := matrix.NewEnv(grid, envName, true, nil, envcore.WithEventLoop())
+	env, err := matrix.NewEnv(grid, envName, true, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	x := &exchangePair{sim: sim, net: grid.Net}
 	for r := 0; r < 2; r++ {
-		comm := env.Comm(r).(simfast.Comm)
+		comm := env.Comm(r)
 		comm.ResetSession()
 		ghost := make([]float64, values)
 		comm.SetDataSink(func(m aiac.DataMsg) { copy(ghost, m.Values) })

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,14 +62,31 @@ func TestAfterNegativePanics(t *testing.T) {
 	s.After(-time.Second, func() {})
 }
 
+// repeat runs body for i = 0 .. n-1 as one continuation chain — body goes on
+// to the next round by calling next, typically from the continuation of the
+// primitive that suspended it — and then done (nil: nothing).
+func repeat(n int, body func(i int, next func()), done func()) {
+	var round func(i int)
+	round = func(i int) {
+		if i < n {
+			body(i, func() { round(i + 1) })
+		} else if done != nil {
+			done()
+		}
+	}
+	round(0)
+}
+
 func TestProcSleepAdvancesClock(t *testing.T) {
 	s := New()
 	var at []Time
-	s.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(5 * time.Millisecond)
-			at = append(at, p.Now())
-		}
+	s.SpawnTask("sleeper", func(p *Proc) {
+		repeat(3, func(_ int, next func()) {
+			p.SleepK(5*time.Millisecond, func() {
+				at = append(at, p.Now())
+				next()
+			})
+		}, nil)
 	})
 	s.Run()
 	want := []Time{5 * time.Millisecond, 10 * time.Millisecond, 15 * time.Millisecond}
@@ -82,15 +100,13 @@ func TestProcSleepAdvancesClock(t *testing.T) {
 func TestProcZeroSleepYields(t *testing.T) {
 	s := New()
 	var got []string
-	s.Spawn("a", func(p *Proc) {
+	s.SpawnTask("a", func(p *Proc) {
 		got = append(got, "a1")
-		p.Sleep(0)
-		got = append(got, "a2")
+		p.SleepK(0, func() { got = append(got, "a2") })
 	})
-	s.Spawn("b", func(p *Proc) {
+	s.SpawnTask("b", func(p *Proc) {
 		got = append(got, "b1")
-		p.Sleep(0)
-		got = append(got, "b2")
+		p.SleepK(0, func() { got = append(got, "b2") })
 	})
 	s.Run()
 	if fmt.Sprint(got) != "[a1 b1 a2 b2]" {
@@ -98,15 +114,30 @@ func TestProcZeroSleepYields(t *testing.T) {
 	}
 }
 
+// A panic in a process — in its first segment or in a later one — is
+// re-raised in the scheduler, out of Run, and finishes the process.
 func TestProcPanicPropagates(t *testing.T) {
-	s := New()
-	s.Spawn("boom", func(p *Proc) { panic("kaboom") })
-	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate out of Run")
+	for _, later := range []bool{false, true} {
+		s := New()
+		s.SpawnTask("boom", func(p *Proc) {
+			if later {
+				p.SleepK(time.Millisecond, func() { panic("kaboom") })
+				return
+			}
+			panic("kaboom")
+		})
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"boom" panicked: kaboom`) {
+					t.Errorf("later=%v: Run raised %v, want the process panic", later, r)
+				}
+			}()
+			s.Run()
+		}()
+		if s.LiveProcs() != 0 {
+			t.Errorf("later=%v: the panicked process is still live", later)
 		}
-	}()
-	s.Run()
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -132,20 +163,24 @@ func TestChanSendRecv(t *testing.T) {
 	s := New()
 	c := NewChan(s)
 	var got []any
-	s.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			v, ok := c.Recv(p)
-			if !ok {
-				t.Error("unexpected close")
-			}
-			got = append(got, v)
-		}
+	s.SpawnTask("recv", func(p *Proc) {
+		repeat(3, func(_ int, next func()) {
+			c.RecvK(p, func(v any, ok bool) {
+				if !ok {
+					t.Error("unexpected close")
+				}
+				got = append(got, v)
+				next()
+			})
+		}, nil)
 	})
-	s.Spawn("send", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(time.Millisecond)
-			c.Send(i)
-		}
+	s.SpawnTask("send", func(p *Proc) {
+		repeat(3, func(i int, next func()) {
+			p.SleepK(time.Millisecond, func() {
+				c.Send(i)
+				next()
+			})
+		}, nil)
 	})
 	s.Run()
 	if fmt.Sprint(got) != "[0 1 2]" {
@@ -159,11 +194,13 @@ func TestChanBufferedBeforeRecv(t *testing.T) {
 	c.Send("x")
 	c.Send("y")
 	var got []any
-	s.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			v, _ := c.Recv(p)
-			got = append(got, v)
-		}
+	s.SpawnTask("recv", func(p *Proc) {
+		repeat(2, func(_ int, next func()) {
+			c.RecvK(p, func(v any, _ bool) {
+				got = append(got, v)
+				next()
+			})
+		}, nil)
 	})
 	s.Run()
 	if fmt.Sprint(got) != "[x y]" {
@@ -177,16 +214,18 @@ func TestChanMultipleWaitersFIFO(t *testing.T) {
 	var got []string
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
-		s.Spawn(name, func(p *Proc) {
-			v, _ := c.Recv(p)
-			got = append(got, fmt.Sprintf("%s=%v", name, v))
+		s.SpawnTask(name, func(p *Proc) {
+			c.RecvK(p, func(v any, _ bool) {
+				got = append(got, fmt.Sprintf("%s=%v", name, v))
+			})
 		})
 	}
-	s.Spawn("send", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		c.Send(1)
-		c.Send(2)
-		c.Send(3)
+	s.SpawnTask("send", func(p *Proc) {
+		p.SleepK(time.Millisecond, func() {
+			c.Send(1)
+			c.Send(2)
+			c.Send(3)
+		})
 	})
 	s.Run()
 	if fmt.Sprint(got) != "[w1=1 w2=2 w3=3]" {
@@ -196,8 +235,8 @@ func TestChanMultipleWaitersFIFO(t *testing.T) {
 
 // A burst of k sends into one inbox (a 64-rank allreduce fanning into its
 // root) followed by k receives: FIFO order, Len() tracking every step, and
-// the same through TryRecv, RecvK and a waiter queue drained by Send — the
-// paths whose pop-front used to copy the whole tail.
+// the same through a waiter queue drained by Send — the paths whose
+// pop-front used to copy the whole tail.
 func TestChanBurstFIFO(t *testing.T) {
 	const k = 5000
 	s := New()
@@ -209,55 +248,41 @@ func TestChanBurstFIFO(t *testing.T) {
 		}
 	}
 	next := 0
-	check := func(how string, v any, ok bool) {
-		t.Helper()
-		if !ok || v != next {
-			t.Fatalf("%s delivered (%v, %v), want (%d, true)", how, v, ok, next)
-		}
-		next++
-		if c.Len() != k-next {
-			t.Fatalf("Len() = %d after %d receives, want %d", c.Len(), next, k-next)
-		}
-	}
-	for i := 0; i < k/4; i++ {
-		v, ok := c.TryRecv()
-		check("TryRecv", v, ok)
-	}
-	s.Spawn("recv", func(p *Proc) {
-		for i := 0; i < k/4; i++ {
-			v, ok := c.Recv(p)
-			check("Recv", v, ok)
-		}
-	})
-	s.Run()
 	s.SpawnTask("recvk", func(p *Proc) {
-		var loop func()
-		loop = func() {
-			if next == k {
-				return
-			}
+		repeat(k, func(_ int, again func()) {
 			c.RecvK(p, func(v any, ok bool) {
-				check("RecvK", v, ok)
-				loop()
+				if !ok || v != next {
+					t.Fatalf("RecvK delivered (%v, %v), want (%d, true)", v, ok, next)
+				}
+				next++
+				if c.Len() != k-next {
+					t.Fatalf("Len() = %d after %d receives, want %d", c.Len(), next, k-next)
+				}
+				again()
 			})
-		}
-		loop()
+		}, nil)
 	})
 	s.Run()
 	if next != k || c.Len() != 0 {
 		t.Fatalf("received %d of %d, Len() = %d", next, k, c.Len())
 	}
 	// Interleaved refills after a partial drain must not reorder either.
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 7; i++ {
-			c.Send(round*7 + i)
-		}
-		for i := 0; i < 5; i++ {
-			if v, _ := c.TryRecv(); v != round*5+i {
-				t.Fatalf("round %d: got %v, want %d", round, v, round*5+i)
+	s.SpawnTask("refill", func(p *Proc) {
+		for round := 0; round < 50; round++ {
+			for i := 0; i < 7; i++ {
+				c.Send(round*7 + i)
+			}
+			for i := 0; i < 5; i++ {
+				// Buffered: the continuation runs inside the call.
+				c.RecvK(p, func(v any, _ bool) {
+					if v != round*5+i {
+						t.Fatalf("round %d: got %v, want %d", round, v, round*5+i)
+					}
+				})
 			}
 		}
-	}
+	})
+	s.Run()
 	if c.Len() != 100 {
 		t.Fatalf("Len() = %d after the refill rounds, want 100", c.Len())
 	}
@@ -295,17 +320,18 @@ func TestChanClose(t *testing.T) {
 	s := New()
 	c := NewChan(s)
 	okSeen := true
-	s.Spawn("recv", func(p *Proc) {
-		_, okSeen = c.Recv(p)
+	s.SpawnTask("recv", func(p *Proc) {
+		c.RecvK(p, func(_ any, ok bool) { okSeen = ok })
 	})
-	s.Spawn("closer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		c.Close()
-		c.Close() // idempotent
+	s.SpawnTask("closer", func(p *Proc) {
+		p.SleepK(time.Millisecond, func() {
+			c.Close()
+			c.Close() // idempotent
+		})
 	})
 	s.Run()
 	if okSeen {
-		t.Fatal("Recv on closed channel returned ok=true")
+		t.Fatal("RecvK on closed channel returned ok=true")
 	}
 }
 
@@ -314,16 +340,19 @@ func TestChanCloseDrainsBufferFirst(t *testing.T) {
 	c := NewChan(s)
 	c.Send(42)
 	c.Close()
-	s.Spawn("recv", func(p *Proc) {
-		v, ok := c.Recv(p)
-		if !ok || v.(int) != 42 {
-			t.Errorf("got (%v,%v), want (42,true)", v, ok)
-		}
-		if _, ok := c.Recv(p); ok {
-			t.Error("second recv should report closed")
-		}
+	closedSeen := false
+	s.SpawnTask("recv", func(p *Proc) {
+		c.RecvK(p, func(v any, ok bool) {
+			if !ok || v.(int) != 42 {
+				t.Errorf("got (%v,%v), want (42,true)", v, ok)
+			}
+			c.RecvK(p, func(_ any, ok bool) { closedSeen = !ok })
+		})
 	})
 	s.Run()
+	if !closedSeen {
+		t.Error("second recv should report closed")
+	}
 }
 
 func TestChanSendOnClosedPanics(t *testing.T) {
@@ -338,61 +367,18 @@ func TestChanSendOnClosedPanics(t *testing.T) {
 	c.Send(1)
 }
 
-func TestChanRecvTimeout(t *testing.T) {
-	s := New()
-	c := NewChan(s)
-	var timedOut, gotValue bool
-	s.Spawn("recv", func(p *Proc) {
-		if _, ok := c.RecvTimeout(p, 10*time.Millisecond); !ok {
-			timedOut = true
-		}
-		if p.Now() != 10*time.Millisecond {
-			t.Errorf("timeout at %v, want 10ms", p.Now())
-		}
-		v, ok := c.RecvTimeout(p, 100*time.Millisecond)
-		gotValue = ok && v.(string) == "late"
-	})
-	s.Schedule(30*time.Millisecond, func() { c.Send("late") })
-	s.Run()
-	if !timedOut {
-		t.Error("first recv should have timed out")
-	}
-	if !gotValue {
-		t.Error("second recv should have received the value")
-	}
-}
-
-func TestChanStaleTimerDoesNotCorruptLaterWait(t *testing.T) {
-	s := New()
-	c := NewChan(s)
-	var second any
-	s.Spawn("recv", func(p *Proc) {
-		// Value arrives before the timeout; the pending timer must not
-		// disturb the plain Recv that follows.
-		if v, ok := c.RecvTimeout(p, 50*time.Millisecond); !ok || v.(int) != 1 {
-			t.Errorf("first recv got (%v,%v)", v, ok)
-		}
-		second, _ = c.Recv(p)
-	})
-	s.Schedule(time.Millisecond, func() { c.Send(1) })
-	s.Schedule(200*time.Millisecond, func() { c.Send(2) })
-	s.Run()
-	if second != 2 {
-		t.Fatalf("second recv got %v, want 2", second)
-	}
-}
-
 func TestGate(t *testing.T) {
 	s := New()
 	g := NewGate(s)
 	released := 0
 	for i := 0; i < 3; i++ {
-		s.Spawn("w", func(p *Proc) {
-			g.Wait(p)
-			released++
-			if p.Now() != time.Second {
-				t.Errorf("released at %v, want 1s", p.Now())
-			}
+		s.SpawnTask("w", func(p *Proc) {
+			g.WaitK(p, func() {
+				released++
+				if p.Now() != time.Second {
+					t.Errorf("released at %v, want 1s", p.Now())
+				}
+			})
 		})
 	}
 	s.Schedule(time.Second, func() { g.Open(); g.Open() })
@@ -404,53 +390,13 @@ func TestGate(t *testing.T) {
 		t.Fatal("gate should be open")
 	}
 	// Late waiter passes straight through.
-	s.Spawn("late", func(p *Proc) {
-		g.Wait(p)
-		released++
+	s.SpawnTask("late", func(p *Proc) {
+		g.WaitK(p, func() { released++ })
 	})
 	s.Run()
 	if released != 4 {
 		t.Fatalf("late waiter not released, released = %d", released)
 	}
-}
-
-func TestBarrierRounds(t *testing.T) {
-	s := New()
-	const n = 4
-	b := NewBarrier(s, n)
-	var log []string
-	for i := 0; i < n; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for round := 0; round < 3; round++ {
-				p.Sleep(Time(i+1) * time.Millisecond) // staggered arrivals
-				b.Wait(p)
-				log = append(log, fmt.Sprintf("r%d", round))
-			}
-		})
-	}
-	s.Run()
-	if len(log) != 3*n {
-		t.Fatalf("len(log) = %d", len(log))
-	}
-	// All n completions of round k must precede any completion of round k+1.
-	for i, entry := range log {
-		if want := fmt.Sprintf("r%d", i/n); entry != want {
-			t.Fatalf("log[%d] = %s, want %s (full: %v)", i, entry, want, log)
-		}
-	}
-	if b.Round() != 3 {
-		t.Fatalf("rounds = %d, want 3", b.Round())
-	}
-}
-
-func TestBarrierSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-size barrier did not panic")
-		}
-	}()
-	NewBarrier(New(), 0)
 }
 
 // runRandomWorkload executes a randomized producer/consumer workload and
@@ -465,27 +411,36 @@ func runRandomWorkload(seed int64) string {
 	for i := 0; i < nprod; i++ {
 		i := i
 		delay := Time(rng.Intn(1000)) * time.Microsecond
-		s.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
-			for m := 0; m < nmsg; m++ {
-				p.Sleep(delay)
-				c.Send(i*1000 + m)
-			}
+		s.SpawnTask(fmt.Sprintf("prod%d", i), func(p *Proc) {
+			repeat(nmsg, func(m int, next func()) {
+				p.SleepK(delay, func() {
+					c.Send(i*1000 + m)
+					next()
+				})
+			}, nil)
 		})
 	}
 	got := 0
 	for i := 0; i < ncons; i++ {
-		s.Spawn(fmt.Sprintf("cons%d", i), func(p *Proc) {
-			for got < total {
-				v, ok := c.Recv(p)
-				if !ok {
+		s.SpawnTask(fmt.Sprintf("cons%d", i), func(p *Proc) {
+			var loop func()
+			loop = func() {
+				if got >= total {
 					return
 				}
-				got++
-				trace = append(trace, fmt.Sprintf("%v:%v", p.Now(), v))
-				if got == total {
-					c.Close()
-				}
+				c.RecvK(p, func(v any, ok bool) {
+					if !ok {
+						return
+					}
+					got++
+					trace = append(trace, fmt.Sprintf("%v:%v", p.Now(), v))
+					if got == total {
+						c.Close()
+					}
+					loop()
+				})
 			}
+			loop()
 		})
 	}
 	s.Run()
@@ -516,7 +471,7 @@ func TestEventsCounter(t *testing.T) {
 
 func TestLiveProcs(t *testing.T) {
 	s := New()
-	s.Spawn("a", func(p *Proc) { p.Sleep(time.Second) })
+	s.SpawnTask("a", func(p *Proc) { p.SleepK(time.Second, func() {}) })
 	if s.LiveProcs() != 1 {
 		t.Fatalf("live = %d, want 1", s.LiveProcs())
 	}
@@ -528,24 +483,26 @@ func TestLiveProcs(t *testing.T) {
 
 func TestSpawnManyProcsStress(t *testing.T) {
 	// A few thousand processes exchanging through one channel: exercises
-	// the scheduler's handoff machinery at scale.
+	// the scheduler's wake-up machinery at scale.
 	s := New()
 	c := NewChan(s)
 	const n = 2000
 	done := 0
 	for i := 0; i < n; i++ {
 		i := i
-		s.Spawn("p", func(p *Proc) {
-			p.Sleep(Time(i) * time.Microsecond)
-			c.Send(i)
+		s.SpawnTask("p", func(p *Proc) {
+			p.SleepK(Time(i)*time.Microsecond, func() { c.Send(i) })
 		})
 	}
-	s.Spawn("drain", func(p *Proc) {
-		for j := 0; j < n; j++ {
-			if _, ok := c.Recv(p); ok {
-				done++
-			}
-		}
+	s.SpawnTask("drain", func(p *Proc) {
+		repeat(n, func(_ int, next func()) {
+			c.RecvK(p, func(_ any, ok bool) {
+				if ok {
+					done++
+				}
+				next()
+			})
+		}, nil)
 	})
 	s.Run()
 	if done != n {
@@ -560,27 +517,32 @@ func TestGateWaitAfterOpenCostsNothing(t *testing.T) {
 	s := New()
 	g := NewGate(s)
 	g.Open()
-	s.Spawn("w", func(p *Proc) {
+	passed := false
+	s.SpawnTask("w", func(p *Proc) {
 		before := p.Now()
-		g.Wait(p)
-		if p.Now() != before {
-			t.Error("waiting on an open gate advanced time")
-		}
+		g.WaitK(p, func() {
+			passed = true
+			if p.Now() != before {
+				t.Error("waiting on an open gate advanced time")
+			}
+		})
 	})
 	s.Run()
+	if !passed {
+		t.Error("the waiter never passed the open gate")
+	}
 }
 
 func TestShutdownReapsParkedProcs(t *testing.T) {
 	sim := New()
-	cleanedUp := 0
+	resumed := 0
 	for i := 0; i < 3; i++ {
-		sim.Spawn("parked", func(p *Proc) {
-			defer func() { cleanedUp++ }()
-			p.Park() // nothing ever unparks it
+		sim.SpawnTask("parked", func(p *Proc) {
+			p.ParkK(func() { resumed++ }) // nothing ever unparks it
 		})
 	}
 	finished := false
-	sim.Spawn("finisher", func(p *Proc) { finished = true })
+	sim.SpawnTask("finisher", func(p *Proc) { finished = true })
 	sim.Run()
 	if !finished {
 		t.Fatal("finisher did not run")
@@ -594,8 +556,8 @@ func TestShutdownReapsParkedProcs(t *testing.T) {
 	if sim.LiveProcs() != 0 {
 		t.Fatalf("LiveProcs = %d after shutdown", sim.LiveProcs())
 	}
-	if cleanedUp != 3 {
-		t.Fatalf("deferred cleanup ran %d times, want 3", cleanedUp)
+	if resumed != 0 {
+		t.Fatalf("%d reaped processes ran their continuation", resumed)
 	}
 	if sim.Shutdown() != 0 {
 		t.Fatal("second Shutdown found processes")

@@ -2,7 +2,7 @@ package des
 
 // What record_test.go (package des_test) needs of the ladder. That file has
 // to be an external test package: it stages real simulated cells through
-// internal/matrix and internal/simfast, which import des.
+// internal/matrix and internal/aiac, which import des.
 
 type (
 	OpStream  = opStream

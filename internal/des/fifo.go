@@ -11,8 +11,8 @@ import "slices"
 // The zero value is an empty queue.
 //
 // It backs every waiter list and inbox of the simulator (Chan here,
-// marcel's run queue and mutex); the rarely used PushFront, Insert and
-// Remove serve their out-of-order cases.
+// marcel's run queue); the rarely used PushFront and Insert serve the run
+// queue's out-of-order cases.
 type FIFO[T any] struct {
 	items []T
 	head  int
@@ -58,14 +58,6 @@ func (q *FIFO[T]) Insert(i int, v T) {
 		return
 	}
 	q.items = slices.Insert(q.items, q.head+i, v)
-}
-
-// Remove deletes the element at position i, keeping the others in order.
-func (q *FIFO[T]) Remove(i int) {
-	q.items = slices.Delete(q.items, q.head+i, q.head+i+1)
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
 }
 
 // Clear empties the queue and releases its storage.

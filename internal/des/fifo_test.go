@@ -8,7 +8,7 @@ import (
 
 // FIFO against a plain slice under a random mix of every operation,
 // including long stretches where the queue never drains (the push-side
-// compaction) and out-of-order inserts and removals.
+// compaction) and out-of-order inserts.
 func TestFIFOMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var q FIFO[*int]
@@ -30,16 +30,10 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 		case op == 17:
 			q.PushFront(v)
 			model = slices.Insert(model, 0, v)
-		case op == 18:
+		default:
 			i := rng.Intn(len(model) + 1)
 			q.Insert(i, v)
 			model = slices.Insert(model, i, v)
-		default:
-			if len(model) > 0 {
-				i := rng.Intn(len(model))
-				q.Remove(i)
-				model = slices.Delete(model, i, i+1)
-			}
 		}
 		if q.Len() != len(model) || !slices.Equal(q.Items(), model) {
 			t.Fatalf("step %d: queue %d elements, model %d", step, q.Len(), len(model))

@@ -17,9 +17,9 @@ type funcEvent func()
 
 func (f funcEvent) Fire(uint64) { f() }
 
-// wakeProc is *Proc seen as the Handler of its own wake-up (Spawn, Sleep,
-// Unpark): the event carries the process itself. It is a distinct type so
-// that Proc's exported surface does not grow a Fire method.
+// wakeProc is *Proc seen as the Handler of its own wake-up (SpawnTask,
+// SleepK, Unpark): the event carries the process itself. It is a distinct
+// type so that Proc's exported surface does not grow a Fire method.
 type wakeProc Proc
 
 func (w *wakeProc) Fire(uint64) {

@@ -15,10 +15,8 @@ import (
 
 	"aiac/internal/aiac"
 	"aiac/internal/des"
-	"aiac/internal/env/envcore"
 	"aiac/internal/matrix"
 	"aiac/internal/problems"
-	"aiac/internal/simfast"
 )
 
 type recordedCell struct {
@@ -40,7 +38,7 @@ var recordedCells = []recordedCell{
 	{"mpi", aiac.Sync, "3site", 24, 4800, 1e-4},
 }
 
-// recordCell runs one repetition of the cell on sim-fast, wired as
+// recordCell runs one repetition of the cell on the simulator, wired as
 // matrix.runOnce wires it, and returns the simulator's queue workload.
 func recordCell(c recordedCell) (des.OpStream, error) {
 	lp := matrix.DefaultSpec().Linear
@@ -52,11 +50,11 @@ func recordCell(c recordedCell) (des.OpStream, error) {
 		return des.OpStream{}, err
 	}
 	grid.Net.SetJitter(0.02, lp.Seed)
-	env, err := matrix.NewEnv(grid, c.env, true, nil, envcore.WithEventLoop())
+	env, err := matrix.NewEnv(grid, c.env, true, nil)
 	if err != nil {
 		return des.OpStream{}, err
 	}
-	rpt := simfast.Run(grid, env, prob, aiac.Config{Mode: c.mode, Eps: c.eps, MaxIters: lp.MaxIters})
+	rpt := aiac.Run(grid, env, prob, aiac.Config{Mode: c.mode, Eps: c.eps, MaxIters: lp.MaxIters})
 	if rpt.Reason != aiac.StopConverged {
 		return des.OpStream{}, fmt.Errorf("%s did not converge: %v", c.name(), rpt.Reason)
 	}

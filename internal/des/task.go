@@ -2,107 +2,89 @@ package des
 
 import "fmt"
 
-// Continuation-backed processes ("tasks"): the goroutine-free execution
-// mode of the simulator, used by the sim-fast engine (internal/simfast).
-//
-// A task is an ordinary *Proc whose suspension points are explicit
-// continuations instead of a parked goroutine: where a goroutine process
-// blocks in Sleep/Park/Chan.Recv and is resumed through a channel
-// rendezvous (two channel operations and two context switches per
-// activation), a task stores a `func()` and the scheduler simply calls it.
-// Everything else — the event queue, the (timestamp, insertion-seq)
-// ordering, process ids, the waiter lists of Chan/Gate/Barrier — is shared
-// with goroutine processes, and every continuation primitive below enqueues
-// *exactly* the same events in the same order as its blocking
-// counterpart. A program that issues the same operations through either
-// style therefore allocates identical event sequence numbers and executes
-// an identical event order; the differential harness in internal/simfast
-// holds the two engines to that contract.
+// Processes. A process is an ordinary *Proc whose suspension points are
+// explicit continuations: to wait — for virtual time to pass (SleepK), for
+// another party's Unpark (ParkK), for a value (Chan.RecvK), for a condition
+// (Gate.WaitK) — it stores a func() and returns, and the scheduler simply
+// calls that func when the wake-up event fires. An activation costs one
+// event and one call; there is no goroutine, no channel rendezvous and no
+// context switch anywhere in the simulator.
 //
 // The continuation passed to ParkK/SleepK/RecvK/WaitK must be the last
 // action of the current segment (a tail call): code after such a call runs
 // before the continuation and must not touch state the continuation
-// assumes suspended.
+// assumes suspended. A primitive whose condition already holds (a buffered
+// value, an open gate) runs the continuation synchronously, inside the call.
 
-// SpawnTask starts a new continuation-backed process running body. Like
-// Spawn, the process begins executing at the current virtual time, after
-// any already-queued same-time events; body runs the first segment and
-// suspends by installing a continuation (SleepK, ParkK, Chan.RecvK, ...).
-// When a segment returns without installing one, the task is finished.
+// SpawnTask starts a new process running body. The process begins executing
+// at the current virtual time, after any already-queued same-time events;
+// body runs the first segment and suspends by installing a continuation
+// (SleepK, ParkK, Chan.RecvK, ...). When a segment returns without
+// installing one, the process is finished.
 func (s *Simulator) SpawnTask(name string, body func(p *Proc)) *Proc {
 	s.nextPID++
 	p := &Proc{sim: s, id: s.nextPID, name: name}
-	s.procs++
 	s.live[p.id] = p
 	p.k = func() { body(p) }
 	s.wake(s.now, p)
 	return p
 }
 
-// activateTask runs a task's pending continuation in scheduler context.
-func (s *Simulator) activateTask(p *Proc) {
-	if p.killed {
-		// Shutdown reached the task: drop the continuation and finish.
-		// Unlike a goroutine unwind there are no deferred functions to
-		// run; task bodies perform their bookkeeping at suspension
-		// boundaries instead.
-		p.k = nil
-		s.finishTask(p)
+// activate runs p's pending continuation in scheduler context. A panic in
+// the segment finishes the process and is re-raised here, in the scheduler —
+// on the goroutine that called Run.
+func (s *Simulator) activate(p *Proc) {
+	if p.done {
 		return
 	}
 	k := p.k
 	p.k = nil
-	s.running = p
+	var failure any
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.failure = fmt.Sprintf("des: process %q panicked: %v", p.name, r)
+				failure = fmt.Sprintf("des: process %q panicked: %v", p.name, r)
 			}
 		}()
 		k()
 	}()
-	s.running = nil
-	if s.failure != nil {
-		s.finishTask(p)
-		panic(s.failure)
+	if failure != nil {
+		s.finish(p)
+		panic(failure)
 	}
 	if p.k == nil {
-		// The segment returned without suspending: the task is done.
-		s.finishTask(p)
+		// The segment returned without suspending: the process is done.
+		s.finish(p)
 	}
 }
 
-func (s *Simulator) finishTask(p *Proc) {
+func (s *Simulator) finish(p *Proc) {
 	if p.done {
 		return
 	}
 	p.done = true
-	s.procs--
 	delete(s.live, p.id)
 }
 
-// ParkK suspends the task until Unpark, then runs k — the continuation
-// form of Park. Pair every ParkK with exactly one Unpark.
-func (p *Proc) ParkK(k func()) {
-	p.mustTask("ParkK")
-	p.k = k
-}
+// ParkK suspends the process until Unpark, then runs k. It is the building
+// block for synchronisation primitives outside this package (CPU queues);
+// pair every ParkK with exactly one Unpark.
+func (p *Proc) ParkK(k func()) { p.k = k }
 
-// SleepK suspends the task for d of virtual time, then runs k — the
-// continuation form of Sleep. SleepK(0, k) yields to any other same-time
-// events before k runs.
+// SleepK suspends the process for d of virtual time, then runs k.
+// SleepK(0, k) yields to any other same-time events before k runs.
 func (p *Proc) SleepK(d Time, k func()) {
 	if d < 0 {
 		panic("des: negative sleep")
 	}
-	p.mustTask("SleepK")
 	p.k = k
 	p.sim.wake(p.sim.now+d, p)
 }
 
-// SleepUntilK suspends the task until the absolute virtual time t, then
-// runs k — the continuation form of SleepUntil (times at or before now
-// yield to same-time events first).
+// SleepUntilK suspends the process until the absolute virtual time t, then
+// runs k. A time at or before now yields to same-time events and continues —
+// the natural loop body for timeline-driven processes (scenario drivers)
+// whose first events may be at time zero.
 func (p *Proc) SleepUntilK(t Time, k func()) {
 	now := p.sim.now
 	if t < now {
@@ -111,19 +93,10 @@ func (p *Proc) SleepUntilK(t Time, k func()) {
 	p.SleepK(t-now, k)
 }
 
-// IsTask reports whether the process is continuation-backed.
-func (p *Proc) IsTask() bool { return p.resume == nil }
-
-func (p *Proc) mustTask(op string) {
-	if !p.IsTask() {
-		panic(fmt.Sprintf("des: %s on goroutine-backed process %q (use the blocking form)", op, p.name))
-	}
-}
-
-// RecvK is the continuation form of Chan.Recv: when a value is buffered
-// (or the channel is closed) k runs synchronously, exactly where Recv
-// would have returned without yielding; otherwise the task joins the
-// waiter queue and k runs when a sender (or Close) hands it a value.
+// RecvK receives from the channel on behalf of p: when a value is buffered
+// (or the channel is closed and drained, ok false) k runs synchronously;
+// otherwise the process joins the waiter queue and k runs when a sender (or
+// Close) hands it a value.
 func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
 	if c.buf.Len() > 0 {
 		k(c.buf.Pop(), true)
@@ -136,7 +109,7 @@ func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
 	c.waiters.Push(p)
 	p.recvK = k
 	if p.takeSlot == nil {
-		// Built once per task: a receive loop parks here once per message.
+		// Built once per process: a receive loop parks here once per message.
 		p.takeSlot = func() {
 			k, v, ok := p.recvK, p.recvSlot, p.hasSlot
 			p.recvK, p.recvSlot, p.hasSlot = nil, nil, false
@@ -146,8 +119,8 @@ func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
 	p.ParkK(p.takeSlot)
 }
 
-// WaitK is the continuation form of Gate.Wait: k runs synchronously when
-// the gate is already open, otherwise when it opens.
+// WaitK makes p wait for the gate: k runs synchronously when the gate is
+// already open, otherwise when it opens.
 func (g *Gate) WaitK(p *Proc, k func()) {
 	if g.open {
 		k()

@@ -6,10 +6,8 @@ import (
 	"time"
 )
 
-// The task tests below pin the semantics the sim-fast engine's
-// equivalence argument rests on: each continuation primitive suspends and
-// resumes at exactly the points its blocking counterpart would, and
-// synchronous fast paths (buffered RecvK, open WaitK) run their
+// The tests below pin where each primitive suspends and resumes a process,
+// and that the synchronous fast paths (buffered RecvK, open WaitK) run their
 // continuation without yielding.
 
 func TestSpawnTaskRunsSegmentsAndFinishes(t *testing.T) {
@@ -42,34 +40,19 @@ func TestSpawnTaskRunsSegmentsAndFinishes(t *testing.T) {
 	}
 }
 
-func TestTaskAndGoroutineSleepInterleaveIdentically(t *testing.T) {
-	// The same program written in both styles must observe the same
-	// wake-up order, including ties at the same virtual instant (the
-	// spawn/sleep insertion order decides).
-	run := func(taskStyle bool) []string {
-		sim := New()
-		var trace []string
-		rec := func(who string) func(p *Proc) {
-			return func(p *Proc) { trace = append(trace, who) }
-		}
-		delays := []Time{3 * time.Millisecond, time.Millisecond, 3 * time.Millisecond}
-		for i, who := range []string{"a", "b", "c"} {
-			d, done := delays[i], rec(who)
-			if taskStyle {
-				sim.SpawnTask(who, func(p *Proc) { p.SleepK(d, func() { done(p) }) })
-			} else {
-				sim.Spawn(who, func(p *Proc) { p.Sleep(d); done(p) })
-			}
-		}
-		sim.Run()
-		return trace
+// Sleepers wake in order of their wake-up time, and those due at the same
+// instant in the order they went to sleep.
+func TestSleepKTiesWakeInSleepOrder(t *testing.T) {
+	sim := New()
+	var trace []string
+	delays := []Time{3 * time.Millisecond, time.Millisecond, 3 * time.Millisecond}
+	for i, who := range []string{"a", "b", "c"} {
+		d := delays[i]
+		sim.SpawnTask(who, func(p *Proc) { p.SleepK(d, func() { trace = append(trace, who) }) })
 	}
-	goroutines, tasks := run(false), run(true)
-	if !reflect.DeepEqual(goroutines, tasks) {
-		t.Fatalf("wake order differs: goroutines %v, tasks %v", goroutines, tasks)
-	}
-	if want := []string{"b", "a", "c"}; !reflect.DeepEqual(tasks, want) {
-		t.Fatalf("wake order = %v, want %v", tasks, want)
+	sim.Run()
+	if want := []string{"b", "a", "c"}; !reflect.DeepEqual(trace, want) {
+		t.Fatalf("wake order = %v, want %v", trace, want)
 	}
 }
 
@@ -180,38 +163,4 @@ func TestShutdownKillsParkedTask(t *testing.T) {
 	if sim.LiveProcs() != 0 {
 		t.Fatalf("LiveProcs after Shutdown = %d", sim.LiveProcs())
 	}
-}
-
-func TestContinuationPrimitivesPanicOnGoroutineProcess(t *testing.T) {
-	sim := New()
-	sim.Spawn("goroutine", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("SleepK on a goroutine-backed process did not panic")
-			}
-		}()
-		p.SleepK(time.Millisecond, func() {})
-	})
-	func() {
-		// The des scheduler re-panics a process failure out of Run; the
-		// deferred recover above already consumed the real one, so this
-		// shields against a double report only.
-		defer func() { recover() }()
-		sim.Run()
-	}()
-}
-
-func TestIsTask(t *testing.T) {
-	sim := New()
-	sim.SpawnTask("t", func(p *Proc) {
-		if !p.IsTask() {
-			t.Error("SpawnTask process: IsTask() = false")
-		}
-	})
-	sim.Spawn("g", func(p *Proc) {
-		if p.IsTask() {
-			t.Error("Spawn process: IsTask() = true")
-		}
-	})
-	sim.Run()
 }

@@ -52,17 +52,20 @@ func TestInFlightMessageSurvivesLinkDegradation(t *testing.T) {
 		sim, grid, env := newTwoSiteEnv(t, RecvSingleThread)
 		env.Comm(1).SetDataSink(func(m aiac.DataMsg) { arrivals[m.Iter] = sim.Now() })
 		big := make([]float64, 5000) // 40 KB: ~32 ms on the 10 Mb uplink
-		sim.Spawn("sender", func(p *des.Proc) {
+		sim.SpawnTask("sender", func(p *des.Proc) {
 			env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 0, Values: big})
+			second := func() {
+				env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 1, Values: big})
+			}
 			if degrade {
 				// Degrade while message 0 is in flight.
-				p.Sleep(time.Millisecond)
-				grid.Net.SetUplink(0, grid.Net.Uplink(0).Scaled(10, 10))
-				p.Sleep(199 * time.Millisecond) // past delivery of message 0
+				p.SleepK(time.Millisecond, func() {
+					grid.Net.SetUplink(0, grid.Net.Uplink(0).Scaled(10, 10))
+					p.SleepK(199*time.Millisecond, second) // past delivery of message 0
+				})
 			} else {
-				p.Sleep(200 * time.Millisecond)
+				p.SleepK(200*time.Millisecond, second)
 			}
-			env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 1, Values: big})
 		})
 		sim.Run()
 		if arrivals[0] == 0 || arrivals[1] == 0 {
@@ -99,25 +102,29 @@ func TestCrashWhileReceiveThreadHoldsMessage(t *testing.T) {
 	node1 := grid.Machines[1].Node
 
 	var duringOutage, afterRestart bool
-	sim.Spawn("sender", func(p *des.Proc) {
+	sim.SpawnTask("sender", func(p *des.Proc) {
 		c := env.Comm(0)
 		c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 0, Values: []float64{1}})
 		// Intra-site delivery happens after ~200 us; the receive thread
 		// then holds the message for the 10 ms dispatch latency. Crash in
 		// the middle of that window.
-		p.Sleep(5 * time.Millisecond)
-		grid.Net.SetDown(node1, true)
-		duringOutage = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Iter: 1, Values: []float64{2}})
-		p.Sleep(50 * time.Millisecond)
-		// The outage message was dropped at delivery, so its channel must
-		// be free again — a jammed channel would starve the algorithm's
-		// send-skipping policy forever.
-		if !c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Iter: 2, Values: []float64{3}}) {
-			t.Error("channel still jammed after its message was dropped")
-		}
-		p.Sleep(50 * time.Millisecond) // give the second send time to be dropped too
-		grid.Net.SetDown(node1, false)
-		afterRestart = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Iter: 3, Values: []float64{4}})
+		p.SleepK(5*time.Millisecond, func() {
+			grid.Net.SetDown(node1, true)
+			duringOutage = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Iter: 1, Values: []float64{2}})
+			p.SleepK(50*time.Millisecond, func() {
+				// The outage message was dropped at delivery, so its
+				// channel must be free again — a jammed channel would
+				// starve the algorithm's send-skipping policy forever.
+				if !c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Iter: 2, Values: []float64{3}}) {
+					t.Error("channel still jammed after its message was dropped")
+				}
+				// Give the second send time to be dropped too.
+				p.SleepK(50*time.Millisecond, func() {
+					grid.Net.SetDown(node1, false)
+					afterRestart = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Iter: 3, Values: []float64{4}})
+				})
+			})
+		})
 	})
 	sim.Run()
 
@@ -144,12 +151,11 @@ func TestSyncExchangeStallsButTerminatesUnderLoss(t *testing.T) {
 	grid.Net.SetSeed(7)
 	grid.Net.SetLoss(0.999)
 	finished := false
-	sim.Spawn("rank1", func(p *des.Proc) {
-		env.Comm(1).SyncExchange(p, []aiac.Outgoing{}, 1)
-		finished = true
+	sim.SpawnTask("rank1", func(p *des.Proc) {
+		env.Comm(1).SyncExchangeK(p, []aiac.Outgoing{}, 1, func() { finished = true })
 	})
-	sim.Spawn("rank0", func(p *des.Proc) {
-		env.Comm(0).SyncExchange(p, []aiac.Outgoing{{To: 1, Key: 1, Values: []float64{1}}}, 0)
+	sim.SpawnTask("rank0", func(p *des.Proc) {
+		env.Comm(0).SyncExchangeK(p, []aiac.Outgoing{{To: 1, Key: 1, Values: []float64{1}}}, 0, func() {})
 	})
 	end := sim.Run()
 	if finished {
@@ -175,12 +181,13 @@ func TestDroppedRendezvousReleasesChannel(t *testing.T) {
 	}
 	node1 := grid.Machines[1].Node
 	var retried bool
-	sim.Spawn("sender", func(p *des.Proc) {
+	sim.SpawnTask("sender", func(p *des.Proc) {
 		c := env.Comm(0)
 		grid.Net.SetDown(node1, true)
 		c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 0, Values: []float64{1}})
-		p.Sleep(100 * time.Millisecond)
-		retried = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 1, Values: []float64{2}})
+		p.SleepK(100*time.Millisecond, func() {
+			retried = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 1, Values: []float64{2}})
+		})
 	})
 	sim.Run()
 	if !retried {

@@ -12,7 +12,7 @@
 //     one after another (MPICH/Madeleine), or receive threads created on
 //     demand whose non-CPU dispatch latency overlaps across messages
 //     (PM2, OmniORB), or no receive thread at all (mono-threaded
-//     synchronous MPI, where receipts happen inside SyncExchange);
+//     synchronous MPI, where receipts happen inside SyncExchangeK);
 //   - protocol selection (MPICH/Madeleine can use a faster SAN protocol
 //     intra-site);
 //   - reachability requirements: client/server middleware (the ORB) can
@@ -30,8 +30,9 @@
 // back on the list — at the instant the receiving endpoint's data sink has
 // returned, or the message is dropped, or the send is refused; a sink copies
 // what it keeps. Buffers a caller allocated itself (Pooled unset) are never
-// recycled. The continuation-form loops (eventloop.go) build their
-// continuations once per thread or endpoint, not once per message.
+// recycled. The middleware threads and the operations that take virtual
+// time (eventloop.go) build their continuations once per thread or
+// endpoint, not once per message.
 package envcore
 
 import (
@@ -52,7 +53,7 @@ type RecvModel int
 
 const (
 	// RecvSync has no receive thread: data messages queue until the
-	// application calls SyncExchange (mono-threaded MPI).
+	// application calls SyncExchangeK (mono-threaded MPI).
 	RecvSync RecvModel = iota
 	// RecvSingleThread ingests data messages with one thread, strictly
 	// serially: dispatch latency and CPU cost of message k delay message
@@ -152,25 +153,16 @@ type Options struct {
 	SocketBufBytes int
 	// Trace, when non-nil, records message deliveries.
 	Trace *trace.Collector
-	// EventLoop runs the environment's middleware threads as
-	// continuation-backed tasks (des.SpawnTask) instead of goroutines —
-	// the sim-fast execution mode. The cost model and event order are
-	// identical; only the host-side execution mechanism changes. See
-	// eventloop.go.
-	EventLoop bool
 }
 
-// Opt mutates an environment's Options; the concrete environments
-// (mpi, pm2, madmpi, orb) accept a trailing ...Opt so callers can toggle
-// cross-cutting switches such as WithEventLoop without each environment
-// re-exporting them.
+// Opt and WithEventLoop do nothing: every environment runs its threads on
+// the event loop. They stay, with matrix.NewEnv's ignored trailing ...Opt,
+// only because the files under benchmark/ compile against them; the next
+// benchmark-only PR deletes all three (ROADMAP item 8(b)).
 type Opt func(*Options)
 
-// WithEventLoop selects the goroutine-free continuation-passing execution
-// of the middleware threads (the sim-fast backend).
-func WithEventLoop() Opt {
-	return func(o *Options) { o.EventLoop = true }
-}
+// WithEventLoop returns an option that changes nothing (see Opt).
+func WithEventLoop() Opt { return func(*Options) {} }
 
 // Env is a middleware environment instantiated over a grid. It implements
 // aiac.Env.
@@ -212,11 +204,7 @@ func New(grid *cluster.Grid, opts Options) (*Env, error) {
 		e.eps[r] = newEndpoint(e, r)
 	}
 	for _, ep := range e.eps {
-		if opts.EventLoop {
-			ep.startTasks()
-		} else {
-			ep.startThreads()
-		}
+		ep.startTasks()
 	}
 	return e, nil
 }
@@ -325,7 +313,7 @@ type Endpoint struct {
 	rank int
 
 	inbox    *des.Chan // data wires awaiting the receive machinery
-	syncData *des.Chan // data wires awaiting SyncExchange (RecvSync)
+	syncData *des.Chan // data wires awaiting SyncExchangeK (RecvSync)
 	sendq    *des.Chan // queued async sends
 
 	inflight  map[int]bool
@@ -336,7 +324,7 @@ type Endpoint struct {
 	// Sync-exchange bookkeeping for the threaded receive models, where
 	// data messages are incorporated by receive threads rather than
 	// drained from syncData: syncRecvd counts deliveries, syncTarget the
-	// cumulative count SyncExchange is waiting for, and syncWake is the
+	// cumulative count SyncExchangeK is waiting for, and syncWake is the
 	// gate parking the exchanging process until the next delivery — one
 	// gate for the endpoint's life, reset before every wait.
 	syncRecvd  int
@@ -362,7 +350,7 @@ type Endpoint struct {
 
 	// Wait-cause bindings for the trace: the Msgs index of the delivery
 	// that opened each gate, recorded at the instrumentation point that
-	// knows it (receive / deliverData) and consumed by the blocking calls
+	// knows it (receive / deliverData) and consumed by the waiting calls
 	// when they record their trace.Wait.
 	barCause    map[int]int
 	redCause    map[int]int
@@ -414,109 +402,6 @@ func newEndpoint(e *Env, rank int) *Endpoint {
 		redCause:     make(map[int]int),
 		lastDeliver:  -1,
 	}
-}
-
-func (ep *Endpoint) cpu() interface {
-	Use(p *des.Proc, d des.Time)
-	Spawn(name string, body func(p *des.Proc)) *des.Proc
-} {
-	return ep.env.grid.Machines[ep.rank].CPU
-}
-
-// startThreads launches the environment's per-rank threads.
-func (ep *Endpoint) startThreads() {
-	sim := ep.env.grid.Sim
-	c := ep.env.opts.Costs
-	// Sending threads consume the async send queue.
-	for i := 0; i < ep.env.opts.SendThreads; i++ {
-		name := fmt.Sprintf("%s-send%d@%d", ep.env.opts.Name, i, ep.rank)
-		sim.Spawn(name, func(p *des.Proc) {
-			for {
-				v, ok := ep.sendq.Recv(p)
-				if !ok {
-					return
-				}
-				w := v.(*wire)
-				ep.chargePack(p, w.payloadBytes)
-				if c.SendLatency > 0 {
-					p.Sleep(c.SendLatency)
-				}
-				if ep.env.opts.Backpressure && w.kind == wData &&
-					w.payloadBytes >= ep.env.opts.RendezvousBytes {
-					// Rendezvous protocol: RTS/CTS handshake — one
-					// extra round-trip — before the payload moves. The
-					// handshake is kernel-level, so the send thread is
-					// free, but the channel stays in-progress.
-					w.rendezvous = true
-					rtt := 2 * ep.pathLatency(w.finalTo)
-					ep.env.grid.Sim.After(rtt, func() { ep.transmit(w, w.finalTo) })
-					continue
-				}
-				ep.transmit(w, w.finalTo)
-			}
-		})
-	}
-	// Receive machinery.
-	switch ep.env.opts.RecvModel {
-	case RecvSync:
-		// No threads: SyncExchange drains syncData.
-	case RecvSingleThread:
-		nthreads := ep.env.opts.RecvThreads
-		if nthreads < 1 {
-			nthreads = 1
-		}
-		for i := 0; i < nthreads; i++ {
-			name := fmt.Sprintf("%s-recv%d@%d", ep.env.opts.Name, i, ep.rank)
-			sim.Spawn(name, func(p *des.Proc) {
-				for {
-					v, ok := ep.inbox.Recv(p)
-					if !ok {
-						return
-					}
-					w := v.(*wire)
-					if c.RecvLatency > 0 {
-						p.Sleep(c.RecvLatency) // serial: blocks this thread
-					}
-					if d := ep.socketDrain(w); d > 0 {
-						p.Sleep(d) // drain the stalled tail at wire rate
-					}
-					ep.chargeUnpack(p, w.payloadBytes)
-					ep.deliverData(w)
-				}
-			})
-		}
-	case RecvOnDemand:
-		name := fmt.Sprintf("%s-dispatch@%d", ep.env.opts.Name, ep.rank)
-		sim.Spawn(name, func(p *des.Proc) {
-			for {
-				v, ok := ep.inbox.Recv(p)
-				if !ok {
-					return
-				}
-				w := v.(*wire)
-				// A fresh handler thread per message: latency overlaps.
-				ep.cpu().Spawn(ep.handlerName, func(hp *des.Proc) {
-					if c.RecvLatency > 0 {
-						hp.Sleep(c.RecvLatency)
-					}
-					ep.chargeUnpack(hp, w.payloadBytes)
-					ep.deliverData(w)
-				})
-			}
-		})
-	}
-}
-
-func (ep *Endpoint) chargePack(p *des.Proc, payloadBytes int) {
-	c := ep.env.opts.Costs
-	d := c.SendCPU + des.Time(c.PackNsPerByte*float64(payloadBytes))
-	ep.cpu().Use(p, d)
-}
-
-func (ep *Endpoint) chargeUnpack(p *des.Proc, payloadBytes int) {
-	c := ep.env.opts.Costs
-	d := c.RecvCPU + des.Time(c.UnpackNsPerByte*float64(payloadBytes))
-	ep.cpu().Use(p, d)
 }
 
 // wireBytes is the on-the-wire size of a message.
@@ -742,7 +627,7 @@ func (ep *Endpoint) dataWire(o aiac.Outgoing) *wire {
 // Outgoing with Pooled set; from then on it belongs to the environment,
 // which recycles it at the instant the receiver's data sink has returned
 // (or the message is dropped). A data sink must therefore copy what it
-// keeps, as the engines' sinks do.
+// keeps, as the engine's sink does.
 func (ep *Endpoint) Snapshot(src []float64) []float64 {
 	e := ep.env
 	c := bits.Len(uint(max(len(src), 1) - 1))
@@ -831,13 +716,6 @@ func (ep *Endpoint) pathLatency(to int) des.Time {
 	return ep.env.grid.Net.PathBetween(ep.rank, to, proto).Latency
 }
 
-// SendState implements aiac.Comm: state changes go to rank 0, never
-// skipped.
-func (ep *Endpoint) SendState(p *des.Proc, st aiac.StateMsg) {
-	ep.chargePack(p, controlPayloadBytes)
-	ep.transmit(&wire{kind: wState, from: ep.rank, finalTo: 0, state: st, payloadBytes: controlPayloadBytes}, 0)
-}
-
 // SetStateSink implements aiac.Comm.
 func (ep *Endpoint) SetStateSink(fn func(p *des.Proc, st aiac.StateMsg)) { ep.stateSink = fn }
 
@@ -850,87 +728,6 @@ func (ep *Endpoint) BroadcastStop(p *des.Proc) {
 
 // Stop implements aiac.Comm.
 func (ep *Endpoint) Stop() *des.Gate { return ep.stop }
-
-// Barrier implements aiac.Comm.
-func (ep *Endpoint) Barrier(p *des.Proc) {
-	round := ep.barrierRound
-	ep.barrierRound++
-	g := des.NewGate(ep.env.grid.Sim)
-	ep.barrierGates[round] = g
-	ep.control(wire{kind: wBarArrive, from: ep.rank, round: round}, 0)
-	t0 := p.Now()
-	g.Wait(p)
-	ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitBarrier, takeCause(ep.barCause, round))
-}
-
-// SyncExchange implements the SISC blocking exchange. On the mono-threaded
-// environment (RecvSync) the exchanging process itself drains and unpacks
-// the queued data messages, which is where the receive cost of classical
-// MPI lands. On the threaded environments the receive machinery unpacks and
-// incorporates messages as they arrive, so the exchange only blocks until
-// the cumulative delivery count covers this round — the SISC algorithm run
-// over a multithreaded middleware keeps its barrier semantics while paying
-// that middleware's receive costs.
-func (ep *Endpoint) SyncExchange(p *des.Proc, sends []aiac.Outgoing, nRecv int) {
-	// Blocking sends, one after another.
-	for _, o := range sends {
-		ep.chargePack(p, 8*len(o.Values))
-		ep.transmit(ep.dataWire(o), o.To)
-	}
-	if ep.env.opts.RecvModel != RecvSync {
-		// Threaded receives: wait until this round's messages have been
-		// delivered by the receive threads.
-		ep.syncTarget += nRecv
-		t0 := p.Now()
-		for ep.syncRecvd < ep.syncTarget {
-			ep.syncWake.Reset()
-			ep.syncWake.Wait(p)
-		}
-		ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitExchange, ep.lastDeliver)
-		return
-	}
-	// Blocking receives of this iteration's dependency data.
-	t0 := p.Now()
-	for i := 0; i < nRecv; i++ {
-		v, ok := ep.syncData.Recv(p)
-		if !ok {
-			return
-		}
-		w := v.(*wire)
-		ep.chargeUnpack(p, w.payloadBytes)
-		ep.deliverData(w)
-	}
-	ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitExchange, ep.lastDeliver)
-}
-
-// AllreduceMax implements aiac.Comm via gather-to-0 plus broadcast.
-func (ep *Endpoint) AllreduceMax(p *des.Proc, v float64) float64 {
-	return ep.allreduce(p, redMax, []float64{v})[0]
-}
-
-// AllreduceSum implements aiac.Comm: element-wise sums across ranks, the
-// collective behind distributed dot products.
-func (ep *Endpoint) AllreduceSum(p *des.Proc, vs []float64) []float64 {
-	return ep.allreduce(p, redSum, vs)
-}
-
-func (ep *Endpoint) allreduce(p *des.Proc, op redOp, vs []float64) []float64 {
-	round := ep.redRound
-	ep.redRound++
-	g := des.NewGate(ep.env.grid.Sim)
-	ep.redGates[round] = g
-	contrib := append([]float64(nil), vs...)
-	w := wire{kind: wRedContrib, from: ep.rank, round: round, redOp: op, values: contrib}
-	w.payloadBytes = controlPayloadBytes + 8*len(vs)
-	ep.transmit(&w, 0)
-	t0 := p.Now()
-	g.Wait(p)
-	ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitReduce, takeCause(ep.redCause, round))
-	delete(ep.redGates, round)
-	res := ep.redResults[round]
-	delete(ep.redResults, round)
-	return res
-}
 
 // ResetSession implements aiac.Comm.
 func (ep *Endpoint) ResetSession() {

@@ -43,7 +43,7 @@ func TestDataDelivery(t *testing.T) {
 	sim, _, env := newTestEnv(t, 2, RecvOnDemand)
 	var got []aiac.DataMsg
 	env.Comm(1).SetDataSink(func(m aiac.DataMsg) { got = append(got, m) })
-	sim.Spawn("sender", func(p *des.Proc) {
+	sim.SpawnTask("sender", func(p *des.Proc) {
 		ok := env.Comm(0).TrySendData(p, aiac.Outgoing{
 			To: 1, Key: 7, Iter: 3, Lo: 10, Values: []float64{1, 2, 3},
 		})
@@ -66,7 +66,7 @@ func TestTrySendSkipsWhileInFlight(t *testing.T) {
 	delivered := 0
 	env.Comm(1).SetDataSink(func(aiac.DataMsg) { delivered++ })
 	var second, afterDelivery bool
-	sim.Spawn("sender", func(p *des.Proc) {
+	sim.SpawnTask("sender", func(p *des.Proc) {
 		c := env.Comm(0)
 		big := make([]float64, 100000) // slow enough to still be in flight
 		c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: big})
@@ -75,8 +75,9 @@ func TestTrySendSkipsWhileInFlight(t *testing.T) {
 		if !c.TrySendData(p, aiac.Outgoing{To: 1, Key: 2, Values: []float64{1}}) {
 			t.Error("distinct key refused")
 		}
-		p.Sleep(5 * time.Second) // well past delivery
-		afterDelivery = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: []float64{1}})
+		p.SleepK(5*time.Second, func() { // well past delivery
+			afterDelivery = c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: []float64{1}})
+		})
 	})
 	sim.Run()
 	if second {
@@ -101,7 +102,7 @@ func TestSingleRecvThreadSerialisesLatency(t *testing.T) {
 		env.Comm(2).SetDataSink(func(aiac.DataMsg) { times = append(times, sim.Now()) })
 		for _, from := range []int{0, 1} {
 			from := from
-			sim.Spawn("s", func(p *des.Proc) {
+			sim.SpawnTask("s", func(p *des.Proc) {
 				env.Comm(from).TrySendData(p, aiac.Outgoing{To: 2, Key: from, Values: []float64{1}})
 			})
 		}
@@ -128,10 +129,10 @@ func TestBarrierSynchronises(t *testing.T) {
 	var releases []des.Time
 	for r := 0; r < 4; r++ {
 		r := r
-		sim.Spawn("w", func(p *des.Proc) {
-			p.Sleep(des.Time(r) * 10 * time.Millisecond) // staggered arrivals
-			env.Comm(r).Barrier(p)
-			releases = append(releases, p.Now())
+		sim.SpawnTask("w", func(p *des.Proc) {
+			p.SleepK(des.Time(r)*10*time.Millisecond, func() { // staggered arrivals
+				env.Comm(r).BarrierK(p, func() { releases = append(releases, p.Now()) })
+			})
 		})
 	}
 	sim.Run()
@@ -152,8 +153,8 @@ func TestAllreduceMax(t *testing.T) {
 	results := make([]float64, 3)
 	for r := 0; r < 3; r++ {
 		r := r
-		sim.Spawn("w", func(p *des.Proc) {
-			results[r] = env.Comm(r).AllreduceMax(p, vals[r])
+		sim.SpawnTask("w", func(p *des.Proc) {
+			env.Comm(r).AllreduceMaxK(p, vals[r], func(v float64) { results[r] = v })
 		})
 	}
 	sim.Run()
@@ -169,12 +170,14 @@ func TestAllreduceConsecutiveRounds(t *testing.T) {
 	var sums [2]float64
 	for r := 0; r < 3; r++ {
 		r := r
-		sim.Spawn("w", func(p *des.Proc) {
-			a := env.Comm(r).AllreduceMax(p, float64(r))
-			b := env.Comm(r).AllreduceMax(p, float64(10-r))
-			if r == 0 {
-				sums[0], sums[1] = a, b
-			}
+		sim.SpawnTask("w", func(p *des.Proc) {
+			env.Comm(r).AllreduceMaxK(p, float64(r), func(a float64) {
+				env.Comm(r).AllreduceMaxK(p, float64(10-r), func(b float64) {
+					if r == 0 {
+						sums[0], sums[1] = a, b
+					}
+				})
+			})
 		})
 	}
 	sim.Run()
@@ -188,14 +191,12 @@ func TestStopBroadcast(t *testing.T) {
 	opened := make([]bool, 3)
 	for r := 0; r < 3; r++ {
 		r := r
-		sim.Spawn("w", func(p *des.Proc) {
-			env.Comm(r).Stop().Wait(p)
-			opened[r] = true
+		sim.SpawnTask("w", func(p *des.Proc) {
+			env.Comm(r).Stop().WaitK(p, func() { opened[r] = true })
 		})
 	}
-	sim.Spawn("coord", func(p *des.Proc) {
-		p.Sleep(time.Millisecond)
-		env.Comm(0).BroadcastStop(p)
+	sim.SpawnTask("coord", func(p *des.Proc) {
+		p.SleepK(time.Millisecond, func() { env.Comm(0).BroadcastStop(p) })
 	})
 	sim.Run()
 	for r, ok := range opened {
@@ -209,11 +210,11 @@ func TestStateMessageReachesCoordinator(t *testing.T) {
 	sim, _, env := newTestEnv(t, 3, RecvOnDemand)
 	var got []aiac.StateMsg
 	env.Comm(0).SetStateSink(func(_ *des.Proc, st aiac.StateMsg) { got = append(got, st) })
-	sim.Spawn("w", func(p *des.Proc) {
-		env.Comm(2).SendState(p, aiac.StateMsg{From: 2, Converged: true, Seq: 1})
+	sim.SpawnTask("w", func(p *des.Proc) {
+		env.Comm(2).SendStateK(p, aiac.StateMsg{From: 2, Converged: true, Seq: 1}, func() {})
 	})
-	sim.Spawn("self", func(p *des.Proc) {
-		env.Comm(0).SendState(p, aiac.StateMsg{From: 0, Converged: true, Seq: 1})
+	sim.SpawnTask("self", func(p *des.Proc) {
+		env.Comm(0).SendStateK(p, aiac.StateMsg{From: 0, Converged: true, Seq: 1}, func() {})
 	})
 	sim.Run()
 	if len(got) != 2 {
@@ -238,7 +239,7 @@ func TestDeploymentRequiresCompleteGraph(t *testing.T) {
 	// And traffic between the blocked sites arrives via the relay.
 	var got int
 	env.Comm(1).SetDataSink(func(aiac.DataMsg) { got++ })
-	sim.Spawn("s", func(p *des.Proc) {
+	sim.SpawnTask("s", func(p *des.Proc) {
 		// Node 0 is on site 0, node 1 on site 1 (blocked pair); node 2 on
 		// site 2 sees both.
 		env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: []float64{42}})
@@ -249,6 +250,22 @@ func TestDeploymentRequiresCompleteGraph(t *testing.T) {
 	}
 }
 
+// exchangeRounds runs n lockstep iterations on c: one value exchanged with
+// peer, then an allreduce.
+func exchangeRounds(p *des.Proc, c aiac.Comm, peer, n int) {
+	var round func(iter int)
+	round = func(iter int) {
+		if iter == n {
+			return
+		}
+		sends := []aiac.Outgoing{{To: peer, Key: c.Rank(), Iter: iter, Values: []float64{float64(iter)}}}
+		c.SyncExchangeK(p, sends, 1, func() {
+			c.AllreduceMaxK(p, 0, func(float64) { round(iter + 1) })
+		})
+	}
+	round(0)
+}
+
 func TestSyncExchange(t *testing.T) {
 	sim, _, env := newTestEnv(t, 2, RecvSync)
 	gotA, gotB := 0, 0
@@ -256,14 +273,7 @@ func TestSyncExchange(t *testing.T) {
 	env.Comm(1).SetDataSink(func(aiac.DataMsg) { gotB++ })
 	for r := 0; r < 2; r++ {
 		r := r
-		sim.Spawn("w", func(p *des.Proc) {
-			c := env.Comm(r)
-			for iter := 0; iter < 3; iter++ {
-				sends := []aiac.Outgoing{{To: 1 - r, Key: r, Iter: iter, Values: []float64{float64(iter)}}}
-				c.SyncExchange(p, sends, 1)
-				c.AllreduceMax(p, 0)
-			}
-		})
+		sim.SpawnTask("w", func(p *des.Proc) { exchangeRounds(p, env.Comm(r), 1-r, 3) })
 	}
 	sim.Run()
 	if gotA != 3 || gotB != 3 {
@@ -273,7 +283,7 @@ func TestSyncExchange(t *testing.T) {
 
 func TestResetSessionClearsInflight(t *testing.T) {
 	sim, _, env := newTestEnv(t, 2, RecvOnDemand)
-	sim.Spawn("s", func(p *des.Proc) {
+	sim.SpawnTask("s", func(p *des.Proc) {
 		c := env.Comm(0)
 		big := make([]float64, 100000)
 		c.TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: big})
@@ -306,7 +316,7 @@ func TestSendThreadCountAffectsThroughput(t *testing.T) {
 				}
 			})
 		}
-		sim.Spawn("s", func(p *des.Proc) {
+		sim.SpawnTask("s", func(p *des.Proc) {
 			c := env.Comm(0)
 			for to := 1; to < 5; to++ {
 				c.TrySendData(p, aiac.Outgoing{To: to, Key: to, Values: []float64{1}})
@@ -334,8 +344,8 @@ func TestAllreduceSumVector(t *testing.T) {
 	results := make([][]float64, 3)
 	for r := 0; r < 3; r++ {
 		r := r
-		sim.Spawn("w", func(p *des.Proc) {
-			results[r] = env.Comm(r).AllreduceSum(p, []float64{float64(r), float64(10 + r)})
+		sim.SpawnTask("w", func(p *des.Proc) {
+			env.Comm(r).AllreduceSumK(p, []float64{float64(r), float64(10 + r)}, func(v []float64) { results[r] = v })
 		})
 	}
 	sim.Run()
@@ -356,7 +366,7 @@ func TestRendezvousAddsRoundTrip(t *testing.T) {
 		env := MustNew(grid, opts)
 		var at des.Time
 		env.Comm(1).SetDataSink(func(aiac.DataMsg) { at = sim.Now() })
-		sim.Spawn("s", func(p *des.Proc) {
+		sim.SpawnTask("s", func(p *des.Proc) {
 			env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: make([]float64, 1000)})
 		})
 		sim.Run()
@@ -382,7 +392,7 @@ func TestSocketStallDelaysLargeMessages(t *testing.T) {
 		env := MustNew(grid, opts)
 		var at des.Time
 		env.Comm(1).SetDataSink(func(aiac.DataMsg) { at = sim.Now() })
-		sim.Spawn("s", func(p *des.Proc) {
+		sim.SpawnTask("s", func(p *des.Proc) {
 			env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: make([]float64, 10000)}) // 80 KB
 		})
 		sim.Run()
@@ -407,13 +417,18 @@ func TestFlowControlThrottlesFloodingSender(t *testing.T) {
 	received := 0
 	env.Comm(1).SetDataSink(func(aiac.DataMsg) { received++ })
 	sent := 0
-	sim.Spawn("s", func(p *des.Proc) {
-		for i := 0; i < 2000; i++ {
+	sim.SpawnTask("s", func(p *des.Proc) {
+		var flood func(i int)
+		flood = func(i int) {
+			if i == 2000 {
+				return
+			}
 			if env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: i % 3, Values: []float64{1}}) {
 				sent++
 			}
-			p.Sleep(10 * time.Microsecond)
+			p.SleepK(10*time.Microsecond, func() { flood(i + 1) })
 		}
+		flood(0)
 	})
 	sim.Run()
 	if received != sent {
@@ -426,9 +441,9 @@ func TestFlowControlThrottlesFloodingSender(t *testing.T) {
 	}
 }
 
-// TestSyncExchangeThreadedRecv runs the SISC blocking exchange over the
-// threaded receive models, where deliveries happen in receive threads and
-// SyncExchange blocks on the cumulative delivery count instead of draining
+// TestSyncExchangeThreadedRecv runs the SISC exchange over the threaded
+// receive models, where deliveries happen in receive threads and
+// SyncExchangeK waits on the cumulative delivery count instead of draining
 // syncData.
 func TestSyncExchangeThreadedRecv(t *testing.T) {
 	for _, model := range []RecvModel{RecvSingleThread, RecvOnDemand} {
@@ -438,14 +453,7 @@ func TestSyncExchangeThreadedRecv(t *testing.T) {
 		env.Comm(1).SetDataSink(func(aiac.DataMsg) { gotB++ })
 		for r := 0; r < 2; r++ {
 			r := r
-			sim.Spawn("w", func(p *des.Proc) {
-				c := env.Comm(r)
-				for iter := 0; iter < 3; iter++ {
-					sends := []aiac.Outgoing{{To: 1 - r, Key: r, Iter: iter, Values: []float64{float64(iter)}}}
-					c.SyncExchange(p, sends, 1)
-					c.AllreduceMax(p, 0)
-				}
-			})
+			sim.SpawnTask("w", func(p *des.Proc) { exchangeRounds(p, env.Comm(r), 1-r, 3) })
 		}
 		sim.Run()
 		if gotA != 3 || gotB != 3 {

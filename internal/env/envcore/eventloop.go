@@ -9,19 +9,14 @@ import (
 	"aiac/internal/trace"
 )
 
-// Event-loop execution of the middleware threads (Options.EventLoop): the
-// same send/receive machinery as startThreads, written in continuation-
-// passing style over des.SpawnTask so the per-event hot path involves no
-// goroutine and no channel rendezvous. Every suspension point below maps
-// one-to-one onto a suspension point of the goroutine loops — the same
-// Chan operations, the same CPU charges, the same Sleeps, issued in the
-// same order — so both executions allocate identical event sequence
-// numbers and the simulation is bit-identical. internal/simfast's
-// differential harness enforces that equivalence against the goroutine
-// engine on the full default matrix.
+// The parts of an endpoint that take virtual time: its middleware threads
+// (sending threads, and the receive machinery of its RecvModel) and the Comm
+// operations that make the calling rank wait. All of them are des processes
+// written in continuation-passing style: a thread is a loop of named
+// segments, each ending in the primitive that suspends it (Chan.RecvK, a
+// CPU charge, SleepK) with the next segment as the continuation.
 
-// mcpu returns the rank's CPU with its concrete type, for the
-// continuation-form primitives (UseK, SpawnTask).
+// mcpu returns the rank's CPU.
 func (ep *Endpoint) mcpu() *marcel.CPU {
 	return ep.env.grid.Machines[ep.rank].CPU
 }
@@ -38,15 +33,14 @@ func (ep *Endpoint) chargeUnpackK(p *des.Proc, payloadBytes int, k func()) {
 	ep.mcpu().UseK(p, d, k)
 }
 
-// startTasks launches the per-rank middleware threads as continuation
-// tasks — the event-loop twin of startThreads, spawning the same
-// processes in the same order.
+// startTasks launches the environment's per-rank threads.
 func (ep *Endpoint) startTasks() {
 	sim := ep.env.grid.Sim
 	for i := 0; i < ep.env.opts.SendThreads; i++ {
 		name := fmt.Sprintf("%s-send%d@%d", ep.env.opts.Name, i, ep.rank)
 		sim.SpawnTask(name, ep.sendLoopK)
 	}
+	// Receive machinery.
 	switch ep.env.opts.RecvModel {
 	case RecvSync:
 		// No threads: SyncExchangeK drains syncData.
@@ -69,7 +63,8 @@ func (ep *Endpoint) startTasks() {
 // per message: a thread handles one wire at a time, so the closures share
 // one variable w that each message overwrites.
 
-// sendLoopK is the continuation form of the sending-thread loop.
+// sendLoopK is a sending thread: it consumes the async send queue, paying
+// the pack cost and the send latency of each wire before it transmits.
 func (ep *Endpoint) sendLoopK(p *des.Proc) {
 	c := ep.env.opts.Costs
 	var w *wire
@@ -77,6 +72,10 @@ func (ep *Endpoint) sendLoopK(p *des.Proc) {
 	send = func() {
 		if ep.env.opts.Backpressure && w.kind == wData &&
 			w.payloadBytes >= ep.env.opts.RendezvousBytes {
+			// Rendezvous protocol: RTS/CTS handshake — one extra
+			// round-trip — before the payload moves. The handshake is
+			// kernel-level, so the send thread is free, but the channel
+			// stays in-progress.
 			w.rendezvous = true
 			held := w // the loop moves on to the next wire before the handshake ends
 			rtt := 2 * ep.pathLatency(held.finalTo)
@@ -105,7 +104,9 @@ func (ep *Endpoint) sendLoopK(p *des.Proc) {
 	loop()
 }
 
-// recvLoopK is the continuation form of the single-receive-thread loop.
+// recvLoopK is a receiving thread of RecvSingleThread: strictly one message
+// after another — the dispatch latency, the drain of a tail the socket
+// buffer could not hold and the unpack cost of message k all delay k+1.
 func (ep *Endpoint) recvLoopK(p *des.Proc) {
 	c := ep.env.opts.Costs
 	var w *wire
@@ -137,8 +138,8 @@ func (ep *Endpoint) recvLoopK(p *des.Proc) {
 	loop()
 }
 
-// dispatchLoopK is the continuation form of the on-demand dispatch loop:
-// a fresh handler task per message, so dispatch latencies overlap.
+// dispatchLoopK is the dispatcher of RecvOnDemand: a fresh handler thread
+// per message, so dispatch latencies overlap and only CPU costs contend.
 func (ep *Endpoint) dispatchLoopK(p *des.Proc) {
 	c := ep.env.opts.Costs
 	var loop func()
@@ -165,13 +166,10 @@ func (ep *Endpoint) dispatchLoopK(p *des.Proc) {
 	loop()
 }
 
-// --- continuation forms of the blocking Comm methods ---
-//
-// TrySendData, BroadcastStop, Stop, SetDataSink, SetStateSink and
-// ResetSession never block and are shared verbatim with the goroutine
-// mode; only the methods that park the calling process get K variants.
+// --- the aiac.Comm methods that take virtual time ---
 
-// SendStateK is the continuation form of SendState.
+// SendStateK implements aiac.Comm: state changes go to rank 0, never
+// skipped.
 func (ep *Endpoint) SendStateK(p *des.Proc, st aiac.StateMsg, k func()) {
 	ep.chargePackK(p, controlPayloadBytes, func() {
 		ep.transmit(&wire{kind: wState, from: ep.rank, finalTo: 0, state: st, payloadBytes: controlPayloadBytes}, 0)
@@ -179,7 +177,7 @@ func (ep *Endpoint) SendStateK(p *des.Proc, st aiac.StateMsg, k func()) {
 	})
 }
 
-// BarrierK is the continuation form of Barrier.
+// BarrierK implements aiac.Comm.
 func (ep *Endpoint) BarrierK(p *des.Proc, k func()) {
 	round := ep.barrierRound
 	ep.barrierRound++
@@ -210,7 +208,14 @@ type exchangeK struct {
 	arrived                func(v any, ok bool)
 }
 
-// SyncExchangeK is the continuation form of SyncExchange.
+// SyncExchangeK implements the SISC exchange. On the mono-threaded
+// environment (RecvSync) the exchanging process itself drains and unpacks
+// the queued data messages, which is where the receive cost of classical
+// MPI lands. On the threaded environments the receive machinery unpacks and
+// incorporates messages as they arrive, so the exchange only waits until
+// the cumulative delivery count covers this round — the SISC algorithm run
+// over a multithreaded middleware keeps its barrier semantics while paying
+// that middleware's receive costs.
 func (ep *Endpoint) SyncExchangeK(p *des.Proc, sends []aiac.Outgoing, nRecv int, k func()) {
 	x := ep.exchange
 	if x == nil {
@@ -241,8 +246,8 @@ func (ep *Endpoint) SyncExchangeK(p *des.Proc, sends []aiac.Outgoing, nRecv int,
 	ep.exchangeSend(x)
 }
 
-// exchangeSend performs the blocking sends one after another, then turns
-// to the receive half.
+// exchangeSend performs the sends one after another, each paid for before
+// the next starts, then turns to the receive half.
 func (ep *Endpoint) exchangeSend(x *exchangeK) {
 	if x.i < len(x.sends) {
 		ep.chargePackK(x.p, 8*len(x.sends[x.i].Values), x.packed)
@@ -292,12 +297,13 @@ func (ep *Endpoint) exchangeDone(x *exchangeK) {
 	k()
 }
 
-// AllreduceMaxK is the continuation form of AllreduceMax.
+// AllreduceMaxK implements aiac.Comm via gather-to-0 plus broadcast.
 func (ep *Endpoint) AllreduceMaxK(p *des.Proc, v float64, k func(float64)) {
 	ep.allreduceK(p, redMax, []float64{v}, func(res []float64) { k(res[0]) })
 }
 
-// AllreduceSumK is the continuation form of AllreduceSum.
+// AllreduceSumK implements aiac.Comm: element-wise sums across ranks, the
+// collective behind distributed dot products.
 func (ep *Endpoint) AllreduceSumK(p *des.Proc, vs []float64, k func([]float64)) {
 	ep.allreduceK(p, redSum, vs, k)
 }

@@ -25,7 +25,7 @@ func TestMechProbe(t *testing.T) {
 		vals := make([]float64, 10000) // 80KB
 		for _, from := range []int{0, 1} {
 			from := from
-			sim.Spawn("s", func(p *des.Proc) {
+			sim.SpawnTask("s", func(p *des.Proc) {
 				env.Comm(from).TrySendData(p, aiac.Outgoing{To: 2, Key: from, Values: vals})
 			})
 		}

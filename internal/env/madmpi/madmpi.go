@@ -60,7 +60,7 @@ func ProtoFor(net *netsim.Network, from, to int) string {
 
 // New builds the MPICH/Madeleine environment with the Table 4 thread
 // policy for the given problem kind.
-func New(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Opt) (*envcore.Env, error) {
+func New(grid *cluster.Grid, kind Kind, tr *trace.Collector) (*envcore.Env, error) {
 	sendThreads, recvThreads := 1, 1
 	policy := "one sending thread, one receiving thread"
 	if kind == NonLinear {
@@ -91,15 +91,12 @@ func New(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Op
 		SocketBufBytes: 16 << 10,
 		Trace:          tr,
 	}
-	for _, o := range extra {
-		o(&opts)
-	}
 	return envcore.New(grid, opts)
 }
 
 // MustNew is New that panics on deployment errors.
-func MustNew(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Opt) *envcore.Env {
-	e, err := New(grid, kind, tr, extra...)
+func MustNew(grid *cluster.Grid, kind Kind, tr *trace.Collector) *envcore.Env {
+	e, err := New(grid, kind, tr)
 	if err != nil {
 		panic(err)
 	}

@@ -1,7 +1,7 @@
 // Package mpi models the classical mono-threaded MPI of the paper's §2:
 // message receipts must be explicitly localised in the program sequence, so
 // there are no receive threads at all — data messages wait until the
-// application reaches its SyncExchange call. It is the environment of the
+// application reaches its SyncExchangeK call. It is the environment of the
 // synchronous SISC baseline in Tables 2-3 and Figure 3.
 //
 // The cost model is a 2004-era TCP MPI: small headers, memcpy-speed
@@ -27,7 +27,7 @@ var Costs = envcore.CostModel{
 
 // New builds the synchronous MPI environment over the grid. MPI requires a
 // complete connection graph (§5.3).
-func New(grid *cluster.Grid, tr *trace.Collector, extra ...envcore.Opt) (*envcore.Env, error) {
+func New(grid *cluster.Grid, tr *trace.Collector) (*envcore.Env, error) {
 	opts := envcore.Options{
 		Name:         "sync-mpi",
 		Costs:        Costs,
@@ -36,15 +36,12 @@ func New(grid *cluster.Grid, tr *trace.Collector, extra ...envcore.Opt) (*envcor
 		ThreadPolicy: "mono-threaded: blocking sends and receives in the iteration loop",
 		Trace:        tr,
 	}
-	for _, o := range extra {
-		o(&opts)
-	}
 	return envcore.New(grid, opts)
 }
 
 // MustNew is New that panics on deployment errors.
-func MustNew(grid *cluster.Grid, tr *trace.Collector, extra ...envcore.Opt) *envcore.Env {
-	e, err := New(grid, tr, extra...)
+func MustNew(grid *cluster.Grid, tr *trace.Collector) *envcore.Env {
+	e, err := New(grid, tr)
 	if err != nil {
 		panic(err)
 	}

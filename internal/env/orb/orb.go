@@ -59,7 +59,7 @@ var Costs = envcore.CostModel{
 // New builds the OmniORB environment with the Table 4 thread policy for
 // the given problem kind. It never fails on reachability: blocked site
 // pairs are relayed.
-func New(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Opt) (*envcore.Env, error) {
+func New(grid *cluster.Grid, kind Kind, tr *trace.Collector) (*envcore.Env, error) {
 	sendThreads := grid.Size()
 	policy := "N sending threads, receiving threads created on demand"
 	if kind == NonLinear {
@@ -75,15 +75,12 @@ func New(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Op
 		Relay:        true,
 		Trace:        tr,
 	}
-	for _, o := range extra {
-		o(&opts)
-	}
 	return envcore.New(grid, opts)
 }
 
 // MustNew is New that panics on errors.
-func MustNew(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Opt) *envcore.Env {
-	e, err := New(grid, kind, tr, extra...)
+func MustNew(grid *cluster.Grid, kind Kind, tr *trace.Collector) *envcore.Env {
+	e, err := New(grid, kind, tr)
 	if err != nil {
 		panic(err)
 	}

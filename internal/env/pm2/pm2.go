@@ -47,7 +47,7 @@ var Costs = envcore.CostModel{
 
 // New builds the PM2 environment with the Table 4 thread policy for the
 // given problem kind.
-func New(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Opt) (*envcore.Env, error) {
+func New(grid *cluster.Grid, kind Kind, tr *trace.Collector) (*envcore.Env, error) {
 	opts := envcore.Options{
 		Name:         "pm2",
 		Costs:        Costs,
@@ -62,15 +62,12 @@ func New(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Op
 		opts.RecvThreads = 1
 		opts.ThreadPolicy = "two sending threads, one receiving thread"
 	}
-	for _, o := range extra {
-		o(&opts)
-	}
 	return envcore.New(grid, opts)
 }
 
 // MustNew is New that panics on deployment errors.
-func MustNew(grid *cluster.Grid, kind Kind, tr *trace.Collector, extra ...envcore.Opt) *envcore.Env {
-	e, err := New(grid, kind, tr, extra...)
+func MustNew(grid *cluster.Grid, kind Kind, tr *trace.Collector) *envcore.Env {
+	e, err := New(grid, kind, tr)
 	if err != nil {
 		panic(err)
 	}

@@ -7,12 +7,12 @@ import (
 
 // detpure: the virtual-time path must be a pure function of its inputs.
 //
-// Every simulated result in this repo is reproducible because the engines
-// advance a virtual clock, draw randomness from per-run seeded streams,
-// and schedule work through the DES — never through the Go scheduler. One
+// Every simulated result in this repo is reproducible because the engine
+// advances a virtual clock, draws randomness from per-run seeded streams,
+// and schedules work through the DES — never through the Go scheduler. One
 // stray time.Now, one global rand.Intn, one free-running goroutine, and
-// the differential harness (sim vs sim-fast byte-identity), the -resume
-// content addresses, and the committed BENCH baselines all silently rot.
+// the recorded engine golden file, the -resume content addresses, and the
+// committed BENCH baselines all silently rot.
 // This analyzer makes that contract a compile-time property of the
 // packages on the virtual-time path.
 //
@@ -27,12 +27,11 @@ import (
 //     draws from it (rand.Int, rand.Intn, rand.Float64, rand.Perm,
 //     rand.Shuffle, rand.Seed, ...). Constructing owned seeded streams
 //     (rand.New, rand.NewSource) stays legal — that is the idiom the
-//     engines use.
+//     engine uses.
 //   - starting goroutines and select statements: virtual-time code runs
-//     under the DES (or the sim-fast event loop); racing real goroutines
-//     against it reintroduces the scheduler nondeterminism the design
-//     removed. The DES runtime package itself is the one place goroutine
-//     primitives may live (SchedOK).
+//     under the DES, which is itself a plain event loop on its caller's
+//     goroutine; racing real goroutines against it reintroduces the
+//     scheduler nondeterminism the design removed.
 //
 // Escape hatch: a site annotated //lint:wallclock (same line or the line
 // above) is an acknowledged wall-clock touch — e.g. a watchdog guard that
@@ -40,9 +39,6 @@ import (
 type DetpureConfig struct {
 	// Paths are the package-path prefixes on the virtual-time path.
 	Paths []string
-	// SchedOK are packages allowed to use goroutines/select: the DES
-	// runtime that implements the virtual scheduler.
-	SchedOK []string
 }
 
 // wallclockFuncs are the banned time package entry points: everything
@@ -64,23 +60,22 @@ var globalRandOK = map[string]bool{
 func Detpure(cfg DetpureConfig) *Analyzer {
 	return &Analyzer{
 		Name: "detpure",
-		Doc:  "virtual-time packages must not read wall clocks, draw from the global math/rand source, or start goroutines/selects outside the DES runtime",
+		Doc:  "virtual-time packages must not read wall clocks, draw from the global math/rand source, or start goroutines/selects",
 		Run: func(pass *Pass) error {
 			if !pass.PathIn(cfg.Paths) {
 				return nil
 			}
-			schedOK := pass.PathIn(cfg.SchedOK)
 			for _, f := range pass.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.Ident:
 						detpureIdent(pass, n)
 					case *ast.GoStmt:
-						if !schedOK && !pass.Annotated(n.Pos(), "wallclock") {
-							pass.Reportf(n.Pos(), "goroutine started on the virtual-time path (the DES is the scheduler here); move it into the runtime or annotate %swallclock", AnnotationTag)
+						if !pass.Annotated(n.Pos(), "wallclock") {
+							pass.Reportf(n.Pos(), "goroutine started on the virtual-time path (the DES is the scheduler here); annotate %swallclock if it is intentional", AnnotationTag)
 						}
 					case *ast.SelectStmt:
-						if !schedOK && !pass.Annotated(n.Pos(), "wallclock") {
+						if !pass.Annotated(n.Pos(), "wallclock") {
 							pass.Reportf(n.Pos(), "select on the virtual-time path races the Go scheduler against the DES; use des primitives or annotate %swallclock", AnnotationTag)
 						}
 					}

@@ -7,14 +7,11 @@ import (
 	"aiac/internal/lint/linttest"
 )
 
-// The same analyzer configuration serves all three detpure fixtures: the
-// positive fixture loads under a covered path, the sched fixture under
-// the runtime's path, and the offpath fixture under an uncovered one.
+// The same analyzer configuration serves both detpure fixtures: the
+// positive fixture loads under a covered path and the offpath fixture under
+// an uncovered one.
 func detpureForFixtures() *lint.Analyzer {
-	return lint.Detpure(lint.DetpureConfig{
-		Paths:   []string{"fix/vtime"},
-		SchedOK: []string{"fix/vtime/runtime"},
-	})
+	return lint.Detpure(lint.DetpureConfig{Paths: []string{"fix/vtime"}})
 }
 
 func TestDetpureFlagsVirtualTimeViolations(t *testing.T) {
@@ -25,10 +22,4 @@ func TestDetpureIgnoresOffPathPackages(t *testing.T) {
 	// Identical impurities, uncovered path: zero findings expected (the
 	// fixture has no want comments, so any diagnostic fails the test).
 	linttest.Run(t, "testdata/src/detpure_offpath", "fix/other/backend", detpureForFixtures())
-}
-
-func TestDetpureSchedOKAllowsRuntimePrimitivesOnly(t *testing.T) {
-	// Under the runtime's path goroutines and selects pass, but the
-	// wall-clock read is still flagged.
-	linttest.Run(t, "testdata/src/detpure_sched", "fix/vtime/runtime", detpureForFixtures())
 }

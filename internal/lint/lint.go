@@ -1,7 +1,7 @@
 // Package lint is a suite of static analyzers that enforce the repo's
 // determinism, purity, and hot-path invariants at compile time — the
-// static complement of the dynamic gates (the sim/sim-fast differential
-// harness, the -resume bit-identity tests, and the AllocsPerRun pins).
+// static complement of the dynamic gates (the recorded engine golden file,
+// the -resume bit-identity tests, and the AllocsPerRun pins).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic, analysistest-style `// want` fixtures in
@@ -13,8 +13,8 @@
 // Analyzers (each has its own file and fixture set):
 //
 //   - detpure:    virtual-time packages must not read wall clocks, use the
-//     global math/rand source, or start goroutines/selects
-//     outside the DES runtime. Escape: //lint:wallclock.
+//     global math/rand source, or start goroutines/selects.
+//     Escape: //lint:wallclock.
 //   - maprange:   no raw map iteration in determinism-relevant packages
 //     unless the loop only collects keys that are sorted before
 //     use. Escape: //lint:unordered.

@@ -10,7 +10,7 @@ import (
 // Go randomizes map iteration order on purpose. In most code that is a
 // non-issue; in this repo a map range whose body's effects reach a
 // Schedule call, a transport Send, or a report row makes two runs of the
-// same sweep diverge — exactly the class of bug the differential harness
+// same sweep diverge — exactly the class of bug the engine golden file
 // and the -resume bit-identity tests exist to catch, except those only
 // catch it when the order happens to flip under test. This analyzer bans
 // the pattern outright in the determinism-relevant packages.

@@ -7,24 +7,16 @@ package lint
 
 // VirtualTimePaths are the packages on the virtual-time path: everything
 // whose behavior must be a pure function of (inputs, seeds) for the
-// differential harness, -resume, and the committed BENCH baselines to
-// mean anything.
+// recorded engine golden file, -resume, and the committed BENCH baselines
+// to mean anything.
 var VirtualTimePaths = []string{
 	"aiac/internal/protocol",
 	"aiac/internal/des",
-	"aiac/internal/simfast",
 	"aiac/internal/aiac",
 	"aiac/internal/env",
 	"aiac/internal/netsim",
 	"aiac/internal/marcel",
 	"aiac/internal/scenario",
-}
-
-// SchedOKPaths may start goroutines and select: the DES runtime is the
-// one place virtual-time code touches the Go scheduler (each simulated
-// process is a parked goroutine the simulator resumes one at a time).
-var SchedOKPaths = []string{
-	"aiac/internal/des",
 }
 
 // MaprangePaths additionally covers the packages whose map iterations can
@@ -60,7 +52,7 @@ var RepoAddrstable = AddrstableConfig{
 // configuration.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Detpure(DetpureConfig{Paths: VirtualTimePaths, SchedOK: SchedOKPaths}),
+		Detpure(DetpureConfig{Paths: VirtualTimePaths}),
 		Maprange(MaprangePaths...),
 		Hotalloc(),
 		Addrstable(RepoAddrstable),

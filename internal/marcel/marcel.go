@@ -10,8 +10,8 @@
 // and tunable so they can be ablated.
 //
 // Each simulated machine has one CPU (the paper's machines are
-// single-processor desktops). Threads consume the CPU through CPU.Use or
-// CPU.Compute; when several threads are runnable the CPU is time-sliced
+// single-processor desktops). Threads consume the CPU through CPU.UseK or
+// CPU.ComputeK (task.go); when several threads are runnable the CPU is time-sliced
 // round-robin under the fair policy, while the unfair policy always runs the
 // most recently enqueued thread first, starving older ones under load.
 package marcel
@@ -147,24 +147,8 @@ func (c *CPU) BackgroundLoad() float64 {
 	return c.load
 }
 
-// Use blocks p until it has consumed d of CPU time on this processor,
-// competing with other threads under the CPU's policy.
-func (c *CPU) Use(p *des.Proc, d des.Time) {
-	if d < 0 {
-		panic("marcel: negative CPU use")
-	}
-	if d == 0 {
-		return
-	}
-	if c.load > 1 {
-		d = des.Time(float64(d) * c.load)
-	}
-	c.submit(p, d)
-	p.Park() // completion unparks
-}
-
-// submit makes a request for d of CPU time on behalf of p runnable — the
-// part of Use that the blocking and the continuation form share.
+// submit makes a request for d of CPU time on behalf of p runnable; the
+// completion of the charge unparks p.
 func (c *CPU) submit(p *des.Proc, d des.Time) {
 	var r *request
 	if n := len(c.free); n > 0 {
@@ -185,35 +169,10 @@ func (c *CPU) submit(p *des.Proc, d des.Time) {
 	}
 }
 
-// Compute blocks p while it executes the given number of floating-point
-// operations at this CPU's speed.
-func (c *CPU) Compute(p *des.Proc, flops float64) {
-	if flops <= 0 {
-		return
-	}
-	d := des.Time(flops / (c.SpeedMFlops * 1e6) * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	c.Use(p, d)
-}
-
 // ComputeTime converts a flop count into CPU time at this CPU's speed
 // without consuming anything (used for estimates and tests).
 func (c *CPU) ComputeTime(flops float64) des.Time {
 	return des.Time(flops / (c.SpeedMFlops * 1e6) * float64(time.Second))
-}
-
-// Spawn starts a new thread on this node after charging the thread-creation
-// cost to the caller-independent CPU queue (the creation itself consumes
-// CPU: the spawned thread runs body only after the cost is paid).
-func (c *CPU) Spawn(name string, body func(p *des.Proc)) *des.Proc {
-	return c.sim.Spawn(name, func(p *des.Proc) {
-		if c.SpawnCost > 0 {
-			c.Use(p, c.SpawnCost)
-		}
-		body(p)
-	})
 }
 
 // enqueue makes r runnable — a new request or a partially-run one whose
@@ -295,48 +254,4 @@ func (c *CPU) complete(r *request) {
 	r.proc, r.gen = nil, 0
 	c.free = append(c.free, r)
 	p.Unpark()
-}
-
-// Mutex is a cooperative mutual-exclusion lock between threads of the same
-// simulation. It queues contenders FIFO.
-type Mutex struct {
-	sim     *des.Simulator
-	held    bool
-	waiters des.FIFO[*des.Proc]
-}
-
-// NewMutex returns an unlocked mutex.
-func NewMutex(sim *des.Simulator) *Mutex { return &Mutex{sim: sim} }
-
-// Lock blocks p until the mutex is acquired.
-func (m *Mutex) Lock(p *des.Proc) {
-	if !m.held {
-		m.held = true
-		return
-	}
-	m.waiters.Push(p)
-	p.Park()
-}
-
-// Unlock releases the mutex, waking the oldest waiter.
-func (m *Mutex) Unlock() {
-	if !m.held {
-		panic("marcel: unlock of unlocked mutex")
-	}
-	if m.waiters.Len() > 0 {
-		w := m.waiters.Pop()
-		// Hand-off: mutex stays held by the woken thread.
-		w.Unpark()
-		return
-	}
-	m.held = false
-}
-
-// TryLock acquires the mutex if free.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
 }

@@ -11,9 +11,8 @@ func TestSingleThreadRunsToCompletion(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
 	var done des.Time
-	sim.Spawn("t", func(p *des.Proc) {
-		cpu.Use(p, 100*time.Millisecond)
-		done = p.Now()
+	sim.SpawnTask("t", func(p *des.Proc) {
+		cpu.UseK(p, 100*time.Millisecond, func() { done = p.Now() })
 	})
 	sim.Run()
 	if done != 100*time.Millisecond {
@@ -28,9 +27,9 @@ func TestComputeChargesFlopsOverSpeed(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 500) // 500 MFlops
 	var done des.Time
-	sim.Spawn("t", func(p *des.Proc) {
-		cpu.Compute(p, 50e6) // 50 Mflop at 500 MFlops => 0.1 s
-		done = p.Now()
+	sim.SpawnTask("t", func(p *des.Proc) {
+		// 50 Mflop at 500 MFlops => 0.1 s
+		cpu.ComputeK(p, 50e6, func() { done = p.Now() })
 	})
 	sim.Run()
 	if done != 100*time.Millisecond {
@@ -54,13 +53,11 @@ func TestFairSharingTwoThreads(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
 	var t1, t2 des.Time
-	sim.Spawn("a", func(p *des.Proc) {
-		cpu.Use(p, 100*time.Millisecond)
-		t1 = p.Now()
+	sim.SpawnTask("a", func(p *des.Proc) {
+		cpu.UseK(p, 100*time.Millisecond, func() { t1 = p.Now() })
 	})
-	sim.Spawn("b", func(p *des.Proc) {
-		cpu.Use(p, 100*time.Millisecond)
-		t2 = p.Now()
+	sim.SpawnTask("b", func(p *des.Proc) {
+		cpu.UseK(p, 100*time.Millisecond, func() { t2 = p.Now() })
 	})
 	sim.Run()
 	for _, ti := range []des.Time{t1, t2} {
@@ -76,13 +73,13 @@ func TestFairPreemptsLongRequest(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
 	var shortDone des.Time
-	sim.Spawn("long", func(p *des.Proc) {
-		cpu.Use(p, 1*time.Second)
+	sim.SpawnTask("long", func(p *des.Proc) {
+		cpu.UseK(p, 1*time.Second, func() {})
 	})
-	sim.Spawn("short", func(p *des.Proc) {
-		p.Sleep(100 * time.Millisecond)
-		cpu.Use(p, 1*time.Millisecond)
-		shortDone = p.Now()
+	sim.SpawnTask("short", func(p *des.Proc) {
+		p.SleepK(100*time.Millisecond, func() {
+			cpu.UseK(p, 1*time.Millisecond, func() { shortDone = p.Now() })
+		})
 	})
 	sim.Run()
 	if shortDone > 120*time.Millisecond {
@@ -97,17 +94,16 @@ func TestUnfairStarvation(t *testing.T) {
 	cpu := NewCPU(sim, "n0", 1000)
 	cpu.Policy = Unfair
 	var victimDone des.Time
-	sim.Spawn("victim", func(p *des.Proc) {
-		cpu.Use(p, 10*time.Millisecond)
-		victimDone = p.Now()
+	sim.SpawnTask("victim", func(p *des.Proc) {
+		cpu.UseK(p, 10*time.Millisecond, func() { victimDone = p.Now() })
 	})
 	// 20 hogs, one arriving every 5 ms, each wanting 20 ms: they pile on
 	// LIFO and keep the victim at the back.
 	for i := 0; i < 20; i++ {
-		i := i
-		sim.Spawn("hog", func(p *des.Proc) {
-			p.Sleep(des.Time(i+1) * 5 * time.Millisecond)
-			cpu.Use(p, 20*time.Millisecond)
+		sim.SpawnTask("hog", func(p *des.Proc) {
+			p.SleepK(des.Time(i+1)*5*time.Millisecond, func() {
+				cpu.UseK(p, 20*time.Millisecond, func() {})
+			})
 		})
 	}
 	sim.Run()
@@ -123,15 +119,14 @@ func TestFairNoStarvation(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
 	var victimDone des.Time
-	sim.Spawn("victim", func(p *des.Proc) {
-		cpu.Use(p, 10*time.Millisecond)
-		victimDone = p.Now()
+	sim.SpawnTask("victim", func(p *des.Proc) {
+		cpu.UseK(p, 10*time.Millisecond, func() { victimDone = p.Now() })
 	})
 	for i := 0; i < 20; i++ {
-		i := i
-		sim.Spawn("hog", func(p *des.Proc) {
-			p.Sleep(des.Time(i+1) * 5 * time.Millisecond)
-			cpu.Use(p, 20*time.Millisecond)
+		sim.SpawnTask("hog", func(p *des.Proc) {
+			p.SleepK(des.Time(i+1)*5*time.Millisecond, func() {
+				cpu.UseK(p, 20*time.Millisecond, func() {})
+			})
 		})
 	}
 	sim.Run()
@@ -144,7 +139,7 @@ func TestSpawnChargesCreationCost(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
 	var started des.Time
-	cpu.Spawn("child", func(p *des.Proc) { started = p.Now() })
+	cpu.SpawnTask("child", func(p *des.Proc) { started = p.Now() })
 	sim.Run()
 	if started != cpu.SpawnCost {
 		t.Fatalf("child started at %v, want %v", started, cpu.SpawnCost)
@@ -154,9 +149,10 @@ func TestSpawnChargesCreationCost(t *testing.T) {
 func TestUtilisation(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
-	sim.Spawn("t", func(p *des.Proc) {
-		cpu.Use(p, 50*time.Millisecond)
-		p.Sleep(50 * time.Millisecond) // idle
+	sim.SpawnTask("t", func(p *des.Proc) {
+		cpu.UseK(p, 50*time.Millisecond, func() {
+			p.SleepK(50*time.Millisecond, func() {}) // idle
+		})
 	})
 	sim.Run()
 	if u := cpu.Utilisation(); u < 0.49 || u > 0.51 {
@@ -167,10 +163,12 @@ func TestUtilisation(t *testing.T) {
 func TestZeroUseIsFree(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
-	sim.Spawn("t", func(p *des.Proc) {
-		cpu.Use(p, 0)
-		if p.Now() != 0 {
-			t.Errorf("zero use advanced time to %v", p.Now())
+	ran := false
+	sim.SpawnTask("t", func(p *des.Proc) {
+		events := sim.Events()
+		cpu.UseK(p, 0, func() { ran = true })
+		if !ran || sim.Events() != events || p.Now() != 0 {
+			t.Errorf("zero use: ran=%v inside the call, %d events, time %v", ran, sim.Events()-events, p.Now())
 		}
 	})
 	sim.Run()
@@ -179,13 +177,13 @@ func TestZeroUseIsFree(t *testing.T) {
 func TestNegativeUsePanics(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
-	sim.Spawn("t", func(p *des.Proc) {
+	sim.SpawnTask("t", func(p *des.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("negative use did not panic")
 			}
 		}()
-		cpu.Use(p, -time.Second)
+		cpu.UseK(p, -time.Second, func() {})
 	})
 	sim.Run()
 }
@@ -199,65 +197,6 @@ func TestBadSpeedPanics(t *testing.T) {
 	NewCPU(des.New(), "bad", 0)
 }
 
-func TestMutexExclusionAndFIFO(t *testing.T) {
-	sim := des.New()
-	mu := NewMutex(sim)
-	var order []string
-	hold := func(name string, arrive, hold des.Time) {
-		sim.Spawn(name, func(p *des.Proc) {
-			p.Sleep(arrive)
-			mu.Lock(p)
-			order = append(order, name+"+")
-			p.Sleep(hold)
-			order = append(order, name+"-")
-			mu.Unlock()
-		})
-	}
-	hold("a", 0, 30*time.Millisecond)
-	hold("b", 10*time.Millisecond, 10*time.Millisecond)
-	hold("c", 20*time.Millisecond, 10*time.Millisecond)
-	sim.Run()
-	want := "[a+ a- b+ b- c+ c-]"
-	if got := sprint(order); got != want {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-}
-
-func sprint(v []string) string {
-	out := "["
-	for i, s := range v {
-		if i > 0 {
-			out += " "
-		}
-		out += s
-	}
-	return out + "]"
-}
-
-func TestMutexTryLock(t *testing.T) {
-	sim := des.New()
-	mu := NewMutex(sim)
-	if !mu.TryLock() {
-		t.Fatal("TryLock on free mutex failed")
-	}
-	if mu.TryLock() {
-		t.Fatal("TryLock on held mutex succeeded")
-	}
-	mu.Unlock()
-	if !mu.TryLock() {
-		t.Fatal("TryLock after unlock failed")
-	}
-}
-
-func TestMutexUnlockUnheldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unlock of unheld mutex did not panic")
-		}
-	}()
-	NewMutex(des.New()).Unlock()
-}
-
 func TestPolicyString(t *testing.T) {
 	if Fair.String() != "fair" || Unfair.String() != "unfair" {
 		t.Fatal("policy strings wrong")
@@ -268,22 +207,25 @@ func TestBackgroundLoadScalesCPUUse(t *testing.T) {
 	sim := des.New()
 	c := NewCPU(sim, "cpu", 1000)
 	var first, second des.Time
-	sim.Spawn("worker", func(p *des.Proc) {
+	var third des.Time
+	sim.SpawnTask("worker", func(p *des.Proc) {
 		t0 := p.Now()
-		c.Use(p, 10*time.Millisecond)
-		first = p.Now() - t0
-		c.SetBackgroundLoad(3)
-		t1 := p.Now()
-		c.Use(p, 10*time.Millisecond)
-		second = p.Now() - t1
-		c.SetBackgroundLoad(1) // restore
-		t2 := p.Now()
-		c.Use(p, 10*time.Millisecond)
-		if got := p.Now() - t2; got != first {
-			t.Errorf("restored load: %v, want %v", got, first)
-		}
+		c.UseK(p, 10*time.Millisecond, func() {
+			first = p.Now() - t0
+			c.SetBackgroundLoad(3)
+			t1 := p.Now()
+			c.UseK(p, 10*time.Millisecond, func() {
+				second = p.Now() - t1
+				c.SetBackgroundLoad(1) // restore
+				t2 := p.Now()
+				c.UseK(p, 10*time.Millisecond, func() { third = p.Now() - t2 })
+			})
+		})
 	})
 	sim.Run()
+	if third != first {
+		t.Errorf("restored load: %v, want %v", third, first)
+	}
 	if first != 10*time.Millisecond {
 		t.Fatalf("unloaded use took %v", first)
 	}
@@ -307,23 +249,22 @@ func TestStaleCompletionIgnoresRecycledRequest(t *testing.T) {
 	done := map[string]des.Time{}
 	var aReq *request
 	sleeper := func(name string, d des.Time) {
-		sim.Spawn(name, func(p *des.Proc) {
-			p.Sleep(10 * us)
-			if name == "c" {
-				if len(cpu.free) != 1 || cpu.free[0] != aReq {
-					t.Errorf("free list = %v; want A's released request", cpu.free)
+		sim.SpawnTask(name, func(p *des.Proc) {
+			p.SleepK(10*us, func() {
+				if name == "c" {
+					if len(cpu.free) != 1 || cpu.free[0] != aReq {
+						t.Errorf("free list = %v; want A's released request", cpu.free)
+					}
 				}
-			}
-			cpu.Use(p, d)
-			done[name] = p.Now()
+				cpu.UseK(p, d, func() { done[name] = p.Now() })
+			})
 		})
 	}
 	sleeper("b", 5*us) // wake-ups queued before A's completion event
 	sleeper("c", 3*us)
-	sim.Spawn("a", func(p *des.Proc) {
+	sim.SpawnTask("a", func(p *des.Proc) {
 		sim.After(0, func() { aReq = cpu.current })
-		cpu.Use(p, 10*us)
-		done["a"] = p.Now()
+		cpu.UseK(p, 10*us, func() { done["a"] = p.Now() })
 	})
 	sim.Run()
 	if cpu.current != nil || len(cpu.free) == 0 {

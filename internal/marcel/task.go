@@ -6,18 +6,14 @@ import (
 	"aiac/internal/des"
 )
 
-// Continuation forms of the CPU primitives, for continuation-backed
-// processes (des.SpawnTask). Each mirrors its blocking counterpart
-// exactly: the same fast paths run the continuation synchronously where
-// the blocking form returns without yielding, and the same enqueue /
-// dispatch / preempt decisions fire in the same order otherwise, so a
-// task-based program allocates the identical event sequence as its
-// goroutine twin. Completion goes through the shared complete() →
-// Unpark path, which resumes both process kinds.
+// How a thread (a des process) consumes the CPU. A charge parks the thread
+// and hands the rest of its work over as the continuation k, which runs
+// when the charge is paid (complete → Unpark); a charge of nothing runs k
+// synchronously, with no event.
 
-// UseK is the continuation form of Use: k runs once p has consumed d of
-// CPU time. UseK(p, 0, k) runs k synchronously, exactly as Use(p, 0)
-// returns without an event.
+// UseK makes p consume d of CPU time on this processor, competing with
+// other threads under the CPU's policy, then runs k. UseK(p, 0, k) runs k
+// synchronously.
 func (c *CPU) UseK(p *des.Proc, d des.Time, k func()) {
 	if d < 0 {
 		panic("marcel: negative CPU use")
@@ -33,7 +29,8 @@ func (c *CPU) UseK(p *des.Proc, d des.Time, k func()) {
 	p.ParkK(k) // completion unparks
 }
 
-// ComputeK is the continuation form of Compute.
+// ComputeK makes p execute the given number of floating-point operations at
+// this CPU's speed, then runs k.
 func (c *CPU) ComputeK(p *des.Proc, flops float64, k func()) {
 	if flops <= 0 {
 		k()
@@ -46,8 +43,9 @@ func (c *CPU) ComputeK(p *des.Proc, flops float64, k func()) {
 	c.UseK(p, d, k)
 }
 
-// SpawnTask starts a new continuation-backed thread on this node,
-// charging the same thread-creation cost as Spawn before body runs.
+// SpawnTask starts a new thread on this node after charging the
+// thread-creation cost to the CPU queue (the creation itself consumes CPU:
+// the spawned thread runs body only after the cost is paid).
 func (c *CPU) SpawnTask(name string, body func(p *des.Proc)) *des.Proc {
 	return c.sim.SpawnTask(name, func(p *des.Proc) {
 		if c.SpawnCost > 0 {

@@ -9,8 +9,9 @@
 // goes beyond it (internal/scenario): a scripted grid-dynamics timeline
 // (link flaps, background load, node churn, message loss) applied to the
 // cell's simulation, with "static" reproducing the paper's original grids.
-// The eighth — backend — selects what executes the cell: "sim" runs the
-// discrete-event simulation exactly as before, while "chan" and "tcp" run
+// The eighth — backend — selects what executes the cell: "sim" (and its
+// accepted synonym "sim-fast") runs the discrete-event simulation, while
+// "chan" and "tcp" run
 // the solve natively (internal/backend) on goroutine ranks over an
 // in-process or TCP-loopback transport shaped like the cell's grid,
 // measuring wall-clock time on this host. Native cells use the pseudo-
@@ -76,9 +77,10 @@ var (
 	// ScenarioNames lists the grid-dynamics presets (internal/scenario),
 	// the static grid first.
 	ScenarioNames = scenario.Names()
-	// BackendNames lists the execution backends: the simulators first
-	// (the goroutine DES, then its goroutine-free continuation twin),
-	// then the native transports (internal/backend).
+	// BackendNames lists the execution backends: the simulator first
+	// ("sim-fast" is a synonym of "sim", kept so that cell keys, sidecars
+	// and baselines written under that name stay valid), then the native
+	// transports (internal/backend).
 	BackendNames = []string{"sim", "sim-fast", "chan", "tcp"}
 	// Modes lists the iteration schemes, baseline first.
 	Modes = []aiac.Mode{aiac.Sync, aiac.Async}
@@ -89,9 +91,8 @@ var (
 const NativeEnv = "go"
 
 // SimulatedBackend reports whether the named backend executes cells as
-// discrete-event simulations ("sim" and "sim-fast", which differ only in
-// the host-side execution mechanism and produce identical measurements)
-// rather than natively on this host's wall clock.
+// discrete-event simulations ("sim" and its synonym "sim-fast") rather than
+// natively on this host's wall clock.
 func SimulatedBackend(name string) bool {
 	return name == "sim" || name == "sim-fast" || name == ""
 }
@@ -504,27 +505,27 @@ func NewGrid(sim *des.Simulator, name string, n int) (*cluster.Grid, error) {
 // NewEnv deploys the named environment over the grid, with the Table 4
 // thread configuration matching the problem kind (sparse: all-to-all
 // exchange; otherwise the neighbour-exchange non-linear configuration).
-// Trailing options (envcore.WithEventLoop for the sim-fast backend) pass
-// through to the environment constructor.
-func NewEnv(grid *cluster.Grid, name string, sparse bool, tr *trace.Collector, extra ...envcore.Opt) (aiac.Env, error) {
+// The trailing options are ignored; the parameter stays only because the
+// files under benchmark/ pass envcore.WithEventLoop() (ROADMAP item 8(b)).
+func NewEnv(grid *cluster.Grid, name string, sparse bool, tr *trace.Collector, _ ...envcore.Opt) (aiac.Env, error) {
 	switch name {
 	case "mpi":
-		return mpi.New(grid, tr, extra...)
+		return mpi.New(grid, tr)
 	case "pm2":
 		if sparse {
-			return pm2.New(grid, pm2.Sparse, tr, extra...)
+			return pm2.New(grid, pm2.Sparse, tr)
 		}
-		return pm2.New(grid, pm2.NonLinear, tr, extra...)
+		return pm2.New(grid, pm2.NonLinear, tr)
 	case "madmpi":
 		if sparse {
-			return madmpi.New(grid, madmpi.Sparse, tr, extra...)
+			return madmpi.New(grid, madmpi.Sparse, tr)
 		}
-		return madmpi.New(grid, madmpi.NonLinear, tr, extra...)
+		return madmpi.New(grid, madmpi.NonLinear, tr)
 	case "omniorb":
 		if sparse {
-			return orb.New(grid, orb.Sparse, tr, extra...)
+			return orb.New(grid, orb.Sparse, tr)
 		}
-		return orb.New(grid, orb.NonLinear, tr, extra...)
+		return orb.New(grid, orb.NonLinear, tr)
 	default:
 		return nil, fmt.Errorf("unknown environment %q (known: %s)", name, strings.Join(EnvNames, ", "))
 	}

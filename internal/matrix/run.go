@@ -13,7 +13,6 @@ import (
 	"aiac/internal/backend"
 	"aiac/internal/chem"
 	"aiac/internal/des"
-	"aiac/internal/env/envcore"
 	"aiac/internal/gmres"
 	"aiac/internal/la"
 	"aiac/internal/obs"
@@ -22,7 +21,6 @@ import (
 	"aiac/internal/protocol"
 	"aiac/internal/report"
 	"aiac/internal/scenario"
-	"aiac/internal/simfast"
 	"aiac/internal/trace"
 )
 
@@ -415,10 +413,9 @@ func runCellAttempt(c Cell, spec Spec, reps int, seed int64, timeout time.Durati
 		// The first repetition of every simulated cell is traced so its
 		// critical path can be attributed (runOnce); the collector itself
 		// is transient — only the per-category seconds reach the result.
-		// Tracing is pure host-side appends for the simulators, so the
-		// measured virtual time is byte-identical with and without it
-		// (the differential suite holds both engines to this). Native
-		// cells are NOT traced in sweeps: their wall clock is the
+		// Tracing is pure host-side appends for the simulator, so the
+		// measured virtual time is byte-identical with and without it.
+		// Native cells are NOT traced in sweeps: their wall clock is the
 		// measurement, and tracing adds clock reads and stamp-exchange
 		// locking to the hot loops. Their attribution is available on
 		// demand through RunCellOnce/aiactrace -critpath, where the run
@@ -535,9 +532,9 @@ func RunCellOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 // which runs on this goroutine), in the engine — turned into the
 // repetition's error, panic text included: one bad cell becomes one
 // errored row, and the sweep and its sidecar go on. The abandoned
-// simulator is simply dropped; a goroutine-engine cell leaves its parked
-// process goroutines behind. A panic on another goroutine (a native
-// cell's rank) is out of reach from here.
+// simulator is simply dropped, its parked processes with it (they are
+// continuations it holds, nothing else). A panic on another goroutine (a
+// native cell's rank) is out of reach from here.
 func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (m measurement, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -559,12 +556,6 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	if !SimulatedBackend(c.backendName()) {
 		return runNative(c, spec, rep, seed, timeout, tr, cache)
 	}
-	// The sim-fast backend is the same simulation executed by the
-	// continuation engine: an event-loop environment, a task-driven
-	// scenario, and simfast.Run in place of aiac.Run. Everything else —
-	// grid, jitter, problems, measurement extraction — is shared, which is
-	// what makes the two backends' reports bit-identical.
-	fast := c.backendName() == "sim-fast"
 	scen, err := scenario.ByName(c.scenarioName())
 	if err != nil {
 		return measurement{}, err
@@ -577,26 +568,15 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	if seed != 0 {
 		grid.Net.SetJitter(0.02, seed+int64(rep))
 	}
-	var eopts []envcore.Opt
-	engine := problems.EngineFunc(aiac.Run)
-	if fast {
-		eopts = append(eopts, envcore.WithEventLoop())
-		engine = simfast.Run
-	}
-	env, err := NewEnv(grid, c.Env, c.Problem == "linear", tr, eopts...)
+	env, err := NewEnv(grid, c.Env, c.Problem == "linear", tr)
 	if err != nil {
 		return measurement{}, fmt.Errorf("deploying %s on %s: %w", c.Env, c.Grid, err)
 	}
-	var rt *scenario.Runtime
-	if fast {
-		rt = scenario.DeployEventLoop(scen, grid)
-	} else {
-		rt = scenario.Deploy(scen, grid)
-	}
+	rt := scenario.Deploy(scen, grid)
 
 	// Residual timelines are always recorded: the acceptance contract is
 	// that telemetry ON leaves the simulation byte-identical, and the
-	// flags column must be present in every sweep. The engines record into
+	// flags column must be present in every sweep. The engine records into
 	// side arrays only, so the event sequence cannot change.
 	resid := obs.NewResiduals(c.Procs)
 	var m measurement
@@ -604,7 +584,7 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 		if wrapProblem != nil {
 			prob = wrapProblem(c, prob)
 		}
-		rpt := engine(grid, env, prob, aiac.Config{
+		rpt := aiac.Run(grid, env, prob, aiac.Config{
 			Mode: c.Mode, Eps: eps, MaxIters: maxIters,
 			Trace: tr, Dynamics: rt, Residuals: resid,
 		})
@@ -639,17 +619,12 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 			// The paper's synchronous version of the non-linear
 			// problem: classical global Newton with distributed GMRES
 			// (§4.2 strategy 1).
-			if fast {
-				run = problems.RunChemSyncGlobalFast(grid, env, p, p.InitialState(),
-					cp.StepS, cp.HorizonS, gp, cp.Eps, 50)
-			} else {
-				run = problems.RunChemSyncGlobal(grid, env, p, p.InitialState(),
-					cp.StepS, cp.HorizonS, gp, cp.Eps, 50)
-			}
+			run = problems.RunChemSyncGlobal(grid, env, p, p.InitialState(),
+				cp.StepS, cp.HorizonS, gp, cp.Eps, 50)
 		} else {
 			// Multisplitting Newton (§4.2 strategy 2), asynchronous or
 			// lockstep according to the mode.
-			run = problems.RunChemWith(engine, grid, env, p, p.InitialState(),
+			run = problems.RunChem(grid, env, p, p.InitialState(),
 				cp.StepS, cp.HorizonS, gp, aiac.Config{Mode: c.Mode, Eps: cp.Eps, Trace: tr, Dynamics: rt, Residuals: resid})
 		}
 		m.timeSec = run.Elapsed.Seconds()
@@ -688,9 +663,8 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	m.bytes = st.Bytes
 	m.interSite = st.InterSite
 	m.dropped = st.Dropped
-	// Reap parked processes (stalled exchanges, middleware threads blocked
-	// on drained inboxes) so a big sweep of stall-producing scenarios does
-	// not accumulate unreclaimable goroutines and simulator heaps.
+	// Drop the parked processes (stalled exchanges, middleware threads
+	// waiting on drained inboxes) with everything their continuations hold.
 	sim.Shutdown()
 	return m, nil
 }

@@ -130,8 +130,7 @@ func (a *Attribution) Share(c Category) float64 {
 
 // TotalFromSeconds converts a reported time_sec back to the exact
 // virtual-time total: nanosecond counts below 2^53 survive the float64
-// round trip, so sim and sim-fast recover bit-identical totals from the
-// same Result.
+// round trip, so the total recovered from a Result is the engine's own.
 func TotalFromSeconds(sec float64) des.Time {
 	return des.Time(math.Round(sec * 1e9))
 }

@@ -1,13 +1,9 @@
 package critpath_test
 
 // Real-cell integration of the critical-path analyzer: the acceptance
-// contrast (sync/adsl is sync-wait-bound, async/adsl is compute-bound) and
-// the differential guarantee (sim and sim-fast produce byte-identical
-// attributions, because they produce byte-identical traces).
+// contrast (sync/adsl is sync-wait-bound, async/adsl is compute-bound).
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"aiac/internal/aiac"
@@ -21,8 +17,8 @@ const nTest = 600
 func testSpec() matrix.Spec {
 	spec := matrix.DefaultSpec()
 	spec.Sizes = []int{nTest}
-	// Cap the asynchronous ADSL spins, as the simfast differential harness
-	// does: a capped run attributes the same way as a converged one.
+	// Cap the asynchronous ADSL spins, as the engine golden test does: a
+	// capped run attributes the same way as a converged one.
 	spec.Linear.MaxIters = 12000
 	return spec
 }
@@ -71,37 +67,6 @@ func TestSyncVsAsyncContrast(t *testing.T) {
 	}
 	if share := asyncA.Share(critpath.CatSyncWait); share >= 0.1 {
 		t.Errorf("async/adsl sync-wait share = %.1f%%, want < 10%%", 100*share)
-	}
-}
-
-// TestDifferentialAttribution pins sim and sim-fast to byte-identical
-// attributions — categories, totals and the path segments themselves — on
-// a seeded async flaky cell (crash/restart epochs on the path) and a
-// synchronous cell (wait-cause edges on the path).
-func TestDifferentialAttribution(t *testing.T) {
-	cells := []matrix.Cell{
-		{Env: "pm2", Mode: aiac.Async, Grid: "adsl", Problem: "linear", Procs: 8, Size: nTest, Scenario: "flaky-adsl"},
-		{Env: "mpi", Mode: aiac.Sync, Grid: "3site", Problem: "linear", Procs: 8, Size: nTest, Scenario: "static"},
-	}
-	for _, c := range cells {
-		c := c
-		t.Run(fmt.Sprintf("%s-%s-%s-%s", c.Env, c.Mode, c.Grid, c.Scenario), func(t *testing.T) {
-			t.Parallel()
-			for _, seed := range []int64{0, 7} {
-				c.Backend = "sim"
-				slow, slowTr := analyzeCell(t, c, testSpec(), seed)
-				c.Backend = "sim-fast"
-				fast, fastTr := analyzeCell(t, c, testSpec(), seed)
-				if !reflect.DeepEqual(slowTr.Waits, fastTr.Waits) {
-					t.Errorf("wait streams diverged on %s seed %d: sim %d waits, sim-fast %d waits",
-						c.Key(), seed, len(slowTr.Waits), len(fastTr.Waits))
-				}
-				if !reflect.DeepEqual(slow, fast) {
-					t.Errorf("attributions diverged on %s seed %d:\n  sim:      %s\n  sim-fast: %s",
-						c.Key(), seed, slow.Summary(), fast.Summary())
-				}
-			}
-		})
 	}
 }
 

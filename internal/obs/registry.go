@@ -1,7 +1,6 @@
-// Package obs is the unified telemetry layer shared by all three
-// execution drivers (the goroutine DES engine, the continuation sim-fast
-// engine, and the native wall-clock backend) and by the sweep runner on
-// top of them. It replaces the ad-hoc observability that grew alongside
+// Package obs is the unified telemetry layer shared by both execution
+// drivers (the simulated engine and the native wall-clock backend) and by
+// the sweep runner on top of them. It replaces the ad-hoc observability that grew alongside
 // the repro — protocol counters bolted onto Report, an ASCII Gantt, a
 // printf ETA — with four composable pieces:
 //
@@ -20,7 +19,7 @@
 //     /metrics and pprof while a sweep runs.
 //
 // Everything here observes; nothing steers. The hard contract, enforced
-// by the sim/sim-fast differential harness and the committed smoke
+// by the recorded engine golden file and the committed smoke
 // baseline, is that telemetry must not perturb the simulation: recording
 // never schedules simulator events, never reads nondeterministic state
 // into the measurement path, and is nil-safe throughout so disabled

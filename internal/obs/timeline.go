@@ -14,8 +14,7 @@ package obs
 //     stride: it stores every stride-th offered sample, and when the
 //     buffer hits its cap it drops the odd-indexed samples and doubles
 //     the stride. The retained set is a pure function of the offered
-//     sequence, so sim and sim-fast — which offer identical sequences —
-//     retain identical timelines.
+//     sequence, so identical runs retain identical timelines.
 //
 //   - No feedback. Recording never touches driver state; the structure is
 //     write-only from the engine's perspective. Each rank writes only its

@@ -40,27 +40,17 @@ func (c *ChemRun) AllConverged() bool {
 	return true
 }
 
-// EngineFunc is the signature shared by the execution drivers (aiac.Run
-// for the goroutine engine, simfast.Run for the continuation engine).
-// RunChemWith takes it as a parameter so this package depends on neither.
-type EngineFunc func(*cluster.Grid, aiac.Env, aiac.Problem, aiac.Config) *aiac.Report
-
 // RunChem advances the chemical problem from y0 over [0, tEnd] in steps of
 // h on the given grid and environment. Each step is one engine session; the
 // engine's entry barrier provides the paper's per-time-step
 // synchronisation.
 func RunChem(grid *cluster.Grid, env aiac.Env, p *chem.Problem, y0 []float64, h, tEnd float64, gp gmres.Params, cfg aiac.Config) *ChemRun {
-	return RunChemWith(aiac.Run, grid, env, p, y0, h, tEnd, gp, cfg)
-}
-
-// RunChemWith is RunChem with the execution driver as a parameter.
-func RunChemWith(engine EngineFunc, grid *cluster.Grid, env aiac.Env, p *chem.Problem, y0 []float64, h, tEnd float64, gp gmres.Params, cfg aiac.Config) *ChemRun {
 	run := &ChemRun{Y: make([]float64, len(y0))}
 	copy(run.Y, y0)
 	start := grid.Sim.Now()
 	for t := 0.0; t < tEnd-1e-9; t += h {
 		prob := NewChemStep(p, run.Y, h, t+h, gp)
-		rep := engine(grid, env, prob, cfg)
+		rep := aiac.Run(grid, env, prob, cfg)
 		run.Steps = append(run.Steps, rep)
 		run.Y = rep.X
 	}

@@ -9,6 +9,7 @@ import (
 	"aiac/internal/cluster"
 	"aiac/internal/des"
 	"aiac/internal/gmres"
+	"aiac/internal/marcel"
 )
 
 // This file implements the *classical* synchronous parallelization of the
@@ -29,7 +30,7 @@ import (
 // The environment must use the mono-threaded receive model (sync-mpi, the
 // environment of the paper's strategy 1): the ghost exchange re-targets its
 // data sink at a different buffer on every call, which is only safe when
-// receipts are drained inside SyncExchange itself. On a threaded receive
+// receipts are drained inside SyncExchangeK itself. On a threaded receive
 // model a fast neighbour's next-round message could be incorporated through
 // the previous round's sink — callers (internal/matrix, internal/bench)
 // route the threaded environments to the lockstep multisplitting version
@@ -62,7 +63,8 @@ func RunChemSyncGlobal(grid *cluster.Grid, env aiac.Env, p *chem.Problem, y0 []f
 	return run
 }
 
-// runSyncStep solves one implicit-Euler step in lockstep.
+// runSyncStep solves one implicit-Euler step in lockstep: one process per
+// rank, every collective a suspension of it.
 func runSyncStep(grid *cluster.Grid, env aiac.Env, p *chem.Problem, yOld []float64, h, tEnd float64, gp gmres.Params, eps float64, maxNewton int) *aiac.Report {
 	nranks := grid.Size()
 	rowBounds := chem.StripPartition(p.NZ, nranks)
@@ -85,24 +87,32 @@ func runSyncStep(grid *cluster.Grid, env aiac.Env, p *chem.Problem, yOld []float
 
 	for r := 0; r < nranks; r++ {
 		r := r
-		sim.Spawn(fmt.Sprintf("syncrank%d", r), func(proc *des.Proc) {
-			defer func() { finish[r] = proc.Now() }()
+		sim.SpawnTask(fmt.Sprintf("syncrank%d", r), func(proc *des.Proc) {
 			comm := env.Comm(r)
 			comm.ResetSession()
 			cpu := grid.Machines[r].CPU
 			sys := chem.NewEulerSystem(p, yOld, h, tEnd)
 			s := newSyncStrip(sys, p, comm, cpu, bounds, rowBounds, r, gp)
-			comm.Barrier(proc)
-			for k := 0; k < maxNewton; k++ {
-				iters[r]++
-				res := s.newtonIteration(proc, y)
-				if res < eps {
-					if r == 0 {
-						converged = true
-					}
-					break
+			exit := func() { finish[r] = proc.Now() }
+			var newton func(k int)
+			newton = func(k int) {
+				if k >= maxNewton {
+					exit()
+					return
 				}
+				iters[r]++
+				s.newtonIterationK(proc, y, func(res float64) {
+					if res < eps {
+						if r == 0 {
+							converged = true
+						}
+						exit()
+						return
+					}
+					newton(k + 1)
+				})
 			}
+			comm.BarrierK(proc, func() { newton(0) })
 		})
 	}
 	sim.Run()
@@ -128,16 +138,11 @@ type syncStrip struct {
 	sys       *chem.EulerSystem
 	p         *chem.Problem
 	comm      aiac.Comm
-	cpu       clusterCPU
+	cpu       *marcel.CPU
 	bounds    []int
 	rowBounds []int
 	rank      int
 	gp        gmres.Params
-
-	// Continuation-driver contracts, set only by runSyncStepFast
-	// (syncchem_fast.go); nil on the goroutine path.
-	kcomm kChemComm
-	kcpu  kChemCPU
 
 	lo, hi int // state index range of the strip
 	n      int
@@ -156,12 +161,7 @@ type syncStrip struct {
 	gbuf []float64
 }
 
-// clusterCPU is the minimal CPU interface (avoids importing marcel here).
-type clusterCPU = interface {
-	Compute(p *des.Proc, flops float64)
-}
-
-func newSyncStrip(sys *chem.EulerSystem, p *chem.Problem, comm aiac.Comm, cpu clusterCPU, bounds, rowBounds []int, rank int, gp gmres.Params) *syncStrip {
+func newSyncStrip(sys *chem.EulerSystem, p *chem.Problem, comm aiac.Comm, cpu *marcel.CPU, bounds, rowBounds []int, rank int, gp gmres.Params) *syncStrip {
 	lo, hi := bounds[rank], bounds[rank+1]
 	m := gp.Restart
 	s := &syncStrip{
@@ -183,10 +183,10 @@ func newSyncStrip(sys *chem.EulerSystem, p *chem.Problem, comm aiac.Comm, cpu cl
 	return s
 }
 
-// exchangeGhosts synchronously refreshes the ghost rows of buf around this
+// exchangeGhostsK synchronously refreshes the ghost rows of buf around this
 // rank's strip (writing into buf at neighbour rows), sending this rank's
-// boundary rows to its neighbours.
-func (s *syncStrip) exchangeGhosts(proc *des.Proc, buf []float64) {
+// boundary rows to its neighbours, then runs k.
+func (s *syncStrip) exchangeGhostsK(proc *des.Proc, buf []float64, k func()) {
 	zlo, zhi := s.rowBounds[s.rank], s.rowBounds[s.rank+1]
 	var sends []aiac.Outgoing
 	nRecv := 0
@@ -207,140 +207,173 @@ func (s *syncStrip) exchangeGhosts(proc *des.Proc, buf []float64) {
 	s.comm.SetDataSink(func(m aiac.DataMsg) {
 		copy(buf[m.Lo:m.Lo+len(m.Values)], m.Values)
 	})
-	s.comm.SyncExchange(proc, sends, nRecv)
+	s.comm.SyncExchangeK(proc, sends, nRecv, k)
 }
 
-// newtonIteration performs one lockstep global Newton iteration and returns
-// the global scaled residual.
-func (s *syncStrip) newtonIteration(proc *des.Proc, y []float64) float64 {
+// newtonIterationK performs one lockstep global Newton iteration and hands
+// k the global scaled residual.
+func (s *syncStrip) newtonIterationK(proc *des.Proc, y []float64, k func(res float64)) {
 	lo, hi, n := s.lo, s.hi, s.n
-
 	// Refresh ghosts of the current iterate, then evaluate the local
 	// residual G(y).
-	s.exchangeGhosts(proc, y)
-	s.sys.EvalG(s.gbuf, y, lo, hi)
-	s.cpu.Compute(proc, s.sys.GFlops(lo, hi))
-	rhs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rhs[i] = -s.gbuf[lo+i]
-	}
-
-	// Distributed GMRES for J δ = rhs, δ starting at zero.
-	delta := make([]float64, n)
-	s.gmresSolve(proc, y, rhs, delta)
-
-	// Apply the step and compute the global residual.
-	var maxs float64
-	for i := 0; i < n; i++ {
-		y[lo+i] += delta[i]
-		scale := math.Abs(y[lo+i])
-		if scale < 1 {
-			scale = 1
-		}
-		if r := math.Abs(delta[i]) / scale; r > maxs {
-			maxs = r
-		}
-	}
-	s.cpu.Compute(proc, 3*float64(n))
-	return s.comm.AllreduceMax(proc, maxs)
+	s.exchangeGhostsK(proc, y, func() {
+		s.sys.EvalG(s.gbuf, y, lo, hi)
+		s.cpu.ComputeK(proc, s.sys.GFlops(lo, hi), func() {
+			rhs := make([]float64, n)
+			for i := 0; i < n; i++ {
+				rhs[i] = -s.gbuf[lo+i]
+			}
+			// Distributed GMRES for J δ = rhs, δ starting at zero.
+			delta := make([]float64, n)
+			s.gmresSolveK(proc, y, rhs, delta, func() {
+				// Apply the step and compute the global residual.
+				var maxs float64
+				for i := 0; i < n; i++ {
+					y[lo+i] += delta[i]
+					scale := math.Abs(y[lo+i])
+					if scale < 1 {
+						scale = 1
+					}
+					if r := math.Abs(delta[i]) / scale; r > maxs {
+						maxs = r
+					}
+				}
+				s.cpu.ComputeK(proc, 3*float64(n), func() {
+					s.comm.AllreduceMaxK(proc, maxs, k)
+				})
+			})
+		})
+	})
 }
 
-// applyJ computes dst = J·v on the strip for a *globally consistent* v:
+// applyJK computes dst = J·v on the strip for a *globally consistent* v:
 // the strip piece is placed into a full-length buffer whose ghost rows are
 // refreshed synchronously first, so the product includes the true coupling
 // (unlike multisplitting's frozen ghosts).
-func (s *syncStrip) applyJ(proc *des.Proc, y, vStrip, dst []float64) {
+func (s *syncStrip) applyJK(proc *des.Proc, y, vStrip, dst []float64, k func()) {
 	for i := range s.wbuf {
 		s.wbuf[i] = 0
 	}
 	copy(s.wbuf[s.lo:s.hi], vStrip)
-	s.exchangeGhosts(proc, s.wbuf)
-	s.sys.ApplyJ(s.gbuf, s.wbuf, y, s.lo, s.hi)
-	s.cpu.Compute(proc, s.sys.JFlops(s.lo, s.hi))
-	copy(dst, s.gbuf[s.lo:s.hi])
+	s.exchangeGhostsK(proc, s.wbuf, func() {
+		s.sys.ApplyJ(s.gbuf, s.wbuf, y, s.lo, s.hi)
+		s.cpu.ComputeK(proc, s.sys.JFlops(s.lo, s.hi), func() {
+			copy(dst, s.gbuf[s.lo:s.hi])
+			k()
+		})
+	})
 }
 
-// dot computes a distributed dot product (one allreduce).
-func (s *syncStrip) dots(proc *des.Proc, partials []float64) []float64 {
-	s.cpu.Compute(proc, 2*float64(s.n)*float64(len(partials)))
-	return s.comm.AllreduceSum(proc, partials)
+// dotsK computes a distributed dot product per partial (one allreduce).
+func (s *syncStrip) dotsK(proc *des.Proc, partials []float64, k func([]float64)) {
+	s.cpu.ComputeK(proc, 2*float64(s.n)*float64(len(partials)), func() {
+		s.comm.AllreduceSumK(proc, partials, k)
+	})
 }
 
-// gmresSolve runs one restarted distributed GMRES cycle set.
-func (s *syncStrip) gmresSolve(proc *des.Proc, y, rhs, delta []float64) {
+// gmresSolveK runs one restarted distributed GMRES cycle set. The nested
+// outer/Arnoldi loops are recursive continuations, one collective per
+// suspension.
+func (s *syncStrip) gmresSolveK(proc *des.Proc, y, rhs, delta []float64, done func()) {
 	m := s.gp.Restart
 	n := s.n
 	maxOuter := s.gp.MaxIters/m + 1
 	w := make([]float64, n)
 
 	// Global norm of rhs for the relative tolerance.
-	bn := s.dots(proc, []float64{dotLocal(rhs, rhs)})[0]
-	bnorm := math.Sqrt(bn)
-	if bnorm == 0 {
-		return
-	}
-
-	for outer := 0; outer < maxOuter; outer++ {
-		// r0 = rhs - J δ.
-		s.applyJ(proc, y, delta, w)
-		for i := range w {
-			w[i] = rhs[i] - w[i]
-		}
-		beta2 := s.dots(proc, []float64{dotLocal(w, w)})[0]
-		beta := math.Sqrt(beta2)
-		if beta/bnorm <= s.gp.Tol {
+	s.dotsK(proc, []float64{dotLocal(rhs, rhs)}, func(bns []float64) {
+		bnorm := math.Sqrt(bns[0])
+		if bnorm == 0 {
+			done()
 			return
 		}
-		copy(s.v[0], w)
-		for i := range s.v[0] {
-			s.v[0][i] /= beta
-		}
-		for i := range s.g {
-			s.g[i] = 0
-		}
-		s.g[0] = beta
+		var outer func(o int)
+		outer = func(o int) {
+			if o >= maxOuter {
+				done()
+				return
+			}
+			// r0 = rhs - J δ.
+			s.applyJK(proc, y, delta, w, func() {
+				for i := range w {
+					w[i] = rhs[i] - w[i]
+				}
+				s.dotsK(proc, []float64{dotLocal(w, w)}, func(b2 []float64) {
+					beta := math.Sqrt(b2[0])
+					if beta/bnorm <= s.gp.Tol {
+						done()
+						return
+					}
+					copy(s.v[0], w)
+					for i := range s.v[0] {
+						s.v[0][i] /= beta
+					}
+					for i := range s.g {
+						s.g[i] = 0
+					}
+					s.g[0] = beta
 
-		k := 0
-		for ; k < m; k++ {
-			// Arnoldi with classical Gram-Schmidt: the k+1 projection
-			// coefficients and the new norm are batched into a single
-			// allreduce each — the per-iteration synchronizations of the
-			// classical parallel GMRES.
-			s.applyJ(proc, y, s.v[k], w)
-			partials := make([]float64, k+1)
-			for i := 0; i <= k; i++ {
-				partials[i] = dotLocal(w, s.v[i])
-			}
-			coefs := s.dots(proc, partials)
-			for i := 0; i <= k; i++ {
-				s.hcolSet(i, coefs[i])
-				for j := range w {
-					w[j] -= coefs[i] * s.v[i][j]
-				}
-			}
-			s.cpu.Compute(proc, 2*float64(n)*float64(k+1))
-			nrm2 := s.dots(proc, []float64{dotLocal(w, w)})[0]
-			hk1 := math.Sqrt(nrm2)
-			s.hcolSet(k+1, hk1)
-			if hk1 > 1e-300 {
-				copy(s.v[k+1], w)
-				for j := range s.v[k+1] {
-					s.v[k+1][j] /= hk1
-				}
-			}
-			// Givens updates are replicated on every rank (identical
-			// global values), no communication.
-			s.applyGivens(k)
-			if math.Abs(s.g[k+1])/bnorm <= s.gp.Tol {
-				k++
-				break
-			}
+					cycleEnd := func(k int) {
+						s.backSubstitute(k, delta)
+						if math.Abs(s.g[k])/bnorm <= s.gp.Tol || k < m {
+							done()
+							return
+						}
+						outer(o + 1)
+					}
+					var arnoldi func(k int)
+					arnoldi = func(k int) {
+						if k >= m {
+							cycleEnd(k)
+							return
+						}
+						// Arnoldi with classical Gram-Schmidt: the k+1
+						// projection coefficients and the new norm are
+						// batched into a single allreduce each — the
+						// per-iteration synchronizations of the
+						// classical parallel GMRES.
+						s.applyJK(proc, y, s.v[k], w, func() {
+							partials := make([]float64, k+1)
+							for i := 0; i <= k; i++ {
+								partials[i] = dotLocal(w, s.v[i])
+							}
+							s.dotsK(proc, partials, func(coefs []float64) {
+								for i := 0; i <= k; i++ {
+									s.hcolSet(i, coefs[i])
+									for j := range w {
+										w[j] -= coefs[i] * s.v[i][j]
+									}
+								}
+								s.cpu.ComputeK(proc, 2*float64(n)*float64(k+1), func() {
+									s.dotsK(proc, []float64{dotLocal(w, w)}, func(n2 []float64) {
+										hk1 := math.Sqrt(n2[0])
+										s.hcolSet(k+1, hk1)
+										if hk1 > 1e-300 {
+											copy(s.v[k+1], w)
+											for j := range s.v[k+1] {
+												s.v[k+1][j] /= hk1
+											}
+										}
+										// Givens updates are replicated on
+										// every rank (identical global
+										// values), no communication.
+										s.applyGivens(k)
+										if math.Abs(s.g[k+1])/bnorm <= s.gp.Tol {
+											cycleEnd(k + 1)
+											return
+										}
+										arnoldi(k + 1)
+									})
+								})
+							})
+						})
+					}
+					arnoldi(0)
+				})
+			})
 		}
-		s.backSubstitute(k, delta)
-		if math.Abs(s.g[k])/bnorm <= s.gp.Tol || k < m {
-			return
-		}
-	}
+		outer(0)
+	})
 }
 
 func (s *syncStrip) hcolSet(i int, v float64) { s.hcol[i] = v }

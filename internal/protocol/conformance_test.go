@@ -186,7 +186,7 @@ func (h *harness) finish() {
 }
 
 // replayDES drives the trace on the real discrete-event simulator, with
-// goroutine-backed rank processes — the engine's runtime.
+// rank processes — the engine's runtime.
 func replayDES(t *confTrace) *confLog {
 	sim := des.New()
 	h := newHarness(t,
@@ -195,14 +195,21 @@ func replayDES(t *confTrace) *confLog {
 	)
 	for r := 0; r < t.n; r++ {
 		r := r
-		sim.Spawn(fmt.Sprintf("rank%d", r), func(p *des.Proc) {
-			for it := 0; it < t.maxIt && !h.stop[r]; it++ {
-				p.Sleep(des.Time(t.step[r]))
-				if h.stop[r] {
-					break
+		sim.SpawnTask(fmt.Sprintf("rank%d", r), func(p *des.Proc) {
+			var loop func(it int)
+			loop = func(it int) {
+				if it >= t.maxIt || h.stop[r] {
+					return
 				}
-				h.iterate(r)
+				p.SleepK(des.Time(t.step[r]), func() {
+					if h.stop[r] {
+						return
+					}
+					h.iterate(r)
+					loop(it + 1)
+				})
 			}
+			loop(0)
 		})
 	}
 	sim.Run()

@@ -45,8 +45,8 @@ type Result struct {
 	Procs    int    `json:"procs"`
 	Size     int    `json:"size"`
 	Scenario string `json:"scenario,omitempty"`
-	// Backend tells what executed the cell: "sim" (discrete-event
-	// simulation, virtual time) or a native transport ("chan", "tcp" —
+	// Backend tells what executed the cell: "sim" or its synonym "sim-fast"
+	// (discrete-event simulation, virtual time) or a native transport ("chan", "tcp" —
 	// wall-clock goroutine ranks, internal/backend).
 	Backend string `json:"backend,omitempty"`
 
@@ -275,13 +275,7 @@ func (s *Set) Table() string {
 		}
 		seen[g] = true
 		unit := ""
-		switch r.BackendOrSim() {
-		case "sim":
-		case "sim-fast":
-			// Same simulation, same virtual seconds — only the engine
-			// underneath differs.
-			unit = ", sim-fast backend"
-		default:
+		if !simulated(r.BackendOrSim()) {
 			unit = fmt.Sprintf(", %s backend (wall-clock)", r.BackendOrSim())
 		}
 		fmt.Fprintf(&b, "%s — %s grid, %d procs, n=%d, scenario %s%s\n", r.Problem, r.Grid, r.Procs, r.Size, r.ScenarioOrStatic(), unit)
@@ -461,7 +455,7 @@ func (s *Set) CalibrationTable() string {
 		return fmt.Sprintf("%s/%s/%s/p%d/n%d/%s", r.Mode, r.Grid, r.Problem, r.Procs, r.Size, r.ScenarioOrStatic())
 	}
 	for _, r := range s.Results {
-		if b := r.BackendOrSim(); b != "sim" && r.Error == "" && r.WallSec > 0 {
+		if b := r.BackendOrSim(); !simulated(b) && r.Error == "" && r.WallSec > 0 {
 			if wall[b] == nil {
 				wall[b] = make(map[string]float64)
 			}
@@ -474,7 +468,7 @@ func (s *Set) CalibrationTable() string {
 	var b strings.Builder
 	lastHeader := ""
 	for _, r := range s.Results {
-		if r.BackendOrSim() != "sim" || r.Error != "" {
+		if !simulated(r.BackendOrSim()) || r.Error != "" {
 			continue
 		}
 		any := false
@@ -638,7 +632,7 @@ func Regressions(baseline, current *Set, tolPct float64) []string {
 				old.Key(), now.Converged, now.Stalled, old.Converged, old.Stalled))
 			continue
 		}
-		if baseline.Schema >= 2 && old.BackendOrSim() == "sim" &&
+		if baseline.Schema >= 2 && simulated(old.BackendOrSim()) &&
 			(now.Heartbeats != old.Heartbeats ||
 				now.StopRebroadcasts != old.StopRebroadcasts ||
 				now.ReconfirmRounds != old.ReconfirmRounds) {
@@ -678,8 +672,9 @@ func Regressions(baseline, current *Set, tolPct float64) []string {
 	return out
 }
 
-// simulated reports whether a backend name is a deterministic simulated
-// driver (virtual time), whose flags and counters are comparable exactly.
+// simulated reports whether a backend name means the simulator ("sim", or
+// its synonym "sim-fast"): virtual time, deterministic, so flags and
+// counters are comparable exactly.
 func simulated(backend string) bool {
 	return backend == "sim" || backend == "sim-fast"
 }

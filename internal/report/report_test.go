@@ -163,6 +163,24 @@ func TestCalibrationTable(t *testing.T) {
 	}
 }
 
+// A sweep run under the simulator's other name calibrates all the same.
+func TestCalibrationTableTakesSimFastRows(t *testing.T) {
+	s := nativeSample()
+	for i := range s.Results {
+		if s.Results[i].Backend == "" {
+			s.Results[i].Backend = "sim-fast"
+		}
+	}
+	out := s.CalibrationTable()
+	if !strings.Contains(out, "40.0") || !strings.Contains(out, "20.0") ||
+		!strings.Contains(out, "sync mpi") || !strings.Contains(out, "async pm2") {
+		t.Fatalf("sim-fast rows not calibrated against their native twins:\n%s", out)
+	}
+	if strings.Contains(s.Table(), "sim-fast") {
+		t.Fatalf("sim-fast group labelled as a backend of its own:\n%s", s.Table())
+	}
+}
+
 func TestTableSeparatesBackends(t *testing.T) {
 	out := nativeSample().Table()
 	// Native cells group apart from their simulated twins (different time
@@ -211,6 +229,28 @@ func TestRegressions(t *testing.T) {
 	}
 }
 
+// Protocol counters are exact on every simulated row, whichever of the
+// simulator's two names the baseline was written under, and never gate a
+// native row.
+func TestRegressionsGateProtocolCounters(t *testing.T) {
+	for _, backend := range []string{"", "sim", "sim-fast"} {
+		base, cur := sample(), sample()
+		base.Schema = Schema
+		base.Results[1].Backend, cur.Results[1].Backend = backend, backend
+		cur.Results[1].Heartbeats += 2
+		v := Regressions(base, cur, 100)
+		if len(v) != 1 || !strings.Contains(v[0], "protocol counters hb=") {
+			t.Errorf("backend %q: heartbeat drift not gated: %v", backend, v)
+		}
+	}
+	base, cur := nativeSample(), nativeSample()
+	base.Schema = Schema
+	cur.Results[3].StopRebroadcasts++
+	if v := Regressions(base, cur, 100); len(v) != 0 {
+		t.Errorf("native cell gated on protocol counters: %v", v)
+	}
+}
+
 func TestRegressionsGateFlags(t *testing.T) {
 	base, cur := sample(), sample()
 	base.Schema = Schema
@@ -219,8 +259,8 @@ func TestRegressionsGateFlags(t *testing.T) {
 	if len(v) != 1 || !strings.Contains(v[0], `red flags "oscillation"`) {
 		t.Fatalf("flag drift not gated: %v", v)
 	}
-	// A sim-fast cell gates identically: both simulated drivers are
-	// deterministic.
+	// A sim-fast cell gates identically: it is the simulator under its
+	// other name.
 	base.Results[1].Backend = "sim-fast"
 	cur.Results[1].Backend = "sim-fast"
 	if v := Regressions(base, cur, 100); len(v) != 1 {

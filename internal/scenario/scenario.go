@@ -82,18 +82,6 @@ type Runtime struct {
 // virtual time. Call it before spawning the workload so time-zero events
 // apply first.
 func Deploy(s *Scenario, g *cluster.Grid) *Runtime {
-	return deploy(s, g, false)
-}
-
-// DeployEventLoop is Deploy with the scenario driver running as a
-// continuation-backed task (des.SpawnTask) — the sim-fast execution mode.
-// The driver performs the same SleepUntil suspensions in the same order as
-// the goroutine driver, so the applied event sequence is bit-identical.
-func DeployEventLoop(s *Scenario, g *cluster.Grid) *Runtime {
-	return deploy(s, g, true)
-}
-
-func deploy(s *Scenario, g *cluster.Grid, eventLoop bool) *Runtime {
 	n := g.Size()
 	rt := &Runtime{
 		Grid:     g,
@@ -110,28 +98,21 @@ func deploy(s *Scenario, g *cluster.Grid, eventLoop bool) *Runtime {
 		rt.events = s.Build(g)
 		sort.SliceStable(rt.events, func(i, j int) bool { return rt.events[i].At < rt.events[j].At })
 	}
-	if len(rt.events) == 0 {
-		return rt
+	if len(rt.events) > 0 {
+		g.Sim.SpawnTask("scenario:"+s.Name, func(p *des.Proc) { rt.driveK(p, 0) })
 	}
-	if eventLoop {
-		g.Sim.SpawnTask("scenario:"+s.Name, func(p *des.Proc) {
-			rt.driveK(p, 0)
-		})
-		return rt
-	}
-	g.Sim.Spawn("scenario:"+s.Name, func(p *des.Proc) {
-		for _, ev := range rt.events {
-			p.SleepUntil(rt.base + ev.At)
-			ev.Apply(rt)
-			rt.applied++
-		}
-	})
 	return rt
 }
 
-// driveK applies events i.. as a continuation chain. SleepUntilK always
-// goes through the scheduler (even for past timestamps), so the recursion
-// never deepens the host stack.
+// DeployEventLoop is Deploy. The name stays only because the files under
+// benchmark/ compile against it; the next benchmark-only PR deletes it
+// (ROADMAP item 8(b)).
+func DeployEventLoop(s *Scenario, g *cluster.Grid) *Runtime { return Deploy(s, g) }
+
+// driveK is the driver process from event i on: sleep until the event is
+// due, apply it, go on to the next. SleepUntilK always goes through the
+// scheduler (even for past timestamps), so the recursion never deepens the
+// host stack.
 func (rt *Runtime) driveK(p *des.Proc, i int) {
 	if i == len(rt.events) {
 		return
@@ -163,16 +144,8 @@ func (rt *Runtime) Horizon() des.Time {
 // loss.
 func (rt *Runtime) Epoch(rank int) int { return rt.epochs[rank] }
 
-// WaitUp blocks p until the rank's node is up (returns immediately when it
-// already is). Called by the rank's own engine process.
-func (rt *Runtime) WaitUp(p *des.Proc, rank int) {
-	for rt.gates[rank] != nil {
-		rt.gates[rank].Wait(p)
-	}
-}
-
-// WaitUpK is the continuation form of WaitUp: k runs synchronously when
-// the node is already up, mirroring WaitUp's no-yield fast path.
+// WaitUpK runs k in p once the rank's node is up — synchronously when it
+// already is. Called by the rank's own engine process.
 func (rt *Runtime) WaitUpK(p *des.Proc, rank int, k func()) {
 	if rt.gates[rank] == nil {
 		k()
@@ -219,7 +192,7 @@ func (rt *Runtime) Crash(rank int) {
 }
 
 // Restart brings a crashed rank's node back up and releases the engine
-// process parked in WaitUp. The engine performs the state loss.
+// process parked in WaitUpK. The engine performs the state loss.
 func (rt *Runtime) Restart(rank int) {
 	g := rt.gates[rank]
 	if g == nil {

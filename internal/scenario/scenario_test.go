@@ -86,10 +86,10 @@ func TestCrashRestartEpochAndGate(t *testing.T) {
 		t.Fatalf("initial epoch = %d", rt.Epoch(1))
 	}
 	var resumedAt des.Time
-	sim.Spawn("waiter", func(p *des.Proc) {
-		p.Sleep(2 * time.Millisecond) // crash happens at 1ms
-		rt.WaitUp(p, 1)
-		resumedAt = p.Now()
+	sim.SpawnTask("waiter", func(p *des.Proc) {
+		p.SleepK(2*time.Millisecond, func() { // crash happens at 1ms
+			rt.WaitUpK(p, 1, func() { resumedAt = p.Now() })
+		})
 	})
 	sim.Schedule(time.Millisecond, func() {
 		rt.Crash(1)
@@ -102,7 +102,7 @@ func TestCrashRestartEpochAndGate(t *testing.T) {
 		t.Fatalf("epoch after one crash = %d, want 1", rt.Epoch(1))
 	}
 	if resumedAt != 5*time.Millisecond {
-		t.Fatalf("WaitUp resumed at %v, want 5ms", resumedAt)
+		t.Fatalf("WaitUpK resumed at %v, want 5ms", resumedAt)
 	}
 	if g.Net.IsDown(g.Machines[1].Node) {
 		t.Fatal("node still down after Restart")
@@ -230,66 +230,59 @@ func sameTimeScenario(trace *[]string) *Scenario {
 	}
 }
 
-// TestSameVirtualTimeOrderBothDrivers pins the contract the differential
-// harness rests on: events scheduled at the same virtual instant apply in
-// build order (the sort is stable), and the goroutine driver (Deploy) and
-// the continuation driver (DeployEventLoop) produce the exact same applied
-// sequence — times and order both.
-func TestSameVirtualTimeOrderBothDrivers(t *testing.T) {
+// Events scheduled at the same virtual instant apply in build order (the
+// sort is stable).
+func TestSameVirtualTimeEventsApplyInBuildOrder(t *testing.T) {
 	want := []string{
 		"10ms:a1", "10ms:a2", "10ms:a3",
 		"20ms:b1", "20ms:b2",
 		"30ms:c1",
 	}
-	run := func(deploy func(*Scenario, *cluster.Grid) *Runtime) []string {
-		sim := des.New()
-		g := cluster.LocalHeterogeneous(sim, 4)
-		var trace []string
-		rt := deploy(sameTimeScenario(&trace), g)
-		sim.Run()
-		if rt.Events() != len(want) {
-			t.Fatalf("driver applied %d events, want %d", rt.Events(), len(want))
-		}
-		return trace
+	sim := des.New()
+	g := cluster.LocalHeterogeneous(sim, 4)
+	var trace []string
+	rt := Deploy(sameTimeScenario(&trace), g)
+	sim.Run()
+	if rt.Events() != len(want) {
+		t.Fatalf("driver applied %d events, want %d", rt.Events(), len(want))
 	}
-	goroutine := run(Deploy)
-	eventLoop := run(DeployEventLoop)
-	if !reflect.DeepEqual(goroutine, want) {
-		t.Errorf("goroutine driver order:\n got %v\nwant %v", goroutine, want)
-	}
-	if !reflect.DeepEqual(eventLoop, goroutine) {
-		t.Errorf("drivers disagree on simultaneous-event order:\n goroutine  %v\n event-loop %v", goroutine, eventLoop)
+	if !reflect.DeepEqual(trace, want) {
+		t.Errorf("driver order:\n got %v\nwant %v", trace, want)
 	}
 }
 
-// TestDriversInterleaveIdenticallyWithWorkload checks the two drivers
-// against a concurrent simulated process sampling the clock: the workload
-// observations and the applied-event count at each observation must match
-// between drivers, i.e. the scenario perturbs a running simulation at the
-// same points of its execution regardless of driver.
-func TestDriversInterleaveIdenticallyWithWorkload(t *testing.T) {
+// The driver goes back through the scheduler between two events, also
+// between two of the same instant: a workload process sampling the clock at
+// the very instants the timeline fires sees the instant's first event
+// applied, and the rest only at its next look. This pins the points of a
+// running simulation at which a scenario perturbs it.
+func TestDriverYieldsBetweenSameInstantEvents(t *testing.T) {
 	type obs struct {
 		At      des.Time
 		Applied int
 	}
-	run := func(deploy func(*Scenario, *cluster.Grid) *Runtime) []obs {
-		sim := des.New()
-		g := cluster.LocalHeterogeneous(sim, 4)
-		var trace []string
-		rt := deploy(sameTimeScenario(&trace), g)
-		var seen []obs
-		sim.Spawn("workload", func(p *des.Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(10 * time.Millisecond)
-				seen = append(seen, obs{p.Now(), rt.Events()})
+	sim := des.New()
+	g := cluster.LocalHeterogeneous(sim, 4)
+	var trace []string
+	rt := Deploy(sameTimeScenario(&trace), g)
+	var seen []obs
+	sim.SpawnTask("workload", func(p *des.Proc) {
+		var sample func(i int)
+		sample = func(i int) {
+			if i == 5 {
+				return
 			}
-		})
-		sim.Run()
-		return seen
-	}
-	goroutine := run(Deploy)
-	eventLoop := run(DeployEventLoop)
-	if !reflect.DeepEqual(goroutine, eventLoop) {
-		t.Errorf("workload observed different perturbation progress:\n goroutine  %v\n event-loop %v", goroutine, eventLoop)
+			p.SleepK(10*time.Millisecond, func() {
+				seen = append(seen, obs{p.Now(), rt.Events()})
+				sample(i + 1)
+			})
+		}
+		sample(0)
+	})
+	sim.Run()
+	const ms = time.Millisecond
+	want := []obs{{10 * ms, 1}, {20 * ms, 3}, {30 * ms, 5}, {40 * ms, 6}, {50 * ms, 6}}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("workload observed perturbation progress %v, want %v", seen, want)
 	}
 }
