@@ -1,13 +1,15 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablations for the design choices called out in
-// DESIGN.md. Run with
+// Ablations for the design choices behind the results: each drives
+// aiac.Run directly on a configuration the experiment matrix has no axis
+// for (a scheduler policy, a receive model, a hub, a block weighting). The
+// paper's tables and figures themselves are sweeps: aiacbench -paper. Run
+// with
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark executes its experiment once per b.N iteration (the
 // experiments are deterministic, so b.N = 1 gives the full result) and
-// prints the regenerated table/figure; virtual execution times are also
-// exposed as custom metrics (vsec/<version>).
+// prints the two times side by side; they are also exposed as custom
+// metrics (vsec/<variant>).
 package main
 
 import (
@@ -15,7 +17,6 @@ import (
 	"testing"
 
 	"aiac/internal/aiac"
-	"aiac/internal/bench"
 	"aiac/internal/chem"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
@@ -26,107 +27,10 @@ import (
 	"aiac/internal/env/pm2"
 	"aiac/internal/gmres"
 	"aiac/internal/marcel"
+	"aiac/internal/matrix"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
 )
-
-// BenchmarkTable1Parameters prints the experiment parameters (paper
-// Table 1).
-func BenchmarkTable1Parameters(b *testing.B) {
-	s := bench.DefaultScale()
-	for i := 0; i < b.N; i++ {
-		_ = bench.Table1(s)
-	}
-	b.StopTimer()
-	fmt.Println(bench.Table1(s))
-}
-
-// BenchmarkFigure1SISCTrace regenerates the SISC execution flow (paper
-// Figure 1): idle gaps between the iterations.
-func BenchmarkFigure1SISCTrace(b *testing.B) {
-	var idle float64
-	for i := 0; i < b.N; i++ {
-		sisc, _ := bench.Figures12(bench.DefaultScale())
-		idle = sisc.MeanIdleFraction()
-		if i == 0 {
-			b.StopTimer()
-			fmt.Println("Figure 1: SISC execution flow (two processors)")
-			fmt.Print(sisc.Gantt(72))
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(idle, "idle-fraction")
-}
-
-// BenchmarkFigure2AIACTrace regenerates the AIAC execution flow (paper
-// Figure 2): no idle time between iterations.
-func BenchmarkFigure2AIACTrace(b *testing.B) {
-	var idle float64
-	for i := 0; i < b.N; i++ {
-		_, asyncTr := bench.Figures12(bench.DefaultScale())
-		idle = asyncTr.MeanIdleFraction()
-		if i == 0 {
-			b.StopTimer()
-			fmt.Println("Figure 2: AIAC execution flow (two processors)")
-			fmt.Print(asyncTr.Gantt(72))
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(idle, "idle-fraction")
-}
-
-// BenchmarkTable2SparseLinear regenerates the sparse linear problem
-// comparison (paper Table 2): sync MPI vs the three asynchronous
-// middlewares on the 3-site Ethernet grid.
-func BenchmarkTable2SparseLinear(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		rows = bench.Table2(bench.DefaultScale())
-	}
-	b.StopTimer()
-	fmt.Println(bench.FormatRows("Table 2: execution times for the sparse linear problem", rows))
-	for _, r := range rows {
-		b.ReportMetric(r.Time.Seconds(), "vsec/"+shortName(r.Version))
-	}
-}
-
-// BenchmarkTable3NonLinear regenerates the non-linear problem comparison
-// (paper Table 3): both grids, four versions each.
-func BenchmarkTable3NonLinear(b *testing.B) {
-	var rows []bench.Row
-	for i := 0; i < b.N; i++ {
-		rows = bench.Table3(bench.DefaultScale())
-	}
-	b.StopTimer()
-	fmt.Println(bench.FormatRows("Table 3: execution times on each cluster for the non-linear problem", rows))
-	for _, r := range rows {
-		b.ReportMetric(r.Time.Seconds(), "vsec/"+shortName(r.Cluster+"-"+r.Version))
-	}
-}
-
-// BenchmarkTable4ThreadPolicies prints the per-environment thread
-// configurations (paper Table 4).
-func BenchmarkTable4ThreadPolicies(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = bench.Table4()
-	}
-	b.StopTimer()
-	fmt.Println(out)
-}
-
-// BenchmarkFigure3Scalability regenerates the processor-count sweep on the
-// local heterogeneous cluster (paper Figure 3).
-func BenchmarkFigure3Scalability(b *testing.B) {
-	var series map[string][]bench.Point
-	for i := 0; i < b.N; i++ {
-		series = bench.Figure3(bench.DefaultScale())
-	}
-	b.StopTimer()
-	fmt.Println(bench.FormatFigure3(series))
-}
-
-// --- Ablations (DESIGN.md §4): the design choices behind the results ---
 
 // BenchmarkAblationSyncMultisplitting compares the two synchronous
 // baselines for the non-linear problem: the classical global Newton with
@@ -134,26 +38,26 @@ func BenchmarkFigure3Scalability(b *testing.B) {
 // lockstep multisplitting (strategy 2 run synchronously). The paper's
 // measured speed ratios (~4.5) fall between the two at our scale.
 func BenchmarkAblationSyncMultisplitting(b *testing.B) {
-	s := bench.DefaultScale()
+	spec, err := matrix.Preset("table3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	procs, n, cp := spec.Procs[0], spec.Sizes[0], spec.Chem
+	gp := gmres.Params{Tol: cp.GmresTol, Restart: 30}
 	var tGlobal, tLockstep des.Time
 	for i := 0; i < b.N; i++ {
 		{
-			sim := des.New()
-			grid := cluster.ThreeSiteEthernet(sim, s.NProcs)
-			env := mpi.MustNew(grid, nil)
-			p := chem.New(s.ChemNX, s.ChemNZ)
-			run := problems.RunChemSyncGlobal(grid, env, p, p.InitialState(), s.ChemStepS, s.ChemHorizonS,
-				gmres.Params{Tol: s.GmresTol, Restart: 30}, s.ChemEps, 50)
+			grid := cluster.ThreeSiteEthernet(des.New(), procs)
+			p := chem.New(n, n)
+			run := problems.RunChemSyncGlobal(grid, mpi.MustNew(grid, nil), p, p.InitialState(),
+				cp.StepS, cp.HorizonS, gp, cp.Eps, 50)
 			tGlobal = run.Elapsed
 		}
 		{
-			sim := des.New()
-			grid := cluster.ThreeSiteEthernet(sim, s.NProcs)
-			env := mpi.MustNew(grid, nil)
-			p := chem.New(s.ChemNX, s.ChemNZ)
-			run := problems.RunChem(grid, env, p, p.InitialState(), s.ChemStepS, s.ChemHorizonS,
-				gmres.Params{Tol: s.GmresTol, Restart: 30},
-				aiac.Config{Mode: aiac.Sync, Eps: s.ChemEps})
+			grid := cluster.ThreeSiteEthernet(des.New(), procs)
+			p := chem.New(n, n)
+			run := problems.RunChem(grid, mpi.MustNew(grid, nil), p, p.InitialState(),
+				cp.StepS, cp.HorizonS, gp, aiac.Config{Mode: aiac.Sync, Eps: cp.Eps})
 			tLockstep = run.Elapsed
 		}
 	}
@@ -274,21 +178,6 @@ func BenchmarkAblationMultiProtocol(b *testing.B) {
 	fmt.Printf("Ablation multi-protocol (mpi/mad, 8 procs): tcp-only %v, with myrinet %v\n\n", tcp, myri)
 	b.ReportMetric(tcp.Seconds(), "vsec/tcp")
 	b.ReportMetric(myri.Seconds(), "vsec/myrinet")
-}
-
-func shortName(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r == ' ':
-			out = append(out, '-')
-		case r == '/':
-			out = append(out, '-')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
 }
 
 // BenchmarkAblationLoadBalancing measures the static load-balancing

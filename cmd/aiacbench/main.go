@@ -4,7 +4,7 @@
 // and persists the results as JSON so later runs can be diffed against
 // them.
 //
-// Matrix mode (the default):
+// Every experiment is a sweep of matrix cells; the flags filter the axes:
 //
 //	aiacbench -workers 8                      # full env×mode×grid sweep, sparse linear problem
 //	aiacbench -env pm2,mpi -grid adsl         # filter any axis
@@ -22,14 +22,24 @@
 //	aiacbench -baseline B.json -faildelta 1   # exit non-zero on >1% time drift (CI)
 //	aiacbench -trend .                        # per-cell time/speedup trajectories across all BENCH files
 //
+// The paper's own experiments are presets of the same sweep (matrix.Preset:
+// axis filters plus the Table 1 parameters that have no flag); the axis
+// flags apply on top, and the preset's parameters (Table 1) and thread
+// policies (Table 4) are printed above the sweep:
+//
+//	aiacbench -paper table2                   # sparse linear comparison (Table 2)
+//	aiacbench -paper table3                   # non-linear comparison on both grids (Table 3)
+//	aiacbench -paper figure3                  # scalability on the local cluster (Figure 3)
+//	aiacbench -paper table2 -n 2000000 -procs 15  # Table 2 at the paper's size (hours)
+//
 // Every sweep with a results file streams each completed cell to a JSONL
 // sidecar next to it (BENCH_pr42.json → BENCH_pr42.jsonl), fsync'd per
 // row, so killing the sweep loses nothing already measured. -resume reads
-// such a sidecar back and re-executes only the cells whose content
-// address — cell key, problem parameters, seeds, repetition count, report
-// schema, protocol constants, native timeout — has no valid row yet; new
-// results append to the same sidecar, and the final JSON is written as
-// usual, indistinguishable from an uninterrupted run.
+// such a sidecar back and re-executes only the cells whose content address
+// — cell key, problem parameters, seeds, repetition count, report schema,
+// protocol constants, native timeout — has no valid row yet; new results
+// append to the same sidecar, and the final JSON is written as usual,
+// indistinguishable from an uninterrupted run.
 //
 // Native cells (backend chan or tcp) run the solve for real — goroutine
 // ranks over an in-process or TCP-loopback transport shaped like the
@@ -39,14 +49,6 @@
 // analogue (flaky-adsl, lossy-wan) are legal native cells. Wall times vary
 // run to run, so build -faildelta regression baselines from sim-only
 // sweeps.
-//
-// Paper-table mode regenerates the evaluation section's tables and figures
-// verbatim (see internal/bench):
-//
-//	aiacbench -table 2        # sparse linear comparison (Table 2)
-//	aiacbench -table 3        # non-linear comparison (Table 3)
-//	aiacbench -all            # every table and figure
-//	aiacbench -all -paper     # at the paper's full problem sizes (slow)
 package main
 
 import (
@@ -61,7 +63,6 @@ import (
 	"strings"
 	"time"
 
-	"aiac/internal/bench"
 	"aiac/internal/matrix"
 	"aiac/internal/obs"
 	"aiac/internal/problems"
@@ -70,7 +71,6 @@ import (
 
 func main() {
 	var (
-		// Matrix-mode flags.
 		envF      = flag.String("env", "", "environment filter (csv of mpi, pm2, madmpi, omniorb; empty = all)")
 		modeF     = flag.String("mode", "", "mode filter (csv of sync, async; empty = both)")
 		gridF     = flag.String("grid", "", "grid filter (csv of 3site, adsl, local, multiproto; empty = the paper's three measurement grids)")
@@ -92,48 +92,35 @@ func main() {
 		trendF    = flag.String("trend", "", "directory of BENCH_*.json/.jsonl files: print per-cell time and speedup trajectories across them instead of sweeping")
 		failDelta = flag.Float64("faildelta", 0, "with -baseline: exit non-zero if any shared cell's time drifts more than this many percent, or outcomes change (0 = report only)")
 		httpAddr  = flag.String("http", "", "serve live sweep observability on this address (e.g. :8080 or 127.0.0.1:0): /progress (state+ETA JSON), /metrics (Prometheus), /debug/pprof")
-
-		// Paper-table mode flags.
-		table  = flag.Int("table", 0, "regenerate paper table 1, 2, 3 or 4 instead of sweeping")
-		figure = flag.Int("figure", 0, "regenerate paper figure 3 instead of sweeping")
-		all    = flag.Bool("all", false, "regenerate every paper table and figure")
-		paper  = flag.Bool("paper", false, "use the paper's full problem sizes (hours)")
+		paper     = flag.String("paper", "", "start from one of the paper's experiments instead of the default sweep: "+strings.Join(matrix.PresetNames, ", ")+" (the axis flags apply on top)")
 	)
 	flag.Parse()
 
-	// The modes share only -procs; reject flags from the other modes
-	// instead of silently ignoring them.
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *trendF != "" {
-		for _, name := range []string{"env", "mode", "grid", "problem", "procs", "n", "scenario", "backend", "timeout", "reps", "seed", "workers", "list", "o", "resume", "retries", "baseline", "faildelta", "http", "table", "figure", "all", "paper"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "-%s has no effect with -trend (it only reads saved results files)\n", name)
+		// -trend only reads saved results files: reject the sweep flags
+		// instead of silently ignoring them.
+		sweepFlags := map[string]bool{"env": true, "mode": true, "grid": true, "problem": true, "procs": true, "n": true, "scenario": true, "backend": true, "timeout": true, "reps": true, "seed": true, "workers": true, "list": true, "o": true, "resume": true, "retries": true, "baseline": true, "faildelta": true, "http": true, "paper": true}
+		flag.Visit(func(f *flag.Flag) {
+			if sweepFlags[f.Name] {
+				fmt.Fprintf(os.Stderr, "-%s has no effect with -trend (it only reads saved results files)\n", f.Name)
 				os.Exit(2)
 			}
-		}
+		})
 		if err := printTrend(*trendF); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *table != 0 || *figure != 0 || *all {
-		for _, name := range []string{"env", "mode", "grid", "problem", "n", "scenario", "backend", "timeout", "reps", "seed", "workers", "list", "o", "resume", "retries", "baseline", "faildelta", "http"} {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "-%s is a matrix-sweep flag; it has no effect with -table/-figure/-all\n", name)
-				os.Exit(2)
-			}
+	// The counts follow the axis lists' rule (-procs, -n): positive integers.
+	for _, name := range []string{"reps", "workers"} {
+		if _, err := matrix.ParseInts(name, flag.Lookup(name).Value.String()); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
-		paperTables(*table, *figure, *all, *paper, *procsF)
-		return
-	}
-	if explicit["paper"] {
-		fmt.Fprintln(os.Stderr, "-paper selects the paper's table sizes and needs -table, -figure or -all; for a bigger sweep use -n/-procs")
-		os.Exit(2)
 	}
 
-	spec, err := buildSpec(*envF, *modeF, *gridF, *problemF, *procsF, *sizesF, *scenarioF, *backendF, *operatorF)
+	spec, err := buildSpec(*paper, *envF, *modeF, *gridF, *problemF, *procsF, *sizesF, *scenarioF, *backendF, *operatorF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -169,6 +156,16 @@ func main() {
 	if len(cells) == 0 {
 		fmt.Fprintln(os.Stderr, "the filters select no runnable cells (note: async×mpi is unsupported, and native backends run the scenarios with a transport analogue: static, flaky-adsl, lossy-wan)")
 		os.Exit(2)
+	}
+	if *failDelta != 0 {
+		keys := make([]string, len(cells))
+		for i, c := range cells {
+			keys[i] = c.Key()
+		}
+		if err := base.Covers(keys); err != nil {
+			fmt.Fprintf(os.Stderr, "-faildelta against %s would pass vacuously: %v\n", *baseline, err)
+			os.Exit(2)
+		}
 	}
 
 	// Crash-safe streaming: every completed cell appends to a JSONL
@@ -223,6 +220,12 @@ func main() {
 			ln.Addr(), ln.Addr(), ln.Addr())
 	}
 
+	if *paper != "" {
+		fmt.Printf("Table 1: chosen parameters (preset %s)\n\n%s\n", *paper, spec.Parameters())
+		for _, prob := range spec.Problems {
+			fmt.Printf("Table 4: thread policy of each environment, %s problem\n\n%s\n", prob, matrix.ThreadPolicies(prob))
+		}
+	}
 	fmt.Printf("sweeping %d cells with %d workers, %d rep(s) per cell\n", len(cells), *workers, *reps)
 	if sidecarPath != "" {
 		fmt.Printf("streaming completed cells to %s\n", sidecarPath)
@@ -297,7 +300,9 @@ func main() {
 		}
 	}
 	set.CreatedAt = start.UTC().Format(time.RFC3339)
-	set.Command = strings.Join(os.Args, " ")
+	// The command as a reader would retype it (report.ReadFile quotes it as
+	// the way to regenerate the file), not the build cache path of a `go run`.
+	set.Command = strings.Join(append([]string{"aiacbench"}, os.Args[1:]...), " ")
 
 	fmt.Printf("\nswept %d cells in %v (host time)\n", len(cells), time.Since(start).Round(time.Millisecond))
 	if *resume != "" {
@@ -403,10 +408,16 @@ func addStaticIfMissing(spec *matrix.Spec) bool {
 	return true
 }
 
-// buildSpec assembles the sweep spec from the axis filters.
-func buildSpec(env, mode, grid, problem, procs, sizes, scenarios, backends, operator string) (matrix.Spec, error) {
+// buildSpec assembles the sweep spec: the default sweep, or the named paper
+// preset, with the axis filters applied on top.
+func buildSpec(preset, env, mode, grid, problem, procs, sizes, scenarios, backends, operator string) (matrix.Spec, error) {
 	spec := matrix.DefaultSpec()
 	var err error
+	if preset != "" {
+		if spec, err = matrix.Preset(preset); err != nil {
+			return spec, err
+		}
+	}
 	if spec.Linear.Operator, err = matrix.ParseOperator(operator); err != nil {
 		return spec, err
 	}
@@ -445,49 +456,4 @@ func buildSpec(env, mode, grid, problem, procs, sizes, scenarios, backends, oper
 		spec.Sizes = n
 	}
 	return spec, nil
-}
-
-// paperTables regenerates the evaluation section's tables and figures
-// (internal/bench), the pre-matrix behaviour of this command.
-func paperTables(table, figure int, all, paper bool, procsF string) {
-	scale := bench.DefaultScale()
-	if paper {
-		scale = bench.PaperScale()
-	}
-	if p, err := matrix.ParseInts("procs", procsF); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	} else if len(p) > 1 {
-		fmt.Fprintln(os.Stderr, "paper-table mode takes a single -procs value")
-		os.Exit(2)
-	} else if len(p) == 1 {
-		scale.NProcs = p[0]
-	}
-
-	did := false
-	want := func(t int) bool { return all || table == t }
-	if want(1) {
-		fmt.Println(bench.Table1(scale))
-		did = true
-	}
-	if want(2) {
-		fmt.Println(bench.FormatRows("Table 2: execution times for the sparse linear problem", bench.Table2(scale)))
-		did = true
-	}
-	if want(3) {
-		fmt.Println(bench.FormatRows("Table 3: execution times on each cluster for the non-linear problem", bench.Table3(scale)))
-		did = true
-	}
-	if want(4) {
-		fmt.Println(bench.Table4())
-		did = true
-	}
-	if all || figure == 3 {
-		fmt.Println(bench.FormatFigure3(bench.Figure3(scale)))
-		did = true
-	}
-	if !did {
-		fmt.Fprintf(os.Stderr, "nothing to do: -table takes 1-4, -figure takes 3 (got -table %d -figure %d)\n", table, figure)
-		os.Exit(2)
-	}
 }

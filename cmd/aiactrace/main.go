@@ -2,7 +2,8 @@
 //
 // By default it regenerates the paper's figures: the SISC trace with idle
 // gaps between iterations (Figure 1) and the AIAC trace without them
-// (Figure 2), as ASCII Gantt charts.
+// (Figure 2), as ASCII Gantt charts — matrix.FigureCells, two cells of
+// the Table 2 preset on two processors.
 //
 // Given cell flags, it instead traces one cell of the experiment matrix —
 // the flags are parsed by the same axis parsing as cmd/aiacbench and
@@ -40,7 +41,6 @@ import (
 	"fmt"
 	"os"
 
-	"aiac/internal/bench"
 	"aiac/internal/matrix"
 	"aiac/internal/obs"
 	"aiac/internal/obs/critpath"
@@ -92,7 +92,8 @@ func main() {
 			}
 		}
 		// Figure mode: the canned two-processor traces of §4.1.
-		sisc, async := bench.Figures12(bench.DefaultScale())
+		siscCell, asyncCell, spec := matrix.FigureCells()
+		sisc, async := figureTrace(siscCell, spec), figureTrace(asyncCell, spec)
 		switch *figure {
 		case "sisc":
 			fmt.Println("Figure 1: execution flow of a SISC algorithm with two processors")
@@ -169,6 +170,17 @@ func main() {
 		fmt.Printf("\ncritical path: %s\n\n", a.Summary())
 		fmt.Print(a.Listing(40))
 	}
+}
+
+// figureTrace runs one of the two cells behind Figures 1-2 and returns its
+// execution flow.
+func figureTrace(cell matrix.Cell, spec matrix.Spec) *trace.Collector {
+	tr := trace.New()
+	if _, err := matrix.RunCellOnce(cell, spec, 0, 0, 0, tr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return tr
 }
 
 // explainCells traces the two cells named by their full keys and prints

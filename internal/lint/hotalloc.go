@@ -8,11 +8,12 @@ import (
 
 // hotalloc: functions annotated //lint:hotpath must not allocate.
 //
-// The kernel ladder (KERNELS.md) and the AllocsPerRun pins in
-// internal/bench prove the numeric hot path allocates nothing in steady
-// state — dynamically, for the shapes the tests happen to run. This
-// analyzer pins the same property structurally: a function marked
-// //lint:hotpath on its declaration must not contain
+// The kernel ladder (KERNELS.md) and the AllocsPerRun gates of
+// internal/bench (alloc_test.go, msgpath_test.go — that package is only
+// tests) prove the numeric hot path allocates nothing in steady state —
+// dynamically, for the shapes the tests happen to run. This analyzer pins
+// the same property structurally: a function marked //lint:hotpath on its
+// declaration must not contain
 //
 //   - the allocating builtins append, make, new
 //   - slice or map composite literals ([]T{...}, map[K]V{...}) and

@@ -43,6 +43,11 @@
 //
 // Every cell runs in its own des.Simulator, so cells share no state and a
 // sweep's results are identical whatever the worker count.
+//
+// This is the repo's one experiment runner: the paper's own Tables 2-3 and
+// Figure 3 are named Specs (Preset), Figures 1-2 two of their cells
+// (FigureCells), and Tables 1 and 4 listings of a Spec's parameters and of
+// the environments NewEnv deploys (Spec.Parameters, ThreadPolicies).
 package matrix
 
 import (
@@ -530,3 +535,24 @@ func NewEnv(grid *cluster.Grid, name string, sparse bool, tr *trace.Collector, _
 		return nil, fmt.Errorf("unknown environment %q (known: %s)", name, strings.Join(EnvNames, ", "))
 	}
 }
+
+// ThreadPolicies lists the send/receive thread configuration every
+// multi-threaded environment deploys for the named problem — the paper's
+// Table 4.
+func ThreadPolicies(problem string) string {
+	grid := cluster.LocalHeterogeneous(des.New(), 3)
+	var b strings.Builder
+	for _, name := range EnvNames[1:] { // mpi is mono-threaded
+		env, err := NewEnv(grid, name, sparseExchange(problem), nil)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(&b, "  %-16s %s\n", env.Name(), env.ThreadPolicy())
+	}
+	return b.String()
+}
+
+// sparseExchange reports whether the problem's environments deploy in the
+// all-to-all sparse configuration of Table 4 (the gradient-iterated linear
+// system) rather than the neighbour-exchange one.
+func sparseExchange(problem string) bool { return problem == "linear" }

@@ -18,9 +18,6 @@ func TestSmokeBaselineZeroFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Schema < 3 {
-		t.Fatalf("BENCH_smoke.json schema %d predates the flags column (want >= 3)", set.Schema)
-	}
 	for _, r := range set.Results {
 		if r.Flags != "" {
 			t.Errorf("%s: committed smoke baseline carries flags %q, want none", r.Key(), r.Flags)

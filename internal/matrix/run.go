@@ -568,7 +568,7 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	if seed != 0 {
 		grid.Net.SetJitter(0.02, seed+int64(rep))
 	}
-	env, err := NewEnv(grid, c.Env, c.Problem == "linear", tr)
+	env, err := NewEnv(grid, c.Env, sparseExchange(c.Problem), tr)
 	if err != nil {
 		return measurement{}, fmt.Errorf("deploying %s on %s: %w", c.Env, c.Grid, err)
 	}

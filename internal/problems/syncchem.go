@@ -32,9 +32,9 @@ import (
 // data sink at a different buffer on every call, which is only safe when
 // receipts are drained inside SyncExchangeK itself. On a threaded receive
 // model a fast neighbour's next-round message could be incorporated through
-// the previous round's sink — callers (internal/matrix, internal/bench)
-// route the threaded environments to the lockstep multisplitting version
-// (RunChem with Mode Sync) instead.
+// the previous round's sink — internal/matrix, the one caller outside the
+// ablation of the root bench_test.go, routes the threaded environments to
+// the lockstep multisplitting version (RunChem with Mode Sync) instead.
 func RunChemSyncGlobal(grid *cluster.Grid, env aiac.Env, p *chem.Problem, y0 []float64, h, tEnd float64, gp gmres.Params, eps float64, maxNewton int) *ChemRun {
 	if gp.Tol <= 0 {
 		gp.Tol = 1e-6

@@ -1,7 +1,9 @@
 // Package report persists and renders the results of experiment-matrix
 // sweeps (internal/matrix): one Result per experiment cell, collected into
-// a Set that round-trips through JSON (`BENCH_*.json` files) so runs can be
-// compared across commits.
+// a Set that round-trips through JSON (`BENCH_*.json` files, one schema)
+// so runs can be compared across commits. It is the one report form: the
+// default sweep, the scenario and native sweeps and the paper's own tables
+// (matrix.Preset) all render through the views below.
 //
 // The rendering follows the layout of the paper's evaluation (§5): the
 // aligned table groups cells by (problem, grid, procs, size) and derives
@@ -14,22 +16,21 @@ package report
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 )
 
-// Schema is the persisted-file format version. Version 2 added the
-// protocol observability counters (heartbeats, stop rebroadcasts,
-// reconfirm rounds) and the protocol constants; Regressions compares the
-// counters only against baselines that recorded them (schema >= 2).
-// Version 3 added the convergence red-flag verdicts (Flags, from
-// internal/obs's trajectory detectors), compared exactly against
-// baselines at schema >= 3. Version 4 added the causal critical-path
-// attribution columns (Attr*Sec, from internal/obs/critpath): the first
-// repetition's convergence time split into compute, network transit,
-// synchronisation waits, protocol overhead and blocked sends.
+// Schema is the persisted-file format version, and the only one read:
+// ReadFile refuses a file written at any other, naming the command that
+// regenerates it. A row carries the measurement, the protocol
+// observability counters and constants, the convergence red-flag verdicts
+// (Flags, from internal/obs's trajectory detectors) and the causal
+// critical-path attribution (Attr*Sec, from internal/obs/critpath). The
+// number is part of every sidecar content address (matrix.cellCacheKey),
+// so it moves only with the shape or meaning of Result.
 const Schema = 4
 
 // Result is the outcome of one experiment cell, aggregated over its
@@ -37,7 +38,7 @@ const Schema = 4
 type Result struct {
 	// Env, Mode, Grid, Problem, Procs, Size, Scenario and Backend
 	// identify the cell. An empty Scenario means "static" and an empty
-	// Backend means "sim" (files written before those axes existed).
+	// Backend means "sim".
 	Env      string `json:"env"`
 	Mode     string `json:"mode"`
 	Grid     string `json:"grid"`
@@ -110,7 +111,7 @@ type Result struct {
 	// "oscillation", "plateau", "restart-regression"), the union over
 	// repetitions, sorted; empty when every trajectory was healthy.
 	// Deterministic for simulated cells, so Regressions compares it
-	// exactly against baselines that recorded it (schema >= 3).
+	// exactly.
 	Flags string `json:"flags,omitempty"`
 	// AttrTotalSec and the five Attr*Sec columns are the causal
 	// critical-path attribution of the cell's first repetition
@@ -152,7 +153,7 @@ type Result struct {
 }
 
 // ScenarioOrStatic returns the cell's scenario, normalising the empty
-// value of pre-dynamics result files to "static".
+// value (a Result built without one) to "static".
 func (r Result) ScenarioOrStatic() string {
 	if r.Scenario == "" {
 		return "static"
@@ -160,8 +161,8 @@ func (r Result) ScenarioOrStatic() string {
 	return r.Scenario
 }
 
-// BackendOrSim returns the cell's backend, normalising the empty value of
-// pre-native result files to "sim".
+// BackendOrSim returns the cell's backend, normalising the empty value
+// (a Result built without one) to "sim".
 func (r Result) BackendOrSim() string {
 	if r.Backend == "" {
 		return "sim"
@@ -224,7 +225,10 @@ func WriteFile(path string, s *Set) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadFile loads a set persisted by WriteFile.
+// ReadFile loads a set persisted by WriteFile at the current Schema. A
+// file of any other schema is refused rather than half-compared: its rows
+// lack (or may redefine) columns the gates read, and every committed file
+// records the command that regenerates it.
 func ReadFile(path string) (*Set, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -234,10 +238,29 @@ func ReadFile(path string) (*Set, error) {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, fmt.Errorf("report: parsing %s: %w", path, err)
 	}
-	if s.Schema > Schema {
-		return nil, fmt.Errorf("report: %s has schema %d, this binary reads <= %d", path, s.Schema, Schema)
+	if s.Schema != Schema {
+		how := "the sweep that wrote it"
+		if s.Command != "" {
+			how = "`" + s.Command + "`"
+		}
+		return nil, fmt.Errorf("report: %s has schema %d, this binary reads schema %d only: regenerate it with %s", path, s.Schema, Schema, how)
 	}
 	return &s, nil
+}
+
+// Covers reports whether the set can gate a run over the given cell keys:
+// an error when it holds no results, or none for any of those cells — a
+// regression check that compares nothing would pass vacuously.
+func (s *Set) Covers(keys []string) error {
+	if len(s.Results) == 0 {
+		return errors.New("the baseline holds no results")
+	}
+	for _, k := range keys {
+		if _, ok := s.Lookup(k); ok {
+			return nil
+		}
+	}
+	return fmt.Errorf("the baseline shares no cell with this run (it holds %s, ...; the run sweeps %s, ...)", s.Results[0].Key(), keys[0])
 }
 
 // baselineTime returns the group's synchronous reference time: the
@@ -353,8 +376,7 @@ func (s *Set) FlagsTable() string {
 // categories. This is the table that *explains* the ratio column of
 // Table(): an asynchronous version wins exactly when its critical path is
 // compute where the synchronous baseline's is sync-wait. It returns ""
-// when no cell in the set carries an attribution (schema < 4 files,
-// native-only sweeps).
+// when no cell in the set carries an attribution (native-only sweeps).
 func (s *Set) AttributionTable() string {
 	var b strings.Builder
 	seen := make(map[string]bool)
@@ -612,9 +634,9 @@ func Diff(baseline, current *Set) string {
 //
 // The protocol counters (heartbeats, stop rebroadcasts, reconfirm rounds)
 // are deterministic for simulated cells and compared exactly, so a
-// protocol regression fails the check even when the timing survives. They
-// exist only in baselines written at schema >= 2; older files gate on
-// timing and outcome alone.
+// protocol regression fails the check even when the timing survives; so
+// are the red flags, and the sync-wait share of the critical path may move
+// by at most 10 points. Native cells gate on timing and outcome alone.
 func Regressions(baseline, current *Set, tolPct float64) []string {
 	var out []string
 	for _, old := range baseline.Results {
@@ -632,7 +654,8 @@ func Regressions(baseline, current *Set, tolPct float64) []string {
 				old.Key(), now.Converged, now.Stalled, old.Converged, old.Stalled))
 			continue
 		}
-		if baseline.Schema >= 2 && simulated(old.BackendOrSim()) &&
+		sim := simulated(old.BackendOrSim())
+		if sim &&
 			(now.Heartbeats != old.Heartbeats ||
 				now.StopRebroadcasts != old.StopRebroadcasts ||
 				now.ReconfirmRounds != old.ReconfirmRounds) {
@@ -641,7 +664,7 @@ func Regressions(baseline, current *Set, tolPct float64) []string {
 				old.Heartbeats, old.StopRebroadcasts, old.ReconfirmRounds))
 			continue
 		}
-		if baseline.Schema >= 3 && simulated(old.BackendOrSim()) && now.Flags != old.Flags {
+		if sim && now.Flags != old.Flags {
 			out = append(out, fmt.Sprintf("%s: red flags %q, baseline %q",
 				old.Key(), now.Flags, old.Flags))
 			continue
@@ -651,8 +674,7 @@ func Regressions(baseline, current *Set, tolPct float64) []string {
 		// drift with timing, already gated above). A sync-wait share moving
 		// more than 10 points means the cell's critical path changed
 		// character — a different explanation, not a different measurement.
-		if baseline.Schema >= 4 && simulated(old.BackendOrSim()) &&
-			old.AttrTotalSec > 0 && now.AttrTotalSec > 0 {
+		if sim && old.AttrTotalSec > 0 && now.AttrTotalSec > 0 {
 			oldShare := old.AttrSyncWaitSec / old.AttrTotalSec
 			nowShare := now.AttrSyncWaitSec / now.AttrTotalSec
 			if d := (nowShare - oldShare) * 100; d > 10 || d < -10 {

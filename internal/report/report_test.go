@@ -41,13 +41,47 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFileRejectsNewerSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.json")
-	if err := os.WriteFile(path, []byte(`{"schema": 999, "results": []}`), 0o644); err != nil {
-		t.Fatal(err)
+// One schema is read. A file of any other — here the head of the schema-1
+// BENCH_baseline.json this repo committed until the references were
+// regenerated — is refused with the command that regenerates it, and so
+// is one from a newer binary.
+func TestReadFileRefusesOtherSchemas(t *testing.T) {
+	const old = `{
+  "schema": 1,
+  "created_at": "2026-07-28T13:56:25Z",
+  "command": "/tmp/aiacbench -workers 8 -o BENCH_baseline.json",
+  "results": [{"env": "mpi", "mode": "sync", "grid": "3site", "problem": "linear", "procs": 8, "size": 12000,
+    "scenario": "static", "reps": 1, "time_sec": 3.542821372, "min_time_sec": 3.542821372, "iters": 304,
+    "messages": 3474, "bytes": 19795328, "inter_site": 2594, "residual": 0.000004259473251888579,
+    "converged": true, "host_sec": 0.154172492}]
+}`
+	for name, tc := range map[string]struct{ body, hint string }{
+		"schema-1 baseline": {old, "regenerate it with `/tmp/aiacbench -workers 8 -o BENCH_baseline.json`"},
+		"newer schema":      {`{"schema": 999, "results": []}`, "regenerate it with the sweep that wrote it"},
+		"no schema":         {`{"results": []}`, "has schema 0"},
+	} {
+		path := filepath.Join(t.TempDir(), "other.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), tc.hint) {
+			t.Errorf("%s: error %v, want a refusal saying %q", name, err, tc.hint)
+		}
 	}
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("accepted a file with a newer schema")
+}
+
+// A baseline that cannot compare anything must not gate: Regressions walks
+// the baseline's rows, so an empty or disjoint one would pass vacuously.
+func TestCovers(t *testing.T) {
+	s := sample()
+	if err := s.Covers([]string{"no/such/cell", s.Results[1].Key()}); err != nil {
+		t.Errorf("a shared cell is enough, got %v", err)
+	}
+	if err := s.Covers([]string{"pm2/async/local/linear/p8/n1500/static/sim"}); err == nil || !strings.Contains(err.Error(), "shares no cell") {
+		t.Errorf("disjoint baseline: error %v", err)
+	}
+	if err := (&Set{Schema: Schema}).Covers([]string{s.Results[0].Key()}); err == nil || !strings.Contains(err.Error(), "no results") {
+		t.Errorf("empty baseline: error %v", err)
 	}
 }
 
@@ -64,7 +98,7 @@ func TestReadFileRejectsGarbage(t *testing.T) {
 func TestLookup(t *testing.T) {
 	s := sample()
 	// Empty Scenario and Backend fields normalise to static/sim in the
-	// key, so files written before those axes keep working.
+	// key.
 	r, ok := s.Lookup("pm2/async/adsl/linear/p8/n30000/static/sim")
 	if !ok || r.Env != "pm2" {
 		t.Fatalf("Lookup = %+v, %v", r, ok)
@@ -235,7 +269,6 @@ func TestRegressions(t *testing.T) {
 func TestRegressionsGateProtocolCounters(t *testing.T) {
 	for _, backend := range []string{"", "sim", "sim-fast"} {
 		base, cur := sample(), sample()
-		base.Schema = Schema
 		base.Results[1].Backend, cur.Results[1].Backend = backend, backend
 		cur.Results[1].Heartbeats += 2
 		v := Regressions(base, cur, 100)
@@ -244,7 +277,6 @@ func TestRegressionsGateProtocolCounters(t *testing.T) {
 		}
 	}
 	base, cur := nativeSample(), nativeSample()
-	base.Schema = Schema
 	cur.Results[3].StopRebroadcasts++
 	if v := Regressions(base, cur, 100); len(v) != 0 {
 		t.Errorf("native cell gated on protocol counters: %v", v)
@@ -253,7 +285,6 @@ func TestRegressionsGateProtocolCounters(t *testing.T) {
 
 func TestRegressionsGateFlags(t *testing.T) {
 	base, cur := sample(), sample()
-	base.Schema = Schema
 	cur.Results[1].Flags = "oscillation"
 	v := Regressions(base, cur, 100)
 	if len(v) != 1 || !strings.Contains(v[0], `red flags "oscillation"`) {
@@ -272,14 +303,6 @@ func TestRegressionsGateFlags(t *testing.T) {
 	cur.Results[1].Backend = "tcp"
 	if v := Regressions(base, cur, 100); len(v) != 0 {
 		t.Fatalf("native cell gated on flags: %v", v)
-	}
-	// A pre-flags baseline (schema 2) never recorded the column and cannot
-	// compare it.
-	base.Results[1].Backend = ""
-	cur.Results[1].Backend = ""
-	base.Schema = 2
-	if v := Regressions(base, cur, 100); len(v) != 0 {
-		t.Fatalf("schema-2 baseline compared flags: %v", v)
 	}
 }
 
