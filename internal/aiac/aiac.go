@@ -62,8 +62,11 @@
 //	capped = the loop ran out of iterations with the gate still closed
 //
 // where rank 0's coordinator, fed by the state messages, broadcasts stop
-// after a grace window once every rank has confirmed; and in synchronous
-// mode (Figure 1)
+// after a grace window once every rank has confirmed. That is what happens
+// in virtual time, but the host steps it in runs: iterations that would
+// repeat the last one charge nothing while the rank parks on a des.Spin,
+// and are folded in at once when something reaches it (runAsync, SPIN.md).
+// In synchronous mode (Figure 1)
 //
 //	for iter < MaxIters:
 //	    if the node crashed: wait until it is up; lose state as above
@@ -174,6 +177,11 @@ type Comm interface {
 	// receive machinery for every arriving DataMsg.
 	SetDataSink(fn func(DataMsg))
 
+	// SetFreeSink registers the callback invoked with the key of each
+	// asynchronous send channel of this endpoint the moment CanSendData
+	// turns true for it: delivered, dropped, or its rendezvous completed.
+	SetFreeSink(fn func(key int))
+
 	// SendStateK reports a convergence-state change to rank 0, then runs
 	// k. State messages are never skipped.
 	SendStateK(p *des.Proc, st StateMsg, k func())
@@ -259,6 +267,9 @@ type Dynamics interface {
 	// WaitUpK runs k in p once the rank's node is up — at once when it
 	// already is.
 	WaitUpK(p *des.Proc, rank int, k func())
+	// WatchEpoch makes the next change of rank's crash epoch call fn
+	// first, at the instant of the crash; nil withdraws it.
+	WatchEpoch(rank int, fn func())
 	// LastEventBefore returns the latest perturbation time at or before
 	// t, and whether any perturbation happened by then.
 	LastEventBefore(t des.Time) (des.Time, bool)
@@ -412,6 +423,9 @@ type SendPlan struct {
 	// RecvCount[r] is the number of data messages rank r receives per
 	// complete exchange (used by the synchronous mode).
 	RecvCount []int
+	// FirstKey[r] is the key of rank r's first dependency channel: its
+	// channels are the RecvCount[r] consecutive keys from there.
+	FirstKey []int
 }
 
 // PlanTarget is one (destination, segment) send channel.
@@ -430,14 +444,16 @@ func BuildSendPlan(prob Problem, bounds []int) *SendPlan {
 	plan := &SendPlan{
 		Targets:   make([][]PlanTarget, nranks),
 		RecvCount: make([]int, nranks),
+		FirstKey:  make([]int, nranks),
 	}
 	key := 0
 	for consumer := 0; consumer < nranks; consumer++ {
+		plan.FirstKey[consumer] = key
 		for _, dep := range prob.DepsFor(consumer, bounds) {
 			// Split the dependency segment by owner.
 			for owner := 0; owner < nranks; owner++ {
 				lo, hi := bounds[owner], bounds[owner+1]
-				slo, shi := maxInt(dep.Lo, lo), minInt(dep.Hi, hi)
+				slo, shi := max(dep.Lo, lo), min(dep.Hi, hi)
 				if slo >= shi || owner == consumer {
 					continue
 				}
@@ -452,18 +468,4 @@ func BuildSendPlan(prob Problem, bounds []int) *SendPlan {
 		}
 	}
 	return plan
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

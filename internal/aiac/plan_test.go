@@ -31,6 +31,11 @@ func TestSendPlanCoversDependenciesExactly(t *testing.T) {
 				for i := tg.Seg.Lo; i < tg.Seg.Hi; i++ {
 					covered[tg.To][i]++
 				}
+				// A consumer's channels are its RecvCount keys from
+				// FirstKey on (the engine indexes its tables so).
+				if k := tg.Key - plan.FirstKey[tg.To]; k < 0 || k >= plan.RecvCount[tg.To] {
+					return false
+				}
 			}
 		}
 		for consumer := 0; consumer < nranks; consumer++ {

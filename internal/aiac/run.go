@@ -50,13 +50,15 @@ func Run(grid *cluster.Grid, env Env, prob Problem, cfg Config) *Report {
 		iters:       make([]int, nranks),
 		finish:      make([]des.Time, nranks),
 		done:        make([]bool, nranks),
-		heard:       make([]map[int]bool, nranks),
-		lastArrival: make([]map[int]des.Time, nranks),
+		heard:       make([][]bool, nranks),
+		heardCount:  make([]int, nranks),
+		lastArrival: make([][]des.Time, nranks),
 		dirty:       make([]bool, nranks),
 		maxGap:      make([]des.Time, nranks),
 		capped:      make([]bool, nranks),
 		epochs:      make([]int, nranks),
 		ranks:       make([]*protocol.Rank, nranks),
+		wake:        make([]func(), nranks),
 	}
 	e.coord = protocol.NewCoordinator(nranks, pp, (*coordRuntime)(e))
 	for r := 0; r < nranks; r++ {
@@ -142,13 +144,18 @@ type run struct {
 	iters       []int
 	finish      []des.Time
 	done        []bool
-	heard       []map[int]bool
-	lastArrival []map[int]des.Time
+	heard       [][]bool     // [r][i]: channel plan.FirstKey[r]+i delivered since the start or restart
+	heardCount  []int        // heard channels per rank
+	lastArrival [][]des.Time // [r][i]: that channel's latest delivery, if heard
 	dirty       []bool
 	maxGap      []des.Time
 	capped      []bool
 	epochs      []int // crash epoch last seen per rank (Config.Dynamics)
 	restarts    int
+
+	// wake[r] ends rank r's spin, if it is spinning (runAsync); nil for a
+	// synchronous rank.
+	wake []func()
 
 	// The protocol machines: one confirmation state machine per rank, one
 	// coordinator hosted on rank 0. coordProc is the middleware thread
@@ -197,6 +204,7 @@ func (e *run) recoverRankK(p *des.Proc, r int, k func()) {
 		e.cfg.Residuals.MarkRestart(r, p.Now().Seconds())
 		copy(e.xs[r], e.x0)
 		clear(e.heard[r])
+		e.heardCount[r] = 0
 		clear(e.lastArrival[r])
 		e.maxGap[r] = 0
 		e.dirty[r] = true
@@ -211,22 +219,33 @@ func (e *run) runRank(p *des.Proc, r int) {
 	x := e.xs[r]
 
 	comm.ResetSession()
-	heard := make(map[int]bool, e.plan.RecvCount[r])
-	e.heard[r] = heard
-	e.lastArrival[r] = make(map[int]des.Time, e.plan.RecvCount[r])
-	lastArrival := e.lastArrival[r]
+	heard := make([]bool, e.plan.RecvCount[r])
+	lastArrival := make([]des.Time, e.plan.RecvCount[r])
+	e.heard[r], e.lastArrival[r] = heard, lastArrival
+	// A spinning rank (runAsync) is woken by whatever changes what its next
+	// iteration would do.
+	touch := func() {
+		if e.wake[r] != nil {
+			e.wake[r]()
+		}
+	}
 	comm.SetDataSink(func(m DataMsg) {
+		touch()
 		copy(x[m.Lo:m.Lo+len(m.Values)], m.Values)
 		now := e.grid.Sim.Now()
-		if prev, ok := lastArrival[m.Key]; ok {
-			if gap := now - prev; gap > e.maxGap[r] {
+		i := m.Key - e.plan.FirstKey[r]
+		if heard[i] {
+			if gap := now - lastArrival[i]; gap > e.maxGap[r] {
 				e.maxGap[r] = gap
 			}
+		} else {
+			heard[i] = true
+			e.heardCount[r]++
 		}
-		lastArrival[m.Key] = now
-		heard[m.Key] = true
+		lastArrival[i] = now
 		e.dirty[r] = true
 	})
+	comm.SetFreeSink(func(int) { touch() })
 	if r == 0 {
 		e.coord.Reset()
 		comm.SetStateSink(func(tp *des.Proc, st StateMsg) {
@@ -260,6 +279,15 @@ func (e *run) runRank(p *des.Proc, r int) {
 // dependency data is available, send asynchronously with the skip policy,
 // and feed the completed iteration to the rank's confirmation machine. Each
 // named closure is a region of the loop body between two suspensions.
+//
+// The loop steps in runs (package doc, SPIN.md): from an iteration that
+// starts quiet — reused residual, no other charge on the CPU, every send
+// channel busy, protocol machine Quiet, continuing the previous iteration's
+// trace run so that its spans extend a run rather than append late — the
+// rank charges nothing and parks on a des.Spin until its own deadline (the
+// iteration cap, a heartbeat) or whatever could change an iteration calls
+// wake, which folds the ended iterations in and resumes the one in progress
+// as the CPU charge it would have been. An eager iteration is a run of one.
 func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float64, done func()) {
 	cfg := e.cfg
 	rk := e.ranks[r]
@@ -287,18 +315,21 @@ func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float
 	e.dirty[r] = true
 
 	// The loop's continuations are allocated once per rank and close over
-	// the mutable iteration state (iter, t0, res) instead of per-iteration
-	// copies: a fast rank runs millions of iterations, and a fresh closure
-	// chain each time would be the hot path's allocation.
+	// the mutable iteration state (iter, t0, res, and the previous
+	// iteration's extent) instead of per-iteration copies: a fast rank runs
+	// millions of iterations, and a fresh closure chain each time would be
+	// the hot path's allocation.
 	var iter int
-	var t0 des.Time
+	var t0, prevStart, prevEnd des.Time
 	var res float64
-	var loop, body, afterCompute, advance func()
+	var sp des.Spin
+	var loop, body, afterCompute, advance, wake func()
 	advance = func() {
 		iter++
 		loop()
 	}
 	afterCompute = func() {
+		prevStart, prevEnd = t0, p.Now()
 		cfg.Trace.AddSpan(r, t0, p.Now(), trace.Compute, iter)
 		e.iters[r]++
 		cfg.Residuals.Record(r, p.Now().Seconds(), res)
@@ -320,24 +351,82 @@ func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float
 
 		// Local convergence is the protocol machine's call: persistence,
 		// then two-phase confirmation, with heartbeats once confirmed.
-		heardAll := len(e.heard[r]) == e.plan.RecvCount[r]
+		heardAll := e.heardCount[r] == e.plan.RecvCount[r]
 		if st, ok := rk.Step(protocol.Time(p.Now()), res, heardAll, fresh, protocol.Time(e.maxGap[r])); ok {
 			comm.SendStateK(p, st, advance)
 			return
 		}
 		advance()
 	}
+	// watch (un)registers fn with what can reach a spinning rank besides
+	// its sinks: another charge or a load change on its CPU, the stop
+	// gate, a crash.
+	watch := func(fn func()) {
+		cpu.Watch(fn)
+		stop.OnOpen(fn)
+		if cfg.Dynamics != nil {
+			cfg.Dynamics.WatchEpoch(r, fn)
+		}
+	}
+	wake = func() {
+		if !sp.Running() {
+			return
+		}
+		watch(nil)
+		first, d, periods := sp.Lattice()
+		if n := int(periods); n > 0 {
+			cfg.Trace.AddRun(r, first, d, trace.Compute, iter, n)
+			e.iters[r] += n
+			cfg.Residuals.RecordRun(r, n, func(i int) float64 { return (first + des.Time(i+1)*d).Seconds() }, res)
+			rk.Spin(n)
+			iter += n
+		}
+		t0 = first + des.Time(periods)*d
+		cpu.Resume(p, &sp)
+	}
+	e.wake[r] = wake
+	// spin starts a run at the iteration beginning now, if it is quiet.
+	spin := func() bool {
+		if lastFlops <= 0 || !cpu.Idle() {
+			return false
+		}
+		d := cpu.ChargeTime(lastFlops)
+		if prevEnd != t0 || prevEnd-prevStart != d {
+			return false
+		}
+		for _, tgt := range e.plan.Targets[r] {
+			if comm.CanSendData(tgt.Key) {
+				return false
+			}
+		}
+		hb, beats, quiet := rk.Quiet(e.heardCount[r] == e.plan.RecvCount[r])
+		if !quiet {
+			return false
+		}
+		// The deadline: the boundary where the loop would exit or the
+		// machine emit a heartbeat.
+		m := des.Time(cfg.MaxIters - iter)
+		if beats {
+			m = min(m, max(1, (des.Time(hb)-t0+d-1)/d))
+		}
+		sp.Start(e.grid.Sim, d, int64(m), wake)
+		watch(wake)
+		p.ParkK(afterCompute)
+		return true
+	}
 	body = func() {
 		t0 = p.Now()
-		var flops float64
 		if e.dirty[r] || lastRes >= cfg.Eps*skipFactor || math.IsNaN(lastRes) {
 			e.dirty[r] = false
-			res, flops = e.prob.Update(r, e.bounds, x)
-			lastRes, lastFlops = res, flops
+			res, lastFlops = e.prob.Update(r, e.bounds, x)
+			lastRes = res
 		} else {
-			res, flops = lastRes, lastFlops
+			res = lastRes
+			if spin() {
+				return
+			}
 		}
-		cpu.ComputeK(p, flops, afterCompute)
+		cpu.ComputeK(p, lastFlops, afterCompute)
 	}
 	loop = func() {
 		if iter >= cfg.MaxIters || stop.IsOpen() {
@@ -373,15 +462,10 @@ func (e *run) runAsync(p *des.Proc, r int, comm Comm, cpu *marcel.CPU, x []float
 // allChannelsFreshSince reports whether every dependency channel of rank r
 // has delivered at least one message after time t.
 func (e *run) allChannelsFreshSince(r int, t des.Time) bool {
-	if e.plan.RecvCount[r] == 0 {
-		return true
-	}
-	la := e.lastArrival[r]
-	if len(la) < e.plan.RecvCount[r] {
+	if e.heardCount[r] < e.plan.RecvCount[r] {
 		return false
 	}
-	//lint:unordered — pure universally-quantified check, no effects; the answer is order-independent
-	for _, at := range la {
+	for _, at := range e.lastArrival[r] {
 		if at <= t {
 			return false
 		}

@@ -60,6 +60,7 @@ type Gate struct {
 	sim     *Simulator
 	open    bool
 	waiters []*Proc
+	onOpen  func() // called once, first, by the next Open (OnOpen)
 }
 
 // NewGate returns a closed gate.
@@ -73,6 +74,10 @@ func (g *Gate) Open() {
 		return
 	}
 	g.open = true
+	if f := g.onOpen; f != nil {
+		g.onOpen = nil
+		f()
+	}
 	for _, w := range g.waiters {
 		w.Unpark()
 	}
@@ -84,8 +89,14 @@ func (g *Gate) Open() {
 // session they belonged to).
 func (g *Gate) Reset() {
 	g.open = false
+	g.onOpen = nil
 	g.dropWaiters()
 }
+
+// OnOpen makes the next Open call fn before it releases anyone; nil
+// withdraws it. It tells a party that polls the gate instead of waiting on
+// it that the answer changed.
+func (g *Gate) OnOpen(fn func()) { g.onOpen = fn }
 
 func (g *Gate) dropWaiters() {
 	clear(g.waiters)

@@ -45,6 +45,13 @@ type Simulator struct {
 	events  uint64
 	live    map[int]*Proc // live (not yet finished) processes by id
 
+	// Spins (spin.go): registered in start order, their earliest
+	// deadline, and the marks taken since seq was markBase.
+	spins    []*Spin
+	spinDue  Time // earliest deadline of the spins
+	markBase uint64
+	marks    uint64
+
 	// onEnqueue, when set, sees the timestamp of every event as it is
 	// queued. Only the package's tests set it (export_test.go), to record
 	// the op streams of real cells that DES.md's validity column replays.
@@ -99,16 +106,17 @@ func (s *Simulator) enqueue(at Time, h Handler, arg uint64) {
 	if s.onEnqueue != nil {
 		s.onEnqueue(at)
 	}
-	s.seq++
+	s.seq += seqStep
 	s.q.push(s.now, event{at: at, seq: s.seq, h: h, arg: arg})
 	if n := s.q.len(); n > s.high {
 		s.high = n
 	}
 }
 
-// Run executes events until the queue is empty and returns the final time.
+// Run executes events until the queue is empty and no spin is left, and
+// returns the final time.
 func (s *Simulator) Run() Time {
-	for s.q.len() > 0 {
+	for s.q.len() > 0 || len(s.spins) > 0 {
 		s.step()
 	}
 	return s.now
@@ -135,7 +143,7 @@ func (s *Simulator) Shutdown() int {
 // min(deadline, last event time), and reports whether the queue drained.
 func (s *Simulator) RunUntil(deadline Time) bool {
 	for {
-		at, ok := s.q.next(s.now)
+		at, ok := s.next()
 		if !ok {
 			return true
 		}
@@ -148,6 +156,13 @@ func (s *Simulator) RunUntil(deadline Time) bool {
 
 //lint:hotpath
 func (s *Simulator) step() {
+	if len(s.spins) > 0 {
+		if at, _ := s.next(); at > s.now {
+			if s.enterSpins(at); s.q.len() == 0 {
+				return // a spin's owner looked at its deadline and scheduled nothing
+			}
+		}
+	}
 	e := s.q.pop(s.now)
 	if e.at < s.now {
 		panic("des: time went backwards")

@@ -317,6 +317,7 @@ type Endpoint struct {
 	sendq    *des.Chan // queued async sends
 
 	inflight  map[int]bool
+	freeSink  func(key int) // told of every inflight channel released
 	dataSink  func(aiac.DataMsg)
 	stateSink func(p *des.Proc, st aiac.StateMsg)
 	stop      *des.Gate
@@ -459,7 +460,7 @@ func (e *Env) deliver(m *netsim.Message) {
 		// sender's in-flight channel (the paper's send-skipping policy
 		// is per channel; a loss must not jam it forever) and discard.
 		if w.hasKey && w.senderEp != nil {
-			delete(w.senderEp.inflight, w.key)
+			w.senderEp.release(w.key)
 		}
 		e.releaseValues(w)
 		return
@@ -472,7 +473,7 @@ func (e *Env) deliver(m *netsim.Message) {
 		if dst.inbox.Len() < window {
 			// Eager send: terminated on delivery; the next
 			// TrySendData for this channel may proceed.
-			delete(w.senderEp.inflight, w.key)
+			w.senderEp.release(w.key)
 		} else {
 			// Receiver congested: flow control holds the channel
 			// until the receive machinery consumes this message.
@@ -595,6 +596,17 @@ func (ep *Endpoint) CanSendData(key int) bool {
 	return !ep.inflight[key]
 }
 
+// release ends the in-flight send on channel key and tells the free sink.
+func (ep *Endpoint) release(key int) {
+	delete(ep.inflight, key)
+	if ep.freeSink != nil {
+		ep.freeSink(key)
+	}
+}
+
+// SetFreeSink implements aiac.Comm.
+func (ep *Endpoint) SetFreeSink(fn func(key int)) { ep.freeSink = fn }
+
 // TrySendData implements the paper's skip-if-busy asynchronous send.
 func (ep *Endpoint) TrySendData(p *des.Proc, o aiac.Outgoing) bool {
 	if ep.inflight[o.Key] {
@@ -681,7 +693,7 @@ func (ep *Endpoint) deliverData(w *wire) {
 	if w.rendezvous && w.hasKey && w.senderEp != nil {
 		// Rendezvous completion: the matching receive has now been
 		// consumed, so the sender's next send on this channel may start.
-		delete(w.senderEp.inflight, w.key)
+		w.senderEp.release(w.key)
 	}
 	if ep.dataSink != nil {
 		ep.dataSink(w.data)

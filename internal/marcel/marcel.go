@@ -76,6 +76,8 @@ type CPU struct {
 	// load is the background-load multiplier (SetBackgroundLoad); 0 or 1
 	// means unloaded.
 	load float64
+
+	watch func() // see Watch
 }
 
 // request is one CPU charge. It is also the des.Handler of its own slice
@@ -136,7 +138,43 @@ func (c *CPU) SetBackgroundLoad(factor float64) {
 	if factor < 1 {
 		panic(fmt.Sprintf("marcel: background load factor %v < 1", factor))
 	}
+	c.fireWatch()
 	c.load = factor
+}
+
+// Watch makes the next submitted charge or background-load change call fn
+// first, before it takes effect; nil withdraws it. It tells the owner of a
+// spin standing in for the CPU's only charge (Resume) to make it real.
+func (c *CPU) Watch(fn func()) { c.watch = fn }
+
+func (c *CPU) fireWatch() {
+	if f := c.watch; f != nil {
+		c.watch = nil
+		f()
+	}
+}
+
+// Idle reports whether no charge is running or waiting.
+func (c *CPU) Idle() bool { return c.current == nil && c.queue.Len() == 0 }
+
+// Resume stops sp and puts its period in progress on the idle CPU as the
+// charge p would have submitted when the period began: running since then,
+// its completion ordered where that submission's was (Spin.ScheduleEnd),
+// the ended periods counted as busy time. p must be parked on the
+// continuation the completion resumes.
+func (c *CPU) Resume(p *des.Proc, sp *des.Spin) {
+	if !c.Idle() {
+		panic("marcel: resume on a busy CPU")
+	}
+	t0, d, n := sp.Lattice()
+	r := c.take(p, d)
+	c.busy += des.Time(n) * d
+	c.current = r
+	c.lastStart = t0 + des.Time(n)*d
+	c.genSeq++
+	r.gen = c.genSeq
+	sp.ScheduleEnd(r, r.gen)
+	sp.Stop()
 }
 
 // BackgroundLoad returns the current background-load multiplier (>= 1).
@@ -150,14 +188,8 @@ func (c *CPU) BackgroundLoad() float64 {
 // submit makes a request for d of CPU time on behalf of p runnable; the
 // completion of the charge unparks p.
 func (c *CPU) submit(p *des.Proc, d des.Time) {
-	var r *request
-	if n := len(c.free); n > 0 {
-		r, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		r = &request{cpu: c}
-	}
-	r.proc, r.remaining = p, d
-	c.enqueue(r)
+	c.fireWatch()
+	c.enqueue(c.take(p, d))
 	if c.current == nil {
 		c.dispatch()
 	} else if c.Policy == Unfair || c.queue.Len() == 1 {
@@ -167,6 +199,18 @@ func (c *CPU) submit(p *des.Proc, d des.Time) {
 		// Unfair the newcomer preempts.)
 		c.preempt()
 	}
+}
+
+// take returns a request for d on behalf of p, recycled when one is free.
+func (c *CPU) take(p *des.Proc, d des.Time) *request {
+	var r *request
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = &request{cpu: c}
+	}
+	r.proc, r.remaining = p, d
+	return r
 }
 
 // ComputeTime converts a flop count into CPU time at this CPU's speed

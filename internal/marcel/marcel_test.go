@@ -285,3 +285,60 @@ func TestStaleCompletionIgnoresRecycledRequest(t *testing.T) {
 		}
 	}
 }
+
+// A charge resumed from a spin is the charge the thread would have
+// submitted when the spin's period began: a newcomer preempts it after the
+// time it has run, and both finish when they would have.
+func TestResumeMatchesSubmit(t *testing.T) {
+	finish := func(resume bool) (des.Time, des.Time, des.Time) {
+		sim := des.New()
+		cpu := NewCPU(sim, "n0", 1000)
+		var owner, other des.Time
+		var sp des.Spin
+		sim.SpawnTask("owner", func(p *des.Proc) {
+			p.SleepK(5*time.Millisecond, func() {
+				done := func() { owner = p.Now() }
+				if !resume {
+					cpu.UseK(p, 10*time.Millisecond, done)
+					return
+				}
+				sp.Start(sim, 10*time.Millisecond, 5, func() { t.Fatal("boundary entered") })
+				cpu.Watch(func() { cpu.Resume(p, &sp) })
+				p.ParkK(done)
+			})
+		})
+		sim.SpawnTask("other", func(p *des.Proc) {
+			p.SleepK(8*time.Millisecond, func() {
+				cpu.UseK(p, 4*time.Millisecond, func() { other = p.Now() })
+			})
+		})
+		sim.Run()
+		return owner, other, cpu.BusyTime()
+	}
+	so, sn, sb := finish(false)
+	ro, rn, rb := finish(true)
+	if ro != so || rn != sn || rb != sb {
+		t.Fatalf("resumed: owner %v, other %v, busy %v; submitted: %v, %v, %v", ro, rn, rb, so, sn, sb)
+	}
+}
+
+// Watch fires once, before the change it reports takes effect.
+func TestWatchFiresOnceFirst(t *testing.T) {
+	sim := des.New()
+	cpu := NewCPU(sim, "n0", 1000)
+	calls := 0
+	cpu.Watch(func() {
+		calls++
+		if cpu.BackgroundLoad() != 1 {
+			t.Error("watch ran after the load changed")
+		}
+	})
+	cpu.SetBackgroundLoad(2)
+	cpu.SetBackgroundLoad(3)
+	if calls != 1 {
+		t.Fatalf("watch called %d times, want 1", calls)
+	}
+	if got, want := cpu.ChargeTime(1e6), 3*time.Millisecond; got != want {
+		t.Fatalf("ChargeTime under load 3 = %v, want %v", got, want)
+	}
+}

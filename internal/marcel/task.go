@@ -22,11 +22,16 @@ func (c *CPU) UseK(p *des.Proc, d des.Time, k func()) {
 		k()
 		return
 	}
-	if c.load > 1 {
-		d = des.Time(float64(d) * c.load)
-	}
-	c.submit(p, d)
+	c.submit(p, c.loaded(d))
 	p.ParkK(k) // completion unparks
+}
+
+// loaded stretches d by the background load.
+func (c *CPU) loaded(d des.Time) des.Time {
+	if c.load > 1 {
+		return des.Time(float64(d) * c.load)
+	}
+	return d
 }
 
 // ComputeK makes p execute the given number of floating-point operations at
@@ -36,11 +41,13 @@ func (c *CPU) ComputeK(p *des.Proc, flops float64, k func()) {
 		k()
 		return
 	}
-	d := des.Time(flops / (c.SpeedMFlops * 1e6) * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	c.UseK(p, d, k)
+	c.UseK(p, max(c.ComputeTime(flops), time.Nanosecond), k)
+}
+
+// ChargeTime returns the CPU time a ComputeK of flops > 0 issued now would
+// request, background load included.
+func (c *CPU) ChargeTime(flops float64) des.Time {
+	return c.loaded(max(c.ComputeTime(flops), time.Nanosecond))
 }
 
 // SpawnTask starts a new thread on this node after charging the

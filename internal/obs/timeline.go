@@ -85,6 +85,27 @@ func (rs *Residuals) Record(rank int, at, res float64) {
 	tl.offered++
 }
 
+// RecordRun offers n observations of the same residual, the i-th at driver
+// time at(i) — what n Record calls would keep, computing at(i) only for the
+// observations the stride keeps.
+func (rs *Residuals) RecordRun(rank, n int, at func(i int) float64, res float64) {
+	if rs == nil {
+		return
+	}
+	tl := &rs.ranks[rank]
+	for i := 0; i < n; i++ {
+		if tl.Stride > 1 {
+			// Skip to the next offer the stride keeps.
+			skip := min((tl.Stride-tl.offered%tl.Stride)%tl.Stride, n-i)
+			tl.offered += skip
+			if i += skip; i == n {
+				return
+			}
+		}
+		rs.Record(rank, at(i), res)
+	}
+}
+
 // MarkRestart records that a rank re-entered the iteration loop after a
 // crash, at the given driver time.
 func (rs *Residuals) MarkRestart(rank int, at float64) {

@@ -87,3 +87,32 @@ func TestTimelineNilSafe(t *testing.T) {
 		t.Error("nil Residuals has ranks")
 	}
 }
+
+// RecordRun keeps exactly the samples its n Record calls would, across
+// stride doublings, asking for the instants of those alone.
+func TestRecordRunEqualsRecords(t *testing.T) {
+	runs := []int{3, 1, 700, 5000, 2, 9000, 1}
+	at := func(base, i int) float64 { return float64(base+i) / 7 }
+	one, bulk := NewResiduals(1), NewResiduals(1)
+	base, asked := 0, 0
+	for _, n := range runs {
+		for i := 0; i < n; i++ {
+			one.Record(0, at(base, i), float64(n))
+		}
+		b := base
+		bulk.RecordRun(0, n, func(i int) float64 { asked++; return at(b, i) }, float64(n))
+		base += n
+	}
+	a, b := one.Rank(0), bulk.Rank(0)
+	if a.Stride != b.Stride || len(a.Samples) != len(b.Samples) {
+		t.Fatalf("stride %d / %d, samples %d / %d", a.Stride, b.Stride, len(a.Samples), len(b.Samples))
+	}
+	for i := range a.Samples {
+		if a.Samples[i] != b.Samples[i] {
+			t.Fatalf("sample %d: %v vs %v", i, a.Samples[i], b.Samples[i])
+		}
+	}
+	if asked >= base/2 {
+		t.Fatalf("RecordRun asked for %d of %d instants; want only the kept ones", asked, base)
+	}
+}

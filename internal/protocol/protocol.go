@@ -230,6 +230,24 @@ func (r *Rank) Step(now Time, res float64, heardAll bool, fresh func(since Time)
 	return StateMsg{}, false
 }
 
+// Quiet reports whether Steps fed a residual below Eps and unchanged
+// heardAll and freshness answers would only count the streak — the rank
+// awaits a channel never heard, a fresh message (only an arrival opens the
+// gate), or the stop — so that a driver may replace n of them by Spin(n),
+// none taken at or after hb when beats (a confirmed rank's heartbeat).
+func (r *Rank) Quiet(heardAll bool) (hb Time, beats, quiet bool) {
+	switch r.phase {
+	case 2:
+		return r.lastStateAt + r.p.Heartbeat, true, true
+	case 1:
+		return 0, false, true
+	}
+	return 0, false, !heardAll
+}
+
+// Spin folds n quiet Steps (see Quiet) into the machine at once.
+func (r *Rank) Spin(n int) { r.streak += n }
+
 // StateLost records a crash/restart with state loss: the iterate went back
 // to the initial guess, so everything the coordinator knew about this rank
 // is stale. The machine marks the rank as needing re-confirmation and, when

@@ -124,6 +124,67 @@ func TestRankHeartbeat(t *testing.T) {
 	}
 }
 
+// Quiet says when Step would only count the streak — and Spin(n) stands
+// for n such Steps: a quiet rank's machine after Spin answers every later
+// Step exactly as one stepped n times does.
+func TestRankQuietSpinEqualsSteps(t *testing.T) {
+	stale := func(Time) bool { return false }
+	fresh := func(Time) bool { return true }
+	type phase struct {
+		name     string
+		heard    bool
+		setup    func(r *Rank)
+		quiet    bool
+		beatsDue bool
+	}
+	phases := []phase{
+		{"unheard", false, func(r *Rank) {}, true, false},
+		{"heard, streak short", true, func(r *Rank) {}, false, false},
+		{"awaiting confirmation", true, func(r *Rank) {
+			for i := 0; i < DefaultPersistIters; i++ {
+				r.Step(Time(i), 0, true, stale, 0)
+			}
+		}, true, false},
+		{"confirmed", true, func(r *Rank) { drive(r, 0, DefaultPersistIters+1) }, true, true},
+	}
+	for _, ph := range phases {
+		stepped, spun := NewRank(0, params()), NewRank(0, params())
+		ph.setup(stepped)
+		ph.setup(spun)
+		hb, beats, quiet := spun.Quiet(ph.heard)
+		if quiet != ph.quiet || beats != ph.beatsDue {
+			t.Fatalf("%s: Quiet = (%v, %v), want (%v, %v)", ph.name, beats, quiet, ph.beatsDue, ph.quiet)
+		}
+		if !quiet {
+			continue
+		}
+		const n = 1000
+		start := Time(1e6)
+		if beats && hb != spun.lastStateAt+params().Heartbeat {
+			t.Fatalf("%s: heartbeat due %v", ph.name, hb)
+		}
+		for i := 1; i <= n; i++ {
+			if _, ok := stepped.Step(start+Time(i), 0, ph.heard, stale, 0); ok {
+				t.Fatalf("%s: a quiet Step emitted", ph.name)
+			}
+		}
+		spun.Spin(n)
+		// Whatever comes next — more quiet Steps, the gate opening, a bump
+		// — both machines answer alike.
+		for i, next := range []func(r *Rank) (StateMsg, bool){
+			func(r *Rank) (StateMsg, bool) { return r.Step(start+n+1, 0, ph.heard, stale, 0) },
+			func(r *Rank) (StateMsg, bool) { return r.Step(start+n+2, 0, true, fresh, 0) },
+			func(r *Rank) (StateMsg, bool) { return r.Step(start+n+3, 1, true, fresh, 0) },
+		} {
+			a, aok := next(stepped)
+			b, bok := next(spun)
+			if a != b || aok != bok || *stepped != *spun {
+				t.Fatalf("%s, step %d: stepped %+v %v, spun %+v %v", ph.name, i, a, aok, b, bok)
+			}
+		}
+	}
+}
+
 func TestRankStateLoss(t *testing.T) {
 	r := NewRank(2, params())
 	drive(r, 0, DefaultPersistIters+1)

@@ -68,8 +68,9 @@ type Runtime struct {
 	applied int
 	base    des.Time // virtual time of Deploy; event times are relative to it
 
-	epochs []int       // per-rank crash count
-	gates  []*des.Gate // per-rank restart gate; non-nil while down
+	epochs  []int       // per-rank crash count
+	gates   []*des.Gate // per-rank restart gate; non-nil while down
+	watches []func()    // per-rank WatchEpoch callback
 
 	// nominal link state captured at Deploy, so degradations are always
 	// expressed relative to the undisturbed grid and never compound.
@@ -88,6 +89,7 @@ func Deploy(s *Scenario, g *cluster.Grid) *Runtime {
 		Scenario: s,
 		epochs:   make([]int, n),
 		gates:    make([]*des.Gate, n),
+		watches:  make([]func(), n),
 	}
 	for site := 0; site < g.Net.Sites(); site++ {
 		rt.nominalUplinks = append(rt.nominalUplinks, g.Net.Uplink(site))
@@ -154,6 +156,9 @@ func (rt *Runtime) WaitUpK(p *des.Proc, rank int, k func()) {
 	rt.gates[rank].WaitK(p, func() { rt.WaitUpK(p, rank, k) })
 }
 
+// WatchEpoch makes rank's next crash call fn first; nil withdraws it.
+func (rt *Runtime) WatchEpoch(rank int, fn func()) { rt.watches[rank] = fn }
+
 // LastEventBefore returns the absolute virtual time of the latest timeline
 // event at or before t, and whether there is one — the reference instant
 // for time-to-reconverge measurements.
@@ -185,6 +190,10 @@ func (rt *Runtime) PartitionSite(site int, partitioned bool) {
 func (rt *Runtime) Crash(rank int) {
 	if rt.gates[rank] != nil {
 		return
+	}
+	if f := rt.watches[rank]; f != nil {
+		rt.watches[rank] = nil
+		f()
 	}
 	rt.epochs[rank]++
 	rt.gates[rank] = des.NewGate(rt.Grid.Sim)

@@ -242,3 +242,31 @@ func FuzzSpanRuns(f *testing.F) {
 		}
 	})
 }
+
+// AddRun records exactly what its n AddSpan calls would: continuing the
+// rank's latest run or starting a new one, in one call.
+func TestAddRunEqualsAddSpans(t *testing.T) {
+	play := func(run bool) *Collector {
+		c := New()
+		c.AddSpan(0, 0, 10, Compute, 0)
+		c.AddSpan(1, 0, 7, Compute, 0)
+		add := func(rank int, start, stride des.Time, iter, n int) {
+			if run {
+				c.AddRun(rank, start, stride, Compute, iter, n)
+				return
+			}
+			for k := 0; k < n; k++ {
+				c.AddSpan(rank, start+des.Time(k)*stride, start+des.Time(k+1)*stride, Compute, iter+k)
+			}
+		}
+		add(0, 10, 10, 1, 5) // continues rank 0's run
+		add(1, 7, 3, 1, 4)   // another stride: a new run
+		add(0, 60, 10, 6, 1) // a run of one, continuing
+		add(0, 75, 10, 7, 3) // a gap: a new run
+		add(1, 19, 3, 5, 0)  // nothing
+		return c
+	}
+	if got, want := play(true), play(false); !reflect.DeepEqual(got.Spans, want.Spans) {
+		t.Fatalf("AddRun: %v\nAddSpan: %v", got.Spans, want.Spans)
+	}
+}

@@ -198,6 +198,21 @@ func (c *Collector) AddSpan(rank int, start, end des.Time, kind Kind, iter int) 
 	c.index()
 }
 
+// AddRun records n back-to-back iterations of length stride from start,
+// numbered iter … iter+n-1 — what n AddSpan calls would record, in one.
+func (c *Collector) AddRun(rank int, start, stride des.Time, kind Kind, iter, n int) {
+	if c == nil || n <= 0 || stride <= 0 {
+		return
+	}
+	c.AddSpan(rank, start, start+stride, kind, iter)
+	if n > 1 {
+		// The latest span now ends with the first iteration, at this stride.
+		s := c.latest(rank)
+		s.End += des.Time(n-1) * stride
+		s.N = s.Iters() + n - 1
+	}
+}
+
 // latest returns rank's most recently recorded span, or nil.
 func (c *Collector) latest(rank int) *Span {
 	if c.indexed != len(c.Spans) {
