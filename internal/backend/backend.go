@@ -777,6 +777,16 @@ func (s *solver) runSync(r int) {
 	cfg := s.cfg
 	targets := s.plan.Targets[r]
 	x := s.xs[r]
+	// One message and snapshot buffer per target, reused every round:
+	// swg.Wait below returns only after every Send of the round has, and a
+	// returned Send leaves its Values to the caller.
+	sends := make([]transport.Msg, len(targets))
+	for i, tg := range targets {
+		sends[i] = transport.Msg{
+			Type: transport.MsgData, From: int32(r), Key: int32(tg.Key),
+			Lo: int32(tg.Seg.Lo), Values: make([]float64, tg.Seg.Len()),
+		}
+	}
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		if s.aborted() {
 			return
@@ -787,14 +797,9 @@ func (s *solver) runSync(r int) {
 		}
 		s.mus[r].Lock()
 		res, _ := s.prob.Update(r, s.bounds, x)
-		sends := make([]transport.Msg, len(targets))
 		for i, tg := range targets {
-			v := make([]float64, tg.Seg.Len())
-			copy(v, x[tg.Seg.Lo:tg.Seg.Hi])
-			sends[i] = transport.Msg{
-				Type: transport.MsgData, From: int32(r), Key: int32(tg.Key),
-				Seq: int32(iter), Lo: int32(tg.Seg.Lo), Values: v,
-			}
+			copy(sends[i].Values, x[tg.Seg.Lo:tg.Seg.Hi])
+			sends[i].Seq = int32(iter)
 		}
 		s.mus[r].Unlock()
 		if s.rtr != nil {

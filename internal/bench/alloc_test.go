@@ -254,3 +254,14 @@ func TestAsyncADSLTraceRecordsRuns(t *testing.T) {
 		t.Errorf("%d iterations in %d spans; want at most one span per 50 iterations", iters, len(tr.Spans))
 	}
 }
+
+// The native sync loop snapshots its halos into buffers allocated once per
+// solve: a 2-rank SISC solve over the in-process transport allocates, per
+// lockstep iteration and over both ranks, less than one halo segment.
+func TestSyncHaloAllocs(t *testing.T) {
+	perIter, halo := syncHaloBytes(t)
+	t.Logf("%.0f B per lockstep iteration; one halo segment is %d B", perIter, halo)
+	if perIter >= float64(halo) {
+		t.Errorf("sync solve allocates %.0f B per lockstep iteration; want < one halo segment (%d B)", perIter, halo)
+	}
+}

@@ -67,8 +67,15 @@ func AppendMsg(buf []byte, m Msg) []byte {
 }
 
 // DecodeMsg parses one frame produced by AppendMsg. b excludes the leading
-// size field.
+// size field. The returned Values are freshly allocated.
 func DecodeMsg(b []byte) (Msg, error) {
+	var vals []float64
+	return decodeMsgInto(b, &vals)
+}
+
+// decodeMsgInto is DecodeMsg decoding Values into *vals, which grows only
+// when a frame outgrows it: the returned Msg aliases *vals.
+func decodeMsgInto(b []byte, vals *[]float64) (Msg, error) {
 	var m Msg
 	le := binary.LittleEndian
 	if len(b) < frameHeaderBytes-4 || b[0] != frameMagic {
@@ -93,7 +100,10 @@ func DecodeMsg(b []byte) (Msg, error) {
 		return m, fmt.Errorf("%w: %d values in a %d-byte frame", ErrBadFrame, n, len(b)+4)
 	}
 	if n > 0 {
-		m.Values = make([]float64, n)
+		if cap(*vals) < n {
+			*vals = make([]float64, n)
+		}
+		m.Values = (*vals)[:n]
 		for i := range m.Values {
 			m.Values[i] = math.Float64frombits(le.Uint64(b[20+8*i:]))
 		}
@@ -101,19 +111,27 @@ func DecodeMsg(b []byte) (Msg, error) {
 	return m, nil
 }
 
-// readMsg reads and decodes one length-prefixed frame from r.
-func readMsg(r io.Reader) (Msg, error) {
-	var sizeBuf [4]byte
-	if _, err := io.ReadFull(r, sizeBuf[:]); err != nil {
+// readMsg reads and decodes one length-prefixed frame from r into the
+// caller's buffers, which grow only when a frame outgrows them: *body
+// holds the frame, *vals the decoded Values. The returned Msg aliases
+// *vals, so it is valid until the next call on the same buffers.
+func readMsg(r io.Reader, body *[]byte, vals *[]float64) (Msg, error) {
+	if cap(*body) < 4 {
+		*body = make([]byte, 4, frameHeaderBytes)
+	}
+	if _, err := io.ReadFull(r, (*body)[:4]); err != nil {
 		return Msg{}, err
 	}
-	size := int(binary.LittleEndian.Uint32(sizeBuf[:]))
+	size := int(binary.LittleEndian.Uint32(*body))
 	if size < frameHeaderBytes-4 || size > frameHeaderBytes-4+8*maxFrameValues {
 		return Msg{}, fmt.Errorf("%w: frame size %d", ErrBadFrame, size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if cap(*body) < size {
+		*body = make([]byte, size)
+	}
+	b := (*body)[:size]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return Msg{}, err
 	}
-	return DecodeMsg(body)
+	return decodeMsgInto(b, vals)
 }

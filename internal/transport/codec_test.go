@@ -47,17 +47,50 @@ func TestCodecStreamFraming(t *testing.T) {
 		buf = AppendMsg(buf, m)
 	}
 	r := bytes.NewReader(buf)
+	// One pair of buffers for the whole stream, as a TCP reader keeps.
+	var body []byte
+	var vals []float64
 	for i, m := range want {
-		got, err := readMsg(r)
+		got, err := readMsg(r, &body, &vals)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Type != m.Type || got.Seq != m.Seq || len(got.Values) != len(m.Values) {
 			t.Fatalf("frame %d mismatch: %+v vs %+v", i, got, m)
 		}
+		for j, v := range m.Values {
+			if got.Values[j] != v {
+				t.Fatalf("frame %d value %d: got %v, want %v", i, j, got.Values[j], v)
+			}
+		}
 	}
-	if _, err := readMsg(r); err == nil {
+	if _, err := readMsg(r, &body, &vals); err == nil {
 		t.Fatal("reading past the stream end should fail")
+	}
+}
+
+// TestReadFrameAllocs pins the TCP receive path in steady state: reading
+// and decoding a data frame into a connection's reused buffers allocates
+// nothing.
+func TestReadFrameAllocs(t *testing.T) {
+	frame := AppendMsg(nil, Msg{Type: MsgData, From: 1, Key: 2, Seq: 3, Lo: 4, Values: make([]float64, 750)})
+	var body []byte
+	var vals []float64
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeMsgInto(frame[4:], &vals); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("decodeMsgInto allocates %.0f per frame; want 0", n)
+	}
+	r := bytes.NewReader(frame)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		if m, err := readMsg(r, &body, &vals); err != nil || len(m.Values) != 750 {
+			t.Fatalf("readMsg = %d values, %v", len(m.Values), err)
+		}
+	}); n != 0 {
+		t.Errorf("readMsg allocates %.0f per frame; want 0", n)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // never panic, never allocate from a hostile value count, and whenever it
 // accepts a frame, re-encoding the decoded message must reproduce the
 // input byte for byte (the decoder accepts nothing AppendMsg could not
-// have produced).
+// have produced), also when it decodes into a reused buffer.
 func FuzzDecodeHeader(f *testing.F) {
 	// Seed with valid frames of each message kind plus hostile prefixes.
 	for _, m := range []Msg{
@@ -36,6 +36,13 @@ func FuzzDecodeHeader(f *testing.F) {
 		}
 		if MsgBytes(len(m.Values)) != len(body)+4 {
 			t.Fatalf("MsgBytes(%d) = %d, want %d", len(m.Values), MsgBytes(len(m.Values)), len(body)+4)
+		}
+		// Decoding into a dirty reused buffer, as the TCP reader does,
+		// must give the same message.
+		vals := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+		into, err := decodeMsgInto(body, &vals)
+		if err != nil || !bytes.Equal(AppendMsg(nil, into), frame) {
+			t.Fatalf("decode into a reused buffer: %+v, %v; want %+v", into, err, m)
 		}
 	})
 }

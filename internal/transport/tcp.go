@@ -150,8 +150,12 @@ func (t *TCP) readLoop(r int, conn net.Conn) {
 		return
 	}
 	h := t.handlers[r]
+	// One frame and one Values buffer per connection, reused for every
+	// message: the handler contract lets m.Values die with the call.
+	var body []byte
+	var vals []float64
 	for {
-		m, err := readMsg(br)
+		m, err := readMsg(br, &body, &vals)
 		if err != nil {
 			conn.Close()
 			return

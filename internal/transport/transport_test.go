@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,11 @@ func TestSendDelivers(t *testing.T) {
 		tr := mk()
 		got := make(chan Msg, 16)
 		for r := 0; r < 3; r++ {
-			tr.SetHandler(r, func(m Msg) { got <- m })
+			// m.Values is valid only during the call: keep a copy.
+			tr.SetHandler(r, func(m Msg) {
+				m.Values = slices.Clone(m.Values)
+				got <- m
+			})
 		}
 		if err := tr.Start(); err != nil {
 			t.Fatal(err)
@@ -103,6 +108,46 @@ func TestShapingDelay(t *testing.T) {
 			t.Fatalf("message arrived after %v, shaping demands ≥ %v", lat, d)
 		}
 	})
+}
+
+// TestShapingDelayIsKept holds shaping to its delay below the runtime's
+// timer floor: no message arrives before send + Delay, and the median
+// latency stays within half a millisecond of Delay. A link that rounds
+// sub-millisecond waits up to the runtime's millisecond timer tick
+// delivers 50 µs and 200 µs messages after about 1.06 ms and fails the
+// median gate.
+func TestShapingDelayIsKept(t *testing.T) {
+	const msgs = 50
+	for _, d := range []time.Duration{50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
+		t.Run(d.String(), func(t *testing.T) {
+			each(t, 2, func(t *testing.T, mk func() Transport) {
+				tr := mk()
+				tr.ShapeAll(Shaping{Delay: d})
+				arrived := make(chan time.Time, 1)
+				tr.SetHandler(0, func(Msg) {})
+				tr.SetHandler(1, func(Msg) { arrived <- time.Now() })
+				if err := tr.Start(); err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				lat := make([]time.Duration, msgs)
+				for i := range lat {
+					t0 := time.Now()
+					if err := tr.Send(0, 1, Msg{Type: MsgData, Key: 1, Seq: int32(i)}); err != nil {
+						t.Fatal(err)
+					}
+					lat[i] = (<-arrived).Sub(t0)
+					if lat[i] < d {
+						t.Fatalf("message %d arrived after %v, shaping demands ≥ %v", i, lat[i], d)
+					}
+				}
+				slices.Sort(lat)
+				if med := lat[msgs/2]; med >= d+500*time.Microsecond {
+					t.Fatalf("median latency %v for a %v link (p90 %v); want < %v", med, d, lat[msgs*9/10], d+500*time.Microsecond)
+				}
+			})
+		})
+	}
 }
 
 // TestShapingLossDeterminism is the loss-shaping determinism check of the
