@@ -27,58 +27,66 @@
 //     signal once every processor has confirmed;
 //   - an iteration cap bounds runaway executions.
 //
-// # The two loops, read in direct style
+// # One loop, two clocks
 //
-// Run spawns one process per rank on the grid's simulator. A simulated
-// process is a chain of continuations (des.SpawnTask): wherever the
-// pseudo-code below says "wait", "charge" or "send state", the code in
-// run.go hands the rest of the loop to the primitive as a func — the …K
-// methods of Comm, Dynamics and marcel.CPU — and returns to the scheduler.
-// Read as straight-line code, every rank runs
+// A rank's iteration is one machine, Loop, shared by both drivers: Run
+// here, on the simulator's virtual time, and internal/backend, on wall
+// clocks over real transports. A Loop performs no I/O. Its Next returns
+// the rank's next action — Compute, Send, Exchange, Allreduce, SendState,
+// Yield, Recover or Exit — and the driver performs it its own way, then
+// calls Next again (Reduced, for an Allreduce; Restart, for a Recover).
+// Inbound data goes to Incorporate. Run hands each action to the Comm,
+// Dynamics or marcel.CPU primitive whose name ends in K, with a
+// continuation built once per rank; the native driver makes a blocking
+// call in a plain for loop. Read as straight-line code, every rank runs
 //
 //	reset the endpoint's session; install the data sink:
-//	    on data m: copy m.Values into x; note the arrival time and gap of
-//	    channel m.Key; mark the rank dirty
+//	    on data m: Incorporate — copy m.Values into x; note the arrival
+//	    time and gap of channel m.Key; mark the rank dirty
 //	rank 0 also installs the coordinator as the state sink
 //	barrier                        // only the first iteration starts together
 //
 // and then, in asynchronous mode (Figure 2, §4.3),
 //
-//	for iter < MaxIters and the stop gate is closed:
-//	    if the node crashed since the last look:
+//	for iter < MaxIters and the stop has not arrived:
+//	    if the node crashed since the last look:            // Recover
 //	        wait until it is up; x = x0, channels unheard, dirty
 //	        send state if the protocol machine retreats (Rank.StateLost)
-//	        if the stop gate opened meanwhile: break
+//	        if the stop arrived meanwhile: break
 //	    if dirty, or the last residual is not far below Eps:
 //	        res, flops = Update(x)            // else reuse the last pair
-//	    charge flops to the CPU               // virtual time passes here
-//	    record the compute span and the residual
+//	    charge flops to the CPU                             // Compute
 //	    for each (destination, segment) channel of the send plan:
 //	        if the previous send on it is still in flight: skip it
-//	        else send a snapshot of the segment, asynchronously
+//	        else send a snapshot of the segment, asynchronously  // Send
 //	    if Rank.Step(now, res, heard every channel, fresh?, max gap)
 //	        reports a state change (converged, confirmed, retreat, heartbeat):
-//	        send state to rank 0
-//	capped = the loop ran out of iterations with the gate still closed
+//	        send state to rank 0                            // SendState
+//	    else: the iteration is over                         // Yield
+//	capped = the loop ran out of iterations before the stop
 //
 // where rank 0's coordinator, fed by the state messages, broadcasts stop
-// after a grace window once every rank has confirmed. That is what happens
-// in virtual time, but the host steps it in runs: iterations that would
-// repeat the last one charge nothing while the rank parks on a des.Spin,
-// and are folded in at once when something reaches it (runAsync, SPIN.md).
-// In synchronous mode (Figure 1)
+// after a grace window once every rank has confirmed. "fresh?" asks
+// whether every dependency channel delivered after the instant the rank
+// converged; the Loop's arrival table answers it, the only freshness gate.
+// The simulator steps quiet iterations in runs: ones that would repeat the
+// last charge nothing while the rank parks on a des.Spin, and are folded
+// in at once (Loop.Spin) when something reaches it (run.go, SPIN.md). In
+// synchronous mode (Figure 1)
 //
 //	for iter < MaxIters:
 //	    if the node crashed: wait until it is up; lose state as above
-//	    res, flops = Update(x); charge flops; record the compute span
-//	    exchange: send every channel's snapshot, one after another, then
-//	        wait for one message per dependency channel
-//	    global = allreduce-max(res); record the idle span
+//	    res, flops = Update(x); charge flops               // Compute
+//	    exchange: send every channel's snapshot, then wait for one message
+//	        per dependency channel                          // Exchange
+//	    global = allreduce-max(res)                         // Allreduce
 //	    if global < Eps: mark every block validated, stop
 //
 // A synchronous rank whose partner crashed or whose message was lost waits
-// in the exchange for ever: the event queue drains and the run is reported
-// as stalled. An asynchronous rank never waits on a peer.
+// in the exchange for ever: the simulator's event queue drains and the run
+// is reported as stalled (natively, a watchdog trips). An asynchronous rank
+// never waits on a peer. NewReport turns the loops and the coordinator
+// into the Report both drivers return.
 package aiac
 
 import (
@@ -320,9 +328,9 @@ type Config struct {
 	Dynamics Dynamics
 }
 
-// protocolParams resolves the protocol tunables — defaults live once, in
+// Params resolves the protocol tunables — defaults live once, in
 // internal/protocol, shared with the native backend.
-func (c Config) protocolParams() protocol.Params {
+func (c Config) Params() protocol.Params {
 	return protocol.Params{
 		Eps:          c.Eps,
 		PersistIters: c.PersistIters,
@@ -333,7 +341,7 @@ func (c Config) protocolParams() protocol.Params {
 }
 
 func (c Config) withDefaults() Config {
-	pp := c.protocolParams()
+	pp := c.Params()
 	c.Eps = pp.Eps
 	c.PersistIters = pp.PersistIters
 	c.MaxIters = pp.MaxIters
@@ -404,6 +412,9 @@ type Report struct {
 	// run (grace window, heartbeat interval, persistence threshold).
 	Protocol protocol.Params
 }
+
+// Converged reports whether global convergence was detected.
+func (r *Report) Converged() bool { return r.Reason == StopConverged }
 
 // TotalIters sums ItersPerRank.
 func (r *Report) TotalIters() int {

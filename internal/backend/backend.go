@@ -1,32 +1,17 @@
-// Package backend runs AIAC solves natively — goroutine ranks exchanging
-// messages over an internal/transport wire in wall-clock time — as a full
-// peer of the simulated stack (internal/aiac on internal/des): both Async
-// and Sync modes, any aiac.Problem, and the *same* hardened convergence
-// protocol, because both drive the shared state machines of
-// internal/protocol rather than carrying an implementation of their own.
+// Package backend runs AIAC solves natively: goroutine ranks exchanging
+// messages over an internal/transport wire in wall-clock time, each running
+// the same aiac.Loop the simulator runs. The paper's §6 asks a programming
+// environment for blocking point-to-point sends, receptions in threads, a
+// fair scheduler and a mutex system; Go has each, and this driver is the
+// demonstration.
 //
-// The paper's §6 lists what a programming environment needs for efficient
-// AIAC implementations: blocking point-to-point communication, a
-// multi-threaded runtime with a fair scheduler, receptions handled in
-// threads activated on demand, and a mutex system. Go provides every item
-// natively, and this package is the repository's demonstration: goroutines
-// as ranks, a sender goroutine per send-plan channel implementing the
-// "send only if the previous send has terminated" policy over the
-// transport's blocking Send, transport receive goroutines incorporating
-// data under a per-rank mutex, and the Go scheduler as the fair
-// user-level thread package.
-//
-// This file is the wall-clock driver of the protocol core: it owns
-// everything runtime-specific — transports, mutexes, sender goroutines,
-// wall-clock timers and watchdogs — and delegates every convergence
-// decision to protocol.Rank and protocol.Coordinator. Where the simulator
-// answers "how do the middlewares compare on a grid I can specify
-// exactly?", this backend answers "does the protocol hold up on real
-// concurrency, and how fast is it on this hardware?" — with wall-clock
-// guards (Config.Timeout, Config.StallAfter on a protocol.StallGuard) in
-// place of the simulator's drained-event-queue stall detection, because a
-// deadlocked native run would otherwise hang forever rather than stopping
-// the clock.
+// The driver owns only what the wall clock needs: the transport and its
+// handlers, a mutex per rank between its Loop and the receive threads, a
+// sender goroutine per send-plan channel (whose busy flag is the send-skip
+// channel state), the rank-0 reducer behind Allreduce, wall-clock tracing,
+// and the guards a clock that cannot stop on its own needs — Config.Timeout
+// and Config.StallAfter on a protocol.StallGuard. A rank that panics trips
+// the solve, and Run returns the panic as its error.
 package backend
 
 import (
@@ -93,74 +78,28 @@ type Config struct {
 	Trace *trace.Collector
 }
 
-// protocolParams resolves the protocol tunables against the shared
-// defaults of internal/protocol.
-func (c Config) protocolParams() protocol.Params {
-	return protocol.Params{
-		Eps:          c.Eps,
-		PersistIters: c.PersistIters,
-		MaxIters:     c.MaxIters,
-		Grace:        protocol.Time(c.Grace),
-		Heartbeat:    protocol.Time(c.Heartbeat),
-	}.WithDefaults()
-}
-
-func (c Config) withDefaults() Config {
-	pp := c.protocolParams()
-	c.Eps = pp.Eps
-	c.PersistIters = pp.PersistIters
-	c.MaxIters = pp.MaxIters
-	c.Grace = time.Duration(pp.Grace)
-	c.Heartbeat = time.Duration(pp.Heartbeat)
-	return c
-}
-
-// Report is the outcome of one native solve.
+// Report is the outcome of one native solve: the simulator's report, plus
+// what only the wall clock has.
 type Report struct {
+	aiac.Report
 	// Wall is the measured wall-clock time from the post-barrier start to
 	// the last rank's exit.
 	Wall time.Duration
-	// X is the assembled final iterate (each rank's own block).
-	X []float64
-	// ItersPerRank counts each rank's local iterations.
-	ItersPerRank []int
-	// Reason tells how the run ended, with the engine's vocabulary:
-	// StopConverged, StopIterCap, or StopStalled (timeout / no-progress
-	// watchdog).
-	Reason aiac.StopReason
-	// StateMsgs counts convergence-state messages the coordinator
-	// received (async mode).
-	StateMsgs int
-	// Heartbeats, StopRebroadcasts and ReconfirmRounds are the protocol
-	// observability counters (protocol.Counters), mirrored from the
-	// engine's report so BENCH files carry them for every backend.
-	Heartbeats       int
-	StopRebroadcasts int
-	ReconfirmRounds  int
-	// Protocol records the resolved protocol constants of the run.
-	Protocol protocol.Params
 	// Net is the transport's traffic snapshot.
 	Net transport.Stats
 }
 
-// Converged reports whether global convergence was detected.
-func (r *Report) Converged() bool { return r.Reason == aiac.StopConverged }
-
-// TotalIters sums ItersPerRank.
-func (r *Report) TotalIters() int {
-	t := 0
-	for _, n := range r.ItersPerRank {
-		t += n
-	}
-	return t
-}
-
 // Run solves prob natively over the transport's ranks. The caller owns the
 // transport's configuration (shaping must be set beforehand); Run
-// registers the handlers, starts it, and closes it on return.
+// registers the handlers, starts it, and closes it on return. A rank that
+// panics ends the solve with an error naming the rank and the panic.
 func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	pp := cfg.protocolParams()
+	acfg := aiac.Config{
+		Mode: cfg.Mode, Eps: cfg.Eps, PersistIters: cfg.PersistIters, MaxIters: cfg.MaxIters,
+		StopGrace: cfg.Grace, StateHeartbeat: cfg.Heartbeat, Residuals: cfg.Residuals,
+	}
+	pp := acfg.Params()
+	cfg.Grace = time.Duration(pp.Grace)
 	n := tr.Size()
 	bounds := prob.PartitionBounds(n)
 	plan := aiac.BuildSendPlan(prob, bounds)
@@ -170,22 +109,18 @@ func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error)
 	}
 
 	s := &solver{
-		prob: prob, tr: tr, cfg: cfg, n: n,
-		bounds: bounds, plan: plan,
-		mus:         make([]sync.Mutex, n),
-		xs:          make([][]float64, n),
-		lastArrival: make([]map[int32]protocol.Time, n),
-		recvTotal:   make([]atomic.Int64, n),
-		notify:      make([]chan struct{}, n),
-		stop:        make([]chan struct{}, n),
-		stopOnce:    make([]sync.Once, n),
-		iters:       make([]int, n),
-		capped:      make([]bool, n),
-		finish:      make([]time.Time, n),
-		abort:       make(chan struct{}),
-		ranks:       make([]*protocol.Rank, n),
-		reduce:      &reducer{rounds: make(map[int32]*reduceRound)},
-		results:     make(map[int32]float64),
+		tr: tr, cfg: cfg, n: n, plan: plan,
+		mus:       make([]sync.Mutex, n),
+		loops:     make([]*aiac.Loop, n),
+		busy:      make([][]atomic.Bool, n),
+		recvTotal: make([]atomic.Int64, n),
+		notify:    make([]chan struct{}, n),
+		stop:      make([]chan struct{}, n),
+		stopOnce:  make([]sync.Once, n),
+		finish:    make([]time.Time, n),
+		abort:     make(chan struct{}),
+		partial:   make(map[int32]reduceRound),
+		results:   make(map[int32]float64),
 	}
 	if cfg.Trace != nil {
 		s.rtr = make([]*trace.Collector, n)
@@ -196,12 +131,10 @@ func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error)
 	}
 	s.coord = protocol.NewCoordinator(n, pp, (*wallCoordRuntime)(s))
 	for r := 0; r < n; r++ {
-		s.xs[r] = make([]float64, len(x0))
-		copy(s.xs[r], x0)
-		s.lastArrival[r] = make(map[int32]protocol.Time, plan.RecvCount[r])
+		s.busy[r] = make([]atomic.Bool, len(plan.Targets[r]))
+		s.loops[r] = aiac.NewLoop(r, acfg, prob, bounds, plan, x0, port{s, r})
 		s.notify[r] = make(chan struct{}, 1)
 		s.stop[r] = make(chan struct{})
-		s.ranks[r] = protocol.NewRank(r, pp)
 	}
 	s.epoch = time.Now() // the protocol.Time origin; set before any handler runs
 	for r := 0; r < n; r++ {
@@ -221,6 +154,12 @@ func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					s.errOnce.Do(func() { s.err = fmt.Errorf("backend: rank %d panicked: %v", r, v) })
+					s.trip()
+				}
+			}()
 			s.runRank(r)
 		}()
 	}
@@ -235,6 +174,9 @@ func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error)
 	s.bgClosed = true
 	s.bgMu.Unlock()
 	s.bg.Wait()
+	if s.err != nil {
+		return nil, s.err
+	}
 	if cfg.Trace != nil {
 		// Merge the per-rank span/wait buffers into the caller's
 		// collector; the message records went straight there (traceRecv,
@@ -256,59 +198,30 @@ func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error)
 	if at, ok := s.startAt.Load().(time.Time); ok {
 		start = at
 	}
-	rep := &Report{
-		Wall:             end.Sub(start),
-		X:                make([]float64, len(x0)),
-		ItersPerRank:     s.iters,
-		StateMsgs:        s.coord.Msgs(),
-		StopRebroadcasts: s.coord.Rebroadcasts(),
-		Protocol:         pp,
-		Net:              tr.Stats(),
-	}
-	anyCapped := false
-	for _, c := range s.capped {
-		anyCapped = anyCapped || c
-	}
-	for _, rk := range s.ranks {
-		rep.Heartbeats += rk.Heartbeats()
-		rep.ReconfirmRounds += rk.Reconfirms()
-	}
-	switch {
-	case s.stalled.Load():
-		rep.Reason = aiac.StopStalled
-	case s.coord.Stopped() && !anyCapped:
-		rep.Reason = aiac.StopConverged
-	default:
-		rep.Reason = aiac.StopIterCap
-	}
-	for r := 0; r < n; r++ {
-		s.mus[r].Lock()
-		copy(rep.X[bounds[r]:bounds[r+1]], s.xs[r][bounds[r]:bounds[r+1]])
-		s.mus[r].Unlock()
-	}
-	return rep, nil
+	return &Report{
+		Report: aiac.NewReport(s.loops, s.coord, s.stalled.Load()),
+		Wall:   end.Sub(start),
+		Net:    tr.Stats(),
+	}, nil
 }
 
 // solver is the shared state of one native solve.
 type solver struct {
-	prob   aiac.Problem
-	tr     transport.Transport
-	cfg    Config
-	n      int
-	bounds []int
-	plan   *aiac.SendPlan
+	tr   transport.Transport
+	cfg  Config
+	n    int
+	plan *aiac.SendPlan
 
-	// Per-rank iterate state: the transport's receive threads write x and
-	// the arrival bookkeeping under the rank's mutex; the iterate loop
-	// reads and updates under the same mutex — the paper's "mutex system".
-	// Arrival instants are protocol.Time offsets from epoch, the same
-	// clock the rank machines run on.
-	mus         []sync.Mutex
-	xs          [][]float64
-	lastArrival []map[int32]protocol.Time
-	epoch       time.Time
+	// Per-rank Loops: the transport's receive threads Incorporate under
+	// the rank's mutex, and the rank's goroutine runs Next under it — the
+	// paper's "mutex system". busy[r][i] is set while target i's sender
+	// goroutine holds a message. Driver time is protocol.Time since epoch.
+	mus   []sync.Mutex
+	loops []*aiac.Loop
+	busy  [][]atomic.Bool
+	epoch time.Time
 
-	// Sync-mode accounting: total data messages received per rank, with a
+	// Data messages received and send channels freed per rank, with a
 	// 1-buffered wakeup channel for the exchange/reduction waits.
 	recvTotal []atomic.Int64
 	notify    []chan struct{}
@@ -318,25 +231,24 @@ type solver struct {
 	stop     []chan struct{}
 	stopOnce []sync.Once
 
-	iters     []int
 	stall     protocol.StallGuard // watchdog progress counter
-	capped    []bool
 	finish    []time.Time
 	spawnedAt time.Time
 	startAt   atomic.Value // time.Time of the first post-barrier rank
 
-	abort     chan struct{} // wall-clock guard tripped
+	abort     chan struct{} // wall-clock guard tripped, or a rank panicked
 	abortOnce sync.Once
 	stalled   atomic.Bool
+	errOnce   sync.Once
+	err       error // the first rank panic
 
-	// The protocol machines: one confirmation state machine per rank, the
-	// coordinator hosted on rank 0.
-	ranks []*protocol.Rank
-	coord *protocol.Coordinator
+	coord *protocol.Coordinator // hosted on rank 0
 
-	reduce  *reducer
-	resMu   sync.Mutex
-	results map[int32]float64 // reduction round -> result, recent rounds only
+	// The allreduce: rank 0 folds contributions into partial and publishes
+	// each finished round into results, which every rank reads.
+	redMu   sync.Mutex
+	partial map[int32]reduceRound
+	results map[int32]float64
 
 	// Helper goroutines (per-key senders, broadcasts) drain through bg
 	// before Run returns; spawn guards the Add against Run's bg.Wait —
@@ -354,6 +266,21 @@ type solver struct {
 	trMu       sync.Mutex
 	sendStamps map[stampKey][]protocol.Time
 }
+
+type reduceRound struct {
+	count int
+	max   float64
+}
+
+// port answers rank r's Loop.
+type port struct {
+	s *solver
+	r int
+}
+
+func (pt port) Stopped() bool      { return pt.s.stopped(pt.r) || pt.s.aborted() }
+func (pt port) CanSend(i int) bool { return !pt.s.busy[pt.r][i].Load() }
+func (pt port) Crashed() bool      { return false }
 
 // stampKey identifies a wire message for send/receive pairing. Data and
 // reduce messages are unique per (from, to, type, key, seq); control
@@ -518,27 +445,28 @@ func (s *solver) handler(r int) transport.Handler {
 		switch m.Type {
 		case transport.MsgData:
 			s.mus[r].Lock()
-			copy(s.xs[r][m.Lo:int(m.Lo)+len(m.Values)], m.Values)
-			s.lastArrival[r][m.Key] = s.now()
+			s.loops[r].Incorporate(int(m.Key), int(m.Lo), m.Values, s.now())
 			s.mus[r].Unlock()
 			s.recvTotal[r].Add(1)
 			s.wake(r)
 		case transport.MsgState:
 			if r == 0 {
-				s.coord.OnState(protocol.StateMsg{
-					From: int(m.From), Converged: m.Flag, Seq: int(m.Seq),
-				})
+				st := protocol.StateMsg{From: int(m.From), Converged: m.Flag, Seq: int(m.Seq)}
+				if len(m.Values) > 0 {
+					st.MaxGap = protocol.Time(m.Values[0])
+				}
+				s.coord.OnState(st)
 			}
 		case transport.MsgStop:
-			s.stopRank(r)
+			s.stopOnce[r].Do(func() { close(s.stop[r]) })
 		case transport.MsgReduce:
 			if r == 0 {
 				s.contribute(m.Seq, m.Values[0])
 			}
 		case transport.MsgReduceResult:
-			s.resMu.Lock()
+			s.redMu.Lock()
 			s.results[m.Seq] = m.Values[0]
-			s.resMu.Unlock()
+			s.redMu.Unlock()
 			s.wake(r)
 		}
 	}
@@ -549,10 +477,6 @@ func (s *solver) wake(r int) {
 	case s.notify[r] <- struct{}{}:
 	default:
 	}
-}
-
-func (s *solver) stopRank(r int) {
-	s.stopOnce[r].Do(func() { close(s.stop[r]) })
 }
 
 func (s *solver) stopped(r int) bool {
@@ -573,7 +497,46 @@ func (s *solver) aborted() bool {
 	}
 }
 
-// runRank is the body of one native rank.
+// await blocks rank r until done holds, re-checking on every wakeup; it
+// reports false if the solve aborted first.
+func (s *solver) await(r int, done func() bool) bool {
+	for !done() {
+		select {
+		case <-s.notify[r]:
+		case <-s.abort:
+			return false
+		}
+	}
+	return true
+}
+
+// next runs rank r's Loop to its next action under the rank's mutex, at
+// the instant it took the mutex (returned too), so an arrival that got in
+// first is stamped before the Loop's now and cannot pass for fresh. A
+// reused iteration is charged as the simulator charges it: the rank keeps
+// its processor and the mutex as long as an Update takes, so a converged
+// rank iterates at its computing pace. *cost is the shortest Update seen;
+// a longer one also waited for the mutex or for a processor.
+func (s *solver) next(r int, cost *protocol.Time) (aiac.Action, protocol.Time) {
+	s.mus[r].Lock()
+	defer s.mus[r].Unlock()
+	now := s.now()
+	a := s.loops[r].Next(now)
+	switch {
+	case a.Kind != aiac.Compute:
+	case a.Reused:
+		for s.now()-now < *cost {
+		}
+	default:
+		if d := s.now() - now; *cost == 0 || d < *cost {
+			*cost = d
+		}
+	}
+	return a, now
+}
+
+// runRank is the body of one native rank: the entry barrier, then its
+// Loop's actions as blocking calls on this goroutine.
 func (s *solver) runRank(r int) {
 	defer func() { s.finish[r] = time.Now() }()
 	// §4.3: "only the first iteration begins at the same time on all the
@@ -584,55 +547,23 @@ func (s *solver) runRank(r int) {
 	if r == 0 {
 		s.startAt.Store(time.Now())
 	}
-	if s.cfg.Mode == aiac.Sync {
-		s.runSync(r)
-	} else {
-		s.runAsync(r)
-	}
-}
-
-// sendReliable performs a blocking control-plane send, swallowing
-// transport teardown (the run is ending anyway).
-func (s *solver) sendReliable(from, to int, m transport.Msg) {
-	s.stampSend(from, to, m)
-	_ = s.tr.Send(from, to, m)
-}
-
-// broadcastStop opens every rank's stop gate. Invoked by the coordinator's
-// runtime (grace-timer goroutine or a receive thread); the sends run on
-// helper goroutines because each one blocks for the link's shaped delay.
-func (s *solver) broadcastStop() {
-	s.stopRank(0)
-	for to := 1; to < s.n; to++ {
-		to := to
-		s.spawn(func() {
-			s.sendReliable(0, to, transport.Msg{Type: transport.MsgStop, From: 0})
-		})
-	}
-}
-
-// --- async mode ---
-
-// runAsync is the AIAC loop: the shared protocol machine fed from real
-// concurrency, with transport sender goroutines in place of middleware
-// send threads.
-func (s *solver) runAsync(r int) {
-	cfg := s.cfg
-	rk := s.ranks[r]
-	targets := s.plan.Targets[r]
-	// One unbuffered channel + sender goroutine per send-plan channel:
-	// a try-send that finds the sender busy skips — the previous send of
-	// the same data has not terminated (§4.3's policy). The blocking
-	// transport Send holds the sender for the link's full shaped delay,
-	// so the skip window tracks the wire, exactly like the simulator's
-	// TrySendData.
+	l, targets, busy := s.loops[r], s.plan.Targets[r], s.busy[r]
+	// One sender goroutine per send-plan channel. A message is handed over
+	// only while the channel is free, so the one-slot buffer never blocks;
+	// the transport's blocking Send holds the channel busy for the link's
+	// full shaped delay, so the async skip window tracks the wire exactly
+	// like the simulator's TrySendData. Two buffers per channel: spare is
+	// written, then swapped with the one the sender has released.
 	outs := make([]chan transport.Msg, len(targets))
+	spare := make([][]float64, len(targets))
+	inflight := make([][]float64, len(targets))
 	for i, tg := range targets {
-		ch := make(chan transport.Msg)
+		ch := make(chan transport.Msg, 1)
 		outs[i] = ch
-		to := tg.To
+		spare[i] = make([]float64, tg.Seg.Len())
+		inflight[i] = make([]float64, tg.Seg.Len())
 		s.bg.Add(1)
-		go func() {
+		go func(to int, busy *atomic.Bool) {
 			defer s.bg.Done()
 			for m := range ch {
 				s.stampSend(r, to, m)
@@ -642,8 +573,10 @@ func (s *solver) runAsync(r int) {
 					}
 					return
 				}
+				busy.Store(false)
+				s.wake(r)
 			}
-		}()
+		}(tg.To, &busy[i])
 	}
 	// State messages are never skipped and must stay FIFO: a dedicated
 	// sender goroutine with a deep buffer.
@@ -670,198 +603,107 @@ func (s *solver) runAsync(r int) {
 		close(states)
 		stateWG.Wait()
 	}()
-
-	sendState := func(st protocol.StateMsg) {
-		if r == 0 {
-			s.coord.OnState(st) // the coordinator is local to rank 0
-			return
-		}
-		states <- transport.Msg{
-			Type: transport.MsgState, From: int32(r), Seq: int32(st.Seq), Flag: st.Converged,
-		}
-	}
-	// The freshness gate of the two-phase confirmation: consulted by the
-	// machine only while it awaits confirmation, under the rank's mutex
-	// because receive threads write the arrival map concurrently.
-	fresh := func(since protocol.Time) bool {
-		s.mus[r].Lock()
-		defer s.mus[r].Unlock()
-		return s.allFresherThan(r, since)
-	}
-
-	x := s.xs[r]
-	// Double buffering per send channel: `spare` is written each
-	// iteration; a successful hand-over swaps it with `inflight`, whose
-	// previous buffer the sender goroutine has already released (its Send
-	// returned before it could accept a new message). The spin-heavy
-	// asynchronous loop thus sends without per-iteration allocation.
-	spare := make([][]float64, len(targets))
-	inflight := make([][]float64, len(targets))
-	for i, tg := range targets {
-		spare[i] = make([]float64, tg.Seg.Len())
-		inflight[i] = make([]float64, tg.Seg.Len())
-	}
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		if s.stopped(r) || s.aborted() {
-			return
-		}
-		var tc0 protocol.Time
-		if s.rtr != nil {
-			tc0 = s.now()
-		}
-		s.mus[r].Lock()
-		res, _ := s.prob.Update(r, s.bounds, x)
-		// Snapshot outgoing segments and the arrival bookkeeping under
-		// the lock.
-		for i, tg := range targets {
-			copy(spare[i], x[tg.Seg.Lo:tg.Seg.Hi])
-		}
-		heardAll := len(s.lastArrival[r]) == s.plan.RecvCount[r]
-		s.mus[r].Unlock()
-		if s.rtr != nil {
-			s.rtr[r].AddSpan(r, des.Time(tc0), des.Time(s.now()), trace.Compute, iter)
-		}
-		s.iters[r]++
-		s.stall.Tick()
-		cfg.Residuals.Record(r, s.now().Seconds(), res)
-
-		for i, tg := range targets {
-			select {
-			case outs[i] <- transport.Msg{
-				Type: transport.MsgData, From: int32(r), Key: int32(tg.Key),
-				Seq: int32(iter), Lo: int32(tg.Seg.Lo), Values: spare[i],
-			}:
-				spare[i], inflight[i] = inflight[i], spare[i]
-			default: // previous send still in progress: skip
-			}
-		}
-
-		// Local convergence is the protocol machine's call: persistence,
-		// then two-phase confirmation, with heartbeats once confirmed.
-		if st, ok := rk.Step(s.now(), res, heardAll, fresh, 0); ok {
-			sendState(st)
-		}
-		// Yield so receive threads, senders, and the coordinator get
-		// scheduled promptly even with GOMAXPROCS < ranks — the
-		// cooperative-fairness discipline of the paper's user-level
-		// thread packages.
-		runtime.Gosched()
-	}
-	if !s.stopped(r) && !s.aborted() {
-		s.capped[r] = true
-	}
-}
-
-// allFresherThan reports whether every dependency channel of rank r has
-// delivered a message after t. Caller holds the rank's mutex.
-func (s *solver) allFresherThan(r int, t protocol.Time) bool {
-	if len(s.lastArrival[r]) < s.plan.RecvCount[r] {
-		return false
-	}
-	//lint:unordered — pure universally-quantified check, no effects; the answer is order-independent
-	for _, at := range s.lastArrival[r] {
-		if at <= t {
-			return false
-		}
-	}
-	return true
-}
-
-// --- sync mode ---
-
-// runSync is the SISC loop: compute, blocking exchange, global residual
-// reduction — all ranks in lockstep. A lost exchange message deadlocks the
-// lockstep, which the wall-clock watchdog turns into a reported stall
-// (SISC has no recovery protocol; the simulator reports the same fate).
-func (s *solver) runSync(r int) {
-	cfg := s.cfg
-	targets := s.plan.Targets[r]
-	x := s.xs[r]
-	// One message and snapshot buffer per target, reused every round:
-	// swg.Wait below returns only after every Send of the round has, and a
-	// returned Send leaves its Values to the caller.
-	sends := make([]transport.Msg, len(targets))
-	for i, tg := range targets {
-		sends[i] = transport.Msg{
+	send := func(i int) {
+		tg := targets[i]
+		copy(spare[i], l.X()[tg.Seg.Lo:tg.Seg.Hi])
+		busy[i].Store(true)
+		outs[i] <- transport.Msg{
 			Type: transport.MsgData, From: int32(r), Key: int32(tg.Key),
-			Lo: int32(tg.Seg.Lo), Values: make([]float64, tg.Seg.Len()),
+			Seq: int32(l.Iter()), Lo: int32(tg.Seg.Lo), Values: spare[i],
 		}
+		spare[i], inflight[i] = inflight[i], spare[i]
 	}
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		if s.aborted() {
-			return
-		}
-		var tc0 protocol.Time
-		if s.rtr != nil {
-			tc0 = s.now()
-		}
-		s.mus[r].Lock()
-		res, _ := s.prob.Update(r, s.bounds, x)
-		for i, tg := range targets {
-			copy(sends[i].Values, x[tg.Seg.Lo:tg.Seg.Hi])
-			sends[i].Seq = int32(iter)
-		}
-		s.mus[r].Unlock()
-		if s.rtr != nil {
-			s.rtr[r].AddSpan(r, des.Time(tc0), des.Time(s.now()), trace.Compute, iter)
-		}
-		s.iters[r]++
-		s.stall.Tick()
-		cfg.Residuals.Record(r, s.now().Seconds(), res)
 
-		// Blocking exchange: the sends of one round overlap (one helper
-		// per target, like MPI_Isend + Waitall), then block until every
-		// dependency message of the round has been incorporated.
-		var tw0 protocol.Time
-		if s.rtr != nil {
-			tw0 = s.now()
-		}
-		var swg sync.WaitGroup
-		for i, tg := range targets {
-			swg.Add(1)
-			go func(to int, m transport.Msg) {
-				defer swg.Done()
-				s.stampSend(r, to, m)
-				_ = s.tr.Send(r, to, m)
-			}(tg.To, sends[i])
-		}
-		swg.Wait()
-		if s.rtr != nil {
-			s.traceWait(r, tw0, trace.WaitBlockedSend)
-			tw0 = s.now()
-		}
-		want := int64(iter+1) * int64(s.plan.RecvCount[r])
-		for s.recvTotal[r].Load() < want {
-			select {
-			case <-s.notify[r]:
-			case <-s.abort:
+	var cost protocol.Time // wall time of the rank's shortest Update
+	for {
+		a, now := s.next(r, &cost)
+		switch a.Kind {
+		case aiac.Compute:
+			if s.rtr != nil {
+				s.rtr[r].AddSpan(r, des.Time(now), des.Time(s.now()), trace.Compute, l.Iter())
+			}
+			s.stall.Tick()
+		case aiac.Send:
+			send(a.Target)
+		case aiac.SendState:
+			if r == 0 {
+				s.coord.OnState(a.State) // the coordinator is local to rank 0
+			} else {
+				states <- transport.Msg{
+					Type: transport.MsgState, From: int32(r), Seq: int32(a.State.Seq), Flag: a.State.Converged,
+					Values: []float64{float64(a.State.MaxGap)},
+				}
+			}
+			fallthrough
+		case aiac.Yield:
+			// The iteration is over: yield so receive threads, senders and
+			// the coordinator run now, even with GOMAXPROCS < ranks — the
+			// cooperative-fairness discipline of the paper's user-level
+			// thread packages.
+			runtime.Gosched()
+		case aiac.Exchange:
+			// Blocking exchange: the sends of one round overlap (like
+			// MPI_Isend + Waitall), then the rank blocks until every
+			// dependency message of the round has been incorporated. A lost
+			// message deadlocks the lockstep, which the watchdog turns into
+			// a reported stall (SISC has no recovery protocol).
+			for i := range targets {
+				send(i)
+			}
+			tw := s.now()
+			if !s.await(r, func() bool {
+				for i := range busy {
+					if busy[i].Load() {
+						return false
+					}
+				}
+				return true
+			}) {
 				return
 			}
-		}
-		if s.rtr != nil {
-			s.traceWait(r, tw0, trace.WaitExchange)
-		}
-
-		global, ok := s.allreduceMax(r, int32(iter), res)
-		if !ok {
-			return
-		}
-		if global < cfg.Eps {
-			// The global reduction just validated every block: record the
-			// stop through the shared coordinator, exactly like the
-			// engine's sync path.
-			s.ranks[r].Validate()
-			s.coord.MarkStopped()
+			s.traceWait(r, tw, trace.WaitBlockedSend)
+			tw = s.now()
+			want := int64(l.Iter()+1) * int64(s.plan.RecvCount[r])
+			if !s.await(r, func() bool { return s.recvTotal[r].Load() >= want }) {
+				return
+			}
+			s.traceWait(r, tw, trace.WaitExchange)
+		case aiac.Allreduce:
+			global, ok := s.allreduceMax(r, int32(l.Iter()), a.V)
+			if !ok {
+				return
+			}
+			l.Reduced(global)
+		case aiac.Exit:
 			return
 		}
 	}
-	s.capped[r] = true
+}
+
+// sendReliable performs a blocking control-plane send, swallowing
+// transport teardown (the run is ending anyway).
+func (s *solver) sendReliable(from, to int, m transport.Msg) {
+	s.stampSend(from, to, m)
+	_ = s.tr.Send(from, to, m)
+}
+
+// broadcastStop opens every rank's stop gate. Invoked by the coordinator's
+// runtime (grace-timer goroutine or a receive thread); the sends run on
+// helper goroutines because each one blocks for the link's shaped delay.
+func (s *solver) broadcastStop() {
+	s.stopOnce[0].Do(func() { close(s.stop[0]) })
+	for to := 1; to < s.n; to++ {
+		to := to
+		s.spawn(func() {
+			s.sendReliable(0, to, transport.Msg{Type: transport.MsgStop, From: 0})
+		})
+	}
 }
 
 // allreduceMax folds v over all ranks through the rank-0 reducer and
 // returns the global maximum. ok is false when the solve aborted mid-wait.
 // Round -1 doubles as the entry barrier.
-func (s *solver) allreduceMax(r int, round int32, v float64) (float64, bool) {
+func (s *solver) allreduceMax(r int, round int32, v float64) (out float64, ok bool) {
 	if r == 0 {
 		s.contribute(round, v)
 	} else {
@@ -873,80 +715,55 @@ func (s *solver) allreduceMax(r int, round int32, v float64) (float64, bool) {
 			return 0, false
 		}
 	}
-	var tw0 protocol.Time
-	if s.rtr != nil {
-		tw0 = s.now()
+	tw := s.now()
+	ok = s.await(r, func() (done bool) {
+		s.redMu.Lock()
+		out, done = s.results[round]
+		s.redMu.Unlock()
+		return done
+	})
+	kind := trace.WaitReduce
+	if round < 0 {
+		kind = trace.WaitBarrier // round -1 is the entry barrier
 	}
-	for {
-		s.resMu.Lock()
-		out, done := s.results[round]
-		s.resMu.Unlock()
-		if done {
-			if s.rtr != nil {
-				kind := trace.WaitReduce
-				if round < 0 {
-					kind = trace.WaitBarrier // round -1 is the entry barrier
-				}
-				s.traceWait(r, tw0, kind)
-			}
-			return out, true
-		}
-		select {
-		case <-s.notify[r]:
-		case <-s.abort:
-			return 0, false
-		}
+	if ok {
+		s.traceWait(r, tw, kind)
 	}
+	return out, ok
 }
 
 // contribute folds one rank's value into the reduction round; when the
 // round completes, rank 0 publishes the result to every rank.
 func (s *solver) contribute(round int32, v float64) {
-	if done, max := s.reduce.add(round, v, s.n); done {
-		s.resMu.Lock()
-		s.results[round] = max
+	s.redMu.Lock()
+	rr, seen := s.partial[round]
+	if !seen || v > rr.max {
+		rr.max = v
+	}
+	rr.count++
+	done := rr.count == s.n
+	if done {
+		delete(s.partial, round)
+		s.results[round] = rr.max
 		// Publishing round k means every rank has consumed k-1 (its
 		// contribution to k waited on it), so rounds ≤ k-2 are dead:
 		// prune them to keep the map O(1) over a long sync solve.
 		delete(s.results, round-2)
-		s.resMu.Unlock()
-		s.wake(0)
-		for to := 1; to < s.n; to++ {
-			to := to
-			s.spawn(func() {
-				s.sendReliable(0, to, transport.Msg{
-					Type: transport.MsgReduceResult, From: 0, Seq: round, Values: []float64{max},
-				})
+	} else {
+		s.partial[round] = rr
+	}
+	s.redMu.Unlock()
+	if !done {
+		return
+	}
+	max := rr.max
+	s.wake(0)
+	for to := 1; to < s.n; to++ {
+		to := to
+		s.spawn(func() {
+			s.sendReliable(0, to, transport.Msg{
+				Type: transport.MsgReduceResult, From: 0, Seq: round, Values: []float64{max},
 			})
-		}
+		})
 	}
-}
-
-// reducer collects per-round allreduce contributions on rank 0.
-type reducer struct {
-	mu     sync.Mutex
-	rounds map[int32]*reduceRound
-}
-
-type reduceRound struct {
-	count int
-	max   float64
-}
-
-func (rd *reducer) add(round int32, v float64, n int) (done bool, max float64) {
-	rd.mu.Lock()
-	defer rd.mu.Unlock()
-	rr := rd.rounds[round]
-	if rr == nil {
-		rr = &reduceRound{max: v}
-		rd.rounds[round] = rr
-	} else if v > rr.max {
-		rr.max = v
-	}
-	rr.count++
-	if rr.count == n {
-		delete(rd.rounds, round)
-		return true, rr.max
-	}
-	return false, 0
 }

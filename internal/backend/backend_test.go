@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,6 +102,45 @@ func TestIterationCap(t *testing.T) {
 		if n > 200 {
 			t.Fatalf("rank %d exceeded cap: %d", r, n)
 		}
+	}
+}
+
+// slowUpdate makes every Update of its problem last at least d and counts
+// the calls.
+type slowUpdate struct {
+	aiac.Problem
+	d       time.Duration
+	updates atomic.Int64
+}
+
+func (p *slowUpdate) Update(rank int, bounds []int, x []float64) (float64, float64) {
+	time.Sleep(p.d)
+	p.updates.Add(1)
+	return p.Problem.Update(rank, bounds, x)
+}
+
+// A converged rank that reuses its residual still spends an Update's time
+// on each iteration, as the simulator charges it: iterating at an empty
+// loop's pace would make a native cell's iteration count a measure of how
+// long the stop took to arrive.
+func TestReusedIterationIsCharged(t *testing.T) {
+	const d = time.Millisecond
+	prob := &slowUpdate{Problem: problems.NewLinear(1000, 8, 0.6, 3), d: d}
+	rep, err := Run(prob, transport.NewChan(1), Config{
+		Mode: aiac.Async, Eps: 1e-10, Grace: 50 * time.Millisecond, Timeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged() {
+		t.Fatalf("did not converge: %s", rep.Reason)
+	}
+	iters, updates := rep.TotalIters(), int(prob.updates.Load())
+	if updates >= iters {
+		t.Fatalf("%d Updates in %d iterations: no residual was reused", updates, iters)
+	}
+	if spent := time.Duration(iters) * d; spent > rep.Wall {
+		t.Fatalf("%d iterations (%d Updates of %v) in %v: reused iterations were not charged", iters, updates, d, rep.Wall)
 	}
 }
 

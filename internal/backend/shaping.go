@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,23 +53,6 @@ func GridShaping(grid string, n int) ([][]transport.Shaping, error) {
 		}
 	}
 	return m, nil
-}
-
-// ApplyGridShaping shapes every link of tr according to the named grid
-// profile. Must be called before tr.Start.
-func ApplyGridShaping(tr transport.Transport, grid string) error {
-	m, err := GridShaping(grid, tr.Size())
-	if err != nil {
-		return err
-	}
-	for from := range m {
-		for to := range m[from] {
-			if to != from {
-				tr.SetShaping(from, to, m[from][to])
-			}
-		}
-	}
-	return nil
 }
 
 // siteLayout returns the rank → site assignment of the grid (round-robin,
@@ -125,12 +109,7 @@ var NativeScenarioNames = []string{"static", "flaky-adsl", "lossy-wan"}
 
 // NativeScenario reports whether the named scenario has a native analogue.
 func NativeScenario(name string) bool {
-	for _, s := range NativeScenarioNames {
-		if s == name || (s == "static" && name == "") {
-			return true
-		}
-	}
-	return false
+	return name == "" || slices.Contains(NativeScenarioNames, name)
 }
 
 // DefaultLossSeed seeds the deterministic per-link loss streams when the

@@ -1,0 +1,110 @@
+package matrix
+
+import (
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"aiac/internal/aiac"
+)
+
+// A cell key is an outside input (aiactrace -explain, sidecar rows, the
+// command line): parsing one must never panic, and whatever it accepts
+// must name a cell whose own key parses back to it.
+func FuzzParseKey(f *testing.F) {
+	for _, k := range []string{
+		"pm2/async/adsl/linear/p4/n12000/static/sim",
+		"go/sync/multiproto/linear/p2/n60000/flaky-adsl/tcp",
+		"mpi/sync/3site/chem/p8/n36/node-churn/sim-fast",
+		"pm2,mpi/async/local/linear/p+4/n012/static/",
+		"mpi/async/local/linear/p4/n600/static/sim",
+		"pm2/async/adsl/linear/p0/n1/static/sim",
+		"//////",
+		"",
+	} {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		c, err := ParseKey(key)
+		if err != nil {
+			return
+		}
+		back, err := ParseKey(c.Key())
+		if err != nil {
+			t.Fatalf("ParseKey(%q) accepted %+v, whose key %q is refused: %v", key, c, c.Key(), err)
+		}
+		if back != c {
+			t.Fatalf("ParseKey(%q) = %+v, but its key %q parses to %+v", key, c, c.Key(), back)
+		}
+	})
+}
+
+// The axis filters of cmd/aiacbench and cmd/aiacrun never panic, accept
+// only known values (positive ones, for the integer lists), and read back
+// what they accepted when it is printed as a filter again.
+func FuzzParseAxes(f *testing.F) {
+	for _, csv := range []string{"", "pm2,mpi", " adsl , local ", "sync", "8,12,16", "sim,chan,tcp", ",", "0", "-3", "stencil", "static,flaky-adsl"} {
+		f.Add(csv)
+	}
+	named := []struct {
+		parse func(string) ([]string, error)
+		known []string
+	}{
+		{ParseEnvs, EnvNames},
+		{ParseGrids, GridNames},
+		{ParseProblems, ProblemNames},
+		{ParseScenarios, ScenarioNames},
+		{ParseBackends, BackendNames},
+	}
+	f.Fuzz(func(t *testing.T, csv string) {
+		for _, ax := range named {
+			vs, err := ax.parse(csv)
+			if err != nil {
+				continue
+			}
+			if len(vs) == 0 {
+				t.Fatalf("%q: accepted as an empty filter", csv)
+			}
+			for _, v := range vs {
+				if !slices.Contains(ax.known, v) {
+					t.Fatalf("%q: accepted unknown value %q", csv, v)
+				}
+			}
+			if again, err := ax.parse(strings.Join(vs, ",")); err != nil || !reflect.DeepEqual(again, vs) {
+				t.Fatalf("%q: accepted %v, which reads back as %v, %v", csv, vs, again, err)
+			}
+		}
+		if ms, err := ParseModes(csv); err == nil {
+			names := make([]string, len(ms))
+			for i, m := range ms {
+				names[i] = m.String()
+			}
+			again, err := ParseModes(strings.Join(names, ","))
+			if err != nil || !reflect.DeepEqual(again, ms) || len(ms) == 0 {
+				t.Fatalf("%q: modes %v read back as %v, %v", csv, ms, again, err)
+			}
+			for _, m := range ms {
+				if m != aiac.Sync && m != aiac.Async {
+					t.Fatalf("%q: accepted mode %d", csv, m)
+				}
+			}
+		}
+		if ns, err := ParseInts("procs", csv); err == nil && ns != nil {
+			words := make([]string, len(ns))
+			for i, n := range ns {
+				if n <= 0 {
+					t.Fatalf("%q: accepted %d", csv, n)
+				}
+				words[i] = strconv.Itoa(n)
+			}
+			if again, err := ParseInts("procs", strings.Join(words, ",")); err != nil || !reflect.DeepEqual(again, ns) {
+				t.Fatalf("%q: accepted %v, which reads back as %v, %v", csv, ns, again, err)
+			}
+		}
+		if op, err := ParseOperator(csv); err == nil && op != "dia" && op != "stencil" {
+			t.Fatalf("%q: accepted operator %q", csv, op)
+		}
+	})
+}

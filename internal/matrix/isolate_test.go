@@ -3,32 +3,35 @@ package matrix
 import (
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aiac/internal/aiac"
 	"aiac/internal/report"
 )
 
-// panickyProblem is a problem whose Update panics on its third call.
+// panickyProblem is a problem whose Update panics on its third call, from
+// whichever rank makes it (native ranks call concurrently).
 type panickyProblem struct {
 	aiac.Problem
-	calls int
+	calls atomic.Int32
 }
 
 func (p *panickyProblem) Update(rank int, bounds []int, x []float64) (float64, float64) {
-	if p.calls++; p.calls == 3 {
+	if p.calls.Add(1) == 3 {
 		panic("injected Update fault")
 	}
 	return p.Problem.Update(rank, bounds, x)
 }
 
-// One cell of three panics inside a simulated process: the sweep finishes,
-// the bad cell is an errored row carrying the panic text, its neighbours are
-// measured, and the sidecar holds all three rows — the errored one never to
-// be reused by a resume.
+// Two cells of four panic — one inside a simulated process, one on a native
+// rank's goroutine: the sweep finishes, each bad cell is an errored row
+// carrying the panic text, their neighbours are measured, and the sidecar
+// holds all four rows — the errored ones never to be reused by a resume.
 func TestPanickingCellIsIsolated(t *testing.T) {
+	faulty := func(env, backend string) bool { return env == "pm2" || backend == "chan" }
 	wrapProblem = func(c Cell, prob aiac.Problem) aiac.Problem {
-		if c.Env == "pm2" {
+		if faulty(c.Env, c.Backend) {
 			return &panickyProblem{Problem: prob}
 		}
 		return prob
@@ -41,6 +44,7 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 	spec.Grids = []string{"local"}
 	spec.Procs = []int{4}
 	spec.Sizes = []int{600}
+	spec.Backends = []string{"sim", "chan"}
 
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	w, err := report.CreateSidecar(path)
@@ -55,11 +59,11 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Results) != 3 || emitted != 3 {
-		t.Fatalf("%d results, %d emitted; want 3 and 3", len(set.Results), emitted)
+	if len(set.Results) != 4 || emitted != 4 {
+		t.Fatalf("%d results, %d emitted; want 4 and 4", len(set.Results), emitted)
 	}
 	for _, r := range set.Results {
-		if r.Env != "pm2" {
+		if !faulty(r.Env, r.Backend) {
 			if r.Error != "" || !r.Converged || r.Reps != 2 {
 				t.Errorf("%s: healthy cell came out as error %q, converged %v, %d reps", r.Env, r.Error, r.Converged, r.Reps)
 			}
@@ -67,7 +71,7 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 		}
 		if !strings.Contains(r.Error, "panic") || !strings.Contains(r.Error, "injected Update fault") ||
 			!strings.Contains(r.Error, "rep 1 of 2") {
-			t.Errorf("panicking cell's error = %q; want the repetition and the panic text", r.Error)
+			t.Errorf("%s: panicking cell's error = %q; want the repetition and the panic text", r.Key(), r.Error)
 		}
 		if r.Reps != 0 || r.Converged {
 			t.Errorf("panicking cell reports %d completed reps, converged %v", r.Reps, r.Converged)
@@ -77,8 +81,8 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("sidecar holds %d rows; want 3", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("sidecar holds %d rows; want 4", len(rows))
 	}
 	executed := 0
 	if _, err := Run(spec, Options{Workers: 1, Reps: 2, Prior: rows, OnResult: func(r report.Result) {
@@ -88,8 +92,8 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if executed != 1 {
-		t.Errorf("resume re-executed %d cells; want only the errored one", executed)
+	if executed != 2 {
+		t.Errorf("resume re-executed %d cells; want only the two errored ones", executed)
 	}
 }
 

@@ -533,8 +533,9 @@ func RunCellOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 // repetition's error, panic text included: one bad cell becomes one
 // errored row, and the sweep and its sidecar go on. The abandoned
 // simulator is simply dropped, its parked processes with it (they are
-// continuations it holds, nothing else). A panic on another goroutine (a
-// native cell's rank) is out of reach from here.
+// continuations it holds, nothing else). A native cell's rank panics on
+// its own goroutine, out of reach from here: backend.Run contains it and
+// returns it as the repetition's error.
 func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (m measurement, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -544,9 +545,8 @@ func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 	return runOnce(c, spec, rep, seed, timeout, tr, cache)
 }
 
-// wrapProblem, when set, replaces the problem a simulated repetition is
-// about to solve. Only tests set it, to inject faults no committed problem
-// has.
+// wrapProblem, when set, replaces the problem a repetition is about to
+// solve. Only tests set it, to inject faults no committed problem has.
 var wrapProblem func(c Cell, prob aiac.Problem) aiac.Problem
 
 // runOnce executes one repetition of a cell — in a fresh simulator for sim
@@ -708,6 +708,9 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 	// One solve over a freshly shaped transport; the chem loop below runs
 	// it once per time step.
 	solve := func(prob aiac.Problem, eps float64, maxIters int) (*backend.Report, error) {
+		if wrapProblem != nil {
+			prob = wrapProblem(c, prob)
+		}
 		tp, err := backend.NewTransport(c.backendName(), c.Procs)
 		if err != nil {
 			return nil, err

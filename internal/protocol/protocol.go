@@ -28,9 +28,9 @@
 // The package is deliberately runtime-free: no discrete-event simulator, no
 // wall clocks, no goroutines, no transports. Time is an opaque monotonic
 // nanosecond count (Time); timers and message delivery are supplied by the
-// driver through the CoordinatorRuntime interface. internal/aiac drives
-// these machines on virtual time over the simulated middlewares, and
-// internal/backend drives the very same machines on wall clocks over real
+// driver through the CoordinatorRuntime interface. One caller steps Rank:
+// internal/aiac's Loop, which the simulator runs on virtual time over the
+// simulated middlewares and internal/backend on wall clocks over real
 // transports — which is what makes the cross-backend comparison a
 // comparison of runtimes rather than of two hand-synchronized protocol
 // copies.
@@ -404,15 +404,6 @@ func (c *Coordinator) OnState(st StateMsg) {
 	})
 	c.mu.Lock()
 	c.cancelGrace = cancel
-	c.mu.Unlock()
-}
-
-// MarkStopped records that the run halted through a channel outside the
-// asynchronous detection — the synchronous mode's global reduction — so
-// Stopped() means "global convergence was detected" in both modes.
-func (c *Coordinator) MarkStopped() {
-	c.mu.Lock()
-	c.stopped = true
 	c.mu.Unlock()
 }
 
