@@ -17,7 +17,6 @@
 //	aiacbench -reps 3 -seed 42                # median/min over three jittered repetitions
 //	aiacbench -o BENCH_pr42.json              # choose the results file
 //	aiacbench -resume BENCH_pr42.jsonl        # continue an interrupted/extended sweep
-//	aiacbench -retries 2                      # re-run cells that end in an error
 //	aiacbench -baseline BENCH_baseline.json   # print per-cell deltas vs a saved run
 //	aiacbench -baseline B.json -faildelta 1   # exit non-zero on >1% time drift (CI)
 //	aiacbench -trend .                        # per-cell time/speedup trajectories across all BENCH files
@@ -59,7 +58,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -81,13 +79,12 @@ func main() {
 		backendF  = flag.String("backend", "", "execution-backend filter (csv of sim, sim-fast, chan, tcp; empty = sim, the discrete-event simulator; sim-fast is an accepted synonym; native backends run wall-clock cells serially after the simulated pool)")
 		operatorF = flag.String("operator", "", "matrix operator for linear/gmres cells: dia (materialized bands; default) or stencil (implicit, O(bands) matrix memory)")
 		timeout   = flag.Duration("timeout", matrix.DefaultNativeTimeout, "wall-clock guard per native cell: a longer-running cell is cancelled and reported as STALL")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "cells simulated concurrently")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "cells simulated concurrently (at most GOMAXPROCS; native cells run one at a time)")
 		reps      = flag.Int("reps", 1, "repetitions per cell (median/min aggregation)")
 		seed      = flag.Int64("seed", 0, "network-jitter seed: repetition r draws from stream seed+r (0 = jitter off, reps are bit-identical)")
 		list      = flag.Bool("list", false, "print the enumerated matrix cells and exit without running them")
 		outFile   = flag.String("o", "BENCH_latest.json", "results file to write (empty = don't persist); each completed cell also streams to the .jsonl sidecar next to it")
 		resume    = flag.String("resume", "", "JSONL sidecar of an earlier sweep: reuse every cell whose content address already has a valid row, append new results to the same file")
-		retries   = flag.Int("retries", 0, "re-run a cell whose attempt ended in an error up to this many extra times (the attempt count is recorded)")
 		baseline  = flag.String("baseline", "", "saved results file to diff this run against")
 		trendF    = flag.String("trend", "", "directory of BENCH_*.json/.jsonl files: print per-cell time and speedup trajectories across them instead of sweeping")
 		failDelta = flag.Float64("faildelta", 0, "with -baseline: exit non-zero if any shared cell's time drifts more than this many percent, or outcomes change (0 = report only)")
@@ -97,11 +94,10 @@ func main() {
 	flag.Parse()
 
 	if *trendF != "" {
-		// -trend only reads saved results files: reject the sweep flags
-		// instead of silently ignoring them.
-		sweepFlags := map[string]bool{"env": true, "mode": true, "grid": true, "problem": true, "procs": true, "n": true, "scenario": true, "backend": true, "timeout": true, "reps": true, "seed": true, "workers": true, "list": true, "o": true, "resume": true, "retries": true, "baseline": true, "faildelta": true, "http": true, "paper": true}
+		// -trend only reads saved results files: reject every other flag
+		// instead of silently ignoring it.
 		flag.Visit(func(f *flag.Flag) {
-			if sweepFlags[f.Name] {
+			if f.Name != "trend" {
 				fmt.Fprintf(os.Stderr, "-%s has no effect with -trend (it only reads saved results files)\n", f.Name)
 				os.Exit(2)
 			}
@@ -172,11 +168,10 @@ func main() {
 	// sidecar. With -resume, prior rows are reused and new rows extend the
 	// same file; otherwise a fresh sidecar is derived from -o.
 	var prior []report.SidecarRow
-	var priorStats report.SidecarStats
 	var sidecar *report.SidecarWriter
 	sidecarPath := ""
 	if *resume != "" {
-		if prior, priorStats, err = report.ReadSidecarWithStats(*resume); err != nil {
+		if prior, err = report.ReadSidecar(*resume); err != nil {
 			fmt.Fprintf(os.Stderr, "reading -resume sidecar: %v\n", err)
 			os.Exit(2)
 		}
@@ -207,7 +202,8 @@ func main() {
 	// the weight-based ETA are computed); -http additionally serves it
 	// live. Listen before sweeping so a bad address fails in milliseconds.
 	metrics := obs.NewRegistry()
-	progress := obs.NewSweep(*workers)
+	simWorkers := matrix.SimWorkers(*workers)
+	progress := obs.NewSweep(simWorkers)
 	if *httpAddr != "" {
 		ln, lerr := net.Listen("tcp", *httpAddr)
 		if lerr != nil {
@@ -226,23 +222,19 @@ func main() {
 			fmt.Printf("Table 4: thread policy of each environment, %s problem\n\n%s\n", prob, matrix.ThreadPolicies(prob))
 		}
 	}
-	fmt.Printf("sweeping %d cells with %d workers, %d rep(s) per cell\n", len(cells), *workers, *reps)
+	fmt.Printf("sweeping %d cells with %d workers, %d rep(s) per cell\n", len(cells), simWorkers, *reps)
 	if sidecarPath != "" {
 		fmt.Printf("streaming completed cells to %s\n", sidecarPath)
-	}
-	if *resume != "" {
-		printResumeSkips(spec, prior, priorStats, *reps, *seed, *timeout)
 	}
 	fmt.Println()
 
 	done, executed, reused := 0, 0, 0
 	start := time.Now()
 	set, err := matrix.Run(spec, matrix.Options{
-		Workers:  *workers,
+		Workers:  simWorkers,
 		Timeout:  *timeout,
 		Reps:     *reps,
 		Seed:     *seed,
-		Retries:  *retries,
 		Sidecar:  sidecar,
 		Prior:    prior,
 		Metrics:  metrics,
@@ -350,41 +342,6 @@ func main() {
 	if sweepDegraded {
 		os.Exit(1)
 	}
-}
-
-// printResumeSkips reports the per-reason histogram of prior sidecar rows
-// this sweep cannot reuse — unreadable lines first (truncated tail,
-// foreign content), then valid rows whose content address diverged
-// (matrix.ResumeSkips) — so a resume that re-runs cells says why instead
-// of silently sweeping.
-func printResumeSkips(spec matrix.Spec, prior []report.SidecarRow, stats report.SidecarStats, reps int, seed int64, timeout time.Duration) {
-	skips := matrix.ResumeSkips(spec, prior, reps, seed, timeout)
-	if stats.Truncated > 0 {
-		skips["truncated-tail"] += stats.Truncated
-	}
-	if stats.Garbage > 0 {
-		skips["unparseable"] += stats.Garbage
-	}
-	if len(skips) == 0 {
-		return
-	}
-	reasons := make([]string, 0, len(skips))
-	for r := range skips {
-		reasons = append(reasons, r)
-	}
-	sort.Slice(reasons, func(i, j int) bool {
-		if skips[reasons[i]] != skips[reasons[j]] {
-			return skips[reasons[i]] > skips[reasons[j]]
-		}
-		return reasons[i] < reasons[j]
-	})
-	total := 0
-	parts := make([]string, 0, len(reasons))
-	for _, r := range reasons {
-		total += skips[r]
-		parts = append(parts, fmt.Sprintf("%s=%d", r, skips[r]))
-	}
-	fmt.Printf("resume: skipping %d sidecar row(s): %s\n", total, strings.Join(parts, " "))
 }
 
 // sidecarFor derives the JSONL sidecar path from the results file:

@@ -49,6 +49,8 @@ func TestFlagChecks(t *testing.T) {
 		{"-baseline " + empty + " -faildelta 0.5", "would pass vacuously: the baseline holds no results"},
 		{"-baseline " + elsewhere + " -faildelta 0.5", "would pass vacuously: the baseline shares no cell with this run"},
 		{"-trend . -paper table2", "-paper has no effect with -trend"},
+		{"-trend . -operator stencil", "-operator has no effect with -trend"},
+		{"-retries 2", "flag provided but not defined: -retries"},
 	} {
 		cmd := exec.Command(bin, strings.Fields(tc.args)...)
 		cmd.Dir = dir

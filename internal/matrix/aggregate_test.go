@@ -140,7 +140,7 @@ func TestAggregateOutcomeFoldProperties(t *testing.T) {
 func TestRunCellErrorRecordsRepAndCount(t *testing.T) {
 	spec := DefaultSpec().withDefaults()
 	c := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "bogus", Procs: 2, Size: 500}
-	r := runCell(c, spec, 3, 0, 0, 0, nil)
+	r := runCell(c, spec, 3, 0, 0, nil)
 	if r.Error == "" {
 		t.Fatal("expected an error for an unknown problem")
 	}
@@ -152,28 +152,5 @@ func TestRunCellErrorRecordsRepAndCount(t *testing.T) {
 	}
 	if r.HostSec <= 0 {
 		t.Errorf("HostSec not recorded on the error path: %+v", r)
-	}
-}
-
-// TestRunCellRetriesRecorded: a persistently failing cell is retried
-// Options.Retries extra times and the attempt count lands in the result.
-func TestRunCellRetriesRecorded(t *testing.T) {
-	spec := DefaultSpec().withDefaults()
-	c := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "bogus", Procs: 2, Size: 500}
-	r := runCell(c, spec, 1, 0, 0, 2, nil)
-	if r.Error == "" {
-		t.Fatal("expected the cell to keep failing")
-	}
-	if r.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3 (1 + 2 retries)", r.Attempts)
-	}
-	// A successful first attempt records no attempt count (omitted from
-	// persisted rows).
-	ok := runCell(Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "linear", Procs: 2, Size: 500}, spec, 1, 0, 0, 2, nil)
-	if ok.Error != "" {
-		t.Fatalf("healthy cell failed: %s", ok.Error)
-	}
-	if ok.Attempts != 0 {
-		t.Errorf("Attempts = %d on a first-try success, want 0", ok.Attempts)
 	}
 }

@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"aiac/internal/problems"
@@ -71,106 +70,16 @@ func cellCacheKey(c Cell, spec Spec, reps int, seed int64, timeout time.Duration
 		int64(pp.Grace), int64(pp.Heartbeat), pp.PersistIters, to)
 }
 
-// priorIndex indexes an earlier sweep's sidecar rows two ways: by content
-// address (exact matches are reusable results) and by cell key (any prior
-// measurement of the same cell, reusable or not, carries a host-time hint
-// for the longest-expected-first schedule). Errored rows provide neither —
-// a failed cell must re-run, and its partial host time would mis-rank it.
-type priorIndex struct {
-	byCacheKey map[string]report.Result
-	hostHint   map[string]float64
-}
-
-func indexPrior(rows []report.SidecarRow) *priorIndex {
-	p := &priorIndex{
-		byCacheKey: make(map[string]report.Result),
-		hostHint:   make(map[string]float64),
-	}
+// indexPrior maps an earlier sweep's content addresses to their reusable
+// results. Errored rows are left out — a failed cell must re-run.
+func indexPrior(rows []report.SidecarRow) map[string]report.Result {
+	p := make(map[string]report.Result)
 	// In file order, so later rows (a resumed sweep appending to its
 	// predecessor's sidecar) supersede earlier ones.
 	for _, row := range rows {
-		if row.Result.Error != "" {
-			continue
+		if row.Result.Error == "" {
+			p[row.CacheKey] = row.Result
 		}
-		p.byCacheKey[row.CacheKey] = row.Result
-		p.hostHint[row.Result.Key()] = row.Result.HostSec
 	}
 	return p
-}
-
-// lookup returns the reusable prior result for a content address.
-func (p *priorIndex) lookup(cacheKey string) (report.Result, bool) {
-	r, ok := p.byCacheKey[cacheKey]
-	return r, ok
-}
-
-// ResumeSkips classifies every prior sidecar row a resumed sweep cannot
-// reuse, by the first component of its content address that diverged from
-// the current sweep's — the per-reason histogram -resume prints so a sweep
-// that silently re-runs half its cells can say why. Reusable rows are not
-// counted. Reasons: "schema" (report schema or key format changed),
-// "params" (problem parameters), "reps", "seed", "protocol" (grace /
-// heartbeat / persistence constants), "timeout" (native wall-clock guard),
-// "errored" (the row recorded a failed attempt), and "not-selected" (the
-// row's cell is not part of this sweep).
-func ResumeSkips(spec Spec, prior []report.SidecarRow, reps int, seed int64, timeout time.Duration) map[string]int {
-	spec = spec.withDefaults()
-	if reps <= 0 {
-		reps = 1
-	}
-	current := make(map[string]string)
-	for _, c := range spec.Cells() {
-		current[c.Key()] = cellCacheKey(c, spec, reps, seed, timeout)
-	}
-	skips := make(map[string]int)
-	for _, row := range prior {
-		if row.Result.Error != "" {
-			skips["errored"]++
-			continue
-		}
-		cur, ok := current[row.Result.Key()]
-		if !ok {
-			skips["not-selected"]++
-			continue
-		}
-		if cur == row.CacheKey {
-			continue
-		}
-		skips[divergingComponent(row.CacheKey, cur)]++
-	}
-	return skips
-}
-
-// divergingComponent names the first |-separated cache-key component where
-// the prior address differs from the current one.
-func divergingComponent(prior, current string) string {
-	ps, cs := strings.Split(prior, "|"), strings.Split(current, "|")
-	if len(ps) != len(cs) {
-		return "schema"
-	}
-	for i := range ps {
-		if ps[i] == cs[i] {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(cs[i], "schema="):
-			return "schema"
-		case strings.HasPrefix(cs[i], "cell="):
-			// The cell keys matched for lookup, so a diverging cell
-			// component means the key format itself changed.
-			return "schema"
-		case strings.HasPrefix(cs[i], "reps="):
-			return "reps"
-		case strings.HasPrefix(cs[i], "jitterseed="):
-			return "seed"
-		case strings.HasPrefix(cs[i], "grace="), strings.HasPrefix(cs[i], "heartbeat="), strings.HasPrefix(cs[i], "persist="):
-			return "protocol"
-		case strings.HasPrefix(cs[i], "timeout="):
-			return "timeout"
-		default:
-			// The problem{...} segment carries no prefix.
-			return "params"
-		}
-	}
-	return "schema"
 }

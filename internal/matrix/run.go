@@ -26,22 +26,15 @@ import (
 
 // Options tunes a sweep.
 type Options struct {
-	// Workers bounds the number of cells simulated concurrently.
-	// Defaults to GOMAXPROCS, and values above the host's available
-	// parallelism are capped to it: a simulated cell is a busy CPU-bound
-	// event loop, so oversubscribing the sim phase cannot add progress —
-	// it only multiplies the live heap the garbage collector must scan
-	// (measurably so once the longest-first schedule fronts the giant
-	// cells). Results are independent of the value: each cell owns its
-	// simulator, and the result set is ordered by the spec's enumeration
-	// order, not by completion order.
+	// Workers bounds the number of cells simulated concurrently; see
+	// SimWorkers for the default and the cap. Results are independent of
+	// the value: each cell owns its simulator, and the result set is
+	// ordered by the spec's enumeration order, not by completion order.
+	// Native (chan/tcp backend) cells measure wall-clock time, so they run
+	// one at a time in their own phase after every simulated cell has
+	// finished: a second concurrent native cell would oversubscribe the
+	// host and corrupt both measurements.
 	Workers int
-	// NativeWorkers bounds the number of native (chan/tcp backend) cells
-	// executed concurrently. Native cells measure wall-clock time, so
-	// they run in their own phase after every simulated cell has
-	// finished, and default to one at a time: a second concurrent native
-	// cell would oversubscribe the host and corrupt both measurements.
-	NativeWorkers int
 	// Timeout is the wall-clock guard of each native cell: a cell still
 	// running after this long is cancelled and reported as stalled
 	// rather than hanging the sweep. Default 2 minutes.
@@ -64,11 +57,6 @@ type Options struct {
 	// completes (completion order; serialized by the runner). Results
 	// reused from Prior are delivered first, with Resumed set.
 	OnResult func(report.Result)
-	// Retries re-executes a cell whose attempt ended in an error (not a
-	// stall or non-convergence — those are measurements) up to this many
-	// extra times; the accepted result records the attempt count in
-	// Result.Attempts when it took more than one.
-	Retries int
 	// Sidecar, when non-nil, receives every executed cell's result
 	// (tagged with its content address) the moment it completes — the
 	// crash-safe JSONL stream an interrupted sweep resumes from.
@@ -77,9 +65,7 @@ type Options struct {
 	// content address — cell key, problem parameters, seeds, repetition
 	// count, report schema, protocol constants, native timeout — matches
 	// a valid prior row is not re-executed: the prior result is returned
-	// with Resumed set. Prior rows of matching cells whose address
-	// changed still refine the longest-expected-first schedule with their
-	// measured host time.
+	// with Resumed set.
 	Prior []report.SidecarRow
 	// Metrics, when non-nil, receives the sweep's telemetry (cells by
 	// state, host time, traffic, protocol counters, red flags) as cells
@@ -92,6 +78,19 @@ type Options struct {
 	Progress *obs.Sweep
 }
 
+// SimWorkers is the simulated-cell pool Run starts for a requested worker
+// count: the request, capped at GOMAXPROCS, which is also the default for
+// requested <= 0. A simulated cell is a busy CPU-bound event loop, so
+// oversubscribing the sim phase cannot add progress — it only multiplies
+// the live heap the garbage collector must scan. Callers that report the
+// pool size report this value.
+func SimWorkers(requested int) int {
+	if maxp := runtime.GOMAXPROCS(0); requested <= 0 || requested > maxp {
+		return maxp
+	}
+	return requested
+}
+
 // ErrPersist marks a sweep whose measurements completed but whose sidecar
 // could not record every row: the returned Set is sound, only -resume
 // coverage is incomplete. Distinguished (errors.Is) from
@@ -100,15 +99,14 @@ var ErrPersist = errors.New("matrix: appending to sidecar failed")
 
 // Run sweeps every cell of the spec and returns the collected results in
 // enumeration order. Simulated cells run first across the worker pool;
-// native cells follow in their own phase with NativeWorkers-bounded
-// (default: serial) execution, so their wall-clock measurements are taken
-// on an otherwise quiet host. Within each phase cells are scheduled
-// longest-expected-first (schedule.go) so the pool never tails on one
-// giant cell; cells whose content address matches a valid Prior row are
-// not executed at all, and every executed result streams to Sidecar as it
-// completes. All problems of one Run share a read-only assembly cache
-// (problems.Cache), so the seven environments solving the same generated
-// system build it once.
+// native cells follow in their own phase, one at a time, so their
+// wall-clock measurements are taken on an otherwise quiet host. Within
+// each phase cells are scheduled longest-expected-first (schedule.go) so
+// the pool never tails on one giant cell; cells whose content address
+// matches a valid Prior row are not executed at all, and every executed
+// result streams to Sidecar as it completes. All problems of one Run
+// share a read-only assembly cache (problems.Cache), so the seven
+// environments solving the same generated system build it once.
 func Run(spec Spec, opt Options) (*report.Set, error) {
 	spec = spec.withDefaults()
 	cells := spec.Cells()
@@ -137,7 +135,7 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 	// so /progress shows the full sweep (and its remaining-weight ETA)
 	// from the first scrape.
 	for _, c := range cells {
-		opt.Progress.Register(c.Key(), expectedCost(c, prior))
+		opt.Progress.Register(c.Key(), expectedCost(c))
 	}
 
 	// Resolve each cell against the prior rows before anything runs:
@@ -147,7 +145,7 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 	var simIdx, nativeIdx []int
 	for i, c := range cells {
 		keys[i] = cellCacheKey(c, spec, reps, opt.Seed, opt.Timeout)
-		if r, ok := prior.lookup(keys[i]); ok {
+		if r, ok := prior[keys[i]]; ok {
 			r.Resumed = true
 			results[i] = r
 			opt.Progress.FinishedCached(c.Key())
@@ -166,13 +164,10 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 		if len(idx) == 0 {
 			return
 		}
-		if workers <= 0 {
-			workers = 1
-		}
 		if workers > len(idx) {
 			workers = len(idx)
 		}
-		scheduleLongestFirst(idx, cells, prior)
+		scheduleLongestFirst(idx, cells)
 		jobs := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -181,7 +176,7 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 				defer wg.Done()
 				for i := range jobs {
 					opt.Progress.Started(cells[i].Key())
-					r := runCell(cells[i], spec, reps, opt.Seed, opt.Timeout, opt.Retries, cache)
+					r := runCell(cells[i], spec, reps, opt.Seed, opt.Timeout, cache)
 					results[i] = r
 					opt.Progress.Finished(cells[i].Key(), r.HostSec, r.Error != "")
 					if opt.Sidecar != nil {
@@ -204,20 +199,8 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 		wg.Wait()
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Cap at the hardware parallelism (see Options.Workers).
-	if maxp := runtime.GOMAXPROCS(0); workers > maxp {
-		workers = maxp
-	}
-	runPhase(simIdx, workers)
-	nativeWorkers := opt.NativeWorkers
-	if nativeWorkers <= 0 {
-		nativeWorkers = 1
-	}
-	runPhase(nativeIdx, nativeWorkers)
+	runPhase(simIdx, SimWorkers(opt.Workers))
+	runPhase(nativeIdx, 1)
 
 	// Two independent failure classes can accompany a completed result
 	// set, and both return it rather than discard hours of measurement:
@@ -375,25 +358,8 @@ func (c Cell) backendName() string {
 	return c.Backend
 }
 
-// runCell executes one cell, retrying attempts that end in an error (a
-// deploy failure, not a stall or non-convergence — those are valid
-// measurements) up to retries extra times. The accepted result records how
-// many attempts it took when more than one.
-func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, retries int, cache *problems.Cache) report.Result {
-	var out report.Result
-	for attempt := 1; ; attempt++ {
-		out = runCellAttempt(c, spec, reps, seed, timeout, cache)
-		if attempt > 1 {
-			out.Attempts = attempt
-		}
-		if out.Error == "" || attempt > retries {
-			return out
-		}
-	}
-}
-
-// runCellAttempt executes one cell's repetitions and aggregates them.
-func runCellAttempt(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache) report.Result {
+// runCell executes one cell's repetitions and aggregates them.
+func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache) report.Result {
 	// Without a jitter seed, only the problems with a generator-seed axis
 	// (linear, gmres, newton) have anything to perturb per repetition; the
 	// chemical simulation is then fully deterministic and extra reps would

@@ -16,17 +16,12 @@ import (
 // never changes output, only wall time.
 
 // expectedCost estimates a cell's host cost for scheduling, in rough host
-// seconds. A measured HostSec from a prior sidecar row of the same cell —
-// the refinement available when resuming or extending a sweep — beats the
-// heuristic; otherwise the estimate is procs×size scaled by how expensive
-// the cell's grid, mode and environment are to simulate (weights read off
-// the committed default-sweep baseline: the ADSL uplink forces millions of
-// asynchronous iterations, and the threaded middlewares pm2/omniorb cost
-// far more simulator events per exchange than mpi/madmpi).
-func expectedCost(c Cell, prior *priorIndex) float64 {
-	if h, ok := prior.hostHint[c.Key()]; ok && h > 0 {
-		return h
-	}
+// seconds: procs×size scaled by how expensive the cell's grid and mode are
+// to simulate (the ADSL uplink forces millions of asynchronous iterations).
+// The environment does not enter: it moves a cell's host cost far less
+// than grid and mode do (the default sweep's three async-ADSL cells take
+// 1.5 to 2.1 s each on a two-core host, its sync-ADSL cells 0.02 s).
+func expectedCost(c Cell) float64 {
 	cost := float64(c.Procs) * float64(c.Size) * 3e-5
 	switch c.Grid {
 	case "adsl":
@@ -39,21 +34,13 @@ func expectedCost(c Cell, prior *priorIndex) float64 {
 	if c.Mode == aiac.Async {
 		cost *= 3
 	}
-	if SimulatedBackend(c.backendName()) {
-		switch c.Env {
-		case "pm2", "omniorb":
-			cost *= 8
-		}
-	}
 	return cost
 }
 
 // scheduleLongestFirst orders the phase's cell indices by descending
 // expected cost, stably, so equal-cost cells keep their enumeration order.
-func scheduleLongestFirst(idx []int, cells []Cell, prior *priorIndex) {
-	cost := make(map[int]float64, len(idx))
-	for _, i := range idx {
-		cost[i] = expectedCost(cells[i], prior)
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return cost[idx[a]] > cost[idx[b]] })
+func scheduleLongestFirst(idx []int, cells []Cell) {
+	sort.SliceStable(idx, func(a, b int) bool {
+		return expectedCost(cells[idx[a]]) > expectedCost(cells[idx[b]])
+	})
 }

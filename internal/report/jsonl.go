@@ -77,75 +77,33 @@ func (w *SidecarWriter) Close() error {
 	return w.f.Close()
 }
 
-// SidecarStats accounts for what ReadSidecarWithStats dropped, so a
-// resumed sweep can report *why* sidecar coverage was lost instead of
-// silently re-running cells.
-type SidecarStats struct {
-	// Valid counts the rows returned.
-	Valid int
-	// Truncated counts dropped lines that are a prefix of valid JSON —
-	// the final line cut short when the writing process was killed
-	// mid-append.
-	Truncated int
-	// Garbage counts dropped lines that are not truncated JSON: foreign
-	// content, corruption, or a parseable row with an empty cache key.
-	Garbage int
-}
-
-// Dropped is the total number of dropped lines.
-func (s SidecarStats) Dropped() int { return s.Truncated + s.Garbage }
-
 // ReadSidecar loads the rows of a sidecar file in write order. Lines that
 // do not parse — in particular a final line truncated when the writing
-// process was killed mid-append — are dropped rather than failing the
-// load, so a crashed sweep's sidecar is always readable. When the same
-// cache key appears more than once (a resumed sweep appending to its
-// predecessor's file), later rows supersede earlier ones at lookup time;
-// this function returns them all.
+// process was killed mid-append — and lines without a cache key are
+// dropped rather than failing the load, so a crashed sweep's sidecar is
+// always readable. When the same cache key appears more than once (a
+// resumed sweep appending to its predecessor's file), later rows supersede
+// earlier ones at lookup time; this function returns them all.
 func ReadSidecar(path string) ([]SidecarRow, error) {
-	rows, _, err := ReadSidecarWithStats(path)
-	return rows, err
-}
-
-// ReadSidecarWithStats is ReadSidecar plus an accounting of the dropped
-// lines, classified by why each was dropped.
-func ReadSidecarWithStats(path string) ([]SidecarRow, SidecarStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, SidecarStats{}, err
+		return nil, err
 	}
 	defer f.Close()
 	var rows []SidecarRow
-	var stats SidecarStats
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		var row SidecarRow
-		if err := json.Unmarshal(line, &row); err != nil {
-			if line[0] == '{' && !json.Valid(line) {
-				// An unterminated object is the signature of the final
-				// line cut short mid-append.
-				stats.Truncated++
-			} else {
-				// Anything else — foreign content, or well-formed JSON
-				// of the wrong shape — is not an interrupted append.
-				stats.Garbage++
-			}
-			continue
-		}
-		if row.CacheKey == "" {
-			stats.Garbage++
+		// A line that does not parse, or parses without a content
+		// address, is not a row a sweep wrote whole.
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil || row.CacheKey == "" {
 			continue
 		}
 		rows = append(rows, row)
-		stats.Valid++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	return rows, stats, nil
+	return rows, nil
 }

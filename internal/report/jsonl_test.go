@@ -46,31 +46,49 @@ func TestSidecarRoundTrip(t *testing.T) {
 }
 
 // A sidecar whose writer was killed mid-append ends in a truncated line;
-// reading it must return every complete row and drop the ruin.
+// reading it must return every complete row and drop the ruin. Foreign
+// lines and well-formed JSON without a cache key are dropped the same way,
+// and the rows after them still come back in write order.
 func TestSidecarTruncatedTailDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.jsonl")
-	w, err := CreateSidecar(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append("key-a", sampleResult("pm2", 1.5)); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"cache_key":"key-b","result":{"env":"mad`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	rows, err := ReadSidecar(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].CacheKey != "key-a" {
-		t.Fatalf("truncated sidecar read %d rows (%+v), want the 1 complete row", len(rows), rows)
+	const rowB = `{"cache_key":"key-b","result":{"env":"mpi"}}` + "\n"
+	for _, tc := range []struct {
+		name, tail string
+		want       []string
+	}{
+		{"truncated tail", `{"cache_key":"key-b","result":{"env":"mad`, []string{"key-a"}},
+		{"foreign line", "not json at all\n" + rowB, []string{"key-a", "key-b"}},
+		{"empty cache key", `{"some":"other","valid":"json"}` + "\n" + rowB, []string{"key-a", "key-b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.jsonl")
+			w, err := CreateSidecar(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append("key-a", sampleResult("pm2", 1.5)); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			rows, err := ReadSidecar(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, r := range rows {
+				got = append(got, r.CacheKey)
+			}
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("read rows %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -136,9 +136,9 @@ type Result struct {
 	// HostSec is the host wall time spent simulating this cell (all
 	// repetitions). Not compared across runs.
 	HostSec float64 `json:"host_sec"`
-	// Attempts counts how many executions of the cell it took to produce
-	// this result (per-cell retry-on-error, matrix.Options.Retries).
-	// Omitted when the first attempt was accepted.
+	// Attempts is set by no runner and omitted when zero. It stays only
+	// because files under benchmark/ still assign it, and goes with them
+	// (ROADMAP item 8(b)).
 	Attempts int `json:"attempts,omitempty"`
 	// Error, when non-empty, explains why the cell produced no
 	// measurement (e.g. the environment refused to deploy on the grid).
