@@ -187,13 +187,15 @@ func (e *run) runRank(p *des.Proc, r int) {
 // chain per iteration would be the hot path's allocation.
 //
 // An async rank steps in runs (package doc, SPIN.md): from a Compute that
-// starts quiet — reused residual, no other charge on the CPU, Loop.Quiet,
-// continuing the previous iteration's trace run so that its spans extend a
-// run rather than append late — the rank charges nothing and parks on a
-// des.Spin until its own deadline (the iteration cap, a heartbeat) or
-// whatever could change an iteration calls wake, which folds the ended
-// iterations in and resumes the one in progress as the CPU charge it would
-// have been. An eager iteration is a run of one.
+// starts quiet — reused residual, a charge that would run alone on the CPU
+// (CPU.RunsAlone: idle, or holding one charge it would preempt unrun),
+// Loop.Quiet, continuing the previous iteration's trace run so that its
+// spans extend a run rather than append late — the rank charges nothing,
+// holds the CPU's other charge (CPU.Hold) and parks on a des.Spin until its
+// own deadline (the iteration cap, a heartbeat) or whatever could change an
+// iteration calls wake, which folds the ended iterations in and resumes the
+// one in progress as the CPU charge it would have been. An eager iteration
+// is a run of one.
 func (e *run) drive(p *des.Proc, r int, comm Comm) {
 	cfg, l := e.cfg, e.loops[r]
 	cpu := e.grid.Machines[r].CPU
@@ -223,11 +225,11 @@ func (e *run) drive(p *des.Proc, r int, comm Comm) {
 	}
 	// spin starts a run at the iteration beginning now, if it is quiet.
 	spin := func(flops float64) bool {
-		if flops <= 0 || !cpu.Idle() {
+		if flops <= 0 {
 			return false
 		}
 		d := cpu.ChargeTime(flops)
-		if prevEnd != t0 || prevEnd-prevStart != d {
+		if !cpu.RunsAlone(d) || prevEnd != t0 || prevEnd-prevStart != d {
 			return false
 		}
 		hb, beats, quiet := l.Quiet()
@@ -240,6 +242,7 @@ func (e *run) drive(p *des.Proc, r int, comm Comm) {
 		if beats {
 			m = min(m, max(1, (des.Time(hb)-t0+d-1)/d))
 		}
+		cpu.Hold()
 		sp.Start(e.grid.Sim, d, int64(m), wake)
 		watch(wake)
 		p.ParkK(afterCompute)

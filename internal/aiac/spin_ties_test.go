@@ -11,12 +11,21 @@ package aiac_test
 // just after is not), so these are the cases where a lazily stepped rank
 // could drift from a per-iteration one.
 //
-// The oracle is testdata/spin_ties.txt, recorded from the engine that
-// stepped every iteration through the event queue: each row is the digest
-// of the report and of every span, message and wait of the trace. The
+// Every case also runs starved: from holdFrom on, each machine's CPU holds
+// one long foreign charge that the rank's next charge preempts before it
+// has run, iteration after iteration, so the rank spins over a held charge
+// (marcel.CPU.Hold) instead of an idle CPU. There the foreign-submit and
+// background-load cases are a second charge, and a load change, reaching
+// a spin that holds one.
+//
+// The oracle is testdata/spin_ties.txt, recorded from an engine that
+// stepped the cases' iterations through the event queue one by one (the
+// starved rows from one that spun only on an idle CPU): each row is the
+// digest of the report and of every span, message and wait of the trace,
+// and in a starved case of when the starving charges were paid. The
 // boundary of each case is read off a probe run — the same run with the
 // event's action left out — so the file also pins that the probe did not
-// move. Regenerate, on purpose only, with
+// move. Regenerate, on purpose only and with such an engine, with
 //
 //	SPIN_TIES_WRITE=1 go test -run TestSpinBoundaryTies ./internal/aiac
 
@@ -103,6 +112,8 @@ type tieRun struct {
 	tr   *trace.Collector
 	rt   *scenario.Runtime
 	rep  *aiac.Report
+
+	starvedUntil []des.Time // when each starving charge was paid (starve)
 }
 
 // tieAction is what a case does at its instant, in the helper process.
@@ -162,6 +173,9 @@ func (x *tieRun) digest() string {
 	fmt.Fprintln(h, x.tr.Spans)
 	fmt.Fprintln(h, x.tr.Msgs)
 	fmt.Fprintln(h, x.tr.Waits)
+	if x.starvedUntil != nil {
+		fmt.Fprintln(h, x.starvedUntil)
+	}
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
@@ -269,8 +283,39 @@ func openStops(x *tieRun, _ *des.Proc) {
 }
 
 // holdFrom is when the channel-free cases start holding rank 1's first
-// outbound channel busy (after the ranks have converged once).
+// outbound channel busy, and the starved cases their CPUs (after the ranks
+// have converged once).
 const holdFrom = 10 * time.Millisecond
+
+// starveCharge is the foreign charge each CPU of a starved case takes on
+// at holdFrom: long enough to be still owed when the run ends.
+const starveCharge = 10 * time.Second
+
+// starve submits starveCharge on every machine at holdFrom, from a thread
+// of its own per machine, and records when each is paid.
+func starve(x *tieRun) {
+	x.starvedUntil = make([]des.Time, len(x.grid.Machines))
+	for i, m := range x.grid.Machines {
+		x.sim.SpawnTask("starve", func(p *des.Proc) {
+			p.SleepUntilK(holdFrom, func() {
+				m.CPU.UseK(p, starveCharge, func() { x.starvedUntil[i] = p.Now() })
+			})
+		})
+	}
+}
+
+// starved returns k with every CPU starved from holdFrom on.
+func starved(k tieKind) tieKind {
+	setup := k.setup
+	k.name = "starved/" + k.name
+	k.setup = func(x *tieRun) {
+		starve(x)
+		if setup != nil {
+			setup(x)
+		}
+	}
+	return k
+}
 
 var tieKinds = []tieKind{
 	{name: "data-arrival", anchor: quiet, act: func(x *tieRun, _ *des.Proc) {
@@ -381,13 +426,22 @@ func TestSpinBoundaryTies(t *testing.T) {
 	}
 	var out strings.Builder
 	out.WriteString("# case  digest  anchor-boundary  stride  event-scheduled-at  event-at  (see spin_ties_test.go)\n")
+	kinds := slices.Clone(tieKinds)
 	for _, k := range tieKinds {
+		kinds = append(kinds, starved(k))
+	}
+	for _, k := range kinds {
 		probe := runTie(k.setup, 0, 0, nil, k.cap)
 		if write == "" && 10*probe.sim.Events() > uint64(probe.rep.TotalIters()) {
 			// The cases below mean something only if the ranks spin.
 			t.Errorf("%s: probe ran %d events over %d iterations; the cell no longer spins", k.name, probe.sim.Events(), probe.rep.TotalIters())
 		}
 		b, d, maxIters := k.anchor(t, probe)
+		for r, at := range probe.starvedUntil {
+			if at <= b {
+				t.Fatalf("%s: probe's starving charge on machine %d was paid at %d, before the anchor %d", k.name, r, at, b)
+			}
+		}
 		if maxIters == 0 {
 			maxIters = k.cap
 		}

@@ -33,7 +33,9 @@ func (c recordedCell) name() string {
 }
 
 var recordedCells = []recordedCell{
-	{"pm2", aiac.Async, "adsl", 4, 1200, 0.3},
+	// A spinning rank costs a few events a run, so the async cell runs to
+	// a tighter ε than the others to record more than 10 000 pushes.
+	{"pm2", aiac.Async, "adsl", 4, 1200, 0.03},
 	{"omniorb", aiac.Sync, "local", 16, 3200, 1e-4},
 	{"mpi", aiac.Sync, "3site", 24, 4800, 1e-4},
 }

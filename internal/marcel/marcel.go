@@ -27,8 +27,11 @@ import (
 type Policy int
 
 const (
-	// Fair is round-robin with a fixed quantum: every runnable thread
-	// makes progress.
+	// Fair is round-robin with a fixed quantum. A newcomer on a busy CPU
+	// preempts the running charge, so a charge dispatched at the very
+	// instant a lone newcomer arrives goes back to the queue before it has
+	// run: a thread that resubmits a charge of at most a quantum the
+	// moment its last one completes starves the other.
 	Fair Policy = iota
 	// Unfair is LIFO: the most recently arrived request preempts the
 	// queue order, so under a steady arrival stream old requests starve.
@@ -154,16 +157,35 @@ func (c *CPU) fireWatch() {
 	}
 }
 
-// Idle reports whether no charge is running or waiting.
-func (c *CPU) Idle() bool { return c.current == nil && c.queue.Len() == 0 }
+// RunsAlone reports whether a charge of d submitted now would run at once
+// and uncut: no charge waits, and none runs, or the one running was
+// dispatched at this instant — the newcomer preempts it before it has run
+// (under Fair only if d fits in a quantum; a longer newcomer would share
+// the CPU with it slice by slice).
+func (c *CPU) RunsAlone(d des.Time) bool {
+	return c.queue.Len() == 0 && (c.current == nil ||
+		c.lastStart == c.sim.Now() && (c.Policy == Unfair || d <= c.Quantum))
+}
 
-// Resume stops sp and puts its period in progress on the idle CPU as the
-// charge p would have submitted when the period began: running since then,
-// its completion ordered where that submission's was (Spin.ScheduleEnd),
-// the ended periods counted as busy time. p must be parked on the
-// continuation the completion resumes.
+// Hold makes the preemption a charge submitted now would make where
+// RunsAlone holds: the running charge, if any, goes back to the queue
+// unrun, its slice's completion stale, busy time unchanged. Nothing runs
+// until Resume.
+func (c *CPU) Hold() {
+	if cur := c.current; cur != nil {
+		cur.gen = 0
+		c.current = nil
+		c.queue.Push(cur)
+	}
+}
+
+// Resume stops sp and puts its period in progress on the CPU — idle, or
+// holding one charge (Hold) — as the charge p would have submitted when
+// the period began: running since then, its completion ordered where that
+// submission's was (Spin.ScheduleEnd), the ended periods counted as busy
+// time. p must be parked on the continuation the completion resumes.
 func (c *CPU) Resume(p *des.Proc, sp *des.Spin) {
-	if !c.Idle() {
+	if c.current != nil || c.queue.Len() > 1 {
 		panic("marcel: resume on a busy CPU")
 	}
 	t0, d, n := sp.Lattice()

@@ -1,6 +1,8 @@
 package marcel
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -340,5 +342,157 @@ func TestWatchFiresOnceFirst(t *testing.T) {
 	}
 	if got, want := cpu.ChargeTime(1e6), 3*time.Millisecond; got != want {
 		t.Fatalf("ChargeTime under load 3 = %v, want %v", got, want)
+	}
+}
+
+// starvedAt sets up the state a spin over a held charge starts from: A's
+// 100µs charge is cut at 50µs by X's 10ms one, X runs a quantum, A
+// finishes at 2.1ms and X is dispatched at that instant with 8ms left. at
+// runs at 2.1ms in A's thread, in place of A's next charge.
+func starvedAt(sim *des.Simulator, cpu *CPU, at func(p *des.Proc)) {
+	sim.SpawnTask("a", func(p *des.Proc) {
+		cpu.UseK(p, 100*time.Microsecond, func() { at(p) })
+	})
+	sim.SpawnTask("x", func(p *des.Proc) {
+		p.SleepK(50*time.Microsecond, func() { cpu.UseK(p, 10*time.Millisecond, func() {}) })
+	})
+}
+
+// Under Fair, a charge dispatched at the very instant a lone newcomer
+// submits is preempted before it has run: it goes back to the queue with
+// its remaining time whole and its slice's completion stale, and the
+// newcomer's charge runs uncut.
+func TestFairPreemptsChargeDispatchedThisInstant(t *testing.T) {
+	sim := des.New()
+	cpu := NewCPU(sim, "n0", 1000)
+	var aDone des.Time
+	starvedAt(sim, cpu, func(p *des.Proc) {
+		x, busy := cpu.current, cpu.BusyTime()
+		if p.Now() != 2100*time.Microsecond || x.proc.Name() != "x" || cpu.lastStart != p.Now() || x.remaining != 8*time.Millisecond {
+			t.Fatalf("at %v: current %s since %v with %v left; want x dispatched now with 8ms", p.Now(), x.proc.Name(), cpu.lastStart, x.remaining)
+		}
+		cpu.UseK(p, 100*time.Microsecond, func() { aDone = p.Now() })
+		if cpu.current.proc != p || cpu.queue.Len() != 1 || cpu.queue.Items()[0] != x {
+			t.Fatalf("after the newcomer: current %s, queue %d; want a running, x queued", cpu.current.proc.Name(), cpu.queue.Len())
+		}
+		if x.remaining != 8*time.Millisecond || x.gen != 0 || cpu.BusyTime() != busy {
+			t.Fatalf("preempted x: %v left, gen %d, busy %v → %v; want 8ms, 0, unchanged", x.remaining, x.gen, busy, cpu.BusyTime())
+		}
+	})
+	sim.Run()
+	if aDone != 2200*time.Microsecond {
+		t.Fatalf("a done at %v, want 2.2ms (its charge uncut)", aDone)
+	}
+}
+
+// RunsAlone holds on an idle CPU and over a charge dispatched this instant
+// that a newcomer of d would preempt unrun: not with another charge
+// waiting, not once the charge has run, not under Fair for a d longer than
+// a quantum (the two would share the CPU slice by slice).
+func TestRunsAlone(t *testing.T) {
+	sim := des.New()
+	cpu := NewCPU(sim, "n0", 1000)
+	q := cpu.Quantum
+	if !cpu.RunsAlone(10 * q) {
+		t.Fatal("idle CPU: RunsAlone false")
+	}
+	starvedAt(sim, cpu, func(p *des.Proc) {
+		if !cpu.RunsAlone(q) {
+			t.Error("charge dispatched now, d = quantum: RunsAlone false")
+		}
+		if cpu.RunsAlone(q + 1) {
+			t.Error("Fair, d > quantum: RunsAlone true")
+		}
+		cpu.Policy = Unfair
+		if !cpu.RunsAlone(q + 1) {
+			t.Error("Unfair, d > quantum: RunsAlone false")
+		}
+		cpu.Policy = Fair
+		sim.SpawnTask("y", func(py *des.Proc) { cpu.UseK(py, time.Microsecond, func() {}) })
+		p.SleepK(time.Microsecond, func() {
+			if cpu.queue.Len() != 1 || cpu.RunsAlone(time.Microsecond) {
+				t.Errorf("a charge waiting (%d queued): RunsAlone true", cpu.queue.Len())
+			}
+			p.SleepK(time.Microsecond, func() {
+				if cpu.queue.Len() != 0 || cpu.lastStart >= p.Now() || cpu.RunsAlone(time.Microsecond) {
+					t.Errorf("x has run since %v (%d queued): RunsAlone true", cpu.lastStart, cpu.queue.Len())
+				}
+			})
+		})
+	})
+	sim.Run()
+}
+
+// A spin over a held charge, resumed mid-period, leaves the CPU as the
+// per-period charges would have: A iterates 100µs charges over X's starved
+// one, or holds X and spins from 2.1ms; a third charge at 2.45ms wakes the
+// spin. The running charge, the queue, the busy time when the third charge
+// arrives, and every completion must be the same.
+func TestHoldResumeMatchesSubmit(t *testing.T) {
+	type snapshot struct {
+		cur       string
+		remaining des.Time
+		since     des.Time
+		queue     string
+		busy      des.Time
+	}
+	finish := func(spin bool) (snapshot, map[string]des.Time, des.Time) {
+		sim := des.New()
+		cpu := NewCPU(sim, "n0", 1000)
+		done := map[string]des.Time{}
+		var snap snapshot
+		take := func() {
+			snap = snapshot{cur: cpu.current.proc.Name(), remaining: cpu.current.remaining, since: cpu.lastStart, busy: cpu.BusyTime()}
+			for _, r := range cpu.queue.Items() {
+				snap.queue += fmt.Sprintf("%s:%v:%d ", r.proc.Name(), r.remaining, r.gen)
+			}
+		}
+		const d = 100 * time.Microsecond
+		var sp des.Spin
+		starvedAt(sim, cpu, func(p *des.Proc) {
+			iters := 1
+			var iterate func()
+			iterate = func() {
+				if iters++; iters > 8 {
+					done["a"] = p.Now()
+					return
+				}
+				cpu.UseK(p, d, iterate)
+			}
+			if !spin {
+				iterate()
+				return
+			}
+			if !cpu.RunsAlone(d) {
+				t.Fatal("RunsAlone false over x dispatched now")
+			}
+			cpu.Hold()
+			sp.Start(sim, d, 10, func() { t.Fatal("boundary entered") })
+			cpu.Watch(func() {
+				_, _, n := sp.Lattice()
+				iters += int(n) + 1
+				cpu.Resume(p, &sp)
+				take()
+			})
+			p.ParkK(iterate)
+		})
+		sim.SpawnTask("y", func(p *des.Proc) {
+			p.SleepK(2450*time.Microsecond, func() {
+				if !spin {
+					take()
+				}
+				cpu.UseK(p, 30*time.Microsecond, func() { done["y"] = p.Now() })
+			})
+		})
+		sim.Run()
+		return snap, done, cpu.BusyTime()
+	}
+	ss, sd, sb := finish(false)
+	rs, rd, rb := finish(true)
+	if rs != ss || !maps.Equal(rd, sd) || rb != sb {
+		t.Fatalf("held and resumed: %+v, done %v, busy %v\nper-period:         %+v, done %v, busy %v", rs, rd, rb, ss, sd, sb)
+	}
+	if ss.cur != "a" || ss.since != 2400*time.Microsecond || ss.queue != "x:8ms:0 " {
+		t.Fatalf("per-period state at 2.45ms: %+v; want a running since 2.4ms over x's 8ms", ss)
 	}
 }
