@@ -149,7 +149,9 @@ func perEnv(mpi, pm2, madmpi, omniorb float64) map[string]float64 {
 
 // recordedRungs are the rows below the shipped one: each a scratch copy of
 // the tree with the rungs up to it applied, measured on the reference box
-// (2 cores, go1.24.0) when the ladder was built. allocs and ns per message
+// (2 cores, go1.24.0) when the ladder was built; the last of them is the
+// path that shipped with the ladder, recorded as it last measured when
+// handler, wire and message recycling replaced it. allocs and ns per message
 // come from this file's exchange harness dropped into the copy (before
 // snapshot recycling the harness snapshots with make, as the engine did);
 // events, ComputeK allocations, alloc MB and GCs from `go run ./benchmark
@@ -187,20 +189,24 @@ var recordedRungs = []pathRung{
 		note:   "handler-task name formatted once per endpoint, one resettable gate per endpoint for exchange waits, one sends slice per rank",
 		allocs: perEnv(10, 16, 12, 16), ns: perEnv(1177, 1451, 1244, 1492), computeAl: 0,
 		allocMB: 750, numGC: 56, hostS: "1.95 2.05 2.07"},
+	{name: "eventloop.go diet: continuations built once", valid: true, events: 408569,
+		note:   "send, receive and dispatch loops and SyncExchangeK build their continuations once per thread or endpoint over one shared wire variable; a task blocked in Chan.RecvK parks on a segment built once per task",
+		allocs: perEnv(2, 9, 2, 9), ns: perEnv(366, 735, 457, 768), computeAl: 0,
+		allocMB: 624, numGC: 47, hostS: "1.82 1.83 1.82"},
 }
 
 // shippedRecorded is what of the shipped row a test cannot measure: the
-// benchmark's own numbers, recorded with the rows above.
-var shippedRecorded = pathRung{allocMB: 624, numGC: 47, hostS: "1.82 1.83 1.82"}
+// benchmark's own numbers, recorded when the row shipped.
+var shippedRecorded = pathRung{allocMB: 331, numGC: 31, hostS: "1.92 1.80 1.90"}
 
 // shippedRungName is the last row: the tree as it is.
-const shippedRungName = "eventloop.go diet: continuations built once"
+const shippedRungName = "recycled handlers, wires and messages"
 
 // measureShipped measures the shipped path's row.
 func measureShipped(t *testing.T) pathRung {
 	row := pathRung{
 		name:   shippedRungName,
-		note:   "send, receive and dispatch loops and SyncExchangeK build their continuations once per thread or endpoint over one shared wire variable; a task blocked in Chan.RecvK parks on a segment built once per task",
+		note:   "pm2/omniorb handler threads are parked processes of a per-endpoint pool, woken by the event a spawn scheduled and still charged the spawn cost; wires, netsim Messages and the allreduce round state are recycled through intrusive free lists",
 		allocs: map[string]float64{}, ns: map[string]float64{},
 		allocMB: shippedRecorded.allocMB, numGC: shippedRecorded.numGC, hostS: shippedRecorded.hostS,
 	}
@@ -332,27 +338,39 @@ rotation runs every rung once).
   container/heap baseline.
 
 %s
-Shipped: the last row. No rung was a no-win, but none stands alone either:
-DES.md had measured the typed event and each closure by itself as below
-what ten pairs can resolve, and the first rotation above shows why — the
-steps are 2-7 %% each against a 5 %% run-to-run spread. They are one change
-because their sum is not small: three tenths of sync-exchange's host time
-(README, ten alternating pairs on two seeds: 2.61 -> 1.80 s and 2.68 ->
-1.81 s) and three fifths of its allocation.
+Shipped: the last row. The rungs up to the continuations one were built
+as one change. No rung was a no-win, but none stands alone either: DES.md
+had measured the typed event and each closure by itself as below what ten
+pairs can resolve, and the first rotation above shows why — the steps are
+2-7 %% each against a 5 %% run-to-run spread. They are one change because
+their sum is not small: three tenths of sync-exchange's host time (README,
+ten alternating pairs on two seeds: 2.61 -> 1.80 s and 2.68 -> 1.81 s) and
+three fifths of its allocation. The recycling rung on top of them took
+sync-exchange's host_s from 2.39 to 1.90 s (median of ten alternating
+pairs against its parent, --seconds 5, faster in all ten; the host_s
+column's runs were three more pairs at --seconds 9 against 2.19, 2.31 and
+2.11 s) and its allocation from 596 to 331 MB; those parent figures are
+the continuations rung as it measured then, not as recorded above.
 
 Where the allocations went. At the baseline a message on mono-threaded mpi
 cost 20: the snapshot, the wire, the Message, netsim's finish and schedule
 closures, envcore's delivery closure and opts slice, marcel's two requests
 with their completion closures, and the continuations of the exchange
-loop. The shipped path keeps two — the wire and the Message. A thread
-created per message (pm2, omniorb) still costs its Proc and six
-continuations; recycling handler tasks would remove them and was left out
-(a task's identity is its Proc, and the goroutine engine would need the
-same pool).
+loop. The continuations rung kept two — the wire and the Message — and a
+thread created per message (pm2, omniorb) added its Proc and six
+continuations. The shipped path keeps none. The Message goes back on the
+network's free list when its deliver callback returns, the wire on the
+environment's when the data sink has returned, the message is dropped or
+a control wire is handled, and a handler thread parks in its endpoint's
+pool when its message is delivered; the next message wakes it with the
+event its spawn would have scheduled, at the same instant and in the same
+place of the queue, and it pays the spawn cost again. Every free list is
+an intrusive pointer push and pop, which aiaclint's hotalloc accepts on
+the hot path.
 
 What was not done. The rungs that *remove* events — delivery resolved in
 one event, receive charges folded into arithmetic, the allreduce as one
-event per round — change the tie-break order of simultaneous events and
-would have to be written twice while two engines exist; ROADMAP keeps them
-for after the engines are one.
+event per round — change the tie-break order of simultaneous events, and
+with it every recorded virtual result; ROADMAP keeps them for after the
+virtual-time oracle moves out of benchmark/ (its item 1).
 `

@@ -14,8 +14,9 @@ import (
 	"aiac/internal/netsim"
 )
 
-// Network.Send with its delivery allocates the Message and nothing else:
-// the message is its own event target, the FIFO clamp and the egress pipes
+// Network.Send with its delivery allocates nothing in steady state: the
+// message is its own event target and goes back on the network's free list
+// when its deliver callback returns, the FIFO clamp and the egress pipes
 // are slice lookups, and SendOpt is a value.
 func TestNetsimSendAllocs(t *testing.T) {
 	sim := des.New()
@@ -43,8 +44,8 @@ func TestNetsimSendAllocs(t *testing.T) {
 		sim.Run()
 	}
 	burst() // grows the event queue and the tables
-	if n := testing.AllocsPerRun(20, burst); n != sends {
-		t.Errorf("%d Send+delivery pairs allocate %.0f; want %d (the Message each)", sends, n, sends)
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Errorf("%d Send+delivery pairs allocate %.0f; want 0 (every Message recycled)", sends, n)
 	}
 	if delivered != 22*sends {
 		t.Errorf("delivered %d messages; want %d", delivered, 22*sends)
@@ -111,17 +112,16 @@ func (x *exchangePair) play(n int) uint64 {
 
 // exchangeAllocsPerMessage are the pinned steady-state allocations of one
 // message of a lockstep exchange, per environment (that is, per receive
-// model). The netsim Message and the wire are the two every message costs;
-// mono-threaded mpi and madmpi's receive thread add nothing, their
-// continuations being built once per endpoint and per thread. pm2 and
-// omniorb create a handler thread per message: its Proc, its start-up
-// continuation, marcel's spawn-cost wrapper and charge continuation, the
-// handler body and its two continuations — seven more.
+// model): none on any. The netsim Message and the wire are recycled when
+// the message is delivered and incorporated; mono-threaded mpi's exchange
+// and madmpi's receive thread build their continuations once per endpoint
+// and per thread; the handler thread pm2 and omniorb give every message is
+// a parked process of the endpoint's pool, with continuations built once.
 var exchangeAllocsPerMessage = map[string]float64{
-	"mpi":     2,
-	"pm2":     9,
-	"madmpi":  2,
-	"omniorb": 9,
+	"mpi":     0,
+	"pm2":     0,
+	"madmpi":  0,
+	"omniorb": 0,
 }
 
 func TestSyncExchangeAllocs(t *testing.T) {

@@ -30,9 +30,13 @@
 // back on the list — at the instant the receiving endpoint's data sink has
 // returned, or the message is dropped, or the send is refused; a sink copies
 // what it keeps. Buffers a caller allocated itself (Pooled unset) are never
-// recycled. The middleware threads and the operations that take virtual
-// time (eventloop.go) build their continuations once per thread or
-// endpoint, not once per message.
+// recycled. The wire that carries a message is recycled the same way: a
+// data wire when the sink has returned or the message is dropped, a control
+// wire once it is handled; a relay or a rendezvous keeps it alive until
+// then. The middleware threads and the operations that take virtual time
+// (eventloop.go) build their continuations once per thread or endpoint, not
+// once per message, and the handler threads of RecvOnDemand are recycled
+// too, so a message allocates nothing in steady state.
 package envcore
 
 import (
@@ -59,7 +63,7 @@ const (
 	// serially: dispatch latency and CPU cost of message k delay message
 	// k+1.
 	RecvSingleThread
-	// RecvOnDemand spawns a short-lived handler thread per message:
+	// RecvOnDemand creates a short-lived handler thread per message:
 	// dispatch latencies overlap; only CPU costs contend.
 	RecvOnDemand
 )
@@ -178,6 +182,9 @@ type Env struct {
 	// bufs recycles value snapshots (Endpoint.Snapshot): bufs[c] holds
 	// released buffers of capacity 1<<c.
 	bufs [][][]float64
+
+	// wires are the released wires, linked through wire.next.
+	wires *wire
 }
 
 // New builds the environment and starts its receive/send threads. It
@@ -272,6 +279,58 @@ type wire struct {
 	// record, set just before final delivery so receivers can bind it as a
 	// wait cause (-1 when tracing is off).
 	msgIdx int
+	// next links a released wire into Env.wires.
+	next *wire
+}
+
+// wReleased is the kind of a wire poisoned on release (poisonReleased).
+const wReleased wireKind = -1
+
+// newWire returns a wire from the free list, or a new one. The caller sets
+// every field it needs with one assignment of a whole wire.
+func (e *Env) newWire() *wire {
+	w := e.wires
+	if w == nil {
+		return new(wire)
+	}
+	e.wires = w.next
+	return w
+}
+
+// releaseWire ends the life of a wire and of its values: a pooled snapshot
+// returns to the snapshot free list, the wire to the wire free list.
+// Nothing may read w afterwards.
+//
+//lint:hotpath
+func (e *Env) releaseWire(w *wire) {
+	if w.pooled {
+		e.recycle(w.data.Values)
+	}
+	if poisonReleased {
+		poisonWire(w)
+	} else {
+		*w = wire{}
+	}
+	w.next = e.wires
+	e.wires = w
+}
+
+// poisonValues is what a poisoned wire's value slices hold.
+var poisonValues = []float64{math.NaN()}
+
+// poisonWire overwrites a released wire with values no live wire has: a
+// kind receive refuses, NaN values, -1 for its ranks, round, key, size and
+// trace index. Releasing it twice panics.
+func poisonWire(w *wire) {
+	if w.kind == wReleased {
+		panic("envcore: wire released twice")
+	}
+	*w = wire{
+		kind: wReleased, from: -1, finalTo: -1, round: -1, key: -1, payloadBytes: -1, msgIdx: -1,
+		values: poisonValues,
+		data:   aiac.DataMsg{From: -1, Iter: -1, Key: -1, Lo: -1, Values: poisonValues},
+		state:  aiac.StateMsg{From: -1, Seq: -1},
+	}
 }
 
 // msgKind maps a wire kind onto the trace taxonomy.
@@ -332,9 +391,10 @@ type Endpoint struct {
 	syncTarget int
 	syncWake   *des.Gate
 
-	// handlerName names the handler threads created on demand per message
-	// (RecvOnDemand).
+	// handlerName names the handler threads of RecvOnDemand, and idle
+	// lists those parked for the next message (eventloop.go).
 	handlerName string
+	idle        *handler
 
 	// exchange is the SyncExchangeK state machine (eventloop.go), built by
 	// the first exchange.
@@ -344,17 +404,19 @@ type Endpoint struct {
 	barrierGates map[int]*des.Gate
 	barArrivals  map[int]int // rank 0 only
 
-	redRound   int
-	redGates   map[int]*des.Gate
-	redResults map[int][]float64
-	redPending map[int]*redState // rank 0 only
+	// reduce is the allreduce state (eventloop.go), built by the first
+	// allreduce; redAbandoned holds, by round, rounds that sessions left
+	// blocked (nil until one does).
+	redRound     int
+	reduce       *reduceK
+	redAbandoned map[int]*reduceK
+	redPending   map[int]*redState // rank 0 only
 
 	// Wait-cause bindings for the trace: the Msgs index of the delivery
 	// that opened each gate, recorded at the instrumentation point that
 	// knows it (receive / deliverData) and consumed by the waiting calls
 	// when they record their trace.Wait.
 	barCause    map[int]int
-	redCause    map[int]int
 	lastDeliver int // latest data delivery to this endpoint, -1 if none
 }
 
@@ -396,11 +458,8 @@ func newEndpoint(e *Env, rank int) *Endpoint {
 		handlerName:  fmt.Sprintf("%s-h@%d", e.opts.Name, rank),
 		barrierGates: make(map[int]*des.Gate),
 		barArrivals:  make(map[int]int),
-		redGates:     make(map[int]*des.Gate),
-		redResults:   make(map[int][]float64),
 		redPending:   make(map[int]*redState),
 		barCause:     make(map[int]int),
-		redCause:     make(map[int]int),
 		lastDeliver:  -1,
 	}
 }
@@ -462,7 +521,7 @@ func (e *Env) deliver(m *netsim.Message) {
 		if w.hasKey && w.senderEp != nil {
 			w.senderEp.release(w.key)
 		}
-		e.releaseValues(w)
+		e.releaseWire(w)
 		return
 	}
 	if w.hasKey && w.senderEp != nil && w.finalTo == dst.rank && !w.rendezvous {
@@ -508,8 +567,8 @@ func (ep *Endpoint) findRelay(to int) int {
 }
 
 // receive handles a wire addressed to this endpoint. Runs in scheduler
-// context (network delivery). Control messages are processed immediately;
-// data messages go to the receive machinery.
+// context (network delivery). Data messages go to the receive machinery;
+// control messages are processed immediately and their wire released.
 func (ep *Endpoint) receive(w *wire) {
 	switch w.kind {
 	case wData:
@@ -518,6 +577,7 @@ func (ep *Endpoint) receive(w *wire) {
 		} else {
 			ep.inbox.Send(w)
 		}
+		return
 	case wState:
 		if ep.stateSink != nil {
 			ep.stateSink(nil, w.state)
@@ -563,21 +623,20 @@ func (ep *Endpoint) receive(w *wire) {
 			}
 		}
 	case wRedResult:
-		ep.redResults[w.round] = w.values
-		ep.redCause[w.round] = w.msgIdx
-		if g, ok := ep.redGates[w.round]; ok {
-			g.Open()
-		}
+		ep.reduced(w)
 	default:
 		panic("envcore: unknown wire kind")
 	}
+	ep.env.releaseWire(w)
 }
 
 // control transmits a small control wire to rank r (no CPU charge: control
 // traffic is out-of-band and its handling cost is negligible, §4.3).
 func (ep *Endpoint) control(w wire, to int) {
-	w.payloadBytes = controlPayloadBytes
-	ep.transmit(&w, to)
+	cw := ep.env.newWire()
+	*cw = w
+	cw.payloadBytes = controlPayloadBytes
+	ep.transmit(cw, to)
 }
 
 // --- aiac.Comm implementation ---
@@ -624,7 +683,8 @@ func (ep *Endpoint) TrySendData(p *des.Proc, o aiac.Outgoing) bool {
 
 // dataWire wraps an outgoing data block for the network.
 func (ep *Endpoint) dataWire(o aiac.Outgoing) *wire {
-	return &wire{
+	w := ep.env.newWire()
+	*w = wire{
 		kind:         wData,
 		from:         ep.rank,
 		finalTo:      o.To,
@@ -632,6 +692,7 @@ func (ep *Endpoint) dataWire(o aiac.Outgoing) *wire {
 		payloadBytes: 8 * len(o.Values),
 		pooled:       o.Pooled,
 	}
+	return w
 }
 
 // Snapshot copies src into a buffer from the environment's free list. The
@@ -655,19 +716,10 @@ func (ep *Endpoint) Snapshot(src []float64) []float64 {
 	return buf
 }
 
-// releaseValues ends the life of w's values: a pooled snapshot returns to
-// the free list, and either way the wire stops referring to them.
-func (e *Env) releaseValues(w *wire) {
-	if w.pooled {
-		w.pooled = false
-		e.recycle(w.data.Values)
-	}
-	w.data.Values = nil
-}
-
 // poisonReleased makes recycle overwrite every buffer it takes back with
-// NaNs, so that a read after release cannot go unnoticed. Only tests set
-// it (export_test.go).
+// NaNs, and releaseWire every wire with sentinels (poisonWire), so that a
+// read after release cannot go unnoticed. Only tests set it
+// (export_test.go).
 var poisonReleased bool
 
 // recycle returns a Snapshot buffer to the free list.
@@ -698,7 +750,7 @@ func (ep *Endpoint) deliverData(w *wire) {
 	if ep.dataSink != nil {
 		ep.dataSink(w.data)
 	}
-	ep.env.releaseValues(w)
+	ep.env.releaseWire(w)
 	ep.syncRecvd++
 	ep.syncWake.Open()
 }

@@ -7,6 +7,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
+	"aiac/internal/marcel"
 	"aiac/internal/netsim"
 )
 
@@ -459,5 +460,108 @@ func TestSyncExchangeThreadedRecv(t *testing.T) {
 		if gotA != 3 || gotB != 3 {
 			t.Fatalf("%v: exchanged %d/%d messages, want 3/3", model, gotA, gotB)
 		}
+	}
+}
+
+// A handler thread of RecvOnDemand pays the thread-creation cost before it
+// touches its message, whether it is a new process or one parked back in
+// its endpoint's pool by an earlier message.
+func TestHandlerPaysSpawnCost(t *testing.T) {
+	deliveries := func(spawnCost des.Time) []des.Time {
+		sim := des.New()
+		grid := cluster.Homogeneous(sim, 2, cluster.P4_2400, netsim.Ethernet100)
+		grid.Machines[1].CPU.SpawnCost = spawnCost
+		env := MustNew(grid, testOpts(RecvOnDemand))
+		var times []des.Time
+		env.Comm(1).SetDataSink(func(aiac.DataMsg) { times = append(times, sim.Now()) })
+		sim.SpawnTask("sender", func(p *des.Proc) {
+			env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: []float64{1}})
+			p.SleepK(10*time.Millisecond, func() { // the first handler is idle by then
+				env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Values: []float64{2}})
+			})
+		})
+		sim.Run()
+		if n := idleHandlers(env.eps[1]); n != 1 {
+			t.Fatalf("%d handlers idle after two messages far apart; want the one reused", n)
+		}
+		return times
+	}
+	free, charged := deliveries(0), deliveries(marcel.DefaultThreadSpawnCost)
+	if len(free) != 2 || len(charged) != 2 {
+		t.Fatalf("deliveries %v and %v; want two each", free, charged)
+	}
+	for i := range free {
+		if d := charged[i] - free[i]; d != marcel.DefaultThreadSpawnCost {
+			t.Errorf("message %d is delivered %v later with the spawn cost charged; want %v", i, d, marcel.DefaultThreadSpawnCost)
+		}
+	}
+}
+
+func idleHandlers(ep *Endpoint) int {
+	n := 0
+	for h := ep.idle; h != nil; h = h.next {
+		if h.w != nil {
+			panic("an idle handler holds a wire")
+		}
+		n++
+	}
+	return n
+}
+
+// Eight messages reaching one endpoint at the same instant run on eight
+// handler threads at once; a second such burst, once they are done, runs
+// on the same eight.
+func TestHandlerPoolReuse(t *testing.T) {
+	sim := des.New()
+	grid := cluster.Homogeneous(sim, 9, cluster.P4_2400, netsim.Ethernet100)
+	env := MustNew(grid, testOpts(RecvOnDemand))
+	delivered := 0
+	env.Comm(0).SetDataSink(func(aiac.DataMsg) { delivered++ })
+	burst := func() {
+		for r := 1; r <= 8; r++ {
+			r := r
+			sim.SpawnTask("sender", func(p *des.Proc) {
+				env.Comm(r).TrySendData(p, aiac.Outgoing{To: 0, Key: r, Values: []float64{float64(r)}})
+			})
+		}
+		sim.Run()
+	}
+	burst()
+	live := sim.LiveProcs()
+	if n := idleHandlers(env.eps[0]); n != 8 || delivered != 8 {
+		t.Fatalf("after the first burst: %d deliveries, %d idle handlers; want 8 and 8", delivered, n)
+	}
+	burst()
+	if n := idleHandlers(env.eps[0]); n != 8 || delivered != 16 || sim.LiveProcs() != live {
+		t.Fatalf("after the second burst: %d deliveries, %d idle handlers, %d live processes; want 16, 8, %d",
+			delivered, n, sim.LiveProcs(), live)
+	}
+}
+
+// A session that ends with a rank blocked in an allreduce leaves that round
+// waiting; the rank's next session starts the next round beside it, and a
+// result that completes the old round later still wakes the old waiter.
+func TestAllreduceAbandonedRound(t *testing.T) {
+	sim, _, env := newTestEnv(t, 2, RecvOnDemand)
+	var old, next, rank0 []float64
+	sim.SpawnTask("session1", func(p *des.Proc) {
+		env.Comm(1).AllreduceMaxK(p, 1, func(v float64) { old = append(old, v) })
+	})
+	sim.Run() // rank 0 never contributes: rank 1 stays blocked in round 0
+	if old != nil {
+		t.Fatalf("round 0 completed with one contribution: %v", old)
+	}
+	sim.SpawnTask("session2", func(p *des.Proc) {
+		env.Comm(1).AllreduceMaxK(p, 5, func(v float64) { next = append(next, v) })
+	})
+	sim.SpawnTask("rank0", func(p *des.Proc) {
+		env.Comm(0).AllreduceMaxK(p, 3, func(a float64) {
+			rank0 = append(rank0, a)
+			env.Comm(0).AllreduceMaxK(p, 4, func(b float64) { rank0 = append(rank0, b) })
+		})
+	})
+	sim.Run()
+	if len(old) != 1 || old[0] != 3 || len(next) != 1 || next[0] != 5 || len(rank0) != 2 || rank0[0] != 3 || rank0[1] != 5 {
+		t.Fatalf("old round %v, next round %v, rank 0 %v; want [3], [5], [3 5]", old, next, rank0)
 	}
 }

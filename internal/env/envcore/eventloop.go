@@ -138,32 +138,75 @@ func (ep *Endpoint) recvLoopK(p *des.Proc) {
 	loop()
 }
 
-// dispatchLoopK is the dispatcher of RecvOnDemand: a fresh handler thread
-// per message, so dispatch latencies overlap and only CPU costs contend.
+// dispatchLoopK is the dispatcher of RecvOnDemand: a handler thread per
+// message, so dispatch latencies overlap and only CPU costs contend.
 func (ep *Endpoint) dispatchLoopK(p *des.Proc) {
-	c := ep.env.opts.Costs
 	var loop func()
 	arrived := func(v any, ok bool) {
 		if !ok {
 			return
 		}
-		w := v.(*wire)
-		ep.mcpu().SpawnTask(ep.handlerName, func(hp *des.Proc) {
-			unpack := func() {
-				ep.chargeUnpackK(hp, w.payloadBytes, func() {
-					ep.deliverData(w)
-				})
-			}
-			if c.RecvLatency > 0 {
-				hp.SleepK(c.RecvLatency, unpack)
-				return
-			}
-			unpack()
-		})
+		ep.dispatch(v.(*wire))
 		loop()
 	}
 	loop = func() { ep.inbox.RecvK(p, arrived) }
 	loop()
+}
+
+// handler is a receiving thread of RecvOnDemand. The model creates a thread
+// per message; the simulator keeps the threads whose message is done parked
+// on their endpoint's idle list and gives the next message to one of them,
+// spawning a process only when none is idle. Waking a parked handler is the
+// very event a spawn schedules — at the current instant, in the same place
+// of the queue — and the handler then pays the thread-creation cost
+// (marcel.CPU.SpawnCost) before anything else, as a new thread would: what
+// the model charges and when is unchanged, only the host stops allocating
+// a thread per message. The continuations are built once per handler.
+type handler struct {
+	p    *des.Proc
+	w    *wire    // the message in hand; nil while the handler is idle
+	next *handler // the endpoint's idle list
+
+	start, created, unpack, unpacked func()
+}
+
+// dispatch hands w to an idle handler, or to a new one, and starts it.
+func (ep *Endpoint) dispatch(w *wire) {
+	h := ep.idle
+	if h == nil {
+		ep.spawnHandler(w)
+		return
+	}
+	ep.idle, h.next = h.next, nil
+	h.w = w
+	h.p.Unpark()
+}
+
+// spawnHandler starts a new handler thread with w in hand.
+func (ep *Endpoint) spawnHandler(w *wire) {
+	c := ep.env.opts.Costs
+	h := &handler{w: w}
+	h.start = func() {
+		cpu := ep.mcpu()
+		cpu.UseK(h.p, cpu.SpawnCost, h.created)
+	}
+	h.created = func() {
+		if c.RecvLatency > 0 {
+			h.p.SleepK(c.RecvLatency, h.unpack)
+			return
+		}
+		h.unpack()
+	}
+	h.unpack = func() { ep.chargeUnpackK(h.p, h.w.payloadBytes, h.unpacked) }
+	h.unpacked = func() {
+		w := h.w
+		h.w = nil
+		ep.deliverData(w)
+		h.next = ep.idle
+		ep.idle = h
+		h.p.ParkK(h.start)
+	}
+	h.p = ep.env.grid.Sim.SpawnTask(ep.handlerName, func(*des.Proc) { h.start() })
 }
 
 // --- the aiac.Comm methods that take virtual time ---
@@ -172,7 +215,9 @@ func (ep *Endpoint) dispatchLoopK(p *des.Proc) {
 // skipped.
 func (ep *Endpoint) SendStateK(p *des.Proc, st aiac.StateMsg, k func()) {
 	ep.chargePackK(p, controlPayloadBytes, func() {
-		ep.transmit(&wire{kind: wState, from: ep.rank, finalTo: 0, state: st, payloadBytes: controlPayloadBytes}, 0)
+		w := ep.env.newWire()
+		*w = wire{kind: wState, from: ep.rank, finalTo: 0, state: st, payloadBytes: controlPayloadBytes}
+		ep.transmit(w, 0)
 		k()
 	})
 }
@@ -297,32 +342,92 @@ func (ep *Endpoint) exchangeDone(x *exchangeK) {
 	k()
 }
 
+// reduceK is the state of an endpoint's allreduce in progress. The reducing
+// rank blocks in it, so an endpoint runs one round at a time, and the gate,
+// the contribution buffer and the continuations are built once per endpoint
+// instead of once per round. The contribution travels to rank 0 by
+// reference: rank 0 reads it on arrival, before any rank can have the
+// round's result, so the next round may refill it.
+type reduceK struct {
+	p       *des.Proc
+	round   int
+	t0      des.Time
+	gate    *des.Gate
+	contrib []float64
+	res     []float64 // the round's result, once it arrived
+	cause   int       // trace index of the result's delivery
+	k       func([]float64)
+	kMax    func(float64) // AllreduceMaxK's continuation, instead of k
+	waited  func()
+}
+
 // AllreduceMaxK implements aiac.Comm via gather-to-0 plus broadcast.
 func (ep *Endpoint) AllreduceMaxK(p *des.Proc, v float64, k func(float64)) {
-	ep.allreduceK(p, redMax, []float64{v}, func(res []float64) { k(res[0]) })
+	x := ep.reduceState()
+	x.contrib = append(x.contrib[:0], v)
+	x.kMax = k
+	ep.allreduceK(p, x, redMax)
 }
 
 // AllreduceSumK implements aiac.Comm: element-wise sums across ranks, the
 // collective behind distributed dot products.
 func (ep *Endpoint) AllreduceSumK(p *des.Proc, vs []float64, k func([]float64)) {
-	ep.allreduceK(p, redSum, vs, k)
+	x := ep.reduceState()
+	x.contrib = append(x.contrib[:0], vs...)
+	x.k = k
+	ep.allreduceK(p, x, redSum)
 }
 
-func (ep *Endpoint) allreduceK(p *des.Proc, op redOp, vs []float64, k func([]float64)) {
-	round := ep.redRound
-	ep.redRound++
-	g := des.NewGate(ep.env.grid.Sim)
-	ep.redGates[round] = g
-	contrib := append([]float64(nil), vs...)
-	w := wire{kind: wRedContrib, from: ep.rank, round: round, redOp: op, values: contrib}
-	w.payloadBytes = controlPayloadBytes + 8*len(vs)
-	ep.transmit(&w, 0)
-	t0 := p.Now()
-	g.WaitK(p, func() {
-		ep.env.opts.Trace.AddWait(ep.rank, t0, p.Now(), trace.WaitReduce, takeCause(ep.redCause, round))
-		delete(ep.redGates, round)
-		res := ep.redResults[round]
-		delete(ep.redResults, round)
+// reduceState returns the endpoint's allreduce state, free for a new round.
+// A round still in progress belongs to a process an earlier session left
+// blocked; it keeps its own state, which a late result can still wake.
+func (ep *Endpoint) reduceState() *reduceK {
+	x := ep.reduce
+	if x != nil && x.p == nil {
+		return x
+	}
+	if x != nil {
+		if ep.redAbandoned == nil {
+			ep.redAbandoned = make(map[int]*reduceK)
+		}
+		ep.redAbandoned[x.round] = x
+	}
+	x = &reduceK{gate: des.NewGate(ep.env.grid.Sim)}
+	x.waited = func() {
+		ep.env.opts.Trace.AddWait(ep.rank, x.t0, x.p.Now(), trace.WaitReduce, x.cause)
+		res, k, kMax := x.res, x.k, x.kMax
+		x.p, x.res, x.k, x.kMax = nil, nil, nil, nil
+		if kMax != nil {
+			kMax(res[0])
+			return
+		}
 		k(res)
-	})
+	}
+	ep.reduce = x
+	return x
+}
+
+func (ep *Endpoint) allreduceK(p *des.Proc, x *reduceK, op redOp) {
+	x.p, x.round, x.cause = p, ep.redRound, -1
+	ep.redRound++
+	x.gate.Reset()
+	w := ep.env.newWire()
+	*w = wire{kind: wRedContrib, from: ep.rank, round: x.round, redOp: op, values: x.contrib,
+		payloadBytes: controlPayloadBytes + 8*len(x.contrib)}
+	ep.transmit(w, 0)
+	x.t0 = p.Now()
+	x.gate.WaitK(p, x.waited)
+}
+
+// reduced hands a round's result to the allreduce waiting for it.
+func (ep *Endpoint) reduced(w *wire) {
+	x := ep.reduce
+	if x == nil || x.p == nil || x.round != w.round {
+		if x = ep.redAbandoned[w.round]; x == nil {
+			return
+		}
+		delete(ep.redAbandoned, w.round)
+	}
+	x.res, x.cause = w.values, w.msgIdx
+	x.gate.Open()
 }

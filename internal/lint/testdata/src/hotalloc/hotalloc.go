@@ -64,3 +64,39 @@ func coldPath(n int) []int {
 	}
 	return out
 }
+
+// An intrusive free list is pointer push and pop: nothing grows, so the
+// hot path may recycle through one (netsim's Message, envcore's wire).
+type node struct {
+	next *node
+	v    float64
+}
+
+type pool struct {
+	free  *node
+	slots []*node
+}
+
+//lint:hotpath
+func (p *pool) put(n *node) {
+	n.v = 0
+	n.next = p.free
+	p.free = n
+}
+
+//lint:hotpath
+func (p *pool) get() *node {
+	n := p.free
+	if n != nil {
+		p.free, n.next = n.next, nil
+	}
+	return n
+}
+
+// A pool that appends to a field grows its backing array, and growth
+// allocates.
+//
+//lint:hotpath
+func (p *pool) putSlot(n *node) {
+	p.slots = append(p.slots, n) // want `appends to non-parameter storage`
+}

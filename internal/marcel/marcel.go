@@ -56,7 +56,9 @@ const DefaultQuantum = 2 * time.Millisecond
 
 // DefaultThreadSpawnCost is the CPU time charged to create a thread on
 // demand (stack allocation + scheduler registration in a 2004 user-level
-// thread package).
+// thread package). A middleware that creates a thread per message charges
+// it, as CPU.SpawnCost, to the thread before the thread does anything else
+// (envcore's handler threads).
 const DefaultThreadSpawnCost = 30 * time.Microsecond
 
 // CPU is a single simulated processor shared by the threads of one node.

@@ -137,17 +137,6 @@ func TestFairNoStarvation(t *testing.T) {
 	}
 }
 
-func TestSpawnChargesCreationCost(t *testing.T) {
-	sim := des.New()
-	cpu := NewCPU(sim, "n0", 1000)
-	var started des.Time
-	cpu.SpawnTask("child", func(p *des.Proc) { started = p.Now() })
-	sim.Run()
-	if started != cpu.SpawnCost {
-		t.Fatalf("child started at %v, want %v", started, cpu.SpawnCost)
-	}
-}
-
 func TestUtilisation(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)

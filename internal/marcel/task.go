@@ -49,16 +49,3 @@ func (c *CPU) ComputeK(p *des.Proc, flops float64, k func()) {
 func (c *CPU) ChargeTime(flops float64) des.Time {
 	return c.loaded(max(c.ComputeTime(flops), time.Nanosecond))
 }
-
-// SpawnTask starts a new thread on this node after charging the
-// thread-creation cost to the CPU queue (the creation itself consumes CPU:
-// the spawned thread runs body only after the cost is paid).
-func (c *CPU) SpawnTask(name string, body func(p *des.Proc)) *des.Proc {
-	return c.sim.SpawnTask(name, func(p *des.Proc) {
-		if c.SpawnCost > 0 {
-			c.UseK(p, c.SpawnCost, func() { body(p) })
-			return
-		}
-		body(p)
-	})
-}

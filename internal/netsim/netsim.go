@@ -13,13 +13,14 @@
 // attributes its results to. Per-message CPU costs (packing, marshaling,
 // thread dispatch) belong to the middleware layer (internal/env).
 //
-// A Send allocates the Message and nothing else. The message is the
-// des.Handler of its own events — its arrival at a shared destination
-// segment, its delivery — so no closure carries it through the scheduler;
-// the per-pair FIFO clamp and the egress pipes are per-node slices, not
-// maps; a SendOpt is a value. The deliver callback is stored in the
-// message: a caller that sends many (envcore) passes the same func value
-// every time and builds nothing per send.
+// A Send allocates nothing in steady state. The message is the des.Handler
+// of its own events — its arrival at a shared destination segment, its
+// delivery — so no closure carries it through the scheduler, and it goes
+// back on the network's free list when its deliver callback returns; the
+// per-pair FIFO clamp and the egress pipes are per-node slices, not maps; a
+// SendOpt is a value. The deliver callback is stored in the message: a
+// caller that sends many (envcore) passes the same func value every time
+// and builds nothing per send.
 package netsim
 
 import (
@@ -125,9 +126,11 @@ type Node struct {
 	Site int
 }
 
-// Message is an in-flight or delivered network message. It is the one
-// allocation a Send makes: the message is the des.Handler of its own
-// events (see Fire), so no closure carries it to the scheduler and back.
+// Message is an in-flight network message. It is the des.Handler of its
+// own events (see Fire), so no closure carries it to the scheduler and
+// back, and it is recycled: the *Message handed to the deliver callback is
+// valid only until the callback returns, after which the network reuses it
+// for a later Send. A callback copies what it keeps.
 type Message struct {
 	From, To  int
 	Bytes     int
@@ -150,6 +153,9 @@ type Message struct {
 	// while it is in flight does not reroute it.
 	ser des.Time
 	seg *pipe
+	// next links the message into the network's free list while it is not
+	// in flight.
+	next *Message
 }
 
 // The events of a message, as arguments to Fire.
@@ -180,6 +186,42 @@ func (m *Message) Fire(stage uint64) {
 		n.stats.Dropped++
 	}
 	m.deliver(m)
+	n.release(m)
+}
+
+// release puts a delivered message on the free list.
+//
+//lint:hotpath
+func (n *Network) release(m *Message) {
+	*m = Message{net: n, next: n.free}
+	if poisonReleased {
+		poison(m)
+	}
+	n.free = m
+}
+
+// poisonReleased makes release overwrite every message it takes back with
+// sentinels, so that a read after release cannot go unnoticed. Only tests
+// set it (export_test.go).
+var poisonReleased bool
+
+// poison overwrites a released message with values no live message has.
+func poison(m *Message) {
+	m.From, m.To, m.Bytes = -1, -1, -1
+	m.Proto = "released"
+	m.SentAt, m.DeliverAt, m.ser = -1, -1, -1
+	m.Dropped = true
+}
+
+// message returns a message from the free list, or a new one; Send sets
+// every field.
+func (n *Network) message() *Message {
+	m := n.free
+	if m == nil {
+		return new(Message)
+	}
+	n.free = m.next
+	return m
 }
 
 // Stats aggregates traffic counters.
@@ -213,6 +255,7 @@ type Network struct {
 	blocked   map[[2]int]bool // site pairs with no direct visibility
 	stats     Stats
 	inFlight  int
+	free      *Message // delivered messages, reused by the next Sends
 
 	down        map[int]bool // nodes currently crashed
 	partitioned map[int]bool // sites whose uplink is currently cut
@@ -506,7 +549,8 @@ func Unreliable() SendOpt { return SendOpt{unreliable: true} }
 // Send may be called from processes or event callbacks; deliver runs in
 // scheduler context (typically it pushes into a des.Chan inbox). deliver is
 // called even for messages lost to the loss model or to a crashed endpoint,
-// with Message.Dropped set (see Message).
+// with Message.Dropped set (see Message). The *Message deliver receives is
+// recycled as soon as deliver returns: deliver must not keep it.
 func (n *Network) Send(from, to, bytes int, payload any, proto string, deliver func(*Message), opts ...SendOpt) (des.Time, error) {
 	if !n.Reachable(from, to) {
 		return 0, ErrUnreachable{From: from, To: to}
@@ -518,7 +562,8 @@ func (n *Network) Send(from, to, bytes int, payload any, proto string, deliver f
 	path := n.PathBetween(from, to, proto)
 	now := n.sim.Now()
 	ser := des.Time(float64(bytes) / path.BottleneckBps * float64(time.Second))
-	m := &Message{From: from, To: to, Bytes: bytes, Payload: payload, Proto: path.Proto, SentAt: now,
+	m := n.message()
+	*m = Message{From: from, To: to, Bytes: bytes, Payload: payload, Proto: path.Proto, SentAt: now,
 		net: n, deliver: deliver}
 	n.stats.Messages++
 	n.stats.Bytes += uint64(bytes)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"os"
 	"testing"
 	"testing/quick"
 	"time"
@@ -78,23 +79,60 @@ func TestSendDeliveryTime(t *testing.T) {
 	sim := des.New()
 	n := twoSiteNet(sim)
 	const bytes = 125000 // 1 Mb => 0.01 s at 100 Mb/s
-	var got *Message
-	_, err := n.Send(0, 1, bytes, "hello", "", func(m *Message) { got = m })
+	// The message is recycled when the callback returns: read it inside.
+	var got struct {
+		delivered bool
+		deliverAt des.Time
+		payload   any
+	}
+	_, err := n.Send(0, 1, bytes, "hello", "", func(m *Message) {
+		got.delivered, got.deliverAt, got.payload = true, m.DeliverAt, m.Payload
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
-	if got == nil {
+	if !got.delivered {
 		t.Fatal("message not delivered")
 	}
 	wantSer := des.Time(float64(bytes) / Ethernet100.UpBps * float64(time.Second))
 	want := wantSer + Ethernet100.Latency
-	if got.DeliverAt != want {
-		t.Fatalf("DeliverAt = %v, want %v", got.DeliverAt, want)
+	if got.deliverAt != want {
+		t.Fatalf("DeliverAt = %v, want %v", got.deliverAt, want)
 	}
-	if got.Payload != "hello" {
-		t.Fatalf("payload = %v", got.Payload)
+	if got.payload != "hello" {
+		t.Fatalf("payload = %v", got.payload)
 	}
+}
+
+// A delivered message goes back on the free list when its callback
+// returns: the next Send reuses it, and a reference kept past the callback
+// reads the poison this binary's TestMain turns on.
+func TestMessageRecycledAfterDeliver(t *testing.T) {
+	sim := des.New()
+	n := twoSiteNet(sim)
+	var kept *Message
+	n.Send(0, 1, 1000, "first", "", func(m *Message) { kept = m })
+	sim.Run()
+	if kept.From != -1 || kept.To != -1 || kept.DeliverAt != -1 || kept.Payload != nil {
+		t.Fatalf("released message reads %+v; want the poison sentinels", *kept)
+	}
+	var second *Message
+	n.Send(1, 0, 1000, "second", "", func(m *Message) {
+		second = m
+		if m.From != 1 || m.To != 0 || m.Payload != "second" || m.Dropped {
+			t.Errorf("reused message delivered as %+v", *m)
+		}
+	})
+	sim.Run()
+	if second != kept {
+		t.Error("the second Send did not reuse the released message")
+	}
+}
+
+func TestMain(m *testing.M) {
+	PoisonReleased(true)
+	os.Exit(m.Run())
 }
 
 func TestEgressSerialisation(t *testing.T) {
