@@ -29,7 +29,21 @@
 //	aiacbench -paper table2                   # sparse linear comparison (Table 2)
 //	aiacbench -paper table3                   # non-linear comparison on both grids (Table 3)
 //	aiacbench -paper figure3                  # scalability on the local cluster (Figure 3)
-//	aiacbench -paper table2 -n 2000000 -procs 15  # Table 2 at the paper's size (hours)
+//	aiacbench -paper table2 -n 2000000 -procs 15  # Table 2 at the paper's size (4.5 min, 2.5 GB on two cores)
+//
+// Given cell keys as arguments — as -list and every sweep print them —
+// aiacbench runs those cells once each, on the path every sweep cell takes
+// and with every parameter a key does not carry from the default sweep or
+// the -paper preset, so each re-runs to its sweep row. Only -paper,
+// -operator, -seed, -timeout and the views apply:
+//
+//	aiacbench pm2/async/local/linear/p4/n6000/static/sim        # status line only
+//	aiacbench -gantt -critpath mpi/sync/adsl/linear/p8/n1500/static/sim
+//	aiacbench -critpath pm2/async/adsl/linear/p8/n1500/static/sim \
+//	                    mpi/sync/adsl/linear/p8/n1500/static/sim  # why is B slower than A
+//	aiacbench -chrome trace.json go/async/local/linear/p4/n1500/static/chan
+//	aiacbench -paper table2 -gantt mpi/sync/3site/linear/p2/n15000/static/sim \
+//	                               pm2/async/3site/linear/p2/n15000/static/sim  # Figures 1-2
 //
 // Every sweep with a results file streams each completed cell to a JSONL
 // sidecar next to it (BENCH_pr42.json → BENCH_pr42.jsonl), fsync'd per
@@ -58,6 +72,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -89,19 +104,45 @@ func main() {
 		trendF    = flag.String("trend", "", "directory of BENCH_*.json/.jsonl files: print per-cell time and speedup trajectories across them instead of sweeping")
 		failDelta = flag.Float64("faildelta", 0, "with -baseline: exit non-zero if any shared cell's time drifts more than this many percent, or outcomes change (0 = report only)")
 		httpAddr  = flag.String("http", "", "serve live sweep observability on this address (e.g. :8080 or 127.0.0.1:0): /progress (state+ETA JSON), /metrics (Prometheus), /debug/pprof")
-		paper     = flag.String("paper", "", "start from one of the paper's experiments instead of the default sweep: "+strings.Join(matrix.PresetNames, ", ")+" (the axis flags apply on top)")
+		paper     = flag.String("paper", "", "start from one of the paper's experiments instead of the default sweep: "+strings.Join(matrix.PresetNames, ", ")+" (the axis flags apply on top; with cell keys, the spec the keys are read against)")
+		gantt     = flag.Bool("gantt", false, "with cell keys: print each cell's execution-flow chart and mean idle fraction (Figures 1-2)")
+		chrome    = flag.String("chrome", "", "with one cell key: write its trace as Chrome trace-event JSON to this file (open in https://ui.perfetto.dev)")
+		critF     = flag.Bool("critpath", false, "with cell keys: print one cell's critical-path attribution and rank-hop listing, or diff two cells' attributions")
+		metricsF  = flag.Bool("metrics", false, "with cell keys: print each cell's result in Prometheus text, with per-rank busy/idle from its trace")
 	)
 	flag.Parse()
+
+	var explicit []string
+	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
+	if keys := flag.Args(); len(keys) > 0 {
+		v := views{gantt: *gantt, critpath: *critF, metrics: *metricsF, chrome: *chrome}
+		cells, spec, err := parseCells(explicit, keys, *paper, *operatorF, v)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if err := runCells(cells, spec, *seed, *timeout, v); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
+	for _, name := range explicit {
+		if slices.Contains(viewFlags, name) {
+			fmt.Fprintf(os.Stderr, "-%s views a run of named cells: give their keys (aiacbench -list prints them)\n", name)
+			os.Exit(2)
+		}
+	}
 
 	if *trendF != "" {
 		// -trend only reads saved results files: reject every other flag
 		// instead of silently ignoring it.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name != "trend" {
-				fmt.Fprintf(os.Stderr, "-%s has no effect with -trend (it only reads saved results files)\n", f.Name)
+		for _, name := range explicit {
+			if name != "trend" {
+				fmt.Fprintf(os.Stderr, "-%s has no effect with -trend (it only reads saved results files)\n", name)
 				os.Exit(2)
 			}
-		})
+		}
 		if err := printTrend(*trendF); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -10,7 +10,7 @@ import (
 	"aiac/internal/aiac"
 )
 
-// A cell key is an outside input (aiactrace -explain, sidecar rows, the
+// A cell key is an outside input (aiacbench KEY, sidecar rows, the
 // command line): parsing one must never panic, and whatever it accepts
 // must name a cell whose own key parses back to it.
 func FuzzParseKey(f *testing.F) {
@@ -41,7 +41,7 @@ func FuzzParseKey(f *testing.F) {
 	})
 }
 
-// The axis filters of cmd/aiacbench and cmd/aiacrun never panic, accept
+// The axis filters of cmd/aiacbench never panic, accept
 // only known values (positive ones, for the integer lists), and read back
 // what they accepted when it is printed as a filter again.
 func FuzzParseAxes(f *testing.F) {

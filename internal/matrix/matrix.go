@@ -137,22 +137,31 @@ func Supported(env string, mode aiac.Mode) bool {
 	return !(env == "mpi" && mode == aiac.Async)
 }
 
-// ParseKey parses a cell key exactly as Cell.Key / report.Result.Key
-// prints it — env/mode/grid/problem/pP/nN/scenario/backend — back into a
-// Cell, validating every axis value. It is the inverse that lets any cell
-// named in a sweep's output be re-run verbatim (aiactrace -explain).
+// ParseKey parses a cell key back into the Cell it names. It accepts
+// exactly the keys Spec.Cells can enumerate, written as Cell.Key writes
+// them — env/mode/grid/problem/pP/nN/scenario/backend, one value per
+// component — so a key names one run and any cell named in a sweep's
+// output re-runs verbatim (aiacbench KEY). The pseudo-environment "go"
+// goes with the native backends and only under a scenario with a native
+// analogue; the simulator runs the four middlewares, async×mpi excepted.
 func ParseKey(key string) (Cell, error) {
 	parts := strings.Split(key, "/")
 	if len(parts) != 8 {
 		return Cell{}, fmt.Errorf("cell key %q: want env/mode/grid/problem/pP/nN/scenario/backend", key)
 	}
-	var c Cell
+	if strings.Contains(key, ",") {
+		return Cell{}, fmt.Errorf("cell key %q: a key names one cell, one value per component", key)
+	}
 	bad := func(axis string, err error) (Cell, error) {
 		return Cell{}, fmt.Errorf("cell key %q: %s: %v", key, axis, err)
 	}
-	envs, err := ParseEnvs(parts[0])
-	if err != nil {
-		return bad("env", err)
+	env := parts[0]
+	if env != NativeEnv {
+		envs, err := ParseEnvs(env)
+		if err != nil {
+			return bad("env", err)
+		}
+		env = envs[0]
 	}
 	modes, err := ParseModes(parts[1])
 	if err != nil {
@@ -182,12 +191,22 @@ func ParseKey(key string) (Cell, error) {
 	if err != nil {
 		return bad("backend", err)
 	}
-	c = Cell{
-		Env: envs[0], Mode: modes[0], Grid: grids[0], Problem: probs[0],
+	c := Cell{
+		Env: env, Mode: modes[0], Grid: grids[0], Problem: probs[0],
 		Procs: procs, Size: size, Scenario: scens[0], Backend: backends[0],
 	}
-	if !Supported(c.Env, c.Mode) {
+	native := !SimulatedBackend(c.Backend)
+	switch {
+	case native && c.Env != NativeEnv:
+		return Cell{}, fmt.Errorf("cell key %q: backend %s runs the Go runtime as its environment: want env %s", key, c.Backend, NativeEnv)
+	case !native && c.Env == NativeEnv:
+		return Cell{}, fmt.Errorf("cell key %q: env %s runs on the native backends only (chan, tcp)", key, NativeEnv)
+	case native && !backend.NativeScenario(c.Scenario):
+		return Cell{}, fmt.Errorf("cell key %q: scenario %s has no native analogue (native backends run: %s)", key, c.Scenario, strings.Join(backend.NativeScenarioNames, ", "))
+	case !Supported(c.Env, c.Mode):
 		return Cell{}, fmt.Errorf("cell key %q: %s does not support %s mode", key, c.Env, c.Mode)
+	case c.Key() != key:
+		return Cell{}, fmt.Errorf("cell key %q: not written as a sweep prints it (%s)", key, c.Key())
 	}
 	return c, nil
 }
@@ -379,7 +398,7 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// --- Cell-spec parsing, shared by cmd/aiacbench and cmd/aiacrun ---
+// --- Cell-spec parsing: cmd/aiacbench's axis filters and cell keys ---
 
 // parseAxis splits a comma-separated filter and validates every element
 // against the axis's known values. An empty filter selects all values.

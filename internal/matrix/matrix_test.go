@@ -59,6 +59,56 @@ func TestSupported(t *testing.T) {
 	}
 }
 
+// A key names exactly one run: every cell a sweep can enumerate — every
+// environment, mode, problem and scenario on the simulator and on both
+// native backends — parses back to itself, and every key no sweep prints
+// is refused with its reason.
+func TestParseKeyAcceptsExactlyTheCells(t *testing.T) {
+	spec := Spec{Scenarios: ScenarioNames, Backends: []string{"sim", "chan", "tcp"}}
+	cells := spec.Cells()
+	native := 0
+	for _, c := range cells {
+		got, err := ParseKey(c.Key())
+		if err != nil {
+			t.Errorf("enumerated cell %s is refused: %v", c.Key(), err)
+			continue
+		}
+		if got != c {
+			t.Errorf("ParseKey(%s) = %+v, want %+v", c.Key(), got, c)
+		}
+		if c.Env == NativeEnv {
+			native++
+		}
+	}
+	// 4 grids × 4 problems × (5 scenarios × 7 simulated versions + 3
+	// native scenarios × 2 modes × 2 transports).
+	if len(cells) != 16*(5*7+3*2*2) || native != 16*3*2*2 {
+		t.Fatalf("spec enumerates %d cells (%d native), want %d (%d)", len(cells), native, 16*(5*7+3*2*2), 16*3*2*2)
+	}
+	for _, tc := range []struct{ key, want string }{
+		{"pm2/async/local/linear/p4/n600/static/chan", "want env go"},
+		{"go/async/local/linear/p4/n600/static/sim", "native backends only"},
+		{"go/sync/local/linear/p4/n600/static/sim-fast", "native backends only"},
+		{"go/sync/local/linear/p4/n600/node-churn/chan", "scenario node-churn has no native analogue"},
+		{"go/async/adsl/chem/p4/n36/diurnal-load/tcp", "scenario diurnal-load has no native analogue"},
+		{"pm2,mpi/async/local/linear/p4/n600/static/sim", "one value per component"},
+		{"pm2/sync,async/local/linear/p4/n600/static/sim", "one value per component"},
+		{"pm2/async/local/linear/p4/n600/static/sim,chan", "one value per component"},
+		{"mpi/async/local/linear/p4/n600/static/sim", "mpi does not support async mode"},
+		{"corba/async/local/linear/p4/n600/static/sim", `unknown environment "corba"`},
+		{"pm2/async/local/linear/p+4/n600/static/sim", "not written as a sweep prints it"},
+		{"pm2/async/local/linear/p4/n0600/static/sim", "not written as a sweep prints it"},
+		{"pm2/async/local/linear/p4/n600/static/", "not written as a sweep prints it"},
+		{"pm2/async/local/linear/p4/n600/static/sim/", "want env/mode/grid"},
+		{" pm2/async/local/linear/p4/n600/static/sim", "not written as a sweep prints it"},
+	} {
+		_, err := ParseKey(tc.key)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseKey(%q) = %v, want an error containing %q", tc.key, err, tc.want)
+		}
+	}
+}
+
 func TestParseFilters(t *testing.T) {
 	envs, err := ParseEnvs(" pm2, mpi ")
 	if err != nil || !reflect.DeepEqual(envs, []string{"pm2", "mpi"}) {

@@ -7,11 +7,12 @@ import (
 	"aiac/internal/report"
 )
 
-// recordResult folds one completed cell into the sweep's metrics registry
-// (Options.Metrics) — the scattered per-cell observability fields
-// (protocol counters, drops, restarts, red flags) behind the Prometheus
-// names aiacbench's /metrics endpoint serves. No-op on a nil registry.
-func recordResult(reg *obs.Registry, r report.Result) {
+// RecordResult folds one completed cell into a metrics registry — the
+// sweep's (Options.Metrics), or one cell's (aiacbench -metrics KEY): the
+// scattered per-cell observability fields (protocol counters, drops,
+// restarts, red flags) behind the Prometheus names aiacbench's /metrics
+// endpoint serves. No-op on a nil registry.
+func RecordResult(reg *obs.Registry, r report.Result) {
 	if reg == nil {
 		return
 	}

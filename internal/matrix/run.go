@@ -123,7 +123,7 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 	results := make([]report.Result, len(cells))
 	var mu sync.Mutex
 	emit := func(r report.Result) {
-		recordResult(opt.Metrics, r)
+		RecordResult(opt.Metrics, r)
 		if opt.OnResult != nil {
 			mu.Lock()
 			opt.OnResult(r)
@@ -384,7 +384,7 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 		// Native cells are NOT traced in sweeps: their wall clock is the
 		// measurement, and tracing adds clock reads and stamp-exchange
 		// locking to the hot loops. Their attribution is available on
-		// demand through RunCellOnce/aiactrace -critpath, where the run
+		// demand through RunCellOnce/aiacbench -critpath KEY, where the run
 		// exists to be explained rather than measured.
 		var tr *trace.Collector
 		if rep == 0 && SimulatedBackend(c.backendName()) {
@@ -474,9 +474,9 @@ func aggregate(c Cell, ms []measurement) report.Result {
 }
 
 // RunCellOnce executes a single repetition of one cell — the entry point
-// for running a sweep cell verbatim outside a sweep (cmd/aiactrace,
-// cmd/aiacrun): tr, when non-nil, collects the execution flow and message
-// deliveries of the run (simulated cells only). seed follows Options.Seed
+// for running a sweep cell verbatim outside a sweep (aiacbench KEY): tr,
+// when non-nil, collects the execution flow and message deliveries of the
+// run (a native cell's only for a single-solve problem). seed follows Options.Seed
 // semantics and timeout follows Options.Timeout semantics — it is the
 // wall-clock guard of a native cell (<= 0 means DefaultNativeTimeout) and
 // is ignored by simulated cells. The returned Result reports that one

@@ -70,7 +70,7 @@ func TestSyncVsAsyncContrast(t *testing.T) {
 	}
 }
 
-// TestIdleFractionConsistency is the aiacrun -metrics cross-check: the
+// TestIdleFractionConsistency is the aiacbench -metrics cross-check: the
 // idle fractions reported per rank must be derivable from the same
 // BusyIdle span accounting, and the envcore waits must be covered by the
 // engine's idle spans (the coarse and fine views of the same blocking).

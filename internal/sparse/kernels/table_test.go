@@ -348,7 +348,7 @@ rows whose note says shipped call sparse.DIA's methods directly.
 DIA.RowRangeMulVec and DIA.GradientStep run matvec-avx2 / step-avx2 on
 amd64 when the CPU and the OS support AVX2, and matvec-unroll4 /
 step-fused — the same code on the pure-Go primitives — everywhere else;
-sparse.KernelPath() and aiacrun -metrics (aiac_kernel_path) say which.
+sparse.KernelPath() and aiacbench -metrics KEY (aiac_kernel_path) say which.
 Virtual-time results are pinned: the simulators charge modeled flops
 (2 x bands x rows + 5 x rows per step), which every variant returns
 identically, so faster kernels change host time only.

@@ -46,7 +46,7 @@ func TestBusyIdleAccounting(t *testing.T) {
 
 // TestIdleFractionMatchesBusyIdle pins IdleFraction to the exact
 // idle/(busy+idle) derivation from one BusyIdle read — the invariant
-// aiacrun -metrics relies on when it emits the fraction and the absolute
+// aiacbench -metrics KEY relies on when it emits the fraction and the absolute
 // busy/idle seconds from a single call per rank.
 func TestIdleFractionMatchesBusyIdle(t *testing.T) {
 	c := New()
