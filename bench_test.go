@@ -1,6 +1,6 @@
 // Ablations for the design choices behind the results: each drives
 // aiac.Run directly on a configuration the experiment matrix has no axis
-// for (a scheduler policy, a receive model, a hub, a block weighting). The
+// for (a scheduler policy, a receive model, a hub). The
 // paper's tables and figures themselves are sweeps: aiacbench -paper. Run
 // with
 //
@@ -24,7 +24,6 @@ import (
 	"aiac/internal/env/madmpi"
 	"aiac/internal/env/mpi"
 	"aiac/internal/env/orb"
-	"aiac/internal/env/pm2"
 	"aiac/internal/gmres"
 	"aiac/internal/marcel"
 	"aiac/internal/matrix"
@@ -178,31 +177,4 @@ func BenchmarkAblationMultiProtocol(b *testing.B) {
 	fmt.Printf("Ablation multi-protocol (mpi/mad, 8 procs): tcp-only %v, with myrinet %v\n\n", tcp, myri)
 	b.ReportMetric(tcp.Seconds(), "vsec/tcp")
 	b.ReportMetric(myri.Seconds(), "vsec/myrinet")
-}
-
-// BenchmarkAblationLoadBalancing measures the static load-balancing
-// extension (the direction of the paper's reference [7]): row blocks sized
-// proportionally to machine speed versus equal blocks, on the heterogeneous
-// local cluster.
-func BenchmarkAblationLoadBalancing(b *testing.B) {
-	run := func(balanced bool) des.Time {
-		sim := des.New()
-		grid := cluster.LocalHeterogeneous(sim, 9)
-		env := pm2.MustNew(grid, pm2.Sparse, nil)
-		prob := problems.NewLinear(45000, 12, 0.85, 19)
-		if balanced {
-			prob.Weights = grid.SpeedWeights()
-		}
-		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, MaxIters: 3000000})
-		return rep.Elapsed
-	}
-	var equal, balanced des.Time
-	for i := 0; i < b.N; i++ {
-		equal = run(false)
-		balanced = run(true)
-	}
-	b.StopTimer()
-	fmt.Printf("Ablation load balancing (9 heterogeneous procs): equal blocks %v, speed-proportional %v\n\n", equal, balanced)
-	b.ReportMetric(equal.Seconds(), "vsec/equal")
-	b.ReportMetric(balanced.Seconds(), "vsec/balanced")
 }

@@ -56,21 +56,6 @@ type Grid struct {
 // Size returns the number of machines.
 func (g *Grid) Size() int { return len(g.Machines) }
 
-// SpeedWeights returns each machine's share of the grid's total compute
-// rate — the static load-balancing weights of the paper's companion work
-// (coupling load balancing with asynchronism, reference [7] of the paper).
-func (g *Grid) SpeedWeights() []float64 {
-	var total float64
-	for _, m := range g.Machines {
-		total += m.Class.MFlops
-	}
-	w := make([]float64, len(g.Machines))
-	for i, m := range g.Machines {
-		w[i] = m.Class.MFlops / total
-	}
-	return w
-}
-
 // SlowestMFlops returns the speed of the slowest machine (the bound on
 // synchronous progress).
 func (g *Grid) SlowestMFlops() float64 {

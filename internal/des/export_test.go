@@ -21,8 +21,8 @@ func (s OpStream) Name() string { return s.name }
 
 func (s OpStream) Counts() (pushes, pops, ties int) { return s.counts() }
 
-// LadderValidity replays every rung against the frozen baseline on streams
-// and returns, per invalid rung, where it first diverged.
+// LadderValidity replays every measured rung against the frozen baseline on
+// streams and returns, per invalid rung, where it first diverged.
 func LadderValidity(streams []OpStream) map[string]string {
 	bad := map[string]string{}
 	for _, v := range ladderVariants() {

@@ -1,9 +1,11 @@
 package des
 
 // The event-queue ladder behind DES.md: the frozen container/heap baseline
-// the simulator shipped before, the queue it ships now, and the rungs that
-// lost. Only the winner (queue.go) is compiled into the package; everything
-// here exists to keep the table regenerable and the winner honest.
+// the simulator shipped before, the queue it ships now and its heap lane
+// alone, measured every time the table is made; the rungs that lost are
+// recorded rows. Only the winner (queue.go) is compiled into the package;
+// everything here exists to keep the table regenerable and the winner
+// honest.
 //
 // A rung is "valid" when it pops the identical (at, seq) sequence as the
 // frozen baseline on every op stream it is given: the streams recorded off
@@ -13,13 +15,15 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// ladderQueue is the surface every rung is driven through. The interface
-// call is paid equally by every row of the table.
+// ladderQueue is the surface every measured rung is driven through. The
+// interface call is paid equally by every measured row of the table.
 type ladderQueue interface {
 	push(e event)
 	pop() event
@@ -43,15 +47,21 @@ func ladderVariants() []queueVariant {
 			func() ladderQueue { return &heapOnlyQueue{} }},
 		{"binary-value + now-lane", "binary-value for events due later, a FIFO ring for events pushed at the timestamp of the last pop (no sift either way); shipped as des.lanes",
 			func() ladderQueue { return &shippedQueue{} }},
-		{"binary-bottomup", "binary-value with Floyd's pop: sink the hole to a leaf on child comparisons alone, then sift the last element up from there",
-			func() ladderQueue { return &bottomUpQueue{} }},
-		{"quad-value", "4-ary heap of event values: half the levels, up to four comparisons per level on the way down",
-			func() ladderQueue { return &quadQueue{} }},
-		{"freelist-ptr", "typed binary heap of *event recycled through a free list: 8-byte moves, one pointer chase per comparison",
-			func() ladderQueue { return &freelistQueue{} }},
-		{"calendar", "calendar queue (Brown 1988): sorted day buckets, width re-estimated on every doubling or halving",
-			func() ladderQueue { return newCalendarQueue() }},
 	}
+}
+
+// recordedRows are the rungs that lost, as DES.md last measured them before
+// their code was deleted (git history keeps it): rows of the table, no
+// longer re-run. Their speedup is against the baseline of that run.
+var recordedRows = []ladderRow{
+	{Name: "binary-bottomup", Valid: true, Ns: [3]float64{42.3, 78.2, 125.8}, Replay: []float64{46.3, 70.7, 92.1}, Speedup: 2.691,
+		Note: "binary-value with Floyd's pop: sink the hole to a leaf on child comparisons alone, then sift the last element up from there"},
+	{Name: "quad-value", Valid: true, Ns: [3]float64{39.8, 70.0, 121.7}, Replay: []float64{30.0, 68.8, 78.9}, Speedup: 2.782,
+		Note: "4-ary heap of event values: half the levels, up to four comparisons per level on the way down"},
+	{Name: "freelist-ptr", Valid: true, Ns: [3]float64{41.4, 65.8, 109.5}, Replay: []float64{31.6, 60.4, 71.2}, Speedup: 3.091,
+		Note: "typed binary heap of *event recycled through a free list: 8-byte moves, one pointer chase per comparison"},
+	{Name: "calendar", Valid: true, Ns: [3]float64{51.6, 56.6, 64.8}, Replay: []float64{40.5, 64.3, 97.0}, Speedup: 5.225,
+		Note: "calendar queue (Brown 1988): sorted day buckets, width re-estimated on every doubling or halving"},
 }
 
 // ---- rung 0: the frozen baseline -----------------------------------------
@@ -112,296 +122,6 @@ func (q *shippedQueue) pop() event {
 	return e
 }
 func (q *shippedQueue) len() int { return q.q.len() }
-
-// ---- rung 1b: bottom-up pop ----------------------------------------------
-
-type bottomUpQueue struct{ h []event }
-
-func (q *bottomUpQueue) len() int     { return len(q.h) }
-func (q *bottomUpQueue) push(e event) { q.h = pushEvent(q.h, e) }
-
-func (q *bottomUpQueue) pop() event {
-	h := q.h
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	q.h = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(&h[c]) {
-			c = r
-		}
-		h[i] = h[c]
-		i = c
-	}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !last.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = last
-	return top
-}
-
-// ---- rung 2: 4-ary value heap --------------------------------------------
-
-type quadQueue struct{ h []event }
-
-func (q *quadQueue) len() int { return len(q.h) }
-
-func (q *quadQueue) push(e event) {
-	q.h = append(q.h, e)
-	h := q.h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-}
-
-func (q *quadQueue) pop() event {
-	h := q.h
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	q.h = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		c := first
-		if first+4 <= n {
-			// Full node: a two-round tournament, no loop.
-			k := h[first : first+4 : first+4]
-			a, b := 0, 2
-			if k[1].before(&k[0]) {
-				a = 1
-			}
-			if k[3].before(&k[2]) {
-				b = 3
-			}
-			if k[b].before(&k[a]) {
-				a = b
-			}
-			c = first + a
-		} else {
-			for j := first + 1; j < n; j++ {
-				if h[j].before(&h[c]) {
-					c = j
-				}
-			}
-		}
-		if !h[c].before(&last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = last
-	return top
-}
-
-// ---- rung 3: free-listed *event ------------------------------------------
-
-type freelistQueue struct {
-	h    []*event
-	free []*event
-}
-
-func (q *freelistQueue) len() int { return len(q.h) }
-
-func (q *freelistQueue) push(e event) {
-	var ep *event
-	if n := len(q.free); n > 0 {
-		ep = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		ep = new(event)
-	}
-	*ep = e
-	q.h = append(q.h, ep)
-	h := q.h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ep.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ep
-}
-
-func (q *freelistQueue) pop() event {
-	h := q.h
-	topp := h[0]
-	top := *topp
-	*topp = event{}
-	q.free = append(q.free, topp)
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	q.h = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = last
-	return top
-}
-
-// ---- rung 4: calendar queue ----------------------------------------------
-
-// calendarQueue is Brown's calendar queue with exact (at, seq) order: a
-// year of day buckets of equal width, an event filed under the day its
-// timestamp falls on, every bucket kept sorted (descending, so the earliest
-// is popped off the end). The bucket count follows the population by
-// doubling and halving; each resize re-estimates the day width from the
-// spread of the events it refiles.
-type calendarQueue struct {
-	buckets [][]event
-	width   Time
-	size    int
-	day     int  // bucket the last pop came from
-	dayEnd  Time // end of that bucket's current-year window
-	last    Time // timestamp of the last pop: no later push is earlier
-}
-
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{buckets: make([][]event, 2), width: 1, dayEnd: 1}
-}
-
-func (q *calendarQueue) len() int { return q.size }
-
-func (q *calendarQueue) file(e event) {
-	b := &q.buckets[int(uint64(e.at/q.width)%uint64(len(q.buckets)))]
-	j := 0
-	for j < len(*b) && e.before(&(*b)[j]) {
-		j++
-	}
-	*b = append(*b, event{})
-	copy((*b)[j+1:], (*b)[j:])
-	(*b)[j] = e
-}
-
-func (q *calendarQueue) push(e event) {
-	q.file(e)
-	q.size++
-	if q.size > 2*len(q.buckets) {
-		q.resize(2 * len(q.buckets))
-	}
-}
-
-func (q *calendarQueue) pop() event {
-	n := len(q.buckets)
-	for scanned := 0; scanned < n; scanned++ {
-		b := &q.buckets[q.day]
-		if k := len(*b); k > 0 && (*b)[k-1].at < q.dayEnd {
-			return q.take(b)
-		}
-		q.day++
-		if q.day == n {
-			q.day = 0
-		}
-		q.dayEnd += q.width
-	}
-	// A whole year held nothing due: jump to the earliest event.
-	best := -1
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if len(b) == 0 {
-			continue
-		}
-		if best < 0 || b[len(b)-1].before(&q.buckets[best][len(q.buckets[best])-1]) {
-			best = i
-		}
-	}
-	b := &q.buckets[best]
-	q.day = best
-	q.dayEnd = ((*b)[len(*b)-1].at/q.width + 1) * q.width
-	return q.take(b)
-}
-
-func (q *calendarQueue) take(b *[]event) event {
-	k := len(*b) - 1
-	e := (*b)[k]
-	(*b)[k] = event{}
-	*b = (*b)[:k]
-	q.size--
-	q.last = e.at
-	if n := len(q.buckets); n > 2 && q.size < n/2 {
-		q.resize(n / 2)
-	}
-	return e
-}
-
-func (q *calendarQueue) resize(n int) {
-	old := q.buckets
-	lo, hi := Time(-1), Time(0)
-	for _, b := range old {
-		for i := range b {
-			if lo < 0 || b[i].at < lo {
-				lo = b[i].at
-			}
-			if b[i].at > hi {
-				hi = b[i].at
-			}
-		}
-	}
-	lo = max(lo, q.last)
-	// Three times the mean separation, as in Brown's paper.
-	q.width = max(1, 3*(hi-lo)/Time(max(1, q.size)))
-	q.buckets = make([][]event, n)
-	for _, b := range old {
-		for i := range b {
-			q.file(b[i])
-		}
-	}
-	// The scan restarts from the day of the last pop, not of the earliest
-	// pending event: a later push may still land between the two.
-	q.day = int(uint64(q.last/q.width) % uint64(n))
-	q.dayEnd = (q.last/q.width + 1) * q.width
-}
 
 // ---- op streams and validity ---------------------------------------------
 
@@ -545,7 +265,7 @@ func hold(v queueVariant, depth int) (ns, allocs float64) {
 			seq++
 			q.push(event{at: deltas[i%len(deltas)], seq: seq})
 		}
-		// Let free lists, buckets and slice capacities reach steady state.
+		// Let slice capacities reach steady state.
 		for i := 0; i < 4*depth; i++ {
 			e := q.pop()
 			seq++
@@ -599,8 +319,9 @@ type ladderRow struct {
 	Note    string
 }
 
-// measureLadder validates every rung on the recorded and the random
-// streams, and times it under the hold model and on the recorded streams.
+// measureLadder validates every measured rung on the recorded and the
+// random streams, and times it under the hold model and on the recorded
+// streams.
 func measureLadder(recorded []opStream) []ladderRow {
 	streams := append(append([]opStream(nil), recorded...), randomStreams()...)
 	var rows []ladderRow
@@ -622,7 +343,8 @@ func measureLadder(recorded []opStream) []ladderRow {
 	return rows
 }
 
-// ladderMarkdown renders the rows; recorded names the replay columns.
+// ladderMarkdown renders the measured rows, then the recorded ones;
+// recorded names the replay columns.
 func ladderMarkdown(rows []ladderRow, recorded []opStream) string {
 	var sb strings.Builder
 	sb.WriteString("| variant | valid | ns/op @8 | ns/op @64 | ns/op @1024 | allocs/op | speedup |")
@@ -631,18 +353,25 @@ func ladderMarkdown(rows []ladderRow, recorded []opStream) string {
 	}
 	sb.WriteString(" note |\n|---|---|---|---|---|---|---|")
 	sb.WriteString(strings.Repeat("---|", len(recorded)) + "---|\n")
-	for _, r := range rows {
-		valid := 0
-		if r.Valid {
-			valid = 1
-		}
-		fmt.Fprintf(&sb, "| %s | %d | %.1f | %.1f | %.1f | %.2f | %.3f |",
-			r.Name, valid, r.Ns[0], r.Ns[1], r.Ns[2], r.Allocs, r.Speedup)
-		for _, ns := range r.Replay {
-			fmt.Fprintf(&sb, " %.1f |", ns)
-		}
-		fmt.Fprintf(&sb, " %s |\n", r.Note)
+	for _, r := range append(append([]ladderRow(nil), rows...), recordedRows...) {
+		sb.WriteString(ladderLine(r) + "\n")
 	}
+	return sb.String()
+}
+
+// ladderLine is one row of the table.
+func ladderLine(r ladderRow) string {
+	var sb strings.Builder
+	valid := 0
+	if r.Valid {
+		valid = 1
+	}
+	fmt.Fprintf(&sb, "| %s | %d | %.1f | %.1f | %.1f | %.2f | %.3f |",
+		r.Name, valid, r.Ns[0], r.Ns[1], r.Ns[2], r.Allocs, r.Speedup)
+	for _, ns := range r.Replay {
+		fmt.Fprintf(&sb, " %.1f |", ns)
+	}
+	fmt.Fprintf(&sb, " %s |", r.Note)
 	return sb.String()
 }
 
@@ -657,8 +386,8 @@ func findRow(rows []ladderRow, name string) *ladderRow {
 
 // ---- always-on tests -----------------------------------------------------
 
-// TestLadderValidOnRandomStreams is the fast gate: every rung, the shipped
-// queue included, pops the baseline's order on the seeded random streams.
+// TestLadderValidOnRandomStreams is the fast gate: every measured rung, the
+// shipped queue included, pops the baseline's order on the seeded random streams.
 // (The recorded-stream half of validity is TestRecordedStreamReplay.)
 func TestLadderValidOnRandomStreams(t *testing.T) {
 	streams := randomStreams()
@@ -680,6 +409,40 @@ func TestLadderValidOnRandomStreams(t *testing.T) {
 func TestReplayDetectsDisorder(t *testing.T) {
 	if at := replayAgainstBaseline(randomStream(1, 5000), &lifoTieQueue{}); at < 0 {
 		t.Fatal("a newest-first tie-break replayed as valid")
+	}
+}
+
+// TestRecordedRowsCommitted holds DES.md and recordedRows to each other,
+// without timing anything: the committed table's rows that no rung
+// measures are the recorded rows in order, and each is exactly what
+// ladderLine renders, checked per row so a drift names it.
+func TestRecordedRowsCommitted(t *testing.T) {
+	doc, err := os.ReadFile("../../DES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := map[string]bool{}
+	for _, v := range ladderVariants() {
+		measured[v.name] = true
+	}
+	var names, want []string
+	committed := map[string]string{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		name, ok := strings.CutPrefix(line, "| ")
+		if name, _, _ = strings.Cut(name, " |"); ok && name != "variant" && !measured[name] {
+			names, committed[name] = append(names, name), line
+		}
+	}
+	for _, r := range recordedRows {
+		want = append(want, r.Name)
+		t.Run(r.Name, func(t *testing.T) {
+			if line := committed[r.Name]; line != ladderLine(r) {
+				t.Errorf("DES.md's row:\n%s\nrecordedRows renders:\n%s", line, ladderLine(r))
+			}
+		})
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("DES.md's recorded rows are %v, recordedRows has %v", names, want)
 	}
 }
 

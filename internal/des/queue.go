@@ -51,8 +51,8 @@ func (e *event) before(o *event) bool {
 // scheduled at the current instant — about half of a real cell's events:
 // Unpark, Chan hand-offs, task start-ups, opened gates — wait in a FIFO
 // ring and never pay a sift. DES.md holds the measured ladder that chose
-// the pair (the losing rungs and the frozen baseline live in
-// ladder_test.go).
+// the pair (the frozen baseline lives in ladder_test.go, the losing rungs
+// are recorded rows there).
 //
 // The pair pops in exact (at, seq) order. The ring only ever holds events
 // at the current time now: one enters when it is pushed with at == now,

@@ -4,7 +4,8 @@ package des_test
 // simulated cells — an asynchronous cell behind ADSL (few ranks, a shallow
 // queue, millions of wake-ups at "now") and synchronous cells on the local
 // and three-site grids (many ranks, a deep queue of in-flight deliveries) —
-// replayed through every rung of the ladder against the frozen baseline.
+// replayed through every measured rung of the ladder against the frozen
+// baseline.
 
 import (
 	"fmt"
@@ -86,8 +87,8 @@ func recordedStreams(t *testing.T) []des.OpStream {
 	return recorded.streams
 }
 
-// TestRecordedStreamReplay: on the op streams of real cells every rung —
-// the shipped queue among them — pops exactly the frozen baseline's
+// TestRecordedStreamReplay: on the op streams of real cells every measured
+// rung — the shipped queue among them — pops exactly the frozen baseline's
 // (at, seq) order.
 func TestRecordedStreamReplay(t *testing.T) {
 	streams := recordedStreams(t)
@@ -104,14 +105,16 @@ func TestRecordedStreamReplay(t *testing.T) {
 }
 
 // TestQueueTable is the measured table generator and CI gate, skipped
-// unless asked for (timing seven rungs at three depths takes ~40 s):
+// unless asked for (recording three cells and timing three rungs at three
+// depths takes ~15 s):
 //
 //	DES_GATE=1 go test -run TestQueueTable -v ./internal/des
 //	DES_WRITE=DES.md go test -run TestQueueTable ./internal/des
 //
 // DES_WRITE is a path relative to the repository root (or absolute). Gates:
-// every rung valid on the recorded and the random streams, and the shipped
-// queue allocation-free and at least 1.3x the frozen baseline at depth 1024.
+// every measured rung valid on the recorded and the random streams, and the
+// shipped queue allocation-free and at least 1.3x the frozen baseline at
+// depth 1024. The recorded rows are printed as they are.
 func TestQueueTable(t *testing.T) {
 	write := os.Getenv("DES_WRITE")
 	if os.Getenv("DES_GATE") == "" && write == "" {
@@ -170,8 +173,16 @@ the frozen baseline, the container/heap queue internal/des shipped before.
 workload is driven through the queue alone, fastest of three passes: the
 cell's own mix of depths, ties and timer distances instead of a model's.
 
-"valid" = 1 means that at generation time the variant popped the identical
-(at, seq) sequence as the frozen baseline on
+The first three rows are measured every time this command runs: the
+baseline, the shipped queue and its heap lane alone. The four below them
+are recorded: the rungs that lost, as this table last measured them before
+their code was deleted (git history keeps it), their speedup against the
+baseline of that run: compare them with the measured rows by speedup, not
+by time, since the two runs need not share a machine or its load.
+TestRecordedRowsCommitted holds them to the Go-side table that prints them.
+
+"valid" = 1 means that when the row was measured the variant popped the
+identical (at, seq) sequence as the frozen baseline on
 
 - the queue workloads recorded off real sim-fast cells, every enqueue and
   every pop in its place:
@@ -183,7 +194,7 @@ cell's own mix of depths, ties and timer distances instead of a model's.
 Shipped: %s, as des.lanes (internal/des/queue.go) — des.pushEvent /
 des.popEvent for events due later, a FIFO ring for events pushed at the
 current instant — the only queue compiled into the package; the baseline
-and the other rungs live in internal/des/ladder_test.go.
+and the heap lane alone live in internal/des/ladder_test.go.
 
 Why the now-lane. A counter on the recorded cells shows that about half of
 a real cell's events are scheduled at the very instant they are due

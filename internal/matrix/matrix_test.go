@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aiac/internal/aiac"
+	"aiac/internal/problems"
 	"aiac/internal/report"
 	"aiac/internal/trace"
 )
@@ -499,5 +500,44 @@ func TestSeedGivesDistinctDeterministicReps(t *testing.T) {
 		if c.TimeSec != d.TimeSec {
 			t.Fatalf("seedless sweep not deterministic")
 		}
+	}
+}
+
+// TestCellSolve pins the builder the sim and native runners share: eps and
+// budget from the problem's own parameters, one cached system for a sim and
+// a native cell of one repetition, a new one for the next, an equal fresh
+// one from a nil cache, and an error for any other problem.
+func TestCellSolve(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Linear.MaxIters, spec.Newton.MaxIters = 1111, 2222
+	for _, tc := range []struct {
+		problem  string
+		eps      float64
+		maxIters int
+	}{{"linear", spec.Linear.Eps, 1111}, {"gmres", spec.Linear.Eps, 1111}, {"newton", spec.Newton.Eps, 2222}} {
+		t.Run(tc.problem, func(t *testing.T) {
+			cache := problems.NewCache()
+			sim := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: tc.problem, Procs: 4, Size: 600}
+			native := sim
+			native.Env, native.Backend = "go", "chan"
+			a, err := cellSolve(sim, spec, 0, cache)
+			if err != nil || a.prob == nil || len(a.xtrue) != sim.Size || a.eps != tc.eps || a.maxIters != tc.maxIters {
+				t.Fatalf("cellSolve = {%T, %d unknowns, eps %g, budget %d}, %v; want %d unknowns, eps %g, budget %d",
+					a.prob, len(a.xtrue), a.eps, a.maxIters, err, sim.Size, tc.eps, tc.maxIters)
+			}
+			if b, _ := cellSolve(native, spec, 0, cache); &b.xtrue[0] != &a.xtrue[0] {
+				t.Error("a native cell built its own system instead of the sim cell's cached one")
+			}
+			cellSolve(sim, spec, 1, cache)
+			if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
+				t.Errorf("cache after rep 0 sim, rep 0 native, rep 1 sim: %d hits, %d misses; want 1 and 2", hits, misses)
+			}
+			if f, _ := cellSolve(sim, spec, 0, nil); &f.xtrue[0] == &a.xtrue[0] || !reflect.DeepEqual(f.xtrue, a.xtrue) {
+				t.Error("a nil cache must build an equal system of its own")
+			}
+		})
+	}
+	if _, err := cellSolve(Cell{Problem: "chem", Size: 8}, spec, 0, problems.NewCache()); err == nil {
+		t.Error("cellSolve built a chem cell; only linear, gmres and newton go through it")
 	}
 }

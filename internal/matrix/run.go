@@ -546,37 +546,7 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	// side arrays only, so the event sequence cannot change.
 	resid := obs.NewResiduals(c.Procs)
 	var m measurement
-	linearLike := func(prob aiac.Problem, xtrue []float64, eps float64, maxIters int) {
-		if wrapProblem != nil {
-			prob = wrapProblem(c, prob)
-		}
-		rpt := aiac.Run(grid, env, prob, aiac.Config{
-			Mode: c.Mode, Eps: eps, MaxIters: maxIters,
-			Trace: tr, Dynamics: rt, Residuals: resid,
-		})
-		m.timeSec = rpt.Elapsed.Seconds()
-		m.iters = rpt.TotalIters()
-		m.residual = la.MaxNormDiff(rpt.X, xtrue)
-		m.converged = rpt.Reason == aiac.StopConverged && rpt.TaintedRestarts == 0
-		m.stalled = rpt.Stalled
-		m.reconvergeSec = rpt.Reconverge.Seconds()
-		m.restarts = rpt.Restarts
-		m.fromEngine(rpt)
-	}
-	switch c.Problem {
-	case "linear":
-		lp := spec.Linear
-		prob := cache.LinearOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
-		linearLike(prob, prob.XTrue, lp.Eps, lp.MaxIters)
-	case "gmres":
-		lp := spec.Linear
-		prob := cache.LinearGMRESOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
-		linearLike(prob, prob.XTrue, lp.Eps, lp.MaxIters)
-	case "newton":
-		np := spec.Newton
-		prob := cache.Reaction(c.Size, np.C, np.Seed+int64(rep))
-		linearLike(prob, prob.XTrue, np.Eps, np.MaxIters)
-	case "chem":
+	if c.Problem == "chem" {
 		cp := spec.Chem
 		p := chem.New(c.Size, c.Size)
 		gp := gmres.Params{Tol: cp.GmresTol, Restart: 30}
@@ -605,24 +575,33 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 			}
 			m.fromEngine(step)
 		}
-	default:
-		return measurement{}, fmt.Errorf("unknown problem %q", c.Problem)
+	} else {
+		s, err := cellSolve(c, spec, rep, cache)
+		if err != nil {
+			return measurement{}, err
+		}
+		if wrapProblem != nil {
+			s.prob = wrapProblem(c, s.prob)
+		}
+		rpt := aiac.Run(grid, env, s.prob, aiac.Config{
+			Mode: c.Mode, Eps: s.eps, MaxIters: s.maxIters,
+			Trace: tr, Dynamics: rt, Residuals: resid,
+		})
+		m.timeSec = rpt.Elapsed.Seconds()
+		m.iters = rpt.TotalIters()
+		m.residual = la.MaxNormDiff(rpt.X, s.xtrue)
+		m.converged = rpt.Reason == aiac.StopConverged && rpt.TaintedRestarts == 0
+		m.stalled = rpt.Stalled
+		m.reconvergeSec = rpt.Reconverge.Seconds()
+		m.restarts = rpt.Restarts
+		m.fromEngine(rpt)
 	}
 	m.flags = strings.Join(obs.Detect(resid, m.converged, obs.DetectorParams{Eps: cellEps(c, spec)}), ",")
-	// Attribute the run's critical path while the trace is still alive.
-	// Cells that record no compute spans (the global-Newton chem path) are
-	// not attributable and keep a zero attribution.
+	// Attribute the run's critical path while the trace is still alive
+	// (the global-Newton chem path records no compute spans and keeps a
+	// zero attribution).
 	if tr != nil {
-		if a, ok := critpath.Analyze(tr, critpath.TotalFromSeconds(m.timeSec)); ok {
-			m.attr = attribution{
-				totalSec:       a.Total.Seconds(),
-				computeSec:     a.Seconds(critpath.CatCompute),
-				transitSec:     a.Seconds(critpath.CatTransit),
-				syncWaitSec:    a.Seconds(critpath.CatSyncWait),
-				protocolSec:    a.Seconds(critpath.CatProtocol),
-				blockedSendSec: a.Seconds(critpath.CatBlockedSend),
-			}
-		}
+		m.attr = attributionOf(tr, critpath.TotalFromSeconds(m.timeSec))
 	}
 	st := grid.Net.StatsSnapshot()
 	m.messages = st.Messages
@@ -708,32 +687,7 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 		m.proto = rpt.Protocol
 	}
 	m := measurement{converged: true}
-	switch c.Problem {
-	case "linear":
-		lp := spec.Linear
-		prob := cache.LinearOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
-		rpt, err := solve(prob, lp.Eps, lp.MaxIters)
-		if err != nil {
-			return measurement{}, err
-		}
-		fold(&m, rpt, prob.XTrue)
-	case "gmres":
-		lp := spec.Linear
-		prob := cache.LinearGMRESOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
-		rpt, err := solve(prob, lp.Eps, lp.MaxIters)
-		if err != nil {
-			return measurement{}, err
-		}
-		fold(&m, rpt, prob.XTrue)
-	case "newton":
-		np := spec.Newton
-		prob := cache.Reaction(c.Size, np.C, np.Seed+int64(rep))
-		rpt, err := solve(prob, np.Eps, np.MaxIters)
-		if err != nil {
-			return measurement{}, err
-		}
-		fold(&m, rpt, prob.XTrue)
-	case "chem":
+	if c.Problem == "chem" {
 		// The paper's per-time-step synchronisation, natively: one
 		// backend solve per implicit-Euler step, each over a fresh
 		// transport, the state threaded through. A stalled step ends the
@@ -754,8 +708,16 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 				break
 			}
 		}
-	default:
-		return measurement{}, fmt.Errorf("unknown problem %q", c.Problem)
+	} else {
+		s, err := cellSolve(c, spec, rep, cache)
+		if err != nil {
+			return measurement{}, err
+		}
+		rpt, err := solve(s.prob, s.eps, s.maxIters)
+		if err != nil {
+			return measurement{}, err
+		}
+		fold(&m, rpt, s.xtrue)
 	}
 	m.flags = strings.Join(obs.Detect(resid, m.converged, obs.DetectorParams{Eps: cellEps(c, spec)}), ",")
 	// Native attribution runs against the trace's own horizon rather than
@@ -765,18 +727,57 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 	// teardown tail. The category split is what matters; the small extra
 	// total is protocol overhead by definition.
 	if tr != nil {
-		if a, ok := critpath.Analyze(tr, tr.Horizon()); ok {
-			m.attr = attribution{
-				totalSec:       a.Total.Seconds(),
-				computeSec:     a.Seconds(critpath.CatCompute),
-				transitSec:     a.Seconds(critpath.CatTransit),
-				syncWaitSec:    a.Seconds(critpath.CatSyncWait),
-				protocolSec:    a.Seconds(critpath.CatProtocol),
-				blockedSendSec: a.Seconds(critpath.CatBlockedSend),
-			}
-		}
+		m.attr = attributionOf(tr, tr.Horizon())
 	}
 	return m, nil
+}
+
+// solveSpec is one solve of a linear, gmres or newton cell: the problem,
+// its known solution, and the threshold and budget it is solved to.
+type solveSpec struct {
+	prob     aiac.Problem
+	xtrue    []float64
+	eps      float64
+	maxIters int
+}
+
+// cellSolve builds the problem of a linear, gmres or newton cell for
+// repetition rep from the sweep's cache (nil builds a fresh system); any
+// other problem is an error.
+func cellSolve(c Cell, spec Spec, rep int, cache *problems.Cache) (solveSpec, error) {
+	lp, np := spec.Linear, spec.Newton
+	var s solveSpec
+	switch c.Problem {
+	case "linear":
+		p := cache.LinearOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
+		s = solveSpec{p, p.XTrue, lp.Eps, lp.MaxIters}
+	case "gmres":
+		p := cache.LinearGMRESOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
+		s = solveSpec{p, p.XTrue, lp.Eps, lp.MaxIters}
+	case "newton":
+		p := cache.Reaction(c.Size, np.C, np.Seed+int64(rep))
+		s = solveSpec{p, p.XTrue, np.Eps, np.MaxIters}
+	default:
+		return solveSpec{}, fmt.Errorf("unknown problem %q", c.Problem)
+	}
+	return s, nil
+}
+
+// attributionOf is the critical-path attribution of tr's run up to total;
+// a run with no compute spans is not attributable and keeps a zero one.
+func attributionOf(tr *trace.Collector, total des.Time) attribution {
+	a, ok := critpath.Analyze(tr, total)
+	if !ok {
+		return attribution{}
+	}
+	return attribution{
+		totalSec:       a.Total.Seconds(),
+		computeSec:     a.Seconds(critpath.CatCompute),
+		transitSec:     a.Seconds(critpath.CatTransit),
+		syncWaitSec:    a.Seconds(critpath.CatSyncWait),
+		protocolSec:    a.Seconds(critpath.CatProtocol),
+		blockedSendSec: a.Seconds(critpath.CatBlockedSend),
+	}
 }
 
 // cellEps is the convergence threshold the cell's problem solves to — the

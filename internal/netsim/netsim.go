@@ -368,9 +368,6 @@ func (n *Network) SetPartitioned(site int, p bool) {
 	}
 }
 
-// IsPartitioned reports whether a site's uplink is currently cut.
-func (n *Network) IsPartitioned(site int) bool { return n.partitioned[site] }
-
 // lost reports whether a (from, to) message is severed by a down endpoint
 // or a cut uplink at this instant.
 func (n *Network) lost(from, to int) bool {
@@ -429,9 +426,6 @@ func (n *Network) AddNode(site int) int {
 	n.lastDeliver = append(n.lastDeliver, nil)
 	return id
 }
-
-// NumNodes returns the number of registered nodes.
-func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // SiteOf returns the site index of node id.
 func (n *Network) SiteOf(id int) int { return n.nodes[id].Site }

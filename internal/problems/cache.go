@@ -22,7 +22,7 @@ import (
 // assembled data as immutable: sparse.DIA's kernels (RowRangeMulVec,
 // GradientStep, MulVec) read the matrix and right-hand side and write only
 // the iterate and caller-owned scratch, Reaction's EvalG/ApplyJ read F,
-// and the per-run mutable state (scratch buffers, strip solvers, Weights)
+// and the per-run mutable state (scratch buffers, strip solvers)
 // lives on the per-call problem structs, never on the shared arrays. The
 // cache enforces the contract at runtime: every entry is checksummed when
 // built, re-verified on every retrieval while small enough for that to be

@@ -50,12 +50,6 @@ func NewLinearGMRES(n, numDiags int, rho float64, seed int64) *LinearGMRES {
 	return (*Cache)(nil).LinearGMRES(n, numDiags, rho, seed)
 }
 
-// NewLinearGMRESOp is NewLinearGMRES with an explicit operator kind
-// ("dia" or "stencil", see NewLinearOp).
-func NewLinearGMRESOp(op string, n, numDiags int, rho float64, seed int64) *LinearGMRES {
-	return (*Cache)(nil).LinearGMRESOp(op, n, numDiags, rho, seed)
-}
-
 // defaultGMRESBlockParams tunes the inner block solves (see the Gmres
 // field's comment for why the tolerance sits near machine precision).
 var defaultGMRESBlockParams = gmres.Params{Tol: 1e-12, Restart: 30, MaxIters: 2000}

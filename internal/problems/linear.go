@@ -32,10 +32,6 @@ type Linear struct {
 	B     []float64
 	XTrue []float64 // known solution, for verification (not used in solving)
 	Gamma float64
-	// Weights, when non-nil, sizes each rank's row block proportionally
-	// (static load balancing for heterogeneous machines — the extension
-	// direction of the paper's reference [7]). Equal blocks otherwise.
-	Weights []float64
 
 	scratch [][]float64 // per-rank matvec scratch
 }
@@ -63,29 +59,7 @@ func (l *Linear) Size() int { return l.A.Dim() }
 // PartitionBounds implements aiac.Problem.
 func (l *Linear) PartitionBounds(nranks int) []int {
 	l.scratch = make([][]float64, nranks)
-	if l.Weights == nil {
-		return sparse.Partition(l.A.Dim(), nranks)
-	}
-	if len(l.Weights) != nranks {
-		panic(fmt.Sprintf("problems: %d weights for %d ranks", len(l.Weights), nranks))
-	}
-	bounds := make([]int, nranks+1)
-	var cum float64
-	for r := 1; r <= nranks; r++ {
-		cum += l.Weights[r-1]
-		bounds[r] = int(cum*float64(l.A.Dim()) + 0.5)
-	}
-	bounds[nranks] = l.A.Dim()
-	// Every rank must own at least one row.
-	for r := 1; r <= nranks; r++ {
-		if bounds[r] <= bounds[r-1] {
-			bounds[r] = bounds[r-1] + 1
-		}
-	}
-	if bounds[nranks] != l.A.Dim() {
-		panic("problems: weighted partition overflow (too many ranks for n)")
-	}
-	return bounds
+	return sparse.Partition(l.A.Dim(), nranks)
 }
 
 // InitialVector implements aiac.Problem: x⁰ = 0.

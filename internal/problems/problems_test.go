@@ -12,7 +12,6 @@ import (
 	"aiac/internal/env/mpi"
 	"aiac/internal/env/pm2"
 	"aiac/internal/gmres"
-	"aiac/internal/la"
 	"aiac/internal/netsim"
 	"aiac/internal/newton"
 )
@@ -201,56 +200,5 @@ func TestLinearName(t *testing.T) {
 	cs := NewChemStep(p, p.InitialState(), 180, 180, gmres.Params{})
 	if cs.Name() == "" || cs.Size() != p.N() {
 		t.Fatal("bad chem name/size")
-	}
-}
-
-func TestWeightedPartition(t *testing.T) {
-	l := NewLinear(1000, 8, 0.7, 5)
-	l.Weights = []float64{0.5, 0.25, 0.25}
-	b := l.PartitionBounds(3)
-	if b[0] != 0 || b[3] != 1000 {
-		t.Fatalf("bounds = %v", b)
-	}
-	if b[1] != 500 || b[2] != 750 {
-		t.Fatalf("weighted bounds = %v, want [0 500 750 1000]", b)
-	}
-	// Mismatched weights panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched weights did not panic")
-		}
-	}()
-	l.Weights = []float64{1}
-	l.PartitionBounds(3)
-}
-
-// Speed-proportional partitioning must beat equal blocks on a
-// heterogeneous grid: the Duron gets a smaller strip, so the critical path
-// shortens (the load-balancing extension of the paper's reference [7]).
-func TestLoadBalancedBeatsEqualBlocks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	run := func(balanced bool) des.Time {
-		sim := des.New()
-		grid := cluster.LocalHeterogeneous(sim, 6)
-		env := pm2.MustNew(grid, pm2.Sparse, nil)
-		prob := NewLinear(30000, 12, 0.85, 17)
-		if balanced {
-			prob.Weights = grid.SpeedWeights()
-		}
-		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-8, MaxIters: 3000000})
-		if rep.Reason != aiac.StopConverged {
-			t.Fatalf("balanced=%v did not converge", balanced)
-		}
-		if d := la.MaxNormDiff(rep.X, prob.XTrue); d > 1e-4 {
-			t.Fatalf("balanced=%v wrong solution: %v", balanced, d)
-		}
-		return rep.Elapsed
-	}
-	equal := run(false)
-	balanced := run(true)
-	if balanced >= equal {
-		t.Fatalf("load balancing did not help: balanced %v vs equal %v", balanced, equal)
 	}
 }

@@ -4,9 +4,9 @@
 // kernelization. Nothing here runs in production: sparse.DIA's
 // RowRangeMulVec and GradientStep are what ships, on the AVX2 or the
 // portable primitives of internal/sparse/band.go. The package's tests hold
-// both of those paths bit-identical to these references, keep every rung
-// that was tried on the way (the no-wins included) and regenerate the
-// measured ladder, KERNELS.md.
+// both of those paths bit-identical to these references and regenerate the
+// measured ladder, KERNELS.md, where the rungs that lost on the way are
+// recorded rows.
 //
 // Bit-identity ground rules (why every variant looks the way it does):
 //
