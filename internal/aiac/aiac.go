@@ -87,6 +87,12 @@
 // is reported as stalled (natively, a watchdog trips). An asynchronous rank
 // never waits on a peer. NewReport turns the loops and the coordinator
 // into the Report both drivers return.
+//
+// Run overlaps a large rank's Update with the event loop on a helper
+// goroutine (overlap.go); the join points Next, Incorporate, Restart, Spin,
+// X and NewReport wait for it before they touch the rank's state, so an
+// Update reads and writes at its issue instant, as inline: the ghosts and
+// arrival stamps it consumed are those present when it was issued.
 package aiac
 
 import (

@@ -2,6 +2,7 @@ package aiac
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 
 	"aiac/internal/obs"
@@ -88,6 +89,10 @@ const skipFactor = 1e-2
 // protocol.Rank and so the freshness gate, and the exit rule. A driver
 // runs the actions Next returns on its own clock and feeds the rank's
 // inbound data to Incorporate; see the package doc.
+//
+// Next, Incorporate, Restart, Spin, X and NewReport first join the Update
+// that Run overlapped (overlap.go), so an Update reads and writes at its
+// issue instant, as if it ran inline.
 type Loop struct {
 	rank    int
 	mode    Mode
@@ -115,6 +120,14 @@ type Loop struct {
 	lastFlops         float64
 	capped            bool
 	restarts          int
+
+	// The overlapped Update (overlap.go): a nil ov runs every one inline.
+	ov          *helper
+	stated      float64 // UpdateFlops, what every Update charges
+	pending     bool    // issued to ov, not joined yet
+	queued      atomic.Bool
+	done        chan any // the helper ran it; non-nil: its panic
+	fres, flops float64  // what the issued Update returned
 }
 
 // NewLoop returns rank's loop, starting from a copy of x0.
@@ -133,13 +146,14 @@ func NewLoop(rank int, cfg Config, prob Problem, bounds []int, plan *SendPlan, x
 // X is the rank's iterate. Its own block changes only in Next and Restart,
 // so a driver may read it between actions without holding off Incorporate,
 // which writes the other ranks' segments.
-func (l *Loop) X() []float64 { return l.x }
+func (l *Loop) X() []float64 { l.join(); return l.x }
 
 // Iter is the index of the iteration in progress.
 func (l *Loop) Iter() int { return l.iter }
 
 // Next advances the machine to its next action at driver time now.
 func (l *Loop) Next(now protocol.Time) Action {
+	l.join()
 	for {
 		switch l.stage {
 		case top:
@@ -158,6 +172,10 @@ func (l *Loop) Next(now protocol.Time) Action {
 			l.stage = computed
 			if l.mode == Sync || l.dirty || l.lastRes >= l.p.Eps*skipFactor || math.IsNaN(l.lastRes) {
 				l.dirty = false
+				if l.ov != nil && l.issue() {
+					l.lastFlops = l.stated
+					return Action{Kind: Compute, Flops: l.stated}
+				}
 				l.res, l.lastFlops = l.prob.Update(l.rank, l.bounds, l.x)
 				l.lastRes = l.res
 				return Action{Kind: Compute, Flops: l.lastFlops}
@@ -228,6 +246,7 @@ func (l *Loop) Reduced(global float64) {
 // Incorporate is the rank's data sink: values for [lo, lo+len(values))
 // arrived at now on the channel key.
 func (l *Loop) Incorporate(key, lo int, values []float64, now protocol.Time) {
+	l.join()
 	copy(l.x[lo:lo+len(values)], values)
 	i := key - l.firstKey
 	if l.heard[i] {
@@ -246,6 +265,7 @@ func (l *Loop) Incorporate(key, lo int, values []float64, now protocol.Time) {
 // iterate back to x0, own block and ghosts, every channel unheard — and
 // the next Next reports the loss to the protocol machine.
 func (l *Loop) Restart(now protocol.Time) {
+	l.join()
 	l.restarts++
 	l.resid.MarkRestart(l.rank, seconds(now))
 	copy(l.x, l.x0)
@@ -273,6 +293,7 @@ func (l *Loop) Quiet() (hb protocol.Time, beats, quiet bool) {
 // Spin folds n quiet iterations, ending at first+d, first+2d, …, into the
 // loop while a Compute is in progress.
 func (l *Loop) Spin(first, d protocol.Time, n int) {
+	l.join()
 	l.iters += n
 	l.resid.RecordRun(l.rank, n, func(i int) float64 { return seconds(first + protocol.Time(i+1)*d) }, l.res)
 	l.rk.Spin(n)
@@ -313,6 +334,7 @@ func NewReport(loops []*Loop, coord *protocol.Coordinator, stalled bool) Report 
 	}
 	stopped, capped := coord.Stopped(), false
 	for r, l := range loops {
+		l.join()
 		lo, hi := l.bounds[l.rank], l.bounds[l.rank+1]
 		copy(rep.X[lo:hi], l.x[lo:hi])
 		rep.ItersPerRank[r] = l.iters

@@ -52,6 +52,9 @@ func Run(grid *cluster.Grid, env Env, prob Problem, cfg Config) *Report {
 		e.ports[r] = &port{e: e, r: r, comm: env.Comm(r), targets: plan.Targets[r]}
 		e.loops[r] = NewLoop(r, cfg, prob, bounds, plan, x0, e.ports[r])
 	}
+	if h := startHelper(prob, bounds, e.loops); h != nil {
+		defer func() { close(h.jobs); <-h.exited }()
+	}
 
 	sim := grid.Sim
 	start := sim.Now()

@@ -36,6 +36,9 @@ import (
 // Escape hatch: a site annotated //lint:wallclock (same line or the line
 // above) is an acknowledged wall-clock touch — e.g. a watchdog guard that
 // deliberately measures host time. The annotation is the audit trail.
+// The other accepted use is the helper goroutine of aiac's overlapped
+// Updates (internal/aiac/overlap.go), whose every result the event loop
+// joins before it reads the rank's state, so no scheduling reaches the DES.
 type DetpureConfig struct {
 	// Paths are the package-path prefixes on the virtual-time path.
 	Paths []string

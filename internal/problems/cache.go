@@ -148,12 +148,13 @@ func buildSystem(op string, n, diags int, rho float64, seed int64) (sparse.Opera
 }
 
 // sharedSystem returns the memoized (A, b, xTrue) for the key, building it
-// on first use. Retrieving a small entry re-verifies its checksum and
-// panics on a mismatch: a mutated shared system would corrupt every
-// concurrent cell reading it, so failing loudly at the cache boundary is
-// the only safe response. Entries above verifyOnHitLimit are checked by
-// Verify instead. (An implicit operator stores no floats, so its entry
-// size is just the two vectors.)
+// on first use. Retrieving a small entry re-verifies its checksum (but for
+// the call that built it and took that checksum) and panics on a mismatch:
+// a mutated shared system would corrupt every concurrent cell reading it,
+// so failing loudly at the cache boundary is the only safe response.
+// Entries above verifyOnHitLimit are checked by Verify instead. (An
+// implicit operator stores no floats, so its entry size is just the two
+// vectors.)
 func (c *Cache) sharedSystem(op string, n, diags int, rho float64, seed int64) (sparse.Operator, []float64, []float64) {
 	op = NormalizeOperator(op)
 	if c == nil {
@@ -170,12 +171,14 @@ func (c *Cache) sharedSystem(op string, n, diags int, rho float64, seed int64) (
 		c.hits++
 	}
 	c.mu.Unlock()
+	built := false
 	e.once.Do(func() {
 		e.a, e.b, e.xtrue = buildSystem(op, n, diags, rho, seed)
 		e.elems = e.a.StoredFloats() + len(e.b) + len(e.xtrue)
 		e.sum = e.checksum()
+		built = true
 	})
-	if e.elems <= verifyOnHitLimit {
+	if !built && e.elems <= verifyOnHitLimit {
 		if got := e.checksum(); got != e.sum {
 			panic(fmt.Sprintf("problems: cached sparse system (op=%s n=%d diags=%d rho=%g seed=%d) was mutated: a solver wrote to shared read-only data", op, n, diags, rho, seed))
 		}

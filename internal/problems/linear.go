@@ -95,4 +95,11 @@ func (l *Linear) Update(rank int, bounds []int, x []float64) (residual, flops fl
 	return l.A.GradientStep(lo, hi, l.Gamma, x, l.B, l.scratch[rank])
 }
 
+// UpdateFlops states Update's flops before it runs: the 2·bands·rows +
+// 5·rows GradientStep returns for either operator.
+func (l *Linear) UpdateFlops(rank int, bounds []int) float64 {
+	rows := float64(bounds[rank+1] - bounds[rank])
+	return 2*float64(len(l.A.BandOffsets()))*rows + 5*rows
+}
+
 var _ aiac.Problem = (*Linear)(nil)
