@@ -18,24 +18,27 @@ package aiac_test
 // background-load cases are a second charge, and a load change, reaching
 // a spin that holds one.
 //
-// The oracle is testdata/spin_ties.txt, recorded from an engine that
+// The oracle is testdata/spin_ties.jsonl, recorded from an engine that
 // stepped the cases' iterations through the event queue one by one (the
-// starved rows from one that spun only on an idle CPU): each row is the
-// digest of the report and of every span, message and wait of the trace,
-// and in a starved case of when the starving charges were paid. The
-// boundary of each case is read off a probe run — the same run with the
-// event's action left out — so the file also pins that the probe did not
-// move. Regenerate, on purpose only and with such an engine, with
+// starved rows from one that spun only on an idle CPU): each row's digest
+// hashes the report and every span, message and wait of the trace, and in
+// a starved case when the starving charges were paid. The boundary of each
+// case is read off a probe run — the same run with the event's action left
+// out — so each row also pins the probe's anchor boundary and stride and
+// the instants the event was scheduled at and happened. Rows are recorded
+// only from an engine that steps the cases' iterations one by one: to add
+// a case, run
 //
-//	SPIN_TIES_WRITE=1 go test -run TestSpinBoundaryTies ./internal/aiac
+//	GOLDEN_WRITE=1 go test -run TestSpinBoundaryTies ./internal/aiac
+//
+// in a clone of a commit whose engine does, with this file copied in, and
+// check that the summary it prints moved no recorded row (there the check
+// that the probe spins fails, as it should).
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -43,13 +46,14 @@ import (
 	"aiac/internal/cluster"
 	"aiac/internal/des"
 	"aiac/internal/env/pm2"
+	"aiac/internal/golden"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
 	"aiac/internal/scenario"
 	"aiac/internal/trace"
 )
 
-const tiesFile = "testdata/spin_ties.txt"
+const tiesFile = "testdata/spin_ties.jsonl"
 
 // tieComm wraps an endpoint so the test can play a data arrival into the
 // rank's sink and hold one outbound channel busy until it chooses to free
@@ -413,26 +417,14 @@ var tieKinds = []tieKind{
 }
 
 func TestSpinBoundaryTies(t *testing.T) {
-	write := os.Getenv("SPIN_TIES_WRITE")
-	want := map[string]string{}
-	if f, err := os.Open(tiesFile); err == nil {
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if name, rest, ok := strings.Cut(sc.Text(), " "); ok && !strings.HasPrefix(name, "#") {
-				want[name] = rest
-			}
-		}
-		f.Close()
-	}
-	var out strings.Builder
-	out.WriteString("# case  digest  anchor-boundary  stride  event-scheduled-at  event-at  (see spin_ties_test.go)\n")
+	var rows []golden.Row
 	kinds := slices.Clone(tieKinds)
 	for _, k := range tieKinds {
 		kinds = append(kinds, starved(k))
 	}
 	for _, k := range kinds {
 		probe := runTie(k.setup, 0, 0, nil, k.cap)
-		if write == "" && 10*probe.sim.Events() > uint64(probe.rep.TotalIters()) {
+		if 10*probe.sim.Events() > uint64(probe.rep.TotalIters()) {
 			// The cases below mean something only if the ranks spin.
 			t.Errorf("%s: probe ran %d events over %d iterations; the cell no longer spins", k.name, probe.sim.Events(), probe.rep.TotalIters())
 		}
@@ -446,23 +438,13 @@ func TestSpinBoundaryTies(t *testing.T) {
 			maxIters = k.cap
 		}
 		for _, w := range tieWhens {
-			name := k.name + "/" + w.name
 			from, at := w.from(b, d), w.at(b, d)
 			x := runTie(k.setup, from, at, k.act, maxIters)
-			row := fmt.Sprintf("%s %d %d %d %d", x.digest(), b, d, from, at)
-			fmt.Fprintf(&out, "%s %s\n", name, row)
-			if write != "" {
-				continue
-			}
-			if want[name] != row {
-				t.Errorf("%s: got %q, recorded %q (iters %v, %d spans)", name, row, want[name], x.rep.ItersPerRank, len(x.tr.Spans))
-			}
+			rows = append(rows, golden.Row{Key: k.name + "/" + w.name, Fields: []golden.Field{
+				{Name: "digest", Value: x.digest()}, {Name: "anchor_ns", Value: b}, {Name: "stride_ns", Value: d},
+				{Name: "scheduled_at_ns", Value: from}, {Name: "at_ns", Value: at},
+			}})
 		}
 	}
-	if write != "" {
-		if err := os.WriteFile(tiesFile, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", tiesFile)
-	}
+	golden.Check(t, tiesFile, rows)
 }

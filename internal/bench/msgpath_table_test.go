@@ -13,11 +13,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"aiac/internal/aiac"
 	"aiac/internal/des"
+	"aiac/internal/golden"
 	"aiac/internal/matrix"
 	"aiac/internal/obs/critpath"
 	"aiac/internal/problems"
@@ -25,31 +27,24 @@ import (
 	"aiac/internal/trace"
 )
 
-// refCell is one of the repo benchmark's reference cells at full size (the
-// cells of TRACE.md) with its fingerprint frozen at the parent of the
-// change that built the ladder: a path that reproduces it delivers the same
-// messages at the same virtual times and attributes the same critical path
-// as the message path before the ladder. events is des.events of the cell
-// as the engine stands: every rung of this ladder kept every event, so the
-// sync cell's count is the one frozen with its fingerprint; the async
-// cells' counts are those of lazy spin (SPIN.md), which folds a quiet
-// rank's iterations into runs without moving the fingerprint.
-type refCell struct {
-	cell        matrix.Cell
-	events      uint64 // des.events
-	fingerprint string // see fingerprintCell
+// refCells are the repo benchmark's reference cells at full size (the
+// cells of TRACE.md). testdata/msgpath_cells.jsonl holds each one's
+// fingerprint, frozen at the parent of the change that built the ladder (a
+// path that reproduces it delivers the same messages at the same virtual
+// times and attributes the same critical path), and its event count: the
+// ladder kept every event, so the sync cell's is frozen with it; the async
+// cells' are lazy spin's (SPIN.md), which did not move their fingerprints.
+// Re-record, on purpose only, with GOLDEN_WRITE=1 go test -run
+// TestMsgPathTable ./internal/bench.
+var refCells = []matrix.Cell{
+	{Env: "pm2", Mode: aiac.Async, Grid: "adsl", Problem: "linear", Procs: 4, Size: 12000, Scenario: "static"},
+	{Env: "pm2", Mode: aiac.Async, Grid: "3site", Problem: "linear", Procs: 8, Size: 12000, Scenario: "node-churn"},
+	{Env: "omniorb", Mode: aiac.Sync, Grid: "3site", Problem: "linear", Procs: 64, Size: 19200, Scenario: "static"},
 }
+
+const msgPathCells = "testdata/msgpath_cells.jsonl"
 
 const refSeed = 20040426
-
-var refCells = []refCell{
-	{matrix.Cell{Env: "pm2", Mode: aiac.Async, Grid: "adsl", Problem: "linear", Procs: 4, Size: 12000, Scenario: "static"},
-		51896, "57660a640dfa5df3"},
-	{matrix.Cell{Env: "pm2", Mode: aiac.Async, Grid: "3site", Problem: "linear", Procs: 8, Size: 12000, Scenario: "node-churn"},
-		193583, "724419403edb9dae"},
-	{matrix.Cell{Env: "omniorb", Mode: aiac.Sync, Grid: "3site", Problem: "linear", Procs: 64, Size: 19200, Scenario: "static"},
-		408569, "d9ab9a04281cbd48"},
-}
 
 func refCellName(c matrix.Cell) string {
 	name := fmt.Sprintf("%s/%s/%s/p%d/n%d", c.Env, c.Mode, c.Grid, c.Procs, c.Size)
@@ -120,6 +115,19 @@ func fingerprintCell(c matrix.Cell) (refRun, error) {
 	sim.Shutdown()
 	return run, nil
 }
+
+// refRuns runs the reference cells once per test binary, for
+// TestMsgPathTable's rows and TestSpinTable's attribution check.
+var refRuns = sync.OnceValues(func() (runs []refRun, err error) {
+	for _, c := range refCells {
+		run, err := fingerprintCell(c)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+})
 
 // envCols renders one value per environment, in matrix.EnvNames order.
 func envCols(format string, v map[string]float64) string {
@@ -232,10 +240,10 @@ func measureShipped(t *testing.T) pathRung {
 
 // TestMsgPathTable is the gate and the generator of MSGPATH.md. The gate
 // always runs (three full-size cells on the continuation engine take about
-// a second): the shipped path reproduces every reference cell's frozen
-// fingerprint and event count (what it allocates per message is pinned by
-// TestSyncExchangeAllocs, on the harness this table measures with). To
-// regenerate the committed table:
+// a second): the shipped path reproduces every reference cell's recorded
+// row, its fingerprint and event count (what it allocates per message is
+// pinned by TestSyncExchangeAllocs, on the harness this table measures
+// with). To regenerate the committed table:
 //
 //	MSGPATH_WRITE=MSGPATH.md go test -run TestMsgPathTable ./internal/bench
 //
@@ -243,25 +251,25 @@ func measureShipped(t *testing.T) pathRung {
 func TestMsgPathTable(t *testing.T) {
 	write := os.Getenv("MSGPATH_WRITE")
 	shipped := measureShipped(t)
-	shipped.valid = true
+	runs, err := refRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []golden.Row
 	var cells strings.Builder
-	for _, rc := range refCells {
-		run, err := fingerprintCell(rc.cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.events != rc.events || run.fingerprint != rc.fingerprint {
-			shipped.valid = false
-			t.Errorf("%s: %d events, fingerprint %s; want %d events, fingerprint %s",
-				refCellName(rc.cell), run.events, run.fingerprint, rc.events, rc.fingerprint)
-		}
-		fmt.Fprintf(&cells, "- `%s`: %d events, fingerprint `%s`\n", refCellName(rc.cell), rc.events, rc.fingerprint)
-		if rc.cell.Mode == aiac.Sync {
+	for i, run := range runs {
+		name := refCellName(refCells[i])
+		rows = append(rows, golden.Row{Key: name, Fields: []golden.Field{
+			{Name: "events", Value: run.events}, {Name: "fingerprint", Value: run.fingerprint},
+		}})
+		fmt.Fprintf(&cells, "- `%s`: %d events, fingerprint `%s`\n", name, run.events, run.fingerprint)
+		if refCells[i].Mode == aiac.Sync {
 			shipped.events = run.events
 		}
 	}
-	rows := append(append([]pathRung(nil), recordedRungs...), shipped)
-	table := msgPathMarkdown(rows)
+	golden.Check(t, msgPathCells, rows)
+	shipped.valid = !t.Failed()
+	table := msgPathMarkdown(append(append([]pathRung(nil), recordedRungs...), shipped))
 	t.Logf("message-path table:\n%s", table)
 	if write == "" {
 		return

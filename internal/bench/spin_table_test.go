@@ -14,10 +14,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"aiac/internal/aiac"
+	"aiac/internal/golden"
 	"aiac/internal/obs/critpath"
 	"aiac/internal/trace"
 )
@@ -78,27 +81,31 @@ func expandedTrace(tr *trace.Collector) *trace.Collector {
 	return out
 }
 
-// spinTests are the checks of a row's validity that live in other
-// packages' tests, run from the repository root by the generator: the
-// boundary-tie cases first, which also fill the ties column.
+// spinTests are the checks of a row's validity that live in other tests,
+// run from the repository root by the generator: the boundary-tie cases
+// first, which also fill the ties column.
 var spinTests = [][2]string{
 	{"TestSpinBoundaryTies", "./internal/aiac"},
 	{"TestEngineGolden", "./internal/env/envcore"},
 	{"TestTraceTable", "./internal/obs/critpath"},
+	{"TestMsgPathTable", "./internal/bench"},
 }
+
+// movedRows reads the count of moved rows off golden.Check's summary.
+var movedRows = regexp.MustCompile(`(\d+) of \d+ rows moved`)
 
 // spinWorkloads are the simulated workloads of the repo benchmark; each
 // must end "failed":0, i.e. reproduce every digest of benchmark/golden.json.
 var spinWorkloads = []string{"adsl-spin", "sync-exchange", "kernel-large", "grid-dynamics"}
 
 // TestSpinTable is the gate and the generator of SPIN.md. The gate always
-// runs (the three reference cells at full size, about a second): the
-// shipped engine reproduces every reference cell's frozen fingerprint and
-// pinned event count, and its run-length trace attributes exactly as the
-// same trace split into single iterations. The generator adds the checks
-// that live elsewhere — TestEngineGolden, TestSpinBoundaryTies,
-// TestTraceTable and the repo benchmark's golden digests on the four
-// simulated workloads (about half a minute) — and writes the table:
+// runs (on the three reference cells at full size, which TestMsgPathTable
+// holds to their recorded fingerprints and event counts): the shipped
+// engine's run-length trace attributes exactly as the same trace split into
+// single iterations. The generator adds the checks that live elsewhere —
+// TestEngineGolden, TestSpinBoundaryTies, TestTraceTable, TestMsgPathTable
+// and the repo benchmark's golden digests on the four simulated workloads
+// (about half a minute) — and writes the table:
 //
 //	SPIN_WRITE=SPIN.md go test -run TestSpinTable ./internal/bench
 //
@@ -108,22 +115,18 @@ func TestSpinTable(t *testing.T) {
 	shipped := spinShippedRecorded
 	shipped.name, shipped.valid = spinShippedName, true
 	shipped.note = "lazy spin also where the CPU holds one charge, dispatched at this instant, that the rank's charge would preempt before it ran (CPU.RunsAlone): the spin's first step makes that preemption (CPU.Hold) and Resume takes the iteration in progress back over the held charge"
-	for _, rc := range refCells {
-		run, err := fingerprintCell(rc.cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.events != rc.events || run.fingerprint != rc.fingerprint {
-			shipped.valid = false
-			t.Errorf("%s: %d events, fingerprint %s; want %d events, fingerprint %s",
-				refCellName(rc.cell), run.events, run.fingerprint, rc.events, rc.fingerprint)
-		}
+	runs, err := refRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range runs {
+		c := refCells[i]
 		perIter, ok := critpath.Analyze(expandedTrace(run.tr), run.attr.Total)
 		if !ok || !reflect.DeepEqual(run.attr, perIter) {
 			shipped.valid = false
-			t.Errorf("%s: the run-length trace attributes differently from its iterations", refCellName(rc.cell))
+			t.Errorf("%s: the run-length trace attributes differently from its iterations", refCellName(c))
 		}
-		if rc.cell.Mode == aiac.Async && rc.cell.Grid == "adsl" {
+		if c.Mode == aiac.Async && c.Grid == "adsl" {
 			shipped.events, shipped.iters = run.events, run.iters
 		}
 	}
@@ -134,22 +137,18 @@ func TestSpinTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ties, err := os.ReadFile(filepath.Join(root, "internal/aiac/testdata/spin_ties.txt"))
+	ties, err := golden.Read(filepath.Join(root, "internal/aiac/testdata/spin_ties.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := 0
-	for _, line := range strings.Split(strings.TrimSpace(string(ties)), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			cases++
-		}
-	}
+	cases := len(ties)
 	shipped.ties = fmt.Sprintf("%d/%d", cases, cases)
 	for i, tc := range spinTests {
 		if out, err := runIn(root, "go", "test", "-count=1", "-run", tc[0], tc[1]); err != nil {
 			shipped.valid = false
-			if i == 0 {
-				shipped.ties = fmt.Sprintf("%d/%d", cases-strings.Count(out, "recorded"), cases)
+			if m := movedRows.FindStringSubmatch(out); i == 0 && m != nil {
+				moved, _ := strconv.Atoi(m[1])
+				shipped.ties = fmt.Sprintf("%d/%d", cases-moved, cases)
 			}
 			t.Errorf("%s: %v\n%s", tc[0], err, out)
 		}
@@ -210,9 +209,9 @@ Generated, and the shipped row checked, by:
     SPIN_WRITE=SPIN.md go test -run TestSpinTable ./internal/bench
 
 (about half a minute: it runs TestSpinBoundaryTies, TestEngineGolden,
-TestTraceTable and the repo benchmark's four simulated workloads besides
-its own checks; without SPIN_WRITE the test is the in-process half of the
-gate and takes a second).
+TestTraceTable, TestMsgPathTable and the repo benchmark's four simulated
+workloads besides its own checks; without SPIN_WRITE the test is the
+in-process half of the gate and takes a second).
 
 An asynchronous rank behind ADSL spends nearly all of its iterations
 reusing its last result: ` + "`adsl-spin`" + `'s reference cell
@@ -240,7 +239,7 @@ with the pairs' parent column, not with the rows above.
 
 "valid" = 1 means all of: every digest of benchmark/golden.json matched
 ("failed":0 on adsl-spin, sync-exchange, kernel-large and grid-dynamics);
-TestEngineGolden's 244 rows matched; MSGPATH.md's three reference cells
+TestEngineGolden's rows matched; MSGPATH.md's three reference cells
 reproduced their fingerprints (report, iterate, traffic, every span,
 message and wait, critical-path attribution); and on those cells
 critpath.Attribution of the run-length trace is reflect.DeepEqual to the

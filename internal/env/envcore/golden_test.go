@@ -1,40 +1,46 @@
 package envcore_test
 
-// The engine's oracle is a recorded file. testdata/engine_golden.txt holds
-// one digest per simulated cell, written once by the engine this one
-// replaced, in the commit before that engine was deleted: it ran every
-// simulated process on a goroutine of its own, snapshotted every send with
-// make and never handed a buffer back (and the engine that stayed, asked for
-// the same file in that commit, wrote the same bytes). This binary runs with
-// release-poisoning on (TestMain: every snapshot buffer the environment
-// takes back is filled with NaNs), so a cell that read a released value
-// cannot reproduce its row: "a released buffer is never read" is checked
-// against results that never recycled anything.
+// The engine's oracle is recorded rows: every field of a cell's
+// report.Result but the host time, the attempt count and the backend name,
+// and for a traced cell the sha256 of every span, message and wait.
+// testdata/capped_rows.jsonl holds the default matrix (21 cells × seeds 0,
+// 1, 2, 7), four perturbed cells × the same seeds and two traced cells ×
+// seeds 0, 7, each at n = 600 and n = 1500, and a down-scaled copy of each
+// simulated benchmark workload, all capped; chem_rows.jsonl three chem
+// cells × seeds 0, 5. Both were written as digests by the engine this one
+// replaced, before it was deleted: it ran every simulated process on a
+// goroutine of its own and never recycled a buffer; a tree that reproduced
+// every digest converted them to fields. workload_rows.jsonl holds the four
+// workloads at full size (golden.Workloads): each cell's row as the
+// benchmark reports it, and its reference cell's; that tree reproduced
+// every benchmark/golden.json digest with them. The chem and full-size
+// cells run to convergence, which a fault (a released buffer read as NaNs)
+// can keep them from for many minutes, so they run once the capped rows
+// hold. The rows live here because only this binary poisons what the
+// environment releases (TestMain; PoisonReleased is test-only), so a cell
+// that read a released value cannot reproduce its row.
 //
-// The file covers the default matrix (21 cells × seeds 0, 1, 2, 7), four
-// perturbed cells × the same seeds, and the full span / message / wait
-// streams of two traced cells × seeds 0, 7 — each at n = 600 and n = 1500
-// (SIMFAST_DIFF_N picks the size; CI runs 1500) — plus three chem cells ×
-// seeds 0, 5 and a down-scaled copy of each simulated benchmark workload.
-// The asynchronous ADSL cells are capped so that they exercise the
-// capped-stop path instead of spinning through millions of iterations.
+// Re-record, on purpose only, with
 //
-// Regenerate, on purpose only, with
+//	GOLDEN_WRITE=1 go test -run TestEngineGolden ./internal/env/envcore
 //
-//	ENGINE_GOLDEN_WRITE=$PWD/internal/env/envcore/testdata/engine_golden.txt go test -run TestEngineGolden ./internal/env/envcore
+// and quote the summary of what moved that it prints.
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"aiac/internal/aiac"
 	"aiac/internal/env/envcore"
+	"aiac/internal/golden"
 	"aiac/internal/matrix"
+	"aiac/internal/report"
 	"aiac/internal/trace"
 )
 
@@ -43,52 +49,54 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-const goldenFile = "testdata/engine_golden.txt"
-
-// goldenSizes are the recorded sizes of the sized sections.
-var goldenSizes = []int{600, 1500}
-
-// goldenCase is one row of the file: repetition 0 of a cell at a seed.
+// goldenCase is one row.
 type goldenCase struct {
 	section string
 	cell    matrix.Cell
 	spec    matrix.Spec
 	seed    int64
-	traced  bool // the digest also covers every span, message and wait
+	reps    int  // the row matrix.Run reports over reps repetitions; 0: repetition 0 alone
+	traced  bool // the row also hashes every span, message and wait
 }
 
 func (gc goldenCase) key() string {
 	return fmt.Sprintf("%s %s seed=%d", gc.section, gc.cell.Key(), gc.seed)
 }
 
-// digest runs the case and hashes everything virtual about its row (and,
-// for a traced case, its trace). The row itself is returned for the failure
-// message.
-func (gc goldenCase) digest() (sum, row string, err error) {
+// row runs the case.
+func (gc goldenCase) row() (golden.Row, error) {
+	var r report.Result
 	var tr *trace.Collector
 	if gc.traced {
 		tr = trace.New()
 	}
-	r, err := matrix.RunCellOnce(gc.cell, gc.spec, 0, gc.seed, 0, tr)
-	if err != nil {
-		return "", "", err
+	if gc.reps > 0 {
+		s, c := gc.spec, gc.cell // narrowed to the cell, whose repetitions matrix.Run aggregates
+		s.Envs, s.Modes, s.Grids, s.Problems = []string{c.Env}, []aiac.Mode{c.Mode}, []string{c.Grid}, []string{c.Problem}
+		s.Procs, s.Sizes, s.Scenarios = []int{c.Procs}, []int{c.Size}, []string{c.Scenario}
+		set, err := matrix.Run(s, matrix.Options{Workers: 1, Reps: gc.reps, Seed: gc.seed})
+		if err != nil {
+			return golden.Row{}, err
+		}
+		r = set.Results[0]
+	} else {
+		var err error
+		if r, err = matrix.RunCellOnce(gc.cell, gc.spec, 0, gc.seed, 0, tr); err != nil {
+			return golden.Row{}, err
+		}
 	}
-	r.Backend = ""
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "", "", err
-	}
-	h := sha256.New()
-	h.Write(b)
+	row := golden.Row{Key: gc.key(), Fields: golden.Struct(r, "host_sec", "attempts", "backend")}
 	if gc.traced {
 		if len(tr.Spans) == 0 || len(tr.Msgs) == 0 {
-			return "", "", fmt.Errorf("trace empty: %d spans, %d msgs", len(tr.Spans), len(tr.Msgs))
+			return golden.Row{}, fmt.Errorf("trace empty: %d spans, %d msgs", len(tr.Spans), len(tr.Msgs))
 		}
+		h := sha256.New()
 		fmt.Fprintln(h, tr.Spans)
 		fmt.Fprintln(h, tr.Msgs)
 		fmt.Fprintln(h, tr.Waits)
+		row.Fields = append(row.Fields, golden.Field{Name: "trace_sha256", Value: fmt.Sprintf("%x", h.Sum(nil))})
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), string(b), nil
+	return row, nil
 }
 
 // sizedCases are the sections recorded once per size: the default matrix,
@@ -124,124 +132,76 @@ func sizedCases(n int) []goldenCase {
 	return out
 }
 
-// fixedCases are the sections whose size does not follow SIMFAST_DIFF_N:
-// the non-linear problem (global Newton on mpi×sync, multisplitting on both
-// modes) and a scaled copy of each simulated workload of the repo benchmark
-// (the specs of benchmark/workloads.go at an eighth of their size, or less,
-// and with the spinning cells capped).
-func fixedCases() []goldenCase {
-	var out []goldenCase
-	chem := matrix.DefaultSpec()
+// scaledSize is each workload's size when down-scaled: an eighth of full
+// size, or less.
+var scaledSize = map[string]int{"adsl-spin": 1500, "sync-exchange": 2400, "kernel-large": 10000, "grid-dynamics": 1500}
+
+// fixedCases are the workloads down-scaled and capped, then the workloads at
+// full size with their reference cells (longest first) and the chem cells.
+func fixedCases() (scaled, full, chem []goldenCase) {
+	for _, w := range golden.Workloads {
+		s := w.Spec
+		s.Sizes, s.Linear.MaxIters = []int{scaledSize[w.Name]}, 6000
+		for _, c := range s.Cells() {
+			scaled = append(scaled, goldenCase{section: "workload/" + w.Name, cell: c, spec: s, seed: golden.Seed})
+		}
+		for _, c := range w.Spec.Cells() {
+			full = append(full, goldenCase{section: "workload/" + w.Name, cell: c, spec: w.Spec, seed: golden.Seed, reps: w.Reps})
+			if w.Ref(c) {
+				full = append(full, goldenCase{section: "reference/" + w.Name, cell: c, spec: w.Spec, seed: golden.Seed, traced: true})
+			}
+		}
+	}
+	slices.SortStableFunc(full, func(a, b goldenCase) int { return b.reps - a.reps })
 	for _, c := range []matrix.Cell{
 		{Env: "mpi", Mode: aiac.Sync, Grid: "3site", Problem: "chem", Procs: 8, Size: 12},
 		{Env: "pm2", Mode: aiac.Async, Grid: "3site", Problem: "chem", Procs: 8, Size: 12},
 		{Env: "madmpi", Mode: aiac.Sync, Grid: "local", Problem: "chem", Procs: 8, Size: 12},
 	} {
 		for _, seed := range []int64{0, 5} {
-			out = append(out, goldenCase{section: "chem", cell: c, spec: chem, seed: seed})
+			chem = append(chem, goldenCase{section: "chem", cell: c, spec: matrix.DefaultSpec(), seed: seed})
 		}
 	}
-	syncAsync := []aiac.Mode{aiac.Sync, aiac.Async}
-	linear := matrix.LinearParams{Diags: 12, Rho: 0.85, Eps: 1e-5, MaxIters: 6000, Seed: 20040426}
-	workloads := []struct {
-		name string
-		spec matrix.Spec
-	}{
-		{"adsl-spin", matrix.Spec{
-			Envs: []string{"pm2", "omniorb"}, Modes: syncAsync, Grids: []string{"adsl"},
-			Problems: []string{"linear"}, Procs: []int{4}, Sizes: []int{1500},
-		}},
-		{"sync-exchange", matrix.Spec{
-			Envs: matrix.EnvNames, Modes: []aiac.Mode{aiac.Sync}, Grids: []string{"3site", "local"},
-			Problems: []string{"linear"}, Procs: []int{64}, Sizes: []int{2400},
-		}},
-		{"kernel-large", matrix.Spec{
-			Envs: []string{"pm2"}, Modes: syncAsync, Grids: []string{"local"},
-			Problems: []string{"linear"}, Procs: []int{2}, Sizes: []int{10000},
-		}},
-		{"grid-dynamics", matrix.Spec{
-			Envs: []string{"pm2", "omniorb"}, Modes: syncAsync, Grids: []string{"3site"},
-			Problems: []string{"linear"}, Procs: []int{8}, Sizes: []int{1500},
-			Scenarios: []string{"flaky-adsl", "node-churn", "lossy-wan", "diurnal-load"},
-		}},
+	return scaled, full, chem
+}
+
+// checkCases runs the cases on every core, then checks each row in a
+// subtest named by its key and the file at path as a whole.
+func checkCases(t *testing.T, path string, cases []goldenCase) {
+	rows, errs := make([]golden.Row, len(cases)), make([]error, len(cases))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, gc := range cases {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			rows[i], errs[i] = gc.row()
+		}()
 	}
-	for _, w := range workloads {
-		w.spec.Linear = linear
-		for _, c := range w.spec.Cells() {
-			c.Backend = ""
-			out = append(out, goldenCase{section: "workload/" + w.name, cell: c, spec: w.spec, seed: 20040426})
-		}
+	wg.Wait()
+	recorded, _ := golden.Read(path) // Check fails on a file it cannot read
+	for i, gc := range cases {
+		t.Run(strings.ReplaceAll(gc.key(), " ", "_"), func(t *testing.T) {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			golden.CheckRow(t, recorded, rows[i])
+		})
 	}
-	return out
+	if !slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+		golden.Check(t, path, rows)
+	}
 }
 
 func TestEngineGolden(t *testing.T) {
-	writePath := os.Getenv("ENGINE_GOLDEN_WRITE")
-	var cases []goldenCase
-	var want map[string]string
-	if writePath != "" {
-		for _, n := range goldenSizes {
-			cases = append(cases, sizedCases(n)...)
-		}
-	} else {
-		n := 600
-		if s := os.Getenv("SIMFAST_DIFF_N"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v <= 0 {
-				t.Fatalf("bad SIMFAST_DIFF_N %q: %v", s, err)
-			}
-			n = v
-		}
-		cases = sizedCases(n)
-		want = readGolden(t)
-		if _, ok := want[cases[0].key()]; !ok {
-			t.Fatalf("%s has no rows at n=%d (recorded sizes: %v)", goldenFile, n, goldenSizes)
-		}
-	}
-	cases = append(cases, fixedCases()...)
-
-	got := make([]string, len(cases))
+	scaled, full, chem := fixedCases()
 	t.Run("cells", func(t *testing.T) {
-		for i, gc := range cases {
-			t.Run(strings.ReplaceAll(gc.key(), " ", "_"), func(t *testing.T) {
-				t.Parallel()
-				sum, row, err := gc.digest()
-				if err != nil {
-					t.Fatalf("%s: %v", gc.key(), err)
-				}
-				if writePath == "" && sum != want[gc.key()] {
-					t.Errorf("%s: digest %s, recorded %q; the row is now\n  %s", gc.key(), sum, want[gc.key()], row)
-				}
-				got[i] = sum
-			})
+		checkCases(t, "testdata/capped_rows.jsonl", append(append(sizedCases(600), sizedCases(1500)...), scaled...))
+		if t.Failed() {
+			t.Fatal("the chem and full-size rows were not checked: the capped rows did not hold")
 		}
+		checkCases(t, "testdata/workload_rows.jsonl", full)
+		checkCases(t, "testdata/chem_rows.jsonl", chem)
 	})
-	if writePath == "" || t.Failed() {
-		return
-	}
-	var b strings.Builder
-	for i, gc := range cases {
-		fmt.Fprintf(&b, "%s %s\n", gc.key(), got[i])
-	}
-	if err := os.WriteFile(writePath, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d rows to %s", len(cases), writePath)
-}
-
-// readGolden loads the recorded digests by row key.
-func readGolden(t *testing.T) map[string]string {
-	data, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("%s: malformed row %q", goldenFile, line)
-		}
-		want[line[:i]] = line[i+1:]
-	}
-	return want
 }

@@ -9,17 +9,17 @@ package envcore_test
 // the last delivery and the digest of every data-sink call (instant, sender,
 // key, iteration, values) in call order and of every traced message.
 //
-// The oracle is testdata/handler_pool.txt, recorded from the engine that
-// spawned a fresh handler process per message. Regenerate, on purpose only,
+// The oracle is testdata/handler_pool.jsonl, recorded from the engine that
+// spawned a fresh handler process per message. Re-record, on purpose only,
 // with
 //
-//	HANDLER_POOL_WRITE=1 go test -run TestHandlerPoolBursts ./internal/env/envcore
+//	GOLDEN_WRITE=1 go test -run TestHandlerPoolBursts ./internal/env/envcore
+//
+// and quote the summary of what moved that it prints.
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -30,15 +30,16 @@ import (
 	"aiac/internal/env/envcore"
 	"aiac/internal/env/orb"
 	"aiac/internal/env/pm2"
+	"aiac/internal/golden"
 	"aiac/internal/netsim"
 	"aiac/internal/trace"
 )
 
-const handlerPoolFile = "testdata/handler_pool.txt"
+const handlerPoolFile = "testdata/handler_pool.jsonl"
 
 // burstRow runs one case: k senders (ranks 1..k) each send rank 0 one
 // message at t = 0 and another at t = 300 µs, on two channels.
-func burstRow(envName string, costs envcore.CostModel, k int, spawn, latency bool) string {
+func burstRow(envName string, costs envcore.CostModel, k int, spawn, latency bool) []golden.Field {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, k+1, cluster.P4_2400, netsim.Ethernet100)
 	if !latency {
@@ -78,49 +79,29 @@ func burstRow(envName string, costs envcore.CostModel, k int, spawn, latency boo
 	h := sha256.New()
 	fmt.Fprint(h, sinks.String())
 	fmt.Fprintln(h, tr.Msgs)
-	return fmt.Sprintf("%d %d %x", sim.Events(), last, h.Sum(nil)[:8])
+	return []golden.Field{
+		{Name: "events", Value: sim.Events()}, {Name: "last_delivery_ns", Value: last},
+		{Name: "digest", Value: fmt.Sprintf("%x", h.Sum(nil)[:8])},
+	}
 }
 
 func TestHandlerPoolBursts(t *testing.T) {
-	write := os.Getenv("HANDLER_POOL_WRITE") != ""
-	want := map[string]string{}
-	if !write {
-		f, err := os.Open(handlerPoolFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if name, rest, ok := strings.Cut(sc.Text(), " "); ok && !strings.HasPrefix(name, "#") {
-				want[name] = rest
-			}
-		}
-		f.Close()
-	}
 	envs := []struct {
 		name  string
 		costs envcore.CostModel
 	}{{"pm2", pm2.Costs}, {"omniorb", orb.Costs}}
-	var out strings.Builder
-	out.WriteString("# case  events  last-delivery-ns  digest  (see handler_pool_test.go)\n")
+	var rows []golden.Row
 	for _, e := range envs {
 		for _, k := range []int{1, 2, 8} {
 			for _, spawn := range []bool{true, false} {
 				for _, latency := range []bool{true, false} {
-					name := fmt.Sprintf("%s/burst%d/spawn=%t/latency=%t", e.name, k, spawn, latency)
-					got := burstRow(e.name, e.costs, k, spawn, latency)
-					fmt.Fprintf(&out, "%s %s\n", name, got)
-					if !write && got != want[name] {
-						t.Errorf("%s: %s; want %s", name, got, want[name])
-					}
+					rows = append(rows, golden.Row{
+						Key:    fmt.Sprintf("%s/burst%d/spawn=%t/latency=%t", e.name, k, spawn, latency),
+						Fields: burstRow(e.name, e.costs, k, spawn, latency),
+					})
 				}
 			}
 		}
 	}
-	if write {
-		if err := os.WriteFile(handlerPoolFile, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", handlerPoolFile)
-	}
+	golden.Check(t, handlerPoolFile, rows)
 }

@@ -530,7 +530,7 @@ func NewGrid(sim *des.Simulator, name string, n int) (*cluster.Grid, error) {
 // thread configuration matching the problem kind (sparse: all-to-all
 // exchange; otherwise the neighbour-exchange non-linear configuration).
 // The trailing options are ignored; the parameter stays only because the
-// files under benchmark/ pass envcore.WithEventLoop() (ROADMAP item 8(b)).
+// files under benchmark/ pass envcore.WithEventLoop() (ROADMAP item 3).
 func NewEnv(grid *cluster.Grid, name string, sparse bool, tr *trace.Collector, _ ...envcore.Opt) (aiac.Env, error) {
 	switch name {
 	case "mpi":
