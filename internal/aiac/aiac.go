@@ -369,6 +369,10 @@ const (
 	// whose partner crashed or whose messages were lost. Asynchronous
 	// iterations cannot stall this way: they never block on a peer.
 	StopStalled StopReason = "stalled"
+	// StopNonFinite means a rank's Update returned a NaN or infinite
+	// residual: that rank exited and the solve ended there for every rank
+	// (peers blocked in a synchronous exchange may leave it stalled too).
+	StopNonFinite StopReason = "non-finite"
 )
 
 // Report is the outcome of one engine run.

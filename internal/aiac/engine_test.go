@@ -227,14 +227,15 @@ func TestReportTotals(t *testing.T) {
 }
 
 func TestNaNResidualNeverConverges(t *testing.T) {
-	// A problem whose residual is NaN must never be declared converged.
+	// A problem whose residual is NaN must never be declared converged:
+	// the solve ends at the first one, well before its iteration cap.
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 2, cluster.P4_2400, netsim.Ethernet100)
 	env := pm2.MustNew(grid, pm2.Sparse, nil)
 	prob := &nanProblem{n: 64}
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-6, MaxIters: 20})
-	if rep.Reason != aiac.StopIterCap {
-		t.Fatalf("NaN residual led to %s", rep.Reason)
+	if rep.Reason != aiac.StopNonFinite || rep.TotalIters() >= 20 {
+		t.Fatalf("NaN residual led to %s after %d iterations", rep.Reason, rep.TotalIters())
 	}
 }
 

@@ -119,6 +119,7 @@ type Loop struct {
 	lastRes           float64
 	lastFlops         float64
 	capped            bool
+	nonFinite         bool // an Update's residual was NaN or infinite
 	restarts          int
 
 	// The overlapped Update (overlap.go): a nil ov runs every one inline.
@@ -148,6 +149,11 @@ func NewLoop(rank int, cfg Config, prob Problem, bounds []int, plan *SendPlan, x
 // which writes the other ranks' segments.
 func (l *Loop) X() []float64 { l.join(); return l.x }
 
+// NonFinite reports whether the rank exited on a non-finite Update
+// residual. Run and the native backend then end the solve for every rank,
+// and the report says StopNonFinite.
+func (l *Loop) NonFinite() bool { return l.nonFinite }
+
 // Iter is the index of the iteration in progress.
 func (l *Loop) Iter() int { return l.iter }
 
@@ -170,7 +176,7 @@ func (l *Loop) Next(now protocol.Time) Action {
 			// Update, or reuse the converged residual of an async rank that
 			// heard nothing new.
 			l.stage = computed
-			if l.mode == Sync || l.dirty || l.lastRes >= l.p.Eps*skipFactor || math.IsNaN(l.lastRes) {
+			if l.mode == Sync || l.dirty || l.lastRes >= l.p.Eps*skipFactor {
 				l.dirty = false
 				if l.ov != nil && l.issue() {
 					l.lastFlops = l.stated
@@ -185,6 +191,14 @@ func (l *Loop) Next(now protocol.Time) Action {
 		case computed:
 			l.iters++
 			l.resid.Record(l.rank, seconds(now), l.res)
+			if math.IsNaN(l.res) || math.IsInf(l.res, 0) {
+				// A non-finite residual never converges, and the data
+				// that produced it spreads: the rank exits, and the
+				// solve ends (NonFinite).
+				l.nonFinite = true
+				l.stage = halted
+				return Action{Kind: Exit}
+			}
 			if l.mode == Sync {
 				l.stage = exchanged
 				return Action{Kind: Exchange}
@@ -332,7 +346,7 @@ func NewReport(loops []*Loop, coord *protocol.Coordinator, stalled bool) Report 
 		Stalled:          stalled,
 		Protocol:         loops[0].p,
 	}
-	stopped, capped := coord.Stopped(), false
+	stopped, capped, nonFinite := coord.Stopped(), false, false
 	for r, l := range loops {
 		l.join()
 		lo, hi := l.bounds[l.rank], l.bounds[l.rank+1]
@@ -346,8 +360,11 @@ func NewReport(loops []*Loop, coord *protocol.Coordinator, stalled bool) Report 
 		rep.ReconfirmRounds += l.rk.Reconfirms()
 		stopped = stopped || l.stage == halted
 		capped = capped || l.capped
+		nonFinite = nonFinite || l.nonFinite
 	}
 	switch {
+	case nonFinite:
+		rep.Reason = StopNonFinite
 	case stalled:
 		rep.Reason = StopStalled
 	case stopped && !capped:

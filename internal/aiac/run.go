@@ -146,6 +146,16 @@ func (rt *coordRuntime) BroadcastStop() {
 	rt.env.Comm(0).BroadcastStop(rt.coordProc)
 }
 
+// abandon ends the solve for every rank at once, out of band: each rank's
+// stop gate opens, so a rank that iterates exits at its next iteration
+// boundary. A rank waiting in a synchronous exchange or reduction stays
+// blocked, and the run ends stalled as well.
+func (e *run) abandon() {
+	for r := range e.loops {
+		e.env.Comm(r).Stop().Open()
+	}
+}
+
 // runRank is the body of one iterating processor.
 func (e *run) runRank(p *des.Proc, r int) {
 	comm := e.env.Comm(r)
@@ -299,6 +309,9 @@ func (e *run) drive(p *des.Proc, r int, comm Comm) {
 			case Exit:
 				e.finish[r] = p.Now()
 				e.done[r] = true
+				if l.NonFinite() {
+					e.abandon()
+				}
 				return
 			}
 		}

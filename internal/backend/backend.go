@@ -236,7 +236,7 @@ type solver struct {
 	spawnedAt time.Time
 	startAt   atomic.Value // time.Time of the first post-barrier rank
 
-	abort     chan struct{} // wall-clock guard tripped, or a rank panicked
+	abort     chan struct{} // wall-clock guard tripped, a rank panicked, or a residual was non-finite
 	abortOnce sync.Once
 	stalled   atomic.Bool
 	errOnce   sync.Once
@@ -396,6 +396,12 @@ func (s *solver) spawn(f func()) {
 // trip aborts the solve and marks it stalled.
 func (s *solver) trip() {
 	s.stalled.Store(true)
+	s.abandon()
+}
+
+// abandon aborts the solve: every rank exits at its next iteration
+// boundary or wait.
+func (s *solver) abandon() {
 	s.abortOnce.Do(func() { close(s.abort) })
 	// Pending blocking sends and waits unblock through the closed
 	// transport.
@@ -675,6 +681,9 @@ func (s *solver) runRank(r int) {
 			}
 			l.Reduced(global)
 		case aiac.Exit:
+			if l.NonFinite() {
+				s.abandon()
+			}
 			return
 		}
 	}

@@ -240,8 +240,11 @@ type measurement struct {
 	proto        protocol.Params
 
 	// flags holds the repetition's convergence red-flag verdicts
-	// (internal/obs detectors), comma-separated and sorted.
-	flags string
+	// (internal/obs detectors), comma-separated and sorted; nonFinite
+	// says a solve ended on a non-finite residual (aiac.StopNonFinite),
+	// which flags as obs.FlagNonFinite.
+	flags     string
+	nonFinite bool
 
 	// Critical-path attribution of the repetition's trace
 	// (internal/obs/critpath), zero when the repetition was not traced.
@@ -336,10 +339,23 @@ func (m measurement) result(c Cell) report.Result {
 // protocolObservability folds an engine report's protocol counters and
 // constants into the measurement.
 func (m *measurement) fromEngine(rpt *aiac.Report) {
+	m.nonFinite = m.nonFinite || rpt.Reason == aiac.StopNonFinite
 	m.heartbeats += rpt.Heartbeats
 	m.rebroadcasts += rpt.StopRebroadcasts
 	m.reconfirms += rpt.ReconfirmRounds
 	m.proto = rpt.Protocol
+}
+
+// redFlags is the repetition's red-flag column: obs.Detect's verdicts on
+// its residual timelines, and FlagNonFinite when a solve ended on a
+// non-finite residual.
+func redFlags(resid *obs.Residuals, m measurement, eps float64) string {
+	flags := obs.Detect(resid, m.converged, obs.DetectorParams{Eps: eps})
+	if m.nonFinite {
+		flags = append(flags, obs.FlagNonFinite)
+		sort.Strings(flags)
+	}
+	return strings.Join(flags, ",")
 }
 
 // scenarioName normalises the cell's scenario ("" means static).
@@ -596,7 +612,7 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 		m.restarts = rpt.Restarts
 		m.fromEngine(rpt)
 	}
-	m.flags = strings.Join(obs.Detect(resid, m.converged, obs.DetectorParams{Eps: cellEps(c, spec)}), ",")
+	m.flags = redFlags(resid, m, cellEps(c, spec))
 	// Attribute the run's critical path while the trace is still alive
 	// (the global-Newton chem path records no compute spans and keeps a
 	// zero attribution).
@@ -681,10 +697,7 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 		m.messages += rpt.Net.Messages
 		m.bytes += rpt.Net.Bytes
 		m.dropped += rpt.Net.Dropped
-		m.heartbeats += rpt.Heartbeats
-		m.rebroadcasts += rpt.StopRebroadcasts
-		m.reconfirms += rpt.ReconfirmRounds
-		m.proto = rpt.Protocol
+		m.fromEngine(&rpt.Report)
 	}
 	m := measurement{converged: true}
 	if c.Problem == "chem" {
@@ -704,7 +717,7 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 			}
 			fold(&m, rpt, nil)
 			y = rpt.X
-			if m.stalled {
+			if m.stalled || m.nonFinite {
 				break
 			}
 		}
@@ -719,7 +732,7 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 		}
 		fold(&m, rpt, s.xtrue)
 	}
-	m.flags = strings.Join(obs.Detect(resid, m.converged, obs.DetectorParams{Eps: cellEps(c, spec)}), ",")
+	m.flags = redFlags(resid, m, cellEps(c, spec))
 	// Native attribution runs against the trace's own horizon rather than
 	// the reported wall time: the wall measurement starts at the first
 	// post-barrier rank, while the trace clock starts at the solve's

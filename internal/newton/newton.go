@@ -70,7 +70,9 @@ func NewStripSolver(sys LocalSystem, lo, hi int, gp gmres.Params) *StripSolver {
 // J(y)·δ = −G(y) restricted to [Lo,Hi), then y[Lo:Hi) += δ.
 // It returns the scaled max-norm of δ (the local residual used for
 // convergence detection, res = max |δ_i| / max(|y_i|, 1)) and the total
-// flop count including the inner GMRES.
+// flop count including the inner GMRES. When the inner solve fails, y is
+// left as it was and the residual is the inner solve's final relative
+// residual, NaN if the system carries non-finite values.
 func (s *StripSolver) Iterate(y []float64) (residual, flops float64, err error) {
 	if len(y) != s.Sys.Dim() {
 		panic("newton: state dimension mismatch")
@@ -100,7 +102,7 @@ func (s *StripSolver) Iterate(y []float64) (residual, flops float64, err error) 
 	res, gerr := gmres.SolveWith(&s.ws, op, s.g, s.delta, s.Gmres, s.Sys.JFlops(lo, hi))
 	flops += res.Flops
 	if gerr != nil {
-		return 0, flops, fmt.Errorf("newton: inner solve on [%d,%d): %w", lo, hi, gerr)
+		return res.Residual, flops, fmt.Errorf("newton: inner solve on [%d,%d): %w", lo, hi, gerr)
 	}
 	var maxs float64
 	for i := 0; i < n; i++ {

@@ -20,6 +20,11 @@ package obs
 //     never got back down to its pre-crash best — recovery lost
 //     numerical ground it could not re-earn.
 //
+// One more flag is not a detector's: non-finite marks a cell whose solve
+// ended on a NaN or infinite Update residual (aiac.StopNonFinite); the
+// sweep sets it from the solve's stop reason, since downsampling may drop
+// the one sample that showed it.
+//
 // The detectors only read downsampled trajectories, so thresholds are
 // deliberately coarse: each flag should fire on order-of-magnitude
 // pathologies, never on the noisy-but-healthy trajectories of the smoke
@@ -32,6 +37,7 @@ const (
 	FlagOscillation       = "oscillation"
 	FlagPlateau           = "plateau"
 	FlagRestartRegression = "restart-regression"
+	FlagNonFinite         = "non-finite"
 )
 
 // DetectorParams tunes the red-flag detectors. The zero value selects the

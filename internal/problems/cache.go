@@ -3,7 +3,6 @@ package problems
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"aiac/internal/sparse"
@@ -24,12 +23,12 @@ import (
 // the iterate and caller-owned scratch, Reaction's EvalG/ApplyJ read F,
 // and the per-run mutable state (scratch buffers, strip solvers)
 // lives on the per-call problem structs, never on the shared arrays. The
-// cache enforces the contract at runtime: every entry is checksummed when
-// built, re-verified on every retrieval while small enough for that to be
-// free (verifyOnHitLimit), and re-verified in full by Verify at the end
-// of a sweep — so code that mutates a shared system panics at the next
-// cache hit (or fails the sweep) instead of silently corrupting
-// concurrent cells.
+// cache enforces the contract at runtime: every entry is checksummed while
+// it is built (sparse.NewSystemSum), re-verified on every retrieval while
+// small enough for that to be cheap (verifyOnHitLimit), and re-verified in
+// full by Verify at the end of a sweep — so code that mutates a shared
+// system panics at the next cache hit (or fails the sweep) instead of
+// silently corrupting concurrent cells.
 //
 // Entries are never evicted: they live until the Cache itself is dropped
 // (one sweep, in matrix.Run), because the end-of-sweep Verify needs them
@@ -100,7 +99,7 @@ type reactEntry struct {
 }
 
 func (e *reactEntry) checksum() uint64 {
-	return sumFloats(sumFloats(sumInit, e.f), e.xtrue)
+	return sparse.Checksum(e.f, e.xtrue)
 }
 
 // Stats reports how many retrievals hit an already-built entry and how
@@ -115,11 +114,13 @@ func (c *Cache) Stats() (hits, misses int) {
 }
 
 // verifyOnHitLimit bounds the entry size (in stored float64s) that is
-// re-checksummed on every retrieval. A full pass over a paper-scale
-// system (n=2,000,000 × 30 diagonals ≈ 60M floats) would cost a
-// significant fraction of the assembly time it saves, per hit — such
-// entries are verified once per sweep instead (Verify, called by
-// matrix.Run when the sweep finishes).
+// re-checksummed on every retrieval. The eight-lane checksum on two cores
+// (sparse.SystemSum) took 1.5–1.7 ms for kernel-large's 250 000-row entry
+// (3.75M floats, under the limit) on a 2-core Xeon, about an eighth of its
+// assembly. At paper scale (n=2,000,000 × 31 bands ≈ 66M floats) that is
+// some 30 ms per hit, each hit repeating it — such entries are verified
+// once per sweep instead (Verify, called by matrix.Run when the sweep
+// finishes).
 const verifyOnHitLimit = 1 << 22
 
 // NormalizeOperator canonicalizes an operator-kind string: "" and "dia"
@@ -138,13 +139,15 @@ func NormalizeOperator(op string) string {
 }
 
 // buildSystem assembles one test system with the requested operator
-// kind. Both kinds share the parameter space; the stencil materializes
-// only the two vectors.
-func buildSystem(op string, n, diags int, rho float64, seed int64) (sparse.Operator, []float64, []float64) {
+// kind, and its checksum (sparse.SystemSum; NewSystemSum takes it while it
+// assembles). Both kinds share the parameter space; the stencil
+// materializes only the two vectors.
+func buildSystem(op string, n, diags int, rho float64, seed int64) (sparse.Operator, []float64, []float64, uint64) {
 	if NormalizeOperator(op) == "stencil" {
-		return sparse.NewStencilSystem(n, diags, rho, seed)
+		a, b, xt := sparse.NewStencilSystem(n, diags, rho, seed)
+		return a, b, xt, sparse.SystemSum(a, b, xt)
 	}
-	return sparse.NewSystem(n, diags, rho, seed)
+	return sparse.NewSystemSum(n, diags, rho, seed)
 }
 
 // sharedSystem returns the memoized (A, b, xTrue) for the key, building it
@@ -158,7 +161,8 @@ func buildSystem(op string, n, diags int, rho float64, seed int64) (sparse.Opera
 func (c *Cache) sharedSystem(op string, n, diags int, rho float64, seed int64) (sparse.Operator, []float64, []float64) {
 	op = NormalizeOperator(op)
 	if c == nil {
-		return buildSystem(op, n, diags, rho, seed)
+		a, b, xt, _ := buildSystem(op, n, diags, rho, seed)
+		return a, b, xt
 	}
 	k := linearKey{op: op, n: n, diags: diags, rho: rho, seed: seed}
 	c.mu.Lock()
@@ -173,9 +177,8 @@ func (c *Cache) sharedSystem(op string, n, diags int, rho float64, seed int64) (
 	c.mu.Unlock()
 	built := false
 	e.once.Do(func() {
-		e.a, e.b, e.xtrue = buildSystem(op, n, diags, rho, seed)
+		e.a, e.b, e.xtrue, e.sum = buildSystem(op, n, diags, rho, seed)
 		e.elems = e.a.StoredFloats() + len(e.b) + len(e.xtrue)
-		e.sum = e.checksum()
 		built = true
 	})
 	if !built && e.elems <= verifyOnHitLimit {
@@ -216,10 +219,7 @@ func (c *Cache) Verify() error {
 }
 
 func (e *linearEntry) checksum() uint64 {
-	sum := sumMix(sumInit, e.a.Fingerprint())
-	sum = sumFloats(sum, e.b)
-	sum = sumFloats(sum, e.xtrue)
-	return sum
+	return sparse.SystemSum(e.a, e.b, e.xtrue)
 }
 
 // sharedReaction returns the memoized (forcing, manufactured solution) of
@@ -288,23 +288,4 @@ func (c *Cache) LinearGMRESOp(op string, n, numDiags int, rho float64, seed int6
 func (c *Cache) Reaction(n int, cc float64, seed int64) *Reaction {
 	f, xt := c.sharedReaction(n, cc, seed)
 	return newReactionAround(n, cc, f, xt)
-}
-
-// Checksumming: word-level FNV-1a over the float bit patterns (and offset
-// values), order-sensitive. Not cryptographic — it only needs to catch
-// accidental in-place mutation of a shared system.
-const (
-	sumInit  uint64 = 14695981039346656037
-	sumPrime uint64 = 1099511628211
-)
-
-func sumMix(sum, w uint64) uint64 {
-	return (sum ^ w) * sumPrime
-}
-
-func sumFloats(sum uint64, xs []float64) uint64 {
-	for _, x := range xs {
-		sum = sumMix(sum, math.Float64bits(x))
-	}
-	return sum
 }

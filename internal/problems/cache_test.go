@@ -1,6 +1,8 @@
 package problems
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -103,23 +105,52 @@ func TestCacheKeysOperatorKind(t *testing.T) {
 	}
 }
 
-// Mutating a cached system must panic at the next retrieval: shared
-// assembly is read-only by contract, and silent corruption would poison
-// every concurrent cell.
+// Mutating a cached system must panic at the next retrieval, and fail
+// Verify: shared assembly is read-only by contract, and silent corruption
+// would poison every concurrent cell. A one-bit flip of any single word is
+// caught — checked at the first, a middle and the last word of every band,
+// of b and of xTrue, on a system small enough to be verified on every hit
+// and on one the partner goroutine assembles and checksums.
 func TestCacheDetectsMutation(t *testing.T) {
-	c := NewCache()
-	l := c.Linear(500, 6, 0.8, 7)
-	l.A.(*sparse.DIA).Diags[0][3] += 1e-9
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("retrieving a mutated cached system must panic")
+	for _, n := range []int{500, 40000} {
+		c := NewCache()
+		l := c.Linear(n, 6, 0.8, 7)
+		a := l.A.(*sparse.DIA)
+		parts := map[string][]float64{"b": l.B, "xTrue": l.XTrue}
+		for k, d := range a.Diags {
+			parts[fmt.Sprintf("band %d", k)] = d
 		}
-		if !strings.Contains(r.(string), "mutated") {
-			t.Fatalf("unexpected panic: %v", r)
+		for name, p := range parts {
+			for _, i := range []int{0, len(p) / 2, len(p) - 1} {
+				p[i] = math.Float64frombits(math.Float64bits(p[i]) ^ 1)
+				if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "mutated") {
+					t.Errorf("n=%d: Verify missed a flipped bit in %s[%d]: %v", n, name, i, err)
+				}
+				if msg := hitPanic(c, n); !strings.Contains(msg, "mutated") {
+					t.Errorf("n=%d: the next hit missed a flipped bit in %s[%d] (panic %q)", n, name, i, msg)
+				}
+				p[i] = math.Float64frombits(math.Float64bits(p[i]) ^ 1)
+			}
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatalf("n=%d: restored cache failed Verify: %v", n, err)
+		}
+		if msg := hitPanic(c, n); msg != "" {
+			t.Fatalf("n=%d: restored cache panicked on a hit: %s", n, msg)
+		}
+	}
+}
+
+// hitPanic retrieves the n-row test system again and returns what the
+// retrieval panicked with, or "".
+func hitPanic(c *Cache, n int) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
 	}()
-	c.Linear(500, 6, 0.8, 7)
+	c.Linear(n, 6, 0.8, 7)
+	return ""
 }
 
 func TestCacheDetectsReactionMutation(t *testing.T) {

@@ -2,7 +2,6 @@ package problems
 
 import (
 	"fmt"
-	"math"
 
 	"aiac/internal/aiac"
 	"aiac/internal/chem"
@@ -94,16 +93,11 @@ func (c *ChemStep) DepsFor(rank int, bounds []int) []aiac.Segment {
 	return deps
 }
 
-// Update implements aiac.Problem: one strip Newton iteration. A failed
-// inner solve (possible transiently with badly stale ghost data) reports a
-// huge residual so the processor keeps iterating rather than declaring
-// convergence.
+// Update implements aiac.Problem: one strip Newton iteration
+// (newtonResidual).
 func (c *ChemStep) Update(rank int, bounds []int, x []float64) (residual, flops float64) {
 	res, fl, err := c.solvers[rank].Iterate(x)
-	if err != nil {
-		return math.Inf(1), fl
-	}
-	return res, fl
+	return newtonResidual(res, err), fl
 }
 
 var _ aiac.Problem = (*ChemStep)(nil)

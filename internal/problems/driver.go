@@ -43,7 +43,8 @@ func (c *ChemRun) AllConverged() bool {
 // RunChem advances the chemical problem from y0 over [0, tEnd] in steps of
 // h on the given grid and environment. Each step is one engine session; the
 // engine's entry barrier provides the paper's per-time-step
-// synchronisation.
+// synchronisation. A step that ends on a non-finite residual ends the run:
+// the later steps would start from its state.
 func RunChem(grid *cluster.Grid, env aiac.Env, p *chem.Problem, y0 []float64, h, tEnd float64, gp gmres.Params, cfg aiac.Config) *ChemRun {
 	run := &ChemRun{Y: make([]float64, len(y0))}
 	copy(run.Y, y0)
@@ -53,6 +54,9 @@ func RunChem(grid *cluster.Grid, env aiac.Env, p *chem.Problem, y0 []float64, h,
 		rep := aiac.Run(grid, env, prob, cfg)
 		run.Steps = append(run.Steps, rep)
 		run.Y = rep.X
+		if rep.Reason == aiac.StopNonFinite {
+			break
+		}
 	}
 	run.Elapsed = grid.Sim.Now() - start
 	return run

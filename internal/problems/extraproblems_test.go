@@ -1,6 +1,7 @@
 package problems_test
 
 import (
+	"math"
 	"testing"
 
 	"aiac/internal/aiac"
@@ -88,5 +89,40 @@ func TestReactionSeedsDiffer(t *testing.T) {
 	b := problems.NewReaction(500, 1, 2)
 	if la.MaxNormDiff(a.XTrue, b.XTrue) == 0 {
 		t.Fatal("seeds 1 and 2 produced identical manufactured solutions")
+	}
+}
+
+// A stagnated inner solve is not a failed run: with the inner GMRES capped
+// at one iteration every block solve stagnates, and the ranks must keep
+// iterating to their cap, sync and async, instead of ending on a
+// non-finite residual.
+func TestLinearGMRESStagnationKeepsIterating(t *testing.T) {
+	for _, mode := range []aiac.Mode{aiac.Sync, aiac.Async} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sim := des.New()
+			grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
+			var env aiac.Env
+			if mode == aiac.Sync {
+				env = mpi.MustNew(grid, nil)
+			} else {
+				env = pm2.MustNew(grid, pm2.Sparse, nil)
+			}
+			prob := problems.NewLinearGMRES(600, 8, 0.6, 1)
+			prob.Gmres.MaxIters = 1
+			rep := aiac.Run(grid, env, prob, aiac.Config{Mode: mode, Eps: 1e-7, MaxIters: 40})
+			if rep.Reason != aiac.StopIterCap {
+				t.Fatalf("reason = %s, want %s", rep.Reason, aiac.StopIterCap)
+			}
+		})
+	}
+	// A block solve that stagnates on NaN data reports NaN, which ends
+	// the solve.
+	prob := problems.NewLinearGMRES(600, 8, 0.6, 1)
+	x := prob.InitialVector()
+	for i := range x {
+		x[i] = math.NaN()
+	}
+	if res, _ := prob.Update(0, prob.PartitionBounds(4), x); !math.IsNaN(res) {
+		t.Fatalf("a block solve on NaN data reports %v, want NaN", res)
 	}
 }

@@ -92,9 +92,11 @@ func (l *LinearGMRES) DepsFor(rank int, bounds []int) []aiac.Segment {
 
 // Update implements aiac.Problem: one inner GMRES solve of the rank's
 // diagonal block against the current ghost values. The residual is the
-// max-norm change of the block (Equ. 6); a stagnated inner solve reports an
-// infinite residual so the processor keeps iterating rather than declaring
-// convergence on a half-solved block.
+// max-norm change of the block (Equ. 6). A stagnated inner solve leaves the
+// block as it was and reports the largest finite residual, so the processor
+// keeps iterating rather than declaring convergence on a half-solved block;
+// one that stagnated on non-finite data reports NaN, which ends the solve
+// (aiac.StopNonFinite), as strip Newton does (newtonResidual).
 func (l *LinearGMRES) Update(rank int, bounds []int, x []float64) (residual, flops float64) {
 	lo, hi := bounds[rank], bounds[rank+1]
 	m := hi - lo
@@ -131,7 +133,10 @@ func (l *LinearGMRES) Update(rank int, bounds []int, x []float64) (residual, flo
 	res, err := gmres.SolveWith(&sc.ws, apply, sc.rhs, sc.u, l.Gmres, opFlops)
 	flops += res.Flops
 	if err != nil {
-		return math.Inf(1), flops
+		if math.IsNaN(res.Residual) {
+			return math.NaN(), flops
+		}
+		return math.MaxFloat64, flops
 	}
 	var maxd float64
 	for i := 0; i < m; i++ {

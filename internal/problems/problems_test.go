@@ -202,3 +202,32 @@ func TestLinearName(t *testing.T) {
 		t.Fatal("bad chem name/size")
 	}
 }
+
+// A strip Newton iteration on NaN data reports a NaN residual — which
+// ends the solve — while any other failed inner solve reports the largest
+// finite residual, so the rank keeps iterating.
+func TestNewtonResidualOnFailure(t *testing.T) {
+	p := chem.New(8, 8)
+	step := NewChemStep(p, p.InitialState(), 180, 180, gmres.Params{Tol: 1e-6, Restart: 30})
+	bounds := step.PartitionBounds(2)
+	x := step.InitialVector()
+	for i := bounds[0]; i < bounds[1]; i++ {
+		x[i] = math.NaN()
+	}
+	if res, _ := step.Update(0, bounds, x); !math.IsNaN(res) {
+		t.Errorf("chem step on NaN data: residual %v, want NaN", res)
+	}
+	r := NewReaction(400, 1, 7)
+	rb := r.PartitionBounds(2)
+	rx := r.InitialVector()
+	rx[rb[1]-1] = math.NaN()
+	if res, _ := r.Update(1, rb, rx); !math.IsNaN(res) {
+		t.Errorf("reaction on a NaN ghost: residual %v, want NaN", res)
+	}
+	if got := newtonResidual(0.5, gmres.ErrStagnated); got != math.MaxFloat64 {
+		t.Errorf("a failed inner solve on finite data reports %v, want the largest finite residual", got)
+	}
+	if got := newtonResidual(0.5, nil); got != 0.5 {
+		t.Errorf("a successful iteration reports %v, want its own 0.5", got)
+	}
+}

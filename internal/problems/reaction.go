@@ -128,16 +128,23 @@ func (r *Reaction) DepsFor(rank int, bounds []int) []aiac.Segment {
 	return deps
 }
 
-// Update implements aiac.Problem: one strip Newton iteration. A failed
-// inner solve (possible transiently with badly stale ghost data) reports a
-// huge residual so the processor keeps iterating rather than declaring
-// convergence.
+// Update implements aiac.Problem: one strip Newton iteration
+// (newtonResidual).
 func (r *Reaction) Update(rank int, bounds []int, x []float64) (residual, flops float64) {
 	res, fl, err := r.solvers[rank].Iterate(x)
-	if err != nil {
-		return math.Inf(1), fl
+	return newtonResidual(res, err), fl
+}
+
+// newtonResidual is the residual a strip Newton iteration reports. A
+// failed inner solve — possible transiently with badly stale ghost data —
+// reports the largest finite residual, so the processor keeps iterating
+// rather than declaring convergence; one that failed on non-finite data
+// reports NaN, which ends the solve (aiac.StopNonFinite).
+func newtonResidual(res float64, err error) float64 {
+	if err != nil && !math.IsNaN(res) {
+		return math.MaxFloat64
 	}
-	return res, fl
+	return res
 }
 
 // --- newton.LocalSystem ---

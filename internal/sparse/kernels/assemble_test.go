@@ -1,0 +1,167 @@
+package kernels
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"aiac/internal/sparse"
+)
+
+// assemblyMismatch builds one system with the shipped sparse.NewSystem
+// and with AssembleBaseline and describes the first difference in
+// offsets, bands, b or xTrue, bit for bit, or returns "".
+func assemblyMismatch(n, numDiags int, rho float64, seed int64) string {
+	wa, wb, wx := AssembleBaseline(n, numDiags, rho, seed)
+	ga, gb, gx := sparse.NewSystem(n, numDiags, rho, seed)
+	if fmt.Sprint(ga.Offsets) != fmt.Sprint(wa.Offsets) {
+		return fmt.Sprintf("offsets %v, want %v", ga.Offsets, wa.Offsets)
+	}
+	for k := range wa.Diags {
+		if i, ok := bitsEqual(wa.Diags[k], ga.Diags[k]); !ok || len(ga.Diags[k]) != n {
+			return fmt.Sprintf("band %d (offset %d) row %d differs", k, wa.Offsets[k], i)
+		}
+	}
+	if i, ok := bitsEqual(wb, gb); !ok || len(gb) != n {
+		return fmt.Sprintf("b[%d] differs", i)
+	}
+	if i, ok := bitsEqual(wx, gx); !ok || len(gx) != n {
+		return fmt.Sprintf("xTrue[%d] differs", i)
+	}
+	return ""
+}
+
+// ValidateAssembly proves sparse.NewSystem bit-identical to
+// AssembleBaseline on random shapes: 60 systems of up to 400 rows, whose
+// offsets land anywhere in ±(n−1), and 6 of up to 6000 rows, several row
+// tiles each. This is what the assembly table's "valid" column reports.
+func ValidateAssembly() bool {
+	rng := rand.New(rand.NewSource(78))
+	for trial := 0; trial < 66; trial++ {
+		maxN := 401
+		if trial >= 60 {
+			maxN = 6001
+		}
+		n := 2 + rng.Intn(maxN-1)
+		nd := min(n-1, 1+rng.Intn(40))
+		if assemblyMismatch(n, nd, 0.5+0.49*rng.Float64(), rng.Int63()-rng.Int63()) != "" {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAssembleMatchesBaseline holds the shipped NewSystem to the frozen
+// row loop on the sizes that cross the generator's boundaries (fewer than
+// 607 draws come from the source; 607 and beyond from the recurrence),
+// the workloads' sizes, and band counts up to n−1 — so rows whose band set
+// is empty (diagonal 1/rho) and offsets at ±(n−1) occur — under
+// GOMAXPROCS 1 and 2.
+func TestAssembleMatchesBaseline(t *testing.T) {
+	type shape struct{ n, nd int }
+	shapes := []shape{{2, 1}, {3, 1}, {3, 2}, {13, 1}, {13, 6}, {13, 12},
+		{607, 1}, {607, 30}, {607, 606}, {608, 1}, {608, 607}, {12000, 12}, {250000, 12}}
+	if testing.Short() {
+		shapes = shapes[:len(shapes)-1]
+	}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, s := range shapes {
+				for _, seed := range []int64{0, 1, 20040426, -5} {
+					if msg := assemblyMismatch(s.n, s.nd, 0.85, seed); msg != "" {
+						t.Errorf("n=%d numDiags=%d seed=%d: %s", s.n, s.nd, seed, msg)
+					}
+				}
+			}
+		})
+	}
+	if !ValidateAssembly() {
+		t.Error("NewSystem differs from AssembleBaseline on a random shape")
+	}
+}
+
+// assemblySizes are the system sizes of the assembly table: the default
+// sweep's linear system, a middle size, and the `kernel-large` workload's.
+var assemblySizes = []int{12000, 60000, 250000}
+
+// AssemblyRow is one line of the assembly table.
+type AssemblyRow struct {
+	Name    string
+	N       int
+	Valid   bool
+	Ms      float64 // milliseconds per system
+	Speedup float64 // vs assemble-baseline at the same n
+	Note    string
+}
+
+var assemblers = []struct {
+	name, note string
+	build      func(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64, uint64)
+}{
+	{"assemble-baseline", "frozen NewSystem and cache checksum: one rng.Float64 per entry through the Source, the row loop for the diagonal, b = A·x*, then one serial FNV-1a chain over the system, all on one goroutine", AssembleBaselineSum},
+	{"assemble-shipped", "sparse.NewSystemSum, what the cache builds: math/rand's recurrence continued in batches of 2184; a second goroutine allocates bands ahead and sums each drawn band in 8 lanes; row sums, diagonal and b a 2048-row tile at a time, half the rows on each goroutine", sparse.NewSystemSum},
+}
+
+// MeasureAssembly validates and times both assemblers at every size of
+// the table, each system of the default linear shape (12 off-diagonals,
+// rho=0.85, seed 20040426). Both rows time what a cache miss pays: the
+// system and its checksum. A shipped row is valid when NewSystem matched
+// the baseline bit for bit on ValidateAssembly's random shapes and on the
+// row's own system.
+func MeasureAssembly() []AssemblyRow {
+	shapesValid := ValidateAssembly()
+	var rows []AssemblyRow
+	for _, n := range assemblySizes {
+		var base float64
+		for i, as := range assemblers {
+			row := AssemblyRow{Name: as.name, N: n, Note: as.note, Valid: true}
+			if i > 0 {
+				row.Valid = shapesValid && assemblyMismatch(n, benchDiags, benchRho, benchSeed) == ""
+			}
+			r := testing.Benchmark(func(b *testing.B) {
+				for j := 0; j < b.N; j++ {
+					as.build(n, benchDiags, benchRho, benchSeed)
+				}
+			})
+			row.Ms = float64(r.T.Nanoseconds()) / float64(r.N) / 1e6
+			if i == 0 {
+				base = row.Ms
+			}
+			row.Speedup = base / row.Ms
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// AssemblyMarkdown renders the assembly table.
+func AssemblyMarkdown(rows []AssemblyRow) string {
+	var sb strings.Builder
+	sb.WriteString("| variant | n | valid | ms/system | speedup | note |\n")
+	sb.WriteString("|---|---|---|---|---|---|\n")
+	for _, r := range rows {
+		valid := 0
+		if r.Valid {
+			valid = 1
+		}
+		fmt.Fprintf(&sb, "| %s | %d | %d | %.2f | %.3f | %s |\n", r.Name, r.N, valid, r.Ms, r.Speedup, r.Note)
+	}
+	return sb.String()
+}
+
+// checkAssembly is TestKernelTable's gate on the assembly table: every
+// row valid, and the shipped assembly at least 1.5x the baseline on the
+// `kernel-large` system.
+func checkAssembly(t *testing.T, rows []AssemblyRow) {
+	for _, r := range rows {
+		if !r.Valid {
+			t.Errorf("assembly: %s at n=%d measured invalid", r.Name, r.N)
+		}
+		if r.Name == "assemble-shipped" && r.N == 250000 && r.Speedup < 1.5 {
+			t.Errorf("assembly: assemble-shipped at n=%d is %.3fx the baseline, below 1.5x", r.N, r.Speedup)
+		}
+	}
+}

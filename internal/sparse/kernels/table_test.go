@@ -280,18 +280,20 @@ func TestVariantsValid(t *testing.T) {
 
 // TestKernelTable is the measured table generator and CI gate. It is
 // skipped unless requested, because timing the measured variants on both
-// shapes takes about twenty seconds:
+// shapes and the assembly table takes about half a minute:
 //
 //	KERNELS_GATE=1  go test -run TestKernelTable ./internal/sparse/kernels
 //	KERNELS_WRITE=KERNELS.md  (path relative to the repository root, or
 //	absolute) regenerates the committed table.
 //
-// Gates: every measured variant valid=1 on both shapes, and the shipped
-// step at least 1.5× the baseline step on the small shape (the committed
+// Gates: every measured variant valid=1 on both shapes, the shipped step
+// at least 1.5× the baseline step on the small shape (the committed
 // KERNELS.md documents about 4× on an idle machine; the slack absorbs
-// noisy shared runners). A runner without AVX2 ships the portable step,
-// whose committed margin is too thin for a noisy runner: the speed gate is
-// skipped there, the validity gate is not.
+// noisy shared runners), and the shipped assembly valid and at least 1.5×
+// the frozen one on the 250 000-row system. A runner without AVX2 ships
+// the portable step, whose committed margin is too thin for a noisy
+// runner: the step's speed gate is skipped there, the validity gate is
+// not.
 func TestKernelTable(t *testing.T) {
 	write := os.Getenv("KERNELS_WRITE")
 	if os.Getenv("KERNELS_GATE") == "" && write == "" {
@@ -330,6 +332,21 @@ func TestKernelTable(t *testing.T) {
 			s.name, s.rank, hi-lo, s.n, s.ranks, s.what,
 			float64(bandElems(a, lo, hi))/float64(hi-lo), len(a.Offsets), bandElems(a, lo, hi), md)
 	}
+	asm := MeasureAssembly()
+	checkAssembly(t, asm)
+	t.Logf("assembly:\n%s", AssemblyMarkdown(asm))
+	fmt.Fprintf(&sections, `## assembly: sparse.NewSystemSum, %d off-diagonals + main diagonal, rho=%g, seed %d
+
+Every cell starts by assembling its system (problems.Cache builds each
+once per sweep). ms/system is what a cache miss pays: the bands,
+diagonal, b and xTrue, and the checksum the cache keeps of them. "valid"
+= 1 means NewSystem reproduced AssembleBaseline bit for bit — every
+band, b and xTrue — on randomized shapes (sizes from 2 to 6000 rows,
+band counts up to 40, offsets anywhere in ±(n−1)) and on the row's own
+system. The speedup is against the baseline at the same n.
+
+%s
+`, benchDiags, benchRho, benchSeed, AssemblyMarkdown(asm))
 	if write == "" {
 		return
 	}

@@ -1,7 +1,5 @@
 package sparse
 
-import "math"
-
 // Operator is the abstract banded linear operator the problems layer
 // iterates: everything the solvers call on a test matrix, extracted from
 // DIA so the storage strategy is swappable. Two implementations exist:
@@ -65,33 +63,6 @@ func (a *DIA) DiagAt(i int) float64 { return a.Diags[0][i] }
 
 // StoredFloats implements Operator: every band stores n entries.
 func (a *DIA) StoredFloats() int { return len(a.Diags) * a.N }
-
-// fingerprint constants: word-level FNV-1a, order-sensitive. Not
-// cryptographic — fingerprints only need to catch accidental in-place
-// mutation (or accidental divergence of an implicit operator's
-// parameters).
-const (
-	fpInit  uint64 = 14695981039346656037
-	fpPrime uint64 = 1099511628211
-)
-
-func fpMix(sum, w uint64) uint64 { return (sum ^ w) * fpPrime }
-
-// Fingerprint implements Operator: a full FNV-1a scan over the offsets
-// and every stored band entry.
-func (a *DIA) Fingerprint() uint64 {
-	sum := fpInit
-	sum = fpMix(sum, uint64(a.N))
-	for _, o := range a.Offsets {
-		sum = fpMix(sum, uint64(int64(o)))
-	}
-	for _, d := range a.Diags {
-		for _, v := range d {
-			sum = fpMix(sum, math.Float64bits(v))
-		}
-	}
-	return sum
-}
 
 // columnsTouched is the shared ColumnsTouched implementation: the merged
 // column intervals that rows [lo,hi) of a banded operator with the given

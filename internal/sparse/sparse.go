@@ -21,12 +21,26 @@
 // internal/sparse/kernels, whose tests also keep the measured ladder
 // (KERNELS.md). The path is chosen once at start-up from CPUID/XGETBV;
 // KernelPath reports it; nothing but a test (PinPortable) overrides it.
+//
+// # Assembly
+//
+// NewSystem's bits are a contract: every band, b and xTrue equal those of
+// the original row loop (kernels.AssembleBaseline) for every shape and
+// seed, because the recorded virtual-time results of every linear cell
+// rest on them. It draws its uniforms from math/rand's own generator
+// without going through the Source: math/rand (v1) is an additive
+// lagged-Fibonacci generator whose 607-word register, once 607 outputs
+// have been drawn, holds exactly the last 607 outputs, so every later
+// output is x[n] = x[n−607] + x[n−273] mod 2⁶⁴, computed here in batches
+// (assemble.go). TestUniformsMatchMathRand pins that against math/rand
+// itself. The content checksums problems.Cache compares (Checksum,
+// SystemSum, Fingerprint) are eight-lane FNV-1a, internal to one process
+// and never persisted (checksum.go).
 package sparse
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // DIA is a sparse matrix in diagonal storage: for each stored offset o,
@@ -36,118 +50,6 @@ type DIA struct {
 	N       int
 	Offsets []int
 	Diags   [][]float64
-}
-
-// NewSystem generates the paper's test system: an n×n matrix with the main
-// diagonal plus numDiags off-diagonals whose offsets are spread over the
-// full bandwidth of the matrix (so that, once rows are distributed over
-// processors, the dependency graph is all-to-all, matching §5.1's "the
-// communication scheme is all to all according to data dependencies").
-//
-// The matrix is made strictly diagonally dominant with dominance ratio rho
-// (< 1): sum_j != i |a_ij| = rho * |a_ii|, which bounds the spectral radius
-// of the Jacobi iteration matrix by rho and guarantees convergence of both
-// the synchronous and the asynchronous iterations (El Tarazi's condition).
-// The right-hand side is chosen so the exact solution is known
-// (x*_i = 1 + i mod 3), letting tests verify convergence to the true
-// solution, not merely stagnation.
-//
-// The returned matrix and vectors are immutable by convention: every
-// solver in this repository only reads them (the kernels below write
-// exclusively into caller-owned destination and scratch slices), which is
-// what lets problems.Cache share one assembled system read-only across
-// concurrent experiment cells. Code that needs a modified system must
-// build its own.
-func NewSystem(n, numDiags int, rho float64, seed int64) (*DIA, []float64, []float64) {
-	if n < 2 || numDiags < 1 || numDiags >= n {
-		panic(fmt.Sprintf("sparse: bad system shape n=%d numDiags=%d", n, numDiags))
-	}
-	if rho <= 0 || rho >= 1 {
-		panic("sparse: dominance ratio must be in (0,1)")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	offsets := spreadOffsets(n, numDiags, rng)
-	a := &DIA{N: n, Offsets: append([]int{0}, offsets...)}
-	a.Diags = make([][]float64, len(a.Offsets))
-	for k := range a.Diags {
-		a.Diags[k] = make([]float64, n)
-	}
-	// Random off-diagonal values in [0.5, 1.5), alternating sign.
-	for k := 1; k < len(a.Offsets); k++ {
-		o := a.Offsets[k]
-		sign := 1.0
-		if k%2 == 0 {
-			sign = -1
-		}
-		for i := 0; i < n; i++ {
-			j := i + o
-			if j < 0 || j >= n {
-				continue
-			}
-			a.Diags[k][i] = sign * (0.5 + rng.Float64())
-		}
-	}
-	// Diagonal: row sum of |off-diagonals| divided by rho.
-	for i := 0; i < n; i++ {
-		var rowSum float64
-		for k := 1; k < len(a.Offsets); k++ {
-			rowSum += math.Abs(a.Diags[k][i])
-		}
-		if rowSum == 0 {
-			rowSum = 1 // isolated row: keep the diagonal well-scaled
-		}
-		a.Diags[0][i] = rowSum / rho
-	}
-	// b = A * x_true.
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = float64(1 + i%3)
-	}
-	b := make([]float64, n)
-	a.MulVec(b, xTrue)
-	return a, b, xTrue
-}
-
-// spreadOffsets picks numDiags distinct non-zero offsets covering both
-// sides of the diagonal and reaching across the matrix width, so a row
-// block owned by one processor depends on most other blocks.
-func spreadOffsets(n, numDiags int, rng *rand.Rand) []int {
-	seen := map[int]bool{0: true}
-	var offs []int
-	// Half the offsets on a deterministic spread, half random, alternating
-	// sign: this keeps the dependency pattern reproducible per seed while
-	// covering the full width.
-	for len(offs) < numDiags {
-		var o int
-		switch len(offs) % 2 {
-		case 0: // deterministic spread across the width
-			step := (n - 1) / (numDiags + 1)
-			if step == 0 {
-				step = 1
-			}
-			o = (len(offs)/2 + 1) * step
-			if len(offs)%4 == 2 {
-				o = -o
-			}
-		default: // random
-			o = 1 + rng.Intn(n-1)
-			if rng.Intn(2) == 0 {
-				o = -o
-			}
-		}
-		for seen[o] {
-			o++
-			if o >= n {
-				o = -(n - 1)
-			}
-			if o == 0 {
-				o = 1
-			}
-		}
-		seen[o] = true
-		offs = append(offs, o)
-	}
-	return offs
 }
 
 // NNZ returns the number of stored non-zero positions.
