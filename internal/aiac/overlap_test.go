@@ -3,12 +3,9 @@ package aiac_test
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +15,7 @@ import (
 	"aiac/internal/cluster"
 	"aiac/internal/des"
 	"aiac/internal/env/pm2"
+	"aiac/internal/ladder"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
 	"aiac/internal/scenario"
@@ -202,46 +200,6 @@ func TestOverlapAllocatesNothingPerUpdate(t *testing.T) {
 // blocks, three that bracket the threshold, and kernel-large's.
 var overlapShapes = []int{300, 1500, 3000, 10000, 20000, 40000, 125000}
 
-// overlapRow is one line of OVERLAP.md.
-type overlapRow struct {
-	Variant  string
-	Rows     int
-	Valid    bool
-	InlineMS float64 // median host ms of the shape's inline solves
-	MS       float64 // the variant's
-	Share    float64 // of the Updates, the share the helper ran
-	Note     string
-}
-
-const (
-	everyNote = "not shipped: overlapMinFlops 0, so every rank hands its Update over, whatever its size"
-	queueNote = "not shipped: an Update issued while the helper is busy waits in its queue (a slot per rank), and the join runs it if still queued"
-)
-
-// recordedOverlapRows are the variants not kept, as OVERLAP.md last
-// measured them, their code deleted.
-var recordedOverlapRows = []overlapRow{
-	{"overlap every Update", 300, true, 1.50, 1.60, 0.00, everyNote},
-	{"overlap every Update", 1500, true, 3.24, 3.40, 0.00, everyNote},
-	{"overlap every Update", 3000, true, 6.93, 7.43, 0.00, everyNote},
-	{"overlap every Update", 10000, true, 17.67, 18.59, 0.02, everyNote},
-	{"overlap every Update", 20000, true, 56.39, 56.70, 0.31, everyNote},
-	{"overlap every Update", 40000, true, 126.03, 96.40, 0.41, everyNote},
-	{"overlap every Update", 125000, true, 898.07, 536.36, 0.38, everyNote},
-	{"queue behind the helper", 20000, true, 53.97, 61.23, 0.52, queueNote},
-	{"queue behind the helper", 40000, true, 130.82, 176.89, 0.44, queueNote},
-	{"queue behind the helper", 125000, true, 987.76, 855.24, 0.58, queueNote},
-}
-
-func overlapLine(r overlapRow) string {
-	valid := 0
-	if r.Valid {
-		valid = 1
-	}
-	return fmt.Sprintf("| %d | %s | %d | %.2f | %.2f | %.3f | %.0f %% | %s |",
-		r.Rows, r.Variant, valid, r.InlineMS, r.MS, r.InlineMS/r.MS, 100*r.Share, r.Note)
-}
-
 // overlapCell is one timed pair of solves of a shape — sync, then async —
 // on the kernel-large cell's environment and grid: two pm2 ranks on the
 // local cluster's 100 Mb/s Ethernet.
@@ -255,31 +213,32 @@ func overlapCell(prob aiac.Problem) (ms float64, reps [2]*aiac.Report) {
 	return float64(time.Since(t0).Microseconds()) / 1e3, reps
 }
 
-func medianOf(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
+// overlapSpec is what TestLadderOverlap measures in OVERLAP.md.
+func overlapSpec() ladder.Spec {
+	var rows []string
+	for _, n := range overlapShapes {
+		rows = append(rows, fmt.Sprintf("%d | inline", n), fmt.Sprintf("%d | shipped", n))
+	}
+	return ladder.Spec{Doc: "OVERLAP.md", Regions: []string{"machine"}, Tables: []ladder.Table{{
+		Anchor: "| rows |", Key: []string{"rows", "variant"}, Rows: rows,
+		Cols: []string{"valid", "inline ms", "ms", "speedup", "overlapped"},
+	}}}
 }
 
-// TestOverlapTable measures OVERLAP.md: for every shape, the inline
-// solve (the problem behind hidden) and the shipped selection, alternating,
-// each repeated for at least half a second and five times; a shipped row
-// is valid when every one of its reports is bit-identical to the inline
-// one. The recorded rows are printed as they stand.
-//
-//	OVERLAP_GATE=1 go test -run TestOverlapTable -v ./internal/aiac
-//	OVERLAP_WRITE=OVERLAP.md go test -run TestOverlapTable ./internal/aiac
-//
-// OVERLAP_WRITE is a path relative to the repository root (or absolute).
+// TestLadderOverlap checks OVERLAP.md and, under LADDER_GATE=1 or
+// LADDER_WRITE=1, measures it: for every shape, the inline solve (the
+// problem behind hidden) and the shipped selection, alternating, each
+// repeated for at least half a second and five times; a shipped row is
+// valid when every one of its reports is bit-identical to the inline one.
 // The gate: every measured row valid, and the shipped selection at least
 // 1.25x inline on the 125 000-row shape — skipped, and said so, when
 // GOMAXPROCS is 1, where nothing can overlap.
-func TestOverlapTable(t *testing.T) {
-	write := os.Getenv("OVERLAP_WRITE")
-	if os.Getenv("OVERLAP_GATE") == "" && write == "" {
-		t.Skip("set OVERLAP_GATE=1 or OVERLAP_WRITE=<path> to run the measured overlap table")
+func TestLadderOverlap(t *testing.T) {
+	doc := ladder.Open(t, overlapSpec())
+	if !ladder.Gate(t) {
+		return
 	}
-	var rows []overlapRow
+	tab := doc.Table("| rows |")
 	for _, n := range overlapShapes {
 		prob := &counted{Linear: problems.NewLinear(2*n, 12, 0.85, 20040426)}
 		var inline, shipped []float64
@@ -298,125 +257,31 @@ func TestOverlapTable(t *testing.T) {
 				valid = valid && reflect.DeepEqual(got[i], want[i])
 			}
 		}
-		in := medianOf(inline)
-		rows = append(rows,
-			overlapRow{"inline", n, true, in, in, 0, "every Update on the event loop's goroutine: the problem behind a wrapper that hides UpdateFlops"},
-			overlapRow{"shipped", n, valid, in, medianOf(shipped), float64(helped) / float64(updates), shippedNote(prob)})
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "| rows | variant | valid | inline ms | ms | speedup | overlapped | note |\n|---|---|---|---|---|---|---|---|\n")
-	for _, r := range rows {
-		fmt.Fprintln(&b, overlapLine(r))
-	}
-	for _, r := range recordedOverlapRows {
-		fmt.Fprintln(&b, overlapLine(r))
-	}
-	t.Logf("GOMAXPROCS %d, %s\n%s", runtime.GOMAXPROCS(0), runtime.Version(), b.String())
-	for _, r := range rows {
-		if !r.Valid {
-			t.Errorf("%d rows, %s: a report differs from the inline solve's", r.Rows, r.Variant)
+		in, ms := ladder.Median(inline), ladder.Median(shipped)
+		for _, r := range []struct {
+			variant      string
+			valid        bool
+			ms, overlaps float64
+		}{{"inline", true, in, 0}, {"shipped", valid, ms, float64(helped) / float64(updates)}} {
+			key := fmt.Sprintf("%d | %s", n, r.variant)
+			tab.Setf(key, "valid", "%d", ladder.Bit(r.valid))
+			tab.Setf(key, "inline ms", "%.2f", in)
+			tab.Setf(key, "ms", "%.2f", r.ms)
+			tab.Setf(key, "speedup", "%.3f", in/r.ms)
+			tab.Setf(key, "overlapped", "%.0f %%", 100*r.overlaps)
 		}
-		if r.Variant == "shipped" && r.Rows == 125000 {
+		if !valid {
+			t.Errorf("%d rows: a report of the shipped selection differs from the inline solve's", n)
+		}
+		if n == 125000 {
 			switch {
 			case runtime.GOMAXPROCS(0) == 1:
 				t.Log("speed gate skipped: GOMAXPROCS is 1")
-			case r.InlineMS/r.MS < 1.25:
-				t.Errorf("the shipped selection is %.2fx inline on 125 000-row blocks; want at least 1.25x", r.InlineMS/r.MS)
+			case in/ms < 1.25:
+				t.Errorf("the shipped selection is %.2fx inline on 125 000-row blocks; want at least 1.25x", in/ms)
 			}
 		}
 	}
-	if write != "" {
-		if !filepath.IsAbs(write) {
-			write = filepath.Join("..", "..", write)
-		}
-		if err := os.WriteFile(write, []byte(overlapDoc(b.String())), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func shippedNote(prob *counted) string {
-	if prob.UpdateFlops(0, prob.PartitionBounds(2)) < aiac.OverlapMinFlops {
-		return "below the threshold: every Update inline, no goroutine started"
-	}
-	return "each rank's Update on the solve's helper goroutine when it is free, else inline; joined at the first read of the rank's state"
-}
-
-// overlapDoc renders OVERLAP.md around the table.
-func overlapDoc(table string) string {
-	return fmt.Sprintf(`# Overlapped Updates — measured
-
-Generated by:
-
-    OVERLAP_WRITE=OVERLAP.md go test -run TestOverlapTable ./internal/aiac
-
-on a machine with GOMAXPROCS %d (%s). Each shape is a system of the
-default linear kind (12 off-diagonals + main diagonal, rho=0.85, seed
-20040426) split into two blocks of the given rows, solved to eps 1e-5 once
-synchronously and once asynchronously on two pm2 ranks of the local
-cluster (P4 2.4 GHz, 100 Mb/s Ethernet): kernel-large's cell at the block
-sizes of the benchmark's workloads. "ms" is the median host time of that
-pair of solves over at least five runs and half a second, inline and the
-variant alternating; speedup is inline ms / ms. "overlapped" is the share
-of the variant's Updates the helper goroutine ran. "valid" = 1 means every
-report of the variant was bit-identical to the inline one: the iterate's
-bits, iterations per rank, virtual elapsed, start and end, stop reason,
-restarts and protocol counters.
-
-The inline and shipped rows are measured every time this command runs.
-The rows after them are recorded: the variants that lost, as this table
-measured them on a modified copy of the shipped code (GOMAXPROCS 2,
-go1.24.0), which was not kept. Compare them with the measured rows by
-speedup, not by time, since the two runs need not share a machine or its
-load. TestRecordedRowsCommitted holds them to the Go-side table that
-prints them.
-
-%s
-## Shipped
-
-A rank overlaps when GOMAXPROCS > 1 and its problem states an Update cost
-(problems.Linear's UpdateFlops: 2·bands·rows + 5·rows, what GradientStep
-charges) of at least aiac's overlapMinFlops, 2^19: 16 913 rows of these
-systems, between the 10 000- and the 20 000-row shapes. On two ranks the
-"overlap every Update" rows climb from a loss up to 10 000 rows to about
-break-even at 20 000 and a clear win from 40 000: on small blocks, waking
-the helper costs more than the step it would take over, and a join mostly
-finds its Update not yet started and runs it itself. The constant is the
-power of two just under the two-rank break-even, so that Table 2's
-preset blocks (10 000 rows x 31 bands, 670 k flops), whose twelve ranks
-keep the helper busy, overlap too: aiacbench -paper table2 -workers 1
-runs about a quarter faster with them overlapped. kernel-large's blocks
-(3.9 M flops) are above it; adsl-spin's, grid-dynamics' and
-sync-exchange's (93 k flops and less) stay inline.
-
-One helper goroutine per solve, started only when a rank qualifies, takes
-one Update at a time; a rank that issues its Update while the helper is
-busy runs it inline, at once — simpler than "queue behind the helper",
-which measured worse. Next, Incorporate, Restart, Spin, X and
-NewReport join a pending Update before they touch the rank's state, so
-an Update reads and writes at its issue instant and virtual time cannot
-move.
-`, runtime.GOMAXPROCS(0), runtime.Version(), table)
-}
-
-// TestRecordedRowsCommitted holds OVERLAP.md and recordedOverlapRows to
-// each other, without timing anything.
-func TestRecordedRowsCommitted(t *testing.T) {
-	doc, err := os.ReadFile("../../OVERLAP.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got, want []string
-	for _, line := range strings.Split(string(doc), "\n") {
-		cells := strings.Split(line, " | ")
-		if len(cells) > 2 && strings.HasPrefix(line, "| ") && cells[1] != "inline" && cells[1] != "shipped" && cells[1] != "variant" {
-			got = append(got, line)
-		}
-	}
-	for _, r := range recordedOverlapRows {
-		want = append(want, overlapLine(r))
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("OVERLAP.md's recorded rows:\n%s\nrecordedOverlapRows renders:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
+	doc.Region("machine", fmt.Sprintf("on a machine with GOMAXPROCS %d (%s).", runtime.GOMAXPROCS(0), runtime.Version()))
+	doc.Finish()
 }

@@ -4,18 +4,19 @@ package des
 // to be an external test package: it stages real simulated cells through
 // internal/matrix and internal/aiac, which import des.
 
-type (
-	OpStream  = opStream
-	LadderRow = ladderRow
-)
+type OpStream = opStream
 
 const ShippedVariant = shippedVariant
 
-var (
-	MeasureLadder  = measureLadder
-	LadderMarkdown = ladderMarkdown
-	FindRow        = findRow
-)
+var MeasureLadder = measureLadder
+
+// LadderVariants names the measured rungs, in table order.
+func LadderVariants() (names []string) {
+	for _, v := range ladderVariants() {
+		names = append(names, v.name)
+	}
+	return names
+}
 
 func (s OpStream) Name() string { return s.name }
 

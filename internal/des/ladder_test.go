@@ -15,9 +15,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"os"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 )
@@ -30,9 +27,9 @@ type ladderQueue interface {
 	len() int
 }
 
+// queueVariant is a measured rung (DES.md's notes say what each is).
 type queueVariant struct {
 	name string
-	note string
 	new  func() ladderQueue
 }
 
@@ -41,27 +38,10 @@ const shippedVariant = "binary-value + now-lane"
 
 func ladderVariants() []queueVariant {
 	return []queueVariant{
-		{"heap-baseline", "frozen pre-ladder queue: container/heap over []*event — one allocation per push, `any` boxing, interface Less/Swap calls",
-			func() ladderQueue { return &baselineQueue{} }},
-		{"binary-value", "binary heap of event values, hole-moving sifts, comparison inlined: des.pushEvent/popEvent alone, the heap lane of the shipped queue",
-			func() ladderQueue { return &heapOnlyQueue{} }},
-		{"binary-value + now-lane", "binary-value for events due later, a FIFO ring for events pushed at the timestamp of the last pop (no sift either way); shipped as des.lanes",
-			func() ladderQueue { return &shippedQueue{} }},
+		{"heap-baseline", func() ladderQueue { return &baselineQueue{} }},
+		{"binary-value", func() ladderQueue { return &heapOnlyQueue{} }},
+		{"binary-value + now-lane", func() ladderQueue { return &shippedQueue{} }},
 	}
-}
-
-// recordedRows are the rungs that lost, as DES.md last measured them before
-// their code was deleted (git history keeps it): rows of the table, no
-// longer re-run. Their speedup is against the baseline of that run.
-var recordedRows = []ladderRow{
-	{Name: "binary-bottomup", Valid: true, Ns: [3]float64{42.3, 78.2, 125.8}, Replay: []float64{46.3, 70.7, 92.1}, Speedup: 2.691,
-		Note: "binary-value with Floyd's pop: sink the hole to a leaf on child comparisons alone, then sift the last element up from there"},
-	{Name: "quad-value", Valid: true, Ns: [3]float64{39.8, 70.0, 121.7}, Replay: []float64{30.0, 68.8, 78.9}, Speedup: 2.782,
-		Note: "4-ary heap of event values: half the levels, up to four comparisons per level on the way down"},
-	{Name: "freelist-ptr", Valid: true, Ns: [3]float64{41.4, 65.8, 109.5}, Replay: []float64{31.6, 60.4, 71.2}, Speedup: 3.091,
-		Note: "typed binary heap of *event recycled through a free list: 8-byte moves, one pointer chase per comparison"},
-	{Name: "calendar", Valid: true, Ns: [3]float64{51.6, 56.6, 64.8}, Replay: []float64{40.5, 64.3, 97.0}, Speedup: 5.225,
-		Note: "calendar queue (Brown 1988): sorted day buckets, width re-estimated on every doubling or halving"},
 }
 
 // ---- rung 0: the frozen baseline -----------------------------------------
@@ -307,7 +287,7 @@ func replayNs(s opStream, v queueVariant) float64 {
 	return float64(best.Nanoseconds()) / float64(max(1, pops))
 }
 
-// ladderRow is one line of DES.md.
+// ladderRow is one measured line of DES.md.
 type ladderRow struct {
 	Name    string
 	Valid   bool
@@ -316,7 +296,6 @@ type ladderRow struct {
 	Replay  []float64  // per recorded stream
 	Allocs  float64    // per pop+push at the deepest depth
 	Speedup float64    // baseline ns / this ns at the deepest depth
-	Note    string
 }
 
 // measureLadder validates every measured rung on the recorded and the
@@ -326,7 +305,7 @@ func measureLadder(recorded []opStream) []ladderRow {
 	streams := append(append([]opStream(nil), recorded...), randomStreams()...)
 	var rows []ladderRow
 	for _, v := range ladderVariants() {
-		row := ladderRow{Name: v.name, Note: v.note}
+		row := ladderRow{Name: v.name}
 		row.Valid, row.Why = validOn(v, streams)
 		for _, s := range recorded {
 			row.Replay = append(row.Replay, replayNs(s, v))
@@ -341,47 +320,6 @@ func measureLadder(recorded []opStream) []ladderRow {
 		rows[i].Speedup = rows[0].Ns[last] / rows[i].Ns[last]
 	}
 	return rows
-}
-
-// ladderMarkdown renders the measured rows, then the recorded ones;
-// recorded names the replay columns.
-func ladderMarkdown(rows []ladderRow, recorded []opStream) string {
-	var sb strings.Builder
-	sb.WriteString("| variant | valid | ns/op @8 | ns/op @64 | ns/op @1024 | allocs/op | speedup |")
-	for _, s := range recorded {
-		fmt.Fprintf(&sb, " replay %s |", s.name)
-	}
-	sb.WriteString(" note |\n|---|---|---|---|---|---|---|")
-	sb.WriteString(strings.Repeat("---|", len(recorded)) + "---|\n")
-	for _, r := range append(append([]ladderRow(nil), rows...), recordedRows...) {
-		sb.WriteString(ladderLine(r) + "\n")
-	}
-	return sb.String()
-}
-
-// ladderLine is one row of the table.
-func ladderLine(r ladderRow) string {
-	var sb strings.Builder
-	valid := 0
-	if r.Valid {
-		valid = 1
-	}
-	fmt.Fprintf(&sb, "| %s | %d | %.1f | %.1f | %.1f | %.2f | %.3f |",
-		r.Name, valid, r.Ns[0], r.Ns[1], r.Ns[2], r.Allocs, r.Speedup)
-	for _, ns := range r.Replay {
-		fmt.Fprintf(&sb, " %.1f |", ns)
-	}
-	fmt.Fprintf(&sb, " %s |", r.Note)
-	return sb.String()
-}
-
-func findRow(rows []ladderRow, name string) *ladderRow {
-	for i := range rows {
-		if rows[i].Name == name {
-			return &rows[i]
-		}
-	}
-	return nil
 }
 
 // ---- always-on tests -----------------------------------------------------
@@ -409,40 +347,6 @@ func TestLadderValidOnRandomStreams(t *testing.T) {
 func TestReplayDetectsDisorder(t *testing.T) {
 	if at := replayAgainstBaseline(randomStream(1, 5000), &lifoTieQueue{}); at < 0 {
 		t.Fatal("a newest-first tie-break replayed as valid")
-	}
-}
-
-// TestRecordedRowsCommitted holds DES.md and recordedRows to each other,
-// without timing anything: the committed table's rows that no rung
-// measures are the recorded rows in order, and each is exactly what
-// ladderLine renders, checked per row so a drift names it.
-func TestRecordedRowsCommitted(t *testing.T) {
-	doc, err := os.ReadFile("../../DES.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := map[string]bool{}
-	for _, v := range ladderVariants() {
-		measured[v.name] = true
-	}
-	var names, want []string
-	committed := map[string]string{}
-	for _, line := range strings.Split(string(doc), "\n") {
-		name, ok := strings.CutPrefix(line, "| ")
-		if name, _, _ = strings.Cut(name, " |"); ok && name != "variant" && !measured[name] {
-			names, committed[name] = append(names, name), line
-		}
-	}
-	for _, r := range recordedRows {
-		want = append(want, r.Name)
-		t.Run(r.Name, func(t *testing.T) {
-			if line := committed[r.Name]; line != ladderLine(r) {
-				t.Errorf("DES.md's row:\n%s\nrecordedRows renders:\n%s", line, ladderLine(r))
-			}
-		})
-	}
-	if !slices.Equal(names, want) {
-		t.Errorf("DES.md's recorded rows are %v, recordedRows has %v", names, want)
 	}
 }
 

@@ -1,4 +1,4 @@
-package bench
+package envcore_test
 
 // The simulated message path (MSGPATH.md): what one message costs between
 // the sender's pack charge and the receiver's wake-up, pinned where it can
@@ -6,51 +6,16 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"aiac/internal/aiac"
 	"aiac/internal/des"
+	"aiac/internal/ladder"
 	"aiac/internal/matrix"
 	"aiac/internal/netsim"
 )
-
-// Network.Send with its delivery allocates nothing in steady state: the
-// message is its own event target and goes back on the network's free list
-// when its deliver callback returns, the FIFO clamp and the egress pipes
-// are slice lookups, and SendOpt is a value.
-func TestNetsimSendAllocs(t *testing.T) {
-	sim := des.New()
-	site := func(name string) netsim.Site {
-		return netsim.Site{Name: name, Uplink: netsim.Ethernet10, LANs: []netsim.LinkClass{netsim.Ethernet10}}
-	}
-	hub := netsim.Site{Name: "hub", Uplink: netsim.Ethernet10, LANs: []netsim.LinkClass{netsim.Ethernet10Hub}}
-	net := netsim.New(sim, []netsim.Site{site("a"), site("b"), hub})
-	a, b, c := net.AddNode(0), net.AddNode(1), net.AddNode(2)
-	net.SetJitter(0.02, 1)
-	net.SetLoss(0.3)
-	delivered := 0
-	deliver := func(*netsim.Message) { delivered++ }
-	const sends = 64
-	burst := func() {
-		for i := 0; i < sends; i++ {
-			to := b
-			if i%4 == 0 {
-				to = c // the store-and-forward stage of a shared segment
-			}
-			if _, err := net.Send(a, to, 1200, nil, "", deliver, netsim.Unreliable()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sim.Run()
-	}
-	burst() // grows the event queue and the tables
-	if n := testing.AllocsPerRun(20, burst); n != 0 {
-		t.Errorf("%d Send+delivery pairs allocate %.0f; want 0 (every Message recycled)", sends, n)
-	}
-	if delivered != 22*sends {
-		t.Errorf("delivered %d messages; want %d", delivered, 22*sends)
-	}
-}
 
 // exchangePair is two ranks of one environment on the local grid, each
 // ready to play lockstep SyncExchangeK rounds of one message each way with
@@ -110,20 +75,13 @@ func (x *exchangePair) play(n int) uint64 {
 	return x.net.StatsSnapshot().Messages - before
 }
 
-// exchangeAllocsPerMessage are the pinned steady-state allocations of one
-// message of a lockstep exchange, per environment (that is, per receive
-// model): none on any. The netsim Message and the wire are recycled when
-// the message is delivered and incorporated; mono-threaded mpi's exchange
-// and madmpi's receive thread build their continuations once per endpoint
-// and per thread; the handler thread pm2 and omniorb give every message is
-// a parked process of the endpoint's pool, with continuations built once.
-var exchangeAllocsPerMessage = map[string]float64{
-	"mpi":     0,
-	"pm2":     0,
-	"madmpi":  0,
-	"omniorb": 0,
-}
-
+// One message of a steady-state lockstep exchange allocates nothing on any
+// environment, that is, on any receive model. The netsim Message and the
+// wire are recycled when the message is delivered and incorporated;
+// mono-threaded mpi's exchange and madmpi's receive thread build their
+// continuations once per endpoint and per thread; the handler thread pm2
+// and omniorb give every message is a parked process of the endpoint's
+// pool, with continuations built once.
 func TestSyncExchangeAllocs(t *testing.T) {
 	const rounds = 50
 	for _, envName := range matrix.EnvNames {
@@ -133,10 +91,50 @@ func TestSyncExchangeAllocs(t *testing.T) {
 				t.Fatalf("%d rounds moved %d messages; want %d", rounds, msgs, 2*rounds)
 			}
 			perMsg := testing.AllocsPerRun(10, func() { x.play(rounds) }) / (2 * rounds)
-			if want := exchangeAllocsPerMessage[envName]; perMsg != want {
-				t.Errorf("one exchanged message allocates %.2f; want %.2f", perMsg, want)
+			if perMsg != 0 {
+				t.Errorf("one exchanged message allocates %.2f; want 0", perMsg)
 			}
 			x.sim.Shutdown()
 		})
 	}
+}
+
+const msgPathShipped = "recycled handlers, wires and messages"
+
+var (
+	allocsCol = "allocs/message (" + strings.Join(matrix.EnvNames, " / ") + ")"
+	nsCol     = "ns/message (" + strings.Join(matrix.EnvNames, " / ") + ")"
+)
+
+// TestLadderMsgPath measures MSGPATH.md's per-message cells of the shipped
+// row on the exchange harness above: allocations per message, and ns per
+// message, the fastest of five passes of 4000 messages, per environment.
+func TestLadderMsgPath(t *testing.T) {
+	doc := ladder.Open(t, ladder.Spec{Doc: "MSGPATH.md", Tables: []ladder.Table{{
+		Anchor: "| rung |", Key: []string{"rung"}, Rows: []string{msgPathShipped}, Cols: []string{allocsCol, nsCol},
+	}}})
+	if !ladder.Gate(t) {
+		return
+	}
+	const rounds = 50
+	var allocs, ns []string
+	for _, envName := range matrix.EnvNames {
+		x := newExchangePair(t, envName, 150)
+		x.play(rounds)
+		allocs = append(allocs, fmt.Sprintf("%.0f", testing.AllocsPerRun(10, func() { x.play(rounds) })/(2*rounds)))
+		best := time.Duration(-1)
+		for pass := 0; pass < 5; pass++ {
+			t0 := time.Now()
+			msgs := x.play(2000)
+			if d := time.Since(t0) / time.Duration(msgs); best < 0 || d < best {
+				best = d
+			}
+		}
+		ns = append(ns, fmt.Sprint(best.Nanoseconds()))
+		x.sim.Shutdown()
+	}
+	tab := doc.Table("| rung |")
+	tab.Setf(msgPathShipped, allocsCol, "%s", strings.Join(allocs, " / "))
+	tab.Setf(msgPathShipped, nsCol, "%s", strings.Join(ns, " / "))
+	doc.Finish()
 }

@@ -8,9 +8,10 @@ import (
 
 // hotalloc: functions annotated //lint:hotpath must not allocate.
 //
-// The kernel ladder (KERNELS.md) and the AllocsPerRun gates of
-// internal/bench (alloc_test.go, msgpath_test.go — that package is only
-// tests) prove the numeric hot path allocates nothing in steady state —
+// The kernel ladder (KERNELS.md) and the AllocsPerRun gates — the
+// Test*Allocs tests beside the code they measure, in internal/sparse,
+// gmres, des, marcel, trace, netsim, env/envcore, backend and transport —
+// prove the numeric hot path allocates nothing in steady state —
 // dynamically, for the shapes the tests happen to run. This analyzer pins
 // the same property structurally: a function marked //lint:hotpath on its
 // declaration must not contain

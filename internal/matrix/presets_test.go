@@ -57,7 +57,7 @@ func asyncRatios(t *testing.T, rs map[string]report.Result, grid string, procs i
 // TestPaperPresets pins the paper's experiments as they run since they
 // became sweeps: which cells each preset enumerates, its Table 1
 // parameters, the orderings the paper reports, and — at full size, against
-// the numbers internal/bench's own run loop printed at its last commit —
+// the numbers the paper-table run loop printed at its last commit —
 // the rows themselves.
 func TestPaperPresets(t *testing.T) {
 	type row struct {

@@ -47,9 +47,9 @@ func analyzeCell(t *testing.T, c matrix.Cell, spec matrix.Spec, seed int64) (*cr
 // (sync-wait share below 10%).
 func TestSyncVsAsyncContrast(t *testing.T) {
 	syncCell := matrix.Cell{Env: "mpi", Mode: aiac.Sync, Grid: "adsl", Problem: "linear",
-		Procs: 8, Size: nTest, Scenario: "static", Backend: "sim-fast"}
+		Procs: 8, Size: nTest, Scenario: "static", Backend: "sim"}
 	asyncCell := matrix.Cell{Env: "pm2", Mode: aiac.Async, Grid: "adsl", Problem: "linear",
-		Procs: 8, Size: nTest, Scenario: "static", Backend: "sim-fast"}
+		Procs: 8, Size: nTest, Scenario: "static", Backend: "sim"}
 
 	// The async cell needs enough iterations that the one-time startup
 	// barrier (~90ms of ADSL round trips) stops dominating a small run;

@@ -7,8 +7,6 @@ package critpath_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -18,6 +16,7 @@ import (
 
 	"aiac/internal/aiac"
 	"aiac/internal/des"
+	"aiac/internal/ladder"
 	"aiac/internal/matrix"
 	"aiac/internal/obs/critpath"
 	"aiac/internal/trace"
@@ -96,7 +95,7 @@ func TestAnalyzeRunsEqualExpanded(t *testing.T) {
 	}
 	for _, c := range cells {
 		c := c
-		c.Backend = "sim-fast"
+		c.Backend = "sim"
 		t.Run(fmt.Sprintf("%s-%s-%s-%s", c.Env, c.Mode, c.Grid, c.Scenario), func(t *testing.T) {
 			t.Parallel()
 			spec := testSpec()
@@ -230,35 +229,17 @@ func (p shipped) view() ([]trace.Span, uintptr) {
 	return p.Spans, uintptr(cap(p.Spans)) * unsafe.Sizeof(trace.Span{})
 }
 
+// rungs are TRACE.md's rows (its notes say what each is).
 var rungs = []struct {
-	name, note string
-	fresh      func() recorder
+	name  string
+	fresh func() recorder
 }{
-	{"per-iteration", "frozen baseline: the collector before runs — one 40-byte span appended per iteration",
-		func() recorder { return &perIteration{} }},
-	{"contiguous-merge", "not shipped: merges back-to-back iterations of any length, so a record keeps their count but not their boundaries",
-		func() recorder { return &contiguous{} }},
-	{shippedRung, "shipped as trace.Collector.AddSpan: merges back-to-back iterations of one length, so a record is its iterations exactly",
-		func() recorder { return shipped{trace.New()} }},
+	{"per-iteration", func() recorder { return &perIteration{} }},
+	{"contiguous-merge", func() recorder { return &contiguous{} }},
+	{shippedRung, func() recorder { return shipped{trace.New()} }},
 }
 
 const shippedRung = "uniform-stride runs"
-
-// tableCells are the benchmark's reference cells at full size: the
-// adsl-spin, grid-dynamics and sync-exchange workloads' own.
-var tableCells = []matrix.Cell{
-	{Env: "pm2", Mode: aiac.Async, Grid: "adsl", Problem: "linear", Procs: 4, Size: 12000, Scenario: "static", Backend: "sim-fast"},
-	{Env: "pm2", Mode: aiac.Async, Grid: "3site", Problem: "linear", Procs: 8, Size: 12000, Scenario: "node-churn", Backend: "sim-fast"},
-	{Env: "omniorb", Mode: aiac.Sync, Grid: "3site", Problem: "linear", Procs: 64, Size: 19200, Scenario: "static", Backend: "sim-fast"},
-}
-
-func cellName(c matrix.Cell) string {
-	name := fmt.Sprintf("%s/%s/%s/p%d/n%d", c.Env, c.Mode, c.Grid, c.Procs, c.Size)
-	if c.Scenario != "static" {
-		name += "/" + c.Scenario
-	}
-	return name
-}
 
 // fastest returns the shortest of three timings of f.
 func fastest(f func()) time.Duration {
@@ -273,169 +254,96 @@ func fastest(f func()) time.Duration {
 	return best
 }
 
-// TestTraceTable is the measured table generator and CI gate, skipped
-// unless asked for (it runs three full-size cells):
-//
-//	TRACE_GATE=1 go test -run TestTraceTable -v ./internal/obs/critpath
-//	TRACE_WRITE=TRACE.md go test -run TestTraceTable ./internal/obs/critpath
-//
-// TRACE_WRITE is a path relative to the repository root (or absolute).
-// Gates: the shipped rung valid on every cell and holding at least 50x
-// fewer records than the baseline on the adsl cell; the rung recorded as
-// not shipped still invalid, or the table's account of it is out of date.
-func TestTraceTable(t *testing.T) {
-	write := os.Getenv("TRACE_WRITE")
-	if os.Getenv("TRACE_GATE") == "" && write == "" {
-		t.Skip("set TRACE_GATE=1 or TRACE_WRITE=<path> to run the measured trace table")
+// traceSpec is what TestLadderTrace measures in TRACE.md.
+func traceSpec() ladder.Spec {
+	s := ladder.Spec{Doc: "TRACE.md", Regions: []string{"cells", "why"}}
+	var names []string
+	for _, rg := range rungs {
+		names = append(names, rg.name)
 	}
-	spec := matrix.DefaultSpec()
-	spec.Linear = matrix.LinearParams{Diags: 12, Rho: 0.85, Eps: 1e-5, MaxIters: 3000000, Seed: 20040426}
+	s.Tables = append(s.Tables, ladder.Table{Anchor: "| rung | valid | note |", Key: []string{"rung"}, Rows: names, Cols: []string{"valid"}})
+	for _, c := range refCells {
+		s.Tables = append(s.Tables, ladder.Table{Anchor: "`" + cellName(c) + "`", Key: []string{"rung"}, Rows: names,
+			Cols: []string{"valid", "records", "KB held", "record ns/iter", "Analyze ms"}})
+	}
+	return s
+}
 
-	type cellRow struct {
-		valid                  bool
-		why                    string
-		records                int
-		bytes                  uintptr
-		recordNS, analyzeMilli float64
+// TestLadderTrace checks TRACE.md and, under LADDER_GATE=1 or
+// LADDER_WRITE=1, measures it on the three reference cells. Gates: the
+// shipped rung valid on every cell and holding at least 50x fewer records
+// than the baseline on the adsl cell; the rung recorded as not shipped
+// still invalid, or the table's account of it is out of date.
+func TestLadderTrace(t *testing.T) {
+	doc := ladder.Open(t, traceSpec())
+	if !ladder.Gate(t) {
+		return
 	}
-	rows := make([][]cellRow, len(rungs))
+	runs, err := refRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := make([]bool, len(rungs))
 	var cellList strings.Builder
-	for _, c := range tableCells {
-		tr := trace.New()
-		spec.Sizes = []int{c.Size}
-		r, err := matrix.RunCellOnce(c, spec, 0, 20040426, 0, tr)
-		if err != nil {
-			t.Fatalf("%s: %v", cellName(c), err)
-		}
-		total := critpath.TotalFromSeconds(r.TimeSec)
+	var base, shippedRecords int
+	for j, run := range runs {
+		c, tr := refCells[j], run.tr
 		stream := calls(tr)
 		fmt.Fprintf(&cellList, "- `%s`: %d AddSpan calls (%d of them compute iterations), %d messages, %d waits\n",
 			cellName(c), len(stream), tr.Iterations(), len(tr.Msgs), len(tr.Waits))
-
+		tab := doc.Table("`" + cellName(c) + "`")
 		var want *critpath.Attribution
 		for i, rg := range rungs {
-			var row cellRow
 			var rec recorder
-			row.recordNS = float64(fastest(func() {
+			recordNS := float64(fastest(func() {
 				rec = rg.fresh()
 				for _, s := range stream {
 					rec.AddSpan(s.Rank, s.Start, s.End, s.Kind, s.Iter)
 				}
 			})) / float64(len(stream))
 			spans, bytes := rec.view()
-			row.records, row.bytes = len(spans), bytes
 			coll := &trace.Collector{Spans: spans, Msgs: tr.Msgs, Waits: tr.Waits}
 			var got *critpath.Attribution
 			var ok bool
-			row.analyzeMilli = float64(fastest(func() { got, ok = critpath.Analyze(coll, total) })) / 1e6
+			analyzeMilli := float64(fastest(func() { got, ok = critpath.Analyze(coll, run.attr.Total) })) / 1e6
+			why := ""
 			switch {
 			case !ok:
-				row.why = "not attributable"
+				why = "not attributable"
 			case i == 0:
-				want, row.valid = got, true
+				want = got
 			default:
-				row.why = diffAttr(got, want)
-				row.valid = row.why == ""
+				why = diffAttr(got, want)
 			}
-			rows[i] = append(rows[i], row)
-		}
-	}
-
-	bit := map[bool]int{true: 1}
-	var table strings.Builder
-	table.WriteString("| rung | valid | note |\n|---|---|---|\n")
-	for i, rg := range rungs {
-		valid := true
-		for _, row := range rows[i] {
-			valid = valid && row.valid
-		}
-		fmt.Fprintf(&table, "| %s | %d | %s |\n", rg.name, bit[valid], rg.note)
-	}
-	for j, c := range tableCells {
-		fmt.Fprintf(&table, "\n`%s`\n\n| rung | valid | records | KB held | record ns/iter | Analyze ms |\n|---|---|---|---|---|---|\n", cellName(c))
-		for i, rg := range rungs {
-			row := rows[i][j]
-			fmt.Fprintf(&table, "| %s | %d | %d | %.0f | %.1f | %.2f |\n", rg.name, bit[row.valid], row.records, float64(row.bytes)/1024, row.recordNS, row.analyzeMilli)
-		}
-	}
-	t.Logf("trace table:\n%s", table.String())
-
-	for i, rg := range rungs {
-		for j, row := range rows[i] {
+			invalid[i] = invalid[i] || why != ""
 			switch {
-			case rg.name == "contiguous-merge":
-				if j == 0 && row.valid {
-					t.Errorf("%s attributes %s like the baseline: the table records it as the rung that does not", rg.name, cellName(tableCells[j]))
+			case rg.name == "contiguous-merge" && j == 0:
+				if why == "" {
+					t.Errorf("%s attributes %s like the baseline: the table records it as the rung that does not", rg.name, cellName(c))
 				}
-			case !row.valid:
-				t.Errorf("%s invalid on %s: %s", rg.name, cellName(tableCells[j]), row.why)
+				doc.Region("why", why+".")
+			case rg.name == "contiguous-merge":
+			case why != "":
+				t.Errorf("%s invalid on %s: %s", rg.name, cellName(c), why)
 			}
+			if j == 0 && i == 0 {
+				base = len(spans)
+			} else if j == 0 && rg.name == shippedRung {
+				shippedRecords = len(spans)
+			}
+			tab.Setf(rg.name, "valid", "%d", ladder.Bit(why == ""))
+			tab.Setf(rg.name, "records", "%d", len(spans))
+			tab.Setf(rg.name, "KB held", "%.0f", float64(bytes)/1024)
+			tab.Setf(rg.name, "record ns/iter", "%.1f", recordNS)
+			tab.Setf(rg.name, "Analyze ms", "%.2f", analyzeMilli)
 		}
 	}
-	base, shipped := rows[0][0], rows[len(rungs)-1][0]
-	if shipped.records*50 > base.records {
-		t.Errorf("%s holds %d records for the baseline's %d on %s; want at least 50x fewer", shippedRung, shipped.records, base.records, cellName(tableCells[0]))
+	for i, rg := range rungs {
+		doc.Table("| rung | valid | note |").Setf(rg.name, "valid", "%d", ladder.Bit(!invalid[i]))
 	}
-	if write == "" {
-		return
+	if shippedRecords*50 > base {
+		t.Errorf("%s holds %d records for the baseline's %d on %s; want at least 50x fewer", shippedRung, shippedRecords, base, cellName(refCells[0]))
 	}
-	var why string
-	if row := rows[1][0]; !row.valid {
-		why = row.why
-	}
-	doc := fmt.Sprintf(traceDoc, cellList.String(), table.String(), base.records/shipped.records, why)
-	if !filepath.IsAbs(write) {
-		write = "../../../" + write
-	}
-	if err := os.WriteFile(write, []byte(doc), 0o644); err != nil {
-		t.Fatalf("writing %s: %v", write, err)
-	}
-	t.Logf("wrote %s", write)
+	doc.Region("cells", cellList.String())
+	doc.Finish()
 }
-
-const traceDoc = `# Compute timeline — measured
-
-Generated by:
-
-    TRACE_WRITE=TRACE.md go test -run TestTraceTable ./internal/obs/critpath
-
-Each row is one way to hold a cell's compute/idle timeline, fed the same
-stream: the AddSpan calls of one traced repetition of a benchmark reference
-cell (seed 20040426), in the order the engine made them.
-
-%[1]s
-"valid" = 1 means that at generation time critpath.Analyze, reading the
-rung's records, returned an Attribution reflect.DeepEqual to the one it
-returns from the frozen per-iteration baseline on every cell above: total,
-per-category times, and every segment's bounds, iteration range and Via.
-"records" is len(Spans); "KB held" the capacity of the span slice the rung
-ends up with (append-grown, as in a real run); "record ns/iter" the time to
-replay the stream into a fresh recorder, per AddSpan call; "Analyze ms" one
-critpath.Analyze over the result. Timings are the fastest of three.
-
-%[2]s
-Shipped: uniform-stride runs, as trace.Collector.AddSpan
-(internal/trace/trace.go) — the only representation compiled into the
-package; the baseline and the rung not shipped live in
-internal/obs/critpath/runs_test.go. On the adsl cell it holds %[3]dx fewer
-records than the baseline.
-
-Why contiguous-merge is not the one. It needs even fewer records — a rank
-behind ADSL computes for seconds without a gap — and every duration-only
-view (Gantt, BusyIdle, the per-category totals) reads it correctly. But a
-merged stretch of unequal iterations no longer says where each began, so
-when the critical path enters one mid-way (a message sent from a computing
-rank) the iteration it lands in cannot be recovered, and the segment's
-iteration range comes out wrong. At generation time, on the adsl cell:
-%[4]s.
-
-Equal stride is the cheapest condition under which a record still is its
-iterations: start, length and count give back every boundary, so expansion
-reproduces the AddSpan sequence exactly (internal/trace
-TestRunsExpandToInput, FuzzSpanRuns) and the analyzer can step over a whole
-run at once (TestAnalyzeRunsEqualExpanded).
-
-The sync cell is the control: its ranks alternate one compute span with one
-idle span, nothing is back to back, and all three rungs hold the same
-records.
-`

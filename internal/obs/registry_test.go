@@ -10,7 +10,7 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 	r := NewRegistry()
 	cells := r.Counter("aiac_cells_total", "Cells finished.", "state", "backend")
 	cells.With("done", "sim").Add(3)
-	cells.With("error", "sim-fast").Inc()
+	cells.With("error", "chan").Inc()
 	depth := r.Gauge("aiac_queue_depth", "Sweep queue depth.")
 	depth.With().Set(7)
 	hist := r.Histogram("aiac_cell_host_seconds", "Host time per cell.", []float64{1, 10}, "backend")
@@ -27,7 +27,7 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 		"# HELP aiac_cells_total Cells finished.",
 		"# TYPE aiac_cells_total counter",
 		`aiac_cells_total{state="done",backend="sim"} 3`,
-		`aiac_cells_total{state="error",backend="sim-fast"} 1`,
+		`aiac_cells_total{state="error",backend="chan"} 1`,
 		"# TYPE aiac_queue_depth gauge",
 		"aiac_queue_depth 7",
 		"# TYPE aiac_cell_host_seconds histogram",

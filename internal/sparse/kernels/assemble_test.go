@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
+	"aiac/internal/ladder"
 	"aiac/internal/sparse"
 )
 
@@ -87,81 +87,49 @@ func TestAssembleMatchesBaseline(t *testing.T) {
 // sweep's linear system, a middle size, and the `kernel-large` workload's.
 var assemblySizes = []int{12000, 60000, 250000}
 
-// AssemblyRow is one line of the assembly table.
-type AssemblyRow struct {
-	Name    string
-	N       int
-	Valid   bool
-	Ms      float64 // milliseconds per system
-	Speedup float64 // vs assemble-baseline at the same n
-	Note    string
-}
-
+// assemblers are the assembly table's rows (KERNELS.md's notes say what
+// each is).
 var assemblers = []struct {
-	name, note string
-	build      func(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64, uint64)
+	name  string
+	build func(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64, uint64)
 }{
-	{"assemble-baseline", "frozen NewSystem and cache checksum: one rng.Float64 per entry through the Source, the row loop for the diagonal, b = A·x*, then one serial FNV-1a chain over the system, all on one goroutine", AssembleBaselineSum},
-	{"assemble-shipped", "sparse.NewSystemSum, what the cache builds: math/rand's recurrence continued in batches of 2184; a second goroutine allocates bands ahead and sums each drawn band in 8 lanes; row sums, diagonal and b a 2048-row tile at a time, half the rows on each goroutine", sparse.NewSystemSum},
+	{"assemble-baseline", AssembleBaselineSum},
+	{"assemble-shipped", sparse.NewSystemSum},
 }
 
-// MeasureAssembly validates and times both assemblers at every size of
+// measureAssembly validates and times both assemblers at every size of
 // the table, each system of the default linear shape (12 off-diagonals,
-// rho=0.85, seed 20040426). Both rows time what a cache miss pays: the
-// system and its checksum. A shipped row is valid when NewSystem matched
-// the baseline bit for bit on ValidateAssembly's random shapes and on the
-// row's own system.
-func MeasureAssembly() []AssemblyRow {
+// rho=0.85, seed 20040426), and writes their rows. Both rows time what a
+// cache miss pays: the system and its checksum. A shipped row is valid when
+// NewSystem matched the baseline bit for bit on ValidateAssembly's random
+// shapes and on the row's own system. It gates every row valid, and the
+// shipped assembly at least 1.5x the baseline on the `kernel-large` system.
+func measureAssembly(t *testing.T, doc *ladder.Doc) {
+	tab := doc.Table("## assembly:")
 	shapesValid := ValidateAssembly()
-	var rows []AssemblyRow
 	for _, n := range assemblySizes {
 		var base float64
 		for i, as := range assemblers {
-			row := AssemblyRow{Name: as.name, N: n, Note: as.note, Valid: true}
-			if i > 0 {
-				row.Valid = shapesValid && assemblyMismatch(n, benchDiags, benchRho, benchSeed) == ""
-			}
+			valid := i == 0 || shapesValid && assemblyMismatch(n, benchDiags, benchRho, benchSeed) == ""
 			r := testing.Benchmark(func(b *testing.B) {
 				for j := 0; j < b.N; j++ {
 					as.build(n, benchDiags, benchRho, benchSeed)
 				}
 			})
-			row.Ms = float64(r.T.Nanoseconds()) / float64(r.N) / 1e6
+			ms := float64(r.T.Nanoseconds()) / float64(r.N) / 1e6
 			if i == 0 {
-				base = row.Ms
+				base = ms
 			}
-			row.Speedup = base / row.Ms
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// AssemblyMarkdown renders the assembly table.
-func AssemblyMarkdown(rows []AssemblyRow) string {
-	var sb strings.Builder
-	sb.WriteString("| variant | n | valid | ms/system | speedup | note |\n")
-	sb.WriteString("|---|---|---|---|---|---|\n")
-	for _, r := range rows {
-		valid := 0
-		if r.Valid {
-			valid = 1
-		}
-		fmt.Fprintf(&sb, "| %s | %d | %d | %.2f | %.3f | %s |\n", r.Name, r.N, valid, r.Ms, r.Speedup, r.Note)
-	}
-	return sb.String()
-}
-
-// checkAssembly is TestKernelTable's gate on the assembly table: every
-// row valid, and the shipped assembly at least 1.5x the baseline on the
-// `kernel-large` system.
-func checkAssembly(t *testing.T, rows []AssemblyRow) {
-	for _, r := range rows {
-		if !r.Valid {
-			t.Errorf("assembly: %s at n=%d measured invalid", r.Name, r.N)
-		}
-		if r.Name == "assemble-shipped" && r.N == 250000 && r.Speedup < 1.5 {
-			t.Errorf("assembly: assemble-shipped at n=%d is %.3fx the baseline, below 1.5x", r.N, r.Speedup)
+			key := fmt.Sprintf("%s | %d", as.name, n)
+			tab.Setf(key, "valid", "%d", ladder.Bit(valid))
+			tab.Setf(key, "ms/system", "%.2f", ms)
+			tab.Setf(key, "speedup", "%.3f", base/ms)
+			if !valid {
+				t.Errorf("assembly: %s at n=%d measured invalid", as.name, n)
+			}
+			if as.name == "assemble-shipped" && n == 250000 && base/ms < 1.5 {
+				t.Errorf("assembly: assemble-shipped at n=%d is %.3fx the baseline, below 1.5x", n, base/ms)
+			}
 		}
 	}
 }
