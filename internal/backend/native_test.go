@@ -205,7 +205,7 @@ func TestLadderNative(t *testing.T) {
 		{"go", "test", "-race", "-count=1", "./internal/transport", "./internal/backend"},
 		{"go", "test", "-run", "^$", "-fuzz", "FuzzDecodeHeader", "-fuzztime", "10s", "./internal/transport"},
 	} {
-		if out, err := ladder.Run(t, false, args...); err != nil {
+		if out, err := ladder.Run(false, args...); err != nil {
 			valid = false
 			t.Errorf("%s: %v\n%s", strings.Join(args, " "), err, out)
 		}

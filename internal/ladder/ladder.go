@@ -421,7 +421,7 @@ func Bit(valid bool) int {
 	return 0
 }
 
-// Root is the repository root, two directories above this file's.
+// Root is the repository root, two directories above this file's own.
 func Root() string {
 	_, file, _, _ := runtime.Caller(0)
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
@@ -432,8 +432,7 @@ func Root() string {
 // if gate is set: a ladder that runs another's test as one of its checks
 // writes no doc, and one that runs its own package's tests runs its own
 // ladder unmeasured.
-func Run(t testing.TB, gate bool, args ...string) (string, error) {
-	t.Helper()
+func Run(gate bool, args ...string) (string, error) {
 	cmd := exec.Command(args[0], args[1:]...)
 	cmd.Dir = Root()
 	for _, kv := range os.Environ() {

@@ -93,7 +93,7 @@ func TestLadderSpin(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			slots <- struct{}{}
-			outs[i], errs[i] = ladder.Run(t, true, args...)
+			outs[i], errs[i] = ladder.Run(true, args...)
 			<-slots
 		}()
 	}
