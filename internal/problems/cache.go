@@ -13,9 +13,9 @@ import (
 // solves it. Without it, an experiment-matrix sweep regenerates the
 // identical sparse linear system (or manufactured reaction system) once
 // per cell — seven times per grid for the default matrix — which at
-// paper-scale sizes (Table 1: n = 2,000,000 with 30 sub-diagonals, ~0.5 GB
-// per system) is the dominant redundant cost and memory load of the sim
-// phase.
+// paper-scale sizes (Table 1: n = 2,000,000 with 30 sub-diagonals, 352 MB
+// per system: 320 MB of bands, 32 MB for b and xTrue) is the dominant
+// redundant cost and memory load of the sim phase.
 //
 // Sharing is sound because every solver in this repository treats the
 // assembled data as immutable: sparse.DIA's kernels (RowRangeMulVec,
@@ -34,7 +34,7 @@ import (
 // (one sweep, in matrix.Run), because the end-of-sweep Verify needs them
 // and any later cell may still hit them. A sweep mixing many sizes ×
 // repetitions at paper scale therefore pins every distinct system at once
-// (~0.5 GB each at n = 2,000,000) and should budget memory accordingly —
+// (352 MB each at n = 2,000,000) and should budget memory accordingly —
 // the default matrix holds exactly one.
 //
 // A nil *Cache is valid and simply builds fresh systems on every call —
@@ -115,12 +115,12 @@ func (c *Cache) Stats() (hits, misses int) {
 
 // verifyOnHitLimit bounds the entry size (in stored float64s) that is
 // re-checksummed on every retrieval. The eight-lane checksum on two cores
-// (sparse.SystemSum) took 1.5–1.7 ms for kernel-large's 250 000-row entry
-// (3.75M floats, under the limit) on a 2-core Xeon, about an eighth of its
-// assembly. At paper scale (n=2,000,000 × 31 bands ≈ 66M floats) that is
-// some 30 ms per hit, each hit repeating it — such entries are verified
-// once per sweep instead (Verify, called by matrix.Run when the sweep
-// finishes).
+// (sparse.SystemSum) took 1.6–2.5 ms for kernel-large's 250 000-row entry
+// (2.71M floats: 2.21M of bands, 0.5M of b and xTrue; under the limit) on
+// a shared 2-core Xeon. At paper scale (n=2,000,000, 31 bands: 40.0M
+// floats of bands, 44.0M in all) it took 37–39 ms per hit, each hit
+// repeating it — such entries are verified once per sweep instead
+// (Verify, called by matrix.Run when the sweep finishes).
 const verifyOnHitLimit = 1 << 22
 
 // NormalizeOperator canonicalizes an operator-kind string: "" and "dia"

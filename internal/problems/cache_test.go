@@ -108,9 +108,10 @@ func TestCacheKeysOperatorKind(t *testing.T) {
 // Mutating a cached system must panic at the next retrieval, and fail
 // Verify: shared assembly is read-only by contract, and silent corruption
 // would poison every concurrent cell. A one-bit flip of any single word is
-// caught — checked at the first, a middle and the last word of every band,
-// of b and of xTrue, on a system small enough to be verified on every hit
-// and on one the partner goroutine assembles and checksums.
+// caught — checked at the first, a middle and the last word of every band
+// (each holding only the rows it covers), of b and of xTrue, on a system
+// small enough to be verified on every hit and on one the partner
+// goroutine assembles and checksums.
 func TestCacheDetectsMutation(t *testing.T) {
 	for _, n := range []int{500, 40000} {
 		c := NewCache()
@@ -118,6 +119,9 @@ func TestCacheDetectsMutation(t *testing.T) {
 		a := l.A.(*sparse.DIA)
 		parts := map[string][]float64{"b": l.B, "xTrue": l.XTrue}
 		for k, d := range a.Diags {
+			if o := a.Offsets[k]; len(d) != n-max(o, -o) {
+				t.Fatalf("n=%d: band %d (offset %d) holds %d entries, not the n−|o| rows it covers", n, k, o, len(d))
+			}
 			parts[fmt.Sprintf("band %d", k)] = d
 		}
 		for name, p := range parts {
@@ -174,6 +178,11 @@ func TestCacheVerify(t *testing.T) {
 	r := c.Reaction(400, 1, 7)
 	if err := c.Verify(); err != nil {
 		t.Fatalf("clean cache failed Verify: %v", err)
+	}
+	// Every stored entry is in range, so Diags[1][7] exists and is not 0:
+	// doubling it changes the matrix.
+	if d := l.A.(*sparse.DIA).Diags[1]; len(d) <= 7 || d[7] == 0 {
+		t.Fatalf("band 1 holds %d entries; entry 7 is not an in-range non-zero", len(d))
 	}
 	l.A.(*sparse.DIA).Diags[1][7] *= 2
 	if err := c.Verify(); err == nil || !strings.Contains(err.Error(), "mutated") {

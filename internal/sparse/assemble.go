@@ -101,13 +101,14 @@ type assembly struct {
 	sums     []uint64 // laneSum of every band, then of b, then of xTrue
 }
 
-// prepare allocates the main diagonal, every band (handing each to
-// ahead), b and xTrue, and fills and sums xTrue.
+// prepare allocates the main diagonal, every band at the length of the
+// rows it covers (handing each to ahead), b and xTrue, and fills and sums
+// xTrue.
 func (s *assembly) prepare(ahead chan<- []float64) {
 	n := s.a.N
 	s.a.Diags[0] = make([]float64, n)
 	for k := 1; k < len(s.a.Offsets); k++ {
-		ahead <- make([]float64, n)
+		ahead <- make([]float64, bandLen(n, s.a.Offsets[k]))
 	}
 	s.b = make([]float64, n)
 	s.xTrue = make([]float64, n)
@@ -117,15 +118,14 @@ func (s *assembly) prepare(ahead chan<- []float64) {
 	s.sums[len(s.sums)-1] = laneSum(s.xTrue)
 }
 
-// draw fills band k's in-range rows from the uniform stream: random
-// magnitudes in [0.5, 1.5), alternating sign.
+// draw fills band k — every row it covers — from the uniform stream:
+// random magnitudes in [0.5, 1.5), alternating sign.
 func (s *assembly) draw(u *uniforms, k int) {
 	sign := 1.0
 	if k%2 == 0 {
 		sign = -1
 	}
-	rlo, rhi := bandRows(s.a.N, s.a.Offsets[k])
-	u.fill(s.a.Diags[k][rlo:rhi], sign)
+	u.fill(s.a.Diags[k], sign)
 }
 
 // finishRows makes the diagonal of rows [lo,hi) — each row's sum of
@@ -139,9 +139,9 @@ func (s *assembly) finishRows(lo, hi int) {
 	for tlo := lo; tlo < hi; tlo += finishTileRows {
 		thi := min(tlo+finishTileRows, hi)
 		for k := 1; k < len(s.a.Offsets); k++ {
-			rlo, rhi := bandRows(s.a.N, s.a.Offsets[k])
-			if rlo, rhi = max(rlo, tlo), min(rhi, thi); rlo < rhi {
-				addAbs(rs[rlo:rhi], s.a.Diags[k][rlo:rhi])
+			blo, bhi := bandRows(s.a.N, s.a.Offsets[k])
+			if rlo, rhi := max(blo, tlo), min(bhi, thi); rlo < rhi {
+				addAbs(rs[rlo:rhi], s.a.Diags[k][rlo-blo:rhi-blo])
 			}
 		}
 		d := rs[tlo:thi]
@@ -163,12 +163,6 @@ func addAbs(acc, d []float64) {
 	for i := range acc {
 		acc[i] += math.Abs(d[i])
 	}
-}
-
-// bandRows is the row range [rlo,rhi) over which the band at offset o
-// stays inside an n×n matrix.
-func bandRows(n, o int) (rlo, rhi int) {
-	return max(0, -o), min(n, n-o)
 }
 
 // spreadOffsets picks numDiags distinct non-zero offsets covering both

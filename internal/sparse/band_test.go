@@ -174,52 +174,3 @@ func TestRelaxDropsNaNFromResidualAndWritesIt(t *testing.T) {
 		}
 	}
 }
-
-// FuzzGradientStepPaths runs one GradientStep on the start-up path and on
-// the portable one from the same state — any system shape, row range and
-// step, special values sprinkled into the iterate and the right-hand side
-// on request — and requires the same iterate, residual and flops.
-func FuzzGradientStepPaths(f *testing.F) {
-	f.Add(int64(1), uint16(400), uint8(12), uint16(0), uint16(400), 1.0, false)
-	f.Add(int64(2), uint16(5000), uint8(30), uint16(17), uint16(4500), 0.7, false)
-	f.Add(int64(3), uint16(2300), uint8(3), uint16(100), uint16(2148), 0.9, true)
-	f.Add(int64(4), uint16(33), uint8(40), uint16(5), uint16(5), 1.3, true)
-	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, nd8 uint8, lo16, hi16 uint16, gamma float64, special bool) {
-		n := 2 + int(n16)%6000
-		nd := 1 + int(nd8)%40
-		if nd >= n {
-			nd = n - 1
-		}
-		lo, hi := int(lo16)%(n+1), int(hi16)%(n+1)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		a, b, _ := NewSystem(n, nd, 0.85, seed)
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, n)
-		fill(rng, x, special)
-		if special {
-			b = append([]float64(nil), b...)
-			for i := range b {
-				if rng.Intn(16) == 0 {
-					b[i] = specials[rng.Intn(len(specials))]
-				}
-			}
-		}
-		saved := kern
-		defer func() { kern = saved }()
-		run := func(k bandKernels) ([]float64, float64, float64) {
-			kern = k
-			xk := append([]float64(nil), x...)
-			scratch := make([]float64, hi-lo)
-			res, flops := a.GradientStep(lo, hi, gamma, xk, b, scratch)
-			return xk, res, flops
-		}
-		wantX, wantRes, wantFlops := run(portable)
-		gotX, gotRes, gotFlops := run(startup)
-		sameSlice(t, fmt.Sprintf("n=%d nd=%d rows=[%d,%d) gamma=%v", n, nd, lo, hi, gamma), gotX, wantX)
-		if math.Float64bits(gotRes) != math.Float64bits(wantRes) || gotFlops != wantFlops {
-			t.Fatalf("residual %v flops %v on %s, %v and %v on portable", gotRes, gotFlops, startup.path, wantRes, wantFlops)
-		}
-	})
-}

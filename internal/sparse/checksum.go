@@ -59,7 +59,7 @@ func laneSum(xs []float64) uint64 {
 // parallelSumFloats is the least number of floats for which Checksum
 // splits its slices over two goroutines. Timed against one goroutine,
 // alternating (medians of 60 sums, 12-band systems, a 2-core Xeon), the
-// split took 1.5–1.7 ms against 2.8–3.2 ms at kernel-large's 3.75M floats
+// split took 1.5–1.7 ms against 2.8–3.2 ms at 3.75M floats
 // and 0.87–1.15 ms against 1.6–2.1 ms at 2.1M in every run; at 1.05M it
 // won in four runs of six and lost by 7 % in two, and from 0.18M to 0.53M
 // floats it won or lost by up to a quarter, waiting for the other core.

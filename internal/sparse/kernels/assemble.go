@@ -9,12 +9,13 @@ import (
 )
 
 // AssembleBaseline is the frozen sparse.NewSystem as it stood before
-// assembly was batched: one rng.Float64 per in-range entry through the
-// Source, band by band; then the row loop summing every band's magnitude
-// into the diagonal; then b = A·x*, all on one goroutine. The shipped
-// NewSystem is held to its bits (bands, b and xTrue) and measured against
-// it, with its checksum (AssembleBaselineSum), in KERNELS.md's assembly
-// table.
+// assembly was batched: n-long bands (the layout of FullLength); one
+// rng.Float64 per in-range entry through the Source, band by band; then
+// the row loop summing every band's magnitude into the diagonal; then
+// b = A·x* by the shipped MulVec, all on one goroutine. The shipped
+// NewSystem is held to its bits (each band's in-range run, b and xTrue)
+// and measured against it, with its checksum (AssembleBaselineSum), in
+// KERNELS.md's assembly table.
 func AssembleBaseline(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64) {
 	if n < 2 || numDiags < 1 || numDiags >= n {
 		panic(fmt.Sprintf("sparse: bad system shape n=%d numDiags=%d", n, numDiags))
@@ -61,8 +62,18 @@ func AssembleBaseline(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []
 		xTrue[i] = float64(1 + i%3)
 	}
 	b := make([]float64, n)
-	a.MulVec(b, xTrue)
+	inRange(a).MulVec(b, xTrue)
 	return a, b, xTrue
+}
+
+// inRange returns a view of a full-length DIA (FullLength's layout) in
+// the shipped one: each band cut, without a copy, to the rows it covers.
+func inRange(full *sparse.DIA) *sparse.DIA {
+	a := &sparse.DIA{N: full.N, Offsets: full.Offsets, Diags: make([][]float64, len(full.Diags))}
+	for k, o := range full.Offsets {
+		a.Diags[k] = full.Diags[k][max(0, -o):min(full.N, full.N-o)]
+	}
+	return a
 }
 
 // AssembleBaselineSum is AssembleBaseline followed by the checksum the

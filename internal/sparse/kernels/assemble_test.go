@@ -12,16 +12,27 @@ import (
 
 // assemblyMismatch builds one system with the shipped sparse.NewSystem
 // and with AssembleBaseline and describes the first difference in
-// offsets, bands, b or xTrue, bit for bit, or returns "".
+// offsets, bands, b or xTrue, bit for bit, or returns "". Each shipped
+// band must be the baseline band's in-range run, and the baseline's
+// padding around that run zero.
 func assemblyMismatch(n, numDiags int, rho float64, seed int64) string {
 	wa, wb, wx := AssembleBaseline(n, numDiags, rho, seed)
 	ga, gb, gx := sparse.NewSystem(n, numDiags, rho, seed)
 	if fmt.Sprint(ga.Offsets) != fmt.Sprint(wa.Offsets) {
 		return fmt.Sprintf("offsets %v, want %v", ga.Offsets, wa.Offsets)
 	}
-	for k := range wa.Diags {
-		if i, ok := bitsEqual(wa.Diags[k], ga.Diags[k]); !ok || len(ga.Diags[k]) != n {
-			return fmt.Sprintf("band %d (offset %d) row %d differs", k, wa.Offsets[k], i)
+	run := inRange(wa)
+	for k, o := range wa.Offsets {
+		if len(ga.Diags[k]) != len(run.Diags[k]) {
+			return fmt.Sprintf("band %d (offset %d) holds %d entries, want %d", k, o, len(ga.Diags[k]), len(run.Diags[k]))
+		}
+		if j, ok := bitsEqual(run.Diags[k], ga.Diags[k]); !ok {
+			return fmt.Sprintf("band %d (offset %d) row %d differs", k, o, j+max(0, -o))
+		}
+		for i, v := range wa.Diags[k] {
+			if j := i + o; (j < 0 || j >= n) && v != 0 {
+				return fmt.Sprintf("baseline band %d (offset %d) pads row %d with %v", k, o, i, v)
+			}
 		}
 	}
 	if i, ok := bitsEqual(wb, gb); !ok || len(gb) != n {

@@ -1,7 +1,10 @@
 // Package kernels holds the frozen references of the two numeric kernels
 // every backend bottoms out in — the banded block matvec and the
 // matvec+relaxation update (paper Equ. 4) — exactly as they stood before
-// kernelization. Nothing here runs in production: sparse.DIA's
+// kernelization, on the layout they were written for: every band n long,
+// A[i][i+o] at index i, zero on the rows the band does not cover
+// (FullLength makes that copy of a shipped DIA, whose bands hold only
+// their rows). Nothing here runs in production: sparse.DIA's
 // RowRangeMulVec and GradientStep are what ships, on the AVX2 or the
 // portable primitives of internal/sparse/band.go. The package's tests hold
 // both of those paths bit-identical to these references and regenerate the
@@ -29,6 +32,18 @@ import (
 
 	"aiac/internal/sparse"
 )
+
+// FullLength returns a copy of a in the layout the frozen references
+// read: band k n long, with A[i][i+o] at index i and zeros on the |o|
+// rows the band does not cover.
+func FullLength(a *sparse.DIA) *sparse.DIA {
+	f := &sparse.DIA{N: a.N, Offsets: append([]int(nil), a.Offsets...), Diags: make([][]float64, len(a.Diags))}
+	for k, o := range a.Offsets {
+		f.Diags[k] = make([]float64, a.N)
+		copy(f.Diags[k][max(0, -o):], a.Diags[k])
+	}
+	return f
+}
 
 // clipBand clips the row range [lo,hi) to the rows where diagonal offset
 // o stays inside an n×n matrix. The result may be empty (rhi <= rlo).

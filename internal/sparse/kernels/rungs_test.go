@@ -3,7 +3,9 @@ package kernels
 // The ladder: the frozen baselines (kernels.go) and the shipped kernels,
 // measured every time the table is made; the rungs that lost are recorded
 // rows of KERNELS.md alone. Only the baselines and sparse.DIA's own methods are non-test code;
-// the rows marked shipped call those methods directly.
+// the rows marked shipped call those methods directly. The baselines run
+// on the full-length copy of each system (FullLength), the shipped rows on
+// the system as NewSystem built it.
 
 import (
 	"aiac/internal/sparse"
@@ -25,9 +27,20 @@ type Variant struct {
 	Portable bool
 	// NeedsAVX2 rows exist only where that path is the AVX2 one.
 	NeedsAVX2 bool
+	// Full rows — the frozen baselines — read the full-length layout.
+	Full bool
 	// Exactly one of MatVec / Step is set, matching Kind.
 	MatVec MatVec
 	Step   Step
+}
+
+// on returns the matrix v runs on: full, FullLength's copy of a, for the
+// frozen rows, a itself for the others.
+func (v Variant) on(a, full *sparse.DIA) *sparse.DIA {
+	if v.Full {
+		return full
+	}
+	return a
 }
 
 func diaMatVec(a *sparse.DIA, lo, hi int, dst, x []float64) { a.RowRangeMulVec(lo, hi, dst, x) }
@@ -44,10 +57,10 @@ const stepTileRows = 2048
 // what each is). The first entry of each Kind is the frozen reference
 // ("baseline") the others are validated and speedup-normalized against.
 var variants = []Variant{
-	{Name: "matvec-baseline", Kind: "matvec", MatVec: MatVecBaseline},
+	{Name: "matvec-baseline", Kind: "matvec", MatVec: MatVecBaseline, Full: true},
 	{Name: "matvec-unroll4", Kind: "matvec", MatVec: diaMatVec, Portable: true},
 	{Name: "matvec-avx2", Kind: "matvec", MatVec: diaMatVec, NeedsAVX2: true},
-	{Name: "step-baseline", Kind: "step", Step: StepBaseline},
+	{Name: "step-baseline", Kind: "step", Step: StepBaseline, Full: true},
 	{Name: "step-fused", Kind: "step", Step: diaStep, Portable: true},
 	{Name: "step-avx2", Kind: "step", Step: diaStep, NeedsAVX2: true},
 }

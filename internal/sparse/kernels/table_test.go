@@ -32,7 +32,7 @@ var shapes = []shape{
 	{name: "small", n: 12000, ranks: 8, rank: 0,
 		what: "the default sweep's linear cell and the `grid-dynamics` workload; one tile, so the step updates x in place; cache-resident"},
 	{name: "large", n: 250000, ranks: 2, rank: 0,
-		what: "the `kernel-large` workload; 62 tiles on the deferred-write path; 26 MB of bands, streamed from memory"},
+		what: "the `kernel-large` workload; 62 tiles on the deferred-write path; 17.7 MB of bands, streamed from memory"},
 }
 
 // block builds the shape's system and a random iterate and returns the
@@ -109,13 +109,14 @@ func bitsEqual(a, b []float64) (int, bool) {
 // matVecMismatch runs a matvec variant against MatVecBaseline on one case
 // and describes the first difference in bits, or returns "".
 func matVecMismatch(v Variant, a *sparse.DIA, lo, hi int, x []float64) string {
+	full := FullLength(a)
 	want := make([]float64, hi-lo)
-	MatVecBaseline(a, lo, hi, want, x)
+	MatVecBaseline(full, lo, hi, want, x)
 	got := make([]float64, hi-lo)
 	for i := range got {
 		got[i] = math.NaN() // catch unwritten elements
 	}
-	v.MatVec(a, lo, hi, got, x)
+	v.MatVec(v.on(a, full), lo, hi, got, x)
 	if i, ok := bitsEqual(want, got); !ok {
 		return fmt.Sprintf("element %d = %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 	}
@@ -126,14 +127,15 @@ func matVecMismatch(v Variant, a *sparse.DIA, lo, hi int, x []float64) string {
 // describes the first difference — iterate, residual or flops — or
 // returns "".
 func stepMismatch(v Variant, a *sparse.DIA, lo, hi int, gamma float64, x, b []float64) string {
+	full := FullLength(a)
 	scratch := make([]float64, hi-lo)
 	wantX := append([]float64(nil), x...)
-	wantRes, wantFlops := StepBaseline(a, lo, hi, gamma, wantX, b, scratch)
+	wantRes, wantFlops := StepBaseline(full, lo, hi, gamma, wantX, b, scratch)
 	gotX := append([]float64(nil), x...)
 	for i := range scratch {
 		scratch[i] = math.NaN()
 	}
-	res, flops := v.Step(a, lo, hi, gamma, gotX, b, scratch)
+	res, flops := v.Step(v.on(a, full), lo, hi, gamma, gotX, b, scratch)
 	if i, ok := bitsEqual(wantX, gotX); !ok {
 		return fmt.Sprintf("x[%d] = %x, want %x", i, math.Float64bits(gotX[i]), math.Float64bits(wantX[i]))
 	}
@@ -183,8 +185,10 @@ func Validate(v Variant) bool {
 	return true
 }
 
-// op returns one call of v on rows [lo,hi) of a, as the table times it.
-func op(v Variant, a *sparse.DIA, b, x []float64, lo, hi int) func() {
+// op returns one call of v on rows [lo,hi) of a — of full, its
+// full-length copy, for the frozen rows — as the table times it.
+func op(v Variant, a, full *sparse.DIA, b, x []float64, lo, hi int) func() {
+	a = v.on(a, full)
 	dst, scratch := make([]float64, hi-lo), make([]float64, hi-lo)
 	if v.Kind == "matvec" {
 		return func() { v.MatVec(a, lo, hi, dst, x) }
@@ -199,6 +203,7 @@ func op(v Variant, a *sparse.DIA, b, x []float64, lo, hi int) func() {
 func measureShape(t *testing.T, doc *ladder.Doc, s shape, shipped string) {
 	tab := doc.Table("## " + s.name + ":")
 	a, b, x, lo, hi := s.block()
+	full := FullLength(a)
 	bytes := float64(8 * bandElems(a, lo, hi))
 	base := map[string]float64{}
 	for _, v := range Variants() {
@@ -206,7 +211,7 @@ func measureShape(t *testing.T, doc *ladder.Doc, s shape, shipped string) {
 		var ns float64
 		onPath(t, v, func(t *testing.T) {
 			valid = Validate(v)
-			f := op(v, a, b, x, lo, hi)
+			f := op(v, a, full, b, x, lo, hi)
 			r := testing.Benchmark(func(tb *testing.B) {
 				for i := 0; i < tb.N; i++ {
 					f()
@@ -311,12 +316,13 @@ func TestLadderKernels(t *testing.T) {
 func BenchmarkKernels(b *testing.B) {
 	for _, s := range shapes {
 		a, bb, x, lo, hi := s.block()
+		full := FullLength(a)
 		for _, v := range Variants() {
 			b.Run(s.name+"/"+v.Name, func(b *testing.B) {
 				if v.Portable {
 					sparse.PinPortable(b)
 				}
-				f := op(v, a, bb, x, lo, hi)
+				f := op(v, a, full, bb, x, lo, hi)
 				b.SetBytes(int64(8 * bandElems(a, lo, hi)))
 				for i := 0; i < b.N; i++ {
 					f()

@@ -4,13 +4,14 @@ package sparse
 // iterates: everything the solvers call on a test matrix, extracted from
 // DIA so the storage strategy is swappable. Two implementations exist:
 //
-//   - DIA materializes every band (O(bands·n) floats) and runs the
-//     vector or portable band primitives of band.go (measured in
-//     KERNELS.md);
+//   - DIA materializes every band's in-range entries (NNZ floats: n−|o|
+//     for the band at offset o) and runs the vector or portable band
+//     primitives of band.go (measured in KERNELS.md);
 //   - Stencil stores nothing but the band offsets and recomputes entries
 //     from (seed, band, row) on the fly — O(bands) matrix memory, which
 //     is what makes paper-scale systems (Table 1's n=2,000,000, or
-//     n=100M) feasible without half a gigabyte of assembly per system.
+//     n=100M) feasible without a third of a gigabyte of bands per
+//     system.
 //
 // Implementations are immutable after construction and safe for
 // concurrent readers; all kernels write only into caller-owned
@@ -43,7 +44,8 @@ type Operator interface {
 	Fingerprint() uint64
 	// StoredFloats reports how many float64s the operator materializes —
 	// the cache's verify-on-retrieval policy and the memory-math in the
-	// README are driven by it. Implicit operators return 0.
+	// README are driven by it. DIA stores exactly its NNZ; implicit
+	// operators return 0.
 	StoredFloats() int
 }
 
@@ -61,8 +63,15 @@ func (a *DIA) BandOffsets() []int { return a.Offsets }
 // DiagAt implements Operator.
 func (a *DIA) DiagAt(i int) float64 { return a.Diags[0][i] }
 
-// StoredFloats implements Operator: every band stores n entries.
-func (a *DIA) StoredFloats() int { return len(a.Diags) * a.N }
+// StoredFloats implements Operator: the length of every band, n−|o| for
+// the band at offset o.
+func (a *DIA) StoredFloats() int {
+	n := 0
+	for _, d := range a.Diags {
+		n += len(d)
+	}
+	return n
+}
 
 // columnsTouched is the shared ColumnsTouched implementation: the merged
 // column intervals that rows [lo,hi) of a banded operator with the given

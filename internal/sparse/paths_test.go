@@ -1,11 +1,13 @@
 package sparse_test
 
 // DIA.RowRangeMulVec and DIA.GradientStep against the frozen
-// pre-kernelization references of internal/sparse/kernels, bit for bit.
-// TestMain (band_test.go) runs the suite once per kernel path, so these
-// hold the vector and the portable primitives alike.
+// pre-kernelization references of internal/sparse/kernels, bit for bit,
+// the references reading the full-length copy of each system
+// (kernels.FullLength). TestMain (band_test.go) runs the suite once per
+// kernel path, so these hold the vector and the portable primitives alike.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,10 +18,10 @@ import (
 
 // stepCase is one GradientStep call from a given state.
 type stepCase struct {
-	a      *sparse.DIA
-	b, x   []float64
-	lo, hi int
-	gamma  float64
+	a, full *sparse.DIA // the system, and its full-length copy
+	b, x    []float64
+	lo, hi  int
+	gamma   float64
 }
 
 func newCase(rng *rand.Rand, n, nd, lo, hi int) stepCase {
@@ -28,7 +30,7 @@ func newCase(rng *rand.Rand, n, nd, lo, hi int) stepCase {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	return stepCase{a: a, b: b, x: x, lo: lo, hi: hi, gamma: 0.1 + rng.Float64()}
+	return stepCase{a: a, full: kernels.FullLength(a), b: b, x: x, lo: lo, hi: hi, gamma: 0.1 + rng.Float64()}
 }
 
 // stepCases is the table: random small systems whose spread offsets leave
@@ -74,7 +76,7 @@ func TestGradientStepMatchesBaseline(t *testing.T) {
 	for _, c := range stepCases() {
 		scratch := make([]float64, c.hi-c.lo)
 		wantX := append([]float64(nil), c.x...)
-		wantRes, wantFlops := kernels.StepBaseline(c.a, c.lo, c.hi, c.gamma, wantX, c.b, scratch)
+		wantRes, wantFlops := kernels.StepBaseline(c.full, c.lo, c.hi, c.gamma, wantX, c.b, scratch)
 		for i := range scratch {
 			scratch[i] = math.NaN()
 		}
@@ -94,7 +96,7 @@ func TestGradientStepMatchesBaseline(t *testing.T) {
 func TestRowRangeMulVecMatchesBaseline(t *testing.T) {
 	for _, c := range stepCases() {
 		want := make([]float64, c.hi-c.lo)
-		kernels.MatVecBaseline(c.a, c.lo, c.hi, want, c.x)
+		kernels.MatVecBaseline(c.full, c.lo, c.hi, want, c.x)
 		got := make([]float64, c.hi-c.lo)
 		for i := range got {
 			got[i] = math.NaN() // catch unwritten elements
@@ -105,4 +107,80 @@ func TestRowRangeMulVecMatchesBaseline(t *testing.T) {
 				c.a.N, c.a.Offsets, c.lo, c.hi, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
+}
+
+// FuzzGradientStepPaths runs one GradientStep on the start-up path, on
+// the portable one and as the frozen kernels.StepBaseline on the system's
+// full-length copy, all from the same state — any system shape, row range
+// and step, special values sprinkled into the iterate and the right-hand
+// side on request. The two paths must agree bit for bit (NaN payloads
+// aside). The baseline must agree in value: it starts each row's sum from
+// +0 where the kernels start from the diagonal's product, so a −0 product
+// may come out +0 there, and only the sign of a zero may differ. A layout
+// fault the two paths share shows against the baseline.
+func FuzzGradientStepPaths(f *testing.F) {
+	f.Add(int64(1), uint16(400), uint8(12), uint16(0), uint16(400), 1.0, false)
+	f.Add(int64(2), uint16(5000), uint8(30), uint16(17), uint16(4500), 0.7, false)
+	f.Add(int64(3), uint16(2300), uint8(3), uint16(100), uint16(2148), 0.9, true)
+	f.Add(int64(4), uint16(33), uint8(40), uint16(5), uint16(5), 1.3, true)
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, nd8 uint8, lo16, hi16 uint16, gamma float64, special bool) {
+		n := 2 + int(n16)%6000
+		nd := 1 + int(nd8)%40
+		if nd >= n {
+			nd = n - 1
+		}
+		lo, hi := int(lo16)%(n+1), int(hi16)%(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		a, b, _ := sparse.NewSystem(n, nd, 0.85, seed)
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, n)
+		sparse.Fill(rng, x, special)
+		if special {
+			b = append([]float64(nil), b...)
+			for i := range b {
+				if rng.Intn(16) == 0 {
+					b[i] = sparse.Specials[rng.Intn(len(sparse.Specials))]
+				}
+			}
+		}
+		type outcome struct {
+			x          []float64
+			res, flops float64
+		}
+		run := func(step func(xk, scratch []float64) (float64, float64)) outcome {
+			xk := append([]float64(nil), x...)
+			res, flops := step(xk, make([]float64, hi-lo))
+			return outcome{xk, res, flops}
+		}
+		var paths [2]outcome
+		for i, vector := range []bool{false, true} {
+			sparse.OnPath(vector, func() {
+				paths[i] = run(func(xk, scratch []float64) (float64, float64) {
+					return a.GradientStep(lo, hi, gamma, xk, b, scratch)
+				})
+			})
+		}
+		full := kernels.FullLength(a)
+		base := run(func(xk, scratch []float64) (float64, float64) {
+			return kernels.StepBaseline(full, lo, hi, gamma, xk, b, scratch)
+		})
+		what := fmt.Sprintf("n=%d nd=%d rows=[%d,%d) gamma=%v", n, nd, lo, hi, gamma)
+		portable, vector := paths[0], paths[1]
+		for i := range x {
+			if !sparse.Same(vector.x[i], portable.x[i]) {
+				t.Fatalf("%s: x[%d] = %v on the start-up path, %v on the portable one", what, i, vector.x[i], portable.x[i])
+			}
+			if !sparse.Same(portable.x[i], base.x[i]) && portable.x[i] != base.x[i] {
+				t.Fatalf("%s: x[%d] = %v, the frozen baseline %v", what, i, portable.x[i], base.x[i])
+			}
+		}
+		if math.Float64bits(vector.res) != math.Float64bits(portable.res) || vector.flops != portable.flops {
+			t.Fatalf("%s: residual %v flops %v on the start-up path, %v and %v on the portable one", what, vector.res, vector.flops, portable.res, portable.flops)
+		}
+		if portable.res != base.res || portable.flops != base.flops {
+			t.Fatalf("%s: residual %v flops %v, the frozen baseline %v and %v", what, portable.res, portable.flops, base.res, base.flops)
+		}
+	})
 }

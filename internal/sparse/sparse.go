@@ -25,13 +25,14 @@
 // # Assembly
 //
 // NewSystem's bits are a contract: every band, b and xTrue equal those of
-// the original row loop (kernels.AssembleBaseline) for every shape and
-// seed, because the recorded virtual-time results of every linear cell
-// rest on them. It draws its uniforms from math/rand's own generator
-// without going through the Source: math/rand (v1) is an additive
-// lagged-Fibonacci generator whose 607-word register, once 607 outputs
-// have been drawn, holds exactly the last 607 outputs, so every later
-// output is x[n] = x[n−607] + x[n−273] mod 2⁶⁴, computed here in batches
+// the original row loop (kernels.AssembleBaseline, whose n-long bands
+// hold the same runs padded with zeros) for every shape and seed, because
+// the recorded virtual-time results of every linear cell rest on them. It
+// draws its uniforms from math/rand's own generator without going through
+// the Source: math/rand (v1) is an additive lagged-Fibonacci generator
+// whose 607-word register, once 607 outputs have been drawn, holds
+// exactly the last 607 outputs, so every later output is
+// x[n] = x[n−607] + x[n−273] mod 2⁶⁴, computed here in batches
 // (assemble.go). TestUniformsMatchMathRand pins that against math/rand
 // itself. The content checksums problems.Cache compares (Checksum,
 // SystemSum, Fingerprint) are eight-lane FNV-1a, internal to one process
@@ -43,9 +44,14 @@ import (
 	"math"
 )
 
-// DIA is a sparse matrix in diagonal storage: for each stored offset o,
-// Diag[k][i] holds A[i][i+o] (zero where i+o falls outside the matrix).
-// Offsets[0] is always 0 (the main diagonal).
+// DIA is a sparse matrix in diagonal storage. Band k, at offset
+// o = Offsets[k], stores only the rows it covers, [max(0,−o), min(n,n−o)):
+//
+//	Diags[k][i−max(0,−o)] = A[i][i+o]
+//
+// so it holds n−|o| entries and no padding. Offsets[0] is always 0 (the
+// main diagonal, n entries). A band of any other length makes the first
+// kernel call panic rather than be misread.
 type DIA struct {
 	N       int
 	Offsets []int
@@ -62,6 +68,32 @@ func abs(x int) int {
 	return x
 }
 
+// bandRows is the row range [rlo,rhi) over which the band at offset o
+// stays inside an n×n matrix: the rows the band stores.
+func bandRows(n, o int) (rlo, rhi int) {
+	return max(0, -o), min(n, n-o)
+}
+
+// bandLen is the stored length of the band at offset o: the n−|o| rows it
+// covers, none if it misses the matrix.
+func bandLen(n, o int) int { return max(0, n-abs(o)) }
+
+// checkLayout panics unless every band has the length it covers.
+func (a *DIA) checkLayout() {
+	for k, o := range a.Offsets {
+		if len(a.Diags[k]) != bandLen(a.N, o) {
+			a.badBand(k)
+		}
+	}
+}
+
+// badBand panics naming band k, whose length is not bandLen's.
+func (a *DIA) badBand(k int) {
+	o := a.Offsets[k]
+	panic(fmt.Sprintf("sparse: band %d (offset %d) of an n=%d DIA holds %d entries, want n−|o| = %d: a band stores only the rows it covers",
+		k, o, a.N, len(a.Diags[k]), bandLen(a.N, o)))
+}
+
 // MulVec computes dst = A*x. Flops: ~2*NNZ.
 //
 //lint:hotpath
@@ -76,10 +108,11 @@ func (a *DIA) MulVec(dst, x []float64) {
 // at the columns the band touches. Flops: ~2 * nnz(rows lo..hi).
 //
 // The main diagonal initializes dst (no zero-fill pass) and every other
-// band adds its clipped run with one mulAdd (band.go). Per-element
-// contributions stay in ascending-diagonal order, each product rounded
-// before its add, so the result is bit-identical to the naive k-outer
-// reference on both kernel paths — internal/sparse/kernels holds the
+// band adds the run of its rows inside [lo,hi) with one mulAdd (band.go);
+// each band's length is checked first, whether or not it meets the range.
+// Per-element contributions stay in ascending-diagonal order, each product
+// rounded before its add, so the result is bit-identical to the naive
+// k-outer reference on both kernel paths — internal/sparse/kernels holds the
 // frozen reference and KERNELS.md the measured ladder.
 //
 //lint:hotpath
@@ -91,21 +124,22 @@ func (a *DIA) RowRangeMulVec(lo, hi int, dst, x []float64) {
 		panic("sparse: dimension mismatch in RowRangeMulVec")
 	}
 	m := hi - lo
+	if len(a.Diags[0]) != a.N {
+		a.badBand(0)
+	}
 	kern.mul(dst[:m], a.Diags[0][lo:][:m], x[lo:][:m])
 	for k := 1; k < len(a.Offsets); k++ {
-		o := a.Offsets[k]
-		rlo, rhi := lo, hi
-		if o > 0 && rhi > a.N-o {
-			rhi = a.N - o
+		o, d := a.Offsets[k], a.Diags[k]
+		blo, bhi := bandRows(a.N, o)
+		if len(d) != bandLen(a.N, o) {
+			a.badBand(k)
 		}
-		if o < 0 && rlo < -o {
-			rlo = -o
-		}
+		rlo, rhi := max(lo, blo), min(hi, bhi)
 		if rhi <= rlo {
 			continue
 		}
 		bm := rhi - rlo
-		kern.mulAdd(dst[rlo-lo:][:bm], a.Diags[k][rlo:][:bm], x[rlo+o:][:bm])
+		kern.mulAdd(dst[rlo-lo:][:bm], d[rlo-blo:][:bm], x[rlo+o:][:bm])
 	}
 }
 
@@ -229,13 +263,13 @@ func OwnerOf(bounds []int, i int) int {
 // JacobiSpectralBound returns max_i sum_{j!=i} |a_ij| / |a_ii|, an upper
 // bound on the spectral radius of the Jacobi iteration matrix.
 func (a *DIA) JacobiSpectralBound() float64 {
+	a.checkLayout()
 	var worst float64
 	for i := 0; i < a.N; i++ {
 		var off float64
 		for k := 1; k < len(a.Offsets); k++ {
-			o := a.Offsets[k]
-			if j := i + o; j >= 0 && j < a.N {
-				off += math.Abs(a.Diags[k][i])
+			if blo, bhi := bandRows(a.N, a.Offsets[k]); i >= blo && i < bhi {
+				off += math.Abs(a.Diags[k][i-blo])
 			}
 		}
 		if r := off / math.Abs(a.Diags[0][i]); r > worst {
@@ -247,15 +281,15 @@ func (a *DIA) JacobiSpectralBound() float64 {
 
 // Dense returns the dense form of the matrix. For tests on tiny systems.
 func (a *DIA) Dense() [][]float64 {
+	a.checkLayout()
 	m := make([][]float64, a.N)
 	for i := range m {
 		m[i] = make([]float64, a.N)
 	}
 	for k, o := range a.Offsets {
-		for i := 0; i < a.N; i++ {
-			if j := i + o; j >= 0 && j < a.N {
-				m[i][j] = a.Diags[k][i]
-			}
+		blo, _ := bandRows(a.N, o)
+		for j, v := range a.Diags[k] {
+			m[blo+j][blo+j+o] = v
 		}
 	}
 	return m

@@ -224,8 +224,8 @@ func TestNNZMatchesDense(t *testing.T) {
 			Offsets: []int{0, n - 1, -(n - 1)},
 			Diags:   make([][]float64, 3),
 		}
-		for k := range a.Diags {
-			a.Diags[k] = make([]float64, n)
+		for k, o := range a.Offsets {
+			a.Diags[k] = make([]float64, n-abs(o))
 			for i := range a.Diags[k] {
 				a.Diags[k][i] = float64(10*k + i + 1) // never zero
 			}

@@ -245,21 +245,21 @@ func (s *Stencil) GradientStep(lo, hi int, gamma float64, x, b, scratch []float6
 func (s *Stencil) Materialize() *DIA {
 	a := &DIA{N: s.n, Offsets: append([]int(nil), s.offsets...)}
 	a.Diags = make([][]float64, len(a.Offsets))
-	for k := range a.Diags {
-		a.Diags[k] = make([]float64, s.n)
+	for k, o := range a.Offsets {
+		a.Diags[k] = make([]float64, bandLen(s.n, o))
 	}
 	for k := 1; k < len(a.Offsets); k++ {
-		o := a.Offsets[k]
-		for i := 0; i < s.n; i++ {
-			if j := i + o; j >= 0 && j < s.n {
-				a.Diags[k][i] = s.val(k, i)
-			}
+		blo, _ := bandRows(s.n, a.Offsets[k])
+		for j := range a.Diags[k] {
+			a.Diags[k][j] = s.val(k, blo+j)
 		}
 	}
 	for i := 0; i < s.n; i++ {
 		var rowSum float64
 		for k := 1; k < len(a.Offsets); k++ {
-			rowSum += math.Abs(a.Diags[k][i])
+			if blo, bhi := bandRows(s.n, a.Offsets[k]); i >= blo && i < bhi {
+				rowSum += math.Abs(a.Diags[k][i-blo])
+			}
 		}
 		if rowSum == 0 {
 			rowSum = 1
