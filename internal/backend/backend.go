@@ -29,28 +29,23 @@ import (
 	"aiac/internal/transport"
 )
 
-// Config tunes a native solve. The protocol tunables (Eps, PersistIters,
-// MaxIters, Grace, Heartbeat) default to the shared constants of
-// internal/protocol — the same values the simulated engine resolves to —
-// so the two backends measure one protocol, not two configurations.
+// Config tunes a native solve: Mode, Eps, MaxIters, Grace, Timeout,
+// StallAfter, Residuals and Trace. Unset Eps, MaxIters and Grace, and the
+// persistence threshold and heartbeat interval (not settable here),
+// resolve to the shared constants of internal/protocol — the values the
+// simulated engine resolves to — so the two backends measure one
+// protocol, not two configurations.
 type Config struct {
 	// Mode selects AIAC (Async) or SISC (Sync).
 	Mode aiac.Mode
 	// Eps is the local convergence threshold on the residual.
 	Eps float64
-	// PersistIters is the consecutive locally-converged iterations
-	// required before a rank starts the two-phase confirmation.
-	PersistIters int
 	// MaxIters bounds each rank's iterations.
 	MaxIters int
 	// Grace is the coordinator's quiet window between seeing every rank
 	// confirmed and broadcasting stop (protocol.Params.Grace on the wall
 	// clock).
 	Grace time.Duration
-	// Heartbeat makes a confirmed rank re-send its state at this interval
-	// until the stop arrives, and the coordinator re-answer post-stop
-	// heartbeats with a fresh stop (protocol.Params.Heartbeat).
-	Heartbeat time.Duration
 	// Timeout aborts the solve after this much wall time and reports it
 	// as stalled — the guard that keeps a runaway native cell from
 	// hanging a sweep. Zero disables it.
@@ -95,8 +90,8 @@ type Report struct {
 // panics ends the solve with an error naming the rank and the panic.
 func Run(prob aiac.Problem, tr transport.Transport, cfg Config) (*Report, error) {
 	acfg := aiac.Config{
-		Mode: cfg.Mode, Eps: cfg.Eps, PersistIters: cfg.PersistIters, MaxIters: cfg.MaxIters,
-		StopGrace: cfg.Grace, StateHeartbeat: cfg.Heartbeat, Residuals: cfg.Residuals,
+		Mode: cfg.Mode, Eps: cfg.Eps, MaxIters: cfg.MaxIters,
+		StopGrace: cfg.Grace, Residuals: cfg.Residuals,
 	}
 	pp := acfg.Params()
 	cfg.Grace = time.Duration(pp.Grace)

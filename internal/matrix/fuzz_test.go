@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"aiac/internal/aiac"
+	"aiac/internal/report"
 )
 
 // A cell key is an outside input (aiacbench KEY, sidecar rows, the
@@ -105,6 +107,56 @@ func FuzzParseAxes(f *testing.F) {
 		}
 		if op, err := ParseOperator(csv); err == nil && op != "dia" && op != "stencil" {
 			t.Fatalf("%q: accepted operator %q", csv, op)
+		}
+	})
+}
+
+// A cell's row must not depend on the order its repetitions completed in,
+// bit for bit, whatever the repetitions hold: NaN (two payloads), ±Inf
+// and ±0 included. Each repetition draws its columns from small value sets
+// (ties are the point) off the fuzzed bytes; the first may carry an
+// attribution, as the traced repetition does.
+func FuzzAggregate(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 6, 6, 3, 1, 0, 1})
+	f.Add([]byte{5, 6, 7, 6, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add([]byte{3, 1, 1, 1, 1, 0, 0, 0, 0, 4, 4, 4, 4, 5, 5, 5, 5})
+	floats := []float64{0, math.Copysign(0, -1), 0.5, 1, math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000001), 1e-6}
+	flags := []string{"", "plateau", "non-finite,oscillation", "oscillation"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		rs := make([]report.Result, 1+next()%6)
+		for i := range rs {
+			rs[i] = report.Result{
+				Reps: 1, GraceSec: 0.05,
+				TimeSec: floats[next()%len(floats)], Residual: floats[next()%len(floats)],
+				ReconvergeSec: floats[next()%len(floats)], WallSec: floats[next()%len(floats)],
+				Iters: next() % 3, Messages: uint64(next() % 3), Bytes: uint64(next() % 3),
+				InterSite: uint64(next() % 3), Dropped: uint64(next() % 3), Restarts: next() % 3,
+				Heartbeats: next() % 3, StopRebroadcasts: next() % 3, ReconfirmRounds: next() % 3,
+				Converged: next()%2 == 0, Stalled: next()%2 == 0, Flags: flags[next()%len(flags)],
+			}
+			rs[i].MinTimeSec = rs[i].TimeSec
+		}
+		if next()%2 == 1 {
+			rs[0].AttrTotalSec, rs[0].AttrComputeSec, rs[0].AttrProtocolSec = 1, 0.75, 0.25
+		}
+		base := rowBits(aggregate(slices.Clone(rs)))
+		rev := slices.Clone(rs)
+		slices.Reverse(rev)
+		for _, order := range [][]report.Result{rs, rev} {
+			for k := range order {
+				perm := append(slices.Clone(order[k:]), order[:k]...)
+				if got := rowBits(aggregate(perm)); got != base {
+					t.Fatalf("aggregate depends on repetition order:\nbase %s\ngot  %s\nreps %+v", base, got, perm)
+				}
+			}
 		}
 	})
 }

@@ -1,10 +1,12 @@
 package matrix
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,7 +20,6 @@ import (
 	"aiac/internal/obs"
 	"aiac/internal/obs/critpath"
 	"aiac/internal/problems"
-	"aiac/internal/protocol"
 	"aiac/internal/report"
 	"aiac/internal/scenario"
 	"aiac/internal/trace"
@@ -217,143 +218,84 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 	return &report.Set{Results: results}, runErr
 }
 
-// measurement is one repetition's outcome.
-type measurement struct {
-	timeSec       float64
-	iters         int
-	messages      uint64
-	bytes         uint64
-	interSite     uint64
-	dropped       uint64
-	residual      float64
-	converged     bool
-	stalled       bool
-	reconvergeSec float64
-	restarts      int
-	wallSec       float64
-
-	// Protocol observability (internal/protocol): counters plus the
-	// resolved constants that produced the run.
-	heartbeats   int
-	rebroadcasts int
-	reconfirms   int
-	proto        protocol.Params
-
-	// flags holds the repetition's convergence red-flag verdicts
-	// (internal/obs detectors), comma-separated and sorted; nonFinite
-	// says a solve ended on a non-finite residual (aiac.StopNonFinite),
-	// which flags as obs.FlagNonFinite.
-	flags     string
-	nonFinite bool
-
-	// Critical-path attribution of the repetition's trace
-	// (internal/obs/critpath), zero when the repetition was not traced.
-	// Deliberately excluded from less(): attribution exists only for the
-	// traced repetition, so letting it order measurements would make the
-	// median pick depend on which repetition carried the trace.
-	attr attribution
+// before orders repetitions lexicographically over every measured column —
+// simulated time first, then the rest as tie-breaks — a total order (up to
+// equality of those columns), so sorting is deterministic whatever order
+// the repetitions completed in. Floats compare as cmp.Compare does (NaN
+// first), then on their bits, so -0 and +0 and NaNs of different payloads
+// have fixed places too. Left out: the cell identity, the columns the
+// aggregate sets itself (Reps, MinTimeSec, HostSec, Error, ...), the
+// protocol constants (the same for every repetition of a cell) and the
+// critical-path attribution — it exists only for the traced repetition, so
+// letting it order repetitions would make the median pick depend on which
+// one carried the trace. TestBeforeOrdersEveryColumn holds the list.
+func before(a, b report.Result) int {
+	return cmp.Or(
+		cmpFloat(a.TimeSec, b.TimeSec),
+		cmp.Compare(a.Iters, b.Iters),
+		cmp.Compare(a.Messages, b.Messages),
+		cmp.Compare(a.Bytes, b.Bytes),
+		cmp.Compare(a.InterSite, b.InterSite),
+		cmp.Compare(a.Dropped, b.Dropped),
+		cmpFloat(a.Residual, b.Residual),
+		cmpBool(a.Converged, b.Converged),
+		cmpBool(a.Stalled, b.Stalled),
+		cmpFloat(a.ReconvergeSec, b.ReconvergeSec),
+		cmp.Compare(a.Restarts, b.Restarts),
+		cmpFloat(a.WallSec, b.WallSec),
+		cmp.Compare(a.Heartbeats, b.Heartbeats),
+		cmp.Compare(a.StopRebroadcasts, b.StopRebroadcasts),
+		cmp.Compare(a.ReconfirmRounds, b.ReconfirmRounds),
+		cmp.Compare(a.Flags, b.Flags),
+	)
 }
 
-// attribution is the per-category split of one traced repetition's
-// simulated time, in seconds. totalSec == 0 means "not attributed".
-type attribution struct {
-	totalSec       float64
-	computeSec     float64
-	transitSec     float64
-	syncWaitSec    float64
-	protocolSec    float64
-	blockedSendSec float64
+// cmpFloat is cmp.Compare with ties broken on the bits.
+func cmpFloat(a, b float64) int {
+	return cmp.Or(cmp.Compare(a, b), cmp.Compare(math.Float64bits(a), math.Float64bits(b)))
 }
 
-// less orders measurements lexicographically over every field — a total
-// order (up to full equality), so sorting is deterministic whatever the
-// input permutation.
-func (m measurement) less(o measurement) bool {
-	if m.timeSec != o.timeSec {
-		return m.timeSec < o.timeSec
+// cmpBool orders false before true.
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
 	}
-	if m.iters != o.iters {
-		return m.iters < o.iters
-	}
-	if m.messages != o.messages {
-		return m.messages < o.messages
-	}
-	if m.bytes != o.bytes {
-		return m.bytes < o.bytes
-	}
-	if m.interSite != o.interSite {
-		return m.interSite < o.interSite
-	}
-	if m.dropped != o.dropped {
-		return m.dropped < o.dropped
-	}
-	if m.residual != o.residual {
-		return m.residual < o.residual
-	}
-	if m.converged != o.converged {
-		return !m.converged
-	}
-	if m.stalled != o.stalled {
-		return !m.stalled
-	}
-	if m.reconvergeSec != o.reconvergeSec {
-		return m.reconvergeSec < o.reconvergeSec
-	}
-	if m.restarts != o.restarts {
-		return m.restarts < o.restarts
-	}
-	if m.wallSec != o.wallSec {
-		return m.wallSec < o.wallSec
-	}
-	if m.heartbeats != o.heartbeats {
-		return m.heartbeats < o.heartbeats
-	}
-	if m.rebroadcasts != o.rebroadcasts {
-		return m.rebroadcasts < o.rebroadcasts
-	}
-	if m.reconfirms != o.reconfirms {
-		return m.reconfirms < o.reconfirms
-	}
-	return m.flags < o.flags
+	return -1
 }
 
-// result converts the repetition into a single-rep report.Result for c.
-func (m measurement) result(c Cell) report.Result {
-	return report.Result{
-		Env: c.Env, Mode: c.Mode.String(), Grid: c.Grid, Problem: c.Problem,
-		Procs: c.Procs, Size: c.Size, Scenario: c.scenarioName(), Backend: c.backendName(), Reps: 1,
-		TimeSec: m.timeSec, MinTimeSec: m.timeSec, Iters: m.iters,
-		Messages: m.messages, Bytes: m.bytes, InterSite: m.interSite,
-		Dropped: m.dropped, Residual: m.residual, Converged: m.converged,
-		Stalled: m.stalled, ReconvergeSec: m.reconvergeSec, Restarts: m.restarts,
-		WallSec: m.wallSec, Flags: m.flags,
-		Heartbeats: m.heartbeats, StopRebroadcasts: m.rebroadcasts, ReconfirmRounds: m.reconfirms,
-		GraceSec: m.proto.Grace.Seconds(), HeartbeatSec: m.proto.Heartbeat.Seconds(),
-		PersistIters: m.proto.PersistIters,
-		AttrTotalSec: m.attr.totalSec, AttrComputeSec: m.attr.computeSec,
-		AttrTransitSec: m.attr.transitSec, AttrSyncWaitSec: m.attr.syncWaitSec,
-		AttrProtocolSec: m.attr.protocolSec, AttrBlockedSendSec: m.attr.blockedSendSec,
-	}
-}
-
-// protocolObservability folds an engine report's protocol counters and
-// constants into the measurement.
-func (m *measurement) fromEngine(rpt *aiac.Report) {
-	m.nonFinite = m.nonFinite || rpt.Reason == aiac.StopNonFinite
-	m.heartbeats += rpt.Heartbeats
-	m.rebroadcasts += rpt.StopRebroadcasts
-	m.reconfirms += rpt.ReconfirmRounds
-	m.proto = rpt.Protocol
+// absorb folds one engine report — a solve, or one time step of a chem
+// run — into the repetition r, which starts with Converged set:
+// iterations and restarts sum, convergence AND-folds (a solve converged
+// only if no rank ended on an unvalidated block), a stall OR-folds,
+// reconvergence takes the worst, the protocol counters sum and the
+// protocol constants are the last report's. It reports whether the solve
+// ended on a non-finite residual (aiac.StopNonFinite).
+func absorb(r *report.Result, rpt *aiac.Report) (nonFinite bool) {
+	r.Iters += rpt.TotalIters()
+	r.Converged = r.Converged && rpt.Reason == aiac.StopConverged && rpt.TaintedRestarts == 0
+	r.Stalled = r.Stalled || rpt.Stalled
+	r.Restarts += rpt.Restarts
+	r.ReconvergeSec = max(r.ReconvergeSec, rpt.Reconverge.Seconds())
+	r.Heartbeats += rpt.Heartbeats
+	r.StopRebroadcasts += rpt.StopRebroadcasts
+	r.ReconfirmRounds += rpt.ReconfirmRounds
+	r.GraceSec = rpt.Protocol.Grace.Seconds()
+	r.HeartbeatSec = rpt.Protocol.Heartbeat.Seconds()
+	r.PersistIters = rpt.Protocol.PersistIters
+	return rpt.Reason == aiac.StopNonFinite
 }
 
 // redFlags is the repetition's red-flag column: obs.Detect's verdicts on
 // its residual timelines, and FlagNonFinite when a solve ended on a
 // non-finite residual.
-func redFlags(resid *obs.Residuals, m measurement, eps float64) string {
-	flags := obs.Detect(resid, m.converged, obs.DetectorParams{Eps: eps})
-	if m.nonFinite {
+func redFlags(resid *obs.Residuals, converged, nonFinite bool, eps float64) string {
+	flags := obs.Detect(resid, converged, obs.DetectorParams{Eps: eps})
+	if nonFinite {
 		flags = append(flags, obs.FlagNonFinite)
-		sort.Strings(flags)
+		slices.Sort(flags)
 	}
 	return strings.Join(flags, ",")
 }
@@ -374,6 +316,14 @@ func (c Cell) backendName() string {
 	return c.Backend
 }
 
+// identity is a Result carrying only c's identity columns.
+func (c Cell) identity() report.Result {
+	return report.Result{
+		Env: c.Env, Mode: c.Mode.String(), Grid: c.Grid, Problem: c.Problem,
+		Procs: c.Procs, Size: c.Size, Scenario: c.scenarioName(), Backend: c.backendName(),
+	}
+}
+
 // runCell executes one cell's repetitions and aggregates them.
 func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache) report.Result {
 	// Without a jitter seed, only the problems with a generator-seed axis
@@ -385,12 +335,9 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 	if SimulatedBackend(c.backendName()) && c.Problem == "chem" && seed == 0 {
 		reps = 1
 	}
-	out := report.Result{
-		Env: c.Env, Mode: c.Mode.String(), Grid: c.Grid, Problem: c.Problem,
-		Procs: c.Procs, Size: c.Size, Scenario: c.scenarioName(), Backend: c.backendName(),
-	}
+	out := c.identity()
 	t0 := time.Now()
-	ms := make([]measurement, 0, reps)
+	rs := make([]report.Result, 0, reps)
 	for rep := 0; rep < reps; rep++ {
 		// The first repetition of every simulated cell is traced so its
 		// critical path can be attributed (runOnce); the collector itself
@@ -406,7 +353,7 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 		if rep == 0 && SimulatedBackend(c.backendName()) {
 			tr = trace.New()
 		}
-		m, err := runIsolated(c, spec, rep, seed, timeout, tr, cache)
+		r, err := runIsolated(c, spec, rep, seed, timeout, tr, cache)
 		if err != nil {
 			// Record what actually happened: how many repetitions
 			// completed, and which one failed.
@@ -415,9 +362,9 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 			out.HostSec = time.Since(t0).Seconds()
 			return out
 		}
-		ms = append(ms, m)
+		rs = append(rs, r)
 	}
-	out = aggregate(c, ms)
+	out = aggregate(rs)
 	out.HostSec = time.Since(t0).Seconds()
 	return out
 }
@@ -432,60 +379,45 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 // degradation table reads exactly these fields; taking them from the
 // median alone used to report stalled=false on a cell whose non-median
 // repetition deadlocked.)
-func aggregate(c Cell, ms []measurement) report.Result {
+func aggregate(rs []report.Result) report.Result {
 	// Sort by a total order — simulated time first, then every other
-	// measurement field as a tie-break — so the aggregate is invariant
-	// under the order repetitions completed in. Sorting by time alone left
-	// the median pick among equal-time repetitions (common for
-	// deterministic problems) dependent on input order.
-	sort.Slice(ms, func(i, j int) bool { return ms[i].less(ms[j]) })
-	out := ms[(len(ms)-1)/2].result(c)
-	out.Reps = len(ms)
+	// measured column as a tie-break — so the aggregate is invariant under
+	// the order repetitions completed in. Sorting by time alone left the
+	// median pick among equal-time repetitions (common for deterministic
+	// problems) dependent on input order.
+	slices.SortFunc(rs, before)
+	out := rs[(len(rs)-1)/2]
+	out.Reps = len(rs)
 	// The attribution rides on whichever repetition was traced (the
 	// first), which after sorting is not necessarily the median: take it
-	// from the measurement that has one.
-	for _, m := range ms {
-		if m.attr.totalSec > 0 {
-			out.AttrTotalSec = m.attr.totalSec
-			out.AttrComputeSec = m.attr.computeSec
-			out.AttrTransitSec = m.attr.transitSec
-			out.AttrSyncWaitSec = m.attr.syncWaitSec
-			out.AttrProtocolSec = m.attr.protocolSec
-			out.AttrBlockedSendSec = m.attr.blockedSendSec
-			break
-		}
+	// from the repetition that has one.
+	if i := slices.IndexFunc(rs, func(r report.Result) bool { return r.AttrTotalSec > 0 }); i >= 0 {
+		out.AttrTotalSec = rs[i].AttrTotalSec
+		out.AttrComputeSec = rs[i].AttrComputeSec
+		out.AttrTransitSec = rs[i].AttrTransitSec
+		out.AttrSyncWaitSec = rs[i].AttrSyncWaitSec
+		out.AttrProtocolSec = rs[i].AttrProtocolSec
+		out.AttrBlockedSendSec = rs[i].AttrBlockedSendSec
 	}
-	out.MinTimeSec = ms[0].timeSec
+	out.MinTimeSec = rs[0].TimeSec
 	out.Converged, out.Stalled = true, false
 	out.Restarts, out.ReconvergeSec, out.Dropped = 0, 0, 0
-	flags := make(map[string]bool)
-	for _, m := range ms {
-		out.Converged = out.Converged && m.converged
-		out.Stalled = out.Stalled || m.stalled
-		out.Restarts += m.restarts
-		if m.reconvergeSec > out.ReconvergeSec {
-			out.ReconvergeSec = m.reconvergeSec
-		}
-		if m.dropped > out.Dropped {
-			out.Dropped = m.dropped
-		}
-		for _, f := range strings.Split(m.flags, ",") {
-			if f != "" {
-				flags[f] = true
-			}
+	var flags []string
+	for _, r := range rs {
+		out.Converged = out.Converged && r.Converged
+		out.Stalled = out.Stalled || r.Stalled
+		out.Restarts += r.Restarts
+		out.ReconvergeSec = max(out.ReconvergeSec, r.ReconvergeSec)
+		out.Dropped = max(out.Dropped, r.Dropped)
+		if r.Flags != "" {
+			flags = append(flags, strings.Split(r.Flags, ",")...)
 		}
 	}
 	// Union the red flags across repetitions — like the stall fold, a
 	// pathological non-median repetition must not hide behind a clean
 	// median.
-	if len(flags) > 0 {
-		fs := make([]string, 0, len(flags))
-		for f := range flags {
-			fs = append(fs, f)
-		}
-		sort.Strings(fs)
-		out.Flags = strings.Join(fs, ",")
-	}
+	slices.Sort(flags)
+	out.Flags = strings.Join(slices.Compact(flags), ",")
 	return out
 }
 
@@ -502,11 +434,7 @@ func RunCellOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 	if !SimulatedBackend(c.backendName()) && tr != nil && c.Problem == "chem" {
 		return report.Result{}, fmt.Errorf("tracing a native cell needs a single-solve problem (cell %s runs one solve per time step)", c.Key())
 	}
-	m, err := runIsolated(c, spec, rep, seed, timeout, tr, nil)
-	if err != nil {
-		return report.Result{}, err
-	}
-	return m.result(c), nil
+	return runIsolated(c, spec, rep, seed, timeout, tr, nil)
 }
 
 // runIsolated is runOnce with a panic inside the repetition — in problem
@@ -518,7 +446,7 @@ func RunCellOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 // continuations it holds, nothing else). A native cell's rank panics on
 // its own goroutine, out of reach from here: backend.Run contains it and
 // returns it as the repetition's error.
-func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (m measurement, err error) {
+func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (r report.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("panic: %v", v)
@@ -534,25 +462,25 @@ var wrapProblem func(c Cell, prob aiac.Problem) aiac.Problem
 // runOnce executes one repetition of a cell — in a fresh simulator for sim
 // cells, natively over a fresh transport otherwise. cache, when non-nil,
 // supplies memoized problem assembly (a nil cache builds fresh systems).
-func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (measurement, error) {
+func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (report.Result, error) {
 	if !SimulatedBackend(c.backendName()) {
 		return runNative(c, spec, rep, seed, timeout, tr, cache)
 	}
 	scen, err := scenario.ByName(c.scenarioName())
 	if err != nil {
-		return measurement{}, err
+		return report.Result{}, err
 	}
 	sim := des.New()
 	grid, err := NewGrid(sim, c.Grid, c.Procs)
 	if err != nil {
-		return measurement{}, err
+		return report.Result{}, err
 	}
 	if seed != 0 {
 		grid.Net.SetJitter(0.02, seed+int64(rep))
 	}
 	env, err := NewEnv(grid, c.Env, sparseExchange(c.Problem), tr)
 	if err != nil {
-		return measurement{}, fmt.Errorf("deploying %s on %s: %w", c.Env, c.Grid, err)
+		return report.Result{}, fmt.Errorf("deploying %s on %s: %w", c.Env, c.Grid, err)
 	}
 	rt := scenario.Deploy(scen, grid)
 
@@ -561,7 +489,9 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	// flags column must be present in every sweep. The engine records into
 	// side arrays only, so the event sequence cannot change.
 	resid := obs.NewResiduals(c.Procs)
-	var m measurement
+	r := c.identity()
+	r.Reps, r.Converged = 1, true
+	nonFinite := false
 	if c.Problem == "chem" {
 		cp := spec.Chem
 		p := chem.New(c.Size, c.Size)
@@ -579,22 +509,16 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 			run = problems.RunChem(grid, env, p, p.InitialState(),
 				cp.StepS, cp.HorizonS, gp, aiac.Config{Mode: c.Mode, Eps: cp.Eps, Trace: tr, Dynamics: rt, Residuals: resid})
 		}
-		m.timeSec = run.Elapsed.Seconds()
-		m.iters = run.TotalIters()
-		m.converged = run.AllConverged()
+		r.TimeSec = run.Elapsed.Seconds()
 		for _, step := range run.Steps {
-			m.converged = m.converged && step.TaintedRestarts == 0
-			m.stalled = m.stalled || step.Stalled
-			m.restarts += step.Restarts
-			if s := step.Reconverge.Seconds(); s > m.reconvergeSec {
-				m.reconvergeSec = s
+			if absorb(&r, step) {
+				nonFinite = true
 			}
-			m.fromEngine(step)
 		}
 	} else {
 		s, err := cellSolve(c, spec, rep, cache)
 		if err != nil {
-			return measurement{}, err
+			return report.Result{}, err
 		}
 		if wrapProblem != nil {
 			s.prob = wrapProblem(c, s.prob)
@@ -603,31 +527,27 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 			Mode: c.Mode, Eps: s.eps, MaxIters: s.maxIters,
 			Trace: tr, Dynamics: rt, Residuals: resid,
 		})
-		m.timeSec = rpt.Elapsed.Seconds()
-		m.iters = rpt.TotalIters()
-		m.residual = la.MaxNormDiff(rpt.X, s.xtrue)
-		m.converged = rpt.Reason == aiac.StopConverged && rpt.TaintedRestarts == 0
-		m.stalled = rpt.Stalled
-		m.reconvergeSec = rpt.Reconverge.Seconds()
-		m.restarts = rpt.Restarts
-		m.fromEngine(rpt)
+		r.TimeSec = rpt.Elapsed.Seconds()
+		r.Residual = la.MaxNormDiff(rpt.X, s.xtrue)
+		nonFinite = absorb(&r, rpt)
 	}
-	m.flags = redFlags(resid, m, cellEps(c, spec))
+	r.MinTimeSec = r.TimeSec
+	r.Flags = redFlags(resid, r.Converged, nonFinite, cellEps(c, spec))
 	// Attribute the run's critical path while the trace is still alive
 	// (the global-Newton chem path records no compute spans and keeps a
 	// zero attribution).
 	if tr != nil {
-		m.attr = attributionOf(tr, critpath.TotalFromSeconds(m.timeSec))
+		attribute(&r, tr, critpath.TotalFromSeconds(r.TimeSec))
 	}
 	st := grid.Net.StatsSnapshot()
-	m.messages = st.Messages
-	m.bytes = st.Bytes
-	m.interSite = st.InterSite
-	m.dropped = st.Dropped
+	r.Messages = st.Messages
+	r.Bytes = st.Bytes
+	r.InterSite = st.InterSite
+	r.Dropped = st.Dropped
 	// Drop the parked processes (stalled exchanges, middleware threads
 	// waiting on drained inboxes) with everything their continuations hold.
 	sim.Shutdown()
-	return m, nil
+	return r, nil
 }
 
 // DefaultNativeTimeout is the wall-clock guard of a native cell when
@@ -640,13 +560,13 @@ const DefaultNativeTimeout = 2 * time.Minute
 // seed exactly like a simulated repetition; every committed problem runs,
 // the chemical one as its per-time-step loop over fresh transports. tr,
 // when non-nil, collects the solve's wall-clock execution flow
-// (backend.Config.Trace) and the measurement carries its critical-path
+// (backend.Config.Trace) and the result carries its critical-path
 // attribution — single-solve problems only: the chemical loop runs one
 // solve per time step, each with its own clock epoch, so its cells stay
 // unattributed.
-func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (measurement, error) {
+func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *trace.Collector, cache *problems.Cache) (report.Result, error) {
 	if !backend.NativeScenario(c.scenarioName()) {
-		return measurement{}, fmt.Errorf("scenario %q has no native analogue", c.Scenario)
+		return report.Result{}, fmt.Errorf("scenario %q has no native analogue", c.Scenario)
 	}
 	if c.Problem == "chem" {
 		tr = nil
@@ -666,8 +586,11 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 	// informational (wall-clock trajectories are not deterministic), so
 	// Regressions never gates on them.
 	resid := obs.NewResiduals(c.Procs)
-	// One solve over a freshly shaped transport; the chem loop below runs
-	// it once per time step.
+	r := c.identity()
+	r.Reps, r.Converged = 1, true
+	nonFinite := false
+	// One solve over a freshly shaped transport, folded into r; the chem
+	// loop below runs it once per time step.
 	solve := func(prob aiac.Problem, eps float64, maxIters int) (*backend.Report, error) {
 		if wrapProblem != nil {
 			prob = wrapProblem(c, prob)
@@ -679,27 +602,24 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 		if err := backend.ApplyScenarioShaping(tp, c.Grid, c.scenarioName(), lossSeed); err != nil {
 			return nil, err
 		}
-		return backend.Run(prob, tp, backend.Config{
+		rpt, err := backend.Run(prob, tp, backend.Config{
 			Mode: c.Mode, Eps: eps, MaxIters: maxIters,
 			Timeout: timeout, StallAfter: stallAfter,
 			Residuals: resid, Trace: tr,
 		})
-	}
-	fold := func(m *measurement, rpt *backend.Report, xtrue []float64) {
-		m.timeSec += rpt.Wall.Seconds()
-		m.wallSec += rpt.Wall.Seconds()
-		m.iters += rpt.TotalIters()
-		if xtrue != nil {
-			m.residual = la.MaxNormDiff(rpt.X, xtrue)
+		if err != nil {
+			return nil, err
 		}
-		m.converged = m.converged && rpt.Converged()
-		m.stalled = m.stalled || rpt.Reason == aiac.StopStalled
-		m.messages += rpt.Net.Messages
-		m.bytes += rpt.Net.Bytes
-		m.dropped += rpt.Net.Dropped
-		m.fromEngine(&rpt.Report)
+		r.TimeSec += rpt.Wall.Seconds()
+		r.WallSec += rpt.Wall.Seconds()
+		r.Messages += rpt.Net.Messages
+		r.Bytes += rpt.Net.Bytes
+		r.Dropped += rpt.Net.Dropped
+		if absorb(&r, &rpt.Report) {
+			nonFinite = true
+		}
+		return rpt, nil
 	}
-	m := measurement{converged: true}
 	if c.Problem == "chem" {
 		// The paper's per-time-step synchronisation, natively: one
 		// backend solve per implicit-Euler step, each over a fresh
@@ -713,26 +633,26 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 			prob := problems.NewChemStep(p, y, cp.StepS, t+cp.StepS, gp)
 			rpt, err := solve(prob, cp.Eps, 0)
 			if err != nil {
-				return measurement{}, err
+				return report.Result{}, err
 			}
-			fold(&m, rpt, nil)
 			y = rpt.X
-			if m.stalled || m.nonFinite {
+			if r.Stalled || nonFinite {
 				break
 			}
 		}
 	} else {
 		s, err := cellSolve(c, spec, rep, cache)
 		if err != nil {
-			return measurement{}, err
+			return report.Result{}, err
 		}
 		rpt, err := solve(s.prob, s.eps, s.maxIters)
 		if err != nil {
-			return measurement{}, err
+			return report.Result{}, err
 		}
-		fold(&m, rpt, s.xtrue)
+		r.Residual = la.MaxNormDiff(rpt.X, s.xtrue)
 	}
-	m.flags = redFlags(resid, m, cellEps(c, spec))
+	r.MinTimeSec = r.TimeSec
+	r.Flags = redFlags(resid, r.Converged, nonFinite, cellEps(c, spec))
 	// Native attribution runs against the trace's own horizon rather than
 	// the reported wall time: the wall measurement starts at the first
 	// post-barrier rank, while the trace clock starts at the solve's
@@ -740,9 +660,9 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 	// teardown tail. The category split is what matters; the small extra
 	// total is protocol overhead by definition.
 	if tr != nil {
-		m.attr = attributionOf(tr, tr.Horizon())
+		attribute(&r, tr, tr.Horizon())
 	}
-	return m, nil
+	return r, nil
 }
 
 // solveSpec is one solve of a linear, gmres or newton cell: the problem,
@@ -776,21 +696,20 @@ func cellSolve(c Cell, spec Spec, rep int, cache *problems.Cache) (solveSpec, er
 	return s, nil
 }
 
-// attributionOf is the critical-path attribution of tr's run up to total;
-// a run with no compute spans is not attributable and keeps a zero one.
-func attributionOf(tr *trace.Collector, total des.Time) attribution {
+// attribute writes the critical-path attribution of tr's run up to total
+// into r's Attr* columns; a run with no compute spans is not attributable
+// and keeps them zero.
+func attribute(r *report.Result, tr *trace.Collector, total des.Time) {
 	a, ok := critpath.Analyze(tr, total)
 	if !ok {
-		return attribution{}
+		return
 	}
-	return attribution{
-		totalSec:       a.Total.Seconds(),
-		computeSec:     a.Seconds(critpath.CatCompute),
-		transitSec:     a.Seconds(critpath.CatTransit),
-		syncWaitSec:    a.Seconds(critpath.CatSyncWait),
-		protocolSec:    a.Seconds(critpath.CatProtocol),
-		blockedSendSec: a.Seconds(critpath.CatBlockedSend),
-	}
+	r.AttrTotalSec = a.Total.Seconds()
+	r.AttrComputeSec = a.Seconds(critpath.CatCompute)
+	r.AttrTransitSec = a.Seconds(critpath.CatTransit)
+	r.AttrSyncWaitSec = a.Seconds(critpath.CatSyncWait)
+	r.AttrProtocolSec = a.Seconds(critpath.CatProtocol)
+	r.AttrBlockedSendSec = a.Seconds(critpath.CatBlockedSend)
 }
 
 // cellEps is the convergence threshold the cell's problem solves to — the

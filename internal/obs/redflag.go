@@ -40,50 +40,33 @@ const (
 	FlagNonFinite         = "non-finite"
 )
 
-// DetectorParams tunes the red-flag detectors. The zero value selects the
-// defaults noted on each field.
+// DetectorParams tunes the red-flag detectors.
 type DetectorParams struct {
 	// Eps is the cell's convergence threshold. Residuals at or below Eps
 	// never flag: reaching the target is healthy however the trajectory
 	// got there.
 	Eps float64
-	// OscFactor is the blow-up factor over the running minimum that
-	// counts as one oscillation excursion (default 1e3).
-	OscFactor float64
-	// OscMin is the excursion count at which the oscillation flag fires
-	// (default 4).
-	OscMin int
-	// PlateauWindow is the trailing fraction of samples examined for
-	// stagnation (default 0.25).
-	PlateauWindow float64
-	// PlateauFactor is the minimum first/last improvement ratio over the
-	// window for the trajectory to count as still progressing
-	// (default 2: less than 2x improvement across the trailing quarter
-	// of a non-converged run is a plateau).
-	PlateauFactor float64
-	// RegressSlack is how much worse than the pre-restart minimum the
-	// post-restart minimum must be to flag (default 10).
-	RegressSlack float64
 }
 
-func (p DetectorParams) withDefaults() DetectorParams {
-	if p.OscFactor == 0 {
-		p.OscFactor = 1e3
-	}
-	if p.OscMin == 0 {
-		p.OscMin = 4
-	}
-	if p.PlateauWindow == 0 {
-		p.PlateauWindow = 0.25
-	}
-	if p.PlateauFactor == 0 {
-		p.PlateauFactor = 2
-	}
-	if p.RegressSlack == 0 {
-		p.RegressSlack = 10
-	}
-	return p
-}
+// The detectors' fixed thresholds.
+const (
+	// oscFactor is the blow-up factor over the running minimum that
+	// counts as one oscillation excursion.
+	oscFactor = 1e3
+	// oscMin is the excursion count at which the oscillation flag fires.
+	oscMin = 4
+	// plateauWindow is the trailing fraction of samples examined for
+	// stagnation.
+	plateauWindow = 0.25
+	// plateauFactor is the minimum first/last improvement ratio over the
+	// window for the trajectory to count as still progressing: less than
+	// 2x improvement across the trailing quarter of a non-converged run
+	// is a plateau.
+	plateauFactor = 2
+	// regressSlack is how much worse than the pre-restart minimum the
+	// post-restart minimum must be to flag.
+	regressSlack = 10
+)
 
 // minSamples is the shortest timeline the trend detectors consider; with
 // fewer points a trajectory has no meaningful "trailing window".
@@ -94,7 +77,6 @@ const minSamples = 16
 // plateau detector only examines non-converged cells). A nil or empty
 // Residuals yields no flags.
 func Detect(rs *Residuals, converged bool, p DetectorParams) []string {
-	p = p.withDefaults()
 	set := make(map[string]bool)
 	for r := 0; r < rs.Ranks(); r++ {
 		tl := rs.Rank(r)
@@ -120,7 +102,7 @@ func Detect(rs *Residuals, converged bool, p DetectorParams) []string {
 }
 
 // detectOscillation counts excursions where the residual rises more than
-// OscFactor above the running minimum. Each crossing of the threshold
+// oscFactor above the running minimum. Each crossing of the threshold
 // counts once; the excursion must fall back below it before a new one can
 // count. Healthy asynchronous iterations are deliberately not excursions,
 // which takes three guards: crash recoveries legitimately re-inflate the
@@ -150,10 +132,10 @@ func detectOscillation(tl *Timeline, p DetectorParams) bool {
 		if floor < p.Eps {
 			floor = p.Eps
 		}
-		high := s.Res > floor*p.OscFactor && s.Res > 100*p.Eps
+		high := s.Res > floor*oscFactor && s.Res > 100*p.Eps
 		if high && !inExcursion && i >= n/2 {
 			excursions++
-			if excursions >= p.OscMin {
+			if excursions >= oscMin {
 				return true
 			}
 		}
@@ -162,15 +144,15 @@ func detectOscillation(tl *Timeline, p DetectorParams) bool {
 	return false
 }
 
-// detectPlateau reports whether the trailing PlateauWindow fraction of a
-// non-converged trajectory shows less than PlateauFactor improvement
+// detectPlateau reports whether the trailing plateauWindow fraction of a
+// non-converged trajectory shows less than plateauFactor improvement
 // while still above Eps.
 func detectPlateau(tl *Timeline, p DetectorParams) bool {
 	n := len(tl.Samples)
 	if n < minSamples {
 		return false
 	}
-	w := int(float64(n) * p.PlateauWindow)
+	w := int(float64(n) * plateauWindow)
 	if w < minSamples/2 {
 		w = minSamples / 2
 	}
@@ -185,7 +167,7 @@ func detectPlateau(tl *Timeline, p DetectorParams) bool {
 	if lo <= p.Eps {
 		return false // reached the target inside the window
 	}
-	return first < last*p.PlateauFactor
+	return first < last*plateauFactor
 }
 
 // detectRestartRegression compares the best residual seen before the last
@@ -208,5 +190,5 @@ func detectRestartRegression(tl *Timeline, p DetectorParams) bool {
 	if preMin == 0 || postMin == 0 {
 		return false // no samples on one side of the restart
 	}
-	return postMin > preMin*p.RegressSlack && postMin > p.Eps
+	return postMin > preMin*regressSlack && postMin > p.Eps
 }

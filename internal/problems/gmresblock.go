@@ -73,21 +73,7 @@ func (l *LinearGMRES) InitialVector() []float64 { return make([]float64, l.A.Dim
 // minus its own block — identical to Linear, the dependency pattern is the
 // matrix's, not the local solver's.
 func (l *LinearGMRES) DepsFor(rank int, bounds []int) []aiac.Segment {
-	lo, hi := bounds[rank], bounds[rank+1]
-	var deps []aiac.Segment
-	for _, seg := range l.A.ColumnsTouched(lo, hi) {
-		if seg.Hi <= lo || seg.Lo >= hi {
-			deps = append(deps, aiac.Segment{Lo: seg.Lo, Hi: seg.Hi})
-			continue
-		}
-		if seg.Lo < lo {
-			deps = append(deps, aiac.Segment{Lo: seg.Lo, Hi: lo})
-		}
-		if seg.Hi > hi {
-			deps = append(deps, aiac.Segment{Lo: hi, Hi: seg.Hi})
-		}
-	}
-	return deps
+	return blockDeps(l.A, rank, bounds)
 }
 
 // Update implements aiac.Problem: one inner GMRES solve of the rank's

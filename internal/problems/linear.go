@@ -68,9 +68,15 @@ func (l *Linear) InitialVector() []float64 { return make([]float64, l.A.Dim()) }
 // DepsFor implements aiac.Problem: the columns the rank's rows touch,
 // minus its own block.
 func (l *Linear) DepsFor(rank int, bounds []int) []aiac.Segment {
+	return blockDeps(l.A, rank, bounds)
+}
+
+// blockDeps is a matrix problem's dependency pattern: the columns of a
+// that the rank's rows touch, minus the rank's own block.
+func blockDeps(a sparse.Operator, rank int, bounds []int) []aiac.Segment {
 	lo, hi := bounds[rank], bounds[rank+1]
 	var deps []aiac.Segment
-	for _, seg := range l.A.ColumnsTouched(lo, hi) {
+	for _, seg := range a.ColumnsTouched(lo, hi) {
 		// Subtract [lo,hi).
 		if seg.Hi <= lo || seg.Lo >= hi {
 			deps = append(deps, aiac.Segment{Lo: seg.Lo, Hi: seg.Hi})
