@@ -15,10 +15,10 @@ import (
 )
 
 // cellFlags are the flags that apply to a run of named cells: the spec
-// the keys are read against (-paper, -operator), the run's jitter seed and
-// native guard, and the views. Every other flag shapes a sweep.
+// the keys are read against (-paper), the run's jitter seed and native
+// guard, and the views. Every other flag shapes a sweep.
 var cellFlags = map[string]bool{
-	"paper": true, "operator": true, "seed": true, "timeout": true,
+	"paper": true, "seed": true, "timeout": true,
 	"gantt": true, "chrome": true, "critpath": true, "metrics": true,
 }
 
@@ -36,12 +36,12 @@ type views struct {
 func (v views) traced() bool { return v.gantt || v.critpath || v.metrics || v.chrome != "" }
 
 // parseCells reads the named cells and the spec they run against (the
-// default sweep's, or the -paper preset's, with -operator applied),
-// refusing the flags that mean nothing for that many named cells.
-func parseCells(explicit, keys []string, paper, operator string, v views) ([]matrix.Cell, matrix.Spec, error) {
+// default sweep's, or the -paper preset's), refusing the flags that mean
+// nothing for that many named cells.
+func parseCells(explicit, keys []string, paper string, v views) ([]matrix.Cell, matrix.Spec, error) {
 	for _, name := range explicit {
 		if !cellFlags[name] {
-			return nil, matrix.Spec{}, fmt.Errorf("-%s has no effect with cell keys: a key names one run (only -paper, -operator, -seed, -timeout, -gantt, -chrome, -critpath and -metrics apply)", name)
+			return nil, matrix.Spec{}, fmt.Errorf("-%s has no effect with cell keys: a key names one run (only -paper, -seed, -timeout, -gantt, -chrome, -critpath and -metrics apply)", name)
 		}
 	}
 	if v.critpath && len(keys) > 2 {
@@ -50,7 +50,7 @@ func parseCells(explicit, keys []string, paper, operator string, v views) ([]mat
 	if v.chrome != "" && len(keys) != 1 {
 		return nil, matrix.Spec{}, fmt.Errorf("-chrome writes one cell's trace: give one key, not %d", len(keys))
 	}
-	spec, err := buildSpec(paper, "", "", "", "", "", "", "", "", operator)
+	spec, err := buildSpec(paper, "", "", "", "", "", "", "", "")
 	if err != nil {
 		return nil, spec, err
 	}

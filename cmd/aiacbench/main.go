@@ -29,13 +29,13 @@
 //	aiacbench -paper table2                   # sparse linear comparison (Table 2)
 //	aiacbench -paper table3                   # non-linear comparison on both grids (Table 3)
 //	aiacbench -paper figure3                  # scalability on the local cluster (Figure 3)
-//	aiacbench -paper table2 -n 2000000 -procs 15  # Table 2 at the paper's size (4.5 min, 2.5 GB on two cores)
+//	aiacbench -paper table2 -n 2000000 -procs 15  # Table 2 at the paper's size (4 min, 2.7 GB on two cores)
 //
 // Given cell keys as arguments — as -list and every sweep print them —
 // aiacbench runs those cells once each, on the path every sweep cell takes
 // and with every parameter a key does not carry from the default sweep or
 // the -paper preset, so each re-runs to its sweep row. Only -paper,
-// -operator, -seed, -timeout and the views apply:
+// -seed, -timeout and the views apply:
 //
 //	aiacbench pm2/async/local/linear/p4/n6000/static/sim        # status line only
 //	aiacbench -gantt -critpath mpi/sync/adsl/linear/p8/n1500/static/sim
@@ -92,7 +92,6 @@ func main() {
 		sizesF    = flag.String("n", "", "problem sizes (csv; empty = per-problem default)")
 		scenarioF = flag.String("scenario", "", "grid-dynamics scenario filter (csv of "+strings.Join(matrix.ScenarioNames, ", ")+"; empty = static)")
 		backendF  = flag.String("backend", "", "execution-backend filter (csv of sim, sim-fast, chan, tcp; empty = sim, the discrete-event simulator; sim-fast is an accepted synonym; native backends run wall-clock cells serially after the simulated pool)")
-		operatorF = flag.String("operator", "", "matrix operator for linear/gmres cells: dia (materialized bands; default) or stencil (implicit, O(bands) matrix memory)")
 		timeout   = flag.Duration("timeout", matrix.DefaultNativeTimeout, "wall-clock guard per native cell: a longer-running cell is cancelled and reported as STALL")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "cells simulated concurrently (at most GOMAXPROCS; native cells run one at a time)")
 		reps      = flag.Int("reps", 1, "repetitions per cell (median/min aggregation)")
@@ -116,7 +115,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
 	if keys := flag.Args(); len(keys) > 0 {
 		v := views{gantt: *gantt, critpath: *critF, metrics: *metricsF, chrome: *chrome}
-		cells, spec, err := parseCells(explicit, keys, *paper, *operatorF, v)
+		cells, spec, err := parseCells(explicit, keys, *paper, v)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -157,7 +156,7 @@ func main() {
 		}
 	}
 
-	spec, err := buildSpec(*paper, *envF, *modeF, *gridF, *problemF, *procsF, *sizesF, *scenarioF, *backendF, *operatorF)
+	spec, err := buildSpec(*paper, *envF, *modeF, *gridF, *problemF, *procsF, *sizesF, *scenarioF, *backendF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -408,16 +407,13 @@ func addStaticIfMissing(spec *matrix.Spec) bool {
 
 // buildSpec assembles the sweep spec: the default sweep, or the named paper
 // preset, with the axis filters applied on top.
-func buildSpec(preset, env, mode, grid, problem, procs, sizes, scenarios, backends, operator string) (matrix.Spec, error) {
+func buildSpec(preset, env, mode, grid, problem, procs, sizes, scenarios, backends string) (matrix.Spec, error) {
 	spec := matrix.DefaultSpec()
 	var err error
 	if preset != "" {
 		if spec, err = matrix.Preset(preset); err != nil {
 			return spec, err
 		}
-	}
-	if spec.Linear.Operator, err = matrix.ParseOperator(operator); err != nil {
-		return spec, err
 	}
 	if spec.Envs, err = matrix.ParseEnvs(env); err != nil {
 		return spec, err
@@ -451,6 +447,11 @@ func buildSpec(preset, env, mode, grid, problem, procs, sizes, scenarios, backen
 	if n, err := matrix.ParseInts("size", sizes); err != nil {
 		return spec, err
 	} else if n != nil {
+		// A chem cell's size is its grid side, the others' a vector
+		// length: one -n list cannot mean both.
+		if slices.Contains(spec.Problems, "chem") && slices.ContainsFunc(spec.Problems, func(p string) bool { return p != "chem" }) {
+			return spec, errors.New("-n sets every problem's size, but a chem cell's size is its grid side: run chem and the other problems as two sweeps, each with its own -n")
+		}
 		spec.Sizes = n
 	}
 	return spec, nil

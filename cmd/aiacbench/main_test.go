@@ -62,7 +62,10 @@ func TestFlagChecks(t *testing.T) {
 		{"-baseline " + empty + " -faildelta 0.5", "would pass vacuously: the baseline holds no results"},
 		{"-baseline " + elsewhere + " -faildelta 0.5", "would pass vacuously: the baseline shares no cell with this run"},
 		{"-trend . -paper table2", "-paper has no effect with -trend"},
-		{"-trend . -operator stencil", "-operator has no effect with -trend"},
+		{"-trend . -scenario flaky-adsl", "-scenario has no effect with -trend"},
+		{"-operator dia", "flag provided but not defined: -operator"},
+		{"-problem linear,chem -n 1500", "run chem and the other problems as two sweeps"},
+		{"-paper table3 -problem chem,newton -n 12", "a chem cell's size is its grid side"},
 		{"-retries 2", "flag provided but not defined: -retries"},
 		{"-width 120", "flag provided but not defined: -width"},
 		// With cell keys only the spec, seed, guard and view flags apply.
@@ -87,7 +90,7 @@ func TestFlagChecks(t *testing.T) {
 		{"pm2,mpi/async/local/linear/p4/n600/static/sim", "one value per component"},
 		{"go/async/local/linear/p4/n600/node-churn/chan", "scenario node-churn has no native analogue"},
 		{"-paper nosuch " + key, `unknown paper preset "nosuch"`},
-		{"-operator csr " + key, `bad operator "csr"`},
+		{"-timeout soon " + key, `invalid value "soon" for flag -timeout`},
 	} {
 		cmd := exec.Command(bin, strings.Fields(tc.args)...)
 		cmd.Dir = dir

@@ -162,7 +162,7 @@ type Options struct {
 // Opt and WithEventLoop do nothing: every environment runs its threads on
 // the event loop. They stay, with matrix.NewEnv's ignored trailing ...Opt,
 // only because the files under benchmark/ compile against them; the next
-// benchmark-only PR deletes all three (ROADMAP item 3).
+// benchmark-only PR deletes all three (ROADMAP item 4(b)).
 type Opt func(*Options)
 
 // WithEventLoop returns an option that changes nothing (see Opt).

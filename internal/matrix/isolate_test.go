@@ -107,3 +107,37 @@ func TestAssemblyPanicBecomesError(t *testing.T) {
 		t.Fatalf("err = %v; want the assembly panic as an error", err)
 	}
 }
+
+// The linear system is the DIA matrix only: a spec naming any other
+// operator ends every linear and gmres cell, simulated and native, as an
+// errored row — never as a silent DIA run — while its other cells run.
+func TestNonDIAOperatorErrorsLinearCells(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Envs = []string{"pm2"}
+	spec.Modes = []aiac.Mode{aiac.Sync}
+	spec.Grids = []string{"local"}
+	spec.Problems = []string{"linear", "gmres", "newton"}
+	spec.Procs = []int{4}
+	spec.Sizes = []int{600}
+	spec.Backends = []string{"sim", "chan"}
+	spec.Linear.Operator = "stencil"
+
+	set, err := Run(spec, Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("sweep failed as a whole: %v", err)
+	}
+	if len(set.Results) != 6 {
+		t.Fatalf("%d results, want 6", len(set.Results))
+	}
+	for _, r := range set.Results {
+		if r.Problem == "newton" {
+			if r.Error != "" || !r.Converged {
+				t.Errorf("%s: error %q, converged %v; the operator is no newton parameter", r.Key(), r.Error, r.Converged)
+			}
+			continue
+		}
+		if !strings.Contains(r.Error, `operator "stencil"`) || !strings.Contains(r.Error, "item 4(b)") || r.Reps != 0 {
+			t.Errorf("%s: error %q after %d reps; want the operator refused before any repetition", r.Key(), r.Error, r.Reps)
+		}
+	}
+}

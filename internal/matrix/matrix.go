@@ -218,11 +218,8 @@ type LinearParams struct {
 	Eps      float64 // convergence threshold (Equ. 5)
 	MaxIters int     // per-processor iteration cap
 	Seed     int64   // matrix generator seed; repetition r uses Seed+r
-	// Operator selects the matrix storage strategy: "" or "dia"
-	// materializes every band (sparse.DIA, the measured kernels of
-	// KERNELS.md); "stencil" iterates the implicit operator
-	// (sparse.Stencil) in O(bands) matrix memory — same parameter space,
-	// different matrix, for sizes where assembly no longer fits.
+	// Operator accepts only "" or "dia" (any other value errors the
+	// linear and gmres cells); it goes in ROADMAP item 4(b).
 	Operator string
 }
 
@@ -382,12 +379,8 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Backends) == 0 {
 		s.Backends = []string{"sim"}
 	}
-	// The operator axis rides along: a spec that only picked an operator
-	// still gets the default linear parameters.
-	if s.Linear == (LinearParams{Operator: s.Linear.Operator}) {
-		op := s.Linear.Operator
+	if s.Linear == (LinearParams{}) {
 		s.Linear = d.Linear
-		s.Linear.Operator = op
 	}
 	if s.Chem == (ChemParams{}) {
 		s.Chem = d.Chem
@@ -453,21 +446,6 @@ func ParseBackends(csv string) ([]string, error) {
 	return parseAxis("backend", csv, BackendNames)
 }
 
-// ParseOperator validates a linear-operator selection ("dia" or
-// "stencil"; "" = dia). It is a single value, not a filter axis: the
-// operator changes which matrix the linear cells iterate, so a sweep
-// holds it fixed and comparisons across operators are separate sweeps.
-func ParseOperator(s string) (string, error) {
-	switch strings.TrimSpace(s) {
-	case "", "dia":
-		return "dia", nil
-	case "stencil":
-		return "stencil", nil
-	default:
-		return "", fmt.Errorf("bad operator %q: want dia or stencil", s)
-	}
-}
-
 // ParseModes parses a mode filter ("async,sync"; "" = both, baseline
 // first).
 func ParseModes(csv string) ([]aiac.Mode, error) {
@@ -530,7 +508,7 @@ func NewGrid(sim *des.Simulator, name string, n int) (*cluster.Grid, error) {
 // thread configuration matching the problem kind (sparse: all-to-all
 // exchange; otherwise the neighbour-exchange non-linear configuration).
 // The trailing options are ignored; the parameter stays only because the
-// files under benchmark/ pass envcore.WithEventLoop() (ROADMAP item 3).
+// files under benchmark/ pass envcore.WithEventLoop() (ROADMAP item 4(b)).
 func NewEnv(grid *cluster.Grid, name string, sparse bool, tr *trace.Collector, _ ...envcore.Opt) (aiac.Env, error) {
 	switch name {
 	case "mpi":

@@ -679,13 +679,16 @@ type solveSpec struct {
 // other problem is an error.
 func cellSolve(c Cell, spec Spec, rep int, cache *problems.Cache) (solveSpec, error) {
 	lp, np := spec.Linear, spec.Newton
+	if (c.Problem == "linear" || c.Problem == "gmres") && lp.Operator != "" && lp.Operator != "dia" {
+		return solveSpec{}, fmt.Errorf("operator %q: the linear system is the materialized DIA matrix (\"\" or \"dia\"); LinearParams.Operator goes in ROADMAP item 4(b)", lp.Operator)
+	}
 	var s solveSpec
 	switch c.Problem {
 	case "linear":
-		p := cache.LinearOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
+		p := cache.Linear(c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
 		s = solveSpec{p, p.XTrue, lp.Eps, lp.MaxIters}
 	case "gmres":
-		p := cache.LinearGMRESOp(lp.Operator, c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
+		p := cache.LinearGMRES(c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
 		s = solveSpec{p, p.XTrue, lp.Eps, lp.MaxIters}
 	case "newton":
 		p := cache.Reaction(c.Size, np.C, np.Seed+int64(rep))

@@ -62,13 +62,11 @@ func NewCache() *Cache {
 	}
 }
 
-// linearKey identifies one generated sparse system: the operator kind
-// plus the full parameter set of sparse.NewSystem / NewStencilSystem, so
-// entries can never alias across storage strategies, sizes, band counts,
-// dominance ratios, or seeds (and therefore never across repetitions,
-// which perturb the seed).
+// linearKey identifies one generated sparse system: the full parameter
+// set of sparse.NewSystem, so entries can never alias across sizes, band
+// counts, dominance ratios, or seeds (and therefore never across
+// repetitions, which perturb the seed).
 type linearKey struct {
-	op       string // normalized operator kind: "dia" or "stencil"
 	n, diags int
 	rho      float64
 	seed     int64
@@ -76,7 +74,7 @@ type linearKey struct {
 
 type linearEntry struct {
 	once  sync.Once
-	a     sparse.Operator
+	a     *sparse.DIA
 	b     []float64
 	xtrue []float64
 	sum   uint64
@@ -123,48 +121,18 @@ func (c *Cache) Stats() (hits, misses int) {
 // (Verify, called by matrix.Run when the sweep finishes).
 const verifyOnHitLimit = 1 << 22
 
-// NormalizeOperator canonicalizes an operator-kind string: "" and "dia"
-// mean the materialized matrix, "stencil" the implicit operator. It
-// panics on anything else — operator kinds arrive from validated flag
-// parsing, so an unknown value is a programming error.
-func NormalizeOperator(op string) string {
-	switch op {
-	case "", "dia":
-		return "dia"
-	case "stencil":
-		return "stencil"
-	default:
-		panic(fmt.Sprintf("problems: unknown operator kind %q (want dia or stencil)", op))
-	}
-}
-
-// buildSystem assembles one test system with the requested operator
-// kind, and its checksum (sparse.SystemSum; NewSystemSum takes it while it
-// assembles). Both kinds share the parameter space; the stencil
-// materializes only the two vectors.
-func buildSystem(op string, n, diags int, rho float64, seed int64) (sparse.Operator, []float64, []float64, uint64) {
-	if NormalizeOperator(op) == "stencil" {
-		a, b, xt := sparse.NewStencilSystem(n, diags, rho, seed)
-		return a, b, xt, sparse.SystemSum(a, b, xt)
-	}
-	return sparse.NewSystemSum(n, diags, rho, seed)
-}
-
 // sharedSystem returns the memoized (A, b, xTrue) for the key, building it
 // on first use. Retrieving a small entry re-verifies its checksum (but for
 // the call that built it and took that checksum) and panics on a mismatch:
 // a mutated shared system would corrupt every concurrent cell reading it,
 // so failing loudly at the cache boundary is the only safe response.
-// Entries above verifyOnHitLimit are checked by Verify instead. (An
-// implicit operator stores no floats, so its entry size is just the two
-// vectors.)
-func (c *Cache) sharedSystem(op string, n, diags int, rho float64, seed int64) (sparse.Operator, []float64, []float64) {
-	op = NormalizeOperator(op)
+// Entries above verifyOnHitLimit are checked by Verify instead.
+func (c *Cache) sharedSystem(n, diags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64) {
 	if c == nil {
-		a, b, xt, _ := buildSystem(op, n, diags, rho, seed)
+		a, b, xt, _ := sparse.NewSystemSum(n, diags, rho, seed)
 		return a, b, xt
 	}
-	k := linearKey{op: op, n: n, diags: diags, rho: rho, seed: seed}
+	k := linearKey{n: n, diags: diags, rho: rho, seed: seed}
 	c.mu.Lock()
 	e := c.linear[k]
 	if e == nil {
@@ -177,13 +145,13 @@ func (c *Cache) sharedSystem(op string, n, diags int, rho float64, seed int64) (
 	c.mu.Unlock()
 	built := false
 	e.once.Do(func() {
-		e.a, e.b, e.xtrue, e.sum = buildSystem(op, n, diags, rho, seed)
+		e.a, e.b, e.xtrue, e.sum = sparse.NewSystemSum(n, diags, rho, seed)
 		e.elems = e.a.StoredFloats() + len(e.b) + len(e.xtrue)
 		built = true
 	})
 	if !built && e.elems <= verifyOnHitLimit {
 		if got := e.checksum(); got != e.sum {
-			panic(fmt.Sprintf("problems: cached sparse system (op=%s n=%d diags=%d rho=%g seed=%d) was mutated: a solver wrote to shared read-only data", op, n, diags, rho, seed))
+			panic(fmt.Sprintf("problems: cached sparse system (n=%d diags=%d rho=%g seed=%d) was mutated: a solver wrote to shared read-only data", n, diags, rho, seed))
 		}
 	}
 	return e.a, e.b, e.xtrue
@@ -204,7 +172,7 @@ func (c *Cache) Verify() error {
 			continue // never built
 		}
 		if e.checksum() != e.sum {
-			return fmt.Errorf("problems: cached sparse system (op=%s n=%d diags=%d rho=%g seed=%d): %w", k.op, k.n, k.diags, k.rho, k.seed, ErrMutated)
+			return fmt.Errorf("problems: cached sparse system (n=%d diags=%d rho=%g seed=%d): %w", k.n, k.diags, k.rho, k.seed, ErrMutated)
 		}
 	}
 	for k, e := range c.react {
@@ -256,27 +224,24 @@ func (c *Cache) sharedReaction(n int, cc float64, seed int64) (f, xtrue []float6
 // the matrix, right-hand side and true solution are shared read-only; the
 // returned struct (iteration state, scratch, weights) is fresh per call.
 func (c *Cache) Linear(n, numDiags int, rho float64, seed int64) *Linear {
-	return c.LinearOp("dia", n, numDiags, rho, seed)
+	a, b, xt := c.sharedSystem(n, numDiags, rho, seed)
+	return &Linear{A: a, B: b, XTrue: xt, Gamma: 1.0}
 }
 
-// LinearOp is Linear with an explicit operator kind ("dia" or
-// "stencil"). Implicit and materialized systems are cached under
-// distinct keys: they iterate different matrices.
+// LinearOp is Linear for op "" or "dia", the only matrix there is; it
+// panics on any other op, and goes in ROADMAP item 4(b).
 func (c *Cache) LinearOp(op string, n, numDiags int, rho float64, seed int64) *Linear {
-	a, b, xt := c.sharedSystem(op, n, numDiags, rho, seed)
-	return &Linear{A: a, B: b, XTrue: xt, Gamma: 1.0}
+	if op != "" && op != "dia" {
+		panic(fmt.Sprintf("problems: operator %q: the linear system is the materialized DIA matrix (\"\" or \"dia\"); LinearOp's operator argument goes in ROADMAP item 4(b)", op))
+	}
+	return c.Linear(n, numDiags, rho, seed)
 }
 
 // LinearGMRES returns the block-GMRES multisplitting problem over the
 // memoized test system (the same entry Linear shares: the two variants
 // iterate the identical matrix).
 func (c *Cache) LinearGMRES(n, numDiags int, rho float64, seed int64) *LinearGMRES {
-	return c.LinearGMRESOp("dia", n, numDiags, rho, seed)
-}
-
-// LinearGMRESOp is LinearGMRES with an explicit operator kind.
-func (c *Cache) LinearGMRESOp(op string, n, numDiags int, rho float64, seed int64) *LinearGMRES {
-	a, b, xt := c.sharedSystem(op, n, numDiags, rho, seed)
+	a, b, xt := c.sharedSystem(n, numDiags, rho, seed)
 	return &LinearGMRES{
 		A: a, B: b, XTrue: xt,
 		Gmres: defaultGMRESBlockParams,

@@ -75,33 +75,33 @@ func TestCacheNeverAliasesAcrossSeeds(t *testing.T) {
 	}
 }
 
-// Operator kinds are part of the cache key: a stencil cell and a dia
-// cell with identical parameters iterate different matrices and must
-// never share an entry — but two stencil retrievals must.
-func TestCacheKeysOperatorKind(t *testing.T) {
+// LinearOp is Linear for operator "" or "dia": both retrieve the one DIA
+// entry Linear and LinearGMRES share. Any other operator panics, naming
+// the roadmap item that removes the argument, instead of running the DIA.
+func TestLinearOpIsDIAOnly(t *testing.T) {
 	c := NewCache()
-	dia := c.LinearOp("dia", 500, 6, 0.8, 7)
-	st1 := c.LinearOp("stencil", 500, 6, 0.8, 7)
-	st2 := c.LinearOp("stencil", 500, 6, 0.8, 7)
-	if dia.A == st1.A {
-		t.Error("dia and stencil entries must be distinct")
+	lin := c.Linear(500, 6, 0.8, 7)
+	if _, ok := lin.A.(*sparse.DIA); !ok {
+		t.Errorf("linear cell got %T", lin.A)
 	}
-	if st1.A != st2.A {
-		t.Error("stencil retrievals with one key must share the entry")
+	for _, op := range []string{"", "dia"} {
+		if got := c.LinearOp(op, 500, 6, 0.8, 7); got.A != lin.A {
+			t.Errorf("operator %q must retrieve Linear's entry", op)
+		}
 	}
-	if _, ok := st1.A.(*sparse.Stencil); !ok {
-		t.Errorf("stencil cell got %T", st1.A)
+	if g := c.LinearGMRES(500, 6, 0.8, 7); g.A != lin.A {
+		t.Error("the GMRES variant must share the linear entry")
 	}
-	if _, ok := dia.A.(*sparse.DIA); !ok {
-		t.Errorf("dia cell got %T", dia.A)
-	}
-	// "" normalizes to dia and shares its entry.
-	if def := c.LinearOp("", 500, 6, 0.8, 7); def.A != dia.A {
-		t.Error(`operator "" must alias "dia"`)
-	}
-	g := c.LinearGMRESOp("stencil", 500, 6, 0.8, 7)
-	if g.A != st1.A {
-		t.Error("the GMRES stencil variant must share the linear stencil entry")
+	for _, op := range []string{"stencil", "DIA", "csr"} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("operator %q", op)) || !strings.Contains(msg, "item 4(b)") {
+					t.Errorf("LinearOp(%q) panicked with %q; want the operator refused, naming item 4(b)", op, msg)
+				}
+			}()
+			c.LinearOp(op, 500, 6, 0.8, 7)
+		}()
 	}
 }
 

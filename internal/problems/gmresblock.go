@@ -20,7 +20,7 @@ import (
 // big steps, so the persistence/freshness gates do proportionally more of
 // the work.
 type LinearGMRES struct {
-	A     sparse.Operator
+	A     *sparse.DIA
 	B     []float64
 	XTrue []float64 // known solution, for verification (not used in solving)
 	// Gmres tunes the inner block solves. The default tolerance is near

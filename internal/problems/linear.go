@@ -28,6 +28,8 @@ import (
 // x ← x + γ·M⁻¹(b − A·x) (paper Equ. 4), distributed by contiguous row
 // blocks.
 type Linear struct {
+	// A is the system matrix, always a *sparse.DIA; its interface type
+	// goes in ROADMAP item 4(b).
 	A     sparse.Operator
 	B     []float64
 	XTrue []float64 // known solution, for verification (not used in solving)
@@ -41,13 +43,6 @@ type Linear struct {
 // default to a scaled-down size, see DESIGN.md).
 func NewLinear(n, numDiags int, rho float64, seed int64) *Linear {
 	return (*Cache)(nil).Linear(n, numDiags, rho, seed)
-}
-
-// NewLinearOp is NewLinear with an explicit operator kind: "dia" (or "")
-// materializes the matrix, "stencil" iterates the implicit operator —
-// O(bands) matrix memory, for sizes where assembly no longer fits.
-func NewLinearOp(op string, n, numDiags int, rho float64, seed int64) *Linear {
-	return (*Cache)(nil).LinearOp(op, n, numDiags, rho, seed)
 }
 
 // Name implements aiac.Problem.
@@ -102,7 +97,7 @@ func (l *Linear) Update(rank int, bounds []int, x []float64) (residual, flops fl
 }
 
 // UpdateFlops states Update's flops before it runs: the 2·bands·rows +
-// 5·rows GradientStep returns for either operator.
+// 5·rows GradientStep returns.
 func (l *Linear) UpdateFlops(rank int, bounds []int) float64 {
 	rows := float64(bounds[rank+1] - bounds[rank])
 	return 2*float64(len(l.A.BandOffsets()))*rows + 5*rows

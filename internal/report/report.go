@@ -138,7 +138,7 @@ type Result struct {
 	HostSec float64 `json:"host_sec"`
 	// Attempts is set by no runner and omitted when zero. It stays only
 	// because files under benchmark/ still assign it, and goes with them
-	// (ROADMAP item 3).
+	// (ROADMAP item 4(b)).
 	Attempts int `json:"attempts,omitempty"`
 	// Error, when non-empty, explains why the cell produced no
 	// measurement (e.g. the environment refused to deploy on the grid).

@@ -108,7 +108,7 @@ func Deploy(s *Scenario, g *cluster.Grid) *Runtime {
 
 // DeployEventLoop is Deploy. The name stays only because the files under
 // benchmark/ compile against it; the next benchmark-only PR deletes it
-// (ROADMAP item 3).
+// (ROADMAP item 4(b)).
 func DeployEventLoop(s *Scenario, g *cluster.Grid) *Runtime { return Deploy(s, g) }
 
 // driveK is the driver process from event i on: sleep until the event is

@@ -3,7 +3,7 @@
 // the `sim` and the `sim-fast` backend name. The two names below exist only
 // because the files under benchmark/ compile against them; the next
 // benchmark-only PR moves those files to package aiac and deletes this one
-// (ROADMAP item 3).
+// (ROADMAP item 4(b)).
 package simfast
 
 import "aiac/internal/aiac"

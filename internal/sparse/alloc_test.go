@@ -25,16 +25,14 @@ func TestRowRangeMulVecAllocs(t *testing.T) {
 }
 
 func TestGradientStepAllocs(t *testing.T) {
-	for _, op := range []string{"dia", "stencil"} {
-		prob := problems.NewLinearOp(op, 4000, 12, 0.85, 7)
-		bounds := prob.PartitionBounds(8)
-		x := prob.InitialVector()
-		prob.Update(0, bounds, x) // warm-up builds the rank's scratch
-		if n := testing.AllocsPerRun(50, func() {
-			prob.Update(0, bounds, x)
-		}); n != 0 {
-			t.Errorf("%s fused gradient step allocates %.0f per call; want 0", op, n)
-		}
+	prob := problems.NewLinear(4000, 12, 0.85, 7)
+	bounds := prob.PartitionBounds(8)
+	x := prob.InitialVector()
+	prob.Update(0, bounds, x) // warm-up builds the rank's scratch
+	if n := testing.AllocsPerRun(50, func() {
+		prob.Update(0, bounds, x)
+	}); n != 0 {
+		t.Errorf("fused gradient step allocates %.0f per call; want 0", n)
 	}
 }
 

@@ -4,8 +4,7 @@ import "math"
 
 // Content checksums: word-level FNV-1a over float bit patterns (and
 // offsets), order-sensitive. Not cryptographic — they only need to catch
-// accidental in-place mutation of a shared system (or accidental
-// divergence of an implicit operator's parameters). Nothing persists them:
+// accidental in-place mutation of a shared system. Nothing persists them:
 // problems.Cache compares each entry's checksum with its own earlier one.
 //
 // A slice is summed in sumLanes lanes — word i feeds lane i mod sumLanes,
@@ -99,10 +98,10 @@ func fold(head uint64, sums []uint64) uint64 {
 	return head
 }
 
-// SystemSum is the checksum of an assembled system: the operator's
+// SystemSum is the checksum of an assembled system: the matrix's
 // Fingerprint, then b and xTrue. NewSystemSum returns the same value for
 // the system it builds.
-func SystemSum(a Operator, b, xTrue []float64) uint64 {
+func SystemSum(a *DIA, b, xTrue []float64) uint64 {
 	return checksum(a.Fingerprint(), b, xTrue)
 }
 

@@ -61,6 +61,16 @@ type DIA struct {
 // NNZ returns the number of stored non-zero positions.
 func (a *DIA) NNZ() int { return bandNNZ(a.N, a.Offsets) }
 
+// bandNNZ is the number of in-range positions of bands at the given
+// offsets of an n×n matrix.
+func bandNNZ(n int, offsets []int) int {
+	nnz := 0
+	for _, o := range offsets {
+		nnz += bandLen(n, o)
+	}
+	return nnz
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -203,7 +213,14 @@ func (s Segment) Len() int { return s.Hi - s.Lo }
 // dependency lists of §4.3 ("each processor needs to construct the list of
 // its data dependencies from other processors").
 func (a *DIA) ColumnsTouched(lo, hi int) []Segment {
-	return columnsTouched(a.N, a.Offsets, lo, hi)
+	var segs []Segment
+	for _, o := range a.Offsets {
+		clo, chi := max(lo+o, 0), min(hi+o, a.N)
+		if clo < chi {
+			segs = append(segs, Segment{clo, chi})
+		}
+	}
+	return MergeSegments(segs)
 }
 
 // MergeSegments sorts and merges overlapping/adjacent segments.
