@@ -47,7 +47,7 @@ func FuzzParseKey(f *testing.F) {
 // only known values (positive ones, for the integer lists), and read back
 // what they accepted when it is printed as a filter again.
 func FuzzParseAxes(f *testing.F) {
-	for _, csv := range []string{"", "pm2,mpi", " adsl , local ", "sync", "8,12,16", "sim,chan,tcp", ",", "0", "-3", "static,flaky-adsl"} {
+	for _, csv := range []string{"", "pm2,mpi", " adsl , local ", "sync", "8,12,16", "sim,chan,tcp", ",", "0", "-3", "linear,chem", "static,flaky-adsl"} {
 		f.Add(csv)
 	}
 	named := []struct {
