@@ -90,7 +90,7 @@
 //
 // Run overlaps a large rank's Update with the event loop on a helper
 // goroutine (overlap.go); the join points Next, Incorporate, Restart, Spin,
-// X and NewReport wait for it before they touch the rank's state, so an
+// Values and NewReport wait for it before they touch the rank's state, so an
 // Update reads and writes at its issue instant, as inline: the ghosts and
 // arrival stamps it consumed are those present when it was issued.
 package aiac
@@ -254,7 +254,8 @@ type Problem interface {
 	// PartitionBounds returns the nranks+1 ownership boundaries of the
 	// iterate vector.
 	PartitionBounds(nranks int) []int
-	// InitialVector returns x^0. The engine copies it per rank.
+	// InitialVector returns x^0, Size() long. The engine copies each
+	// rank's window of it (see Update) into the rank's Loop.
 	InitialVector() []float64
 	// DepsFor returns the global-vector segments rank needs but does not
 	// own (its data dependencies, §4.3). Segments must be disjoint,
@@ -265,7 +266,19 @@ type Problem interface {
 	// and overwriting the block in place. It returns the local residual
 	// (max-norm of the block change, Equ. 6) and the flop count to charge
 	// to the CPU.
+	//
+	// x is the whole vector, unless the problem states the rank's window
+	// (a method Window(rank int, bounds []int) []Segment: sorted, disjoint
+	// segments covering the rank's block and every segment of DepsFor):
+	// then x is the window's segments laid end to end. A wrapper that
+	// embeds Problem hides Window, so a problem that states one tells the
+	// two apart by length — Size() long is the whole vector.
 	Update(rank int, bounds []int, x []float64) (residual, flops float64)
+}
+
+// windowed is a Problem that states each rank's window (Problem.Update).
+type windowed interface {
+	Window(rank int, bounds []int) []Segment
 }
 
 // Dynamics is the engine-facing view of a grid-dynamics scenario
@@ -441,11 +454,12 @@ func (r *Report) TotalIters() int {
 type SendPlan struct {
 	// Targets[r] lists the sends rank r performs each iteration.
 	Targets [][]PlanTarget
-	// RecvCount[r] is the number of data messages rank r receives per
-	// complete exchange (used by the synchronous mode).
-	RecvCount []int
+	// Recv[r][i] is the segment rank r's dependency channel FirstKey[r]+i
+	// carries: rank r receives len(Recv[r]) data messages per complete
+	// exchange (used by the synchronous mode).
+	Recv [][]Segment
 	// FirstKey[r] is the key of rank r's first dependency channel: its
-	// channels are the RecvCount[r] consecutive keys from there.
+	// channels are the len(Recv[r]) consecutive keys from there.
 	FirstKey []int
 }
 
@@ -463,9 +477,9 @@ type PlanTarget struct {
 func BuildSendPlan(prob Problem, bounds []int) *SendPlan {
 	nranks := len(bounds) - 1
 	plan := &SendPlan{
-		Targets:   make([][]PlanTarget, nranks),
-		RecvCount: make([]int, nranks),
-		FirstKey:  make([]int, nranks),
+		Targets:  make([][]PlanTarget, nranks),
+		Recv:     make([][]Segment, nranks),
+		FirstKey: make([]int, nranks),
 	}
 	key := 0
 	for consumer := 0; consumer < nranks; consumer++ {
@@ -483,7 +497,7 @@ func BuildSendPlan(prob Problem, bounds []int) *SendPlan {
 					Key: key,
 					Seg: Segment{slo, shi},
 				})
-				plan.RecvCount[consumer]++
+				plan.Recv[consumer] = append(plan.Recv[consumer], Segment{slo, shi})
 				key++
 			}
 		}

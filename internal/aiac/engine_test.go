@@ -192,8 +192,8 @@ func TestBuildSendPlan(t *testing.T) {
 		}
 	}
 	for r := range counts {
-		if counts[r] != plan.RecvCount[r] {
-			t.Fatalf("recv count mismatch for rank %d: %d vs %d", r, counts[r], plan.RecvCount[r])
+		if counts[r] != len(plan.Recv[r]) {
+			t.Fatalf("recv count mismatch for rank %d: %d vs %d", r, counts[r], len(plan.Recv[r]))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package aiac
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -90,9 +91,13 @@ const skipFactor = 1e-2
 // runs the actions Next returns on its own clock and feeds the rank's
 // inbound data to Incorporate; see the package doc.
 //
-// Next, Incorporate, Restart, Spin, X and NewReport first join the Update
-// that Run overlapped (overlap.go), so an Update reads and writes at its
-// issue instant, as if it ran inline.
+// The iterate is the rank's window (Problem.Update): the segments of the
+// global vector its Update reads, its own block among them, laid end to
+// end — the whole vector when the problem states no window.
+//
+// Next, Incorporate, Restart, Spin, Values and NewReport first join the
+// Update that Run overlapped (overlap.go), so an Update reads and writes
+// at its issue instant, as if it ran inline.
 type Loop struct {
 	rank    int
 	mode    Mode
@@ -103,7 +108,15 @@ type Loop struct {
 	port    Port
 	resid   *obs.Residuals
 	rk      *protocol.Rank
-	x, x0   []float64
+
+	// The iterate: x lays the window's segments win end to end. The own
+	// block [lo,hi) sits at x[lo−own:hi−own], and dependency channel i's
+	// segment from x[recvAt[i]] on. x0 is the whole initial vector.
+	x, x0  []float64
+	win    []Segment
+	lo, hi int
+	own    int
+	recvAt []int
 
 	// The arrival table, indexed by channel key − SendPlan.FirstKey.
 	firstKey    int
@@ -131,23 +144,70 @@ type Loop struct {
 	fres, flops float64  // what the issued Update returned
 }
 
-// NewLoop returns rank's loop, starting from a copy of x0.
+// NewLoop returns rank's loop, starting from a copy of x0 over the rank's
+// window: the one its problem states, or the whole vector. Every channel's
+// offset in the window comes from plan here, once.
 func NewLoop(rank int, cfg Config, prob Problem, bounds []int, plan *SendPlan, x0 []float64, port Port) *Loop {
 	pp := cfg.Params()
-	n := plan.RecvCount[rank]
-	return &Loop{
+	recv := plan.Recv[rank]
+	win := []Segment{{0, len(x0)}}
+	if w, ok := prob.(windowed); ok {
+		win = w.Window(rank, bounds)
+	}
+	l := &Loop{
 		rank: rank, mode: cfg.Mode, p: pp, prob: prob, bounds: bounds,
 		targets: plan.Targets[rank], port: port, resid: cfg.Residuals,
-		rk: protocol.NewRank(rank, pp), x: append([]float64(nil), x0...), x0: x0,
-		firstKey: plan.FirstKey[rank], heard: make([]bool, n), lastArrival: make([]protocol.Time, n),
+		rk: protocol.NewRank(rank, pp), x0: x0, win: win,
+		lo: bounds[rank], hi: bounds[rank+1], recvAt: make([]int, len(recv)),
+		firstKey: plan.FirstKey[rank], heard: make([]bool, len(recv)), lastArrival: make([]protocol.Time, len(recv)),
 		dirty: true,
+	}
+	l.own = l.lo - l.offset(Segment{l.lo, l.hi})
+	for i, seg := range recv {
+		l.recvAt[i] = l.offset(seg)
+	}
+	n := 0
+	for _, w := range win {
+		n += w.Len()
+	}
+	l.x = make([]float64, n)
+	l.gather()
+	return l
+}
+
+// offset is where seg starts in the window; it must lie in one segment.
+func (l *Loop) offset(seg Segment) int {
+	at := 0
+	for _, w := range l.win {
+		if w.Lo <= seg.Lo && seg.Hi <= w.Hi {
+			return at + seg.Lo - w.Lo
+		}
+		at += w.Len()
+	}
+	panic(fmt.Sprintf("aiac: rank %d's window %v does not hold segment %v in one piece", l.rank, l.win, seg))
+}
+
+// gather copies the window's segments of x0 into the iterate.
+func (l *Loop) gather() {
+	at := 0
+	for _, w := range l.win {
+		at += copy(l.x[at:], l.x0[w.Lo:w.Hi])
 	}
 }
 
-// X is the rank's iterate. Its own block changes only in Next and Restart,
-// so a driver may read it between actions without holding off Incorporate,
-// which writes the other ranks' segments.
-func (l *Loop) X() []float64 { l.join(); return l.x }
+// Values is the rank's current values of seg, a segment of its own block
+// (a send target's), as a view into the iterate. The own block changes
+// only in Next and Restart, so a driver may read it between actions
+// without holding off Incorporate, which writes the other ranks' segments.
+//
+//lint:hotpath
+func (l *Loop) Values(seg Segment) []float64 {
+	l.join()
+	if seg.Lo < l.lo || seg.Hi > l.hi || seg.Lo > seg.Hi {
+		panic("aiac: Loop.Values of a segment outside the rank's block")
+	}
+	return l.x[seg.Lo-l.own : seg.Hi-l.own]
+}
 
 // NonFinite reports whether the rank exited on a non-finite Update
 // residual. Run and the native backend then end the solve for every rank,
@@ -257,12 +317,14 @@ func (l *Loop) Reduced(global float64) {
 	l.iter++
 }
 
-// Incorporate is the rank's data sink: values for [lo, lo+len(values))
-// arrived at now on the channel key.
-func (l *Loop) Incorporate(key, lo int, values []float64, now protocol.Time) {
+// Incorporate is the rank's data sink: the values of channel key's
+// segment arrived at now.
+//
+//lint:hotpath
+func (l *Loop) Incorporate(key int, values []float64, now protocol.Time) {
 	l.join()
-	copy(l.x[lo:lo+len(values)], values)
 	i := key - l.firstKey
+	copy(l.x[l.recvAt[i]:][:len(values)], values)
 	if l.heard[i] {
 		if gap := now - l.lastArrival[i]; gap > l.maxGap {
 			l.maxGap = gap
@@ -282,7 +344,7 @@ func (l *Loop) Restart(now protocol.Time) {
 	l.join()
 	l.restarts++
 	l.resid.MarkRestart(l.rank, seconds(now))
-	copy(l.x, l.x0)
+	l.gather()
 	clear(l.heard)
 	l.heardCount = 0
 	clear(l.lastArrival)
@@ -349,8 +411,7 @@ func NewReport(loops []*Loop, coord *protocol.Coordinator, stalled bool) Report 
 	stopped, capped, nonFinite := coord.Stopped(), false, false
 	for r, l := range loops {
 		l.join()
-		lo, hi := l.bounds[l.rank], l.bounds[l.rank+1]
-		copy(rep.X[lo:hi], l.x[lo:hi])
+		copy(rep.X[l.lo:l.hi], l.Values(Segment{l.lo, l.hi}))
 		rep.ItersPerRank[r] = l.iters
 		rep.Restarts += l.restarts
 		if l.rk.NeedReconfirm() {

@@ -90,7 +90,7 @@ func (g *rig) next(now protocol.Time, want aiac.Action) {
 func (g *rig) deliver(from int, now protocol.Time) {
 	for _, tg := range g.plan.Targets[from] {
 		if tg.To == 0 {
-			g.l.Incorporate(tg.Key, tg.Seg.Lo, make([]float64, tg.Seg.Len()), now)
+			g.l.Incorporate(tg.Key, make([]float64, tg.Seg.Len()), now)
 			return
 		}
 	}

@@ -31,9 +31,10 @@ func TestSendPlanCoversDependenciesExactly(t *testing.T) {
 				for i := tg.Seg.Lo; i < tg.Seg.Hi; i++ {
 					covered[tg.To][i]++
 				}
-				// A consumer's channels are its RecvCount keys from
-				// FirstKey on (the engine indexes its tables so).
-				if k := tg.Key - plan.FirstKey[tg.To]; k < 0 || k >= plan.RecvCount[tg.To] {
+				// A consumer's channels are its len(Recv) keys from
+				// FirstKey on (the engine indexes its tables so), each
+				// carrying the segment Recv names.
+				if k := tg.Key - plan.FirstKey[tg.To]; k < 0 || k >= len(plan.Recv[tg.To]) || plan.Recv[tg.To][k] != tg.Seg {
 					return false
 				}
 			}

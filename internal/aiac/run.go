@@ -172,7 +172,7 @@ func (e *run) runRank(p *des.Proc, r int) {
 	}
 	comm.SetDataSink(func(m DataMsg) {
 		touch()
-		l.Incorporate(m.Key, m.Lo, m.Values, protocol.Time(e.grid.Sim.Now()))
+		l.Incorporate(m.Key, m.Values, protocol.Time(e.grid.Sim.Now()))
 	})
 	comm.SetFreeSink(func(int) { touch() })
 	if r == 0 {
@@ -219,7 +219,7 @@ func (e *run) drive(p *des.Proc, r int, comm Comm) {
 	outgoing := func(tgt PlanTarget) Outgoing {
 		return Outgoing{
 			To: tgt.To, Key: tgt.Key, Iter: l.iter, Lo: tgt.Seg.Lo,
-			Values: comm.Snapshot(l.x[tgt.Seg.Lo:tgt.Seg.Hi]), Pooled: true,
+			Values: comm.Snapshot(l.Values(tgt.Seg)), Pooled: true,
 		}
 	}
 	var t0, prevStart, prevEnd, crashAt des.Time
@@ -294,7 +294,7 @@ func (e *run) drive(p *des.Proc, r int, comm Comm) {
 				for _, tgt := range targets {
 					sends = append(sends, outgoing(tgt))
 				}
-				comm.SyncExchangeK(p, sends, e.plan.RecvCount[r], step)
+				comm.SyncExchangeK(p, sends, len(e.plan.Recv[r]), step)
 				return
 			case Allreduce:
 				comm.AllreduceMaxK(p, a.V, reduced)

@@ -446,7 +446,7 @@ func (s *solver) handler(r int) transport.Handler {
 		switch m.Type {
 		case transport.MsgData:
 			s.mus[r].Lock()
-			s.loops[r].Incorporate(int(m.Key), int(m.Lo), m.Values, s.now())
+			s.loops[r].Incorporate(int(m.Key), m.Values, s.now())
 			s.mus[r].Unlock()
 			s.recvTotal[r].Add(1)
 			s.wake(r)
@@ -606,7 +606,7 @@ func (s *solver) runRank(r int) {
 	}()
 	send := func(i int) {
 		tg := targets[i]
-		copy(spare[i], l.X()[tg.Seg.Lo:tg.Seg.Hi])
+		copy(spare[i], l.Values(tg.Seg))
 		busy[i].Store(true)
 		outs[i] <- transport.Msg{
 			Type: transport.MsgData, From: int32(r), Key: int32(tg.Key),
@@ -664,7 +664,7 @@ func (s *solver) runRank(r int) {
 			}
 			s.traceWait(r, tw, trace.WaitBlockedSend)
 			tw = s.now()
-			want := int64(l.Iter()+1) * int64(s.plan.RecvCount[r])
+			want := int64(l.Iter()+1) * int64(len(s.plan.Recv[r]))
 			if !s.await(r, func() bool { return s.recvTotal[r].Load() >= want }) {
 				return
 			}

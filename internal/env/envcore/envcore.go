@@ -375,7 +375,7 @@ type Endpoint struct {
 	syncData *des.Chan // data wires awaiting SyncExchangeK (RecvSync)
 	sendq    *des.Chan // queued async sends
 
-	inflight  map[int]bool
+	inflight  []bool        // by channel key: a send is in flight
 	freeSink  func(key int) // told of every inflight channel released
 	dataSink  func(aiac.DataMsg)
 	stateSink func(p *des.Proc, st aiac.StateMsg)
@@ -452,7 +452,6 @@ func newEndpoint(e *Env, rank int) *Endpoint {
 		inbox:        des.NewChan(sim),
 		syncData:     des.NewChan(sim),
 		sendq:        des.NewChan(sim),
-		inflight:     make(map[int]bool),
 		stop:         des.NewGate(sim),
 		syncWake:     des.NewGate(sim),
 		handlerName:  fmt.Sprintf("%s-h@%d", e.opts.Name, rank),
@@ -652,12 +651,12 @@ func (ep *Endpoint) Size() int { return ep.env.grid.Size() }
 // caller skip building the value snapshot for a send that would only be
 // discarded (the dominant allocation of a fast-spinning asynchronous rank).
 func (ep *Endpoint) CanSendData(key int) bool {
-	return !ep.inflight[key]
+	return key >= len(ep.inflight) || !ep.inflight[key]
 }
 
 // release ends the in-flight send on channel key and tells the free sink.
 func (ep *Endpoint) release(key int) {
-	delete(ep.inflight, key)
+	ep.inflight[key] = false
 	if ep.freeSink != nil {
 		ep.freeSink(key)
 	}
@@ -668,11 +667,14 @@ func (ep *Endpoint) SetFreeSink(fn func(key int)) { ep.freeSink = fn }
 
 // TrySendData implements the paper's skip-if-busy asynchronous send.
 func (ep *Endpoint) TrySendData(p *des.Proc, o aiac.Outgoing) bool {
-	if ep.inflight[o.Key] {
+	if !ep.CanSendData(o.Key) {
 		if o.Pooled {
 			ep.env.recycle(o.Values)
 		}
 		return false
+	}
+	if o.Key >= len(ep.inflight) {
+		ep.inflight = append(ep.inflight, make([]bool, o.Key+1-len(ep.inflight))...)
 	}
 	ep.inflight[o.Key] = true
 	w := ep.dataWire(o)
@@ -796,7 +798,7 @@ func (ep *Endpoint) Stop() *des.Gate { return ep.stop }
 // ResetSession implements aiac.Comm.
 func (ep *Endpoint) ResetSession() {
 	ep.stop = des.NewGate(ep.env.grid.Sim)
-	ep.inflight = make(map[int]bool)
+	clear(ep.inflight)
 	ep.syncRecvd, ep.syncTarget = 0, 0
 	ep.syncWake.Reset()
 	ep.lastDeliver = -1

@@ -13,6 +13,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/protocol"
 	"aiac/internal/report"
+	"aiac/internal/trace"
 )
 
 // TestAggregateFoldsOutcomesAcrossReps is the regression test for the
@@ -262,7 +263,7 @@ func TestAbsorbFoldsEngineReports(t *testing.T) {
 func TestRunCellErrorRecordsRepAndCount(t *testing.T) {
 	spec := DefaultSpec().withDefaults()
 	c := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "bogus", Procs: 2, Size: 500}
-	r := runCell(c, spec, 3, 0, 0, nil)
+	r := runCell(c, spec, 3, 0, 0, nil, trace.New())
 	if r.Error == "" {
 		t.Fatal("expected an error for an unknown problem")
 	}

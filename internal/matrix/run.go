@@ -175,9 +175,10 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				tr := trace.New() // this worker's, reused cell after cell
 				for i := range jobs {
 					opt.Progress.Started(cells[i].Key())
-					r := runCell(cells[i], spec, reps, opt.Seed, opt.Timeout, cache)
+					r := runCell(cells[i], spec, reps, opt.Seed, opt.Timeout, cache, tr)
 					results[i] = r
 					opt.Progress.Finished(cells[i].Key(), r.HostSec, r.Error != "")
 					if opt.Sidecar != nil {
@@ -324,8 +325,9 @@ func (c Cell) identity() report.Result {
 	}
 }
 
-// runCell executes one cell's repetitions and aggregates them.
-func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache) report.Result {
+// runCell executes one cell's repetitions and aggregates them; a simulated
+// cell's first repetition is traced into tr, which it resets first.
+func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache, tr *trace.Collector) report.Result {
 	// Without a jitter seed, only the problems with a generator-seed axis
 	// (linear, gmres, newton) have anything to perturb per repetition; the
 	// chemical simulation is then fully deterministic and extra reps would
@@ -340,8 +342,8 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 	rs := make([]report.Result, 0, reps)
 	for rep := 0; rep < reps; rep++ {
 		// The first repetition of every simulated cell is traced so its
-		// critical path can be attributed (runOnce); the collector itself
-		// is transient — only the per-category seconds reach the result.
+		// critical path can be attributed (runOnce); only the per-category
+		// seconds reach the result, and the next cell resets the collector.
 		// Tracing is pure host-side appends for the simulator, so the
 		// measured virtual time is byte-identical with and without it.
 		// Native cells are NOT traced in sweeps: their wall clock is the
@@ -349,11 +351,12 @@ func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cac
 		// locking to the hot loops. Their attribution is available on
 		// demand through RunCellOnce/aiacbench -critpath KEY, where the run
 		// exists to be explained rather than measured.
-		var tr *trace.Collector
+		var rtr *trace.Collector
 		if rep == 0 && SimulatedBackend(c.backendName()) {
-			tr = trace.New()
+			rtr = tr
+			rtr.Reset()
 		}
-		r, err := runIsolated(c, spec, rep, seed, timeout, tr, cache)
+		r, err := runIsolated(c, spec, rep, seed, timeout, rtr, cache)
 		if err != nil {
 			// Record what actually happened: how many repetitions
 			// completed, and which one failed.

@@ -36,6 +36,7 @@ type Linear struct {
 	Gamma float64
 
 	scratch [][]float64 // per-rank matvec scratch
+	shifts  [][]int     // per-rank band shifts into the rank's window
 }
 
 // NewLinear generates the test system with the given size and band count
@@ -54,6 +55,7 @@ func (l *Linear) Size() int { return l.A.Dim() }
 // PartitionBounds implements aiac.Problem.
 func (l *Linear) PartitionBounds(nranks int) []int {
 	l.scratch = make([][]float64, nranks)
+	l.shifts = make([][]int, nranks)
 	return sparse.Partition(l.A.Dim(), nranks)
 }
 
@@ -87,13 +89,31 @@ func blockDeps(a sparse.Operator, rank int, bounds []int) []aiac.Segment {
 	return deps
 }
 
+// Window states the rank's window to the Loop: the columns its rows read,
+// its own block among them (the main diagonal's).
+func (l *Linear) Window(rank int, bounds []int) []aiac.Segment {
+	cols := l.A.ColumnsTouched(bounds[rank], bounds[rank+1])
+	win := make([]aiac.Segment, len(cols))
+	for i, c := range cols {
+		win[i] = aiac.Segment{Lo: c.Lo, Hi: c.Hi}
+	}
+	return win
+}
+
 // Update implements aiac.Problem: one gradient iteration on the local rows.
+// x is the whole vector when it is n long and the rank's Window otherwise.
 func (l *Linear) Update(rank int, bounds []int, x []float64) (residual, flops float64) {
 	lo, hi := bounds[rank], bounds[rank+1]
 	if l.scratch[rank] == nil {
 		l.scratch[rank] = make([]float64, hi-lo)
 	}
-	return l.A.GradientStep(lo, hi, l.Gamma, x, l.B, l.scratch[rank])
+	if len(x) == l.A.Dim() {
+		return l.A.GradientStep(lo, hi, l.Gamma, x, l.B, l.scratch[rank])
+	}
+	if l.shifts[rank] == nil {
+		l.shifts[rank] = l.A.WindowShifts(lo, hi, l.A.ColumnsTouched(lo, hi))
+	}
+	return l.A.GradientStepShifted(lo, hi, l.Gamma, x, l.shifts[rank], l.B, l.scratch[rank])
 }
 
 // UpdateFlops states Update's flops before it runs: the 2·bands·rows +

@@ -25,6 +25,12 @@ type Operator interface {
 	// rows [lo,hi) of x, returning the max-norm change and the modeled
 	// flop count. scratch needs at least hi-lo capacity.
 	GradientStep(lo, hi int, gamma float64, x, b, scratch []float64) (residual, flops float64)
+	// GradientStepShifted is GradientStep on a compact iterate whose
+	// band k reads column c at x[c−shift[k]].
+	GradientStepShifted(lo, hi int, gamma float64, x []float64, shift []int, b, scratch []float64) (residual, flops float64)
+	// WindowShifts returns the per-band shifts of rows [lo,hi) stepped on
+	// the compact copy of x that lays window's segments end to end.
+	WindowShifts(lo, hi int, window []Segment) []int
 	// ColumnsTouched returns the merged column intervals rows [lo,hi)
 	// read (§4.3 dependency lists).
 	ColumnsTouched(lo, hi int) []Segment

@@ -112,17 +112,24 @@ func TestRowRangeMulVecMatchesBaseline(t *testing.T) {
 // FuzzGradientStepPaths runs one GradientStep on the start-up path, on
 // the portable one and as the frozen kernels.StepBaseline on the system's
 // full-length copy, all from the same state — any system shape, row range
-// and step, special values sprinkled into the iterate and the right-hand
-// side on request. The two paths must agree bit for bit (NaN payloads
-// aside). The baseline must agree in value: it starts each row's sum from
-// +0 where the kernels start from the diagonal's product, so a −0 product
-// may come out +0 there, and only the sign of a zero may differ. A layout
-// fault the two paths share shows against the baseline.
+// (empty and one-row blocks among the seeds) and step, special values
+// sprinkled into the iterate and the right-hand side on request. The two
+// paths must agree bit for bit (NaN payloads aside). The baseline must
+// agree in value: it starts each row's sum from +0 where the kernels start
+// from the diagonal's product, so a −0 product may come out +0 there, and
+// only the sign of a zero may differ. A layout fault the two paths share
+// shows against the baseline. On each path, the block's windowed step —
+// x gathered through ColumnsTouched's window, the compact copy stepped
+// with its shifts, scattered back — must equal the full-vector step bit
+// for bit.
 func FuzzGradientStepPaths(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint8(12), uint16(0), uint16(400), 1.0, false)
 	f.Add(int64(2), uint16(5000), uint8(30), uint16(17), uint16(4500), 0.7, false)
 	f.Add(int64(3), uint16(2300), uint8(3), uint16(100), uint16(2148), 0.9, true)
 	f.Add(int64(4), uint16(33), uint8(40), uint16(5), uint16(5), 1.3, true)
+	f.Add(int64(5), uint16(900), uint8(17), uint16(450), uint16(451), 0.8, false)
+	f.Add(int64(6), uint16(64), uint8(9), uint16(0), uint16(1), 1.1, true)
+	f.Add(int64(7), uint16(64), uint8(9), uint16(64), uint16(64), 0.6, false)
 	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, nd8 uint8, lo16, hi16 uint16, gamma float64, special bool) {
 		n := 2 + int(n16)%6000
 		nd := 1 + int(nd8)%40
@@ -154,11 +161,24 @@ func FuzzGradientStepPaths(f *testing.F) {
 			res, flops := step(xk, make([]float64, hi-lo))
 			return outcome{xk, res, flops}
 		}
-		var paths [2]outcome
+		win := a.ColumnsTouched(lo, hi)
+		shift := a.WindowShifts(lo, hi, win)
+		var paths, windowed [2]outcome
 		for i, vector := range []bool{false, true} {
 			sparse.OnPath(vector, func() {
 				paths[i] = run(func(xk, scratch []float64) (float64, float64) {
 					return a.GradientStep(lo, hi, gamma, xk, b, scratch)
+				})
+				windowed[i] = run(func(xk, scratch []float64) (float64, float64) {
+					var compact []float64
+					for _, w := range win {
+						compact = append(compact, xk[w.Lo:w.Hi]...)
+					}
+					res, flops := a.GradientStepShifted(lo, hi, gamma, compact, shift, b, scratch)
+					for _, w := range win {
+						compact = compact[copy(xk[w.Lo:w.Hi], compact):]
+					}
+					return res, flops
 				})
 			})
 		}
@@ -167,6 +187,15 @@ func FuzzGradientStepPaths(f *testing.F) {
 			return kernels.StepBaseline(full, lo, hi, gamma, xk, b, scratch)
 		})
 		what := fmt.Sprintf("n=%d nd=%d rows=[%d,%d) gamma=%v", n, nd, lo, hi, gamma)
+		for i, path := range []string{"portable", "start-up"} {
+			full, w := paths[i], windowed[i]
+			if j, bad := bitsDiffer(w.x, full.x); bad {
+				t.Fatalf("%s: %s path: x[%d] = %x stepped through the window, %x on the whole vector", what, path, j, math.Float64bits(w.x[j]), math.Float64bits(full.x[j]))
+			}
+			if math.Float64bits(w.res) != math.Float64bits(full.res) || w.flops != full.flops {
+				t.Fatalf("%s: %s path: residual %v flops %v through the window, %v and %v on the whole vector", what, path, w.res, w.flops, full.res, full.flops)
+			}
+		}
 		portable, vector := paths[0], paths[1]
 		for i := range x {
 			if !sparse.Same(vector.x[i], portable.x[i]) {

@@ -127,17 +127,28 @@ func (a *DIA) MulVec(dst, x []float64) {
 //
 //lint:hotpath
 func (a *DIA) RowRangeMulVec(lo, hi int, dst, x []float64) {
+	if len(x) != a.N {
+		panic("sparse: dimension mismatch in RowRangeMulVec")
+	}
+	a.rowRangeMulVec(lo, hi, dst, x, nil)
+}
+
+// rowRangeMulVec is RowRangeMulVec on a shifted x: band k reads column c
+// at x[c−shift[k]], and a nil shift is all zeros (x is the whole vector).
+//
+//lint:hotpath
+func (a *DIA) rowRangeMulVec(lo, hi int, dst, x []float64, shift []int) {
 	if lo < 0 || hi > a.N || lo > hi {
 		panic("sparse: bad row range")
 	}
-	if len(dst) < hi-lo || len(x) != a.N {
+	if len(dst) < hi-lo {
 		panic("sparse: dimension mismatch in RowRangeMulVec")
 	}
 	m := hi - lo
 	if len(a.Diags[0]) != a.N {
 		a.badBand(0)
 	}
-	kern.mul(dst[:m], a.Diags[0][lo:][:m], x[lo:][:m])
+	kern.mul(dst[:m], a.Diags[0][lo:][:m], x[lo-shiftOf(shift, 0):][:m])
 	for k := 1; k < len(a.Offsets); k++ {
 		o, d := a.Offsets[k], a.Diags[k]
 		blo, bhi := bandRows(a.N, o)
@@ -149,8 +160,16 @@ func (a *DIA) RowRangeMulVec(lo, hi int, dst, x []float64) {
 			continue
 		}
 		bm := rhi - rlo
-		kern.mulAdd(dst[rlo-lo:][:bm], d[rlo-blo:][:bm], x[rlo+o:][:bm])
+		kern.mulAdd(dst[rlo-lo:][:bm], d[rlo-blo:][:bm], x[rlo+o-shiftOf(shift, k):][:bm])
 	}
+}
+
+// shiftOf is band k's shift, 0 when there is none.
+func shiftOf(shift []int, k int) int {
+	if shift == nil {
+		return 0
+	}
+	return shift[k]
 }
 
 // gradientTileRows is the row-tile granule of the fused GradientStep:
@@ -167,34 +186,50 @@ const gradientTileRows = 2048
 // semantics: stale ghost data is used as-is). It writes the new values into
 // x[lo:hi), returns the max-norm of the change (the local residual of
 // Equ. 6) and the flop count. scratch must have at least hi-lo capacity.
-//
-// Bit-identical to the two-pass reference (kernels.StepBaseline) on both
-// kernel paths. Blocks that fit one tile — every default-sweep rank block
-// does — accumulate A*x with RowRangeMulVec and then relax x in place (the
-// accumulate has already consumed the old iterate). Larger blocks relax
-// each tile while it is L1-hot, deferring the writes into scratch — a band
-// may make any later row read x inside [lo,hi), so no x[i] is overwritten
-// until every tile has accumulated — and publish the new values with one
-// copy at the end.
+// It is GradientStepShifted on the whole vector: every shift zero.
 //
 //lint:hotpath
 func (a *DIA) GradientStep(lo, hi int, gamma float64, x, b, scratch []float64) (residual, flops float64) {
+	if len(x) != a.N {
+		panic("sparse: dimension mismatch in GradientStep")
+	}
+	return a.GradientStepShifted(lo, hi, gamma, x, nil, b, scratch)
+}
+
+// GradientStepShifted is GradientStep on a compact copy of the iterate:
+// band k reads column c at x[c−shift[k]] (WindowShifts), so the rows'
+// own values sit at x[lo−shift[0]:hi−shift[0]], the main diagonal's
+// columns. A nil shift is all zeros: x is the whole vector. b stays
+// indexed by row.
+//
+// Bit-identical to the two-pass reference (kernels.StepBaseline) on both
+// kernel paths: the shift only moves where a band's run of x starts.
+// Blocks that fit one tile — every default-sweep rank block does —
+// accumulate A*x and then relax x in place (the accumulate has already
+// consumed the old iterate). Larger blocks relax each tile while it is
+// L1-hot, deferring the writes into scratch — a band may make any later
+// row read x inside [lo,hi), so no x[i] is overwritten until every tile
+// has accumulated — and publish the new values with one copy at the end.
+//
+//lint:hotpath
+func (a *DIA) GradientStepShifted(lo, hi int, gamma float64, x []float64, shift []int, b, scratch []float64) (residual, flops float64) {
 	rows := float64(hi - lo)
 	flops = 2*float64(a.rowNNZ())*rows + 5*rows
+	own := lo - shiftOf(shift, 0)
 	if hi-lo <= gradientTileRows {
 		ax := scratch[:hi-lo]
-		a.RowRangeMulVec(lo, hi, ax, x)
-		xs := x[lo:hi]
+		a.rowRangeMulVec(lo, hi, ax, x, shift)
+		xs := x[own:][:hi-lo]
 		return kern.relax(xs, xs, b[lo:hi], ax, a.Diags[0][lo:hi], gamma, 0), flops
 	}
 	var maxd float64
 	for tlo := lo; tlo < hi; tlo += gradientTileRows {
 		thi := min(tlo+gradientTileRows, hi)
 		nv := scratch[tlo-lo : thi-lo]
-		a.RowRangeMulVec(tlo, thi, nv, x)
-		maxd = kern.relax(nv, x[tlo:thi], b[tlo:thi], nv, a.Diags[0][tlo:thi], gamma, maxd)
+		a.rowRangeMulVec(tlo, thi, nv, x, shift)
+		maxd = kern.relax(nv, x[own+tlo-lo:][:thi-tlo], b[tlo:thi], nv, a.Diags[0][tlo:thi], gamma, maxd)
 	}
-	copy(x[lo:hi], scratch[:hi-lo])
+	copy(x[own:][:hi-lo], scratch[:hi-lo])
 	return maxd, flops
 }
 
@@ -221,6 +256,36 @@ func (a *DIA) ColumnsTouched(lo, hi int) []Segment {
 		}
 	}
 	return MergeSegments(segs)
+}
+
+// WindowShifts lays out a compact copy of x for rows [lo,hi): window's
+// sorted, disjoint segments end to end, the first at index 0. It returns
+// the shift of every band, so that band k reads column c at x[c−shift[k]]
+// (GradientStepShifted). The columns a band reads over the rows must lie
+// in one segment of window, as they do in ColumnsTouched(lo, hi)'s; a
+// band that reads none of them gets the shift that puts its empty run at
+// x[0], so an empty block steps on an empty window.
+func (a *DIA) WindowShifts(lo, hi int, window []Segment) []int {
+	shift := make([]int, len(a.Offsets))
+	for k, o := range a.Offsets {
+		clo, chi := max(lo+o, 0), min(hi+o, a.N)
+		if clo >= chi {
+			shift[k] = clo
+			continue
+		}
+		at, found := 0, false
+		for _, w := range window {
+			if w.Lo <= clo && chi <= w.Hi {
+				shift[k], found = w.Lo-at, true
+				break
+			}
+			at += w.Len()
+		}
+		if !found {
+			panic(fmt.Sprintf("sparse: band %d (offset %d) reads columns [%d,%d) for rows [%d,%d), in no one segment of the window %v", k, o, clo, chi, lo, hi, window))
+		}
+	}
+	return shift
 }
 
 // MergeSegments sorts and merges overlapping/adjacent segments.

@@ -180,6 +180,17 @@ type Collector struct {
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
 
+// Reset empties the collector for the next run and keeps the capacity of
+// its records, so a collector reused run after run stops growing once it
+// has held the largest. No-op on a nil collector.
+func (c *Collector) Reset() {
+	if c == nil {
+		return
+	}
+	c.Spans, c.Msgs, c.Waits = c.Spans[:0], c.Msgs[:0], c.Waits[:0]
+	c.last, c.indexed = c.last[:0], 0
+}
+
 // AddSpan records one iteration's activity interval: it extends the rank's
 // latest span when the interval continues that run (see the package
 // comment) and appends a new span otherwise. No-op on a nil collector or an

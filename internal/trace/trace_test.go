@@ -148,3 +148,32 @@ func TestGanttTinyWidthClamped(t *testing.T) {
 		t.Fatal("empty gantt")
 	}
 }
+
+// A reset collector records the next run as a new one records it — no
+// span of the last run is extended — in the storage it already holds.
+func TestResetReusesStorage(t *testing.T) {
+	c := New()
+	for i := 0; i < 100; i++ {
+		c.AddSpan(1, ms(i), ms(i+1), Compute, i)
+		c.AddMsg(Msg{From: 0, To: 1, Sent: ms(i), Recv: ms(i + 1)})
+		c.AddWait(0, ms(i), ms(i+1), WaitExchange, i)
+	}
+	spans, msgs, waits := cap(c.Spans), cap(c.Msgs), cap(c.Waits)
+	c.Reset()
+	if len(c.Spans)+len(c.Msgs)+len(c.Waits) != 0 {
+		t.Fatalf("%d spans, %d messages, %d waits after Reset", len(c.Spans), len(c.Msgs), len(c.Waits))
+	}
+	// This span continues the last run's rank-1 run; it must start a new one.
+	c.AddSpan(1, ms(100), ms(101), Compute, 100)
+	c.AddSpan(1, ms(101), ms(102), Compute, 101)
+	if want := []Span{{Rank: 1, Start: ms(100), End: ms(102), Kind: Compute, Iter: 100, N: 2}}; len(c.Spans) != 1 || c.Spans[0] != want[0] {
+		t.Fatalf("spans after Reset: %+v; want %+v", c.Spans, want)
+	}
+	if idx := c.AddMsg(Msg{From: 1, To: 0}); idx != 0 {
+		t.Fatalf("the first message after Reset has index %d; want 0", idx)
+	}
+	if cap(c.Spans) != spans || cap(c.Msgs) != msgs || cap(c.Waits) != waits {
+		t.Fatalf("capacities %d, %d, %d after Reset; want %d, %d, %d", cap(c.Spans), cap(c.Msgs), cap(c.Waits), spans, msgs, waits)
+	}
+	(*Collector)(nil).Reset()
+}
