@@ -9,7 +9,6 @@
 //	aiacbench -workers 8                      # full env×mode×grid sweep, sparse linear problem
 //	aiacbench -env pm2,mpi -grid adsl         # filter any axis
 //	aiacbench -problem chem -procs 8,12       # non-linear problem, two procs counts
-//	aiacbench -problem gmres,newton           # the block-GMRES and strip-Newton variants
 //	aiacbench -scenario flaky-adsl -grid adsl # grid-dynamics scenario + degradation table
 //	aiacbench -backend sim,chan,tcp           # add native wall-clock cells + calibration table
 //	aiacbench -backend tcp -timeout 30s       # native cells only, tighter runaway guard
@@ -87,7 +86,7 @@ func main() {
 		envF      = flag.String("env", "", "environment filter (csv of mpi, pm2, madmpi, omniorb; empty = all)")
 		modeF     = flag.String("mode", "", "mode filter (csv of sync, async; empty = both)")
 		gridF     = flag.String("grid", "", "grid filter (csv of 3site, adsl, local, multiproto; empty = the paper's three measurement grids)")
-		problemF  = flag.String("problem", "", "problem filter (csv of linear, gmres, newton, chem; empty = linear)")
+		problemF  = flag.String("problem", "", "problem filter (csv of linear, chem; empty = linear)")
 		procsF    = flag.String("procs", "", "processor counts (csv; empty = 8)")
 		sizesF    = flag.String("n", "", "problem sizes (csv; empty = per-problem default)")
 		scenarioF = flag.String("scenario", "", "grid-dynamics scenario filter (csv of "+strings.Join(matrix.ScenarioNames, ", ")+"; empty = static)")
@@ -447,10 +446,10 @@ func buildSpec(preset, env, mode, grid, problem, procs, sizes, scenarios, backen
 	if n, err := matrix.ParseInts("size", sizes); err != nil {
 		return spec, err
 	} else if n != nil {
-		// A chem cell's size is its grid side, the others' a vector
+		// A chem cell's size is its grid side, a linear cell's a vector
 		// length: one -n list cannot mean both.
-		if slices.Contains(spec.Problems, "chem") && slices.ContainsFunc(spec.Problems, func(p string) bool { return p != "chem" }) {
-			return spec, errors.New("-n sets every problem's size, but a chem cell's size is its grid side: run chem and the other problems as two sweeps, each with its own -n")
+		if slices.Contains(spec.Problems, "chem") && slices.Contains(spec.Problems, "linear") {
+			return spec, errors.New("-n sets every problem's size, but a chem cell's size is its grid side: run chem and linear as two sweeps, each with its own -n")
 		}
 		spec.Sizes = n
 	}

@@ -64,8 +64,12 @@ func TestFlagChecks(t *testing.T) {
 		{"-trend . -paper table2", "-paper has no effect with -trend"},
 		{"-trend . -scenario flaky-adsl", "-scenario has no effect with -trend"},
 		{"-operator dia", "flag provided but not defined: -operator"},
-		{"-problem linear,chem -n 1500", "run chem and the other problems as two sweeps"},
-		{"-paper table3 -problem chem,newton -n 12", "a chem cell's size is its grid side"},
+		{"-problem linear,chem -n 1500", "run chem and linear as two sweeps"},
+		{"-paper table3 -problem chem,linear -n 12", "a chem cell's size is its grid side"},
+		// The paper has two test problems; no other is accepted.
+		{"-problem gmres", `unknown problem "gmres" (known: linear, chem)`},
+		{"-problem linear,newton", `unknown problem "newton" (known: linear, chem)`},
+		{"pm2/async/local/gmres/p8/n4000/static/sim", `unknown problem "gmres" (known: linear, chem)`},
 		{"-retries 2", "flag provided but not defined: -retries"},
 		{"-width 120", "flag provided but not defined: -width"},
 		// With cell keys only the spec, seed, guard and view flags apply.

@@ -4,23 +4,8 @@ import (
 	"testing"
 
 	"aiac/internal/gmres"
-	"aiac/internal/problems"
 	"aiac/internal/sparse"
 )
-
-// A block-GMRES Update solves its block on the rank's reused Krylov
-// workspace and allocates nothing after the first.
-func TestGMRESInnerSolveAllocs(t *testing.T) {
-	prob := problems.NewLinearGMRES(4000, 12, 0.85, 7)
-	bounds := prob.PartitionBounds(8)
-	x := prob.InitialVector()
-	prob.Update(0, bounds, x) // warm-up builds scratch and the Krylov workspace
-	if n := testing.AllocsPerRun(10, func() {
-		prob.Update(0, bounds, x)
-	}); n != 0 {
-		t.Errorf("block-GMRES update allocates %.0f per call; want 0", n)
-	}
-}
 
 // SolveWith on a reused workspace is allocation-free even across restarts
 // (the Krylov basis is the big per-solve cost Solve used to pay).

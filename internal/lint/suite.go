@@ -42,7 +42,6 @@ var RepoAddrstable = AddrstableConfig{
 	Func: "cellCacheKey",
 	Structs: []string{
 		"aiac/internal/matrix.LinearParams",
-		"aiac/internal/matrix.NewtonParams",
 		"aiac/internal/matrix.ChemParams",
 		"aiac/internal/protocol.Params",
 	},

@@ -109,16 +109,16 @@ func TestAssemblyPanicBecomesError(t *testing.T) {
 }
 
 // The linear system is the DIA matrix only: a spec naming any other
-// operator ends every linear and gmres cell, simulated and native, as an
-// errored row — never as a silent DIA run — while its other cells run.
+// operator ends every linear cell, simulated and native, as an errored row
+// — never as a silent DIA run — while its chem cells run.
 func TestNonDIAOperatorErrorsLinearCells(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Envs = []string{"pm2"}
 	spec.Modes = []aiac.Mode{aiac.Sync}
 	spec.Grids = []string{"local"}
-	spec.Problems = []string{"linear", "gmres", "newton"}
+	spec.Problems = []string{"linear", "chem"}
 	spec.Procs = []int{4}
-	spec.Sizes = []int{600}
+	spec.Sizes = []int{8}
 	spec.Backends = []string{"sim", "chan"}
 	spec.Linear.Operator = "stencil"
 
@@ -126,13 +126,13 @@ func TestNonDIAOperatorErrorsLinearCells(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep failed as a whole: %v", err)
 	}
-	if len(set.Results) != 6 {
-		t.Fatalf("%d results, want 6", len(set.Results))
+	if len(set.Results) != 4 {
+		t.Fatalf("%d results, want 4", len(set.Results))
 	}
 	for _, r := range set.Results {
-		if r.Problem == "newton" {
+		if r.Problem == "chem" {
 			if r.Error != "" || !r.Converged {
-				t.Errorf("%s: error %q, converged %v; the operator is no newton parameter", r.Key(), r.Error, r.Converged)
+				t.Errorf("%s: error %q, converged %v; the operator is no chem parameter", r.Key(), r.Error, r.Converged)
 			}
 			continue
 		}

@@ -75,10 +75,8 @@ var (
 	EnvNames = []string{"mpi", "pm2", "madmpi", "omniorb"}
 	// GridNames lists the simulated platforms (§5.1, §5.3).
 	GridNames = []string{"3site", "adsl", "local", "multiproto"}
-	// ProblemNames lists the test problems: the paper's two (§4.2) plus
-	// the two local-solver variants (block-GMRES multisplitting of the
-	// sparse system, strip-Newton on the non-linear reaction problem).
-	ProblemNames = []string{"linear", "gmres", "newton", "chem"}
+	// ProblemNames lists the paper's two test problems (§4.2).
+	ProblemNames = []string{"linear", "chem"}
 	// ScenarioNames lists the grid-dynamics presets (internal/scenario),
 	// the static grid first.
 	ScenarioNames = scenario.Names()
@@ -219,7 +217,7 @@ type LinearParams struct {
 	MaxIters int     // per-processor iteration cap
 	Seed     int64   // matrix generator seed; repetition r uses Seed+r
 	// Operator accepts only "" or "dia" (any other value errors the
-	// linear and gmres cells); it goes in ROADMAP item 4(b).
+	// linear cells); it goes in ROADMAP item 4(b).
 	Operator string
 }
 
@@ -229,15 +227,6 @@ type ChemParams struct {
 	HorizonS float64 // simulated interval (s)
 	Eps      float64 // Newton convergence threshold
 	GmresTol float64 // inner GMRES tolerance
-}
-
-// NewtonParams tunes the standalone non-linear reaction problem cells
-// (problems.Reaction: strip-local Newton with manufactured truth).
-type NewtonParams struct {
-	C        float64 // reaction strength
-	Eps      float64 // convergence threshold on the scaled Newton step
-	MaxIters int     // per-processor iteration cap
-	Seed     int64   // manufactured-solution seed; repetition r uses Seed+r
 }
 
 // Spec selects the cells of a sweep. Empty axis slices mean "all values"
@@ -256,7 +245,6 @@ type Spec struct {
 
 	Linear LinearParams
 	Chem   ChemParams
-	Newton NewtonParams
 }
 
 // DefaultSpec sweeps the full env×mode×grid matrix of the paper's
@@ -278,23 +266,15 @@ func DefaultSpec() Spec {
 		Backends:  []string{"sim"},
 		Linear:    LinearParams{Diags: 12, Rho: 0.85, Eps: 1e-5, MaxIters: 3000000, Seed: 20040426},
 		Chem:      ChemParams{StepS: 180, HorizonS: 540, Eps: 1e-6, GmresTol: 1e-6},
-		Newton:    NewtonParams{C: 1, Eps: 1e-9, MaxIters: 3000000, Seed: 20040426},
 	}
 }
 
 // DefaultSizeFor is the per-problem problem size used when Spec.Sizes is
 // empty: big enough that exchange messages leave the small-message regime,
-// small enough for interactive sweeps. The block-GMRES variant runs a full
-// inner solve per outer iteration, so its default is smaller than the
-// gradient-iterated system's.
+// small enough for interactive sweeps.
 func DefaultSizeFor(problem string) int {
-	switch problem {
-	case "chem":
+	if problem == "chem" {
 		return 36
-	case "gmres":
-		return 4000
-	case "newton":
-		return 6000
 	}
 	return 12000
 }
@@ -384,9 +364,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Chem == (ChemParams{}) {
 		s.Chem = d.Chem
-	}
-	if s.Newton == (NewtonParams{}) {
-		s.Newton = d.Newton
 	}
 	return s
 }

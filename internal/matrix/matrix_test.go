@@ -81,10 +81,10 @@ func TestParseKeyAcceptsExactlyTheCells(t *testing.T) {
 			native++
 		}
 	}
-	// 4 grids × 4 problems × (5 scenarios × 7 simulated versions + 3
+	// 4 grids × 2 problems × (5 scenarios × 7 simulated versions + 3
 	// native scenarios × 2 modes × 2 transports).
-	if len(cells) != 16*(5*7+3*2*2) || native != 16*3*2*2 {
-		t.Fatalf("spec enumerates %d cells (%d native), want %d (%d)", len(cells), native, 16*(5*7+3*2*2), 16*3*2*2)
+	if len(cells) != 8*(5*7+3*2*2) || native != 8*3*2*2 {
+		t.Fatalf("spec enumerates %d cells (%d native), want %d (%d)", len(cells), native, 8*(5*7+3*2*2), 8*3*2*2)
 	}
 	for _, tc := range []struct{ key, want string }{
 		{"pm2/async/local/linear/p4/n600/static/chan", "want env go"},
@@ -503,41 +503,58 @@ func TestSeedGivesDistinctDeterministicReps(t *testing.T) {
 	}
 }
 
-// TestCellSolve pins the builder the sim and native runners share: eps and
-// budget from the problem's own parameters, one cached system for a sim and
-// a native cell of one repetition, a new one for the next, an equal fresh
-// one from a nil cache, and an error for any other problem.
+// TestCellSolve pins the builder the sim and native runners share: one
+// cached system for a sim and a native cell of one repetition, a new one
+// for the next, an equal fresh one from a nil cache, and an error for any
+// other problem — chem, which builds its own steps, and the removed
+// gmres and newton, which no spec can name any more.
 func TestCellSolve(t *testing.T) {
 	spec := DefaultSpec()
-	spec.Linear.MaxIters, spec.Newton.MaxIters = 1111, 2222
-	for _, tc := range []struct {
-		problem  string
-		eps      float64
-		maxIters int
-	}{{"linear", spec.Linear.Eps, 1111}, {"gmres", spec.Linear.Eps, 1111}, {"newton", spec.Newton.Eps, 2222}} {
-		t.Run(tc.problem, func(t *testing.T) {
+	t.Run("linear", func(t *testing.T) {
+		cache := problems.NewCache()
+		sim := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "linear", Procs: 4, Size: 600}
+		native := sim
+		native.Env, native.Backend = "go", "chan"
+		a, err := cellSolve(sim, spec, 0, cache)
+		if err != nil || len(a.XTrue) != sim.Size {
+			t.Fatalf("cellSolve = %d unknowns, %v; want %d unknowns", len(a.XTrue), err, sim.Size)
+		}
+		if b, _ := cellSolve(native, spec, 0, cache); &b.XTrue[0] != &a.XTrue[0] {
+			t.Error("a native cell built its own system instead of the sim cell's cached one")
+		}
+		cellSolve(sim, spec, 1, cache)
+		if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
+			t.Errorf("cache after rep 0 sim, rep 0 native, rep 1 sim: %d hits, %d misses; want 1 and 2", hits, misses)
+		}
+		if f, _ := cellSolve(sim, spec, 0, nil); &f.XTrue[0] == &a.XTrue[0] || !reflect.DeepEqual(f.XTrue, a.XTrue) {
+			t.Error("a nil cache must build an equal system of its own")
+		}
+	})
+	for _, problem := range []string{"chem", "gmres", "newton"} {
+		t.Run(problem, func(t *testing.T) {
 			cache := problems.NewCache()
-			sim := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: tc.problem, Procs: 4, Size: 600}
-			native := sim
-			native.Env, native.Backend = "go", "chan"
-			a, err := cellSolve(sim, spec, 0, cache)
-			if err != nil || a.prob == nil || len(a.xtrue) != sim.Size || a.eps != tc.eps || a.maxIters != tc.maxIters {
-				t.Fatalf("cellSolve = {%T, %d unknowns, eps %g, budget %d}, %v; want %d unknowns, eps %g, budget %d",
-					a.prob, len(a.xtrue), a.eps, a.maxIters, err, sim.Size, tc.eps, tc.maxIters)
+			if l, err := cellSolve(Cell{Problem: problem, Size: 600}, spec, 0, cache); err == nil || l != nil {
+				t.Errorf("cellSolve built a %s cell (%v); only linear cells go through it", problem, err)
 			}
-			if b, _ := cellSolve(native, spec, 0, cache); &b.xtrue[0] != &a.xtrue[0] {
-				t.Error("a native cell built its own system instead of the sim cell's cached one")
-			}
-			cellSolve(sim, spec, 1, cache)
-			if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
-				t.Errorf("cache after rep 0 sim, rep 0 native, rep 1 sim: %d hits, %d misses; want 1 and 2", hits, misses)
-			}
-			if f, _ := cellSolve(sim, spec, 0, nil); &f.xtrue[0] == &a.xtrue[0] || !reflect.DeepEqual(f.xtrue, a.xtrue) {
-				t.Error("a nil cache must build an equal system of its own")
+			if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
+				t.Errorf("a refused %s cell touched the cache: %d hits, %d misses", problem, hits, misses)
 			}
 		})
 	}
-	if _, err := cellSolve(Cell{Problem: "chem", Size: 8}, spec, 0, problems.NewCache()); err == nil {
-		t.Error("cellSolve built a chem cell; only linear, gmres and newton go through it")
+}
+
+// Both runners solve a linear cell to spec.Linear's budget: five
+// iterations end every rank at its cap, simulated and native.
+func TestLinearCellsKeepLinearBudget(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Linear.MaxIters = 5
+	sim := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "linear", Procs: 4, Size: 600}
+	native := sim
+	native.Env, native.Backend = NativeEnv, "chan"
+	for _, c := range []Cell{sim, native} {
+		r, err := RunCellOnce(c, spec, 0, 0, 0, nil)
+		if err != nil || r.Converged || r.Iters != c.Procs*spec.Linear.MaxIters {
+			t.Errorf("%s: converged %v after %d iterations, %v; want %d, capped", c.Key(), r.Converged, r.Iters, err, c.Procs*spec.Linear.MaxIters)
+		}
 	}
 }

@@ -24,23 +24,19 @@ import (
 // parameters already addressed above, so they carry no independent input;
 // the third is a field with one legal value:
 //
-//lint:addrstable-exempt Params.Eps — protocol eps is set from the selected problem's Eps (LinearParams/NewtonParams/ChemParams), which is in the problem segment of the address
+//lint:addrstable-exempt Params.Eps — protocol eps is set from the selected problem's Eps (LinearParams/ChemParams), which is in the problem segment of the address
 //lint:addrstable-exempt Params.MaxIters — protocol iteration cap is set from the selected problem's MaxIters, which is in the problem segment of the address
-//lint:addrstable-exempt LinearParams.Operator — only "" or "dia" runs (any other value errors every linear and gmres cell), so it selects nothing an address could tell apart; the field goes in ROADMAP item 4(b)
+//lint:addrstable-exempt LinearParams.Operator — only "" or "dia" runs (any other value errors every linear cell), so it selects nothing an address could tell apart; the field goes in ROADMAP item 4(b)
 
 // cellCacheKey builds the cell's content address. spec must already be
 // resolved (withDefaults), matching what Run executes.
 func cellCacheKey(c Cell, spec Spec, reps int, seed int64, timeout time.Duration) string {
 	var prob string
 	switch c.Problem {
-	case "linear", "gmres":
+	case "linear":
 		lp := spec.Linear
 		prob = fmt.Sprintf("diags=%d,rho=%g,eps=%g,maxiters=%d,matseed=%d",
 			lp.Diags, lp.Rho, lp.Eps, lp.MaxIters, lp.Seed)
-	case "newton":
-		np := spec.Newton
-		prob = fmt.Sprintf("c=%g,eps=%g,maxiters=%d,matseed=%d",
-			np.C, np.Eps, np.MaxIters, np.Seed)
 	case "chem":
 		cp := spec.Chem
 		prob = fmt.Sprintf("step=%g,horizon=%g,eps=%g,gmrestol=%g",

@@ -60,8 +60,8 @@ func FigureCells() (sisc, async Cell, spec Spec) {
 }
 
 // Parameters renders the parameters of the spec's problems in the layout
-// of the paper's Table 1 (which has the sparse linear and the chemical
-// problem; the strip-Newton variant prints nothing).
+// of the paper's Table 1, which has the sparse linear and the chemical
+// problem.
 func (s Spec) Parameters() string {
 	s = s.withDefaults()
 	var b strings.Builder
@@ -71,8 +71,8 @@ func (s Spec) Parameters() string {
 			sizes = []int{DefaultSizeFor(prob)}
 		}
 		switch prob {
-		case "linear", "gmres":
-			fmt.Fprintf(&b, "Sparse linear system (%s)\n", prob)
+		case "linear":
+			fmt.Fprintf(&b, "Sparse linear system (linear)\n")
 			for _, n := range sizes {
 				fmt.Fprintf(&b, "  matrix size                      %d x %d\n", n, n)
 			}

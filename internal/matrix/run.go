@@ -328,10 +328,10 @@ func (c Cell) identity() report.Result {
 // runCell executes one cell's repetitions and aggregates them; a simulated
 // cell's first repetition is traced into tr, which it resets first.
 func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache, tr *trace.Collector) report.Result {
-	// Without a jitter seed, only the problems with a generator-seed axis
-	// (linear, gmres, newton) have anything to perturb per repetition; the
-	// chemical simulation is then fully deterministic and extra reps would
-	// be bit-identical reruns — run it once. Native cells are
+	// Without a jitter seed, only the linear problem, whose matrix seed
+	// moves per repetition, has anything to perturb; the chemical
+	// simulation is then fully deterministic and extra reps would be
+	// bit-identical reruns — run it once. Native cells are
 	// nondeterministic by nature (real scheduling, real wire), so their
 	// repetitions always measure distinct runs.
 	if SimulatedBackend(c.backendName()) && c.Problem == "chem" && seed == 0 {
@@ -519,19 +519,20 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 			}
 		}
 	} else {
-		s, err := cellSolve(c, spec, rep, cache)
+		p, err := cellSolve(c, spec, rep, cache)
 		if err != nil {
 			return report.Result{}, err
 		}
+		var prob aiac.Problem = p
 		if wrapProblem != nil {
-			s.prob = wrapProblem(c, s.prob)
+			prob = wrapProblem(c, prob)
 		}
-		rpt := aiac.Run(grid, env, s.prob, aiac.Config{
-			Mode: c.Mode, Eps: s.eps, MaxIters: s.maxIters,
+		rpt := aiac.Run(grid, env, prob, aiac.Config{
+			Mode: c.Mode, Eps: spec.Linear.Eps, MaxIters: spec.Linear.MaxIters,
 			Trace: tr, Dynamics: rt, Residuals: resid,
 		})
 		r.TimeSec = rpt.Elapsed.Seconds()
-		r.Residual = la.MaxNormDiff(rpt.X, s.xtrue)
+		r.Residual = la.MaxNormDiff(rpt.X, p.XTrue)
 		nonFinite = absorb(&r, rpt)
 	}
 	r.MinTimeSec = r.TimeSec
@@ -644,15 +645,15 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 			}
 		}
 	} else {
-		s, err := cellSolve(c, spec, rep, cache)
+		p, err := cellSolve(c, spec, rep, cache)
 		if err != nil {
 			return report.Result{}, err
 		}
-		rpt, err := solve(s.prob, s.eps, s.maxIters)
+		rpt, err := solve(p, spec.Linear.Eps, spec.Linear.MaxIters)
 		if err != nil {
 			return report.Result{}, err
 		}
-		r.Residual = la.MaxNormDiff(rpt.X, s.xtrue)
+		r.Residual = la.MaxNormDiff(rpt.X, p.XTrue)
 	}
 	r.MinTimeSec = r.TimeSec
 	r.Flags = redFlags(resid, r.Converged, nonFinite, cellEps(c, spec))
@@ -668,38 +669,18 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 	return r, nil
 }
 
-// solveSpec is one solve of a linear, gmres or newton cell: the problem,
-// its known solution, and the threshold and budget it is solved to.
-type solveSpec struct {
-	prob     aiac.Problem
-	xtrue    []float64
-	eps      float64
-	maxIters int
-}
-
-// cellSolve builds the problem of a linear, gmres or newton cell for
-// repetition rep from the sweep's cache (nil builds a fresh system); any
-// other problem is an error.
-func cellSolve(c Cell, spec Spec, rep int, cache *problems.Cache) (solveSpec, error) {
-	lp, np := spec.Linear, spec.Newton
-	if (c.Problem == "linear" || c.Problem == "gmres") && lp.Operator != "" && lp.Operator != "dia" {
-		return solveSpec{}, fmt.Errorf("operator %q: the linear system is the materialized DIA matrix (\"\" or \"dia\"); LinearParams.Operator goes in ROADMAP item 4(b)", lp.Operator)
+// cellSolve builds the problem of a linear cell for repetition rep from
+// the sweep's cache (nil builds a fresh system); any other problem is an
+// error. The cell is solved to spec.Linear's Eps and MaxIters.
+func cellSolve(c Cell, spec Spec, rep int, cache *problems.Cache) (*problems.Linear, error) {
+	lp := spec.Linear
+	if c.Problem != "linear" {
+		return nil, fmt.Errorf("unknown problem %q", c.Problem)
 	}
-	var s solveSpec
-	switch c.Problem {
-	case "linear":
-		p := cache.Linear(c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
-		s = solveSpec{p, p.XTrue, lp.Eps, lp.MaxIters}
-	case "gmres":
-		p := cache.LinearGMRES(c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep))
-		s = solveSpec{p, p.XTrue, lp.Eps, lp.MaxIters}
-	case "newton":
-		p := cache.Reaction(c.Size, np.C, np.Seed+int64(rep))
-		s = solveSpec{p, p.XTrue, np.Eps, np.MaxIters}
-	default:
-		return solveSpec{}, fmt.Errorf("unknown problem %q", c.Problem)
+	if lp.Operator != "" && lp.Operator != "dia" {
+		return nil, fmt.Errorf("operator %q: the linear system is the materialized DIA matrix (\"\" or \"dia\"); LinearParams.Operator goes in ROADMAP item 4(b)", lp.Operator)
 	}
-	return s, nil
+	return cache.Linear(c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep)), nil
 }
 
 // attribute writes the critical-path attribution of tr's run up to total
@@ -721,12 +702,8 @@ func attribute(r *report.Result, tr *trace.Collector, total des.Time) {
 // cellEps is the convergence threshold the cell's problem solves to — the
 // scale the red-flag detectors judge residual trajectories against.
 func cellEps(c Cell, spec Spec) float64 {
-	switch c.Problem {
-	case "newton":
-		return spec.Newton.Eps
-	case "chem":
+	if c.Problem == "chem" {
 		return spec.Chem.Eps
-	default:
-		return spec.Linear.Eps
 	}
+	return spec.Linear.Eps
 }

@@ -11,24 +11,23 @@ import (
 // Cache memoizes problem assembly so a sweep builds each test system once
 // and shares it read-only across every environment, grid and backend that
 // solves it. Without it, an experiment-matrix sweep regenerates the
-// identical sparse linear system (or manufactured reaction system) once
-// per cell — seven times per grid for the default matrix — which at
-// paper-scale sizes (Table 1: n = 2,000,000 with 30 sub-diagonals, 352 MB
-// per system: 320 MB of bands, 32 MB for b and xTrue) is the dominant
-// redundant cost and memory load of the sim phase.
+// identical sparse linear system once per cell — seven times per grid for
+// the default matrix — which at paper-scale sizes (Table 1: n = 2,000,000
+// with 30 sub-diagonals, 352 MB per system: 320 MB of bands, 32 MB for b
+// and xTrue) is the dominant redundant cost and memory load of the sim
+// phase.
 //
 // Sharing is sound because every solver in this repository treats the
 // assembled data as immutable: sparse.DIA's kernels (RowRangeMulVec,
 // GradientStep, MulVec) read the matrix and right-hand side and write only
-// the iterate and caller-owned scratch, Reaction's EvalG/ApplyJ read F,
-// and the per-run mutable state (scratch buffers, strip solvers)
-// lives on the per-call problem structs, never on the shared arrays. The
-// cache enforces the contract at runtime: every entry is checksummed while
-// it is built (sparse.NewSystemSum), re-verified on every retrieval while
-// small enough for that to be cheap (verifyOnHitLimit), and re-verified in
-// full by Verify at the end of a sweep — so code that mutates a shared
-// system panics at the next cache hit (or fails the sweep) instead of
-// silently corrupting concurrent cells.
+// the iterate and caller-owned scratch, and the per-run mutable state
+// (scratch buffers, weights) lives on the per-call problem structs, never
+// on the shared arrays. The cache enforces the contract at runtime: every
+// entry is checksummed while it is built (sparse.NewSystemSum), re-verified
+// on every retrieval while small enough for that to be cheap
+// (verifyOnHitLimit), and re-verified in full by Verify at the end of a
+// sweep — so code that mutates a shared system panics at the next cache hit
+// (or fails the sweep) instead of silently corrupting concurrent cells.
 //
 // Entries are never evicted: they live until the Cache itself is dropped
 // (one sweep, in matrix.Run), because the end-of-sweep Verify needs them
@@ -38,12 +37,10 @@ import (
 // the default matrix holds exactly one.
 //
 // A nil *Cache is valid and simply builds fresh systems on every call —
-// the uncached constructors (NewLinear, NewLinearGMRES, NewReaction) are
-// thin wrappers over it.
+// the uncached constructor NewLinear is a thin wrapper over it.
 type Cache struct {
 	mu     sync.Mutex
 	linear map[linearKey]*linearEntry
-	react  map[reactKey]*reactEntry
 	hits   int
 	misses int
 }
@@ -56,10 +53,7 @@ var ErrMutated = errors.New("shared problem data was mutated")
 
 // NewCache returns an empty problem cache.
 func NewCache() *Cache {
-	return &Cache{
-		linear: make(map[linearKey]*linearEntry),
-		react:  make(map[reactKey]*reactEntry),
-	}
+	return &Cache{linear: make(map[linearKey]*linearEntry)}
 }
 
 // linearKey identifies one generated sparse system: the full parameter
@@ -79,25 +73,6 @@ type linearEntry struct {
 	xtrue []float64
 	sum   uint64
 	elems int
-}
-
-// reactKey identifies one manufactured reaction system (NewReaction's
-// parameter set).
-type reactKey struct {
-	n    int
-	c    float64
-	seed int64
-}
-
-type reactEntry struct {
-	once  sync.Once
-	f     []float64
-	xtrue []float64
-	sum   uint64
-}
-
-func (e *reactEntry) checksum() uint64 {
-	return sparse.Checksum(e.f, e.xtrue)
 }
 
 // Stats reports how many retrievals hit an already-built entry and how
@@ -175,49 +150,11 @@ func (c *Cache) Verify() error {
 			return fmt.Errorf("problems: cached sparse system (n=%d diags=%d rho=%g seed=%d): %w", k.n, k.diags, k.rho, k.seed, ErrMutated)
 		}
 	}
-	for k, e := range c.react {
-		if e.f == nil {
-			continue
-		}
-		if e.checksum() != e.sum {
-			return fmt.Errorf("problems: cached reaction system (n=%d c=%g seed=%d): %w", k.n, k.c, k.seed, ErrMutated)
-		}
-	}
 	return nil
 }
 
 func (e *linearEntry) checksum() uint64 {
 	return sparse.SystemSum(e.a, e.b, e.xtrue)
-}
-
-// sharedReaction returns the memoized (forcing, manufactured solution) of
-// the reaction problem, with the same build-once/verify-on-retrieval
-// behaviour as sharedSystem.
-func (c *Cache) sharedReaction(n int, cc float64, seed int64) (f, xtrue []float64) {
-	if c == nil {
-		return buildReaction(n, cc, seed)
-	}
-	k := reactKey{n: n, c: cc, seed: seed}
-	c.mu.Lock()
-	e := c.react[k]
-	if e == nil {
-		e = &reactEntry{}
-		c.react[k] = e
-		c.misses++
-	} else {
-		c.hits++
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.f, e.xtrue = buildReaction(n, cc, seed)
-		e.sum = e.checksum()
-	})
-	if len(e.f)+len(e.xtrue) <= verifyOnHitLimit {
-		if got := e.checksum(); got != e.sum {
-			panic(fmt.Sprintf("problems: cached reaction system (n=%d c=%g seed=%d) was mutated: a solver wrote to shared read-only data", n, cc, seed))
-		}
-	}
-	return e.f, e.xtrue
 }
 
 // Linear returns the sparse linear problem over the memoized test system:
@@ -235,22 +172,4 @@ func (c *Cache) LinearOp(op string, n, numDiags int, rho float64, seed int64) *L
 		panic(fmt.Sprintf("problems: operator %q: the linear system is the materialized DIA matrix (\"\" or \"dia\"); LinearOp's operator argument goes in ROADMAP item 4(b)", op))
 	}
 	return c.Linear(n, numDiags, rho, seed)
-}
-
-// LinearGMRES returns the block-GMRES multisplitting problem over the
-// memoized test system (the same entry Linear shares: the two variants
-// iterate the identical matrix).
-func (c *Cache) LinearGMRES(n, numDiags int, rho float64, seed int64) *LinearGMRES {
-	a, b, xt := c.sharedSystem(n, numDiags, rho, seed)
-	return &LinearGMRES{
-		A: a, B: b, XTrue: xt,
-		Gmres: defaultGMRESBlockParams,
-	}
-}
-
-// Reaction returns the strip-Newton reaction problem over the memoized
-// manufactured system.
-func (c *Cache) Reaction(n int, cc float64, seed int64) *Reaction {
-	f, xt := c.sharedReaction(n, cc, seed)
-	return newReactionAround(n, cc, f, xt)
 }

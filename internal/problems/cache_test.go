@@ -10,8 +10,7 @@ import (
 	"aiac/internal/sparse"
 )
 
-// One cache entry per parameter set, shared by every retrieval — and by
-// both linear variants, which iterate the identical generated system.
+// One cache entry per parameter set, shared by every retrieval.
 func TestCacheSharesAssembly(t *testing.T) {
 	c := NewCache()
 	l1 := c.Linear(500, 6, 0.8, 7)
@@ -22,18 +21,9 @@ func TestCacheSharesAssembly(t *testing.T) {
 	if l1.A != l2.A || &l1.B[0] != &l2.B[0] || &l1.XTrue[0] != &l2.XTrue[0] {
 		t.Error("same key must share the assembled system")
 	}
-	g := c.LinearGMRES(500, 6, 0.8, 7)
-	if g.A != l1.A {
-		t.Error("the GMRES variant must share the linear variant's system (same matrix)")
-	}
-	r1 := c.Reaction(400, 1, 7)
-	r2 := c.Reaction(400, 1, 7)
-	if &r1.F[0] != &r2.F[0] || &r1.XTrue[0] != &r2.XTrue[0] {
-		t.Error("same reaction key must share the manufactured data")
-	}
 	hits, misses := c.Stats()
-	if misses != 2 || hits != 3 {
-		t.Errorf("Stats = %d hits, %d misses; want 3 and 2", hits, misses)
+	if misses != 1 || hits != 1 {
+		t.Errorf("Stats = %d hits, %d misses; want 1 and 1", hits, misses)
 	}
 }
 
@@ -69,14 +59,10 @@ func TestCacheNeverAliasesAcrossSeeds(t *testing.T) {
 	if same {
 		t.Error("systems for different seeds are identical")
 	}
-	ra, rb := c.Reaction(400, 1, 7), c.Reaction(400, 1, 8)
-	if &ra.F[0] == &rb.F[0] || ra.XTrue[10] == rb.XTrue[10] {
-		t.Error("reaction systems for different seeds must differ")
-	}
 }
 
-// LinearOp is Linear for operator "" or "dia": both retrieve the one DIA
-// entry Linear and LinearGMRES share. Any other operator panics, naming
+// LinearOp is Linear for operator "" or "dia": both retrieve Linear's one
+// DIA entry. Any other operator panics, naming
 // the roadmap item that removes the argument, instead of running the DIA.
 func TestLinearOpIsDIAOnly(t *testing.T) {
 	c := NewCache()
@@ -88,9 +74,6 @@ func TestLinearOpIsDIAOnly(t *testing.T) {
 		if got := c.LinearOp(op, 500, 6, 0.8, 7); got.A != lin.A {
 			t.Errorf("operator %q must retrieve Linear's entry", op)
 		}
-	}
-	if g := c.LinearGMRES(500, 6, 0.8, 7); g.A != lin.A {
-		t.Error("the GMRES variant must share the linear entry")
 	}
 	for _, op := range []string{"stencil", "DIA", "csr"} {
 		func() {
@@ -157,25 +140,12 @@ func hitPanic(c *Cache, n int) (msg string) {
 	return ""
 }
 
-func TestCacheDetectsReactionMutation(t *testing.T) {
-	c := NewCache()
-	r := c.Reaction(400, 1, 7)
-	r.F[5] = 42
-	defer func() {
-		if recover() == nil {
-			t.Fatal("retrieving a mutated cached reaction system must panic")
-		}
-	}()
-	c.Reaction(400, 1, 7)
-}
-
 // Verify is the end-of-sweep integrity pass: it must pass on a clean
 // cache and report mutations — including in entries above the
 // per-retrieval verification limit, which it is the only guard for.
 func TestCacheVerify(t *testing.T) {
 	c := NewCache()
 	l := c.Linear(500, 6, 0.8, 7)
-	r := c.Reaction(400, 1, 7)
 	if err := c.Verify(); err != nil {
 		t.Fatalf("clean cache failed Verify: %v", err)
 	}
@@ -191,10 +161,6 @@ func TestCacheVerify(t *testing.T) {
 	l.A.(*sparse.DIA).Diags[1][7] /= 2
 	if err := c.Verify(); err != nil {
 		t.Fatalf("restored cache failed Verify: %v", err)
-	}
-	r.XTrue[3] = -r.XTrue[3]
-	if err := c.Verify(); err == nil {
-		t.Fatal("Verify missed a reaction mutation")
 	}
 	var nilCache *Cache
 	if err := nilCache.Verify(); err != nil {
@@ -229,12 +195,6 @@ func TestCacheMatchesUncached(t *testing.T) {
 	for i := range cached.B {
 		if cached.B[i] != fresh.B[i] || cached.XTrue[i] != fresh.XTrue[i] {
 			t.Fatal("cached and uncached systems differ")
-		}
-	}
-	cr, fr := c.Reaction(400, 1, 7), NewReaction(400, 1, 7)
-	for i := range cr.F {
-		if cr.F[i] != fr.F[i] || cr.XTrue[i] != fr.XTrue[i] {
-			t.Fatal("cached and uncached reaction systems differ")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"math"
 
 	"aiac/internal/aiac"
 	"aiac/internal/chem"
@@ -98,6 +99,18 @@ func (c *ChemStep) DepsFor(rank int, bounds []int) []aiac.Segment {
 func (c *ChemStep) Update(rank int, bounds []int, x []float64) (residual, flops float64) {
 	res, fl, err := c.solvers[rank].Iterate(x)
 	return newtonResidual(res, err), fl
+}
+
+// newtonResidual is the residual a strip Newton iteration reports. A
+// failed inner solve — possible transiently with badly stale ghost data —
+// reports the largest finite residual, so the processor keeps iterating
+// rather than declaring convergence; one that failed on non-finite data
+// reports NaN, which ends the solve (aiac.StopNonFinite).
+func newtonResidual(res float64, err error) float64 {
+	if err != nil && !math.IsNaN(res) {
+		return math.MaxFloat64
+	}
+	return res
 }
 
 var _ aiac.Problem = (*ChemStep)(nil)

@@ -2,6 +2,7 @@ package problems
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"aiac/internal/aiac"
@@ -12,6 +13,7 @@ import (
 	"aiac/internal/env/mpi"
 	"aiac/internal/env/pm2"
 	"aiac/internal/gmres"
+	"aiac/internal/la"
 	"aiac/internal/netsim"
 	"aiac/internal/newton"
 )
@@ -50,6 +52,75 @@ func TestLinearUpdateReducesResidual(t *testing.T) {
 	}
 	if prev > 1e-4 {
 		t.Fatalf("residual after 50 sweeps: %v", prev)
+	}
+}
+
+// The linear problem's generated truth is recovered in both modes.
+func TestLinearConvergesToTruth(t *testing.T) {
+	for _, mode := range []aiac.Mode{aiac.Sync, aiac.Async} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sim := des.New()
+			grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
+			var env aiac.Env
+			if mode == aiac.Sync {
+				env = mpi.MustNew(grid, nil)
+			} else {
+				env = pm2.MustNew(grid, pm2.Sparse, nil)
+			}
+			prob := NewLinear(3000, 8, 0.6, 1)
+			rep := aiac.Run(grid, env, prob, aiac.Config{Mode: mode, Eps: 1e-7})
+			if rep.Reason != aiac.StopConverged {
+				t.Fatalf("reason = %s", rep.Reason)
+			}
+			if d := la.MaxNormDiff(rep.X, prob.XTrue); d > 1e-4 {
+				t.Fatalf("solution error %v", d)
+			}
+		})
+	}
+}
+
+// Distinct seeds generate distinct systems (the repetition axis) around
+// the one known solution x*_i = 1 + i mod 3, and one seed the same system
+// every time.
+func TestLinearSeedsDiffer(t *testing.T) {
+	a, b, a2 := NewLinear(500, 6, 0.8, 1), NewLinear(500, 6, 0.8, 2), NewLinear(500, 6, 0.8, 1)
+	if la.MaxNormDiff(a.B, b.B) == 0 {
+		t.Fatal("seeds 1 and 2 generated identical right-hand sides")
+	}
+	if la.MaxNormDiff(a.XTrue, b.XTrue) != 0 {
+		t.Fatal("seeds 1 and 2 generated different known solutions")
+	}
+	if la.MaxNormDiff(a.B, a2.B) != 0 || !reflect.DeepEqual(a.A, a2.A) {
+		t.Fatal("seed 1 generated two different systems")
+	}
+}
+
+// A warmed linear Update, on the whole vector or on the rank's window,
+// runs on the rank's reused scratch and allocates nothing.
+func TestLinearUpdateAllocs(t *testing.T) {
+	l := NewLinear(4000, 12, 0.85, 7)
+	bounds := l.PartitionBounds(8)
+	const rank = 3
+	whole := l.InitialVector()
+	var win []float64
+	for _, w := range l.Window(rank, bounds) {
+		win = append(win, whole[w.Lo:w.Hi]...)
+	}
+	if len(win) >= len(whole) {
+		t.Fatal("rank 3's window is the whole vector: the window case tests nothing new")
+	}
+	for _, tc := range []struct {
+		name string
+		x    []float64
+	}{{"whole", whole}, {"window", win}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l.Update(rank, bounds, tc.x) // warm-up builds scratch (and the window's shifts)
+			if n := testing.AllocsPerRun(10, func() {
+				l.Update(rank, bounds, tc.x)
+			}); n != 0 {
+				t.Errorf("linear update allocates %.0f per call; want 0", n)
+			}
+		})
 	}
 }
 
@@ -217,17 +288,72 @@ func TestNewtonResidualOnFailure(t *testing.T) {
 	if res, _ := step.Update(0, bounds, x); !math.IsNaN(res) {
 		t.Errorf("chem step on NaN data: residual %v, want NaN", res)
 	}
-	r := NewReaction(400, 1, 7)
-	rb := r.PartitionBounds(2)
-	rx := r.InitialVector()
-	rx[rb[1]-1] = math.NaN()
-	if res, _ := r.Update(1, rb, rx); !math.IsNaN(res) {
-		t.Errorf("reaction on a NaN ghost: residual %v, want NaN", res)
+	y := step.InitialVector()
+	ghost := step.DepsFor(1, bounds)[0]
+	for i := ghost.Lo; i < ghost.Hi; i++ {
+		y[i] = math.NaN()
+	}
+	if res, _ := step.Update(1, bounds, y); !math.IsNaN(res) {
+		t.Errorf("chem step on a NaN ghost row [%d, %d): residual %v, want NaN", ghost.Lo, ghost.Hi, res)
 	}
 	if got := newtonResidual(0.5, gmres.ErrStagnated); got != math.MaxFloat64 {
 		t.Errorf("a failed inner solve on finite data reports %v, want the largest finite residual", got)
 	}
 	if got := newtonResidual(0.5, nil); got != 0.5 {
 		t.Errorf("a successful iteration reports %v, want its own 0.5", got)
+	}
+}
+
+// A stagnated inner solve is not a failed run: with the inner GMRES capped
+// at one iteration every strip Newton iteration stagnates, reports the
+// largest finite residual, and the ranks keep iterating to their cap, sync
+// and async, instead of ending on a non-finite residual. One that
+// stagnates on NaN data reports NaN, which ends the solve.
+func TestChemStepStagnationKeepsIterating(t *testing.T) {
+	stalled := gmres.Params{Tol: 1e-6, Restart: 30, MaxIters: 1}
+	p := chem.New(8, 8)
+	for _, mode := range []aiac.Mode{aiac.Sync, aiac.Async} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sim := des.New()
+			grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
+			var env aiac.Env
+			if mode == aiac.Sync {
+				env = mpi.MustNew(grid, nil)
+			} else {
+				env = pm2.MustNew(grid, pm2.Sparse, nil)
+			}
+			step := NewChemStep(p, p.InitialState(), 180, 180, stalled)
+			rep := aiac.Run(grid, env, step, aiac.Config{Mode: mode, Eps: 1e-7, MaxIters: 40})
+			if rep.Reason != aiac.StopIterCap {
+				t.Fatalf("reason = %s, want %s", rep.Reason, aiac.StopIterCap)
+			}
+		})
+	}
+	step := NewChemStep(p, p.InitialState(), 180, 180, stalled)
+	bounds := step.PartitionBounds(4)
+	if res, _ := step.Update(0, bounds, step.InitialVector()); res != math.MaxFloat64 {
+		t.Errorf("a stagnated strip solve reports %v, want the largest finite residual", res)
+	}
+	x := step.InitialVector()
+	for i := range x {
+		x[i] = math.NaN()
+	}
+	if res, _ := step.Update(0, bounds, x); !math.IsNaN(res) {
+		t.Errorf("a strip solve stagnated on NaN data reports %v, want NaN", res)
+	}
+}
+
+// A warmed strip Newton iteration runs on the rank's reused strip solver
+// and Krylov workspace and allocates nothing.
+func TestChemStepUpdateAllocs(t *testing.T) {
+	p := chem.New(16, 16)
+	step := NewChemStep(p, p.InitialState(), 180, 180, gmres.Params{})
+	bounds := step.PartitionBounds(4)
+	x := step.InitialVector()
+	step.Update(1, bounds, x) // warm-up builds the Krylov workspace
+	if n := testing.AllocsPerRun(10, func() {
+		step.Update(1, bounds, x)
+	}); n != 0 {
+		t.Errorf("chem step update allocates %.0f per call; want 0", n)
 	}
 }

@@ -128,7 +128,7 @@ func TestNewSystemSumIsSystemSum(t *testing.T) {
 
 // The lane checksum catches a one-bit flip of any single word, at the
 // first, a middle and the last position of slices of every length mod the
-// lane count, and does not depend on how Checksum splits its parts.
+// lane count, and does not depend on how checksum splits its parts.
 func TestLaneSumCatchesEveryWord(t *testing.T) {
 	for n := 1; n <= 3*sumLanes+1; n++ {
 		xs := make([]float64, n)
@@ -149,7 +149,7 @@ func TestLaneSumCatchesEveryWord(t *testing.T) {
 	big := make([]float64, parallelSumFloats)
 	parts := [][]float64{big, {1}, big[:7], big}
 	want := []uint64{laneSum(big), laneSum(parts[1]), laneSum(big[:7]), laneSum(big)}
-	if split, one := Checksum(parts...), fold(fpInit, want); split != one {
-		t.Fatalf("Checksum on two goroutines %#x, on one %#x", split, one)
+	if split, one := checksum(fpInit, parts...), fold(fpInit, want); split != one {
+		t.Fatalf("checksum on two goroutines %#x, on one %#x", split, one)
 	}
 }

@@ -55,7 +55,7 @@ func laneSum(xs []float64) uint64 {
 	return sum
 }
 
-// parallelSumFloats is the least number of floats for which Checksum
+// parallelSumFloats is the least number of floats for which checksum
 // splits its slices over two goroutines. Timed against one goroutine,
 // alternating (medians of 60 sums, 12-band systems, a 2-core Xeon), the
 // split took 1.5–1.7 ms against 2.8–3.2 ms at 3.75M floats
@@ -63,9 +63,6 @@ func laneSum(xs []float64) uint64 {
 // won in four runs of six and lost by 7 % in two, and from 0.18M to 0.53M
 // floats it won or lost by up to a quarter, waiting for the other core.
 const parallelSumFloats = 1 << 21
-
-// Checksum is the checksum of the parts, in order.
-func Checksum(parts ...[]float64) uint64 { return checksum(fpInit, parts...) }
 
 // checksum folds the checksum of each part, in order, into head. Large
 // inputs are summed on two goroutines, one taking the even-numbered parts

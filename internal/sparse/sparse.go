@@ -34,9 +34,9 @@
 // exactly the last 607 outputs, so every later output is
 // x[n] = x[n−607] + x[n−273] mod 2⁶⁴, computed here in batches
 // (assemble.go). TestUniformsMatchMathRand pins that against math/rand
-// itself. The content checksums problems.Cache compares (Checksum,
-// SystemSum, Fingerprint) are eight-lane FNV-1a, internal to one process
-// and never persisted (checksum.go).
+// itself. The content checksums problems.Cache compares (SystemSum,
+// Fingerprint) are eight-lane FNV-1a, internal to one process and never
+// persisted (checksum.go).
 package sparse
 
 import (
