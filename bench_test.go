@@ -21,9 +21,6 @@ import (
 	"aiac/internal/cluster"
 	"aiac/internal/des"
 	"aiac/internal/env/envcore"
-	"aiac/internal/env/madmpi"
-	"aiac/internal/env/mpi"
-	"aiac/internal/env/orb"
 	"aiac/internal/gmres"
 	"aiac/internal/marcel"
 	"aiac/internal/matrix"
@@ -48,14 +45,14 @@ func BenchmarkAblationSyncMultisplitting(b *testing.B) {
 		{
 			grid := cluster.ThreeSiteEthernet(des.New(), procs)
 			p := chem.New(n, n)
-			run := problems.RunChemSyncGlobal(grid, mpi.MustNew(grid, nil), p, p.InitialState(),
+			run := problems.RunChemSyncGlobal(grid, envcore.MustNew(grid, envcore.Middleware("mpi", false)), p, p.InitialState(),
 				cp.StepS, cp.HorizonS, gp, cp.Eps, 50)
 			tGlobal = run.Elapsed
 		}
 		{
 			grid := cluster.ThreeSiteEthernet(des.New(), procs)
 			p := chem.New(n, n)
-			run := problems.RunChem(grid, mpi.MustNew(grid, nil), p, p.InitialState(),
+			run := problems.RunChem(grid, envcore.MustNew(grid, envcore.Middleware("mpi", false)), p, p.InitialState(),
 				cp.StepS, cp.HorizonS, gp, aiac.Config{Mode: aiac.Sync, Eps: cp.Eps})
 			tLockstep = run.Elapsed
 		}
@@ -78,7 +75,7 @@ func BenchmarkAblationSchedulerFairness(b *testing.B) {
 		sim := des.New()
 		grid := cluster.ThreeSiteEthernet(sim, 12)
 		policy(grid)
-		env := orb.MustNew(grid, orb.Sparse, nil)
+		env := envcore.MustNew(grid, envcore.Middleware("omniorb", true))
 		prob := problems.NewLinear(120000, 30, 0.88, 3)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, MaxIters: 1000000})
 		return rep.Elapsed
@@ -98,20 +95,15 @@ func BenchmarkAblationSchedulerFairness(b *testing.B) {
 	b.ReportMetric(unfair.Seconds(), "vsec/unfair")
 }
 
-// BenchmarkAblationRecvModel isolates the receive-thread policy: the same
-// cost model with a single receiving thread versus on-demand threads on the
-// all-to-all sparse problem.
+// BenchmarkAblationRecvModel isolates the receive-thread policy: MPICH/
+// Madeleine's sparse row with its single receiving thread versus the same
+// row with on-demand threads, on the all-to-all sparse problem.
 func BenchmarkAblationRecvModel(b *testing.B) {
 	run := func(model envcore.RecvModel) des.Time {
 		sim := des.New()
 		grid := cluster.ThreeSiteEthernet(sim, 12)
-		opts := envcore.Options{
-			Name:         "ablation",
-			Costs:        madmpi.Costs,
-			SendThreads:  1,
-			RecvModel:    model,
-			Backpressure: true, RendezvousBytes: 16 << 10, SocketBufBytes: 16 << 10,
-		}
+		opts := envcore.Middleware("madmpi", true)
+		opts.RecvModel = model
 		env := envcore.MustNew(grid, opts)
 		prob := problems.NewLinear(120000, 30, 0.88, 7)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, MaxIters: 1000000})
@@ -135,7 +127,7 @@ func BenchmarkAblationSharedMedium(b *testing.B) {
 	run := func(lan netsim.LinkClass) des.Time {
 		sim := des.New()
 		grid := cluster.Homogeneous(sim, 8, cluster.P4_1700, lan)
-		env := mpi.MustNew(grid, nil)
+		env := envcore.MustNew(grid, envcore.Middleware("mpi", true))
 		prob := problems.NewLinear(40000, 12, 0.8, 5)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Sync, Eps: 1e-7})
 		return rep.Elapsed
@@ -163,7 +155,7 @@ func BenchmarkAblationMultiProtocol(b *testing.B) {
 		} else {
 			grid = cluster.LocalHeterogeneous(sim, 8)
 		}
-		env := madmpi.MustNew(grid, madmpi.Sparse, nil)
+		env := envcore.MustNew(grid, envcore.Middleware("madmpi", true))
 		prob := problems.NewLinear(40000, 12, 0.8, 11)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, MaxIters: 3000000})
 		return rep.Elapsed

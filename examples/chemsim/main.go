@@ -13,7 +13,7 @@ import (
 	"aiac/internal/chem"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/madmpi"
+	"aiac/internal/env/envcore"
 	"aiac/internal/gmres"
 	"aiac/internal/problems"
 )
@@ -30,7 +30,7 @@ func main() {
 
 	sim := des.New()
 	grid := cluster.ThreeSiteEthernet(sim, nprocs)
-	env := madmpi.MustNew(grid, madmpi.NonLinear, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("madmpi", false))
 	p := chem.New(nx, nz)
 	y := p.InitialState()
 	m1, m2 := p.TotalMass(y)

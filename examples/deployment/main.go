@@ -13,9 +13,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/madmpi"
-	"aiac/internal/env/orb"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/problems"
 )
@@ -25,20 +23,14 @@ func main() {
 	fmt.Println()
 
 	// Try to deploy each environment on the blocked grid.
-	for _, attempt := range []struct {
-		name string
-		mk   func(g *cluster.Grid) (aiac.Env, error)
-	}{
-		{"pm2", func(g *cluster.Grid) (aiac.Env, error) { return pm2.New(g, pm2.Sparse, nil) }},
-		{"mpi/mad", func(g *cluster.Grid) (aiac.Env, error) { return madmpi.New(g, madmpi.Sparse, nil) }},
-		{"omniorb4", func(g *cluster.Grid) (aiac.Env, error) { return orb.New(g, orb.Sparse, nil) }},
-	} {
+	for _, name := range []string{"pm2", "madmpi", "omniorb"} {
 		sim := des.New()
 		grid := cluster.ThreeSiteEthernet(sim, 6)
 		grid.Net.Block(0, 1)
-		env, err := attempt.mk(grid)
+		opts := envcore.Middleware(name, true)
+		env, err := envcore.New(grid, opts)
 		if err != nil {
-			fmt.Printf("%-9s deployment FAILS:  %v\n", attempt.name, err)
+			fmt.Printf("%-9s deployment FAILS:  %v\n", opts.Name, err)
 			continue
 		}
 		// The ORB deploys; prove it also solves, relaying around the
@@ -46,13 +38,6 @@ func main() {
 		prob := problems.NewLinear(6000, 8, 0.6, 9)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, MaxIters: 3000000})
 		fmt.Printf("%-9s deployment works:  solved with relaying, %s, error=%.2e, time=%v\n",
-			attempt.name, rep.Reason, la.MaxNormDiff(rep.X, prob.XTrue), rep.Elapsed)
+			opts.Name, rep.Reason, la.MaxNormDiff(rep.X, prob.XTrue), rep.Elapsed)
 	}
-
-	fmt.Println()
-	// The naming-service bootstrap every ORB deployment needs.
-	ns := orb.NewNamingService(0)
-	msgs := orb.Bootstrap(ns, 6)
-	ref, _ := ns.Resolve(3)
-	fmt.Printf("omniorb4 naming service: %d bootstrap messages for 6 ranks; solver3 -> %s\n", msgs, ref)
 }

@@ -11,8 +11,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/mpi"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/problems"
 )
@@ -30,7 +29,7 @@ func main() {
 	// heterogeneous cluster (Duron 800, P4 1.7, P4 2.4 interleaved).
 	simA := des.New()
 	gridA := cluster.LocalHeterogeneous(simA, 6)
-	envA := pm2.MustNew(gridA, pm2.Sparse, nil)
+	envA := envcore.MustNew(gridA, envcore.Middleware("pm2", true))
 	probA := problems.NewLinear(n, diags, rho, 42)
 	repA := aiac.Run(gridA, envA, probA, aiac.Config{Mode: aiac.Async, Eps: eps})
 	fmt.Printf("AIAC  (async, pm2):      %12v  %s\n", repA.Elapsed, describe(repA, probA))
@@ -38,7 +37,7 @@ func main() {
 	// Synchronous baseline on classical MPI over the same cluster.
 	simS := des.New()
 	gridS := cluster.LocalHeterogeneous(simS, 6)
-	envS := mpi.MustNew(gridS, nil)
+	envS := envcore.MustNew(gridS, envcore.Middleware("mpi", true))
 	probS := problems.NewLinear(n, diags, rho, 42)
 	repS := aiac.Run(gridS, envS, probS, aiac.Config{Mode: aiac.Sync, Eps: eps})
 	fmt.Printf("SISC  (sync, mpi):       %12v  %s\n", repS.Elapsed, describe(repS, probS))

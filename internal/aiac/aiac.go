@@ -235,14 +235,12 @@ type Comm interface {
 
 // Env is a middleware environment instantiated over a grid.
 type Env interface {
-	// Name identifies the environment ("pm2", "mpi/mad", "omniorb4",
-	// "sync-mpi").
+	// Name identifies the environment: a simulated middleware's display
+	// name ("sync-mpi", "pm2", "mpi/mad", "omniorb4", from its row of
+	// envcore.Middleware).
 	Name() string
 	// Comm returns the endpoint of rank r.
 	Comm(r int) Comm
-	// ThreadPolicy describes the send/receive thread configuration
-	// (the rows of Table 4).
-	ThreadPolicy() string
 }
 
 // Problem is one distributed fixed-point problem x = g(x).

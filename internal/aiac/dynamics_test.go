@@ -7,7 +7,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/scenario"
 )
@@ -28,7 +28,7 @@ func crashScenario(rank int, crash, restart des.Time) *scenario.Scenario {
 func TestAsyncSurvivesCrashWithStateLoss(t *testing.T) {
 	sim := des.New()
 	grid := cluster.LocalHeterogeneous(sim, 4)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	prob := linearProblem(3000, 1)
 	rt := scenario.Deploy(crashScenario(2, 20*time.Millisecond, 60*time.Millisecond), grid)
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, Dynamics: rt})
@@ -57,7 +57,7 @@ func TestAsyncSurvivesCrashWithStateLoss(t *testing.T) {
 func TestSyncStallsWhenPeerCrashes(t *testing.T) {
 	sim := des.New()
 	grid := cluster.LocalHeterogeneous(sim, 4)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	prob := linearProblem(3000, 1)
 	// Crash long enough that exchanged messages are lost; SISC has no
 	// recovery protocol, so the lockstep deadlocks — and the simulation
@@ -98,7 +98,7 @@ func partitionScenario(site int, windows [][2]des.Time) *scenario.Scenario {
 func TestAsyncRidesOutPartitions(t *testing.T) {
 	sim := des.New()
 	grid := cluster.ThreeSiteEthernet(sim, 6)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	prob := linearProblem(3000, 5)
 	windows := [][2]des.Time{
 		{100 * time.Millisecond, 300 * time.Millisecond},
@@ -121,7 +121,7 @@ func TestStaticDynamicsChangeNothing(t *testing.T) {
 	run := func(dyn aiac.Dynamics) *aiac.Report {
 		sim := des.New()
 		grid := cluster.LocalHeterogeneous(sim, 4)
-		env := pm2.MustNew(grid, pm2.Sparse, nil)
+		env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 		return aiac.Run(grid, env, linearProblem(2000, 3), aiac.Config{Mode: aiac.Async, Eps: 1e-7, Dynamics: dyn})
 	}
 	var static aiac.Dynamics

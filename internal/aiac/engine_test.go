@@ -7,10 +7,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/madmpi"
-	"aiac/internal/env/mpi"
-	"aiac/internal/env/orb"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
@@ -28,7 +25,7 @@ func linearProblem(n int, seed int64) *problems.Linear {
 func TestAsyncLinearConvergesToTruth(t *testing.T) {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
-	env := madmpi.MustNew(grid, madmpi.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("madmpi", true))
 	prob := linearProblem(3000, 1)
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7})
 	if rep.Reason != aiac.StopConverged {
@@ -43,16 +40,12 @@ func TestAsyncLinearConvergesToTruth(t *testing.T) {
 }
 
 func TestAsyncConvergesOnAllAsyncEnvs(t *testing.T) {
-	build := map[string]func(g *cluster.Grid) aiac.Env{
-		"pm2":    func(g *cluster.Grid) aiac.Env { return pm2.MustNew(g, pm2.Sparse, nil) },
-		"madmpi": func(g *cluster.Grid) aiac.Env { return madmpi.MustNew(g, madmpi.Sparse, nil) },
-		"orb":    func(g *cluster.Grid) aiac.Env { return orb.MustNew(g, orb.Sparse, nil) },
-	}
-	for name, mk := range build {
+	middleware := map[string]string{"pm2": "pm2", "madmpi": "madmpi", "orb": "omniorb"} // by subtest
+	for name, mw := range middleware {
 		t.Run(name, func(t *testing.T) {
 			sim := des.New()
 			grid := cluster.LocalHeterogeneous(sim, 6)
-			env := mk(grid)
+			env := envcore.MustNew(grid, envcore.Middleware(mw, true))
 			prob := linearProblem(3000, 2)
 			rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7})
 			if rep.Reason != aiac.StopConverged {
@@ -68,7 +61,7 @@ func TestAsyncConvergesOnAllAsyncEnvs(t *testing.T) {
 func TestSyncLinearConverges(t *testing.T) {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 4, cluster.P4_1700, netsim.Ethernet100)
-	env := mpi.MustNew(grid, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("mpi", true))
 	prob := linearProblem(3000, 3)
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Sync, Eps: 1e-7})
 	if rep.Reason != aiac.StopConverged {
@@ -88,7 +81,7 @@ func TestSyncLinearConverges(t *testing.T) {
 func TestAsyncItersDifferOnHeterogeneousGrid(t *testing.T) {
 	sim := des.New()
 	grid := cluster.LocalHeterogeneous(sim, 6) // duron/p4 interleaved
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	prob := linearProblem(3000, 4)
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7})
 	if rep.Reason != aiac.StopConverged {
@@ -110,7 +103,7 @@ func TestAsyncBeatsSyncOnDistantGrid(t *testing.T) {
 	mk := func() *problems.Linear { return problems.NewLinear(120000, 30, 0.88, 5) }
 	simA := des.New()
 	gridA := cluster.ThreeSiteEthernet(simA, 12)
-	envA := pm2.MustNew(gridA, pm2.Sparse, nil)
+	envA := envcore.MustNew(gridA, envcore.Middleware("pm2", true))
 	// The shared 10 Mb medium makes dependency refreshes slow relative to
 	// the test iterations, so fast ranks spin a lot before each new
 	// arrival — raise the iteration cap accordingly.
@@ -118,7 +111,7 @@ func TestAsyncBeatsSyncOnDistantGrid(t *testing.T) {
 
 	simS := des.New()
 	gridS := cluster.ThreeSiteEthernet(simS, 12)
-	envS := mpi.MustNew(gridS, nil)
+	envS := envcore.MustNew(gridS, envcore.Middleware("mpi", true))
 	repS := aiac.Run(gridS, envS, mk(), aiac.Config{Mode: aiac.Sync, Eps: 1e-5})
 
 	if repA.Reason != aiac.StopConverged || repS.Reason != aiac.StopConverged {
@@ -133,7 +126,7 @@ func TestDeterministicRuns(t *testing.T) {
 	runOnce := func() (des.Time, int) {
 		sim := des.New()
 		grid := cluster.ThreeSiteEthernet(sim, 5)
-		env := orb.MustNew(grid, orb.Sparse, nil)
+		env := envcore.MustNew(grid, envcore.Middleware("omniorb", true))
 		prob := linearProblem(8000, 6)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7, MaxIters: 3000000})
 		return rep.Elapsed, rep.TotalIters()
@@ -148,7 +141,7 @@ func TestDeterministicRuns(t *testing.T) {
 func TestIterationCap(t *testing.T) {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 3, cluster.P4_2400, netsim.Ethernet100)
-	env := madmpi.MustNew(grid, madmpi.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("madmpi", true))
 	prob := linearProblem(2000, 7)
 	// Impossible tolerance: must stop on the cap, not hang.
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-300, MaxIters: 50})
@@ -204,9 +197,9 @@ func TestSolutionAgreesAcrossModes(t *testing.T) {
 		grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
 		var env aiac.Env
 		if mode == aiac.Sync {
-			env = mpi.MustNew(grid, nil)
+			env = envcore.MustNew(grid, envcore.Middleware("mpi", true))
 		} else {
-			env = pm2.MustNew(grid, pm2.Sparse, nil)
+			env = envcore.MustNew(grid, envcore.Middleware("pm2", true))
 		}
 		prob := linearProblem(3000, 9)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: mode, Eps: 1e-8})
@@ -231,7 +224,7 @@ func TestNaNResidualNeverConverges(t *testing.T) {
 	// the solve ends at the first one, well before its iteration cap.
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 2, cluster.P4_2400, netsim.Ethernet100)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	prob := &nanProblem{n: 64}
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-6, MaxIters: 20})
 	if rep.Reason != aiac.StopNonFinite || rep.TotalIters() >= 20 {
@@ -264,12 +257,12 @@ func TestEngineTraceIntegration(t *testing.T) {
 		tr := trace.New()
 		sim := des.New()
 		grid := cluster.Homogeneous(sim, 3, cluster.P4_2400, netsim.Ethernet100)
-		var env aiac.Env
+		opts := envcore.Middleware("pm2", true)
 		if mode == aiac.Sync {
-			env = mpi.MustNew(grid, tr)
-		} else {
-			env = pm2.MustNew(grid, pm2.Sparse, tr)
+			opts = envcore.Middleware("mpi", true)
 		}
+		opts.Trace = tr
+		env := envcore.MustNew(grid, opts)
 		prob := linearProblem(1500, 12)
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: mode, Eps: 1e-6, Trace: tr})
 		if rep.Reason != aiac.StopConverged {
@@ -303,7 +296,7 @@ func TestEngineTraceIntegration(t *testing.T) {
 func TestEnvReuseAcrossSessions(t *testing.T) {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 3, cluster.P4_2400, netsim.Ethernet100)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	for session := 0; session < 3; session++ {
 		prob := linearProblem(1500, int64(20+session))
 		rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-6})

@@ -6,7 +6,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
@@ -20,7 +20,7 @@ import (
 func ExampleRun() {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 4, cluster.P4_1700, netsim.Ethernet100)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	prob := problems.NewLinear(4000, 6, 0.8, 42)
 
 	rep := aiac.Run(grid, env, prob, aiac.Config{Mode: aiac.Async, Eps: 1e-7})

@@ -8,7 +8,7 @@ import (
 	"aiac/internal/chem"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/gmres"
 	"aiac/internal/problems"
 )
@@ -38,7 +38,7 @@ func TestNonFiniteChemStepEnds(t *testing.T) {
 	for _, mode := range []aiac.Mode{aiac.Sync, aiac.Async} {
 		t.Run(mode.String(), func(t *testing.T) {
 			grid := cluster.LocalHeterogeneous(des.New(), 4)
-			env := pm2.MustNew(grid, pm2.Sparse, nil)
+			env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 			p := chem.New(8, 8)
 			step := problems.NewChemStep(p, p.InitialState(), 180, 180, gmres.Params{Tol: 1e-6, Restart: 30})
 			rep := aiac.Run(grid, env, &nanAfter{Problem: step, k: 6}, aiac.Config{Mode: mode, Eps: 1e-6})

@@ -14,7 +14,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/ladder"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
@@ -50,7 +50,7 @@ func atLeastTwoProcs(t *testing.T) {
 func overlapSolve(prob aiac.Problem, cfg aiac.Config, scen string) *aiac.Report {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 2, cluster.MachineClass{Name: "slow", MFlops: 5}, netsim.Ethernet100)
-	env := pm2.MustNew(grid, pm2.Sparse, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", true))
 	if scen != "static" {
 		s, err := scenario.ByName(scen)
 		if err != nil {
@@ -208,7 +208,7 @@ func overlapCell(prob aiac.Problem) (ms float64, reps [2]*aiac.Report) {
 	for i, mode := range []aiac.Mode{aiac.Sync, aiac.Async} {
 		sim := des.New()
 		grid := cluster.Homogeneous(sim, 2, cluster.P4_2400, netsim.Ethernet100)
-		reps[i] = aiac.Run(grid, pm2.MustNew(grid, pm2.Sparse, nil), prob, aiac.Config{Mode: mode, Eps: 1e-5})
+		reps[i] = aiac.Run(grid, envcore.MustNew(grid, envcore.Middleware("pm2", true)), prob, aiac.Config{Mode: mode, Eps: 1e-5})
 	}
 	return float64(time.Since(t0).Microseconds()) / 1e3, reps
 }

@@ -45,7 +45,7 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/golden"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
@@ -133,7 +133,9 @@ func runTie(setup tieSetup, from, at des.Time, act tieAction, maxIters int) *tie
 	x := &tieRun{sim: des.New()}
 	x.grid = cluster.Homogeneous(x.sim, 3, cluster.P4_2400, netsim.ADSL)
 	x.tr = trace.New()
-	inner := pm2.MustNew(x.grid, pm2.Sparse, x.tr)
+	opts := envcore.Middleware("pm2", true)
+	opts.Trace = x.tr
+	inner := envcore.MustNew(x.grid, opts)
 	x.env = &tieEnv{Env: inner}
 	for r := 0; r < 3; r++ {
 		x.env.comms = append(x.env.comms, &tieComm{Comm: inner.Comm(r)})

@@ -9,7 +9,7 @@ import (
 	"aiac/internal/backend"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/la"
 	"aiac/internal/netsim"
 	"aiac/internal/problems"
@@ -44,7 +44,7 @@ func windowSolve(t *testing.T, prob aiac.Problem, be string, mode aiac.Mode, sce
 		}
 		cfg.Dynamics = scenario.Deploy(s, grid)
 	}
-	return aiac.Run(grid, pm2.MustNew(grid, pm2.Sparse, nil), prob, cfg)
+	return aiac.Run(grid, envcore.MustNew(grid, envcore.Middleware("pm2", true)), prob, cfg)
 }
 
 // A rank that stores only its window computes what a rank that stores the

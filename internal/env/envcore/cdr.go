@@ -1,4 +1,4 @@
-package orb
+package envcore
 
 import (
 	"encoding/binary"
@@ -8,11 +8,11 @@ import (
 
 // This file implements a small GIOP/CDR-style codec: the actual encoding
 // OmniORB would put on the wire for the AIAC data messages (a request with
-// an operation name and a sequence<double> argument). The environment's
-// cost model charges marshaling per byte; the codec here pins down exactly
-// how many bytes that is and is exercised by the examples and tests, so the
-// wire-size function used in the hot path (MessageBytes) is verified
-// against a real encoding rather than guessed.
+// an operation name and a sequence<double> argument). The omniorb row of
+// the middleware table charges marshaling per byte and takes its header
+// size from cdrBytes(0); the codec pins down exactly how many bytes that is
+// and is exercised by the tests, so the wire size is verified against a
+// real encoding rather than guessed.
 
 // giopMagic opens every GIOP message.
 var giopMagic = [4]byte{'G', 'I', 'O', 'P'}
@@ -33,15 +33,15 @@ const objectKeyBytes = 24
 // align pads n up to a multiple of a.
 func align(n, a int) int { return (n + a - 1) / a * a }
 
-// Request is a decoded AIAC data request.
-type Request struct {
+// cdrRequest is a decoded AIAC data request.
+type cdrRequest struct {
 	From   int32
 	Iter   int32
 	Lo     int32
 	Values []float64
 }
 
-// EncodeRequest marshals a Request into a GIOP 1.2 Request message with
+// encodeCDR marshals a cdrRequest into a GIOP 1.2 Request message with
 // CDR-encoded body. Layout:
 //
 //	12-byte GIOP header
@@ -52,8 +52,8 @@ type Request struct {
 //	service context count (4)
 //	body: from (4) + iter (4) + lo (4) + pad (4) +
 //	      sequence length (4) + pad to 8 + doubles (8 each)
-func EncodeRequest(r Request) []byte {
-	buf := make([]byte, 0, MessageBytes(len(r.Values)))
+func encodeCDR(r cdrRequest) []byte {
+	buf := make([]byte, 0, cdrBytes(len(r.Values)))
 	le := binary.LittleEndian
 
 	// GIOP header.
@@ -94,35 +94,35 @@ func EncodeRequest(r Request) []byte {
 	return buf
 }
 
-// ErrBadMessage reports a malformed GIOP message.
-var ErrBadMessage = errors.New("orb: malformed GIOP message")
+// errBadCDR reports a malformed GIOP message.
+var errBadCDR = errors.New("envcore: malformed GIOP message")
 
-// DecodeRequest unmarshals a message produced by EncodeRequest.
-func DecodeRequest(b []byte) (Request, error) {
-	var r Request
+// decodeCDR unmarshals a message produced by encodeCDR.
+func decodeCDR(b []byte) (cdrRequest, error) {
+	var r cdrRequest
 	le := binary.LittleEndian
 	if len(b) < 12 || b[0] != 'G' || b[1] != 'I' || b[2] != 'O' || b[3] != 'P' {
-		return r, ErrBadMessage
+		return r, errBadCDR
 	}
 	if int(le.Uint32(b[8:])) != len(b)-12 {
-		return r, ErrBadMessage
+		return r, errBadCDR
 	}
 	off := 12
 	off += 4 + 4 + 2 + 2 // request id, flags, disposition, pad
 	if off+4 > len(b) {
-		return r, ErrBadMessage
+		return r, errBadCDR
 	}
 	keyLen := int(le.Uint32(b[off:]))
 	off += 4 + keyLen
 	if off+4 > len(b) {
-		return r, ErrBadMessage
+		return r, errBadCDR
 	}
 	opLen := int(le.Uint32(b[off:]))
 	off += 4 + opLen
 	off = align(off, 4)
 	off += 4 // service contexts
 	if off+20 > len(b) {
-		return r, ErrBadMessage
+		return r, errBadCDR
 	}
 	r.From = int32(le.Uint32(b[off:]))
 	r.Iter = int32(le.Uint32(b[off+4:]))
@@ -131,7 +131,7 @@ func DecodeRequest(b []byte) (Request, error) {
 	off += 20
 	off = align(off, 8)
 	if off+8*n > len(b) {
-		return r, ErrBadMessage
+		return r, errBadCDR
 	}
 	r.Values = make([]float64, n)
 	for i := range r.Values {
@@ -140,9 +140,9 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
-// MessageBytes returns the exact on-the-wire size of a data request with n
-// doubles, matching EncodeRequest.
-func MessageBytes(n int) int {
+// cdrBytes returns the exact on-the-wire size of a data request with n
+// doubles, matching encodeCDR.
+func cdrBytes(n int) int {
 	size := 12            // GIOP header
 	size += 4 + 4 + 2 + 2 // request id, flags, addressing
 	size += 4 + objectKeyBytes

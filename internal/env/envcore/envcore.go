@@ -1,12 +1,13 @@
-// Package envcore is the shared machinery of the simulated middleware
-// environments (internal/env/mpi, madmpi, pm2, orb). Each environment is an
-// instance of envcore.Env with its own cost model and thread policy; the
-// axes are exactly those the paper identifies as distinguishing the real
-// middlewares (Table 4, §5.1, §6):
+// Package envcore models the middleware environments of the paper's
+// comparison. Each environment is an instance of envcore.Env with its own
+// cost model and thread policy, and the four the paper compares are rows
+// of one table (middlewares.go: Middleware). The axes are exactly those
+// the paper identifies as distinguishing the real middlewares (Table 4,
+// §5.1, §6):
 //
 //   - per-message CPU cost and per-byte packing/marshaling cost on each
 //     side (PM2's explicit packing, OmniORB's CDR encoding, MPI's memcpy);
-//   - wire overhead (headers; GIOP adds the most);
+//   - wire overhead: the header of each message (GIOP's is the largest);
 //   - number of sending threads (1, 2, or one per destination);
 //   - receive model: a single receive thread that ingests messages strictly
 //     one after another (MPICH/Madeleine), or receive threads created on
@@ -85,9 +86,6 @@ func (m RecvModel) String() string {
 type CostModel struct {
 	// HeaderBytes is the fixed wire overhead per message.
 	HeaderBytes int
-	// WireOverheadPerByte inflates the payload on the wire (CDR padding
-	// and type tags for the ORB; zero for raw buffers).
-	WireOverheadPerByte float64
 	// PackNsPerByte / UnpackNsPerByte are CPU nanoseconds per payload
 	// byte for marshaling on each side.
 	PackNsPerByte   float64
@@ -105,14 +103,20 @@ type CostModel struct {
 
 // Options configures an environment instance.
 type Options struct {
-	Name        string
-	Costs       CostModel
+	// Name is the display name ("sync-mpi", "pm2", "mpi/mad",
+	// "omniorb4" for the rows of Middleware).
+	Name  string
+	Costs CostModel
+	// SendThreads is the number of sending threads per rank; zero means
+	// one per rank of the grid (the ORB's thread per destination).
 	SendThreads int
 	RecvModel   RecvModel
 	// RecvThreads is the size of the receive thread pool under
 	// RecvSingleThread (Table 4 gives MPICH/Madeleine two receiving
 	// threads on the non-linear problem). Default 1.
-	RecvThreads  int
+	RecvThreads int
+	// ThreadPolicy is the Table 4 row as the paper states it
+	// (matrix.ThreadPolicies prints it).
 	ThreadPolicy string
 	// ProtoFor, when non-nil, selects the network protocol for a pair of
 	// nodes (MPICH/Madeleine multi-protocol feature).
@@ -139,12 +143,6 @@ type Options struct {
 	// messages are sent eagerly. Zero means every data message uses
 	// rendezvous.
 	RendezvousBytes int
-	// RecvWindow bounds how many undispatched data messages a receiver
-	// may buffer before eager senders are throttled (their send counts
-	// as in-progress until the receive machinery consumes it) — the
-	// message-level analogue of TCP flow control. Zero means the default
-	// of 16.
-	RecvWindow int
 	// SocketBufBytes models the kernel socket buffering of a 2004 TCP
 	// stack (16-64 KiB). Under RecvSingleThread, the portion of a data
 	// message beyond the buffer cannot be accepted until the receive
@@ -191,10 +189,10 @@ type Env struct {
 // returns an error if the grid's connection graph does not meet the
 // environment's deployment requirements.
 func New(grid *cluster.Grid, opts Options) (*Env, error) {
-	if opts.SendThreads < 1 {
-		opts.SendThreads = 1
-	}
 	n := grid.Size()
+	if opts.SendThreads < 1 {
+		opts.SendThreads = n
+	}
 	if !opts.Relay {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -229,9 +227,6 @@ func MustNew(grid *cluster.Grid, opts Options) *Env {
 // Name implements aiac.Env.
 func (e *Env) Name() string { return e.opts.Name }
 
-// ThreadPolicy implements aiac.Env (the Table 4 row).
-func (e *Env) ThreadPolicy() string { return e.opts.ThreadPolicy }
-
 // Comm implements aiac.Env.
 func (e *Env) Comm(r int) aiac.Comm { return e.eps[r] }
 
@@ -261,7 +256,7 @@ type wire struct {
 	round   int
 	redOp   redOp
 	values  []float64
-	// payloadBytes is the application payload size (pre-inflation).
+	// payloadBytes is the application payload size (header excluded).
 	payloadBytes int
 	// senderEp/key identify the in-flight send channel to release on
 	// delivery.
@@ -365,6 +360,12 @@ func (w *wire) traceIter() int {
 // controlPayloadBytes is the application payload of control messages.
 const controlPayloadBytes = 16
 
+// recvWindow bounds how many undispatched data messages a receiver may
+// buffer before eager senders are throttled (their send counts as
+// in-progress until the receive machinery consumes it): the message-level
+// analogue of TCP flow control.
+const recvWindow = 16
+
 // Endpoint is one rank's attachment to the environment. It implements
 // aiac.Comm.
 type Endpoint struct {
@@ -465,8 +466,7 @@ func newEndpoint(e *Env, rank int) *Endpoint {
 
 // wireBytes is the on-the-wire size of a message.
 func (ep *Endpoint) wireBytes(payloadBytes int) int {
-	c := ep.env.opts.Costs
-	return c.HeaderBytes + payloadBytes + int(c.WireOverheadPerByte*float64(payloadBytes))
+	return ep.env.opts.Costs.HeaderBytes + payloadBytes
 }
 
 // transmit puts w on the network towards finalTo, relaying if the pair is
@@ -524,11 +524,7 @@ func (e *Env) deliver(m *netsim.Message) {
 		return
 	}
 	if w.hasKey && w.senderEp != nil && w.finalTo == dst.rank && !w.rendezvous {
-		window := e.opts.RecvWindow
-		if window <= 0 {
-			window = 16
-		}
-		if dst.inbox.Len() < window {
+		if dst.inbox.Len() < recvWindow {
 			// Eager send: terminated on delivery; the next
 			// TrySendData for this channel may proceed.
 			w.senderEp.release(w.key)

@@ -412,7 +412,6 @@ func TestFlowControlThrottlesFloodingSender(t *testing.T) {
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 2, cluster.P4_2400, netsim.Ethernet100)
 	opts := testOpts(RecvSingleThread)
-	opts.RecvWindow = 4
 	opts.Costs.RecvLatency = 5 * time.Millisecond // very slow consumer
 	env := MustNew(grid, opts)
 	received := 0
@@ -435,8 +434,9 @@ func TestFlowControlThrottlesFloodingSender(t *testing.T) {
 	if received != sent {
 		t.Fatalf("sent %d != received %d", sent, received)
 	}
-	// Without throttling ~2000 sends would go through; with a window of 4
-	// and a 5ms consumer only a handful per 10ms can.
+	// Without the window 401 sends go through (eager sends end at
+	// delivery, so the inbox grows unbounded); with the window of 16 and a
+	// 5ms consumer only a handful per 10ms can.
 	if sent > 200 {
 		t.Fatalf("flow control failed to throttle: %d sends accepted", sent)
 	}

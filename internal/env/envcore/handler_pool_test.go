@@ -28,8 +28,6 @@ import (
 	"aiac/internal/cluster"
 	"aiac/internal/des"
 	"aiac/internal/env/envcore"
-	"aiac/internal/env/orb"
-	"aiac/internal/env/pm2"
 	"aiac/internal/golden"
 	"aiac/internal/netsim"
 	"aiac/internal/trace"
@@ -89,7 +87,7 @@ func TestHandlerPoolBursts(t *testing.T) {
 	envs := []struct {
 		name  string
 		costs envcore.CostModel
-	}{{"pm2", pm2.Costs}, {"omniorb", orb.Costs}}
+	}{{"pm2", envcore.Middleware("pm2", true).Costs}, {"omniorb", envcore.Middleware("omniorb", true).Costs}}
 	var rows []golden.Row
 	for _, e := range envs {
 		for _, k := range []int{1, 2, 8} {

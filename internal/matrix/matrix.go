@@ -52,6 +52,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,10 +61,6 @@ import (
 	"aiac/internal/cluster"
 	"aiac/internal/des"
 	"aiac/internal/env/envcore"
-	"aiac/internal/env/madmpi"
-	"aiac/internal/env/mpi"
-	"aiac/internal/env/orb"
-	"aiac/internal/env/pm2"
 	"aiac/internal/report"
 	"aiac/internal/scenario"
 	"aiac/internal/trace"
@@ -481,47 +478,32 @@ func NewGrid(sim *des.Simulator, name string, n int) (*cluster.Grid, error) {
 	}
 }
 
-// NewEnv deploys the named environment over the grid, with the Table 4
-// thread configuration matching the problem kind (sparse: all-to-all
-// exchange; otherwise the neighbour-exchange non-linear configuration).
-// The trailing options are ignored; the parameter stays only because the
-// files under benchmark/ pass envcore.WithEventLoop() (ROADMAP item 4(b)).
+// NewEnv deploys the named environment over the grid: its row of
+// envcore.Middleware for the problem kind (sparse: all-to-all exchange;
+// otherwise the neighbour-exchange non-linear configuration). The trailing
+// options are ignored; the parameter stays only because the files under
+// benchmark/ pass envcore.WithEventLoop() (ROADMAP item 4(b)).
 func NewEnv(grid *cluster.Grid, name string, sparse bool, tr *trace.Collector, _ ...envcore.Opt) (aiac.Env, error) {
-	switch name {
-	case "mpi":
-		return mpi.New(grid, tr)
-	case "pm2":
-		if sparse {
-			return pm2.New(grid, pm2.Sparse, tr)
-		}
-		return pm2.New(grid, pm2.NonLinear, tr)
-	case "madmpi":
-		if sparse {
-			return madmpi.New(grid, madmpi.Sparse, tr)
-		}
-		return madmpi.New(grid, madmpi.NonLinear, tr)
-	case "omniorb":
-		if sparse {
-			return orb.New(grid, orb.Sparse, tr)
-		}
-		return orb.New(grid, orb.NonLinear, tr)
-	default:
+	if !slices.Contains(EnvNames, name) {
 		return nil, fmt.Errorf("unknown environment %q (known: %s)", name, strings.Join(EnvNames, ", "))
 	}
+	opts := envcore.Middleware(name, sparse)
+	opts.Trace = tr
+	env, err := envcore.New(grid, opts)
+	if err != nil {
+		return nil, err
+	}
+	return env, nil
 }
 
 // ThreadPolicies lists the send/receive thread configuration every
 // multi-threaded environment deploys for the named problem — the paper's
 // Table 4.
 func ThreadPolicies(problem string) string {
-	grid := cluster.LocalHeterogeneous(des.New(), 3)
 	var b strings.Builder
 	for _, name := range EnvNames[1:] { // mpi is mono-threaded
-		env, err := NewEnv(grid, name, sparseExchange(problem), nil)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Fprintf(&b, "  %-16s %s\n", env.Name(), env.ThreadPolicy())
+		opts := envcore.Middleware(name, sparseExchange(problem))
+		fmt.Fprintf(&b, "  %-16s %s\n", opts.Name, opts.ThreadPolicy)
 	}
 	return b.String()
 }

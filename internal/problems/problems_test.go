@@ -9,9 +9,7 @@ import (
 	"aiac/internal/chem"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/madmpi"
-	"aiac/internal/env/mpi"
-	"aiac/internal/env/pm2"
+	"aiac/internal/env/envcore"
 	"aiac/internal/gmres"
 	"aiac/internal/la"
 	"aiac/internal/netsim"
@@ -63,9 +61,9 @@ func TestLinearConvergesToTruth(t *testing.T) {
 			grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
 			var env aiac.Env
 			if mode == aiac.Sync {
-				env = mpi.MustNew(grid, nil)
+				env = envcore.MustNew(grid, envcore.Middleware("mpi", true))
 			} else {
-				env = pm2.MustNew(grid, pm2.Sparse, nil)
+				env = envcore.MustNew(grid, envcore.Middleware("pm2", true))
 			}
 			prob := NewLinear(3000, 8, 0.6, 1)
 			rep := aiac.Run(grid, env, prob, aiac.Config{Mode: mode, Eps: 1e-7})
@@ -168,7 +166,7 @@ func TestChemRunMatchesSequential(t *testing.T) {
 	// Distributed AIAC over 3 ranks.
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 3, cluster.P4_2400, netsim.Ethernet100)
-	env := pm2.MustNew(grid, pm2.NonLinear, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("pm2", false))
 	p := chem.New(nx, nz)
 	run := RunChem(grid, env, p, p.InitialState(), h, steps*h,
 		gmres.Params{Tol: 1e-10, Restart: 30},
@@ -195,7 +193,7 @@ func TestChemRunSyncMode(t *testing.T) {
 	const nx, nz = 8, 9
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 3, cluster.P4_1700, netsim.Ethernet100)
-	env := mpi.MustNew(grid, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("mpi", false))
 	p := chem.New(nx, nz)
 	run := RunChem(grid, env, p, p.InitialState(), 180, 360,
 		gmres.Params{Tol: 1e-10, Restart: 30},
@@ -225,9 +223,9 @@ func TestChemAsyncBeatsSyncOnDistantGrid(t *testing.T) {
 		grid := cluster.ThreeSiteEthernet(sim, 12)
 		var env aiac.Env
 		if mode == aiac.Sync {
-			env = mpi.MustNew(grid, nil)
+			env = envcore.MustNew(grid, envcore.Middleware("mpi", false))
 		} else {
-			env = madmpi.MustNew(grid, madmpi.NonLinear, nil)
+			env = envcore.MustNew(grid, envcore.Middleware("madmpi", false))
 		}
 		p := chem.New(48, 48)
 		run := RunChem(grid, env, p, p.InitialState(), 180, 360,
@@ -318,9 +316,9 @@ func TestChemStepStagnationKeepsIterating(t *testing.T) {
 			grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
 			var env aiac.Env
 			if mode == aiac.Sync {
-				env = mpi.MustNew(grid, nil)
+				env = envcore.MustNew(grid, envcore.Middleware("mpi", false))
 			} else {
-				env = pm2.MustNew(grid, pm2.Sparse, nil)
+				env = envcore.MustNew(grid, envcore.Middleware("pm2", true))
 			}
 			step := NewChemStep(p, p.InitialState(), 180, 180, stalled)
 			rep := aiac.Run(grid, env, step, aiac.Config{Mode: mode, Eps: 1e-7, MaxIters: 40})

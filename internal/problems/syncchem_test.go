@@ -8,8 +8,7 @@ import (
 	"aiac/internal/chem"
 	"aiac/internal/cluster"
 	"aiac/internal/des"
-	"aiac/internal/env/madmpi"
-	"aiac/internal/env/mpi"
+	"aiac/internal/env/envcore"
 	"aiac/internal/gmres"
 	"aiac/internal/netsim"
 	"aiac/internal/newton"
@@ -37,7 +36,7 @@ func TestSyncGlobalMatchesSequential(t *testing.T) {
 
 	sim := des.New()
 	grid := cluster.Homogeneous(sim, 4, cluster.P4_2400, netsim.Ethernet100)
-	env := mpi.MustNew(grid, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("mpi", false))
 	p := chem.New(nx, nz)
 	run := RunChemSyncGlobal(grid, env, p, p.InitialState(), h, steps*h,
 		gmres.Params{Tol: 1e-10, Restart: 40}, 1e-10, 50)
@@ -60,7 +59,7 @@ func TestSyncGlobalMatchesSequential(t *testing.T) {
 func TestSyncGlobalLockstep(t *testing.T) {
 	sim := des.New()
 	grid := cluster.LocalHeterogeneous(sim, 3)
-	env := mpi.MustNew(grid, nil)
+	env := envcore.MustNew(grid, envcore.Middleware("mpi", false))
 	p := chem.New(8, 9)
 	run := RunChemSyncGlobal(grid, env, p, p.InitialState(), 180, 180,
 		gmres.Params{Tol: 1e-8, Restart: 30}, 1e-8, 50)
@@ -87,14 +86,14 @@ func TestSyncGlobalSlowerThanAsyncOnDistantGrid(t *testing.T) {
 	p1 := chem.New(24, 24)
 	simS := des.New()
 	gridS := cluster.ThreeSiteEthernet(simS, 6)
-	envS := mpi.MustNew(gridS, nil)
+	envS := envcore.MustNew(gridS, envcore.Middleware("mpi", false))
 	runS := RunChemSyncGlobal(gridS, envS, p1, p1.InitialState(), 180, 360,
 		gmres.Params{Tol: 1e-6, Restart: 30}, 1e-6, 50)
 
 	p2 := chem.New(24, 24)
 	simA := des.New()
 	gridA := cluster.ThreeSiteEthernet(simA, 6)
-	envA := madmpi.MustNew(gridA, madmpi.NonLinear, nil)
+	envA := envcore.MustNew(gridA, envcore.Middleware("madmpi", false))
 	runA := RunChem(gridA, envA, p2, p2.InitialState(), 180, 360,
 		gmres.Params{Tol: 1e-6, Restart: 30},
 		aiac.Config{Mode: aiac.Async, Eps: 1e-6})

@@ -9,12 +9,13 @@ import (
 )
 
 // This file is the TCP transport's wire format: a compact little-endian
-// binary framing in the spirit of internal/env/orb's CDR codec, but without
-// GIOP's request envelope — the AIAC protocol needs only five message kinds
-// and a float64 payload, so the whole header fits in 24 bytes. As with the
-// ORB codec, the exact frame size is exposed (MsgBytes) so traffic
-// accounting uses real wire bytes rather than guesses, and the in-process
-// transport charges the same sizes for comparability.
+// binary framing in the spirit of internal/env/envcore's CDR codec, but
+// without GIOP's request envelope — the AIAC protocol needs only five
+// message kinds and a float64 payload, so the whole header fits in 24
+// bytes. As with the ORB codec, the exact frame size is exposed
+// (MsgBytes) so traffic accounting uses real wire bytes rather than
+// guesses, and the in-process transport charges the same sizes for
+// comparability.
 //
 // Frame layout (little-endian):
 //
