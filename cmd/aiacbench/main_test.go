@@ -184,3 +184,33 @@ func TestFigureCommand(t *testing.T) {
 		}
 	}
 }
+
+// -trend reads an interrupted sweep's sidecar as its cells' rows: a
+// repetition row is one run of a cell, not the cell, and is left out.
+func TestTrendSkipsRepetitionRows(t *testing.T) {
+	dir := t.TempDir()
+	w, err := report.CreateSidecar(filepath.Join(dir, "BENCH_killed.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := report.Result{Env: "pm2", Mode: "async", Grid: "local", Problem: "linear", Procs: 4, Size: 600, Reps: 2, TimeSec: 1}
+	cut := done
+	cut.Env, cut.Reps, cut.TimeSec = "mpi", 1, 2
+	for _, row := range []report.SidecarRow{
+		{CacheKey: report.RepetitionKey("a", 0), Result: done},
+		{CacheKey: "a", Result: done},
+		{CacheKey: report.RepetitionKey("b", 0), Result: cut},
+	} {
+		if err := w.Append(row.CacheKey, row.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	files, err := trendFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || len(files[0].results) != 1 || files[0].results[done.Key()] != done {
+		t.Errorf("trend read %+v; want the finished cell's row alone", files)
+	}
+}

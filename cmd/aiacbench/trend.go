@@ -205,7 +205,9 @@ func trendFiles(dir string) ([]trendFile, error) {
 				return nil, err
 			}
 			for _, row := range rows {
-				results[row.Result.Key()] = row.Result
+				if !row.IsRepetition() {
+					results[row.Result.Key()] = row.Result
+				}
 			}
 		} else {
 			set, err := report.ReadFile(filepath.Join(dir, n))

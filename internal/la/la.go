@@ -57,7 +57,9 @@ func MaxNorm(x []float64) float64 {
 }
 
 // MaxNormDiff returns max_i |a_i - b_i|, the residual norm of the paper's
-// convergence test (Equ. 6). Flops: 2n.
+// convergence test (Equ. 6), or NaN when any difference is NaN: a vector
+// holding NaN is never close to another, whatever its other entries.
+// Flops: 2n.
 func MaxNormDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("la: dimension mismatch in MaxNormDiff")
@@ -66,6 +68,8 @@ func MaxNormDiff(a, b []float64) float64 {
 	for i, v := range a {
 		if d := math.Abs(v - b[i]); d > m {
 			m = d
+		} else if d != d {
+			return d
 		}
 	}
 	return m

@@ -114,6 +114,32 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// A NaN difference makes the norm NaN and keeps it so: first, last,
+// followed by larger finite differences, or everywhere. Finite inputs keep
+// the plain maximum.
+func TestMaxNormDiffNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		a, b []float64
+	}{
+		{"last", []float64{1, nan}, []float64{1.5, 2}},
+		{"then finite", []float64{nan, 1, 5}, []float64{0, 3, -4}},
+		{"in the truth", []float64{0, 1, 5}, []float64{nan, 3, -4}},
+		{"all", []float64{nan, nan, nan}, []float64{1, 2, 3}},
+	} {
+		if got := MaxNormDiff(tc.a, tc.b); !math.IsNaN(got) {
+			t.Errorf("%s: MaxNormDiff = %g, want NaN", tc.name, got)
+		}
+	}
+	if got := MaxNormDiff([]float64{1, -7, 2}, []float64{1.5, 2, 2}); got != 9 {
+		t.Errorf("finite MaxNormDiff = %g, want 9", got)
+	}
+	if got := MaxNormDiff(nil, nil); got != 0 {
+		t.Errorf("empty MaxNormDiff = %g, want 0", got)
+	}
+}
+
 func TestMaxNormDiffMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

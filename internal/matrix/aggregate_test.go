@@ -13,7 +13,6 @@ import (
 	"aiac/internal/aiac"
 	"aiac/internal/protocol"
 	"aiac/internal/report"
-	"aiac/internal/trace"
 )
 
 // TestAggregateFoldsOutcomesAcrossReps is the regression test for the
@@ -261,9 +260,18 @@ func TestAbsorbFoldsEngineReports(t *testing.T) {
 // whose repetition fails must report how many repetitions actually
 // completed (not the requested count) and which repetition failed.
 func TestRunCellErrorRecordsRepAndCount(t *testing.T) {
-	spec := DefaultSpec().withDefaults()
-	c := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "bogus", Procs: 2, Size: 500}
-	r := runCell(c, spec, 3, 0, 0, nil, trace.New())
+	spec := DefaultSpec()
+	spec.Envs = []string{"pm2"}
+	spec.Modes = []aiac.Mode{aiac.Async}
+	spec.Grids = []string{"local"}
+	spec.Problems = []string{"bogus"}
+	spec.Procs = []int{2}
+	spec.Sizes = []int{500}
+	set, err := Run(spec, Options{Workers: 1, Reps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := set.Results[0]
 	if r.Error == "" {
 		t.Fatal("expected an error for an unknown problem")
 	}

@@ -27,7 +27,8 @@ func (p *panickyProblem) Update(rank int, bounds []int, x []float64) (float64, f
 // Two cells of four panic — one inside a simulated process, one on a native
 // rank's goroutine: the sweep finishes, each bad cell is an errored row
 // carrying the panic text, their neighbours are measured, and the sidecar
-// holds all four rows — the errored ones never to be reused by a resume.
+// holds all four cell rows — the errored ones never to be reused by a
+// resume — beside the healthy cells' two repetition rows each.
 func TestPanickingCellIsIsolated(t *testing.T) {
 	faulty := func(env, backend string) bool { return env == "pm2" || backend == "chan" }
 	wrapProblem = func(c Cell, prob aiac.Problem) aiac.Problem {
@@ -81,8 +82,16 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("sidecar holds %d rows; want 4", len(rows))
+	cellRows := 0
+	for _, row := range rows {
+		if !row.IsRepetition() {
+			cellRows++
+		} else if faulty(row.Result.Env, row.Result.Backend) {
+			t.Errorf("a failing cell recorded a repetition row: %s", row.CacheKey)
+		}
+	}
+	if cellRows != 4 || len(rows) != 8 {
+		t.Fatalf("sidecar holds %d cell rows of %d; want 4 of 8", cellRows, len(rows))
 	}
 	executed := 0
 	if _, err := Run(spec, Options{Workers: 1, Reps: 2, Prior: rows, OnResult: func(r report.Result) {

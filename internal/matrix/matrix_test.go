@@ -515,6 +515,8 @@ func TestCellSolve(t *testing.T) {
 		sim := Cell{Env: "pm2", Mode: aiac.Async, Grid: "local", Problem: "linear", Procs: 4, Size: 600}
 		native := sim
 		native.Env, native.Backend = "go", "chan"
+		cache.Declare(linearKey(sim, spec, 0), 2)
+		cache.Declare(linearKey(sim, spec, 1), 1)
 		a, err := cellSolve(sim, spec, 0, cache)
 		if err != nil || len(a.XTrue) != sim.Size {
 			t.Fatalf("cellSolve = %d unknowns, %v; want %d unknowns", len(a.XTrue), err, sim.Size)
@@ -523,8 +525,8 @@ func TestCellSolve(t *testing.T) {
 			t.Error("a native cell built its own system instead of the sim cell's cached one")
 		}
 		cellSolve(sim, spec, 1, cache)
-		if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
-			t.Errorf("cache after rep 0 sim, rep 0 native, rep 1 sim: %d hits, %d misses; want 1 and 2", hits, misses)
+		if st := cache.Stats(); st.Hits != 1 || st.Misses != 2 {
+			t.Errorf("cache after rep 0 sim, rep 0 native, rep 1 sim: %d hits, %d misses; want 1 and 2", st.Hits, st.Misses)
 		}
 		if f, _ := cellSolve(sim, spec, 0, nil); &f.XTrue[0] == &a.XTrue[0] || !reflect.DeepEqual(f.XTrue, a.XTrue) {
 			t.Error("a nil cache must build an equal system of its own")
@@ -536,8 +538,8 @@ func TestCellSolve(t *testing.T) {
 			if l, err := cellSolve(Cell{Problem: problem, Size: 600}, spec, 0, cache); err == nil || l != nil {
 				t.Errorf("cellSolve built a %s cell (%v); only linear cells go through it", problem, err)
 			}
-			if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
-				t.Errorf("a refused %s cell touched the cache: %d hits, %d misses", problem, hits, misses)
+			if st := cache.Stats(); st != (problems.CacheStats{}) {
+				t.Errorf("a refused %s cell touched the cache: %+v", problem, st)
 			}
 		})
 	}

@@ -30,9 +30,9 @@ func (p *poisonedProblem) Update(rank int, bounds []int, x []float64) (float64, 
 }
 
 // A cell whose data turns non-finite ends promptly as a recorded row — not
-// converged, flagged non-finite — on the simulator and natively, sync and
-// async, linear and (natively, where each time step's solve is wrapped)
-// chem: no cell runs on to its iteration cap.
+// converged, flagged non-finite, a linear one with a NaN residual — on the
+// simulator and natively, sync and async, linear and (natively, where each
+// time step's solve is wrapped) chem: no cell runs on to its iteration cap.
 func TestNonFiniteCellEndsAsARow(t *testing.T) {
 	wrapProblem = func(c Cell, prob aiac.Problem) aiac.Problem {
 		return &poisonedProblem{Problem: prob, k: 5}
@@ -60,6 +60,9 @@ func TestNonFiniteCellEndsAsARow(t *testing.T) {
 		for _, r := range set.Results {
 			if r.Error != "" || r.Converged || !strings.Contains(r.Flags, "non-finite") {
 				t.Errorf("%s: error %q, converged %v, flags %q; want a non-finite row", r.Key(), r.Error, r.Converged, r.Flags)
+			}
+			if r.Problem == "linear" && !math.IsNaN(r.Residual) {
+				t.Errorf("%s: residual %g on NaN data; want NaN", r.Key(), r.Residual)
 			}
 			if perRank := r.Iters / r.Procs; perRank > 1000 {
 				t.Errorf("%s: %d iterations per rank after the data turned non-finite", r.Key(), perRank)

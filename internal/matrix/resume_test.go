@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aiac/internal/aiac"
@@ -207,5 +208,78 @@ func TestScheduleLongestFirst(t *testing.T) {
 	}
 	if last := cells[idx[len(idx)-1]]; last.Grid != "local" {
 		t.Errorf("last scheduled cell is %s, want a cheap local-grid cell", last.Key())
+	}
+}
+
+// TestResumeRunsOnlyMissingRepetitions: a multi-repetition sweep records
+// every finished repetition, rep-major, beside its cell rows, so a sweep
+// killed between rounds resumes only the repetitions it lacks, and one
+// killed after a cell's last repetition but before the cell's row folds
+// that cell without running anything. Either way the rows equal an
+// uninterrupted sweep's.
+func TestResumeRunsOnlyMissingRepetitions(t *testing.T) {
+	spec := twoCellSpec()
+	const reps = 3
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	w, err := report.CreateSidecar(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(spec, Options{Workers: 1, Reps: reps, Sidecar: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	rows, err := report.ReadSidecar(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repRows []report.SidecarRow
+	lastRep := 0
+	for _, row := range rows {
+		if !row.IsRepetition() {
+			continue
+		}
+		rep := int(row.CacheKey[len(row.CacheKey)-1] - '0')
+		if rep < lastRep {
+			t.Errorf("repetition %d recorded after repetition %d: the sweep is not rep-major", rep, lastRep)
+		}
+		lastRep = rep
+		repRows = append(repRows, row)
+	}
+	if len(repRows) != 2*reps || len(rows) != 2*reps+2 {
+		t.Fatalf("sidecar holds %d rows, %d of repetitions; want %d and %d", len(rows), len(repRows), 2*reps+2, 2*reps)
+	}
+
+	var solved atomic.Int32
+	wrapProblem = func(c Cell, prob aiac.Problem) aiac.Problem {
+		solved.Add(1)
+		return prob
+	}
+	t.Cleanup(func() { wrapProblem = nil })
+	for _, tc := range []struct {
+		name       string
+		prior      []report.SidecarRow
+		ran, fresh int // repetitions solved; cells delivered as executed
+	}{
+		{"killed after three repetitions", repRows[:3], 2*reps - 3, 2},
+		{"killed before the cell rows", repRows, 0, 0},
+	} {
+		solved.Store(0)
+		executed := 0
+		set, err := Run(spec, Options{Workers: 1, Reps: reps, Prior: tc.prior, OnResult: func(r report.Result) {
+			if !r.Resumed {
+				executed++
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(solved.Load()); n != tc.ran || executed != tc.fresh {
+			t.Errorf("%s: solved %d repetitions and executed %d cells; want %d and %d", tc.name, n, executed, tc.ran, tc.fresh)
+		}
+		if !reflect.DeepEqual(normalize(set.Results), normalize(ref.Results)) {
+			t.Errorf("%s: resumed rows differ from the uninterrupted sweep's:\n%+v\n%+v", tc.name, normalize(set.Results), normalize(ref.Results))
+		}
 	}
 }

@@ -60,13 +60,16 @@ type Options struct {
 	OnResult func(report.Result)
 	// Sidecar, when non-nil, receives every executed cell's result
 	// (tagged with its content address) the moment it completes — the
-	// crash-safe JSONL stream an interrupted sweep resumes from.
+	// crash-safe JSONL stream an interrupted sweep resumes from — and,
+	// before it, each finished repetition of a cell that runs more than
+	// one (report.RepetitionKey).
 	Sidecar *report.SidecarWriter
 	// Prior holds the rows of an earlier sweep's sidecar. A cell whose
 	// content address — cell key, problem parameters, seeds, repetition
 	// count, report schema, protocol constants, native timeout — matches
 	// a valid prior row is not re-executed: the prior result is returned
-	// with Resumed set.
+	// with Resumed set. A cell without one runs only the repetitions that
+	// have no prior repetition row.
 	Prior []report.SidecarRow
 	// Metrics, when non-nil, receives the sweep's telemetry (cells by
 	// state, host time, traffic, protocol counters, red flags) as cells
@@ -76,6 +79,8 @@ type Options struct {
 	// makespan-schedule weight — the state behind aiacbench's /progress
 	// endpoint and its weight-based ETA. Cells satisfied from Prior are
 	// marked cached, so a resumed sweep's ETA covers only the work left.
+	// A cell runs from its first repetition's start to its last's end, so
+	// between repetition rounds more cells run than there are workers.
 	Progress *obs.Sweep
 }
 
@@ -101,13 +106,26 @@ var ErrPersist = errors.New("matrix: appending to sidecar failed")
 // Run sweeps every cell of the spec and returns the collected results in
 // enumeration order. Simulated cells run first across the worker pool;
 // native cells follow in their own phase, one at a time, so their
-// wall-clock measurements are taken on an otherwise quiet host. Within
-// each phase cells are scheduled longest-expected-first (schedule.go) so
-// the pool never tails on one giant cell; cells whose content address
-// matches a valid Prior row are not executed at all, and every executed
-// result streams to Sidecar as it completes. All problems of one Run
-// share a read-only assembly cache (problems.Cache), so the seven
-// environments solving the same generated system build it once.
+// wall-clock measurements are taken on an otherwise quiet host. Each phase
+// runs as jobs of one cell and one repetition, rep-major: every cell's
+// repetition 0, longest-expected-first (schedule.go), then every cell's
+// repetition 1, and so on, with no barrier between the rounds. The job
+// that ends a cell's last repetition folds the cell (aggregate), appends
+// its row to Sidecar and delivers it, so results still stream cell by
+// cell; a cell with more than one repetition also appends each finished
+// repetition, under its content address plus the repetition index, and a
+// resumed sweep runs only the repetitions it lacks. Cells whose content
+// address matches a valid Prior row are not executed at all.
+//
+// All problems of one Run share a read-only assembly cache
+// (problems.Cache), so the seven environments solving the same generated
+// system build it once. Each phase declares how many of its jobs will
+// read each system, and each job releases its use when it ends, whatever
+// its outcome, so a system is freed with its round's last job and the
+// sweep holds about one per worker however many repetitions it runs. A
+// sweep with simulated and native cells of one size builds each system
+// once per phase rather than keep every repetition's system alive from
+// the first phase into the second.
 func Run(spec Spec, opt Options) (*report.Set, error) {
 	spec = spec.withDefaults()
 	cells := spec.Cells()
@@ -118,16 +136,29 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 	if reps <= 0 {
 		reps = 1
 	}
-	cache := problems.NewCache()
+	cache := newCache()
 	prior := indexPrior(opt.Prior)
 
 	results := make([]report.Result, len(cells))
 	var mu sync.Mutex
+	var persistErr error
 	emit := func(r report.Result) {
 		RecordResult(opt.Metrics, r)
 		if opt.OnResult != nil {
 			mu.Lock()
 			opt.OnResult(r)
+			mu.Unlock()
+		}
+	}
+	persist := func(key string, r report.Result) {
+		if opt.Sidecar == nil {
+			return
+		}
+		if err := opt.Sidecar.Append(key, r); err != nil {
+			mu.Lock()
+			if persistErr == nil {
+				persistErr = fmt.Errorf("%w: %v", ErrPersist, err)
+			}
 			mu.Unlock()
 		}
 	}
@@ -139,10 +170,27 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 		opt.Progress.Register(c.Key(), expectedCost(c))
 	}
 
-	// Resolve each cell against the prior rows before anything runs:
-	// reused cells are answered (and observed) immediately, everything
-	// else is scheduled into its phase.
+	// finish folds cell i once its last repetition has ended, and records
+	// and delivers the row; resumed says no repetition ran in this sweep.
 	keys := make([]string, len(cells))
+	runs := make([]*cellRun, len(cells))
+	finish := func(i int, resumed bool) {
+		r := runs[i].result(cells[i])
+		if resumed {
+			opt.Progress.FinishedCached(cells[i].Key())
+		} else {
+			opt.Progress.Finished(cells[i].Key(), r.HostSec, r.Error != "")
+		}
+		persist(keys[i], r)
+		r.Resumed = resumed
+		results[i] = r
+		emit(r)
+	}
+
+	// Resolve each cell, and each repetition of a multi-repetition cell,
+	// against the prior rows before anything runs: reused cells are
+	// answered (and observed) immediately, everything else is scheduled
+	// into its phase.
 	var simIdx, nativeIdx []int
 	for i, c := range cells {
 		keys[i] = cellCacheKey(c, spec, reps, opt.Seed, opt.Timeout)
@@ -153,51 +201,103 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 			emit(r)
 			continue
 		}
-		if SimulatedBackend(c.backendName()) {
+		runs[i] = newCellRun(cellReps(c, reps, opt.Seed))
+		if n := len(runs[i].rs); n > 1 {
+			for rep := range n {
+				if r, ok := prior[report.RepetitionKey(keys[i], rep)]; ok {
+					runs[i].resume(rep, r)
+				}
+			}
+		}
+		switch {
+		case runs[i].left == 0:
+			// Every repetition was recorded, the cell's row was not:
+			// fold it now, from the rows alone.
+			finish(i, true)
+		case SimulatedBackend(c.backendName()):
 			simIdx = append(simIdx, i)
-		} else {
+		default:
 			nativeIdx = append(nativeIdx, i)
 		}
 	}
 
-	var persistErr error
+	type job struct{ cell, rep int }
+	runJob := func(j job, tr *trace.Collector) {
+		c, cr := cells[j.cell], runs[j.cell]
+		if c.Problem == "linear" {
+			defer cache.Release(linearKey(c, spec, j.rep))
+		}
+		opt.Progress.Started(c.Key())
+		skip := cr.skips(j.rep)
+		var r report.Result
+		var err error
+		if !skip {
+			// The first repetition of every simulated cell is traced so
+			// its critical path can be attributed (runOnce); only the
+			// per-category seconds reach the result, and the next traced
+			// repetition resets the collector. Tracing is pure host-side
+			// appends for the simulator, so the measured virtual time is
+			// byte-identical with and without it. Native cells are NOT
+			// traced in sweeps: their wall clock is the measurement, and
+			// tracing adds clock reads and stamp-exchange locking to the
+			// hot loops. Their attribution is available on demand through
+			// RunCellOnce/aiacbench -critpath KEY, where the run exists to
+			// be explained rather than measured.
+			var rtr *trace.Collector
+			if j.rep == 0 && SimulatedBackend(c.backendName()) {
+				rtr = tr
+				rtr.Reset()
+			}
+			t0 := time.Now()
+			r, err = runIsolated(c, spec, j.rep, opt.Seed, opt.Timeout, rtr, cache)
+			r.HostSec = time.Since(t0).Seconds()
+			if err == nil && len(cr.rs) > 1 {
+				persist(report.RepetitionKey(keys[j.cell], j.rep), r)
+			}
+		}
+		if cr.end(j.rep, skip, r, err) {
+			finish(j.cell, false)
+		}
+	}
+
 	runPhase := func(idx []int, workers int) {
-		if len(idx) == 0 {
+		scheduleLongestFirst(idx, cells)
+		var jobs []job
+		for rep, more := 0, true; more; rep++ {
+			more = false
+			for _, i := range idx {
+				if rep < len(runs[i].rs) {
+					more = true
+					if !runs[i].resumed[rep] {
+						jobs = append(jobs, job{i, rep})
+					}
+				}
+			}
+		}
+		if len(jobs) == 0 {
 			return
 		}
-		if workers > len(idx) {
-			workers = len(idx)
+		for _, j := range jobs {
+			if c := cells[j.cell]; c.Problem == "linear" {
+				cache.Declare(linearKey(c, spec, j.rep), 1)
+			}
 		}
-		scheduleLongestFirst(idx, cells)
-		jobs := make(chan int)
+		feed := make(chan job)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range min(workers, len(jobs)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				tr := trace.New() // this worker's, reused cell after cell
-				for i := range jobs {
-					opt.Progress.Started(cells[i].Key())
-					r := runCell(cells[i], spec, reps, opt.Seed, opt.Timeout, cache, tr)
-					results[i] = r
-					opt.Progress.Finished(cells[i].Key(), r.HostSec, r.Error != "")
-					if opt.Sidecar != nil {
-						if err := opt.Sidecar.Append(keys[i], r); err != nil {
-							mu.Lock()
-							if persistErr == nil {
-								persistErr = fmt.Errorf("%w: %v", ErrPersist, err)
-							}
-							mu.Unlock()
-						}
-					}
-					emit(r)
+				tr := trace.New() // this worker's, reused job after job
+				for j := range feed {
+					runJob(j, tr)
 				}
 			}()
 		}
-		for _, i := range idx {
-			jobs <- i
+		for _, j := range jobs {
+			feed <- j
 		}
-		close(jobs)
+		close(feed)
 		wg.Wait()
 	}
 
@@ -208,15 +308,102 @@ func Run(spec Spec, opt Options) (*report.Set, error) {
 	// set, and both return it rather than discard hours of measurement:
 	// a persistence failure (ErrPersist — the measurements are sound but
 	// the sidecar is incomplete, so -resume coverage is lost) and a
-	// shared-system mutation caught by the end-of-sweep cache
-	// verification (problems.ErrMutated — the measurements themselves are
-	// suspect; this is the only guard for systems too large to
-	// re-checksum per retrieval). The mutation error takes precedence.
+	// shared-system mutation caught when the cache freed a system or by
+	// its end-of-sweep verification (problems.ErrMutated — the
+	// measurements themselves are suspect; the check at release is the
+	// only guard for systems too large to re-checksum per retrieval). The
+	// mutation error takes precedence.
 	runErr := cache.Verify()
 	if runErr == nil {
 		runErr = persistErr
 	}
 	return &report.Set{Results: results}, runErr
+}
+
+// cellReps is the number of repetitions cell c runs when reps are asked
+// for. Without a jitter seed, only the linear problem, whose matrix seed
+// moves per repetition, has anything to perturb; the chemical simulation
+// is then fully deterministic and extra reps would be bit-identical
+// reruns — it runs once. Native cells are nondeterministic by nature
+// (real scheduling, real wire), so their repetitions always measure
+// distinct runs.
+func cellReps(c Cell, reps int, seed int64) int {
+	if SimulatedBackend(c.backendName()) && c.Problem == "chem" && seed == 0 {
+		return 1
+	}
+	return reps
+}
+
+// cellRun collects one executing cell's repetitions. Its jobs may run on
+// different workers at once, so skips, end and result hold mu; resume, and
+// the reads of resumed, happen before any job starts.
+type cellRun struct {
+	mu      sync.Mutex
+	rs      []report.Result // by repetition, as each ends or is resumed
+	resumed []bool          // which repetitions were resumed from prior rows
+	left    int             // repetitions not yet ended
+	failed  int             // the lowest failed repetition, or -1
+	err     error           // its error
+	hostSec float64         // host seconds of its repetitions
+}
+
+func newCellRun(reps int) *cellRun {
+	return &cellRun{rs: make([]report.Result, reps), resumed: make([]bool, reps), left: reps, failed: -1}
+}
+
+// resume fills repetition rep from its prior row.
+func (cr *cellRun) resume(rep int, r report.Result) {
+	cr.rs[rep], cr.resumed[rep] = r, true
+	cr.hostSec += r.HostSec
+	cr.left--
+}
+
+// skips reports whether repetition rep's job is to be skipped: an earlier
+// repetition of the cell failed, so the row is an error whatever this one
+// measures.
+func (cr *cellRun) skips(rep int) bool {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return cr.failed >= 0 && rep > cr.failed
+}
+
+// end records repetition rep's outcome and reports whether it was the
+// cell's last to end.
+func (cr *cellRun) end(rep int, skipped bool, r report.Result, err error) (last bool) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	cr.hostSec += r.HostSec
+	switch {
+	case skipped:
+	case err != nil:
+		if cr.failed < 0 || rep < cr.failed {
+			cr.failed, cr.err = rep, err
+		}
+	default:
+		cr.rs[rep] = r
+	}
+	cr.left--
+	return cr.left == 0
+}
+
+// result is the cell's row once every repetition has ended: the aggregate
+// of its repetitions, or, when one failed, an errored row recording how
+// many repetitions completed before the first failure and which one
+// failed. HostSec sums the repetitions' host seconds, resumed ones
+// included.
+func (cr *cellRun) result(c Cell) report.Result {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	var out report.Result
+	if cr.failed >= 0 {
+		out = c.identity()
+		out.Reps = cr.failed
+		out.Error = fmt.Sprintf("rep %d of %d: %v", cr.failed+1, len(cr.rs), cr.err)
+	} else {
+		out = aggregate(cr.rs)
+	}
+	out.HostSec = cr.hostSec
+	return out
 }
 
 // before orders repetitions lexicographically over every measured column —
@@ -325,53 +512,6 @@ func (c Cell) identity() report.Result {
 	}
 }
 
-// runCell executes one cell's repetitions and aggregates them; a simulated
-// cell's first repetition is traced into tr, which it resets first.
-func runCell(c Cell, spec Spec, reps int, seed int64, timeout time.Duration, cache *problems.Cache, tr *trace.Collector) report.Result {
-	// Without a jitter seed, only the linear problem, whose matrix seed
-	// moves per repetition, has anything to perturb; the chemical
-	// simulation is then fully deterministic and extra reps would be
-	// bit-identical reruns — run it once. Native cells are
-	// nondeterministic by nature (real scheduling, real wire), so their
-	// repetitions always measure distinct runs.
-	if SimulatedBackend(c.backendName()) && c.Problem == "chem" && seed == 0 {
-		reps = 1
-	}
-	out := c.identity()
-	t0 := time.Now()
-	rs := make([]report.Result, 0, reps)
-	for rep := 0; rep < reps; rep++ {
-		// The first repetition of every simulated cell is traced so its
-		// critical path can be attributed (runOnce); only the per-category
-		// seconds reach the result, and the next cell resets the collector.
-		// Tracing is pure host-side appends for the simulator, so the
-		// measured virtual time is byte-identical with and without it.
-		// Native cells are NOT traced in sweeps: their wall clock is the
-		// measurement, and tracing adds clock reads and stamp-exchange
-		// locking to the hot loops. Their attribution is available on
-		// demand through RunCellOnce/aiacbench -critpath KEY, where the run
-		// exists to be explained rather than measured.
-		var rtr *trace.Collector
-		if rep == 0 && SimulatedBackend(c.backendName()) {
-			rtr = tr
-			rtr.Reset()
-		}
-		r, err := runIsolated(c, spec, rep, seed, timeout, rtr, cache)
-		if err != nil {
-			// Record what actually happened: how many repetitions
-			// completed, and which one failed.
-			out.Reps = rep
-			out.Error = fmt.Sprintf("rep %d of %d: %v", rep+1, reps, err)
-			out.HostSec = time.Since(t0).Seconds()
-			return out
-		}
-		rs = append(rs, r)
-	}
-	out = aggregate(rs)
-	out.HostSec = time.Since(t0).Seconds()
-	return out
-}
-
 // aggregate folds a cell's repetitions into one Result. The median
 // repetition (by simulated time) provides the representative timing and
 // traffic measurement, with the fastest repetition kept alongside; the
@@ -457,6 +597,10 @@ func runIsolated(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, 
 	}()
 	return runOnce(c, spec, rep, seed, timeout, tr, cache)
 }
+
+// newCache makes a sweep's assembly cache. Only tests replace it, to read
+// the cache's Stats after the sweep.
+var newCache = problems.NewCache
 
 // wrapProblem, when set, replaces the problem a repetition is about to
 // solve. Only tests set it, to inject faults no committed problem has.
@@ -680,7 +824,14 @@ func cellSolve(c Cell, spec Spec, rep int, cache *problems.Cache) (*problems.Lin
 	if lp.Operator != "" && lp.Operator != "dia" {
 		return nil, fmt.Errorf("operator %q: the linear system is the materialized DIA matrix (\"\" or \"dia\"); LinearParams.Operator goes in ROADMAP item 4(b)", lp.Operator)
 	}
-	return cache.Linear(c.Size, lp.Diags, lp.Rho, lp.Seed+int64(rep)), nil
+	k := linearKey(c, spec, rep)
+	return cache.Linear(k.N, k.Diags, k.Rho, k.Seed), nil
+}
+
+// linearKey names the system a linear cell's repetition rep solves.
+func linearKey(c Cell, spec Spec, rep int) problems.LinearKey {
+	lp := spec.Linear
+	return problems.LinearKey{N: c.Size, Diags: lp.Diags, Rho: lp.Rho, Seed: lp.Seed + int64(rep)}
 }
 
 // attribute writes the critical-path attribution of tr's run up to total

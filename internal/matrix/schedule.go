@@ -6,14 +6,17 @@ import (
 	"aiac/internal/aiac"
 )
 
-// Makespan-aware scheduling: a sweep's wall time is bounded below by its
-// longest cell, and a worker pool that starts that cell last tails on it
-// while every other worker idles. Run therefore feeds each phase's cells
-// to the pool longest-expected-first, so the giant cells (the asynchronous
-// ADSL solves, whose fast ranks spin through millions of iterations)
-// start immediately and the short local-grid cells pack into the gaps.
-// The result set is still assembled in enumeration order, so scheduling
-// never changes output, only wall time.
+// Makespan-aware scheduling: a round's wall time is bounded below by its
+// longest repetition, and a worker pool that starts that repetition last
+// tails on it while every other worker idles. Run feeds each phase to the
+// pool one repetition round at a time (every cell's repetition 0, then
+// every cell's repetition 1, ...), and within each round
+// longest-expected-first, so the giant cells (the asynchronous ADSL
+// solves, whose fast ranks spin through millions of iterations) start
+// each round and the short local-grid cells pack into the gaps. No
+// barrier separates the rounds: a worker done with round r starts round
+// r+1 while the others finish. The result set is still assembled in
+// enumeration order, so scheduling never changes output, only wall time.
 
 // expectedCost estimates a cell's host cost for scheduling, in rough host
 // seconds: procs×size scaled by how expensive the cell's grid and mode are
@@ -37,8 +40,9 @@ func expectedCost(c Cell) float64 {
 	return cost
 }
 
-// scheduleLongestFirst orders the phase's cell indices by descending
-// expected cost, stably, so equal-cost cells keep their enumeration order.
+// scheduleLongestFirst orders the phase's cell indices — the order of
+// every round — by descending expected cost, stably, so equal-cost cells
+// keep their enumeration order.
 func scheduleLongestFirst(idx []int, cells []Cell) {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return expectedCost(cells[idx[a]]) > expectedCost(cells[idx[b]])

@@ -25,24 +25,27 @@ import (
 // on the shared arrays. The cache enforces the contract at runtime: every
 // entry is checksummed while it is built (sparse.NewSystemSum), re-verified
 // on every retrieval while small enough for that to be cheap
-// (verifyOnHitLimit), and re-verified in full by Verify at the end of a
-// sweep — so code that mutates a shared system panics at the next cache hit
-// (or fails the sweep) instead of silently corrupting concurrent cells.
+// (verifyOnHitLimit), and re-verified in full when it is freed — so code
+// that mutates a shared system panics at the next cache hit, or fails the
+// sweep through Verify, instead of silently corrupting concurrent cells.
 //
-// Entries are never evicted: they live until the Cache itself is dropped
-// (one sweep, in matrix.Run), because the end-of-sweep Verify needs them
-// and any later cell may still hit them. A sweep mixing many sizes ×
-// repetitions at paper scale therefore pins every distinct system at once
-// (352 MB each at n = 2,000,000) and should budget memory accordingly —
-// the default matrix holds exactly one.
+// An entry is freed at its last declared use. Its users declare
+// themselves up front (Declare: matrix.Run counts the linear jobs of a
+// phase that will read each system) and release their use when they end
+// (Release); the release that leaves no use re-checksums the system,
+// drops it and keeps any mismatch for Verify to report. A sweep that runs
+// its repetitions round by round therefore holds about one system per
+// worker, not one per repetition (352 MB each at n = 2,000,000). A
+// retrieval of a key nobody declared — or whose uses are all released —
+// builds a system for its caller alone, as the nil cache does.
 //
 // A nil *Cache is valid and simply builds fresh systems on every call —
 // the uncached constructor NewLinear is a thin wrapper over it.
 type Cache struct {
-	mu     sync.Mutex
-	linear map[linearKey]*linearEntry
-	hits   int
-	misses int
+	mu      sync.Mutex
+	linear  map[LinearKey]*linearEntry
+	stats   CacheStats
+	mutated error // the first mutation found when an entry was freed
 }
 
 // ErrMutated marks an integrity failure of the cache: a solver wrote to
@@ -53,37 +56,109 @@ var ErrMutated = errors.New("shared problem data was mutated")
 
 // NewCache returns an empty problem cache.
 func NewCache() *Cache {
-	return &Cache{linear: make(map[linearKey]*linearEntry)}
+	return &Cache{linear: make(map[LinearKey]*linearEntry)}
 }
 
-// linearKey identifies one generated sparse system: the full parameter
+// LinearKey identifies one generated sparse system: the full parameter
 // set of sparse.NewSystem, so entries can never alias across sizes, band
 // counts, dominance ratios, or seeds (and therefore never across
 // repetitions, which perturb the seed).
-type linearKey struct {
-	n, diags int
-	rho      float64
-	seed     int64
+type LinearKey struct {
+	N, Diags int
+	Rho      float64
+	Seed     int64
 }
 
+func (k LinearKey) String() string {
+	return fmt.Sprintf("n=%d diags=%d rho=%g seed=%d", k.N, k.Diags, k.Rho, k.Seed)
+}
+
+// linearEntry is one declared system. uses counts the declared uses not
+// yet released; the first retrieval sets started and builds the system,
+// closing ready when the build ends (also when it panics, leaving a nil
+// a for the other retrievals to refuse).
 type linearEntry struct {
-	once  sync.Once
-	a     *sparse.DIA
-	b     []float64
-	xtrue []float64
-	sum   uint64
-	elems int
+	uses    int
+	started bool
+	ready   chan struct{}
+	a       *sparse.DIA
+	b       []float64
+	xtrue   []float64
+	sum     uint64
+	elems   int
 }
 
-// Stats reports how many retrievals hit an already-built entry and how
-// many built one.
-func (c *Cache) Stats() (hits, misses int) {
+// CacheStats counts a cache's retrievals and the systems it holds.
+type CacheStats struct {
+	Hits     int // retrievals served by an already-built system
+	Misses   int // retrievals that built one, declared or not
+	Held     int // systems built and not yet freed
+	PeakHeld int // the most systems held at once
+}
+
+// Stats reports the cache's counts so far.
+func (c *Cache) Stats() CacheStats {
 	if c == nil {
-		return 0, 0
+		return CacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.stats
+}
+
+// Declare announces uses more users of k's system, each of which ends its
+// use with one Release, whether or not it retrieves the system. The system
+// is built at the first retrieval and freed at the last release. No-op on
+// a nil cache.
+func (c *Cache) Declare(k LinearKey, uses int) {
+	if c == nil || uses <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.linear[k]
+	if e == nil {
+		e = &linearEntry{ready: make(chan struct{})}
+		c.linear[k] = e
+	}
+	e.uses += uses
+}
+
+// Release ends one declared use of k's system, whether or not it was
+// retrieved. The last release re-checksums a built system — whatever its
+// size — records a mismatch for Verify, and drops the entry. Releasing a
+// key with no declared use left panics: the counts no longer say when the
+// system may go. No-op on a nil cache.
+func (c *Cache) Release(k LinearKey) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	e := c.linear[k]
+	if e == nil {
+		c.mu.Unlock()
+		panic(fmt.Sprintf("problems: released the cached sparse system (%v) more often than its uses were declared", k))
+	}
+	if e.uses--; e.uses > 0 {
+		c.mu.Unlock()
+		return
+	}
+	delete(c.linear, k)
+	if e.started {
+		c.stats.Held--
+	}
+	c.mu.Unlock()
+	if !e.started {
+		return
+	}
+	<-e.ready
+	if e.a != nil && e.checksum() != e.sum {
+		c.mu.Lock()
+		if c.mutated == nil {
+			c.mutated = fmt.Errorf("problems: cached sparse system (%v): %w", k, ErrMutated)
+		}
+		c.mu.Unlock()
+	}
 }
 
 // verifyOnHitLimit bounds the entry size (in stored float64s) that is
@@ -92,62 +167,84 @@ func (c *Cache) Stats() (hits, misses int) {
 // (2.71M floats: 2.21M of bands, 0.5M of b and xTrue; under the limit) on
 // a shared 2-core Xeon. At paper scale (n=2,000,000, 31 bands: 40.0M
 // floats of bands, 44.0M in all) it took 37–39 ms per hit, each hit
-// repeating it — such entries are verified once per sweep instead
-// (Verify, called by matrix.Run when the sweep finishes).
+// repeating it — such entries are verified once, when they are freed or
+// by Verify.
 const verifyOnHitLimit = 1 << 22
 
 // sharedSystem returns the memoized (A, b, xTrue) for the key, building it
-// on first use. Retrieving a small entry re-verifies its checksum (but for
-// the call that built it and took that checksum) and panics on a mismatch:
-// a mutated shared system would corrupt every concurrent cell reading it,
-// so failing loudly at the cache boundary is the only safe response.
-// Entries above verifyOnHitLimit are checked by Verify instead.
-func (c *Cache) sharedSystem(n, diags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64) {
+// on first use; an undeclared key gets a fresh system of its own.
+// Retrieving a small entry re-verifies its checksum (but for the call that
+// built it and took that checksum) and panics on a mismatch: a mutated
+// shared system would corrupt every concurrent cell reading it, so failing
+// loudly at the cache boundary is the only safe response. Entries above
+// verifyOnHitLimit are checked when freed, and by Verify.
+func (c *Cache) sharedSystem(k LinearKey) (*sparse.DIA, []float64, []float64) {
 	if c == nil {
-		a, b, xt, _ := sparse.NewSystemSum(n, diags, rho, seed)
+		a, b, xt, _ := sparse.NewSystemSum(k.N, k.Diags, k.Rho, k.Seed)
 		return a, b, xt
 	}
-	k := linearKey{n: n, diags: diags, rho: rho, seed: seed}
 	c.mu.Lock()
 	e := c.linear[k]
-	if e == nil {
-		e = &linearEntry{}
-		c.linear[k] = e
-		c.misses++
-	} else {
-		c.hits++
+	build := e != nil && !e.started
+	switch {
+	case e == nil:
+		c.stats.Misses++
+	case build:
+		e.started = true
+		c.stats.Misses++
+		c.stats.Held++
+		c.stats.PeakHeld = max(c.stats.PeakHeld, c.stats.Held)
+	default:
+		c.stats.Hits++
 	}
 	c.mu.Unlock()
-	built := false
-	e.once.Do(func() {
-		e.a, e.b, e.xtrue, e.sum = sparse.NewSystemSum(n, diags, rho, seed)
+	if e == nil {
+		a, b, xt, _ := sparse.NewSystemSum(k.N, k.Diags, k.Rho, k.Seed)
+		return a, b, xt
+	}
+	if build {
+		defer close(e.ready)
+		e.a, e.b, e.xtrue, e.sum = sparse.NewSystemSum(k.N, k.Diags, k.Rho, k.Seed)
 		e.elems = e.a.StoredFloats() + len(e.b) + len(e.xtrue)
-		built = true
-	})
-	if !built && e.elems <= verifyOnHitLimit {
+		return e.a, e.b, e.xtrue
+	}
+	<-e.ready
+	if e.a == nil {
+		panic(fmt.Sprintf("problems: cached sparse system (%v) failed to assemble in another retrieval", k))
+	}
+	if e.elems <= verifyOnHitLimit {
 		if got := e.checksum(); got != e.sum {
-			panic(fmt.Sprintf("problems: cached sparse system (n=%d diags=%d rho=%g seed=%d) was mutated: a solver wrote to shared read-only data", n, diags, rho, seed))
+			panic(fmt.Sprintf("problems: cached sparse system (%v) was mutated: a solver wrote to shared read-only data", k))
 		}
 	}
 	return e.a, e.b, e.xtrue
 }
 
-// Verify re-checksums every cached entry — including the ones too large
-// to check per retrieval — and reports the first mutation found. A sweep
-// calls it once at the end, so even at paper scale a solver that wrote to
-// shared data cannot go unnoticed.
+// Verify reports the first mutation found: one recorded when an entry was
+// freed, or else one in an entry still held, which it re-checksums —
+// including those too large to check per retrieval. A sweep calls it once
+// at the end, so even at paper scale a solver that wrote to shared data
+// cannot go unnoticed.
 func (c *Cache) Verify() error {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	err := c.mutated
+	held := make(map[LinearKey]*linearEntry)
 	for k, e := range c.linear {
-		if e.a == nil {
-			continue // never built
+		if e.started { // else never built
+			held[k] = e
 		}
-		if e.checksum() != e.sum {
-			return fmt.Errorf("problems: cached sparse system (n=%d diags=%d rho=%g seed=%d): %w", k.n, k.diags, k.rho, k.seed, ErrMutated)
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for k, e := range held {
+		<-e.ready
+		if e.a != nil && e.checksum() != e.sum {
+			return fmt.Errorf("problems: cached sparse system (%v): %w", k, ErrMutated)
 		}
 	}
 	return nil
@@ -161,7 +258,7 @@ func (e *linearEntry) checksum() uint64 {
 // the matrix, right-hand side and true solution are shared read-only; the
 // returned struct (iteration state, scratch, weights) is fresh per call.
 func (c *Cache) Linear(n, numDiags int, rho float64, seed int64) *Linear {
-	a, b, xt := c.sharedSystem(n, numDiags, rho, seed)
+	a, b, xt := c.sharedSystem(LinearKey{N: n, Diags: numDiags, Rho: rho, Seed: seed})
 	return &Linear{A: a, B: b, XTrue: xt, Gamma: 1.0}
 }
 

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -10,9 +11,13 @@ import (
 	"aiac/internal/sparse"
 )
 
-// One cache entry per parameter set, shared by every retrieval.
+// testKey is the system most tests here retrieve.
+var testKey = LinearKey{N: 500, Diags: 6, Rho: 0.8, Seed: 7}
+
+// One cache entry per declared parameter set, shared by every retrieval.
 func TestCacheSharesAssembly(t *testing.T) {
 	c := NewCache()
+	c.Declare(testKey, 2)
 	l1 := c.Linear(500, 6, 0.8, 7)
 	l2 := c.Linear(500, 6, 0.8, 7)
 	if l1 == l2 {
@@ -21,9 +26,8 @@ func TestCacheSharesAssembly(t *testing.T) {
 	if l1.A != l2.A || &l1.B[0] != &l2.B[0] || &l1.XTrue[0] != &l2.XTrue[0] {
 		t.Error("same key must share the assembled system")
 	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != 1 {
-		t.Errorf("Stats = %d hits, %d misses; want 1 and 1", hits, misses)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Held != 1 {
+		t.Errorf("Stats = %+v; want 1 hit, 1 miss, 1 system held", st)
 	}
 }
 
@@ -32,6 +36,10 @@ func TestCacheSharesAssembly(t *testing.T) {
 // seed), sizes, band counts, or dominance ratios.
 func TestCacheNeverAliasesAcrossSeeds(t *testing.T) {
 	c := NewCache()
+	c.Declare(testKey, 1)
+	for _, k := range []LinearKey{{500, 6, 0.8, 8}, {600, 6, 0.8, 7}, {500, 7, 0.8, 7}, {500, 6, 0.85, 7}} {
+		c.Declare(k, 2)
+	}
 	base := c.Linear(500, 6, 0.8, 7)
 	for _, tc := range []struct {
 		name  string
@@ -66,6 +74,7 @@ func TestCacheNeverAliasesAcrossSeeds(t *testing.T) {
 // the roadmap item that removes the argument, instead of running the DIA.
 func TestLinearOpIsDIAOnly(t *testing.T) {
 	c := NewCache()
+	c.Declare(testKey, 3)
 	lin := c.Linear(500, 6, 0.8, 7)
 	if _, ok := lin.A.(*sparse.DIA); !ok {
 		t.Errorf("linear cell got %T", lin.A)
@@ -98,6 +107,7 @@ func TestLinearOpIsDIAOnly(t *testing.T) {
 func TestCacheDetectsMutation(t *testing.T) {
 	for _, n := range []int{500, 40000} {
 		c := NewCache()
+		c.Declare(LinearKey{N: n, Diags: 6, Rho: 0.8, Seed: 7}, 1)
 		l := c.Linear(n, 6, 0.8, 7)
 		a := l.A.(*sparse.DIA)
 		parts := map[string][]float64{"b": l.B, "xTrue": l.XTrue}
@@ -145,6 +155,7 @@ func hitPanic(c *Cache, n int) (msg string) {
 // per-retrieval verification limit, which it is the only guard for.
 func TestCacheVerify(t *testing.T) {
 	c := NewCache()
+	c.Declare(testKey, 1)
 	l := c.Linear(500, 6, 0.8, 7)
 	if err := c.Verify(); err != nil {
 		t.Fatalf("clean cache failed Verify: %v", err)
@@ -179,7 +190,9 @@ func TestNilCacheBuildsFresh(t *testing.T) {
 	if l1.B[3] != l2.B[3] || l1.A.DiagAt(3) != l2.A.DiagAt(3) {
 		t.Error("nil-cache builds must still be deterministic per seed")
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
+	c.Declare(testKey, 1)
+	c.Release(testKey)
+	if st := c.Stats(); st != (CacheStats{}) {
 		t.Error("nil cache has no stats")
 	}
 }
@@ -188,6 +201,7 @@ func TestNilCacheBuildsFresh(t *testing.T) {
 // cache is a pure memoization, invisible in every measurement.
 func TestCacheMatchesUncached(t *testing.T) {
 	c := NewCache()
+	c.Declare(testKey, 1)
 	cached, fresh := c.Linear(500, 6, 0.8, 7), NewLinear(500, 6, 0.8, 7)
 	if len(cached.B) != len(fresh.B) {
 		t.Fatal("size mismatch")
@@ -204,6 +218,7 @@ func TestCacheMatchesUncached(t *testing.T) {
 func TestCacheConcurrentRetrieval(t *testing.T) {
 	c := NewCache()
 	const n = 16
+	c.Declare(testKey, n)
 	probs := make([]*Linear, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -219,7 +234,74 @@ func TestCacheConcurrentRetrieval(t *testing.T) {
 			t.Fatal("concurrent retrievals saw different entries")
 		}
 	}
-	if _, misses := c.Stats(); misses != 1 {
-		t.Fatalf("built %d entries for one key", misses)
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("built %d entries for one key", st.Misses)
+	}
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Release(testKey)
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Held != 0 || st.PeakHeld != 1 {
+		t.Fatalf("after every release: %+v; want the one system freed", st)
+	}
+}
+
+// A system lives while declared uses remain: retrievals share it, the
+// last release frees it, and a retrieval after that — or of a key nobody
+// declared — builds a system for its caller alone. Releasing a declared
+// use that never retrieved builds nothing.
+func TestCacheFreesAtLastDeclaredUse(t *testing.T) {
+	c := NewCache()
+	c.Declare(testKey, 2)
+	a := c.Linear(500, 6, 0.8, 7)
+	c.Release(testKey)
+	if b := c.Linear(500, 6, 0.8, 7); b.A != a.A {
+		t.Error("a use is still declared: the retrieval must share the held system")
+	}
+	c.Release(testKey)
+	if st := c.Stats(); st.Held != 0 || st.PeakHeld != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("after the last release: %+v; want the system freed", st)
+	}
+	x, y := c.Linear(500, 6, 0.8, 7), c.Linear(500, 6, 0.8, 7)
+	if x.A == a.A || x.A == y.A || x.B[3] != a.B[3] {
+		t.Error("undeclared retrievals must each build an equal system of their own")
+	}
+	other := LinearKey{N: 500, Diags: 6, Rho: 0.8, Seed: 9}
+	c.Declare(other, 1)
+	c.Release(other)
+	if st := c.Stats(); st.Misses != 3 || st.Held != 0 || st.PeakHeld != 1 {
+		t.Errorf("after undeclared retrievals and an unused release: %+v; want 3 builds, none held", st)
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "more often than its uses were declared") {
+				t.Errorf("an extra release panicked with %q", msg)
+			}
+		}()
+		c.Release(testKey)
+	}()
+}
+
+// The release that frees a system re-checksums it, whatever its size, and
+// keeps the mismatch for Verify: a write in the last use is caught though
+// no later retrieval or held entry could see it.
+func TestCacheReleaseDetectsMutation(t *testing.T) {
+	for _, n := range []int{500, 1 << 19} {
+		c := NewCache()
+		k := LinearKey{N: n, Diags: 12, Rho: 0.8, Seed: 7}
+		c.Declare(k, 1)
+		l := c.Linear(n, 12, 0.8, 7)
+		if big := l.A.(*sparse.DIA).StoredFloats()+2*n > verifyOnHitLimit; big != (n > 500) {
+			t.Fatalf("n=%d: above the per-hit limit %v; the cases cover one system on each side", n, big)
+		}
+		l.XTrue[n-1] = math.Float64frombits(math.Float64bits(l.XTrue[n-1]) ^ 1)
+		c.Release(k)
+		if err := c.Verify(); !errors.Is(err, ErrMutated) {
+			t.Errorf("n=%d: Verify after the last release = %v; want ErrMutated", n, err)
+		}
 	}
 }

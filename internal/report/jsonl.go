@@ -3,7 +3,9 @@ package report
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
+	"strings"
 	"sync"
 )
 
@@ -25,6 +27,24 @@ type SidecarRow struct {
 	// any parameter change invalidates it without any versioning logic.
 	CacheKey string `json:"cache_key"`
 	Result   Result `json:"result"`
+}
+
+// repSep joins a cell's content address and a repetition index in the
+// address of a repetition row.
+const repSep = "|rep="
+
+// RepetitionKey is the content address of repetition rep of the cell at
+// cacheKey: a sweep records each finished repetition of a multi-repetition
+// cell under it, so an interrupted sweep resumes the cell's missing
+// repetitions only.
+func RepetitionKey(cacheKey string, rep int) string {
+	return fmt.Sprintf("%s%s%d", cacheKey, repSep, rep)
+}
+
+// IsRepetition reports whether the row records one repetition of a cell
+// (RepetitionKey) rather than the cell's aggregated result.
+func (r SidecarRow) IsRepetition() bool {
+	return strings.Contains(r.CacheKey, repSep)
 }
 
 // SidecarWriter appends rows to a sidecar file, fsync'ing each one so a

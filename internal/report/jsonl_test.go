@@ -1,6 +1,8 @@
 package report
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,5 +159,56 @@ func TestSidecarNeverPersistsResumed(t *testing.T) {
 func TestReadSidecarMissingFile(t *testing.T) {
 	if _, err := ReadSidecar(filepath.Join(t.TempDir(), "absent.jsonl")); err == nil {
 		t.Fatal("reading a missing sidecar should fail loudly (a typo'd -resume must not silently restart the sweep)")
+	}
+}
+
+// A row whose residual is not finite — a solve that ended on NaN data —
+// persists and reads back through the sidecar and the results file; a
+// finite residual still encodes as a JSON number.
+func TestNonFiniteResidualRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2.5e-7} {
+		r := sampleResult("pm2", 1.5)
+		r.Residual = v
+		w, err := CreateSidecar(filepath.Join(dir, "s.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(RepetitionKey("key", 1), r); err != nil {
+			t.Fatalf("residual %g: %v", v, err)
+		}
+		w.Close()
+		rows, err := ReadSidecar(filepath.Join(dir, "s.jsonl"))
+		if err != nil || len(rows) != 1 || !rows[0].IsRepetition() {
+			t.Fatalf("residual %g: read %d rows, %v", v, len(rows), err)
+		}
+		if err := WriteFile(filepath.Join(dir, "r.json"), &Set{Results: []Result{r}}); err != nil {
+			t.Fatalf("residual %g: %v", v, err)
+		}
+		set, err := ReadFile(filepath.Join(dir, "r.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []Result{rows[0].Result, set.Results[0]} {
+			if math.Float64bits(got.Residual) != math.Float64bits(v) && !(math.IsNaN(v) && math.IsNaN(got.Residual)) {
+				t.Errorf("residual %g read back as %g", v, got.Residual)
+			}
+			want := r
+			got.Residual, want.Residual = 0, 0
+			if got != want {
+				t.Errorf("residual %g: row read back as %+v", v, got)
+			}
+		}
+	}
+	b, err := json.Marshal(sampleResult("pm2", 1.5))
+	if err != nil || !strings.Contains(string(b), `"residual":0,`) {
+		t.Errorf("a finite residual encodes as %s, %v; want a number", b, err)
+	}
+	var r Result
+	if err := json.Unmarshal([]byte(`{"residual":"1e-5"}`), &r); err == nil {
+		t.Errorf("a finite residual in a string was accepted as %g", r.Residual)
+	}
+	if err := json.Unmarshal([]byte(`{"residual":null}`), &r); err != nil || r.Residual != 0 {
+		t.Errorf("a null residual read as %g, %v; want 0 as encoding/json reads it", r.Residual, err)
 	}
 }

@@ -18,8 +18,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -150,6 +152,50 @@ type Result struct {
 	// a resumed sweep's result file is indistinguishable from an
 	// uninterrupted run's.
 	Resumed bool `json:"-"`
+}
+
+// resultFields is Result without its JSON methods.
+type resultFields Result
+
+// MarshalJSON encodes a non-finite Residual — the error of a solve that
+// ended on NaN data — as a string ("NaN", "+Inf", "-Inf"), which a JSON
+// number cannot hold; every other row encodes field by field, unchanged.
+func (r Result) MarshalJSON() ([]byte, error) {
+	if !math.IsNaN(r.Residual) && !math.IsInf(r.Residual, 0) {
+		return json.Marshal(resultFields(r))
+	}
+	return json.Marshal(struct {
+		resultFields
+		Residual string `json:"residual"`
+	}{resultFields(r), strconv.FormatFloat(r.Residual, 'g', -1, 64)})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes: a residual is a number or
+// one of the non-finite strings.
+func (r *Result) UnmarshalJSON(b []byte) error {
+	aux := struct {
+		*resultFields
+		Residual json.RawMessage `json:"residual"`
+	}{resultFields: (*resultFields)(r)}
+	if err := json.Unmarshal(b, &aux); err != nil {
+		return err
+	}
+	switch {
+	case len(aux.Residual) == 0:
+		return nil
+	case aux.Residual[0] != '"': // a number, or null as before
+		return json.Unmarshal(aux.Residual, &r.Residual)
+	}
+	var s string
+	if err := json.Unmarshal(aux.Residual, &s); err != nil {
+		return err
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || (!math.IsNaN(v) && !math.IsInf(v, 0)) {
+		return fmt.Errorf("report: residual %q is neither a number nor NaN or ±Inf", s)
+	}
+	r.Residual = v
+	return nil
 }
 
 // ScenarioOrStatic returns the cell's scenario, normalising the empty
