@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"aiac/internal/matrix"
 	"aiac/internal/report"
 )
 
@@ -163,12 +162,11 @@ func TestKeysRerunSmokeRows(t *testing.T) {
 	}
 }
 
-// The paper's Figures 1-2 are the -gantt view of matrix.FigureCells under
-// the Table 2 preset: the SISC chart idles, the AIAC chart does not.
+// The paper's Figures 1-2 are the -gantt view of two cells under the
+// Table 2 preset: the SISC chart idles, the AIAC chart does not.
 func TestFigureCommand(t *testing.T) {
 	bin, _ := build(t)
-	sisc, async, _ := matrix.FigureCells()
-	args := []string{"-paper", "table2", "-gantt", sisc.Key(), async.Key()}
+	args := []string{"-paper", "table2", "-gantt", "mpi/sync/3site/linear/p2/n15000/static/sim", "pm2/async/3site/linear/p2/n15000/static/sim"}
 	out, err := exec.Command(bin, args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("aiacbench %s: %v\n%s", strings.Join(args, " "), err, out)

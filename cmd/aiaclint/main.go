@@ -1,6 +1,7 @@
 // Command aiaclint is the repo's static-invariant checker: a multichecker
 // over the internal/lint analyzer suite (detpure, maprange, hotalloc,
-// addrstable, obsnilsafe). It loads the module's packages from source
+// addrstable, obsnilsafe) and the unlinked check, which builds the
+// module's main packages. It loads the module's packages from source
 // with the standard library's type checker — no external dependencies —
 // and exits non-zero on any finding, so CI can gate on it.
 //
@@ -34,7 +35,12 @@ func main() {
 	}
 	flag.Parse()
 
-	suite := lint.Suite()
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aiaclint:", err)
+		os.Exit(2)
+	}
+	suite := append(lint.Suite(), lint.RepoUnlinked(loader.Root))
 	if *list {
 		for _, a := range suite {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -63,11 +69,6 @@ func main() {
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aiaclint:", err)
-		os.Exit(2)
 	}
 	paths, err := loader.Expand(patterns)
 	if err != nil {

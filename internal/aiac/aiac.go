@@ -167,8 +167,7 @@ type Outgoing struct {
 // the call must be the last thing its caller does in the current segment.
 // envcore.Endpoint is the implementation.
 type Comm interface {
-	// Rank and Size identify this endpoint.
-	Rank() int
+	// Size is the number of endpoints.
 	Size() int
 
 	// TrySendData starts an asynchronous send. It returns false — and

@@ -70,7 +70,7 @@ func TestLaggingReceiverStaysCorrect(t *testing.T) {
 // deadlocks and must be caught by the stall guard, not hang.
 func TestAsyncSurvivesLossSyncStalls(t *testing.T) {
 	both(t, 3, func(t *testing.T, tr transport.Transport) {
-		tr.ShapeAll(transport.Shaping{Loss: 0.3, Seed: 11})
+		shapeAll(tr, transport.Shaping{Loss: 0.3, Seed: 11})
 		prob := problems.NewLinear(2000, 8, 0.7, 8)
 		rep, err := Run(prob, tr, Config{Mode: aiac.Async, Eps: 1e-9, Timeout: time.Minute})
 		if err != nil {
@@ -87,7 +87,7 @@ func TestAsyncSurvivesLossSyncStalls(t *testing.T) {
 		}
 	})
 	both(t, 3, func(t *testing.T, tr transport.Transport) {
-		tr.ShapeAll(transport.Shaping{Loss: 0.3, Seed: 11})
+		shapeAll(tr, transport.Shaping{Loss: 0.3, Seed: 11})
 		prob := problems.NewLinear(2000, 8, 0.7, 8)
 		rep, err := Run(prob, tr, Config{
 			Mode: aiac.Sync, Eps: 1e-9,
@@ -118,5 +118,14 @@ func TestTimeoutReportsStall(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
 		t.Fatalf("timeout took %v to take effect", waited)
+	}
+}
+
+// shapeAll applies s to every link of tr.
+func shapeAll(tr transport.Transport, s transport.Shaping) {
+	for i := 0; i < tr.Size(); i++ {
+		for j := 0; j < tr.Size(); j++ {
+			tr.SetShaping(i, j, s)
+		}
 	}
 }

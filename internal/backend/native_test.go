@@ -33,7 +33,8 @@ var nativeDelays = []time.Duration{
 // transport whose links are shaped at d and returns each one's latency,
 // from just before Send to the receiving handler, sorted.
 func shapedLatencies(tr transport.Transport, d time.Duration, n int) ([]time.Duration, error) {
-	tr.ShapeAll(transport.Shaping{Delay: d})
+	tr.SetShaping(0, 1, transport.Shaping{Delay: d})
+	tr.SetShaping(1, 0, transport.Shaping{Delay: d})
 	arrived := make(chan time.Time, 1)
 	tr.SetHandler(0, func(transport.Msg) {})
 	tr.SetHandler(1, func(transport.Msg) { arrived <- time.Now() })

@@ -56,18 +56,6 @@ type Grid struct {
 // Size returns the number of machines.
 func (g *Grid) Size() int { return len(g.Machines) }
 
-// SlowestMFlops returns the speed of the slowest machine (the bound on
-// synchronous progress).
-func (g *Grid) SlowestMFlops() float64 {
-	s := g.Machines[0].Class.MFlops
-	for _, m := range g.Machines[1:] {
-		if m.Class.MFlops < s {
-			s = m.Class.MFlops
-		}
-	}
-	return s
-}
-
 // addMachine creates a machine of class mc on the given site.
 func (g *Grid) addMachine(site int, mc MachineClass) *Machine {
 	node := g.Net.AddNode(site)

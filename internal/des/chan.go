@@ -14,7 +14,6 @@ type Chan struct {
 	sim     *Simulator
 	buf     FIFO[any]
 	waiters FIFO[*Proc]
-	closed  bool
 }
 
 // NewChan returns an empty channel bound to sim.
@@ -24,32 +23,14 @@ func NewChan(sim *Simulator) *Chan { return &Chan{sim: sim} }
 func (c *Chan) Len() int { return c.buf.Len() }
 
 // Send enqueues v, or hands it to the oldest waiting receiver, if any.
-// Sending on a closed channel panics.
 func (c *Chan) Send(v any) {
-	if c.closed {
-		panic("des: send on closed Chan")
-	}
 	if c.waiters.Len() > 0 {
 		w := c.waiters.Pop()
-		w.recvSlot, w.hasSlot = v, true
+		w.recvSlot = v
 		w.Unpark()
 		return
 	}
 	c.buf.Push(v)
-}
-
-// Close marks the channel closed. Waiting and future receivers get (nil,
-// false) once the buffer drains. Close is idempotent.
-func (c *Chan) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, w := range c.waiters.Items() {
-		w.recvSlot, w.hasSlot = nil, false
-		w.Unpark()
-	}
-	c.waiters.Clear()
 }
 
 // Gate holds processes (WaitK, task.go) until it is opened; once open it

@@ -139,21 +139,6 @@ func (s *Simulator) Shutdown() int {
 	return n
 }
 
-// RunUntil executes events with timestamps <= deadline, leaves the clock at
-// min(deadline, last event time), and reports whether the queue drained.
-func (s *Simulator) RunUntil(deadline Time) bool {
-	for {
-		at, ok := s.next()
-		if !ok {
-			return true
-		}
-		if at > deadline {
-			return false
-		}
-		s.step()
-	}
-}
-
 //lint:hotpath
 func (s *Simulator) step() {
 	if len(s.spins) > 0 {
@@ -189,19 +174,12 @@ type Proc struct {
 	// parked in Chan.RecvK when a sender arrived; recvK is the continuation
 	// waiting for it and takeSlot the segment that hands it over.
 	recvSlot any
-	hasSlot  bool
-	recvK    func(v any, ok bool)
+	recvK    func(v any)
 	takeSlot func()
 }
 
-// ID returns the process id (1-based, in spawn order).
-func (p *Proc) ID() int { return p.id }
-
 // Name returns the process name given at SpawnTask.
 func (p *Proc) Name() string { return p.name }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }

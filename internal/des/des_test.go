@@ -140,35 +140,13 @@ func TestProcPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	fired := 0
-	s.Schedule(time.Second, func() { fired++ })
-	s.Schedule(3*time.Second, func() { fired++ })
-	if drained := s.RunUntil(2 * time.Second); drained {
-		t.Fatal("RunUntil claimed drained with a future event pending")
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if !s.RunUntil(5 * time.Second) {
-		t.Fatal("RunUntil did not drain")
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
 func TestChanSendRecv(t *testing.T) {
 	s := New()
 	c := NewChan(s)
 	var got []any
 	s.SpawnTask("recv", func(p *Proc) {
 		repeat(3, func(_ int, next func()) {
-			c.RecvK(p, func(v any, ok bool) {
-				if !ok {
-					t.Error("unexpected close")
-				}
+			c.RecvK(p, func(v any) {
 				got = append(got, v)
 				next()
 			})
@@ -196,7 +174,7 @@ func TestChanBufferedBeforeRecv(t *testing.T) {
 	var got []any
 	s.SpawnTask("recv", func(p *Proc) {
 		repeat(2, func(_ int, next func()) {
-			c.RecvK(p, func(v any, _ bool) {
+			c.RecvK(p, func(v any) {
 				got = append(got, v)
 				next()
 			})
@@ -215,7 +193,7 @@ func TestChanMultipleWaitersFIFO(t *testing.T) {
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
 		s.SpawnTask(name, func(p *Proc) {
-			c.RecvK(p, func(v any, _ bool) {
+			c.RecvK(p, func(v any) {
 				got = append(got, fmt.Sprintf("%s=%v", name, v))
 			})
 		})
@@ -250,9 +228,9 @@ func TestChanBurstFIFO(t *testing.T) {
 	next := 0
 	s.SpawnTask("recvk", func(p *Proc) {
 		repeat(k, func(_ int, again func()) {
-			c.RecvK(p, func(v any, ok bool) {
-				if !ok || v != next {
-					t.Fatalf("RecvK delivered (%v, %v), want (%d, true)", v, ok, next)
+			c.RecvK(p, func(v any) {
+				if v != next {
+					t.Fatalf("RecvK delivered %v, want %d", v, next)
 				}
 				next++
 				if c.Len() != k-next {
@@ -274,7 +252,7 @@ func TestChanBurstFIFO(t *testing.T) {
 			}
 			for i := 0; i < 5; i++ {
 				// Buffered: the continuation runs inside the call.
-				c.RecvK(p, func(v any, _ bool) {
+				c.RecvK(p, func(v any) {
 					if v != round*5+i {
 						t.Fatalf("round %d: got %v, want %d", round, v, round*5+i)
 					}
@@ -293,7 +271,7 @@ func TestChanBurstFIFO(t *testing.T) {
 	for i := 0; i < k; i++ {
 		i := i
 		s.SpawnTask("w", func(p *Proc) {
-			w.RecvK(p, func(v any, ok bool) {
+			w.RecvK(p, func(v any) {
 				if v != i {
 					t.Errorf("waiter %d received %v", i, v)
 				}
@@ -314,57 +292,6 @@ func TestChanBurstFIFO(t *testing.T) {
 			t.Fatalf("waiter %d resumed at position %d", g, i)
 		}
 	}
-}
-
-func TestChanClose(t *testing.T) {
-	s := New()
-	c := NewChan(s)
-	okSeen := true
-	s.SpawnTask("recv", func(p *Proc) {
-		c.RecvK(p, func(_ any, ok bool) { okSeen = ok })
-	})
-	s.SpawnTask("closer", func(p *Proc) {
-		p.SleepK(time.Millisecond, func() {
-			c.Close()
-			c.Close() // idempotent
-		})
-	})
-	s.Run()
-	if okSeen {
-		t.Fatal("RecvK on closed channel returned ok=true")
-	}
-}
-
-func TestChanCloseDrainsBufferFirst(t *testing.T) {
-	s := New()
-	c := NewChan(s)
-	c.Send(42)
-	c.Close()
-	closedSeen := false
-	s.SpawnTask("recv", func(p *Proc) {
-		c.RecvK(p, func(v any, ok bool) {
-			if !ok || v.(int) != 42 {
-				t.Errorf("got (%v,%v), want (42,true)", v, ok)
-			}
-			c.RecvK(p, func(_ any, ok bool) { closedSeen = !ok })
-		})
-	})
-	s.Run()
-	if !closedSeen {
-		t.Error("second recv should report closed")
-	}
-}
-
-func TestChanSendOnClosedPanics(t *testing.T) {
-	s := New()
-	c := NewChan(s)
-	c.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("send on closed channel did not panic")
-		}
-	}()
-	c.Send(1)
 }
 
 func TestGate(t *testing.T) {
@@ -428,15 +355,9 @@ func runRandomWorkload(seed int64) string {
 				if got >= total {
 					return
 				}
-				c.RecvK(p, func(v any, ok bool) {
-					if !ok {
-						return
-					}
+				c.RecvK(p, func(v any) {
 					got++
 					trace = append(trace, fmt.Sprintf("%v:%v", p.Now(), v))
-					if got == total {
-						c.Close()
-					}
 					loop()
 				})
 			}
@@ -496,10 +417,8 @@ func TestSpawnManyProcsStress(t *testing.T) {
 	}
 	s.SpawnTask("drain", func(p *Proc) {
 		repeat(n, func(_ int, next func()) {
-			c.RecvK(p, func(_ any, ok bool) {
-				if ok {
-					done++
-				}
+			c.RecvK(p, func(any) {
+				done++
 				next()
 			})
 		}, nil)

@@ -21,10 +21,6 @@ type FIFO[T any] struct {
 // Len returns the number of queued elements.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
-// Items returns the queued elements, oldest first. The slice aliases the
-// queue's storage and is valid until the next mutation.
-func (q *FIFO[T]) Items() []T { return q.items[q.head:] }
-
 // Push appends v at the back.
 func (q *FIFO[T]) Push(v T) {
 	if q.head > 0 && len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
@@ -59,6 +55,3 @@ func (q *FIFO[T]) Insert(i int, v T) {
 	}
 	q.items = slices.Insert(q.items, q.head+i, v)
 }
-
-// Clear empties the queue and releases its storage.
-func (q *FIFO[T]) Clear() { q.items, q.head = nil, 0 }

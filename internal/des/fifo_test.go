@@ -35,7 +35,7 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 			q.Insert(i, v)
 			model = slices.Insert(model, i, v)
 		}
-		if q.Len() != len(model) || !slices.Equal(q.Items(), model) {
+		if q.Len() != len(model) || !slices.Equal(q.items[q.head:], model) {
 			t.Fatalf("step %d: queue %d elements, model %d", step, q.Len(), len(model))
 		}
 		if dead := q.items[:q.head]; slices.ContainsFunc(dead, func(p *int) bool { return p != nil }) {

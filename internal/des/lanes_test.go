@@ -8,8 +8,8 @@ import (
 )
 
 // The two lanes of queue.go seen through the Simulator: wherever an event
-// waits, it runs in (timestamp, insertion) order, and Run, RunUntil,
-// Shutdown and QueueHighWater account for both lanes.
+// waits, it runs in (timestamp, insertion) order, and Run, Shutdown and
+// QueueHighWater account for both lanes.
 
 // Events due at one instant come from both lanes: those scheduled before
 // the clock got there (heap) run first, in insertion order, then those
@@ -41,36 +41,6 @@ func TestSameInstantOrderAcrossLanes(t *testing.T) {
 	}
 	if s.Now() != time.Second+time.Nanosecond {
 		t.Fatalf("clock = %v", s.Now())
-	}
-}
-
-// RunUntil(now) runs what is pending at the current instant — ring entries
-// are due at now, so a deadline equal to now covers them — and leaves later
-// events alone; a deadline before now runs nothing.
-func TestRunUntilNowDrainsRing(t *testing.T) {
-	s := New()
-	fired := 0
-	s.Schedule(time.Second, func() { fired++ })
-	s.RunUntil(time.Second)
-	s.Schedule(s.Now(), func() {
-		fired++
-		s.Schedule(s.Now(), func() { fired++ })
-	})
-	s.After(time.Millisecond, func() { fired++ })
-	if s.RunUntil(s.Now() - 1) {
-		t.Fatal("RunUntil(before now) claimed drained with ring entries pending")
-	}
-	if fired != 1 {
-		t.Fatalf("RunUntil(before now) fired an event: fired = %d", fired)
-	}
-	if s.RunUntil(s.Now()) {
-		t.Fatal("RunUntil(now) claimed drained with a later event pending")
-	}
-	if fired != 3 {
-		t.Fatalf("fired = %d after RunUntil(now), want 3 (the ring entry and the one it scheduled)", fired)
-	}
-	if !s.RunUntil(time.Hour) || fired != 4 {
-		t.Fatalf("final RunUntil: fired = %d, want 4", fired)
 	}
 }
 
@@ -187,7 +157,7 @@ func TestGateResetBlocksAgain(t *testing.T) {
 	}
 	g.Reset() // forgets the parked task
 	g.Open()
-	if s.RunUntil(time.Hour); s.LiveProcs() != 1 {
+	if s.Run(); s.LiveProcs() != 1 {
 		t.Fatalf("LiveProcs = %d; a forgotten waiter must stay parked", s.LiveProcs())
 	}
 	s.Shutdown()

@@ -94,16 +94,11 @@ func (p *Proc) SleepUntilK(t Time, k func()) {
 }
 
 // RecvK receives from the channel on behalf of p: when a value is buffered
-// (or the channel is closed and drained, ok false) k runs synchronously;
-// otherwise the process joins the waiter queue and k runs when a sender (or
-// Close) hands it a value.
-func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
+// k runs synchronously; otherwise the process joins the waiter queue and k
+// runs when a sender hands it a value.
+func (c *Chan) RecvK(p *Proc, k func(v any)) {
 	if c.buf.Len() > 0 {
-		k(c.buf.Pop(), true)
-		return
-	}
-	if c.closed {
-		k(nil, false)
+		k(c.buf.Pop())
 		return
 	}
 	c.waiters.Push(p)
@@ -111,9 +106,9 @@ func (c *Chan) RecvK(p *Proc, k func(v any, ok bool)) {
 	if p.takeSlot == nil {
 		// Built once per process: a receive loop parks here once per message.
 		p.takeSlot = func() {
-			k, v, ok := p.recvK, p.recvSlot, p.hasSlot
-			p.recvK, p.recvSlot, p.hasSlot = nil, nil, false
-			k(v, ok)
+			k, v := p.recvK, p.recvSlot
+			p.recvK, p.recvSlot = nil, nil
+			k(v)
 		}
 	}
 	p.ParkK(p.takeSlot)

@@ -64,10 +64,7 @@ func TestRecvKBufferedRunsSynchronously(t *testing.T) {
 	var sameSegment bool
 	sim.SpawnTask("rx", func(p *Proc) {
 		inSegment := true
-		ch.RecvK(p, func(v any, ok bool) {
-			if !ok {
-				t.Error("buffered RecvK reported closed")
-			}
+		ch.RecvK(p, func(v any) {
 			got, sameSegment = v, inSegment
 		})
 		inSegment = false
@@ -81,33 +78,23 @@ func TestRecvKBufferedRunsSynchronously(t *testing.T) {
 	}
 }
 
-func TestRecvKBlocksUntilSendAndClose(t *testing.T) {
+func TestRecvKBlocksUntilSend(t *testing.T) {
 	sim := New()
 	ch := NewChan(sim)
 	var got []any
-	var closedAt Time
+	var gotAt Time
 	sim.SpawnTask("rx", func(p *Proc) {
-		ch.RecvK(p, func(v any, ok bool) {
-			if !ok {
-				t.Error("first receive reported closed")
-			}
-			got = append(got, v)
-			ch.RecvK(p, func(v any, ok bool) {
-				if ok {
-					t.Errorf("receive on closed channel delivered %v", v)
-				}
-				closedAt = p.Now()
-			})
+		ch.RecvK(p, func(v any) {
+			got, gotAt = append(got, v), p.Now()
 		})
 	})
 	sim.Schedule(2*time.Millisecond, func() { ch.Send("hi") })
-	sim.Schedule(4*time.Millisecond, func() { ch.Close() })
 	sim.Run()
 	if !reflect.DeepEqual(got, []any{"hi"}) {
 		t.Fatalf("received %v", got)
 	}
-	if closedAt != 4*time.Millisecond {
-		t.Fatalf("close observed at %v, want 4ms", closedAt)
+	if gotAt != 2*time.Millisecond {
+		t.Fatalf("received at %v, want 2ms", gotAt)
 	}
 }
 
@@ -153,7 +140,7 @@ func TestShutdownKillsParkedTask(t *testing.T) {
 		p.ParkK(func() { resumed = true })
 	})
 	sim.Schedule(0, func() {}) // let the task reach its park
-	sim.RunUntil(time.Millisecond)
+	sim.Run()
 	if n := sim.Shutdown(); n != 1 {
 		t.Fatalf("Shutdown killed %d processes, want 1", n)
 	}

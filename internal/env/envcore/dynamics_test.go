@@ -44,14 +44,19 @@ func newTwoSiteEnv(t *testing.T, model RecvModel) (*des.Simulator, *cluster.Grid
 }
 
 func TestInFlightMessageSurvivesLinkDegradation(t *testing.T) {
-	// A data message already on the wire when the uplink degrades keeps
-	// its send-time schedule; the next message on the channel pays the
+	// A data message already on the wire when the LAN degrades keeps its
+	// send-time schedule; the next message on the channel pays the
 	// degraded path.
 	run := func(degrade bool) (first, second des.Time) {
 		arrivals := make(map[int]des.Time)
-		sim, grid, env := newTwoSiteEnv(t, RecvSingleThread)
+		sim := des.New()
+		grid := cluster.Homogeneous(sim, 2, cluster.P4_2400, netsim.Ethernet10)
+		env, err := New(grid, testOpts(RecvSingleThread))
+		if err != nil {
+			t.Fatal(err)
+		}
 		env.Comm(1).SetDataSink(func(m aiac.DataMsg) { arrivals[m.Iter] = sim.Now() })
-		big := make([]float64, 5000) // 40 KB: ~32 ms on the 10 Mb uplink
+		big := make([]float64, 5000) // 40 KB: ~32 ms on the 10 Mb LAN
 		sim.SpawnTask("sender", func(p *des.Proc) {
 			env.Comm(0).TrySendData(p, aiac.Outgoing{To: 1, Key: 1, Iter: 0, Values: big})
 			second := func() {
@@ -60,7 +65,7 @@ func TestInFlightMessageSurvivesLinkDegradation(t *testing.T) {
 			if degrade {
 				// Degrade while message 0 is in flight.
 				p.SleepK(time.Millisecond, func() {
-					grid.Net.SetUplink(0, grid.Net.Uplink(0).Scaled(10, 10))
+					grid.Net.SetLANs(0, []netsim.LinkClass{netsim.Ethernet10.Scaled(10, 10)})
 					p.SleepK(199*time.Millisecond, second) // past delivery of message 0
 				})
 			} else {
@@ -148,7 +153,7 @@ func TestSyncExchangeStallsButTerminatesUnderLoss(t *testing.T) {
 	// completes — but the simulation must drain rather than hang, which is
 	// how the engine detects a stall.
 	sim, grid, env := newTwoSiteEnv(t, RecvSync)
-	grid.Net.SetSeed(7)
+	grid.Net.SetJitter(0, 7)
 	grid.Net.SetLoss(0.999)
 	finished := false
 	sim.SpawnTask("rank1", func(p *des.Proc) {

@@ -230,9 +230,6 @@ func (e *Env) Name() string { return e.opts.Name }
 // Comm implements aiac.Env.
 func (e *Env) Comm(r int) aiac.Comm { return e.eps[r] }
 
-// Grid returns the grid the environment runs on.
-func (e *Env) Grid() *cluster.Grid { return e.grid }
-
 // wireKind discriminates middleware messages.
 type wireKind int
 
@@ -635,9 +632,6 @@ func (ep *Endpoint) control(w wire, to int) {
 }
 
 // --- aiac.Comm implementation ---
-
-// Rank implements aiac.Comm.
-func (ep *Endpoint) Rank() int { return ep.rank }
 
 // Size implements aiac.Comm.
 func (ep *Endpoint) Size() int { return ep.env.grid.Size() }

@@ -251,15 +251,15 @@ func TestDeploymentRequiresCompleteGraph(t *testing.T) {
 	}
 }
 
-// exchangeRounds runs n lockstep iterations on c: one value exchanged with
-// peer, then an allreduce.
+// exchangeRounds runs n lockstep iterations on c, rank 1-peer of two: one
+// value exchanged with peer, then an allreduce.
 func exchangeRounds(p *des.Proc, c aiac.Comm, peer, n int) {
 	var round func(iter int)
 	round = func(iter int) {
 		if iter == n {
 			return
 		}
-		sends := []aiac.Outgoing{{To: peer, Key: c.Rank(), Iter: iter, Values: []float64{float64(iter)}}}
+		sends := []aiac.Outgoing{{To: peer, Key: 1 - peer, Iter: iter, Values: []float64{float64(iter)}}}
 		c.SyncExchangeK(p, sends, 1, func() {
 			c.AllreduceMaxK(p, 0, func(float64) { round(iter + 1) })
 		})

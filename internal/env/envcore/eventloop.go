@@ -93,10 +93,7 @@ func (ep *Endpoint) sendLoopK(p *des.Proc) {
 		}
 		send()
 	}
-	queued := func(v any, ok bool) {
-		if !ok {
-			return
-		}
+	queued := func(v any) {
 		w = v.(*wire)
 		ep.chargePackK(p, w.payloadBytes, packed)
 	}
@@ -123,10 +120,7 @@ func (ep *Endpoint) recvLoopK(p *des.Proc) {
 		}
 		unpack()
 	}
-	arrived := func(v any, ok bool) {
-		if !ok {
-			return
-		}
+	arrived := func(v any) {
 		w = v.(*wire)
 		if c.RecvLatency > 0 {
 			p.SleepK(c.RecvLatency, drain)
@@ -142,10 +136,7 @@ func (ep *Endpoint) recvLoopK(p *des.Proc) {
 // message, so dispatch latencies overlap and only CPU costs contend.
 func (ep *Endpoint) dispatchLoopK(p *des.Proc) {
 	var loop func()
-	arrived := func(v any, ok bool) {
-		if !ok {
-			return
-		}
+	arrived := func(v any) {
 		ep.dispatch(v.(*wire))
 		loop()
 	}
@@ -250,7 +241,7 @@ type exchangeK struct {
 	w     *wire    // the received wire being unpacked
 
 	packed, wait, unpacked func()
-	arrived                func(v any, ok bool)
+	arrived                func(v any)
 }
 
 // SyncExchangeK implements the SISC exchange. On the mono-threaded
@@ -272,11 +263,7 @@ func (ep *Endpoint) SyncExchangeK(p *des.Proc, sends []aiac.Outgoing, nRecv int,
 			ep.exchangeSend(x)
 		}
 		x.wait = func() { ep.exchangeWait(x) }
-		x.arrived = func(v any, ok bool) {
-			if !ok {
-				ep.exchangeDone(x)
-				return
-			}
+		x.arrived = func(v any) {
 			x.w = v.(*wire)
 			ep.chargeUnpackK(x.p, x.w.payloadBytes, x.unpacked)
 		}

@@ -12,28 +12,29 @@ import (
 
 // TestMiddlewareRows checks every row of the middleware table, one per
 // environment axis value and problem kind: its display name, its Table 4
-// string, and its deployment requirement on a grid with one blocked site
+// string, its header bytes (omniorb's is the empty GIOP 1.2 request), and its deployment requirement on a grid with one blocked site
 // pair (§5.3: only the ORB relays around it). Table 4 as -paper prints it
 // must read as the rows say.
 func TestMiddlewareRows(t *testing.T) {
 	type row struct {
 		name, policy string
 		relays       bool
+		header       int
 	}
 	const mono = "mono-threaded: blocking sends and receives in the iteration loop"
 	want := map[string][2]row{ // [0] sparse linear, [1] chemical
-		"mpi": {{"sync-mpi", mono, false}, {"sync-mpi", mono, false}},
+		"mpi": {{"sync-mpi", mono, false, 64}, {"sync-mpi", mono, false, 64}},
 		"pm2": {
-			{"pm2", "one sending thread, receiving threads created on demand", false},
-			{"pm2", "two sending threads, one receiving thread", false},
+			{"pm2", "one sending thread, receiving threads created on demand", false, 40},
+			{"pm2", "two sending threads, one receiving thread", false, 40},
 		},
 		"madmpi": {
-			{"mpi/mad", "one sending thread, one receiving thread", false},
-			{"mpi/mad", "two sending threads, two receiving threads", false},
+			{"mpi/mad", "one sending thread, one receiving thread", false, 64},
+			{"mpi/mad", "two sending threads, two receiving threads", false, 64},
 		},
 		"omniorb": {
-			{"omniorb4", "N sending threads, receiving threads created on demand", true},
-			{"omniorb4", "two sending threads, receiving threads created on demand", true},
+			{"omniorb4", "N sending threads, receiving threads created on demand", true, 96},
+			{"omniorb4", "two sending threads, receiving threads created on demand", true, 96},
 		},
 	}
 	if len(want) != len(matrix.EnvNames) {
@@ -49,6 +50,9 @@ func TestMiddlewareRows(t *testing.T) {
 				opts := envcore.Middleware(env, kind == "sparse")
 				if opts.Name != w[k].name || opts.ThreadPolicy != w[k].policy {
 					t.Errorf("%q %q, want %q %q", opts.Name, opts.ThreadPolicy, w[k].name, w[k].policy)
+				}
+				if opts.Costs.HeaderBytes != w[k].header {
+					t.Errorf("header %d bytes, want %d", opts.Costs.HeaderBytes, w[k].header)
 				}
 				grid := cluster.ThreeSiteEthernet(des.New(), 6)
 				grid.Net.Block(0, 1)

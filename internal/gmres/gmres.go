@@ -86,16 +86,10 @@ func (ws *Workspace) ensure(n, m int) {
 	}
 }
 
-// Solve finds x such that A·x ≈ b, starting from the initial guess in x and
-// overwriting it with the solution. opFlops is the flop cost the caller
-// attributes to one operator application (added to the returned count per
-// iteration). It allocates fresh Krylov storage per call; hot paths use
-// SolveWith.
-func Solve(apply Operator, b, x []float64, p Params, opFlops float64) (Result, error) {
-	return SolveWith(new(Workspace), apply, b, x, p, opFlops)
-}
-
-// SolveWith is Solve reusing ws for all temporary storage. After the first
+// SolveWith finds x such that A·x ≈ b, starting from the initial guess in
+// x and overwriting it with the solution. opFlops is the flop cost the
+// caller attributes to one operator application (added to the returned
+// count per iteration). ws holds all temporary storage: after the first
 // call of a given shape, subsequent calls allocate nothing.
 //
 //lint:hotpath

@@ -31,7 +31,7 @@ func TestSolveIdentity(t *testing.T) {
 		b[i] = float64(i)
 	}
 	x := make([]float64, n)
-	res, err := Solve(op, b, x, Params{}, 0)
+	res, err := SolveWith(new(Workspace), op, b, x, Params{}, 0)
 	if err != nil || !res.Converged {
 		t.Fatalf("identity solve failed: %v %+v", err, res)
 	}
@@ -65,7 +65,7 @@ func TestSolveDiagonallyDominant(t *testing.T) {
 	b := make([]float64, n)
 	denseOp(m)(b, xt)
 	x := make([]float64, n)
-	res, err := Solve(denseOp(m), b, x, Params{Tol: 1e-12}, 0)
+	res, err := SolveWith(new(Workspace), denseOp(m), b, x, Params{Tol: 1e-12}, 0)
 	if err != nil || !res.Converged {
 		t.Fatalf("solve failed: %v %+v", err, res)
 	}
@@ -75,10 +75,10 @@ func TestSolveDiagonallyDominant(t *testing.T) {
 }
 
 func TestSolveSparseSystem(t *testing.T) {
-	a, b, xt := sparse.NewSystem(300, 20, 0.9, 5)
+	a, b, xt, _ := sparse.NewSystemSum(300, 20, 0.9, 5)
 	x := make([]float64, a.N)
-	op := func(dst, v []float64) { a.MulVec(dst, v) }
-	res, err := Solve(op, b, x, Params{Tol: 1e-10, Restart: 40}, 2*float64(a.NNZ()))
+	op := func(dst, v []float64) { a.RowRangeMulVec(0, a.N, dst, v) }
+	res, err := SolveWith(new(Workspace), op, b, x, Params{Tol: 1e-10, Restart: 40}, 2*float64(a.StoredFloats()))
 	if err != nil || !res.Converged {
 		t.Fatalf("sparse solve failed: %v %+v", err, res)
 	}
@@ -91,11 +91,11 @@ func TestSolveSparseSystem(t *testing.T) {
 }
 
 func TestRestartsStillConverge(t *testing.T) {
-	a, b, xt := sparse.NewSystem(200, 10, 0.9, 9)
+	a, b, xt, _ := sparse.NewSystemSum(200, 10, 0.9, 9)
 	x := make([]float64, a.N)
-	op := func(dst, v []float64) { a.MulVec(dst, v) }
+	op := func(dst, v []float64) { a.RowRangeMulVec(0, a.N, dst, v) }
 	// Tiny restart forces multiple outer cycles.
-	res, err := Solve(op, b, x, Params{Tol: 1e-10, Restart: 5, MaxIters: 5000}, 0)
+	res, err := SolveWith(new(Workspace), op, b, x, Params{Tol: 1e-10, Restart: 5, MaxIters: 5000}, 0)
 	if err != nil || !res.Converged {
 		t.Fatalf("restarted solve failed: %v %+v", err, res)
 	}
@@ -109,21 +109,21 @@ func TestZeroRHS(t *testing.T) {
 	op := func(dst, x []float64) { copy(dst, x) }
 	x := make([]float64, n)
 	la.Fill(x, 3)
-	res, err := Solve(op, make([]float64, n), x, Params{}, 0)
+	res, err := SolveWith(new(Workspace), op, make([]float64, n), x, Params{}, 0)
 	if err != nil || !res.Converged {
 		t.Fatalf("zero rhs: %v", err)
 	}
-	if la.MaxNorm(x) != 0 {
+	if la.Norm2(x) != 0 {
 		t.Fatal("zero rhs should give zero solution")
 	}
 }
 
 func TestIterationCap(t *testing.T) {
 	// An indefinite operator that GMRES(2) with 3 iterations cannot solve.
-	a, b, _ := sparse.NewSystem(100, 10, 0.99, 3)
-	op := func(dst, v []float64) { a.MulVec(dst, v) }
+	a, b, _, _ := sparse.NewSystemSum(100, 10, 0.99, 3)
+	op := func(dst, v []float64) { a.RowRangeMulVec(0, a.N, dst, v) }
 	x := make([]float64, a.N)
-	res, err := Solve(op, b, x, Params{Tol: 1e-14, Restart: 2, MaxIters: 3}, 0)
+	res, err := SolveWith(new(Workspace), op, b, x, Params{Tol: 1e-14, Restart: 2, MaxIters: 3}, 0)
 	if err == nil {
 		t.Fatalf("expected stagnation error, got %+v", res)
 	}
@@ -133,11 +133,11 @@ func TestIterationCap(t *testing.T) {
 }
 
 func TestWarmStart(t *testing.T) {
-	a, b, xt := sparse.NewSystem(150, 10, 0.9, 21)
-	op := func(dst, v []float64) { a.MulVec(dst, v) }
+	a, b, xt, _ := sparse.NewSystemSum(150, 10, 0.9, 21)
+	op := func(dst, v []float64) { a.RowRangeMulVec(0, a.N, dst, v) }
 	// Cold start.
 	x1 := make([]float64, a.N)
-	r1, err := Solve(op, b, x1, Params{Tol: 1e-10}, 0)
+	r1, err := SolveWith(new(Workspace), op, b, x1, Params{Tol: 1e-10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWarmStart(t *testing.T) {
 	for i := range x2 {
 		x2[i] += 1e-6
 	}
-	r2, err := Solve(op, b, x2, Params{Tol: 1e-10}, 0)
+	r2, err := SolveWith(new(Workspace), op, b, x2, Params{Tol: 1e-10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestSolveProperty(t *testing.T) {
 		b := make([]float64, n)
 		denseOp(m)(b, xt)
 		x := make([]float64, n)
-		res, err := Solve(denseOp(m), b, x, Params{Tol: 1e-11, Restart: n}, 0)
+		res, err := SolveWith(new(Workspace), denseOp(m), b, x, Params{Tol: 1e-11, Restart: n}, 0)
 		if err != nil || !res.Converged {
 			return false
 		}
-		return la.MaxNormDiff(x, xt) < 1e-6*(1+la.MaxNorm(xt))
+		return la.MaxNormDiff(x, xt) < 1e-6*(1+la.MaxNormDiff(xt, make([]float64, n)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -198,5 +198,5 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			t.Error("no panic on mismatch")
 		}
 	}()
-	Solve(func(dst, x []float64) {}, make([]float64, 3), make([]float64, 4), Params{}, 0)
+	SolveWith(new(Workspace), func(dst, x []float64) {}, make([]float64, 3), make([]float64, 4), Params{}, 0)
 }

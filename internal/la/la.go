@@ -45,17 +45,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// MaxNorm returns the max (infinity) norm of x. Flops: n.
-func MaxNorm(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // MaxNormDiff returns max_i |a_i - b_i|, the residual norm of the paper's
 // convergence test (Equ. 6), or NaN when any difference is NaN: a vector
 // holding NaN is never close to another, whatever its other entries.
@@ -100,17 +89,4 @@ func Givens(a, b float64) (c, s float64) {
 	t := b / a
 	c = 1 / math.Sqrt(1+t*t)
 	return c, c * t
-}
-
-// Counter accumulates flop counts across solver phases.
-type Counter struct{ Flops float64 }
-
-// Add accumulates n flops.
-func (c *Counter) Add(n float64) { c.Flops += n }
-
-// Take returns the accumulated count and resets it.
-func (c *Counter) Take() float64 {
-	f := c.Flops
-	c.Flops = 0
-	return f
 }

@@ -30,6 +30,9 @@
 //     their leading nil-receiver guard (telemetry handles are
 //     documented nil-safe so disabled observability costs
 //     nothing). Escape: //lint:nilok.
+//   - unlinked:   every non-test function is linked into some main
+//     package of the module, built without inlining. Escape:
+//     an allowlist entry with a reason (RepoUnlinked).
 package lint
 
 import (

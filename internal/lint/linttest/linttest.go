@@ -49,9 +49,16 @@ func Run(t *testing.T, dir, importPath string, a *lint.Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	RunOn(t, pkg, a)
+}
+
+// RunOn is Run on a package loaded already, such as one of a fixture
+// module that lint.NewLoader loads with its imports.
+func RunOn(t *testing.T, pkg *lint.Package, a *lint.Analyzer) {
+	t.Helper()
 	diags, err := lint.Run(a, pkg)
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
+		t.Fatalf("running %s on %s: %v", a.Name, pkg.Dir, err)
 	}
 	check(t, pkg, diags)
 }

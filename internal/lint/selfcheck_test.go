@@ -7,8 +7,9 @@ import (
 	"aiac/internal/lint"
 )
 
-// TestSuiteCleanOnRepo runs the full analyzer suite over the repository
-// itself and requires zero findings. This is the regression gate: undoing
+// TestSuiteCleanOnRepo runs the analyzer suite over the repository itself
+// and requires zero findings (the unlinked check, which builds every main
+// package, runs in CI's aiaclint step instead). This is the regression gate: undoing
 // any of the production fixes (the clear() rewrites, the nil guards, the
 // persist.go exemption directives) or stripping a //lint annotation makes
 // this test — and therefore tier-1 — fail, not just the CI lint leg.

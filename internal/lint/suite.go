@@ -58,3 +58,21 @@ func Suite() []*Analyzer {
 		Obsnilsafe(ObsPaths...),
 	}
 }
+
+// RepoUnlinked is the unlinked check over the module at root, with the
+// functions kept though no binary links them, each with its reason.
+func RepoUnlinked(root string) *Analyzer {
+	return Unlinked(root, map[string]string{
+		"aiac/internal/ladder":                       "test-support package: the harness of the TestLadder* measurements",
+		"aiac/internal/sparse/kernels":               "test-support package: the measured kernel rungs' baselines",
+		"aiac/internal/golden":                       "test-support package: the recorded engine rows",
+		"aiac/internal/lint/linttest":                "test-support package: the analyzers' fixture runner",
+		"aiac/internal/cluster.Homogeneous":          "fixture grid of the tests of eight packages",
+		"aiac/internal/des.Simulator.LiveProcs":      "live-process probe of des's and envcore's tests",
+		"aiac/internal/des.Simulator.QueueHighWater": "the queue depth the benchmark's des.queue_depth is to read",
+		"aiac/internal/newton.Solve":                 "sequential chem reference of backend's and problems' tests",
+		"aiac/internal/problems.Cache.Stats":         "cache probe of matrix's tests: one system held at a time",
+		"aiac/internal/sparse.PinPortable":           "the hook by which tests run the portable kernel path",
+		"aiac/internal/trace.Span.At":                "run expansion that trace's and critpath's tests compare against",
+	})
+}

@@ -115,30 +115,12 @@ func NewCPU(sim *des.Simulator, name string, speedMFlops float64) *CPU {
 	}
 }
 
-// BusyTime returns the total CPU time consumed so far.
-func (c *CPU) BusyTime() des.Time {
-	t := c.busy
-	if c.current != nil {
-		t += c.sim.Now() - c.lastStart
-	}
-	return t
-}
-
-// Utilisation returns busy time divided by elapsed virtual time.
-func (c *CPU) Utilisation() float64 {
-	now := c.sim.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(c.BusyTime()) / float64(now)
-}
-
 // SetBackgroundLoad sets the machine's background-load multiplier: CPU
 // requests issued from now on take factor times as long (competing
 // processes outside the simulated application — the diurnal load of a
 // shared desktop grid). factor 1 restores the unloaded machine. The
 // request currently on the CPU is unaffected; the change is
-// mutable-at-virtual-time, the CPU-side analogue of netsim.SetUplink.
+// mutable-at-virtual-time, the CPU-side analogue of netsim.SetLANs.
 func (c *CPU) SetBackgroundLoad(factor float64) {
 	if factor < 1 {
 		panic(fmt.Sprintf("marcel: background load factor %v < 1", factor))
@@ -199,14 +181,6 @@ func (c *CPU) Resume(p *des.Proc, sp *des.Spin) {
 	r.gen = c.genSeq
 	sp.ScheduleEnd(r, r.gen)
 	sp.Stop()
-}
-
-// BackgroundLoad returns the current background-load multiplier (>= 1).
-func (c *CPU) BackgroundLoad() float64 {
-	if c.load < 1 {
-		return 1
-	}
-	return c.load
 }
 
 // submit makes a request for d of CPU time on behalf of p runnable; the

@@ -137,20 +137,6 @@ func TestFairNoStarvation(t *testing.T) {
 	}
 }
 
-func TestUtilisation(t *testing.T) {
-	sim := des.New()
-	cpu := NewCPU(sim, "n0", 1000)
-	sim.SpawnTask("t", func(p *des.Proc) {
-		cpu.UseK(p, 50*time.Millisecond, func() {
-			p.SleepK(50*time.Millisecond, func() {}) // idle
-		})
-	})
-	sim.Run()
-	if u := cpu.Utilisation(); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilisation = %v, want ~0.5", u)
-	}
-}
-
 func TestZeroUseIsFree(t *testing.T) {
 	sim := des.New()
 	cpu := NewCPU(sim, "n0", 1000)
@@ -223,8 +209,8 @@ func TestBackgroundLoadScalesCPUUse(t *testing.T) {
 	if second != 30*time.Millisecond {
 		t.Fatalf("3x-loaded use took %v, want 30ms", second)
 	}
-	if c.BackgroundLoad() != 1 {
-		t.Fatalf("BackgroundLoad() = %v", c.BackgroundLoad())
+	if c.load != 1 {
+		t.Fatalf("background load %v after the restore", c.load)
 	}
 }
 
@@ -320,7 +306,7 @@ func TestWatchFiresOnceFirst(t *testing.T) {
 	calls := 0
 	cpu.Watch(func() {
 		calls++
-		if cpu.BackgroundLoad() != 1 {
+		if cpu.load != 0 {
 			t.Error("watch ran after the load changed")
 		}
 	})
@@ -361,8 +347,13 @@ func TestFairPreemptsChargeDispatchedThisInstant(t *testing.T) {
 			t.Fatalf("at %v: current %s since %v with %v left; want x dispatched now with 8ms", p.Now(), x.proc.Name(), cpu.lastStart, x.remaining)
 		}
 		cpu.UseK(p, 100*time.Microsecond, func() { aDone = p.Now() })
-		if cpu.current.proc != p || cpu.queue.Len() != 1 || cpu.queue.Items()[0] != x {
+		if cpu.current.proc != p || cpu.queue.Len() != 1 {
 			t.Fatalf("after the newcomer: current %s, queue %d; want a running, x queued", cpu.current.proc.Name(), cpu.queue.Len())
+		}
+		if q := cpu.queue.Pop(); q != x {
+			t.Fatalf("queued %s, want x", q.proc.Name())
+		} else {
+			cpu.queue.PushFront(q)
 		}
 		if x.remaining != 8*time.Millisecond || x.gen != 0 || cpu.BusyTime() != busy {
 			t.Fatalf("preempted x: %v left, gen %d, busy %v → %v; want 8ms, 0, unchanged", x.remaining, x.gen, busy, cpu.BusyTime())
@@ -432,8 +423,10 @@ func TestHoldResumeMatchesSubmit(t *testing.T) {
 		var snap snapshot
 		take := func() {
 			snap = snapshot{cur: cpu.current.proc.Name(), remaining: cpu.current.remaining, since: cpu.lastStart, busy: cpu.BusyTime()}
-			for _, r := range cpu.queue.Items() {
+			for n := cpu.queue.Len(); n > 0; n-- { // one full rotation
+				r := cpu.queue.Pop()
 				snap.queue += fmt.Sprintf("%s:%v:%d ", r.proc.Name(), r.remaining, r.gen)
+				cpu.queue.Push(r)
 			}
 		}
 		const d = 100 * time.Microsecond
@@ -484,4 +477,14 @@ func TestHoldResumeMatchesSubmit(t *testing.T) {
 	if ss.cur != "a" || ss.since != 2400*time.Microsecond || ss.queue != "x:8ms:0 " {
 		t.Fatalf("per-period state at 2.45ms: %+v; want a running since 2.4ms over x's 8ms", ss)
 	}
+}
+
+// BusyTime returns the total CPU time consumed so far, the running slice
+// included.
+func (c *CPU) BusyTime() des.Time {
+	t := c.busy
+	if c.current != nil {
+		t += c.sim.Now() - c.lastStart
+	}
+	return t
 }

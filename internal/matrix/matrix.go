@@ -45,8 +45,8 @@
 // sweep's results are identical whatever the worker count.
 //
 // This is the repo's one experiment runner: the paper's own Tables 2-3 and
-// Figure 3 are named Specs (Preset), Figures 1-2 two of their cells
-// (FigureCells), and Tables 1 and 4 listings of a Spec's parameters and of
+// Figure 3 are named Specs (Preset), Figures 1-2 two of Table 2's cells
+// (README names their keys), and Tables 1 and 4 listings of a Spec's parameters and of
 // the environments NewEnv deploys (Spec.Parameters, ThreadPolicies).
 package matrix
 

@@ -3,8 +3,6 @@ package matrix
 import (
 	"fmt"
 	"strings"
-
-	"aiac/internal/aiac"
 )
 
 // PresetNames lists the experiments of the paper's evaluation (§5) that
@@ -45,18 +43,6 @@ func Preset(name string) (Spec, error) {
 		return Spec{}, fmt.Errorf("unknown paper preset %q (known: %s)", name, strings.Join(PresetNames, ", "))
 	}
 	return s, nil
-}
-
-// FigureCells returns the two cells whose execution flows are the paper's
-// Figures 1-2 — the SISC baseline with its idle gaps and an AIAC version
-// without them, on Table 2's system at an eighth of its size over two
-// processors — and the spec that parameterises them.
-func FigureCells() (sisc, async Cell, spec Spec) {
-	spec, _ = Preset("table2")
-	sisc = Cell{Env: "mpi", Mode: aiac.Sync, Grid: "3site", Problem: "linear", Procs: 2, Size: spec.Sizes[0] / 8}
-	async = sisc
-	async.Env, async.Mode = "pm2", aiac.Async
-	return sisc, async, spec
 }
 
 // Parameters renders the parameters of the spec's problems in the layout

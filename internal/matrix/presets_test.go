@@ -196,9 +196,13 @@ func TestPaperPresets(t *testing.T) {
 		t.Error("Table 4 lists the same thread policies for the sparse and the non-linear problem")
 	}
 
-	// Figures 1-2, the load-bearing contrast: the SISC trace has
+	// Figures 1-2, the load-bearing contrast: on Table 2's system at an
+	// eighth of its size over two processors, the SISC trace has
 	// substantial idle time, the AIAC trace essentially none.
-	sisc, async, spec := FigureCells()
+	spec, _ := Preset("table2")
+	sisc := Cell{Env: "mpi", Mode: aiac.Sync, Grid: "3site", Problem: "linear", Procs: 2, Size: spec.Sizes[0] / 8}
+	async := sisc
+	async.Env, async.Mode = "pm2", aiac.Async
 	idle := func(c Cell) float64 {
 		tr := trace.New()
 		if _, err := RunCellOnce(c, spec, 0, 0, 0, tr); err != nil {

@@ -477,15 +477,29 @@ func absorb(r *report.Result, rpt *aiac.Report) (nonFinite bool) {
 }
 
 // redFlags is the repetition's red-flag column: obs.Detect's verdicts on
-// its residual timelines, and FlagNonFinite when a solve ended on a
-// non-finite residual.
-func redFlags(resid *obs.Residuals, converged, nonFinite bool, eps float64) string {
+// its residual timelines, FlagNonFinite when a solve ended on a
+// non-finite residual, and FlagWrongAnswer when it converged to a wrong
+// answer.
+func redFlags(resid *obs.Residuals, converged, nonFinite, wrong bool, eps float64) string {
 	flags := obs.Detect(resid, converged, obs.DetectorParams{Eps: eps})
 	if nonFinite {
 		flags = append(flags, obs.FlagNonFinite)
-		slices.Sort(flags)
 	}
+	if wrong {
+		flags = append(flags, obs.FlagWrongAnswer)
+	}
+	slices.Sort(flags)
 	return strings.Join(flags, ",")
+}
+
+// wrongAnswer reports whether a converged linear repetition's answer is
+// NaN or off the true solution by more than a converged iterate can be. A
+// rank stops on a step below Eps; for an iteration that contracts by Rho
+// the error behind such a step is at most Eps/(1-Rho) in lockstep, and of
+// that order on stale asynchronous data, so the limit is a hundred times
+// that (the bound benchmark/ verifies its rows against).
+func wrongAnswer(r report.Result, lp LinearParams) bool {
+	return r.Converged && !(r.Residual <= 100*lp.Eps/(1-lp.Rho))
 }
 
 // scenarioName normalises the cell's scenario ("" means static).
@@ -638,7 +652,7 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 	resid := obs.NewResiduals(c.Procs)
 	r := c.identity()
 	r.Reps, r.Converged = 1, true
-	nonFinite := false
+	nonFinite, wrong := false, false
 	if c.Problem == "chem" {
 		cp := spec.Chem
 		p := chem.New(c.Size, c.Size)
@@ -678,9 +692,10 @@ func runOnce(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr *
 		r.TimeSec = rpt.Elapsed.Seconds()
 		r.Residual = la.MaxNormDiff(rpt.X, p.XTrue)
 		nonFinite = absorb(&r, rpt)
+		wrong = wrongAnswer(r, spec.Linear)
 	}
 	r.MinTimeSec = r.TimeSec
-	r.Flags = redFlags(resid, r.Converged, nonFinite, cellEps(c, spec))
+	r.Flags = redFlags(resid, r.Converged, nonFinite, wrong, cellEps(c, spec))
 	// Attribute the run's critical path while the trace is still alive
 	// (the global-Newton chem path records no compute spans and keeps a
 	// zero attribution).
@@ -730,13 +745,14 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 	if lossSeed != 0 {
 		lossSeed += int64(rep)
 	}
-	// Residual timelines for the red-flag detectors; native flags are
-	// informational (wall-clock trajectories are not deterministic), so
-	// Regressions never gates on them.
+	// Residual timelines for the red-flag detectors; the detectors' flags
+	// are informational natively (wall-clock trajectories are not
+	// deterministic), so Regressions gates only on wrong-answer, an
+	// outcome.
 	resid := obs.NewResiduals(c.Procs)
 	r := c.identity()
 	r.Reps, r.Converged = 1, true
-	nonFinite := false
+	nonFinite, wrong := false, false
 	// One solve over a freshly shaped transport, folded into r; the chem
 	// loop below runs it once per time step.
 	solve := func(prob aiac.Problem, eps float64, maxIters int) (*backend.Report, error) {
@@ -798,9 +814,10 @@ func runNative(c Cell, spec Spec, rep int, seed int64, timeout time.Duration, tr
 			return report.Result{}, err
 		}
 		r.Residual = la.MaxNormDiff(rpt.X, p.XTrue)
+		wrong = wrongAnswer(r, spec.Linear)
 	}
 	r.MinTimeSec = r.TimeSec
-	r.Flags = redFlags(resid, r.Converged, nonFinite, cellEps(c, spec))
+	r.Flags = redFlags(resid, r.Converged, nonFinite, wrong, cellEps(c, spec))
 	// Native attribution runs against the trace's own horizon rather than
 	// the reported wall time: the wall measurement starts at the first
 	// post-barrier rank, while the trace clock starts at the solve's

@@ -31,44 +31,17 @@ func TestScaledKeepsName(t *testing.T) {
 	}
 }
 
-func TestSetUplinkAffectsOnlyLaterSends(t *testing.T) {
-	// A message in flight when the uplink degrades keeps its send-time
-	// schedule; a message sent after the degradation is slower.
-	mkNet := func(sim *des.Simulator) *Network { return twoSiteNet(sim) }
-
-	sim := des.New()
-	n := mkNet(sim)
-	before, _ := deliverInfo(sim, n, 0, 2, 100000)
-
-	sim = des.New()
-	n = mkNet(sim)
-	var inFlight, after des.Time
-	n.Send(0, 2, 100000, nil, "", func(m *Message) { inFlight = sim.Now() })
-	sim.Schedule(time.Microsecond, func() {
-		n.SetUplink(1, n.Uplink(1).Scaled(10, 10))
-		n.Send(0, 2, 100000, nil, "", func(m *Message) { after = sim.Now() })
-	})
-	sim.Run()
-
-	if inFlight != before {
-		t.Fatalf("in-flight message rescheduled: %v, want %v", inFlight, before)
-	}
-	if after <= before {
-		t.Fatalf("post-degradation send not slower: %v vs %v", after, before)
-	}
-}
-
 func TestFIFOClampAfterRestore(t *testing.T) {
 	// A message sent during a high-latency window must not be overtaken by
 	// one sent just after the restore: TCP byte streams do not reorder.
 	sim := des.New()
 	n := twoSiteNet(sim)
 	nominal := n.Uplink(1)
-	n.SetUplink(1, nominal.Scaled(1, 1000))
+	n.sites[1].Uplink = nominal.Scaled(1, 1000)
 	var first, second des.Time
 	n.Send(0, 2, 100, nil, "", func(m *Message) { first = sim.Now() })
 	sim.Schedule(time.Millisecond, func() {
-		n.SetUplink(1, nominal)
+		n.sites[1].Uplink = nominal
 		n.Send(0, 2, 100, nil, "", func(m *Message) { second = sim.Now() })
 	})
 	sim.Run()
@@ -80,7 +53,7 @@ func TestFIFOClampAfterRestore(t *testing.T) {
 func TestLossDropsOnlyUnreliableMessages(t *testing.T) {
 	sim := des.New()
 	n := twoSiteNet(sim)
-	n.SetSeed(42)
+	n.SetJitter(0, 42)
 	n.SetLoss(0.999)
 	var droppedUnreliable, droppedReliable bool
 	n.Send(0, 1, 100, nil, "", func(m *Message) { droppedUnreliable = m.Dropped }, Unreliable())
@@ -219,12 +192,12 @@ func TestSendReturnsClampedDeliveryTime(t *testing.T) {
 	sim := des.New()
 	n := twoSiteNet(sim)
 	nominal := n.Uplink(1)
-	n.SetUplink(1, nominal.Scaled(1, 1000))
+	n.sites[1].Uplink = nominal.Scaled(1, 1000)
 	slow, err := n.Send(0, 2, 100, nil, "", func(*Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetUplink(1, nominal)
+	n.sites[1].Uplink = nominal
 	fast, err := n.Send(0, 2, 100, nil, "", func(*Message) {})
 	if err != nil {
 		t.Fatal(err)

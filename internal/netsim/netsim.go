@@ -236,8 +236,8 @@ type Stats struct {
 
 // Network is the simulated interconnect.
 //
-// Sites, uplinks, loss rate, node liveness, and site partitions are mutable
-// at virtual time (SetUplink, SetLANs, SetLoss, SetDown, SetPartitioned):
+// LANs, loss rate, node liveness, and site partitions are mutable at
+// virtual time (SetLANs, SetLoss, SetDown, SetPartitioned):
 // mutations apply to messages sent after the mutation instant, while
 // in-flight messages keep the schedule computed when they were sent —
 // except that a message whose path is severed at its arrival instant (an
@@ -274,7 +274,7 @@ type Network struct {
 	// lossRate drops each loss-eligible (Unreliable) message with this
 	// probability; jitterFrac perturbs each message's propagation latency
 	// by a uniform factor in [0, jitterFrac). Both draw from rng, which is
-	// seeded deterministically (SetSeed; default seed 1 on first use), so
+	// seeded deterministically (SetJitter; default seed 1 on first use), so
 	// a given configuration replays identically.
 	lossRate   float64
 	jitterFrac float64
@@ -324,10 +324,6 @@ func New(sim *des.Simulator, sites []Site) *Network {
 // Uplink returns site's current uplink.
 func (n *Network) Uplink(site int) LinkClass { return n.sites[site].Uplink }
 
-// SetUplink replaces site's uplink. Messages sent after this instant use
-// the new parameters; in-flight messages are unaffected.
-func (n *Network) SetUplink(site int, lc LinkClass) { n.sites[site].Uplink = lc }
-
 // LANs returns a copy of site's LAN list (the first entry is the default).
 func (n *Network) LANs(site int) []LinkClass {
 	return append([]LinkClass(nil), n.sites[site].LANs...)
@@ -352,9 +348,6 @@ func (n *Network) SetDown(node int, down bool) {
 		delete(n.down, node)
 	}
 }
-
-// IsDown reports whether a node is currently crashed.
-func (n *Network) IsDown(node int) bool { return n.down[node] }
 
 // SetPartitioned cuts (true) or restores (false) a site's uplink: messages
 // crossing the site boundary — including messages already in flight when
@@ -401,9 +394,6 @@ func (n *Network) SetJitter(frac float64, seed int64) {
 	n.rng = rand.New(rand.NewSource(seed))
 }
 
-// SetSeed reseeds the deterministic stream behind loss sampling and jitter.
-func (n *Network) SetSeed(seed int64) { n.rng = rand.New(rand.NewSource(seed)) }
-
 // random returns the shared deterministic stream, seeding it on first use.
 func (n *Network) random() *rand.Rand {
 	if n.rng == nil {
@@ -411,9 +401,6 @@ func (n *Network) random() *rand.Rand {
 	}
 	return n.rng
 }
-
-// Sim returns the simulator the network is bound to.
-func (n *Network) Sim() *des.Simulator { return n.sim }
 
 // AddNode registers a node on the given site and returns its id.
 func (n *Network) AddNode(site int) int {
@@ -426,9 +413,6 @@ func (n *Network) AddNode(site int) int {
 	n.lastDeliver = append(n.lastDeliver, nil)
 	return id
 }
-
-// SiteOf returns the site index of node id.
-func (n *Network) SiteOf(id int) int { return n.nodes[id].Site }
 
 // Sites returns the number of sites.
 func (n *Network) Sites() int { return len(n.sites) }

@@ -20,10 +20,12 @@ package obs
 //     never got back down to its pre-crash best — recovery lost
 //     numerical ground it could not re-earn.
 //
-// One more flag is not a detector's: non-finite marks a cell whose solve
-// ended on a NaN or infinite Update residual (aiac.StopNonFinite); the
-// sweep sets it from the solve's stop reason, since downsampling may drop
-// the one sample that showed it.
+// Two more flags are not a detector's: the sweep sets them from the
+// solve's outcome. non-finite marks a cell whose solve ended on a NaN or
+// infinite Update residual (aiac.StopNonFinite), since downsampling may
+// drop the one sample that showed it; wrong-answer marks a converged
+// linear cell whose answer is NaN or further from the true solution than
+// a converged iterate can be.
 //
 // The detectors only read downsampled trajectories, so thresholds are
 // deliberately coarse: each flag should fire on order-of-magnitude
@@ -38,6 +40,7 @@ const (
 	FlagPlateau           = "plateau"
 	FlagRestartRegression = "restart-regression"
 	FlagNonFinite         = "non-finite"
+	FlagWrongAnswer       = "wrong-answer"
 )
 
 // DetectorParams tunes the red-flag detectors.

@@ -261,18 +261,6 @@ func (g *Gauge) Set(val float64) {
 	g.s.mu.Unlock()
 }
 
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	stamp := g.r.stampNow()
-	g.s.mu.Lock()
-	g.s.value += d
-	g.s.stamp = stamp
-	g.s.mu.Unlock()
-}
-
 // DefBuckets are the default histogram bucket upper bounds, spanning the
 // sub-millisecond simulated exchanges up to multi-minute native cells.
 var DefBuckets = []float64{.001, .005, .01, .05, .1, .5, 1, 5, 10, 30, 60, 120, 300}

@@ -19,7 +19,7 @@ import (
 //
 // Sharing is sound because every solver in this repository treats the
 // assembled data as immutable: sparse.DIA's kernels (RowRangeMulVec,
-// GradientStep, MulVec) read the matrix and right-hand side and write only
+// GradientStep) read the matrix and right-hand side and write only
 // the iterate and caller-owned scratch, and the per-run mutable state
 // (scratch buffers, weights) lives on the per-call problem structs, never
 // on the shared arrays. The cache enforces the contract at runtime: every
@@ -60,7 +60,7 @@ func NewCache() *Cache {
 }
 
 // LinearKey identifies one generated sparse system: the full parameter
-// set of sparse.NewSystem, so entries can never alias across sizes, band
+// set of sparse.NewSystemSum, so entries can never alias across sizes, band
 // counts, dominance ratios, or seeds (and therefore never across
 // repetitions, which perturb the seed).
 type LinearKey struct {

@@ -20,15 +20,6 @@ type ChemRun struct {
 	Y []float64
 }
 
-// TotalIters sums the iterations of all ranks over all steps.
-func (c *ChemRun) TotalIters() int {
-	t := 0
-	for _, s := range c.Steps {
-		t += s.TotalIters()
-	}
-	return t
-}
-
 // AllConverged reports whether every time step detected global convergence
 // (rather than hitting the iteration cap).
 func (c *ChemRun) AllConverged() bool {

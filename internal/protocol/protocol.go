@@ -278,9 +278,6 @@ func (r *Rank) Validate() {
 // post-crash block (see Report.TaintedRestarts in the drivers).
 func (r *Rank) NeedReconfirm() bool { return r.needReconfirm }
 
-// Confirmed reports whether the rank currently stands confirmed (phase 2).
-func (r *Rank) Confirmed() bool { return r.phase == 2 }
-
 // Heartbeats returns the number of heartbeat re-sends this rank performed.
 func (r *Rank) Heartbeats() int { return r.heartbeats }
 
@@ -426,13 +423,6 @@ func (c *Coordinator) Rebroadcasts() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rebroadcasts
-}
-
-// MaxGap returns the largest inter-arrival gap any rank reported.
-func (c *Coordinator) MaxGap() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxGap
 }
 
 // Close withdraws a pending grace timer, for drivers whose timers outlive

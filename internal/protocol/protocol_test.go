@@ -59,7 +59,7 @@ func TestRankTwoPhaseConfirmation(t *testing.T) {
 	if len(msgs) != 1 || !msgs[0].Converged || msgs[0].From != 3 || msgs[0].Seq != 1 {
 		t.Fatalf("confirmation messages = %+v", msgs)
 	}
-	if !r.Confirmed() {
+	if r.phase != 2 {
 		t.Fatal("not confirmed after fresh converged streak")
 	}
 	// A residual bump retreats exactly once.
@@ -192,7 +192,7 @@ func TestRankStateLoss(t *testing.T) {
 	if !ok || st.Converged {
 		t.Fatalf("confirmed rank's state loss must retreat: %+v ok=%v", st, ok)
 	}
-	if !r.NeedReconfirm() || r.Confirmed() {
+	if !r.NeedReconfirm() || r.phase == 2 {
 		t.Fatal("state loss did not reset the machine")
 	}
 	// Unconfirmed state loss is silent but still flags the debt.
@@ -275,8 +275,8 @@ func TestCoordinatorDuplicateAndMaxGap(t *testing.T) {
 	if len(rt.pending) != 0 {
 		t.Fatal("armed below full count")
 	}
-	if c.MaxGap() != 11 {
-		t.Fatalf("maxGap = %d", c.MaxGap())
+	if c.maxGap != 11 {
+		t.Fatalf("maxGap = %d", c.maxGap)
 	}
 	if c.Msgs() != 2 {
 		t.Fatalf("msgs = %d", c.Msgs())
@@ -320,7 +320,7 @@ func TestStallGuard(t *testing.T) {
 	if !g.Stalled() {
 		t.Fatal("quiet interval not detected")
 	}
-	if g.Ticks() != 1 {
-		t.Fatalf("ticks = %d", g.Ticks())
+	if g.ticks.Load() != 1 {
+		t.Fatalf("ticks = %d", g.ticks.Load())
 	}
 }

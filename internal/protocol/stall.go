@@ -21,9 +21,6 @@ type StallGuard struct {
 // Tick records one completed iteration. Safe from any goroutine.
 func (g *StallGuard) Tick() { g.ticks.Add(1) }
 
-// Ticks returns the total iterations recorded.
-func (g *StallGuard) Ticks() int64 { return g.ticks.Load() }
-
 // Stalled reports whether no Tick happened since the previous Stalled
 // call. The first call observes the interval since construction. Only the
 // watchdog goroutine may call it (the baseline is not synchronized).

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,8 +111,9 @@ type Result struct {
 	PersistIters int     `json:"persist_iters,omitempty"`
 	// Flags holds the comma-separated convergence red-flag verdicts of
 	// the cell's residual trajectories (internal/obs detectors:
-	// "oscillation", "plateau", "restart-regression"), the union over
-	// repetitions, sorted; empty when every trajectory was healthy.
+	// "oscillation", "plateau", "restart-regression") and of its outcome
+	// ("non-finite", "wrong-answer"), the union over repetitions, sorted;
+	// empty when every trajectory was healthy.
 	// Deterministic for simulated cells, so Regressions compares it
 	// exactly.
 	Flags string `json:"flags,omitempty"`
@@ -390,6 +392,11 @@ func writeGroup(b *strings.Builder, grp []Result) {
 			float64(r.Bytes)/1e6, res, conv,
 			r.Heartbeats, r.StopRebroadcasts, r.ReconfirmRounds)
 	}
+}
+
+// wrongAnswer reports whether the row carries the wrong-answer flag.
+func (r Result) wrongAnswer() bool {
+	return slices.Contains(strings.Split(r.Flags, ","), "wrong-answer")
 }
 
 // FlagsTable lists every cell whose convergence trajectories raised a red
@@ -682,7 +689,9 @@ func Diff(baseline, current *Set) string {
 // are deterministic for simulated cells and compared exactly, so a
 // protocol regression fails the check even when the timing survives; so
 // are the red flags, and the sync-wait share of the critical path may move
-// by at most 10 points. Native cells gate on timing and outcome alone.
+// by at most 10 points. Native cells gate on timing and outcome alone; a
+// wrong answer (the "wrong-answer" flag, obs.FlagWrongAnswer) is part of
+// the outcome on every row.
 func Regressions(baseline, current *Set, tolPct float64) []string {
 	var out []string
 	for _, old := range baseline.Results {
@@ -695,9 +704,9 @@ func Regressions(baseline, current *Set, tolPct float64) []string {
 			out = append(out, fmt.Sprintf("%s: error %q, baseline %q", old.Key(), now.Error, old.Error))
 			continue
 		}
-		if now.Converged != old.Converged || now.Stalled != old.Stalled {
-			out = append(out, fmt.Sprintf("%s: converged=%v stalled=%v, baseline converged=%v stalled=%v",
-				old.Key(), now.Converged, now.Stalled, old.Converged, old.Stalled))
+		if now.Converged != old.Converged || now.Stalled != old.Stalled || now.wrongAnswer() != old.wrongAnswer() {
+			out = append(out, fmt.Sprintf("%s: converged=%v stalled=%v wrong-answer=%v, baseline converged=%v stalled=%v wrong-answer=%v",
+				old.Key(), now.Converged, now.Stalled, now.wrongAnswer(), old.Converged, old.Stalled, old.wrongAnswer()))
 			continue
 		}
 		sim := simulated(old.BackendOrSim())

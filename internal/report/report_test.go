@@ -297,12 +297,17 @@ func TestRegressionsGateFlags(t *testing.T) {
 	if v := Regressions(base, cur, 100); len(v) != 1 {
 		t.Fatalf("sim-fast flag drift not gated: %v", v)
 	}
-	// A native cell never gates on flags: wall-clock trajectories are not
-	// deterministic.
+	// A native cell never gates on the detectors' flags: wall-clock
+	// trajectories are not deterministic. A wrong answer is an outcome,
+	// and gates every row.
 	base.Results[1].Backend = "tcp"
 	cur.Results[1].Backend = "tcp"
 	if v := Regressions(base, cur, 100); len(v) != 0 {
 		t.Fatalf("native cell gated on flags: %v", v)
+	}
+	cur.Results[1].Flags = "oscillation,wrong-answer"
+	if v := Regressions(base, cur, 100); len(v) != 1 || !strings.Contains(v[0], "wrong-answer=true") {
+		t.Fatalf("native wrong answer not gated: %v", v)
 	}
 }
 

@@ -9,7 +9,7 @@
 // grid as a Runtime and spawns a scenario-driver process on the grid's
 // simulator that sleeps from event to event and applies each one. All
 // mutations go through the mutable-at-virtual-time parameters of
-// internal/netsim (SetUplink, SetLANs, SetLoss, SetDown) and internal/marcel
+// internal/netsim (SetLANs, SetLoss, SetDown, SetPartitioned) and internal/marcel
 // (SetBackgroundLoad), so messages in flight and CPU slices in progress keep
 // their original schedule — exactly the first-order semantics of a real
 // network degrading under a running application.
@@ -64,9 +64,8 @@ type Runtime struct {
 	Grid     *cluster.Grid
 	Scenario *Scenario
 
-	events  []Event
-	applied int
-	base    des.Time // virtual time of Deploy; event times are relative to it
+	events []Event
+	base   des.Time // virtual time of Deploy; event times are relative to it
 
 	epochs  []int       // per-rank crash count
 	gates   []*des.Gate // per-rank restart gate; non-nil while down
@@ -74,8 +73,7 @@ type Runtime struct {
 
 	// nominal link state captured at Deploy, so degradations are always
 	// expressed relative to the undisturbed grid and never compound.
-	nominalUplinks []netsim.LinkClass
-	nominalLANs    [][]netsim.LinkClass
+	nominalLANs [][]netsim.LinkClass
 }
 
 // Deploy instantiates the scenario over the grid and, if the timeline is
@@ -92,7 +90,6 @@ func Deploy(s *Scenario, g *cluster.Grid) *Runtime {
 		watches:  make([]func(), n),
 	}
 	for site := 0; site < g.Net.Sites(); site++ {
-		rt.nominalUplinks = append(rt.nominalUplinks, g.Net.Uplink(site))
 		rt.nominalLANs = append(rt.nominalLANs, g.Net.LANs(site))
 	}
 	rt.base = g.Sim.Now()
@@ -122,20 +119,8 @@ func (rt *Runtime) driveK(p *des.Proc, i int) {
 	ev := rt.events[i]
 	p.SleepUntilK(rt.base+ev.At, func() {
 		ev.Apply(rt)
-		rt.applied++
 		rt.driveK(p, i+1)
 	})
-}
-
-// Events returns the number of timeline events applied so far.
-func (rt *Runtime) Events() int { return rt.applied }
-
-// Horizon returns the time of the last timeline event (zero for static).
-func (rt *Runtime) Horizon() des.Time {
-	if len(rt.events) == 0 {
-		return 0
-	}
-	return rt.events[len(rt.events)-1].At
 }
 
 // --- Engine-facing surface (implements aiac.Dynamics) ---
@@ -210,17 +195,6 @@ func (rt *Runtime) Restart(rank int) {
 	rt.gates[rank] = nil
 	rt.Grid.Net.SetDown(rt.Grid.Machines[rank].Node, false)
 	g.Open()
-}
-
-// ScaleUplink swaps site's uplink for a degraded copy of its *nominal*
-// uplink: bandwidth divided by bwDiv, latency multiplied by latMul.
-func (rt *Runtime) ScaleUplink(site int, bwDiv, latMul float64) {
-	rt.Grid.Net.SetUplink(site, rt.nominalUplinks[site].Scaled(bwDiv, latMul))
-}
-
-// RestoreUplink restores site's nominal uplink.
-func (rt *Runtime) RestoreUplink(site int) {
-	rt.Grid.Net.SetUplink(site, rt.nominalUplinks[site])
 }
 
 // ScaleLANs swaps all of site's LANs for degraded copies of the nominal
@@ -463,13 +437,4 @@ func ByName(name string) (*Scenario, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(Names(), ", "))
-}
-
-// Describe renders the preset library as a usage table.
-func Describe() string {
-	var b strings.Builder
-	for _, s := range presets() {
-		fmt.Fprintf(&b, "  %-14s %s\n", s.Name, s.Desc)
-	}
-	return b.String()
 }

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 )
 
-// NewSystem generates the paper's test system: an n×n matrix with the main
+// NewSystemSum generates the paper's test system: an n×n matrix with the main
 // diagonal plus numDiags off-diagonals whose offsets are spread over the
 // full bandwidth of the matrix (so that, once rows are distributed over
 // processors, the dependency graph is all-to-all, matching §5.1's "the
@@ -37,14 +37,10 @@ import (
 // what lets problems.Cache share one assembled system read-only across
 // concurrent experiment cells. Code that needs a modified system must
 // build its own.
-func NewSystem(n, numDiags int, rho float64, seed int64) (*DIA, []float64, []float64) {
-	a, b, xTrue, _ := NewSystemSum(n, numDiags, rho, seed)
-	return a, b, xTrue
-}
-
-// NewSystemSum is NewSystem plus the system's checksum, equal to
-// SystemSum(a, b, xTrue) but taken while the system is built: the second
-// goroutine sums each band while the next one is drawn.
+//
+// It returns the system's checksum too, equal to SystemSum(a, b, xTrue)
+// but taken while the system is built: the second goroutine sums each
+// band while the next one is drawn.
 func NewSystemSum(n, numDiags int, rho float64, seed int64) (a *DIA, b, xTrue []float64, sum uint64) {
 	if n < 2 || numDiags < 1 || numDiags >= n {
 		panic(fmt.Sprintf("sparse: bad system shape n=%d numDiags=%d", n, numDiags))

@@ -8,12 +8,12 @@ import (
 	"aiac/internal/sparse"
 )
 
-// AssembleBaseline is the frozen sparse.NewSystem as it stood before
+// AssembleBaseline is the frozen sparse.NewSystemSum as it stood before
 // assembly was batched: n-long bands (the layout of FullLength); one
 // rng.Float64 per in-range entry through the Source, band by band; then
 // the row loop summing every band's magnitude into the diagonal; then
-// b = A·x* by the shipped MulVec, all on one goroutine. The shipped
-// NewSystem is held to its bits (each band's in-range run, b and xTrue)
+// b = A·x* by the shipped RowRangeMulVec, all on one goroutine. The shipped
+// NewSystemSum is held to its bits (each band's in-range run, b and xTrue)
 // and measured against it, with its checksum (AssembleBaselineSum), in
 // KERNELS.md's assembly table.
 func AssembleBaseline(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []float64, []float64) {
@@ -62,7 +62,7 @@ func AssembleBaseline(n, numDiags int, rho float64, seed int64) (*sparse.DIA, []
 		xTrue[i] = float64(1 + i%3)
 	}
 	b := make([]float64, n)
-	inRange(a).MulVec(b, xTrue)
+	inRange(a).RowRangeMulVec(0, n, b, xTrue)
 	return a, b, xTrue
 }
 

@@ -10,14 +10,14 @@ import (
 	"aiac/internal/sparse"
 )
 
-// assemblyMismatch builds one system with the shipped sparse.NewSystem
+// assemblyMismatch builds one system with the shipped sparse.NewSystemSum
 // and with AssembleBaseline and describes the first difference in
 // offsets, bands, b or xTrue, bit for bit, or returns "". Each shipped
 // band must be the baseline band's in-range run, and the baseline's
 // padding around that run zero.
 func assemblyMismatch(n, numDiags int, rho float64, seed int64) string {
 	wa, wb, wx := AssembleBaseline(n, numDiags, rho, seed)
-	ga, gb, gx := sparse.NewSystem(n, numDiags, rho, seed)
+	ga, gb, gx, _ := sparse.NewSystemSum(n, numDiags, rho, seed)
 	if fmt.Sprint(ga.Offsets) != fmt.Sprint(wa.Offsets) {
 		return fmt.Sprintf("offsets %v, want %v", ga.Offsets, wa.Offsets)
 	}
@@ -44,7 +44,7 @@ func assemblyMismatch(n, numDiags int, rho float64, seed int64) string {
 	return ""
 }
 
-// ValidateAssembly proves sparse.NewSystem bit-identical to
+// ValidateAssembly proves sparse.NewSystemSum bit-identical to
 // AssembleBaseline on random shapes: 60 systems of up to 400 rows, whose
 // offsets land anywhere in ±(n−1), and 6 of up to 6000 rows, several row
 // tiles each. This is what the assembly table's "valid" column reports.
@@ -64,7 +64,7 @@ func ValidateAssembly() bool {
 	return true
 }
 
-// TestAssembleMatchesBaseline holds the shipped NewSystem to the frozen
+// TestAssembleMatchesBaseline holds the shipped NewSystemSum to the frozen
 // row loop on the sizes that cross the generator's boundaries (fewer than
 // 607 draws come from the source; 607 and beyond from the recurrence),
 // the workloads' sizes, and band counts up to n−1 — so rows whose band set
@@ -90,7 +90,7 @@ func TestAssembleMatchesBaseline(t *testing.T) {
 		})
 	}
 	if !ValidateAssembly() {
-		t.Error("NewSystem differs from AssembleBaseline on a random shape")
+		t.Error("NewSystemSum differs from AssembleBaseline on a random shape")
 	}
 }
 
@@ -112,7 +112,7 @@ var assemblers = []struct {
 // the table, each system of the default linear shape (12 off-diagonals,
 // rho=0.85, seed 20040426), and writes their rows. Both rows time what a
 // cache miss pays: the system and its checksum. A shipped row is valid when
-// NewSystem matched the baseline bit for bit on ValidateAssembly's random
+// NewSystemSum matched the baseline bit for bit on ValidateAssembly's random
 // shapes and on the row's own system. It gates every row valid, and the
 // shipped assembly at least 1.5x the baseline on the `kernel-large` system.
 func measureAssembly(t *testing.T, doc *ladder.Doc) {

@@ -104,7 +104,7 @@ func checkStep(t *testing.T, v Variant, a *sparse.DIA, lo, hi int, gamma float64
 // solution — guarding against a variant that is self-consistent with a
 // broken baseline copy.
 func TestStepVariantsConverge(t *testing.T) {
-	a, b, xtrue := sparse.NewSystem(600, 9, 0.8, 42)
+	a, b, xtrue, _ := sparse.NewSystemSum(600, 9, 0.8, 42)
 	full := FullLength(a)
 	for _, v := range Variants() {
 		if v.Kind != "step" {

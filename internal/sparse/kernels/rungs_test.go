@@ -5,7 +5,7 @@ package kernels
 // rows of KERNELS.md alone. Only the baselines and sparse.DIA's own methods are non-test code;
 // the rows marked shipped call those methods directly. The baselines run
 // on the full-length copy of each system (FullLength), the shipped rows on
-// the system as NewSystem built it.
+// the system as NewSystemSum built it.
 
 import (
 	"aiac/internal/sparse"

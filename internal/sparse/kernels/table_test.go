@@ -38,7 +38,7 @@ var shapes = []shape{
 // block builds the shape's system and a random iterate and returns the
 // measured row range.
 func (s shape) block() (a *sparse.DIA, b, x []float64, lo, hi int) {
-	a, b, _ = sparse.NewSystem(s.n, benchDiags, benchRho, benchSeed)
+	a, b, _, _ = sparse.NewSystemSum(s.n, benchDiags, benchRho, benchSeed)
 	bounds := sparse.Partition(s.n, s.ranks)
 	rng := rand.New(rand.NewSource(1))
 	x = make([]float64, a.N)
@@ -70,7 +70,7 @@ func randSystem(rng *rand.Rand, maxN int) (*sparse.DIA, []float64, []float64) {
 	if nd >= n {
 		nd = n - 1
 	}
-	a, b, _ := sparse.NewSystem(n, nd, 0.85, rng.Int63())
+	a, b, _, _ := sparse.NewSystemSum(n, nd, 0.85, rng.Int63())
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()

@@ -180,7 +180,7 @@ func TestWrongBandLengthPanics(t *testing.T) {
 	const n = 50
 	for _, o := range []int{-(n - 1), -7, 7, n - 1} {
 		for _, extra := range []int{abs(o), -1, 1} {
-			a, _, _ := NewSystem(n, 4, 0.8, 3)
+			a, _, _, _ := NewSystemSum(n, 4, 0.8, 3)
 			a.Offsets = append(a.Offsets, o)
 			a.Diags = append(a.Diags, make([]float64, n-abs(o)+extra))
 			x, dst := make([]float64, n), make([]float64, n)
@@ -189,7 +189,6 @@ func TestWrongBandLengthPanics(t *testing.T) {
 				use  func()
 			}{
 				{"RowRangeMulVec", func() { a.RowRangeMulVec(0, 1, dst, x) }},
-				{"MulVec", func() { a.MulVec(dst, x) }},
 				{"GradientStep", func() { a.GradientStep(n-1, n, 1, x, x, dst) }},
 				{"JacobiSpectralBound", func() { a.JacobiSpectralBound() }},
 				{"Dense", func() { a.Dense() }},
@@ -203,7 +202,7 @@ func TestWrongBandLengthPanics(t *testing.T) {
 			}
 		}
 	}
-	a, _, _ := NewSystem(n, 4, 0.8, 3)
+	a, _, _, _ := NewSystemSum(n, 4, 0.8, 3)
 	a.Diags[0] = a.Diags[0][:n-1]
 	if msg := panicOf(func() { a.RowRangeMulVec(0, 0, nil, make([]float64, n)) }); !strings.Contains(msg, "band 0 (offset 0)") {
 		t.Errorf("a short main diagonal panicked with %q", msg)
@@ -220,16 +219,16 @@ func panicOf(f func()) (msg string) {
 	return ""
 }
 
-// NewSystem stores exactly the matrix's non-zeros: StoredFloats is NNZ,
+// NewSystemSum stores exactly the matrix's non-zeros: StoredFloats is NNZ,
 // and at the benchmark's kernel-large size (rep 0: n = 250 000,
 // 12 off-diagonals, seed 20040426) and Table 1's (n = 2 000 000,
 // 30 sub-diagonals) the bands hold 17.7 MB and 320 MB where n-long bands
 // held 26.0 MB and 496 MB. The large counts come from the offsets alone,
-// which NewSystem draws first.
+// which NewSystemSum draws first.
 func TestStoredFloatsIsNNZ(t *testing.T) {
 	for _, s := range []struct{ n, nd int }{{2, 1}, {3, 2}, {13, 12}, {608, 30}, {40000, 12}} {
 		for _, seed := range []int64{0, 20040426, -5} {
-			a, _, _ := NewSystem(s.n, s.nd, 0.85, seed)
+			a, _, _, _ := NewSystemSum(s.n, s.nd, 0.85, seed)
 			if a.StoredFloats() != a.NNZ() {
 				t.Errorf("n=%d numDiags=%d seed=%d: StoredFloats %d, NNZ %d", s.n, s.nd, seed, a.StoredFloats(), a.NNZ())
 			}

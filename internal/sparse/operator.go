@@ -13,12 +13,6 @@ type Operator interface {
 	// BandOffsets returns the stored diagonal offsets; index 0 is always
 	// the main diagonal (offset 0). Read-only.
 	BandOffsets() []int
-	// NNZ returns the number of stored (in-range) non-zero positions.
-	NNZ() int
-	// DiagAt returns the main-diagonal entry a_ii.
-	DiagAt(i int) float64
-	// MulVec computes dst = A·x.
-	MulVec(dst, x []float64)
 	// RowRangeMulVec computes dst[i-lo] = (A·x)_i for i in [lo,hi).
 	RowRangeMulVec(lo, hi int, dst, x []float64)
 	// GradientStep performs one fixed-step gradient update (Equ. 4) on
@@ -51,9 +45,6 @@ func (a *DIA) Dim() int { return a.N }
 
 // BandOffsets implements Operator.
 func (a *DIA) BandOffsets() []int { return a.Offsets }
-
-// DiagAt implements Operator.
-func (a *DIA) DiagAt(i int) float64 { return a.Diags[0][i] }
 
 // StoredFloats implements Operator: the length of every band, n−|o| for
 // the band at offset o.

@@ -8,16 +8,15 @@ import (
 
 // TestOperatorAccessors holds the Operator metadata methods of a DIA, read
 // through the interface the problems layer uses, to its fields and its
-// dense form on random shapes: Dim is N, BandOffsets is Offsets with the
-// main diagonal first, DiagAt is the dense diagonal bit for bit, and
-// StoredFloats is NNZ.
+// band definition on random shapes: Dim is N, BandOffsets is Offsets with
+// the main diagonal first, and StoredFloats is NNZ.
 func TestOperatorAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(200)
 		nd := 1 + rng.Intn(min(30, n-1))
 		seed := rng.Int63()
-		a, _, _ := NewSystem(n, nd, 0.85, seed)
+		a, _, _, _ := NewSystemSum(n, nd, 0.85, seed)
 		var op Operator = a
 		if op.Dim() != n {
 			t.Fatalf("n=%d nd=%d seed=%d: Dim %d", n, nd, seed, op.Dim())
@@ -31,13 +30,8 @@ func TestOperatorAccessors(t *testing.T) {
 				t.Fatalf("n=%d nd=%d seed=%d: BandOffsets[%d] = %d, Offsets[%d] = %d", n, nd, seed, k, offs[k], k, o)
 			}
 		}
-		for i, row := range a.Dense() {
-			if math.Float64bits(op.DiagAt(i)) != math.Float64bits(row[i]) {
-				t.Fatalf("n=%d nd=%d seed=%d: DiagAt(%d) = %v, dense %v", n, nd, seed, i, op.DiagAt(i), row[i])
-			}
-		}
-		if op.StoredFloats() != op.NNZ() {
-			t.Fatalf("n=%d nd=%d seed=%d: StoredFloats %d, NNZ %d", n, nd, seed, op.StoredFloats(), op.NNZ())
+		if op.StoredFloats() != a.NNZ() {
+			t.Fatalf("n=%d nd=%d seed=%d: StoredFloats %d, NNZ %d", n, nd, seed, op.StoredFloats(), a.NNZ())
 		}
 	}
 }
@@ -47,7 +41,7 @@ func TestOperatorAccessors(t *testing.T) {
 // different seed, size or band count gives another.
 func TestFingerprintDeterministic(t *testing.T) {
 	fp := func(n, nd int, seed int64) uint64 {
-		a, _, _ := NewSystem(n, nd, 0.85, seed)
+		a, _, _, _ := NewSystemSum(n, nd, 0.85, seed)
 		return a.Fingerprint()
 	}
 	base := fp(500, 9, 123)
@@ -70,7 +64,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 // in any band, or one offset or the size, changes it; undoing the change
 // restores it.
 func TestFingerprintCatchesMutation(t *testing.T) {
-	a, _, _ := NewSystem(300, 8, 0.8, 7)
+	a, _, _, _ := NewSystemSum(300, 8, 0.8, 7)
 	base := a.Fingerprint()
 	check := func(what string, mutate, undo func()) {
 		t.Helper()
@@ -97,7 +91,7 @@ func TestFingerprintCatchesMutation(t *testing.T) {
 	check("size", func() { a.N++ }, func() { a.N-- })
 }
 
-// TestSpectralBoundIsRho: NewSystem sets each diagonal entry to its row's
+// TestSpectralBoundIsRho: NewSystemSum sets each diagonal entry to its row's
 // off-diagonal sum over rho, so the Jacobi bound is rho itself up to
 // rounding, not merely below it: the dominance a cell asks for is the one
 // it iterates.
@@ -106,7 +100,7 @@ func TestSpectralBoundIsRho(t *testing.T) {
 		n, nd int
 		rho   float64
 	}{{400, 8, 0.7}, {1000, 30, 0.85}, {50, 1, 0.5}} {
-		a, _, _ := NewSystem(c.n, c.nd, c.rho, 99)
+		a, _, _, _ := NewSystemSum(c.n, c.nd, c.rho, 99)
 		if got := a.JacobiSpectralBound(); math.Abs(got-c.rho) > 1e-12 {
 			t.Errorf("n=%d numDiags=%d: spectral bound %v, want %v", c.n, c.nd, got, c.rho)
 		}

@@ -25,7 +25,7 @@ type stepCase struct {
 }
 
 func newCase(rng *rand.Rand, n, nd, lo, hi int) stepCase {
-	a, b, _ := sparse.NewSystem(n, nd, 0.85, rng.Int63())
+	a, b, _, _ := sparse.NewSystemSum(n, nd, 0.85, rng.Int63())
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -140,7 +140,7 @@ func FuzzGradientStepPaths(f *testing.F) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		a, b, _ := sparse.NewSystem(n, nd, 0.85, seed)
+		a, b, _, _ := sparse.NewSystemSum(n, nd, 0.85, seed)
 		rng := rand.New(rand.NewSource(seed))
 		x := make([]float64, n)
 		sparse.Fill(rng, x, special)

@@ -24,7 +24,7 @@
 //
 // # Assembly
 //
-// NewSystem's bits are a contract: every band, b and xTrue equal those of
+// NewSystemSum's bits are a contract: every band, b and xTrue equal those of
 // the original row loop (kernels.AssembleBaseline, whose n-long bands
 // hold the same runs padded with zeros) for every shape and seed, because
 // the recorded virtual-time results of every linear cell rest on them. It
@@ -39,10 +39,7 @@
 // persisted (checksum.go).
 package sparse
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DIA is a sparse matrix in diagonal storage. Band k, at offset
 // o = Offsets[k], stores only the rows it covers, [max(0,−o), min(n,n−o)):
@@ -56,19 +53,6 @@ type DIA struct {
 	N       int
 	Offsets []int
 	Diags   [][]float64
-}
-
-// NNZ returns the number of stored non-zero positions.
-func (a *DIA) NNZ() int { return bandNNZ(a.N, a.Offsets) }
-
-// bandNNZ is the number of in-range positions of bands at the given
-// offsets of an n×n matrix.
-func bandNNZ(n int, offsets []int) int {
-	nnz := 0
-	for _, o := range offsets {
-		nnz += bandLen(n, o)
-	}
-	return nnz
 }
 
 func abs(x int) int {
@@ -88,30 +72,11 @@ func bandRows(n, o int) (rlo, rhi int) {
 // covers, none if it misses the matrix.
 func bandLen(n, o int) int { return max(0, n-abs(o)) }
 
-// checkLayout panics unless every band has the length it covers.
-func (a *DIA) checkLayout() {
-	for k, o := range a.Offsets {
-		if len(a.Diags[k]) != bandLen(a.N, o) {
-			a.badBand(k)
-		}
-	}
-}
-
 // badBand panics naming band k, whose length is not bandLen's.
 func (a *DIA) badBand(k int) {
 	o := a.Offsets[k]
 	panic(fmt.Sprintf("sparse: band %d (offset %d) of an n=%d DIA holds %d entries, want n−|o| = %d: a band stores only the rows it covers",
 		k, o, a.N, len(a.Diags[k]), bandLen(a.N, o)))
-}
-
-// MulVec computes dst = A*x. Flops: ~2*NNZ.
-//
-//lint:hotpath
-func (a *DIA) MulVec(dst, x []float64) {
-	if len(dst) != a.N || len(x) != a.N {
-		panic("sparse: dimension mismatch in MulVec")
-	}
-	a.RowRangeMulVec(0, a.N, dst, x)
 }
 
 // RowRangeMulVec computes dst[i-lo] = (A*x)_i for i in [lo,hi), reading x
@@ -326,53 +291,4 @@ func Partition(n, nparts int) []int {
 		bounds[i] = i * n / nparts
 	}
 	return bounds
-}
-
-// OwnerOf returns the part owning global index i under bounds.
-func OwnerOf(bounds []int, i int) int {
-	lo, hi := 0, len(bounds)-1
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if bounds[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// JacobiSpectralBound returns max_i sum_{j!=i} |a_ij| / |a_ii|, an upper
-// bound on the spectral radius of the Jacobi iteration matrix.
-func (a *DIA) JacobiSpectralBound() float64 {
-	a.checkLayout()
-	var worst float64
-	for i := 0; i < a.N; i++ {
-		var off float64
-		for k := 1; k < len(a.Offsets); k++ {
-			if blo, bhi := bandRows(a.N, a.Offsets[k]); i >= blo && i < bhi {
-				off += math.Abs(a.Diags[k][i-blo])
-			}
-		}
-		if r := off / math.Abs(a.Diags[0][i]); r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// Dense returns the dense form of the matrix. For tests on tiny systems.
-func (a *DIA) Dense() [][]float64 {
-	a.checkLayout()
-	m := make([][]float64, a.N)
-	for i := range m {
-		m[i] = make([]float64, a.N)
-	}
-	for k, o := range a.Offsets {
-		blo, _ := bandRows(a.N, o)
-		for j, v := range a.Diags[k] {
-			m[blo+j][blo+j+o] = v
-		}
-	}
-	return m
 }

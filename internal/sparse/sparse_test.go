@@ -9,7 +9,7 @@ import (
 )
 
 func TestNewSystemShape(t *testing.T) {
-	a, b, xt := NewSystem(100, 10, 0.9, 1)
+	a, b, xt, _ := NewSystemSum(100, 10, 0.9, 1)
 	if a.N != 100 || len(b) != 100 || len(xt) != 100 {
 		t.Fatal("bad shapes")
 	}
@@ -27,7 +27,7 @@ func TestNewSystemShape(t *testing.T) {
 
 func TestSpectralBoundBelowOne(t *testing.T) {
 	for _, rho := range []float64{0.5, 0.9, 0.99} {
-		a, _, _ := NewSystem(500, 30, rho, 7)
+		a, _, _, _ := NewSystemSum(500, 30, rho, 7)
 		if got := a.JacobiSpectralBound(); got > rho+1e-12 {
 			t.Fatalf("spectral bound %v exceeds rho %v", got, rho)
 		}
@@ -35,7 +35,7 @@ func TestSpectralBoundBelowOne(t *testing.T) {
 }
 
 func TestMulVecAgainstDense(t *testing.T) {
-	a, _, _ := NewSystem(40, 8, 0.9, 3)
+	a, _, _, _ := NewSystemSum(40, 8, 0.9, 3)
 	d := a.Dense()
 	x := make([]float64, 40)
 	for i := range x {
@@ -48,7 +48,7 @@ func TestMulVecAgainstDense(t *testing.T) {
 		}
 	}
 	got := make([]float64, 40)
-	a.MulVec(got, x)
+	a.RowRangeMulVec(0, a.N, got, x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-10 {
 			t.Fatalf("row %d: got %v want %v", i, got[i], want[i])
@@ -57,13 +57,13 @@ func TestMulVecAgainstDense(t *testing.T) {
 }
 
 func TestRowRangeMulVecMatchesFull(t *testing.T) {
-	a, _, _ := NewSystem(60, 12, 0.9, 5)
+	a, _, _, _ := NewSystemSum(60, 12, 0.9, 5)
 	x := make([]float64, 60)
 	for i := range x {
 		x[i] = math.Sin(float64(i))
 	}
 	full := make([]float64, 60)
-	a.MulVec(full, x)
+	a.RowRangeMulVec(0, a.N, full, x)
 	for _, rng := range [][2]int{{0, 20}, {20, 40}, {40, 60}, {13, 47}} {
 		lo, hi := rng[0], rng[1]
 		part := make([]float64, hi-lo)
@@ -79,7 +79,7 @@ func TestRowRangeMulVecMatchesFull(t *testing.T) {
 // Sequential fixed-step gradient (gamma=1 is Jacobi) must converge to the
 // known true solution.
 func TestGradientConvergesToTruth(t *testing.T) {
-	a, b, xt := NewSystem(200, 15, 0.9, 11)
+	a, b, xt, _ := NewSystemSum(200, 15, 0.9, 11)
 	x := make([]float64, a.N)
 	scratch := make([]float64, a.N)
 	var res float64
@@ -100,7 +100,7 @@ func TestGradientConvergesToTruth(t *testing.T) {
 // Block-wise Jacobi sweeps (each block updated with the others frozen —
 // the synchronous parallel iteration) must also converge to the truth.
 func TestBlockGradientConverges(t *testing.T) {
-	a, b, xt := NewSystem(120, 10, 0.85, 13)
+	a, b, xt, _ := NewSystemSum(120, 10, 0.85, 13)
 	const nparts = 4
 	bounds := Partition(a.N, nparts)
 	x := make([]float64, a.N)
@@ -128,7 +128,7 @@ func TestBlockGradientConverges(t *testing.T) {
 }
 
 func TestColumnsTouchedCoversBand(t *testing.T) {
-	a, _, _ := NewSystem(100, 10, 0.9, 17)
+	a, _, _, _ := NewSystemSum(100, 10, 0.9, 17)
 	segs := a.ColumnsTouched(40, 60)
 	// The diagonal offset 0 guarantees [40,60) itself is touched.
 	found := false
@@ -161,16 +161,10 @@ func TestMergeSegments(t *testing.T) {
 	}
 }
 
-func TestPartitionAndOwner(t *testing.T) {
+func TestPartitionBounds(t *testing.T) {
 	bounds := Partition(100, 7)
 	if bounds[0] != 0 || bounds[7] != 100 {
 		t.Fatalf("bounds = %v", bounds)
-	}
-	for i := 0; i < 100; i++ {
-		p := OwnerOf(bounds, i)
-		if i < bounds[p] || i >= bounds[p+1] {
-			t.Fatalf("OwnerOf(%d) = %d, bounds %v", i, p, bounds)
-		}
 	}
 }
 
@@ -196,7 +190,7 @@ func TestPartitionProperty(t *testing.T) {
 }
 
 func TestNNZPositive(t *testing.T) {
-	a, _, _ := NewSystem(1000, 30, 0.9, 23)
+	a, _, _, _ := NewSystemSum(1000, 30, 0.9, 23)
 	if a.NNZ() <= 1000 {
 		t.Fatalf("nnz = %d, want > n", a.NNZ())
 	}
@@ -237,7 +231,7 @@ func TestNNZMatchesDense(t *testing.T) {
 		}
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		a, _, _ := NewSystem(60+int(seed)*17, 6+int(seed), 0.9, seed)
+		a, _, _, _ := NewSystemSum(60+int(seed)*17, 6+int(seed), 0.9, seed)
 		if a.NNZ() != countDense(a) {
 			t.Errorf("seed %d: NNZ=%d, dense count=%d", seed, a.NNZ(), countDense(a))
 		}
@@ -246,9 +240,9 @@ func TestNNZMatchesDense(t *testing.T) {
 
 func TestBadArgsPanic(t *testing.T) {
 	cases := []func(){
-		func() { NewSystem(1, 1, 0.9, 0) },
-		func() { NewSystem(100, 0, 0.9, 0) },
-		func() { NewSystem(100, 10, 1.5, 0) },
+		func() { NewSystemSum(1, 1, 0.9, 0) },
+		func() { NewSystemSum(100, 0, 0.9, 0) },
+		func() { NewSystemSum(100, 10, 1.5, 0) },
 		func() { Partition(3, 5) },
 	}
 	for i, f := range cases {
@@ -264,8 +258,8 @@ func TestBadArgsPanic(t *testing.T) {
 }
 
 func TestDeterministicGeneration(t *testing.T) {
-	a1, b1, _ := NewSystem(80, 12, 0.9, 99)
-	a2, b2, _ := NewSystem(80, 12, 0.9, 99)
+	a1, b1, _, _ := NewSystemSum(80, 12, 0.9, 99)
+	a2, b2, _, _ := NewSystemSum(80, 12, 0.9, 99)
 	for k := range a1.Offsets {
 		if a1.Offsets[k] != a2.Offsets[k] {
 			t.Fatal("offsets differ across identical seeds")

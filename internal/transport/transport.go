@@ -105,7 +105,7 @@ type Stats struct {
 
 // Transport connects Size ranks with shaped, FIFO, directed links.
 //
-// Usage: SetHandler for every rank and SetShaping/ShapeAll as needed, then
+// Usage: SetHandler for every rank and SetShaping as needed, then
 // Start, then Send freely from any goroutine, then Close. Handlers and
 // shaping are fixed after Start.
 type Transport interface {
@@ -117,8 +117,6 @@ type Transport interface {
 	SetHandler(r int, h Handler)
 	// SetShaping shapes the directed link from → to. Must precede Start.
 	SetShaping(from, to int, s Shaping)
-	// ShapeAll applies s to every link. Must precede Start.
-	ShapeAll(s Shaping)
 	// Start opens the links and spawns the receive goroutines.
 	Start() error
 	// Send blocks until the message has been handed over the link (or the
@@ -303,12 +301,3 @@ func newShapeMatrix(n int) shapeMatrix {
 
 // SetShaping shapes the directed link from → to (pre-Start).
 func (m *shapeMatrix) SetShaping(from, to int, s Shaping) { m.shapes[from][to] = s }
-
-// ShapeAll applies s to every link (pre-Start).
-func (m *shapeMatrix) ShapeAll(s Shaping) {
-	for i := range m.shapes {
-		for j := range m.shapes[i] {
-			m.shapes[i][j] = s
-		}
-	}
-}

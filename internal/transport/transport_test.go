@@ -91,7 +91,7 @@ func TestShapingDelay(t *testing.T) {
 	each(t, 2, func(t *testing.T, mk func() Transport) {
 		tr := mk()
 		const d = 30 * time.Millisecond
-		tr.ShapeAll(Shaping{Delay: d})
+		shapeAll(tr, Shaping{Delay: d})
 		arrived := make(chan time.Time, 1)
 		tr.SetHandler(0, func(Msg) {})
 		tr.SetHandler(1, func(Msg) { arrived <- time.Now() })
@@ -122,7 +122,7 @@ func TestShapingDelayIsKept(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			each(t, 2, func(t *testing.T, mk func() Transport) {
 				tr := mk()
-				tr.ShapeAll(Shaping{Delay: d})
+				shapeAll(tr, Shaping{Delay: d})
 				arrived := make(chan time.Time, 1)
 				tr.SetHandler(0, func(Msg) {})
 				tr.SetHandler(1, func(Msg) { arrived <- time.Now() })
@@ -160,7 +160,7 @@ func TestShapingLossDeterminism(t *testing.T) {
 
 	run := func(mk func() Transport) []int32 {
 		tr := mk()
-		tr.ShapeAll(shape)
+		shapeAll(tr, shape)
 		var mu sync.Mutex
 		var got []int32
 		tr.SetHandler(0, func(Msg) {})
@@ -216,7 +216,7 @@ func TestShapingLossDeterminism(t *testing.T) {
 func TestLossSparesControlMessages(t *testing.T) {
 	each(t, 2, func(t *testing.T, mk func() Transport) {
 		tr := mk()
-		tr.ShapeAll(Shaping{Loss: 1.0, Seed: 1})
+		shapeAll(tr, Shaping{Loss: 1.0, Seed: 1})
 		got := make(chan MsgType, 8)
 		tr.SetHandler(0, func(Msg) {})
 		tr.SetHandler(1, func(m Msg) { got <- m.Type })
@@ -390,4 +390,13 @@ func ExampleShaping_Dropped() {
 	// true
 	// true
 	// true
+}
+
+// shapeAll applies s to every link of tr.
+func shapeAll(tr Transport, s Shaping) {
+	for i := 0; i < tr.Size(); i++ {
+		for j := 0; j < tr.Size(); j++ {
+			tr.SetShaping(i, j, s)
+		}
+	}
 }
